@@ -1,6 +1,9 @@
 """Run circuits on Gaussian states, or extract their symplectic action.
 
-Two consumers share one op-to-matrix table (``op_map``):
+Two consumers share one op-to-matrix map (``op_map``), which reads each
+op's gate block from the op table in :mod:`.ir` and places it with
+``gaussian.embed``, the same path the gate functions in
+:mod:`cvrep.gaussian` use:
 
 * ``symplectic_of`` folds a purely unitary circuit into a single
   ``SymplecticMap`` — the ground truth that synthesis and rewrite results
@@ -25,74 +28,27 @@ from ..gaussian import (
     MeasurementRecord,
     SymplecticMap,
     discard,
+    embed,
     feedforward_displace,
     homodyne,
-    pair_block,
-    single_mode_block,
 )
-from .ir import (
-    BeamSplitterPM,
-    Circuit,
-    Discard,
-    Displace,
-    FeedforwardDisplace,
-    Fourier,
-    InverseFourier,
-    Measure,
-    PhaseShift,
-    Pi,
-    Qnd,
-    SqueezeFactor,
-    Swap,
-    TwoModeSqueeze,
-)
+from .ir import Circuit, Discard, FeedforwardDisplace, Measure, spec_of
 
 __all__ = ["op_map", "symplectic_of", "run", "RunResult"]
 
 
-def _embed_single(block: np.ndarray, pos: int, n: int) -> np.ndarray:
-    S = np.eye(2 * n)
-    idx = [pos, n + pos]
-    S[np.ix_(idx, idx)] = block
-    return S
-
-
-def _embed_pair(block: np.ndarray, pa: int, pb: int, n: int) -> np.ndarray:
-    S = np.eye(2 * n)
-    idx = [pa, pb, n + pa, n + pb]
-    S[np.ix_(idx, idx)] = block
-    return S
-
-
 def op_map(op, labels: tuple[int, ...]) -> SymplecticMap:
     """Symplectic map of one unitary op acting on wires named by ``labels``."""
-    n = len(labels)
-    pos = {v: i for i, v in enumerate(labels)}
-    d = np.zeros(2 * n)
-    if isinstance(op, Qnd):
-        S = _embed_pair(pair_block("qnd", op.gain), pos[op.control], pos[op.target], n)
-    elif isinstance(op, BeamSplitterPM):
-        S = _embed_pair(pair_block("bs_pm"), pos[op.a], pos[op.b], n)
-    elif isinstance(op, SqueezeFactor):
-        S = _embed_single(single_mode_block("squeeze_factor", op.factor), pos[op.mode], n)
-    elif isinstance(op, PhaseShift):
-        S = _embed_single(single_mode_block("phase", op.phi), pos[op.mode], n)
-    elif isinstance(op, Fourier):
-        S = _embed_single(single_mode_block("fourier"), pos[op.mode], n)
-    elif isinstance(op, InverseFourier):
-        S = _embed_single(single_mode_block("inverse_fourier"), pos[op.mode], n)
-    elif isinstance(op, Pi):
-        S = _embed_single(single_mode_block("pi"), pos[op.mode], n)
-    elif isinstance(op, Swap):
-        S = _embed_pair(pair_block("swap"), pos[op.a], pos[op.b], n)
-    elif isinstance(op, TwoModeSqueeze):
-        S = _embed_pair(pair_block("two_mode_squeeze", op.r), pos[op.a], pos[op.b], n)
-    elif isinstance(op, Displace):
-        S = np.eye(2 * n)
-        d[pos[op.mode]] = np.sqrt(2.0) * op.alpha.real
-        d[n + pos[op.mode]] = np.sqrt(2.0) * op.alpha.imag
-    else:
+    spec = spec_of(op)
+    if not spec.unitary:
         raise TypeError(f"{type(op).__name__} has no symplectic representation")
+    n = len(labels)
+    modes = [labels.index(w) for w in spec.wires(op)]
+    params = spec.params(op)
+    S = embed(n, modes, spec.block(*params)) if spec.block else np.eye(2 * n)
+    d = np.zeros(2 * n)
+    if spec.shift:
+        d[modes + [n + m for m in modes]] = spec.shift(*params)
     return SymplecticMap(S, d)
 
 

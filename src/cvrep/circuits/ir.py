@@ -9,8 +9,15 @@ Measurement results land in named classical registers; feedforward ops read
 them.  Validation walks the op list once, tracking which wires are still
 live and which registers have been written.
 
-Serialization is line-oriented text, one op per line, with a ``MODES``
-header naming the wires.  Numbers are printed as plain integers when whole
+Every op type is written down once, in the op table ``OPS``: its text tag,
+its ``key=value`` fields in constructor order (wires marked as wires) and,
+for unitary ops, its gate block from :mod:`cvrep.gaussian`.  Serializing,
+parsing, ``wires_of``, ``Circuit.is_unitary`` and the interpreter's
+``op_map`` all read that one entry.
+
+Serialization is line-oriented text, one op per line, after a ``MODES``
+header naming the wires (optional on input: without it the wires are 1 to
+the highest label used).  Numbers are printed as plain integers when whole
 and ``repr(float)`` otherwise, so parse(print(c)) reproduces the circuit
 bit-for-bit.
 """
@@ -18,8 +25,14 @@ bit-for-bit.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import isfinite
+from operator import attrgetter
+from typing import Callable
+
+import numpy as np
+
+from .. import gaussian as g
 
 __all__ = [
     "Qnd",
@@ -161,31 +174,100 @@ class Discard:
     mode: int
 
 
-_UNITARY = (
-    Qnd,
-    BeamSplitterPM,
-    SqueezeFactor,
-    PhaseShift,
-    Fourier,
-    InverseFourier,
-    Pi,
-    Swap,
-    Displace,
-    TwoModeSqueeze,
+# ---------------------------------------------------------------------------
+# the op table: each op type's text form, wires and gate, written down once
+
+# A field's kind is the type that reads its text: int fields are the wires,
+# float fields are written with _fmt, str fields as they are.
+def _field(kind: type):
+    """Field maker: ``(text key, attribute, kind)``; the attribute defaults to the key."""
+    return lambda key, attr=None: (key, attr or key, kind)
+
+
+_wire, _real, _text = _field(int), _field(float), _field(str)
+
+
+def _getter(attrs: tuple[str, ...]) -> Callable[[object], tuple]:
+    """op -> the tuple of its attributes named by (possibly dotted) ``attrs``."""
+    if not attrs:
+        return lambda op: ()
+    get = attrgetter(*attrs)
+    return get if len(attrs) > 1 else lambda op: (get(op),)
+
+
+class OpSpec:
+    """One op type: its text tag, its ``key=value`` fields and its gate.
+
+    ``fields`` lists ``(text key, attribute, kind)`` in constructor order,
+    and ``make`` builds the op from the field values.  A unitary op has a
+    ``block`` (the gate's 2k x 2k matrix over its k wires, see
+    ``gaussian.embed``) or, for a displacement, a ``shift`` (its (x, p)
+    mean displacement); either is called with the op's non-wire field
+    values in order.
+    """
+
+    def __init__(self, cls, tag, fields, *, block=None, shift=None, make=None):
+        self.cls, self.tag, self.fields = cls, tag, fields
+        self.block, self.shift = block, shift
+        self.make = make or cls
+        self.unitary = block is not None or shift is not None
+        self.values = _getter(tuple(attr for _, attr, _ in fields))
+        self.wires = _getter(tuple(attr for _, attr, kind in fields if kind is int))
+        self.params = _getter(tuple(attr for _, attr, kind in fields if kind is not int))
+        self._line = " ".join([tag, *(f"{key}={{}}" for key, _, _ in fields)])
+        self._reals = [i for i, (_, _, kind) in enumerate(fields) if kind is float]
+
+    def line(self, op) -> str:
+        """The op as one line of circuit text."""
+        values = list(self.values(op))
+        for i in self._reals:
+            values[i] = _fmt(values[i])
+        return self._line.format(*values)
+
+    def read(self, kv: dict[str, str]):
+        """The op from its line's ``key=value`` pairs; KeyError if one is missing."""
+        return self.make(*(kind(kv[key]) for key, _, kind in self.fields))
+
+
+_SPECS = (
+    OpSpec(Qnd, "QND", (_wire("c", "control"), _wire("t", "target"), _real("gain")), block=g.qnd_block),
+    OpSpec(BeamSplitterPM, "BS", (_wire("a"), _wire("b")), block=g.beam_splitter_pm_block),
+    OpSpec(SqueezeFactor, "SQ", (_wire("mode"), _real("factor")), block=g.squeeze_block),
+    OpSpec(PhaseShift, "PHASE", (_wire("mode"), _real("phi")), block=g.phase_block),
+    OpSpec(Fourier, "FOURIER", (_wire("mode"),), block=g.fourier_block),
+    OpSpec(InverseFourier, "INVFOURIER", (_wire("mode"),), block=g.inverse_fourier_block),
+    OpSpec(Pi, "PI", (_wire("mode"),), block=g.pi_block),
+    OpSpec(Swap, "SWAP", (_wire("a"), _wire("b")), block=g.swap_block),
+    OpSpec(
+        Displace,
+        "DISP",
+        (_wire("mode"), _real("re", "alpha.real"), _real("im", "alpha.imag")),
+        shift=g.displacement,
+        make=lambda mode, re, im: Displace(mode, complex(re, im)),
+    ),
+    OpSpec(TwoModeSqueeze, "TMS", (_wire("a"), _wire("b"), _real("r")), block=g.two_mode_squeeze_block),
+    OpSpec(Measure, "MEAS", (_wire("mode"), _text("basis"), _text("reg", "register"))),
+    OpSpec(
+        FeedforwardDisplace,
+        "FF",
+        (_text("reg", "register"), _wire("target"), _text("quad"), _real("gain")),
+    ),
+    OpSpec(Discard, "DISCARD", (_wire("mode"),)),
 )
+OPS = {spec.cls: spec for spec in _SPECS}
+_BY_TAG = {spec.tag: spec for spec in _SPECS}
+
+
+def spec_of(op) -> OpSpec:
+    try:
+        return OPS[type(op)]
+    except KeyError:
+        raise TypeError(f"not a circuit op: {op!r}") from None
 
 
 def wires_of(op) -> tuple[int, ...]:
     """Labels an op touches, in field order."""
-    if isinstance(op, (Qnd,)):
-        return (op.control, op.target)
-    if isinstance(op, (BeamSplitterPM, Swap, TwoModeSqueeze)):
-        return (op.a, op.b)
-    if isinstance(op, (SqueezeFactor, PhaseShift, Fourier, InverseFourier, Pi, Displace, Measure, Discard)):
-        return (op.mode,)
-    if isinstance(op, FeedforwardDisplace):
-        return (op.target,)
-    raise TypeError(f"not a circuit op: {op!r}")
+    return spec_of(op).wires(op)
 
 
 @dataclass(frozen=True)
@@ -231,7 +313,7 @@ class Circuit:
                     )
 
     def is_unitary(self) -> bool:
-        return all(isinstance(op, _UNITARY) for op in self.ops)
+        return all(spec_of(op).unitary for op in self.ops)
 
     def surviving_labels(self) -> tuple[int, ...]:
         gone = {op.mode for op in self.ops if isinstance(op, (Measure, Discard))}
@@ -251,13 +333,11 @@ class PointTransform:
     A: "object"
 
     def __post_init__(self):
-        import numpy as np
-
         A = np.asarray(self.A, dtype=float)
         object.__setattr__(self, "A", A)
         if A.ndim != 2 or A.shape[0] != A.shape[1]:
             raise ValueError(f"point transform must be square, got shape {A.shape}")
-        if abs(np.linalg.det(A)) <= 1e-12:
+        if np.linalg.matrix_rank(A) < A.shape[0]:
             raise ValueError("point transform must be invertible")
 
     @property
@@ -266,15 +346,11 @@ class PointTransform:
 
     def to_symplectic(self):
         """The 2n x 2n xxpp symplectic lift diag(A, A^-T) with zero displacement."""
-        import numpy as np
-
-        from ..gaussian import SymplecticMap
-
         n = self.n
         S = np.zeros((2 * n, 2 * n))
         S[:n, :n] = self.A
         S[n:, n:] = np.linalg.inv(self.A).T
-        return SymplecticMap(S, np.zeros(2 * n))
+        return g.SymplecticMap(S, np.zeros(2 * n))
 
 
 # ---------------------------------------------------------------------------
@@ -291,37 +367,7 @@ def _fmt(v: float) -> str:
 
 def serialize(circuit: Circuit) -> str:
     lines = ["MODES " + " ".join(str(v) for v in circuit.labels)]
-    for op in circuit.ops:
-        if isinstance(op, Qnd):
-            lines.append(f"QND c={op.control} t={op.target} gain={_fmt(op.gain)}")
-        elif isinstance(op, BeamSplitterPM):
-            lines.append(f"BS a={op.a} b={op.b}")
-        elif isinstance(op, SqueezeFactor):
-            lines.append(f"SQ mode={op.mode} factor={_fmt(op.factor)}")
-        elif isinstance(op, PhaseShift):
-            lines.append(f"PHASE mode={op.mode} phi={_fmt(op.phi)}")
-        elif isinstance(op, Fourier):
-            lines.append(f"FOURIER mode={op.mode}")
-        elif isinstance(op, InverseFourier):
-            lines.append(f"INVFOURIER mode={op.mode}")
-        elif isinstance(op, Pi):
-            lines.append(f"PI mode={op.mode}")
-        elif isinstance(op, Swap):
-            lines.append(f"SWAP a={op.a} b={op.b}")
-        elif isinstance(op, Displace):
-            lines.append(f"DISP mode={op.mode} re={_fmt(op.alpha.real)} im={_fmt(op.alpha.imag)}")
-        elif isinstance(op, TwoModeSqueeze):
-            lines.append(f"TMS a={op.a} b={op.b} r={_fmt(op.r)}")
-        elif isinstance(op, Measure):
-            lines.append(f"MEAS mode={op.mode} basis={op.basis} reg={op.register}")
-        elif isinstance(op, FeedforwardDisplace):
-            lines.append(
-                f"FF reg={op.register} target={op.target} quad={op.quad} gain={_fmt(op.gain)}"
-            )
-        elif isinstance(op, Discard):
-            lines.append(f"DISCARD mode={op.mode}")
-        else:
-            raise TypeError(f"cannot serialize {op!r}")
+    lines.extend(spec_of(op).line(op) for op in circuit.ops)
     return "\n".join(lines) + "\n"
 
 
@@ -350,41 +396,16 @@ def parse(text: str) -> Circuit:
                     raise CircuitParseError(f"line {lineno}: MODES must come first, once")
                 labels = tuple(int(v) for v in rest)
                 continue
-            kv = _fields(rest, lineno)
-            if head == "QND":
-                op = Qnd(int(kv["c"]), int(kv["t"]), float(kv["gain"]))
-            elif head == "BS":
-                op = BeamSplitterPM(int(kv["a"]), int(kv["b"]))
-            elif head == "SQ":
-                op = SqueezeFactor(int(kv["mode"]), float(kv["factor"]))
-            elif head == "PHASE":
-                op = PhaseShift(int(kv["mode"]), float(kv["phi"]))
-            elif head == "FOURIER":
-                op = Fourier(int(kv["mode"]))
-            elif head == "INVFOURIER":
-                op = InverseFourier(int(kv["mode"]))
-            elif head == "PI":
-                op = Pi(int(kv["mode"]))
-            elif head == "SWAP":
-                op = Swap(int(kv["a"]), int(kv["b"]))
-            elif head == "DISP":
-                op = Displace(int(kv["mode"]), complex(float(kv["re"]), float(kv["im"])))
-            elif head == "TMS":
-                op = TwoModeSqueeze(int(kv["a"]), int(kv["b"]), float(kv["r"]))
-            elif head == "MEAS":
-                op = Measure(int(kv["mode"]), kv["basis"], kv["reg"])
-            elif head == "FF":
-                op = FeedforwardDisplace(kv["reg"], int(kv["target"]), kv["quad"], float(kv["gain"]))
-            elif head == "DISCARD":
-                op = Discard(int(kv["mode"]))
-            else:
+            spec = _BY_TAG.get(head)
+            if spec is None:
                 raise CircuitParseError(f"line {lineno}: unknown op {head!r}")
+            op = spec.read(_fields(rest, lineno))
         except (KeyError, ValueError) as exc:
             if isinstance(exc, CircuitParseError):
                 raise
             raise CircuitParseError(f"line {lineno}: {exc}") from exc
         ops.append(op)
-        max_wire = max([max_wire, *wires_of(op)])
+        max_wire = max([max_wire, *spec.wires(op)])
     if labels is None:
         labels = tuple(range(1, max_wire + 1))
     try:

@@ -49,9 +49,11 @@ from math import exp, isfinite, log, nan
 
 import numpy as np
 
+from ..codes import FIVE_MODE_ERASURES
 from ..gaussian import (
     GaussianState,
     coherent,
+    discard,
     fidelity_with_coherent,
     squeeze,
     tensor,
@@ -96,20 +98,14 @@ __all__ = [
     "UnreachableTargetError",
 ]
 
-ERASURE_TAGS = ("E1", "E2", "E3", "E4")
-
+# Erasure Ek is the five-mode code's erasure pattern for recovery vertex k,
+# here as 1-based wire labels.
 ERASED_MODES = {
-    "E1": (3, 4, 5),
-    "E2": (2, 3),
-    "E3": (2, 4),
-    "E4": (1, 5),
+    f"E{k}": tuple(sorted(m + 1 for m in erased)) for k, erased in FIVE_MODE_ERASURES.items()
 }
-
+ERASURE_TAGS = tuple(ERASED_MODES)
 SURVIVOR_MODES = {
-    "E1": (1, 2),
-    "E2": (1, 4, 5),
-    "E3": (1, 3, 5),
-    "E4": (2, 3, 4),
+    tag: tuple(m for m in range(1, 6) if m not in erased) for tag, erased in ERASED_MODES.items()
 }
 
 # Which surviving wire holds the recovered input after each decoder.
@@ -187,8 +183,6 @@ def erase(state: GaussianState, tag: str) -> GaussianState:
     _check_tag(tag)
     if state.n_modes != 5:
         raise ValueError(f"erasure acts on the 5-mode register, got {state.n_modes} modes")
-    from ..gaussian import discard
-
     return discard(state, [m - 1 for m in ERASED_MODES[tag]])
 
 
@@ -321,8 +315,6 @@ def recovery_fidelity(
     out = result.state
     keep = result.labels.index(OPTICAL_RECOVERY_WIRE[tag])
     if out.n_modes > 1:
-        from ..gaussian import discard
-
         out = discard(out, [i for i in range(out.n_modes) if i != keep])
     return fidelity_with_coherent(out, alpha)
 

@@ -215,7 +215,7 @@ def synthesize(
     labels = tuple(int(v) for v in labels)
     if len(labels) != n:
         raise SynthesisError(f"{n}x{n} matrix needs {n} labels, got {len(labels)}")
-    if abs(np.linalg.det(A)) <= _ZERO:
+    if np.linalg.matrix_rank(A) < n:
         raise SynthesisError("matrix is singular")
     if forbidden_final_control is not None and forbidden_final_control not in labels:
         raise SynthesisError(

@@ -156,6 +156,7 @@ class ErasurePattern:
 
 
 # Five-mode erasure patterns, keyed by recovery vertex; 0-based mode indices.
+# circuits.recovery names pattern k "Ek" and derives its wire tables from here.
 FIVE_MODE_ERASURES = {
     1: frozenset({2, 3, 4}),
     2: frozenset({1, 2}),

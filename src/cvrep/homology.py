@@ -2,7 +2,7 @@
 
 Chain bases are the sorted (k+1)-subsets of {1..N} in lexicographic order, so
 the 1-chain basis lines up index-for-index with codes.EdgeBasis.  Boundary
-matrices are exact integer matrices; d_k d_{k+1} = 0 is asserted, not
+matrices are exact integer matrices; d_k d_{k+1} = 0 is checked exactly, not
 approximated.
 """
 
@@ -14,7 +14,7 @@ from math import comb
 
 import numpy as np
 
-from .codes import StabilizerCode
+from .codes import StabilizerCode, check_correctable, edge_basis, erasure_for_vertex
 from .tolerances import TOL
 
 __all__ = [
@@ -58,8 +58,8 @@ class ChainComplex:
 
     def __post_init__(self):
         for k in (0, 1):
-            prod = self.boundary[k] @ self.boundary[k + 1]
-            assert not prod.any(), f"d_{k} d_{k+1} != 0"
+            if (self.boundary[k] @ self.boundary[k + 1]).any():
+                raise ValueError(f"not a chain complex: d_{k} d_{k+1} != 0")
 
 
 def chain_complex(N: int) -> ChainComplex:
@@ -150,8 +150,6 @@ def verify_correctability_homological(
     N: int, vertex: int, *, n_q_rows: int | None = None
 ) -> bool:
     """check_correctable on the homological code, erasing edges away from vertex."""
-    from .codes import check_correctable, edge_basis, erasure_for_vertex
-
     code = build_homological_code(N, n_q_rows=n_q_rows)
     basis = edge_basis(N)
     return check_correctable(code, erasure_for_vertex(code, basis, vertex))

@@ -14,7 +14,7 @@ class Tolerances:
     cov_symmetry: float = 1e-12
     #: uncertainty bound: symplectic eigenvalues must be >= 1/2 - this slack
     symplectic_eig_slack: float = 1e-9
-    #: defect allowed in S @ Omega @ S.T == Omega
+    #: defect allowed in S @ Omega @ S.T == Omega, in units of max(1, max|S|)^2
     symplectic_check: float = 1e-10
     #: absolute singular-value cutoff for rank / span decisions
     rank: float = 1e-10

@@ -34,6 +34,7 @@ from cvrep.circuits import (
     serialize,
     symplectic_of,
 )
+from cvrep.circuits.ir import OPS
 
 SQRT2 = math.sqrt(2.0)
 
@@ -106,6 +107,12 @@ def test_measure_register_names_are_identifiers():
 def test_point_transform_needs_invertibility():
     with pytest.raises(ValueError):
         PointTransform(np.array([[1.0, 2.0], [2.0, 4.0]]))
+
+
+def test_point_transform_invertibility_does_not_depend_on_scale():
+    np.testing.assert_array_equal(PointTransform(0.01 * np.eye(10)).A, 0.01 * np.eye(10))
+    with pytest.raises(ValueError):
+        PointTransform(1e3 * np.array([[1.0, 2.0], [2.0, 4.0]]))
 
 
 def test_point_transform_lifts_to_a_symplectic_block_pair():
@@ -221,32 +228,35 @@ def test_empty_circuit_is_the_identity_map():
     np.testing.assert_array_equal(S.displacement, np.zeros(4))
 
 
-def test_single_qnd_matches_the_gate_function(rng):
-    state = random_gaussian_state(rng, 2)
-    via_map = op_map(Qnd(1, 2, 1.5), (1, 2)).apply(state)
-    via_gate = g.qnd(state, 0, 1, 1.5)
-    np.testing.assert_allclose(via_map.mean, via_gate.mean, atol=1e-12)
-    np.testing.assert_allclose(via_map.cov, via_gate.cov, atol=1e-12)
+SWAP_MODES = [1, 0, 3, 2]  # (x_1, x_2, p_1, p_2) with the two modes exchanged
+
+GATE_LIBRARY_CASES = [
+    (BeamSplitterPM(1, 2), lambda s: g.beam_splitter_pm(s, (0, 1))),
+    (SqueezeFactor(2, -1.5), lambda s: g.squeeze_by_factor(s, 1, -1.5)),
+    (PhaseShift(1, 0.7), lambda s: g.phase_shift(s, 0, 0.7)),
+    (Fourier(2), lambda s: g.fourier(s, 1)),
+    (InverseFourier(1), lambda s: g.inverse_fourier(s, 0)),
+    (TwoModeSqueeze(1, 2, 0.4), lambda s: g.two_mode_squeeze(s, (0, 1), 0.4)),
+    (Displace(1, 1 - 1j), lambda s: g.displace(s, 0, 1 - 1j)),
+    (Pi(2), lambda s: g.phase_shift(s, 1, math.pi)),
+    (Swap(1, 2), lambda s: g.GaussianState(s.mean[SWAP_MODES], s.cov[np.ix_(SWAP_MODES, SWAP_MODES)])),
+    (Qnd(1, 2, 1.5), lambda s: g.qnd(s, 0, 1, 1.5)),
+]
 
 
-@pytest.mark.parametrize(
-    "op, gate",
-    [
-        (BeamSplitterPM(1, 2), lambda s: g.beam_splitter_pm(s, (0, 1))),
-        (SqueezeFactor(2, -1.5), lambda s: g.squeeze_by_factor(s, 1, -1.5)),
-        (PhaseShift(1, 0.7), lambda s: g.phase_shift(s, 0, 0.7)),
-        (Fourier(2), lambda s: g.fourier(s, 1)),
-        (InverseFourier(1), lambda s: g.inverse_fourier(s, 0)),
-        (TwoModeSqueeze(1, 2, 0.4), lambda s: g.two_mode_squeeze(s, (0, 1), 0.4)),
-        (Displace(1, 1 - 1j), lambda s: g.displace(s, 0, 1 - 1j)),
-    ],
-)
+@pytest.mark.parametrize("op, gate", GATE_LIBRARY_CASES)
 def test_op_map_agrees_with_the_gate_library(op, gate, rng):
     state = random_gaussian_state(rng, 2)
     via_map = op_map(op, (1, 2)).apply(state)
     via_gate = gate(state)
     np.testing.assert_allclose(via_map.mean, via_gate.mean, atol=1e-12)
     np.testing.assert_allclose(via_map.cov, via_gate.cov, atol=1e-12)
+
+
+def test_gate_library_cases_cover_every_unitary_op():
+    assert {type(op) for op, _ in GATE_LIBRARY_CASES} == {
+        cls for cls, spec in OPS.items() if spec.unitary
+    }
 
 
 def test_pi_and_swap_blocks_are_exact():

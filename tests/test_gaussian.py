@@ -185,6 +185,11 @@ def test_gates_preserve_the_uncertainty_bound(r, phi):
     assert np.min(g.symplectic_eigenvalues(state.cov)) >= 0.5 - 1e-9
 
 
+def test_symplectic_map_rejects_an_order_one_non_symplectic_matrix():
+    with pytest.raises(ValueError, match="not symplectic"):
+        g.SymplecticMap(np.diag([1.0, 1.0, 1.0, 1.0 + 1e-9]), np.zeros(4))
+
+
 def test_gate_composition_matches_single_symplectic_map(rng):
     from cvrep.circuits import BeamSplitterPM, PhaseShift, Qnd, SqueezeFactor, op_map
 

@@ -52,6 +52,13 @@ def test_chain_complex_carries_all_three_boundaries():
     assert complex_.boundary[2].shape == (10, 10)
 
 
+def test_chain_complex_rejects_boundaries_that_do_not_compose_to_zero():
+    boundary = {k: homology.boundary_matrix(5, k) for k in (0, 1, 2)}
+    boundary[2] = np.abs(boundary[2])
+    with pytest.raises(ValueError, match="d_1 d_2"):
+        homology.ChainComplex(5, boundary)
+
+
 def test_boundary_matrix_input_validation():
     with pytest.raises(ValueError):
         homology.boundary_matrix(2, 1)

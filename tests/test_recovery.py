@@ -39,7 +39,7 @@ from cvrep.circuits import (
     synthesize,
     threshold_squeezing,
 )
-from cvrep.codes import build_five_mode_code, nullifier_variances
+from cvrep.codes import build_five_mode_code, erasure_for_vertex, nullifier_variances
 from cvrep.gaussian import discard, fidelity_with_coherent, squeeze_by_factor, vacuum
 
 LN2 = float(np.log(2.0))
@@ -59,6 +59,15 @@ def test_each_erasure_partitions_the_register():
     for tag in ERASURE_TAGS:
         together = sorted(ERASED_MODES[tag] + SURVIVOR_MODES[tag])
         assert together == [1, 2, 3, 4, 5]
+
+
+def test_erasure_ek_is_the_five_mode_pattern_of_recovery_vertex_k():
+    code = build_five_mode_code()
+    for k in range(1, 5):
+        pattern = erasure_for_vertex(code, None, k)
+        assert ERASED_MODES[f"E{k}"] == tuple(sorted(m + 1 for m in pattern.erased))
+    assert ERASED_MODES == {"E1": (3, 4, 5), "E2": (2, 3), "E3": (2, 4), "E4": (1, 5)}
+    assert SURVIVOR_MODES == {"E1": (1, 2), "E2": (1, 4, 5), "E3": (1, 3, 5), "E4": (2, 3, 4)}
 
 
 def test_erase_keeps_survivors_in_wire_order():
@@ -146,7 +155,7 @@ def test_ideal_encoder_is_two_fourers_and_six_couplings():
     assert [type(op) for op in ops[:2]] == [Fourier, Fourier]
     assert all(isinstance(op, Qnd) for op in ops[2:])
     assert len(ops) == 8
-    assert ideal_encoder().is_unitary
+    assert ideal_encoder().is_unitary()
 
 
 def test_optical_encoder_layout():

@@ -92,6 +92,32 @@ def test_singular_matrix_is_rejected():
         synthesize(np.array([[1.0, 2.0], [2.0, 4.0]]))
 
 
+def test_singularity_does_not_depend_on_scale():
+    A = 0.01 * np.eye(10)  # rank 10, condition number 1, determinant 1e-20
+    np.testing.assert_allclose(x_block(synthesize(A)), A, atol=1e-12)
+    with pytest.raises(SynthesisError):
+        synthesize(1e3 * np.array([[1.0, 2.0], [2.0, 4.0]]))
+
+
+def _unimodular(rng, n):
+    """Integer matrix with determinant +-1: a product of unit triangles, rows permuted and signed."""
+
+    def unit_triangle(lower):
+        E = rng.choice([-1, 0, 1], size=(n, n), p=[0.15, 0.7, 0.15])
+        return (np.tril(E, -1) if lower else np.triu(E, 1)) + np.eye(n, dtype=int)
+
+    A = unit_triangle(True) @ unit_triangle(False)
+    return (A[rng.permutation(n)] * rng.choice([-1, 1], size=n)[:, None]).astype(float)
+
+
+def test_large_unimodular_matrix_passes_the_symplecticity_check():
+    # The fold's partial products reach entries of several thousand, so
+    # their S Omega S^T carries rounding well above an absolute 1e-10.
+    A = _unimodular(np.random.default_rng(0), 40)
+    assert np.abs(np.linalg.inv(A)).max() > 1e3
+    np.testing.assert_allclose(x_block(synthesize(A)), A, atol=1e-10)
+
+
 def test_malformed_inputs_are_rejected():
     with pytest.raises(ValueError):
         synthesize(np.ones((2, 3)))
