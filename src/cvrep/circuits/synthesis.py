@@ -26,7 +26,9 @@ that addition is always sourced from the first column needing one, whatever
 the pivots.  Freedom comes from reordering the columns, not the pivots.)
 
 Every result is checked against its own target matrix before being
-returned, so a successful call is self-certifying.
+returned, so a successful call is self-certifying; its limit scales with
+max|A|.  An entry counts as zero at ``_ZERO`` times its row's size: the row's
+largest entry in A, times every factor the row has since been scaled by.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ from .ir import Circuit, Qnd, SqueezeFactor, Swap
 
 __all__ = ["synthesize", "SynthesisError"]
 
+#: elimination cutoff, in units of the row size
 _ZERO = 1e-12
 
 
@@ -57,8 +60,8 @@ def _pivot_preference(col: np.ndarray, candidates: list[int]) -> list[int]:
     return ones + ints + rest
 
 
-def _default_pivot(col: np.ndarray, j: int, n: int) -> int:
-    candidates = [i for i in range(j, n) if abs(col[i]) > _ZERO]
+def _default_pivot(col: np.ndarray, j: int, n: int, size: np.ndarray) -> int:
+    candidates = [i for i in range(j, n) if abs(col[i]) > _ZERO * size[i]]
     if not candidates:
         raise SynthesisError(f"matrix is singular: no pivot available in column {j}")
     return _pivot_preference(col, candidates)[0]
@@ -72,14 +75,17 @@ def _reduction_script(A: np.ndarray, pivot_rows) -> list[tuple]:
             f"pivot_rows must supply one row per column: got {len(pivot_rows)} for n={n}"
         )
     M = A.astype(float).copy()
+    size = np.max(np.abs(M), axis=1)
     script: list[tuple] = []
 
     def swap(i, j):
         M[[i, j]] = M[[j, i]]
+        size[[i, j]] = size[[j, i]]
         script.append(("swap", i, j))
 
     def scale(i, c):
         M[i] *= c
+        size[i] *= abs(c)
         script.append(("scale", i, c))
 
     def add(i, j, c):
@@ -93,22 +99,22 @@ def _reduction_script(A: np.ndarray, pivot_rows) -> list[tuple]:
                 raise SynthesisError(
                     f"pivot_rows[{j}]={p} out of range: must be a row index in [{j}, {n})"
                 )
-            if abs(M[p, j]) <= _ZERO:
+            if abs(M[p, j]) <= _ZERO * size[p]:
                 raise SynthesisError(
                     f"pivot_rows[{j}]={p} selects a zero entry in column {j}"
                 )
         else:
-            p = _default_pivot(M[:, j], j, n)
+            p = _default_pivot(M[:, j], j, n, size)
         if p != j:
             swap(j, p)
         if M[j, j] != 1.0:
             scale(j, 1.0 / M[j, j])
         for i in range(j + 1, n):
-            if abs(M[i, j]) > _ZERO:
+            if abs(M[i, j]) > _ZERO * size[i]:
                 add(i, j, -M[i, j])
     for j in range(n - 1, 0, -1):
         for i in range(j - 1, -1, -1):
-            if abs(M[i, j]) > _ZERO:
+            if abs(M[i, j]) > _ZERO * size[i]:
                 add(i, j, -M[i, j])
     return script
 
@@ -124,13 +130,14 @@ def _jordan_script(A: np.ndarray, first_col: int, first_pivot: int) -> list[tupl
     """
     n = A.shape[0]
     M = A.astype(float).copy()
+    size = np.max(np.abs(M), axis=1)
     script: list[tuple] = []
     used: set[int] = set()
     for c in [first_col] + [c for c in range(n) if c != first_col]:
         if c == first_col:
             p = first_pivot
         else:
-            candidates = [i for i in range(n) if i not in used and abs(M[i, c]) > _ZERO]
+            candidates = [i for i in range(n) if i not in used and abs(M[i, c]) > _ZERO * size[i]]
             if not candidates:
                 raise SynthesisError(
                     f"matrix is singular: no pivot available in column {c}"
@@ -139,9 +146,10 @@ def _jordan_script(A: np.ndarray, first_col: int, first_pivot: int) -> list[tupl
         used.add(p)
         if M[p, c] != 1.0:
             script.append(("scale", p, 1.0 / M[p, c]))
+            size[p] *= abs(1.0 / M[p, c])
             M[p] *= 1.0 / M[p, c]
         for i in range(n):
-            if i != p and abs(M[i, c]) > _ZERO:
+            if i != p and abs(M[i, c]) > _ZERO * size[i]:
                 script.append(("add", i, p, -M[i, c]))
                 M[i] += -M[i, c] * M[p]
     for i in range(n):
@@ -178,10 +186,11 @@ def _build(A: np.ndarray, labels: tuple[int, ...], script: list[tuple]) -> Circu
     circuit = Circuit(labels, tuple(_script_to_ops(script, labels)))
     achieved = symplectic_of(circuit).matrix[: len(labels), : len(labels)]
     err = float(np.max(np.abs(achieved - A)))
-    if err > TOL.synthesis:
+    limit = TOL.synthesis * max(1.0, float(np.max(np.abs(A))))
+    if err > limit:
         raise SynthesisError(
             f"synthesized circuit deviates from its target by {err:.3e} "
-            f"(limit {TOL.synthesis:.1e}); the matrix is too ill-conditioned "
+            f"(limit {limit:.1e}); the matrix is too ill-conditioned "
             f"for this pivot choice"
         )
     return circuit
@@ -238,8 +247,9 @@ def synthesize(
     # eliminate.  Restart the elimination at a column where a different wire
     # can take that pivot; any column with a second nonzero entry works.
     banned = labels.index(forbidden_final_control)
+    size = np.max(np.abs(A), axis=1)
     for c in range(n):
-        rows = [i for i in range(n) if abs(A[i, c]) > _ZERO]
+        rows = [i for i in range(n) if abs(A[i, c]) > _ZERO * size[i]]
         if len(rows) < 2:
             continue
         for p in _pivot_preference(A[:, c], [i for i in rows if i != banned]):

@@ -2,15 +2,17 @@
 
 Modes live on the edges of the complete graph K_N.  The pure-X generators
 are directed triangles through a distinguished vertex (vertex 1), the pure-P
-generators are sums of adjacent star vectors, and erasure correctability for
-a recovery vertex is decided by a rank test on the erased-support symplectic
-complement.
+generators are sums of adjacent star vectors.  Erasure correctability is
+decided by the restriction-rank identity (see ``check_correctable``), which
+rests on the commuting, independent rows that StabilizerCode enforces; every
+rank decision goes through ``_rank``, whose cutoff is relative to the scale.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations
 
 import numpy as np
@@ -119,10 +121,11 @@ class StabilizerCode:
                 f"got {x.shape[1]} and {p.shape[1]}"
             )
         defect = self.orthogonality_defect()
-        if defect > TOL.orthogonality:
+        if defect > TOL.orthogonality * np.max(np.abs(x), initial=0) * np.max(np.abs(p), initial=0):
             raise ValueError(f"X and P generators do not commute: max |v.w| = {defect:.3e}")
-        rows = self.n_generators
-        if _rank(self.generator_matrix) != rows:
+        # generator_matrix is block-diagonal, so its rows are independent iff
+        # each block's are
+        if _rank(x) != x.shape[0] or _rank(p) != p.shape[0]:
             raise ValueError("generator rows are linearly dependent")
 
     @property
@@ -142,6 +145,11 @@ class StabilizerCode:
     def orthogonality_defect(self) -> float:
         """max |v . w| over all X-row / P-row pairs (0 means CSS commutation holds)."""
         return float(np.max(np.abs(self.x_rows @ self.p_rows.T), initial=0.0))
+
+    @cached_property
+    def _scales(self) -> tuple[float, float]:
+        """Largest singular values of the X and P blocks, the scale of their rank decisions."""
+        return np.linalg.norm(self.x_rows, 2), np.linalg.norm(self.p_rows, 2)
 
 
 @dataclass(frozen=True)
@@ -229,12 +237,13 @@ def erasure_for_vertex(
     return ErasurePattern(erased, recovery_vertex=vertex)
 
 
-def _rank(M: np.ndarray) -> int:
+def _rank(M: np.ndarray, scale: float | None = None) -> int:
+    """Count of singular values above the rank tolerance times ``scale`` (default: M's largest)."""
     M = np.atleast_2d(M)
     if M.size == 0:
         return 0
     svals = np.linalg.svd(M, compute_uv=False)
-    kept = svals[svals > TOL.rank]
+    kept = svals[svals > TOL.rank * (svals[0] if scale is None else scale)]
     if kept.size and svals[0] / kept[-1] > TOL.condition_limit:
         warnings.warn(
             f"rank decision badly conditioned: singular values span "
@@ -244,48 +253,33 @@ def _rank(M: np.ndarray) -> int:
     return int(kept.size)
 
 
-def _nullspace(M: np.ndarray) -> np.ndarray:
-    """Rows spanning {c : M c = 0}, via SVD with the shared rank tolerance."""
-    M = np.atleast_2d(M)
-    if M.shape[0] == 0:
-        return np.eye(M.shape[1])
-    _, svals, vt = np.linalg.svd(M, full_matrices=True)
-    rank = int(np.sum(svals > TOL.rank))
-    return vt[rank:]
-
-
-def _within_rowspan(rows: np.ndarray, candidates: np.ndarray) -> bool:
-    if candidates.shape[0] == 0:
-        return True
-    return _rank(np.vstack([rows, candidates])) == _rank(rows)
-
-
 def check_correctable(code: StabilizerCode, pattern: ErasurePattern) -> bool:
-    """Decide erasure correctability for the pattern.
+    """Decide erasure correctability by the restriction-rank identity.
 
-    A displacement error epsilon = (eps_X, eps_P) supported on the erased
-    modes is undetectable iff it commutes with every generator; the erasure
-    is correctable iff every such epsilon is itself a stabilizer, i.e. lies
-    in the generator row span.  The CSS split makes the test two independent
-    real-linear conditions:
+    An error supported on the erased modes E is undetectable iff it commutes
+    with every generator; E is correctable iff every such error is a
+    stabilizer.  On the X side the undetectable errors form a space of
+    dimension |E| - rank P[:,E], and the stabilizers supported on E one of
+    dimension k_X - rank X[:,~E] (the X rows are independent); the second
+    lies in the first (X rows commute with P rows), so E is correctable iff
 
-      {eps_X : supp in erased, eps_X . p_rows = 0}  within  span(x_rows)
-      {eps_P : supp in erased, eps_P . x_rows = 0}  within  span(p_rows)
+      |E| - rank P[:,E] == k_X - rank X[:,~E]
+
+    and the same holds with X and P swapped.  StabilizerCode checks both
+    premises on construction.  Every rank is taken against the scale of
+    the whole X or P block, not of the column slice.
     """
     erased = sorted(pattern.erased)
     for m in erased:
         if not 0 <= m < code.n_modes:
             raise ValueError(f"erased mode {m} out of range for {code.n_modes}-mode code")
-    if not erased:
-        return True
-
-    def side_ok(constraint_rows: np.ndarray, span_rows: np.ndarray) -> bool:
-        local = _nullspace(constraint_rows[:, erased])
-        candidates = np.zeros((local.shape[0], code.n_modes))
-        candidates[:, erased] = local
-        return _within_rowspan(span_rows, candidates)
-
-    return side_ok(code.p_rows, code.x_rows) and side_ok(code.x_rows, code.p_rows)
+    kept = [m for m in range(code.n_modes) if m not in pattern.erased]
+    X, P = code.x_rows, code.p_rows
+    sx, sp = code._scales
+    return (
+        len(erased) - _rank(P[:, erased], sp) == X.shape[0] - _rank(X[:, kept], sx)
+        and len(erased) - _rank(X[:, erased], sx) == P.shape[0] - _rank(P[:, kept], sp)
+    )
 
 
 def nullifier_variances(code: StabilizerCode, state) -> np.ndarray:

@@ -3,7 +3,8 @@
 Chain bases are the sorted (k+1)-subsets of {1..N} in lexicographic order, so
 the 1-chain basis lines up index-for-index with codes.EdgeBasis.  Boundary
 matrices are exact integer matrices; d_k d_{k+1} = 0 is checked exactly, not
-approximated.
+approximated.  Row spaces are compared by rank equality through
+``codes._rank``.
 """
 
 from __future__ import annotations
@@ -14,8 +15,7 @@ from math import comb
 
 import numpy as np
 
-from .codes import StabilizerCode, check_correctable, edge_basis, erasure_for_vertex
-from .tolerances import TOL
+from .codes import StabilizerCode, _rank, check_correctable, edge_basis, erasure_for_vertex
 
 __all__ = [
     "ChainComplex",
@@ -76,8 +76,7 @@ class SubspacePair:
 
 def _rowspace_basis(M: np.ndarray) -> np.ndarray:
     M = np.atleast_2d(np.asarray(M, dtype=float))
-    _, svals, vt = np.linalg.svd(M, full_matrices=False)
-    return vt[: int(np.sum(svals > TOL.rank))]
+    return np.linalg.svd(M, full_matrices=False)[2][: _rank(M)]
 
 
 def decompose(N: int, k: int) -> SubspacePair:
@@ -137,13 +136,11 @@ def build_homological_code(N: int, *, n_q_rows: int | None = None) -> Stabilizer
     return StabilizerCode(d1.shape[1], x_rows, p_rows, name=f"homological-{N}")
 
 
-def rowspaces_equal(A: np.ndarray, B: np.ndarray, tol: float = TOL.rank) -> bool:
-    """Mutual containment of row spaces, by projection residual both ways."""
-    QA = _rowspace_basis(A)
-    QB = _rowspace_basis(B)
-    res_b = np.max(np.abs(B - (B @ QA.T) @ QA), initial=0.0)
-    res_a = np.max(np.abs(A - (A @ QB.T) @ QB), initial=0.0)
-    return bool(res_a <= tol and res_b <= tol)
+def rowspaces_equal(A: np.ndarray, B: np.ndarray) -> bool:
+    """Equal row spaces: rank A == rank B == rank [A; B], all at the scale of [A; B]."""
+    stacked = np.vstack([A, B])
+    scale = np.linalg.norm(stacked, 2)
+    return _rank(A, scale) == _rank(B, scale) == _rank(stacked, scale)
 
 
 def verify_correctability_homological(

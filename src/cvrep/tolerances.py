@@ -16,9 +16,9 @@ class Tolerances:
     symplectic_eig_slack: float = 1e-9
     #: defect allowed in S @ Omega @ S.T == Omega, in units of max(1, max|S|)^2
     symplectic_check: float = 1e-10
-    #: absolute singular-value cutoff for rank / span decisions
+    #: rank cutoff: singular values at or below this times the largest count as zero
     rank: float = 1e-10
-    #: pairwise generator orthogonality bound
+    #: CSS commutation defect max|X P^T| allowed, in units of max|X| * max|P|
     orthogonality: float = 1e-12
     #: measured-quadrature variance below this is a degenerate homodyne
     degenerate_variance: float = 1e-14

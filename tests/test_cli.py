@@ -132,6 +132,15 @@ def test_synth_identity_matrix_gives_an_empty_circuit(capsys, tmp_path):
     assert out == "MODES 1 2 3\n"
 
 
+def test_synth_check_limit_scales_with_the_matrix(capsys, tmp_path):
+    path = tmp_path / "large.txt"
+    np.savetxt(path, 1e8 * np.array([[1.0, 2.0], [3.0, 1.0]]))
+    rc, out, err = run_cli(capsys, "synth", "--matrix", str(path), "--check")
+    assert rc == 0
+    assert out.startswith("MODES 1 2\n")
+    assert "max |achieved - target| = " in err
+
+
 def test_synth_singular_matrix_fails_verification(capsys, tmp_path):
     path = tmp_path / "singular.txt"
     np.savetxt(path, np.array([[1.0, 2.0], [2.0, 4.0]]))

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from conftest import random_gaussian_state
 from oracles import correctable_oracle
 
-from cvrep import codes
+from cvrep import codes, homology
 from cvrep import gaussian as g
 
 # ---------------------------------------------------------------------------
@@ -150,6 +150,13 @@ def test_stabilizer_code_rejects_non_commuting_rows():
             p_rows=np.array([[1.0, 1.0]]),
             name="broken",
         )
+    # the commutation test does not depend on the scale of the rows
+    x, p = np.array([[1.0, 1.0]]), np.array([[1.0, 0.0]])
+    for scale in (1e-11, 1.0, 1e6):
+        with pytest.raises(ValueError, match="do not commute"):
+            codes.StabilizerCode(2, scale * x, scale * p)
+    # a defect at rounding level relative to the entries is accepted
+    codes.StabilizerCode(2, 1e8 * np.array([[1.0, 1.0]]), 1e8 * np.array([[1.0, -1.0]]) + 1e-8)
 
 
 def test_stabilizer_code_rejects_rank_deficient_rows():
@@ -219,13 +226,33 @@ def test_five_mode_adjacent_pair_is_not_correctable():
     assert not codes.check_correctable(code, pattern)
 
 
+def _nonempty_erasures(n_modes):
+    for size in range(1, n_modes + 1):
+        yield from (frozenset(c) for c in itertools.combinations(range(n_modes), size))
+
+
 def test_correctability_agrees_with_the_rational_oracle():
+    # every nonempty erasure of three codes: 31 + 63 + 63 = 157 patterns
+    checked = 0
+    for code in (
+        codes.build_five_mode_code(),
+        codes.build_general_code(4),
+        homology.build_homological_code(4),
+    ):
+        for erased in _nonempty_erasures(code.n_modes):
+            want = correctable_oracle(code.x_rows, code.p_rows, erased)
+            got = codes.check_correctable(code, codes.ErasurePattern(erased))
+            assert got == want, (code.name, sorted(erased))
+            checked += 1
+    assert checked == 157
+
+
+def test_correctability_does_not_depend_on_scale():
     code = codes.build_five_mode_code()
-    cases = [codes.FIVE_MODE_ERASURES[v] for v in range(1, 5)] + [frozenset({0, 1})]
-    for erased in cases:
-        want = correctable_oracle(code.x_rows, code.p_rows, erased)
-        got = codes.check_correctable(code, codes.ErasurePattern(frozenset(erased)))
-        assert got == want
+    scaled = codes.StabilizerCode(5, 1e-11 * code.x_rows, 1e-11 * code.p_rows, name="scaled")
+    for erased in _nonempty_erasures(5):
+        pattern = codes.ErasurePattern(erased)
+        assert codes.check_correctable(scaled, pattern) == codes.check_correctable(code, pattern)
 
 
 def test_general_code_vertex_patterns_are_correctable():

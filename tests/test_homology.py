@@ -185,8 +185,14 @@ def test_rowspaces_equal_detects_differences():
     A = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
     B = np.array([[1.0, 1.0, 0.0], [1.0, -1.0, 0.0]])
     C = np.array([[1.0, 0.0, 1.0]])
+    D = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
     assert homology.rowspaces_equal(A, B)
     assert not homology.rowspaces_equal(A, C)
+    # the decision does not depend on the scale of the rows
+    assert homology.rowspaces_equal(1e6 * A, 1e6 * B)
+    assert not homology.rowspaces_equal(1e-11 * A, 1e-11 * D)
+    # all three ranks share the scale of the stacked matrix
+    assert not homology.rowspaces_equal(1e6 * A, 1e-6 * D)
 
 
 @pytest.mark.parametrize("n", [4, 6])

@@ -95,8 +95,20 @@ def test_singular_matrix_is_rejected():
 def test_singularity_does_not_depend_on_scale():
     A = 0.01 * np.eye(10)  # rank 10, condition number 1, determinant 1e-20
     np.testing.assert_allclose(x_block(synthesize(A)), A, atol=1e-12)
+    A = 1e-13 * np.eye(3)  # every entry below an absolute pivot cutoff of 1e-12
+    np.testing.assert_allclose(x_block(synthesize(A)), A, rtol=1e-12, atol=0)
+    # rows of different scales: once row 0 is divided by its pivot, its
+    # 2**-20 is a ratio to that row, not small next to max|A| = 2**20
+    A = np.array([[2.0**20, 1.0], [0.0, 1.0]])
+    np.testing.assert_array_equal(x_block(synthesize(A)), A)
     with pytest.raises(SynthesisError):
         synthesize(1e3 * np.array([[1.0, 2.0], [2.0, 4.0]]))
+
+
+def test_self_check_limit_is_relative_to_the_matrix_scale():
+    # the rounding of a correct circuit grows with the entries: 6e-8 here
+    A = 1e8 * np.array([[1.0, 2.0], [3.0, 1.0]])
+    np.testing.assert_allclose(x_block(synthesize(A)), A, rtol=1e-12, atol=0)
 
 
 def _unimodular(rng, n):
@@ -178,6 +190,29 @@ def test_forbidden_final_control_respected_for_every_wire(rng):
             qnds = [op for op in circuit.ops if isinstance(op, Qnd)]
             assert not qnds or qnds[-1].control != wire
             np.testing.assert_allclose(x_block(circuit), A, atol=1e-9)
+
+
+def test_forbidden_final_control_with_rows_of_different_scales():
+    # the rerun pivots column 0 on row 1 and leaves -2**-20 in row 0, whose
+    # own entries are of order 1: that remainder is its next pivot
+    A = np.array([[1.0, 0.0], [2.0**20, 1.0]])
+    circuit = synthesize(A, forbidden_final_control=1)
+    assert [op for op in circuit.ops if isinstance(op, Qnd)][-1].control != 1
+    np.testing.assert_allclose(x_block(circuit), A, rtol=1e-12, atol=1e-12)
+
+
+def test_rows_and_columns_of_different_scales_synthesize(rng):
+    for _ in range(40):
+        n = int(rng.integers(2, 6))
+        while True:
+            A = rng.integers(-3, 4, size=(n, n)).astype(float)
+            if abs(np.linalg.det(A)) > 0.5:
+                break
+        A *= 2.0 ** rng.integers(-20, 21, size=(n, 1))
+        A *= 2.0 ** rng.integers(-4, 5, size=(1, n))
+        for wire in (None, 1):
+            circuit = synthesize(A, forbidden_final_control=wire)
+            np.testing.assert_allclose(x_block(circuit), A, rtol=0, atol=1e-10 * np.abs(A).max())
 
 
 def test_forbidden_final_control_with_explicit_pivots_can_fail():
