@@ -1,20 +1,17 @@
 """Run circuits on Gaussian states, or extract their symplectic action.
 
-Two consumers share one op-to-matrix map (``op_map``), which reads each
-op's gate block from the op table in :mod:`.ir` and places it with
-``gaussian.embed``, the same path the gate functions in
-:mod:`cvrep.gaussian` use:
+Both take each op's ``(modes, block, shift)`` from the op table in
+:mod:`.ir` and update only those modes' rows.  ``symplectic_of`` folds a
+unitary circuit into one ``[S | d]`` array, then builds one
+``SymplecticMap``: the ground truth that synthesis and rewrite results are
+checked against.  ``op_map`` is that fold over a single op.
 
-* ``symplectic_of`` folds a purely unitary circuit into a single
-  ``SymplecticMap`` — the ground truth that synthesis and rewrite results
-  are checked against.
-
-* ``run`` executes any circuit, including measurements, feedforward and
-  discards, tracking which wire labels are still live as modes get
-  consumed.  Measurement outcomes are resolved by a per-register policy:
-  a forced value, sampling from an ``rng``, or the analytic average
-  (outcome pinned to the current mean, which leaves the conditional state
-  equal to the outcome-averaged one for the feedforwards used here).
+``run`` executes any circuit, passing each gate to ``gaussian.act`` and
+tracking which wire labels are still live.  Measurement outcomes are
+resolved by a per-register policy: a forced value, sampling from an
+``rng``, or the analytic average (outcome pinned to the current mean,
+which leaves the conditional state equal to the outcome-averaged one for
+the feedforwards used here).
 """
 
 from __future__ import annotations
@@ -27,8 +24,8 @@ from ..gaussian import (
     GaussianState,
     MeasurementRecord,
     SymplecticMap,
+    act,
     discard,
-    embed,
     feedforward_displace,
     homodyne,
 )
@@ -37,19 +34,32 @@ from .ir import Circuit, Discard, FeedforwardDisplace, Measure, spec_of
 __all__ = ["op_map", "symplectic_of", "run", "RunResult"]
 
 
-def op_map(op, labels: tuple[int, ...]) -> SymplecticMap:
-    """Symplectic map of one unitary op acting on wires named by ``labels``."""
+def _gate(op, labels) -> tuple:
+    """``(modes, block, shift)`` of a unitary op on wires named by ``labels``."""
     spec = spec_of(op)
     if not spec.unitary:
         raise TypeError(f"{type(op).__name__} has no symplectic representation")
-    n = len(labels)
-    modes = [labels.index(w) for w in spec.wires(op)]
     params = spec.params(op)
-    S = embed(n, modes, spec.block(*params)) if spec.block else np.eye(2 * n)
-    d = np.zeros(2 * n)
-    if spec.shift:
-        d[modes + [n + m for m in modes]] = spec.shift(*params)
-    return SymplecticMap(S, d)
+    modes = [labels.index(w) for w in spec.wires(op)]
+    return modes, spec.block and spec.block(*params), spec.shift and spec.shift(*params)
+
+
+def _fold(ops, labels: tuple[int, ...]) -> SymplecticMap:
+    n = len(labels)
+    total = np.eye(2 * n, 2 * n + 1)  # [S | d], identity map
+    for op in ops:
+        modes, block, shift = _gate(op, labels)
+        idx = modes + [n + m for m in modes]
+        if block is not None:
+            total[idx] = block @ total[idx]
+        if shift is not None:
+            total[idx, -1] += shift
+    return SymplecticMap(total[:, :-1], total[:, -1])
+
+
+def op_map(op, labels: tuple[int, ...]) -> SymplecticMap:
+    """Symplectic map of one unitary op acting on wires named by ``labels``."""
+    return _fold((op,), labels)
 
 
 def symplectic_of(circuit: Circuit) -> SymplecticMap:
@@ -58,10 +68,7 @@ def symplectic_of(circuit: Circuit) -> SymplecticMap:
     Raises TypeError if the circuit contains measurements, feedforward or
     discards — those are not linear maps on phase space.
     """
-    total = SymplecticMap.identity(circuit.n_modes)
-    for op in circuit.ops:
-        total = op_map(op, circuit.labels).after(total)
-    return total
+    return _fold(circuit.ops, circuit.labels)
 
 
 @dataclass(frozen=True)
@@ -126,5 +133,5 @@ def run(
             state = discard(state, [pos])
             live.pop(pos)
         else:
-            state = op_map(op, tuple(live)).apply(state)
+            state = act(state, *_gate(op, live))
     return RunResult(state, records, tuple(live))

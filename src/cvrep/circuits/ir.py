@@ -13,7 +13,7 @@ Every op type is written down once, in the op table ``OPS``: its text tag,
 its ``key=value`` fields in constructor order (wires marked as wires) and,
 for unitary ops, its gate block from :mod:`cvrep.gaussian`.  Serializing,
 parsing, ``wires_of``, ``Circuit.is_unitary`` and the interpreter's
-``op_map`` all read that one entry.
+``run`` and ``symplectic_of`` all read that one entry.
 
 Serialization is line-oriented text, one op per line, after a ``MODES``
 header naming the wires (optional on input: without it the wires are 1 to
@@ -94,6 +94,10 @@ class PhaseShift:
     mode: int
     phi: float
 
+    def __post_init__(self):
+        if not isfinite(self.phi):
+            raise ValueError("phase must be finite")
+
 
 @dataclass(frozen=True)
 class Fourier:
@@ -127,6 +131,8 @@ class Displace:
 
     def __post_init__(self):
         object.__setattr__(self, "alpha", complex(self.alpha))
+        if not (isfinite(self.alpha.real) and isfinite(self.alpha.imag)):
+            raise ValueError("displacement amplitude must be finite")
 
 
 @dataclass(frozen=True)
@@ -200,8 +206,8 @@ class OpSpec:
 
     ``fields`` lists ``(text key, attribute, kind)`` in constructor order,
     and ``make`` builds the op from the field values.  A unitary op has a
-    ``block`` (the gate's 2k x 2k matrix over its k wires, see
-    ``gaussian.embed``) or, for a displacement, a ``shift`` (its (x, p)
+    ``block`` (the gate's 2k x 2k matrix over its k wires, in the order
+    ``gaussian.act`` takes) or, for a displacement, a ``shift`` (its (x, p)
     mean displacement); either is called with the op's non-wire field
     values in order.
     """

@@ -39,7 +39,7 @@ from ..tolerances import TOL
 from .interpreter import symplectic_of
 from .ir import Circuit, Qnd, SqueezeFactor, Swap
 
-__all__ = ["synthesize", "SynthesisError"]
+__all__ = ["synthesize", "deviation", "SynthesisError"]
 
 #: elimination cutoff, in units of the row size
 _ZERO = 1e-12
@@ -182,10 +182,16 @@ def _last_qnd_control(circuit: Circuit) -> int | None:
     return None
 
 
+def deviation(circuit: Circuit, A) -> float:
+    """max |achieved - A| between a circuit's action on the positions and A."""
+    n = circuit.n_modes
+    achieved = symplectic_of(circuit).matrix[:n, :n]
+    return float(np.max(np.abs(achieved - np.asarray(A, dtype=float))))
+
+
 def _build(A: np.ndarray, labels: tuple[int, ...], script: list[tuple]) -> Circuit:
     circuit = Circuit(labels, tuple(_script_to_ops(script, labels)))
-    achieved = symplectic_of(circuit).matrix[: len(labels), : len(labels)]
-    err = float(np.max(np.abs(achieved - A)))
+    err = deviation(circuit, A)
     limit = TOL.synthesis * max(1.0, float(np.max(np.abs(A))))
     if err > limit:
         raise SynthesisError(

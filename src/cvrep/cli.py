@@ -30,9 +30,9 @@ from .circuits import (
     SynthesisError,
     UnreachableTargetError,
     decoder_matrix,
+    deviation,
     fidelity_sweep,
     serialize,
-    symplectic_of,
     synthesize,
     threshold_squeezing,
 )
@@ -183,10 +183,7 @@ def cmd_synth(args) -> int:
         return _fail_usage(str(exc))
     sys.stdout.write(serialize(circuit))
     if args.check:
-        n = len(circuit.labels)
-        achieved = symplectic_of(circuit).matrix[:n, :n]
-        dev = float(np.max(np.abs(achieved - np.asarray(A, dtype=float))))
-        print(f"max |achieved - target| = {dev:.3e}", file=sys.stderr)
+        print(f"max |achieved - target| = {deviation(circuit, A):.3e}", file=sys.stderr)
     return 0
 
 

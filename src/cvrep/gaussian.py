@@ -8,9 +8,9 @@ is 1/2 and [x, p] = i.
 All operations are value-style: they validate their inputs, never mutate the
 given state, and return a fresh :class:`GaussianState`.  Each symplectic gate
 is written down once, as a block function (``qnd_block``, ``squeeze_block``,
-...) giving its 2k x 2k matrix over its k modes; ``embed`` is the one path
-that places a block into the full 2n-dimensional phase space.  The gate
-functions here and the circuit interpreter's ``op_map`` both go through it.
+...) giving its 2k x 2k matrix over its k modes; ``act`` is the one path by
+which a gate touches a state, updating only the rows and columns of its
+modes.  The gate functions here and the circuit interpreter's ``run`` use it.
 Measurements condition the state with the standard Gaussian (Schur
 complement) update and then drop the measured mode entirely.
 """
@@ -228,7 +228,7 @@ def tensor(*states: GaussianState) -> GaussianState:
 
 
 # ---------------------------------------------------------------------------
-# gate blocks, and the one path that embeds them in the full phase space
+# gate blocks, and the one path that applies them to a state
 
 def _check_mode(state: GaussianState, mode: int) -> None:
     if not 0 <= mode < state.n_modes:
@@ -242,25 +242,25 @@ def _quad_index(state: GaussianState, mode: int, quad: str) -> int:
     return mode if quad == "x" else state.n_modes + mode
 
 
-def embed(n: int, modes, block: np.ndarray) -> np.ndarray:
-    """The 2n x 2n identity with a 2k x 2k block acting on k of its modes.
+def act(state: GaussianState, modes, block=None, shift=None) -> GaussianState:
+    """Apply a gate, x -> block @ x + shift, to k distinct ``modes`` of ``state``.
 
-    The block's rows and columns are ordered (x of each mode in ``modes``,
-    then p of each), the xxpp ordering restricted to those modes.
+    ``block`` (2k x 2k) and ``shift`` (2k) are ordered x of each mode, then p
+    of each, and either may be None.  Only those modes' rows and columns change.
     """
-    idx = list(modes) + [n + m for m in modes]
-    S = np.eye(2 * n)
-    S[np.ix_(idx, idx)] = block
-    return S
-
-
-def _apply(state: GaussianState, modes: tuple, block: np.ndarray) -> GaussianState:
     for m in modes:
         _check_mode(state, m)
     if len(set(modes)) != len(modes):
         raise ValueError(f"two-mode gate needs distinct modes, got {modes}")
-    S = embed(state.n_modes, modes, block)
-    return GaussianState(S @ state.mean, S @ state.cov @ S.T, _validate=False)
+    idx = [*modes, *(state.n_modes + m for m in modes)]
+    mean, cov = state.mean.copy(), state.cov.copy()
+    if block is not None:
+        mean[idx] = block @ mean[idx]
+        cov[idx] = block @ cov[idx]
+        cov[:, idx] = cov[:, idx] @ block.T
+    if shift is not None:
+        mean[idx] += shift
+    return GaussianState(mean, cov, _validate=False)
 
 
 def displacement(re: float, im: float) -> np.ndarray:
@@ -331,13 +331,10 @@ def two_mode_squeeze_block(r: float) -> np.ndarray:
 
 def displace(state: GaussianState, mode: int, alpha: complex) -> GaussianState:
     """Shift the mode's mean by (sqrt2 Re alpha, sqrt2 Im alpha); covariance unchanged."""
-    _check_mode(state, mode)
     alpha = complex(alpha)
     if not np.isfinite(alpha.real) or not np.isfinite(alpha.imag):
         raise ValueError("displacement amplitude must be finite")
-    mean = state.mean.copy()
-    mean[[mode, state.n_modes + mode]] += displacement(alpha.real, alpha.imag)
-    return GaussianState(mean, state.cov.copy(), _validate=False)
+    return act(state, (mode,), shift=displacement(alpha.real, alpha.imag))
 
 
 def squeeze_by_factor(state: GaussianState, mode: int, k: float) -> GaussianState:
@@ -346,13 +343,11 @@ def squeeze_by_factor(state: GaussianState, mode: int, k: float) -> GaussianStat
     Negative k is allowed (it is the parity flip combined with a |k| squeeze);
     circuit synthesis emits it for sign-flipping row scalings.
     """
-    return _apply(state, (mode,), squeeze_block(k))
+    return act(state, (mode,), squeeze_block(k))
 
 
 def squeeze(state: GaussianState, mode: int, r: float) -> GaussianState:
     """One-mode squeezer with log-factor r: x -> e^r x, p -> e^-r p."""
-    if not np.isfinite(r):
-        raise ValueError("squeezing parameter must be finite")
     return squeeze_by_factor(state, mode, float(np.exp(r)))
 
 
@@ -368,7 +363,7 @@ def two_mode_squeeze(state: GaussianState, modes: tuple[int, int], r: float) -> 
     a, b = modes
     if not np.isfinite(r):
         raise ValueError("squeezing parameter must be finite")
-    return _apply(state, (a, b), two_mode_squeeze_block(r))
+    return act(state, (a, b), two_mode_squeeze_block(r))
 
 
 def beam_splitter_pm(state: GaussianState, modes: tuple[int, int]) -> GaussianState:
@@ -378,7 +373,7 @@ def beam_splitter_pm(state: GaussianState, modes: tuple[int, int]) -> GaussianSt
     The matrix is an involution: applying it twice is the identity.
     """
     a, b = modes
-    return _apply(state, (a, b), beam_splitter_pm_block())
+    return act(state, (a, b), beam_splitter_pm_block())
 
 
 def phase_shift(state: GaussianState, mode: int, phi: float) -> GaussianState:
@@ -388,17 +383,17 @@ def phase_shift(state: GaussianState, mode: int, phi: float) -> GaussianState:
     gate) sends a coherent state at amplitude 1 to amplitude i, and phi = pi
     negates both quadratures.
     """
-    return _apply(state, (mode,), phase_block(phi))
+    return act(state, (mode,), phase_block(phi))
 
 
 def fourier(state: GaussianState, mode: int) -> GaussianState:
     """Quarter turn (x, p) -> (-p, x), applied as an exact matrix."""
-    return _apply(state, (mode,), fourier_block())
+    return act(state, (mode,), fourier_block())
 
 
 def inverse_fourier(state: GaussianState, mode: int) -> GaussianState:
     """Quarter turn (x, p) -> (p, -x), applied as an exact matrix."""
-    return _apply(state, (mode,), inverse_fourier_block())
+    return act(state, (mode,), inverse_fourier_block())
 
 
 def qnd(state: GaussianState, control: int, target: int, gain: float) -> GaussianState:
@@ -408,11 +403,9 @@ def qnd(state: GaussianState, control: int, target: int, gain: float) -> Gaussia
     completion p_control -> p_control - gain * p_target; x_control and
     p_target are untouched.
     """
-    if control == target:
-        raise ValueError("qnd control and target must differ")
     if not np.isfinite(gain):
         raise ValueError("qnd gain must be finite")
-    return _apply(state, (control, target), qnd_block(gain))
+    return act(state, (control, target), qnd_block(gain))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Circuit IR validation, text serialization, and Gaussian interpretation."""
 
 import math
+from operator import attrgetter
 
 import numpy as np
 import pytest
@@ -95,6 +96,37 @@ def test_circuit_rejects_duplicate_labels():
 def test_squeeze_factor_rejects_zero():
     with pytest.raises(ValueError):
         SqueezeFactor(1, 0.0)
+
+
+_TEXT_FIELDS = {"basis": "x", "reg": "m", "quad": "p"}
+
+
+def make_op(spec, wires, reals):
+    """An op of ``spec``'s type from its wire and real field values, in field order."""
+    wires, reals = iter(wires), iter(reals)
+    return spec.make(
+        *(
+            next(wires) if kind is int else next(reals) if kind is float else _TEXT_FIELDS[key]
+            for key, _, kind in spec.fields
+        )
+    )
+
+
+NON_FINITE_CASES = [
+    pytest.param(spec, i, bad, id=f"{spec.tag}-{key}-{bad}")
+    for spec in OPS.values()
+    for i, key in enumerate(key for key, _, kind in spec.fields if kind is float)
+    for bad in (math.inf, math.nan)
+]
+
+
+@pytest.mark.parametrize("spec, i, bad", NON_FINITE_CASES)
+def test_every_real_field_rejects_non_finite_values(spec, i, bad):
+    reals = [0.5] * sum(kind is float for _, _, kind in spec.fields)
+    make_op(spec, (1, 2), reals)
+    reals[i] = bad
+    with pytest.raises(ValueError, match="finite"):
+        make_op(spec, (1, 2), reals)
 
 
 def test_measure_register_names_are_identifiers():
@@ -228,19 +260,48 @@ def test_empty_circuit_is_the_identity_map():
     np.testing.assert_array_equal(S.displacement, np.zeros(4))
 
 
-SWAP_MODES = [1, 0, 3, 2]  # (x_1, x_2, p_1, p_2) with the two modes exchanged
+def _swap(state, i, j):
+    """Exchange modes i and j by permuting the state's coordinates."""
+    n = state.n_modes
+    perm = np.arange(2 * n)
+    perm[[i, j, n + i, n + j]] = [j, i, n + j, n + i]
+    return g.GaussianState(state.mean[perm], state.cov[np.ix_(perm, perm)])
+
+
+# Each unitary op through the gate functions of cvrep.gaussian; ``at`` maps
+# a wire label to its mode index.
+LIBRARY_GATES = {
+    BeamSplitterPM: lambda s, op, at: g.beam_splitter_pm(s, (at(op.a), at(op.b))),
+    SqueezeFactor: lambda s, op, at: g.squeeze_by_factor(s, at(op.mode), op.factor),
+    PhaseShift: lambda s, op, at: g.phase_shift(s, at(op.mode), op.phi),
+    Fourier: lambda s, op, at: g.fourier(s, at(op.mode)),
+    InverseFourier: lambda s, op, at: g.inverse_fourier(s, at(op.mode)),
+    TwoModeSqueeze: lambda s, op, at: g.two_mode_squeeze(s, (at(op.a), at(op.b)), op.r),
+    Displace: lambda s, op, at: g.displace(s, at(op.mode), op.alpha),
+    Pi: lambda s, op, at: g.phase_shift(s, at(op.mode), math.pi),
+    Swap: lambda s, op, at: _swap(s, at(op.a), at(op.b)),
+    Qnd: lambda s, op, at: g.qnd(s, at(op.control), at(op.target), op.gain),
+}
+
+
+def library_gate(state, op, labels):
+    return LIBRARY_GATES[type(op)](state, op, labels.index)
+
 
 GATE_LIBRARY_CASES = [
-    (BeamSplitterPM(1, 2), lambda s: g.beam_splitter_pm(s, (0, 1))),
-    (SqueezeFactor(2, -1.5), lambda s: g.squeeze_by_factor(s, 1, -1.5)),
-    (PhaseShift(1, 0.7), lambda s: g.phase_shift(s, 0, 0.7)),
-    (Fourier(2), lambda s: g.fourier(s, 1)),
-    (InverseFourier(1), lambda s: g.inverse_fourier(s, 0)),
-    (TwoModeSqueeze(1, 2, 0.4), lambda s: g.two_mode_squeeze(s, (0, 1), 0.4)),
-    (Displace(1, 1 - 1j), lambda s: g.displace(s, 0, 1 - 1j)),
-    (Pi(2), lambda s: g.phase_shift(s, 1, math.pi)),
-    (Swap(1, 2), lambda s: g.GaussianState(s.mean[SWAP_MODES], s.cov[np.ix_(SWAP_MODES, SWAP_MODES)])),
-    (Qnd(1, 2, 1.5), lambda s: g.qnd(s, 0, 1, 1.5)),
+    (op, lambda s, op=op: library_gate(s, op, (1, 2)))
+    for op in (
+        BeamSplitterPM(1, 2),
+        SqueezeFactor(2, -1.5),
+        PhaseShift(1, 0.7),
+        Fourier(2),
+        InverseFourier(1),
+        TwoModeSqueeze(1, 2, 0.4),
+        Displace(1, 1 - 1j),
+        Pi(2),
+        Swap(1, 2),
+        Qnd(1, 2, 1.5),
+    )
 ]
 
 
@@ -254,9 +315,14 @@ def test_op_map_agrees_with_the_gate_library(op, gate, rng):
 
 
 def test_gate_library_cases_cover_every_unitary_op():
-    assert {type(op) for op, _ in GATE_LIBRARY_CASES} == {
-        cls for cls, spec in OPS.items() if spec.unitary
-    }
+    unitary = {cls for cls, spec in OPS.items() if spec.unitary}
+    assert {type(op) for op, _ in GATE_LIBRARY_CASES} == unitary == set(LIBRARY_GATES)
+
+
+@pytest.mark.parametrize("spec", [spec for spec in OPS.values() if not spec.unitary], ids=attrgetter("tag"))
+def test_op_map_rejects_every_non_unitary_op(spec):
+    with pytest.raises(TypeError, match="no symplectic representation"):
+        op_map(make_op(spec, (1, 2), [0.5]), (1, 2))
 
 
 def test_pi_and_swap_blocks_are_exact():
@@ -371,8 +437,19 @@ def test_run_discard_drops_the_right_wire():
     assert result.state.mean_of(1, "x") == 0.0
 
 
+def random_unitary_circuit(rng, labels):
+    """Every unitary op type three times, shuffled, on random wires of ``labels``."""
+    specs = [spec for spec in OPS.values() if spec.unitary] * 3
+    ops = []
+    for k in rng.permutation(len(specs)):
+        wires = rng.choice(labels, size=2, replace=False).tolist()
+        reals = rng.choice([-1.0, 1.0], size=2) * rng.uniform(0.5, 1.2, size=2)
+        ops.append(make_op(specs[k], wires, reals.tolist()))
+    return Circuit(labels, tuple(ops))
+
+
 def test_run_matches_symplectic_of_on_unitary_circuits(rng):
-    circuit = Circuit(
+    adjacent = Circuit(
         labels=(1, 2, 3),
         ops=(
             Qnd(2, 3, -0.5),
@@ -382,8 +459,16 @@ def test_run_matches_symplectic_of_on_unitary_circuits(rng):
             Fourier(3),
         ),
     )
-    state = random_gaussian_state(rng, 3)
-    stepped = run(circuit, state).state
-    fused = symplectic_of(circuit).apply(state)
-    np.testing.assert_allclose(stepped.mean, fused.mean, atol=1e-12)
-    np.testing.assert_allclose(stepped.cov, fused.cov, atol=1e-12)
+    # Row-indexing mistakes only show when gates hit non-adjacent modes of a
+    # wide state: twelve scattered, unsorted labels.
+    scattered = random_unitary_circuit(rng, (23, 2, 41, 7, 13, 5, 37, 11, 3, 29, 17, 31))
+    for circuit in (adjacent, scattered):
+        state = random_gaussian_state(rng, circuit.n_modes)
+        stepped = run(circuit, state).state
+        fused = symplectic_of(circuit).apply(state)
+        gated = state
+        for op in circuit.ops:
+            gated = library_gate(gated, op, circuit.labels)
+        for other in (fused, gated):
+            np.testing.assert_allclose(other.mean, stepped.mean, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(other.cov, stepped.cov, rtol=0, atol=1e-12)
