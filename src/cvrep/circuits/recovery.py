@@ -28,6 +28,10 @@ For each supported erasure (named E1..E4) there are two decoders:
 
   at every squeezing r and input amplitude.
 
+``recovery_fidelities`` encodes the register once at a squeezing r, then
+erases and decodes that one state per tag (``erase`` and ``run`` never
+mutate their input); the sweep and the threshold search call it once per r.
+
 Calibration notes.  The optical decoder gains are fixed by requiring the
 output quadratures to equal the input's plus a noise term built only from
 nullifiers, with minimal total noise given the gate layout; that forces the
@@ -90,6 +94,7 @@ __all__ = [
     "decoder_matrix",
     "closed_form_fidelity",
     "recovery_fidelity",
+    "recovery_fidelities",
     "SweepSpec",
     "SweepRow",
     "SweepResult",
@@ -230,43 +235,35 @@ def decoder_matrix(tag: str) -> PointTransform:
 REFERENCE_PIVOT_ROWS: dict = {"E2": (2, 1, 2)}
 
 
-def optical_decoder(tag: str) -> Circuit:
-    """Calibrated recovery line for the optically encoded register.
-
-    Consumes the survivors of the erasure down to the single recovered wire
-    (OPTICAL_RECOVERY_WIRE[tag]); E4 is the one decoder that homodynes a
-    port and feeds the outcome forward.
-    """
-    _check_tag(tag)
-    if tag == "E1":
-        return Circuit((1, 2), (BeamSplitterPM(1, 2), Discard(1)))
-    if tag == "E2":
-        return Circuit(
-            (1, 4, 5),
-            (
-                BeamSplitterPM(1, 4),
-                SqueezeFactor(5, _SQRT2),
-                Qnd(4, 5, 2.0),
-                Qnd(5, 1, -2.0),
-                Discard(1),
-                Discard(4),
-            ),
-        )
-    if tag == "E3":
-        return Circuit(
-            (1, 3, 5),
-            (
-                SqueezeFactor(3, _SQRT2),
-                Pi(3),
-                Qnd(1, 3, _SQRT2),
-                Qnd(5, 3, -_SQRT2),
-                Qnd(3, 1, -_SQRT2),
-                Qnd(3, 5, 1.0 / _SQRT2),
-                Discard(1),
-                Discard(5),
-            ),
-        )
-    return Circuit(
+# Built once: a Circuit is frozen and holds tuples, so every caller can
+# share the same four decoders.
+_OPTICAL_DECODERS = {
+    "E1": Circuit((1, 2), (BeamSplitterPM(1, 2), Discard(1))),
+    "E2": Circuit(
+        (1, 4, 5),
+        (
+            BeamSplitterPM(1, 4),
+            SqueezeFactor(5, _SQRT2),
+            Qnd(4, 5, 2.0),
+            Qnd(5, 1, -2.0),
+            Discard(1),
+            Discard(4),
+        ),
+    ),
+    "E3": Circuit(
+        (1, 3, 5),
+        (
+            SqueezeFactor(3, _SQRT2),
+            Pi(3),
+            Qnd(1, 3, _SQRT2),
+            Qnd(5, 3, -_SQRT2),
+            Qnd(3, 1, -_SQRT2),
+            Qnd(3, 5, 1.0 / _SQRT2),
+            Discard(1),
+            Discard(5),
+        ),
+    ),
+    "E4": Circuit(
         (2, 3, 4),
         (
             BeamSplitterPM(4, 3),
@@ -278,7 +275,19 @@ def optical_decoder(tag: str) -> Circuit:
             Pi(4),
             FeedforwardDisplace("m1", 4, "x", 1.0),
         ),
-    )
+    ),
+}
+
+
+def optical_decoder(tag: str) -> Circuit:
+    """Calibrated recovery line for the optically encoded register.
+
+    Consumes the survivors of the erasure down to the single recovered wire
+    (OPTICAL_RECOVERY_WIRE[tag]); E4 is the one decoder that homodynes a
+    port and feeds the outcome forward.
+    """
+    _check_tag(tag)
+    return _OPTICAL_DECODERS[tag]
 
 
 def closed_form_fidelity(tag: str, r: float) -> float:
@@ -291,6 +300,43 @@ def closed_form_fidelity(tag: str, r: float) -> float:
     return 1.0 / (1.0 + exp(-2.0 * r))
 
 
+def recovery_fidelities(
+    r: float,
+    tags,
+    alpha: complex = 0j,
+    *,
+    rng: np.random.Generator | None = None,
+) -> dict:
+    """Simulated fidelity of optical encode -> erase -> decode, per erasure tag.
+
+    The register is encoded once and every tag, in the order given, erases
+    and decodes that one state; erasure and decoding never mutate it.
+    Deterministic by default: the one decoder containing a measurement (E4)
+    is run in analytic-average mode, which equals its every-outcome
+    conditional state because the feedforward cancels the outcome exactly.
+    Pass ``rng`` to sample the homodyne instead (same fidelity, by design);
+    samples are drawn in tag order.
+    """
+    tags = tuple(tags)
+    for tag in tags:
+        _check_tag(tag)
+    encoded = optical_encoded_state(r, alpha)
+    fidelities = {}
+    for tag in tags:
+        survivors = erase(encoded, tag)
+        decoder = optical_decoder(tag)
+        if rng is not None:
+            result: RunResult = run(decoder, survivors, rng=rng)
+        else:
+            result = run(decoder, survivors, average=True)
+        out = result.state
+        keep = result.labels.index(OPTICAL_RECOVERY_WIRE[tag])
+        if out.n_modes > 1:
+            out = discard(out, [i for i in range(out.n_modes) if i != keep])
+        fidelities[tag] = fidelity_with_coherent(out, alpha)
+    return fidelities
+
+
 def recovery_fidelity(
     tag: str,
     r: float,
@@ -300,23 +346,10 @@ def recovery_fidelity(
 ) -> float:
     """Simulated fidelity of optical encode -> erase -> decode vs the input.
 
-    Deterministic by default: the one decoder containing a measurement (E4)
-    is run in analytic-average mode, which equals its every-outcome
-    conditional state because the feedforward cancels the outcome exactly.
-    Pass ``rng`` to sample the homodyne instead (same fidelity, by design).
+    One tag of ``recovery_fidelities``: deterministic by default, sampling
+    the E4 homodyne when given an ``rng``.
     """
-    _check_tag(tag)
-    survivors = erase(optical_encoded_state(r, alpha), tag)
-    decoder = optical_decoder(tag)
-    if rng is not None:
-        result: RunResult = run(decoder, survivors, rng=rng)
-    else:
-        result = run(decoder, survivors, average=True)
-    out = result.state
-    keep = result.labels.index(OPTICAL_RECOVERY_WIRE[tag])
-    if out.n_modes > 1:
-        out = discard(out, [i for i in range(out.n_modes) if i != keep])
-    return fidelity_with_coherent(out, alpha)
+    return recovery_fidelities(r, (tag,), alpha, rng=rng)[tag]
 
 
 # ---------------------------------------------------------------------------
@@ -333,6 +366,8 @@ class SweepSpec:
     def __post_init__(self):
         if self.steps < 1:
             raise ValueError("steps must be >= 1")
+        if not (isfinite(self.r_min) and isfinite(self.r_max)):
+            raise ValueError(f"r_min and r_max must be finite, got {self.r_min}, {self.r_max}")
         if self.r_max < self.r_min:
             raise ValueError("r_max must be >= r_min")
         errors = tuple(self.errors)
@@ -374,20 +409,16 @@ def fidelity_sweep(spec: SweepSpec, *, rng: np.random.Generator | None = None) -
         grid = [float(spec.r_min)]
     else:
         grid = list(np.linspace(spec.r_min, spec.r_max, spec.steps))
+    # ERASURE_TAGS order, so a seeded rng is drawn the same way for any
+    # order of spec.errors.
+    swept = tuple(tag for tag in ERASURE_TAGS if tag in spec.errors)
     rows = []
     worst = 0.0
     for r in grid:
-        simulated = {}
-        formula = {}
-        devs = []
-        for tag in ERASURE_TAGS:
-            formula[tag] = closed_form_fidelity(tag, r)
-            if tag in spec.errors:
-                simulated[tag] = recovery_fidelity(tag, r, spec.alpha, rng=rng)
-                devs.append(abs(simulated[tag] - formula[tag]))
-            else:
-                simulated[tag] = nan
-        row_dev = max(devs)
+        fidelities = recovery_fidelities(r, swept, spec.alpha, rng=rng)
+        simulated = {tag: fidelities.get(tag, nan) for tag in ERASURE_TAGS}
+        formula = {tag: closed_form_fidelity(tag, r) for tag in ERASURE_TAGS}
+        row_dev = max(abs(simulated[tag] - formula[tag]) for tag in swept)
         worst = max(worst, row_dev)
         rows.append(SweepRow(float(r), simulated, formula, row_dev))
     return SweepResult(spec, tuple(rows), worst)
@@ -398,7 +429,7 @@ class UnreachableTargetError(ValueError):
 
 
 def _worst_case_fidelity(r: float) -> float:
-    return min(recovery_fidelity(tag, r) for tag in ERASURE_TAGS)
+    return min(recovery_fidelities(r, ERASURE_TAGS).values())
 
 
 def threshold_squeezing(target: float, *, tol: float = 1e-6) -> float:
@@ -415,8 +446,8 @@ def threshold_squeezing(target: float, *, tol: float = 1e-6) -> float:
             f"target fidelity {target} is unreachable: the worst-case recovery "
             f"fidelity approaches 1 only as squeezing grows without bound"
         )
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not (isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     if _worst_case_fidelity(0.0) >= target:
         return 0.0
     lo, hi = 0.0, 1.0
@@ -428,6 +459,8 @@ def threshold_squeezing(target: float, *, tol: float = 1e-6) -> float:
             )
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:  # adjacent floats: tol is below their spacing
+            break
         if _worst_case_fidelity(mid) >= target:
             hi = mid
         else:

@@ -220,15 +220,20 @@ def tensor(*states: GaussianState) -> GaussianState:
     offset = 0
     for s in states:
         m = s.n_modes
-        idx = np.r_[offset : offset + m, n + offset : n + offset + m]
+        idx = _rows(range(offset, offset + m), n)
         mean[idx] = s.mean
-        cov[np.ix_(idx, idx)] = s.cov
+        cov[idx[:, None], idx] = s.cov
         offset += m
     return GaussianState(mean, cov, _validate=False)
 
 
 # ---------------------------------------------------------------------------
 # gate blocks, and the one path that applies them to a state
+
+def _rows(modes, n_modes: int) -> np.ndarray:
+    """Indices of the x rows, then the p rows, of ``modes`` in an n-mode state."""
+    return np.array([*modes, *(n_modes + m for m in modes)], dtype=np.intp)
+
 
 def _check_mode(state: GaussianState, mode: int) -> None:
     if not 0 <= mode < state.n_modes:
@@ -252,7 +257,7 @@ def act(state: GaussianState, modes, block=None, shift=None) -> GaussianState:
         _check_mode(state, m)
     if len(set(modes)) != len(modes):
         raise ValueError(f"two-mode gate needs distinct modes, got {modes}")
-    idx = [*modes, *(state.n_modes + m for m in modes)]
+    idx = _rows(modes, state.n_modes)
     mean, cov = state.mean.copy(), state.cov.copy()
     if block is not None:
         mean[idx] = block @ mean[idx]
@@ -460,8 +465,8 @@ def homodyne(
     mean = state.mean + col * ((m - state.mean[q]) / var_q)
     cov = state.cov - np.outer(col, col) / var_q
 
-    keep = [i for i in range(2 * state.n_modes) if i not in (mode, state.n_modes + mode)]
-    reduced = GaussianState(mean[keep], cov[np.ix_(keep, keep)], _validate=False)
+    keep = _rows([i for i in range(state.n_modes) if i != mode], state.n_modes)
+    reduced = GaussianState(mean[keep], cov[keep[:, None], keep], _validate=False)
     return MeasurementRecord(mode, basis, m), reduced
 
 
@@ -491,9 +496,8 @@ def discard(state: GaussianState, modes) -> GaussianState:
     if not drop:
         return state.copy()
     n = state.n_modes
-    keep = [i for i in range(n) if i not in drop]
-    idx = np.r_[keep, [n + i for i in keep]].astype(int)
-    return GaussianState(state.mean[idx], state.cov[np.ix_(idx, idx)], _validate=False)
+    idx = _rows([i for i in range(n) if i not in drop], n)
+    return GaussianState(state.mean[idx], state.cov[idx[:, None], idx], _validate=False)
 
 
 # ---------------------------------------------------------------------------

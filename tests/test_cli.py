@@ -224,6 +224,14 @@ def test_fidelity_flag_validation(capsys):
     assert rc == 2 and "amplitude" in err
 
 
+@pytest.mark.parametrize("flag", ["--r-min", "--r-max"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_fidelity_rejects_non_finite_bounds_as_usage_errors(capsys, flag, value):
+    rc, out, err = run_cli(capsys, "fidelity", f"{flag}={value}", "--steps", "3")
+    assert rc == 2 and out == ""
+    assert "error:" in err and "finite" in err and "Traceback" not in err
+
+
 def test_fidelity_writes_csv_and_gnuplot_files(capsys, tmp_path):
     csv_path = tmp_path / "sweep.csv"
     plot_path = tmp_path / "sweep.gp"
@@ -275,6 +283,13 @@ def test_threshold_one_half_is_half_ln_two(capsys):
     rc, out, _ = run_cli(capsys, "threshold", "--target", "0.5")
     assert rc == 0
     assert float(out.strip()) == pytest.approx(0.5 * LN2, abs=1e-5)
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf"])
+def test_threshold_rejects_a_non_finite_tol(capsys, tol):
+    rc, out, err = run_cli(capsys, "threshold", "--target=0.5", f"--tol={tol}")
+    assert rc == 2 and out == ""
+    assert "tol" in err
 
 
 def test_threshold_unreachable_targets_exit_three(capsys):

@@ -352,6 +352,31 @@ def test_discard_all_modes_rejected():
         g.discard(g.vacuum(2), [0, 1])
 
 
+def test_discard_of_scattered_modes_matches_hand_built_indices(rng):
+    state = random_gaussian_state(rng, 12)
+    out = g.discard(state, {0, 5, 11})
+    rows = [1, 2, 3, 4, 6, 7, 8, 9, 10, 13, 14, 15, 16, 18, 19, 20, 21, 22]
+    assert np.array_equal(out.mean, [state.mean[i] for i in rows])
+    assert np.array_equal(out.cov, [[state.cov[i, j] for j in rows] for i in rows])
+
+
+def test_tensor_of_wide_factors_matches_hand_built_indices(rng):
+    one_mode = g.phase_shift(g.squeeze(g.coherent(0.3 - 1.1j), 0, 0.4), 0, 0.7)
+    factors = [one_mode, random_gaussian_state(rng, 3), random_gaussian_state(rng, 2)]
+    joint = g.tensor(*factors)
+    # rows of each factor inside the 6-mode product, x block then p block
+    placement = [[0, 6], [1, 2, 3, 7, 8, 9], [4, 5, 10, 11]]
+    mean = np.zeros(12)
+    cov = np.zeros((12, 12))
+    for state, rows in zip(factors, placement):
+        for i, ri in enumerate(rows):
+            mean[ri] = state.mean[i]
+            for j, rj in enumerate(rows):
+                cov[ri, rj] = state.cov[i, j]
+    assert np.array_equal(joint.mean, mean)
+    assert np.array_equal(joint.cov, cov)
+
+
 # ---------------------------------------------------------------------------
 # fidelity against a coherent target
 # ---------------------------------------------------------------------------

@@ -33,12 +33,14 @@ from cvrep.circuits import (
     optical_decoder,
     optical_encoded_state,
     optical_encoder,
+    recovery_fidelities,
     recovery_fidelity,
     run,
     symplectic_of,
     synthesize,
     threshold_squeezing,
 )
+from cvrep.circuits import recovery
 from cvrep.codes import build_five_mode_code, erasure_for_vertex, nullifier_variances
 from cvrep.gaussian import discard, fidelity_with_coherent, squeeze_by_factor, vacuum
 
@@ -48,6 +50,34 @@ LN2 = float(np.log(2.0))
 def x_block(circuit):
     n = len(circuit.labels)
     return symplectic_of(circuit).matrix[:n, :n]
+
+
+def count_encodes(monkeypatch) -> list:
+    """Record the squeezing of every optical encoder run from here on."""
+    calls = []
+    encode = recovery.optical_encoded_state
+
+    def counting(r, alpha=0j):
+        calls.append(r)
+        return encode(r, alpha)
+
+    monkeypatch.setattr(recovery, "optical_encoded_state", counting)
+    return calls
+
+
+def count_worst_cases(monkeypatch) -> list:
+    """Record the squeezing of every worst-case evaluation of the threshold search."""
+    calls = []
+    worst_case = recovery._worst_case_fidelity
+
+    def counting(r):
+        calls.append(r)
+        if len(calls) > 200:  # bisecting down to adjacent floats takes < 100
+            raise RuntimeError("threshold bisection did not stop")
+        return worst_case(r)
+
+    monkeypatch.setattr(recovery, "_worst_case_fidelity", counting)
+    return calls
 
 
 # ---------------------------------------------------------------------------
@@ -276,6 +306,33 @@ def test_sampled_e4_recovery_equals_the_deterministic_value():
     assert sampled == pytest.approx(deterministic, abs=1e-9)
 
 
+@pytest.mark.parametrize("tag", ERASURE_TAGS)
+def test_erase_and_decode_leave_their_input_unchanged(tag):
+    # recovery_fidelities hands one encoded register to every tag
+    encoded = optical_encoded_state(0.9, 0.4 - 0.2j)
+    mean, cov = encoded.mean.copy(), encoded.cov.copy()
+    survivors = erase(encoded, tag)
+    assert np.array_equal(encoded.mean, mean) and np.array_equal(encoded.cov, cov)
+    mean, cov = survivors.mean.copy(), survivors.cov.copy()
+    run(optical_decoder(tag), survivors, average=True)
+    run(optical_decoder(tag), survivors, rng=np.random.default_rng(2))
+    assert np.array_equal(survivors.mean, mean) and np.array_equal(survivors.cov, cov)
+
+
+def test_optical_decoder_returns_equal_circuits_on_repeated_calls():
+    for tag in ERASURE_TAGS:
+        assert optical_decoder(tag) == optical_decoder(tag)
+
+
+def test_recovery_fidelities_checks_every_tag_before_encoding(monkeypatch):
+    encodes = count_encodes(monkeypatch)
+    with pytest.raises(ValueError, match="unknown erasure tag"):
+        recovery_fidelities(0.5, ("E1", "E9"))
+    assert encodes == []
+    assert list(recovery_fidelities(0.5, ("E4", "E1"))) == ["E4", "E1"]
+    assert encodes == [0.5]
+
+
 def test_optical_decoders_consume_down_to_one_wire():
     for tag in ERASURE_TAGS:
         survivors = erase(optical_encoded_state(0.8), tag)
@@ -333,6 +390,27 @@ def test_sweep_with_rng_matches_the_formulas_too():
     assert result.max_abs_dev <= 1e-9
 
 
+def test_sweep_encodes_the_register_once_per_r(monkeypatch):
+    encodes = count_encodes(monkeypatch)
+    result = fidelity_sweep(SweepSpec(r_min=0.2, r_max=1.0, steps=3))
+    assert encodes == [row.r for row in result.rows] and len(encodes) == 3
+
+
+@pytest.mark.parametrize("seed", [None, 11])
+def test_sweep_cells_equal_single_tag_recovery_fidelities(seed):
+    def generator():
+        return None if seed is None else np.random.default_rng(seed)
+
+    spec = SweepSpec(r_min=0.1, r_max=1.4, steps=4, errors=("E4", "E2", "E1"), alpha=0.3 - 0.7j)
+    result = fidelity_sweep(spec, rng=generator())
+    # row by row in ERASURE_TAGS order: the order a seeded sweep draws in
+    rng = generator()
+    for row in result.rows:
+        for tag in ERASURE_TAGS:
+            if tag in spec.errors:
+                assert row.simulated[tag] == recovery_fidelity(tag, row.r, spec.alpha, rng=rng)
+
+
 def test_sweep_spec_validation():
     with pytest.raises(ValueError):
         SweepSpec(steps=0)
@@ -344,6 +422,11 @@ def test_sweep_spec_validation():
         SweepSpec(errors=("E7",))
     with pytest.raises(ValueError):
         SweepSpec(errors=())
+    for bad in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ValueError, match="finite"):
+            SweepSpec(r_min=bad, steps=3)
+        with pytest.raises(ValueError, match="finite"):
+            SweepSpec(r_max=bad, steps=1)
 
 
 # ---------------------------------------------------------------------------
@@ -364,6 +447,24 @@ def test_threshold_already_met_at_zero_squeezing():
     # needs no squeezing at all
     assert threshold_squeezing(0.32) == 0.0
     assert threshold_squeezing(0.2) == 0.0
+
+
+def test_threshold_encodes_once_per_worst_case_evaluation(monkeypatch):
+    encodes = count_encodes(monkeypatch)
+    evaluated = count_worst_cases(monkeypatch)
+    threshold_squeezing(2.0 / 3.0, tol=1e-3)
+    assert evaluated and encodes == evaluated
+
+
+def test_threshold_stops_at_float_resolution_for_a_tiny_tol(monkeypatch):
+    count_worst_cases(monkeypatch)
+    assert threshold_squeezing(0.5, tol=1e-300) == pytest.approx(0.5 * LN2, abs=1e-12)
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf")])
+def test_threshold_rejects_a_non_finite_tol(tol):
+    with pytest.raises(ValueError, match="tol"):
+        threshold_squeezing(0.5, tol=tol)
 
 
 def test_threshold_rejects_unreachable_and_malformed_targets():
