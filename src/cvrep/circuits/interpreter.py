@@ -1,17 +1,24 @@
-"""Run circuits on Gaussian states, or extract their symplectic action.
+"""Run circuits on Gaussian states, or fold them into one affine map.
 
-Both take each op's ``(modes, block, shift)`` from the op table in
-:mod:`.ir` and update only those modes' rows.  ``symplectic_of`` folds a
-unitary circuit into one ``[S | d]`` array, then builds one
-``SymplecticMap``: the ground truth that synthesis and rewrite results are
-checked against.  ``op_map`` is that fold over a single op.
+Every gate is read as ``(modes, block, shift)`` from the op table in
+:mod:`.ir` and updates only those modes' rows.  ``_fold`` turns a whole
+circuit into one ``[X | d]`` array: each live quadrature is a row, an
+affine function of the input's quadratures.  A measured quadrature's row
+becomes its register's functional, feedforward adds ``gain`` times that
+functional to its target row, and measured or discarded modes drop their
+rows.  On a unitary circuit the array is ``[S | d]``: ``symplectic_of``
+builds one ``SymplecticMap`` from it, the ground truth that synthesis and
+rewrite results are checked against, and ``op_map`` is that fold over a
+single op.
 
-``run`` executes any circuit, passing each gate to ``gaussian.act`` and
-tracking which wire labels are still live.  Measurement outcomes are
-resolved by a per-register policy: a forced value, sampling from an
-``rng``, or the analytic average (outcome pinned to the current mean,
-which leaves the conditional state equal to the outcome-averaged one for
-the feedforwards used here).
+``run`` executes any circuit and tracks which wire labels are still live.
+Measurement outcomes are resolved by a per-register policy: a forced
+value or sampling from an ``rng``, both stepped op by op, or
+``average=True``, which gives the outcome-averaged state exactly.  That
+state is the fold applied in one shot (mean -> X m + d, cov -> X V X^T,
+no added noise): averaged over its outcome, a measurement that feeds
+forward is a controlled displacement followed by a partial trace, the
+deferred-measurement rule MC of :mod:`.rewrite`.
 """
 
 from __future__ import annotations
@@ -29,46 +36,75 @@ from ..gaussian import (
     feedforward_displace,
     homodyne,
 )
-from .ir import Circuit, Discard, FeedforwardDisplace, Measure, spec_of
+from .ir import Circuit, FeedforwardDisplace, Measure, spec_of
 
 __all__ = ["op_map", "symplectic_of", "run", "RunResult"]
 
 
-def _gate(op, labels) -> tuple:
-    """``(modes, block, shift)`` of a unitary op on wires named by ``labels``."""
-    spec = spec_of(op)
-    if not spec.unitary:
-        raise TypeError(f"{type(op).__name__} has no symplectic representation")
+def _gate(spec, op, live) -> tuple:
+    """``(modes, block, shift)`` of a unitary op on wires named by ``live``."""
     params = spec.params(op)
-    modes = [labels.index(w) for w in spec.wires(op)]
+    modes = [live.index(w) for w in spec.wires(op)]
     return modes, spec.block and spec.block(*params), spec.shift and spec.shift(*params)
 
 
-def _fold(ops, labels: tuple[int, ...]) -> SymplecticMap:
-    n = len(labels)
-    total = np.eye(2 * n, 2 * n + 1)  # [S | d], identity map
+def _fold(ops, labels, *, symplectic: bool = False) -> tuple:
+    """Fold ``ops`` over wires ``labels`` into one affine map.
+
+    Returns ``(live, total, registers)``: the surviving labels; the
+    ``[X | d]`` array whose rows are x of each live wire, then p of each,
+    as affine functions of the input's quadratures; and, per register,
+    ``(position, basis, row)`` of the quadrature it measured.  With
+    ``symplectic=True`` a non-unitary op raises TypeError.
+    """
+    live = list(labels)
+    n = len(live)
+    total = np.eye(2 * n, 2 * n + 1)  # [X | d], identity map
+    registers = {}
     for op in ops:
-        modes, block, shift = _gate(op, labels)
-        idx = modes + [n + m for m in modes]
-        if block is not None:
-            total[idx] = block @ total[idx]
-        if shift is not None:
-            total[idx, -1] += shift
+        spec = spec_of(op)
+        k = len(live)
+        if spec.unitary:
+            modes, block, shift = _gate(spec, op, live)
+            idx = modes + [k + m for m in modes]
+            if block is not None:
+                total[idx] = block @ total[idx]
+            if shift is not None:
+                total[idx, -1] += shift
+        elif symplectic:
+            raise TypeError(f"{type(op).__name__} has no symplectic representation")
+        elif isinstance(op, FeedforwardDisplace):
+            t = live.index(op.target)
+            total[t if op.quad == "x" else k + t] += op.gain * registers[op.register][2]
+        else:  # Measure or Discard: the mode's rows leave
+            pos = live.index(op.mode)
+            if isinstance(op, Measure):
+                row = total[pos if op.basis == "x" else k + pos].copy()
+                registers[op.register] = (pos, op.basis, row)
+            elif k == 1:
+                raise ValueError("cannot discard every mode")
+            total = np.delete(total, [pos, k + pos], axis=0)
+            live.pop(pos)
+    return tuple(live), total, registers
+
+
+def _symplectic(ops, labels) -> SymplecticMap:
+    _, total, _ = _fold(ops, labels, symplectic=True)
     return SymplecticMap(total[:, :-1], total[:, -1])
 
 
 def op_map(op, labels: tuple[int, ...]) -> SymplecticMap:
     """Symplectic map of one unitary op acting on wires named by ``labels``."""
-    return _fold((op,), labels)
+    return _symplectic((op,), labels)
 
 
 def symplectic_of(circuit: Circuit) -> SymplecticMap:
     """Fold a unitary circuit into one SymplecticMap over circuit.labels.
 
     Raises TypeError if the circuit contains measurements, feedforward or
-    discards — those are not linear maps on phase space.
+    discards — those are not symplectic maps on phase space.
     """
-    return _fold(circuit.ops, circuit.labels)
+    return _symplectic(circuit.ops, circuit.labels)
 
 
 @dataclass(frozen=True)
@@ -92,10 +128,13 @@ def run(
 ) -> RunResult:
     """Execute a circuit on ``state`` (mode i of the state is labels[i]).
 
-    Measurement outcome policy, per register: a value in ``forced`` wins;
-    otherwise ``average=True`` pins the outcome to the running mean;
-    otherwise an ``rng`` samples it.  A measurement with no applicable
-    policy is an error rather than a silent default.
+    Measurement outcome policy, per register: a value in ``forced`` wins,
+    otherwise an ``rng`` samples it; a measurement with no applicable
+    policy is an error rather than a silent default.  ``average=True``
+    instead returns the state averaged over every outcome, exactly: the
+    state of the circuit with each measurement deferred past its
+    feedforwards (rule MC), with each record holding its outcome's mean.
+    It cannot be combined with ``forced``.
     """
     if state.n_modes != circuit.n_modes:
         raise ValueError(
@@ -105,16 +144,21 @@ def run(
     unknown = set(forced) - {op.register for op in circuit.ops if isinstance(op, Measure)}
     if unknown:
         raise ValueError(f"forced outcomes for unknown registers: {sorted(unknown)}")
+    if average:
+        if forced:
+            raise ValueError("average=True averages every outcome; it cannot take forced outcomes")
+        return _average(circuit, state)
 
     live = list(circuit.labels)
     records: dict[str, MeasurementRecord] = {}
     for op in circuit.ops:
-        if isinstance(op, Measure):
+        spec = spec_of(op)
+        if spec.unitary:
+            state = act(state, *_gate(spec, op, live))
+        elif isinstance(op, Measure):
             pos = live.index(op.mode)
             if op.register in forced:
                 record, state = homodyne(state, pos, op.basis, outcome=forced[op.register])
-            elif average:
-                record, state = homodyne(state, pos, op.basis, average=True)
             elif rng is not None:
                 record, state = homodyne(state, pos, op.basis, rng=rng)
             else:
@@ -128,10 +172,20 @@ def run(
             state = feedforward_displace(
                 state, live.index(op.target), op.quad, op.gain, records[op.register]
             )
-        elif isinstance(op, Discard):
+        else:  # Discard
             pos = live.index(op.mode)
             state = discard(state, [pos])
             live.pop(pos)
-        else:
-            state = act(state, *_gate(op, live))
     return RunResult(state, records, tuple(live))
+
+
+def _average(circuit: Circuit, state: GaussianState) -> RunResult:
+    """The outcome-averaged run: the circuit's fold applied to ``state``."""
+    live, total, registers = _fold(circuit.ops, circuit.labels)
+    X, d = total[:, :-1], total[:, -1]
+    records = {
+        register: MeasurementRecord(pos, basis, float(row[:-1] @ state.mean + row[-1]))
+        for register, (pos, basis, row) in registers.items()
+    }
+    out = GaussianState(X @ state.mean + d, X @ state.cov @ X.T, _validate=False)
+    return RunResult(out, records, live)

@@ -350,6 +350,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_fid.add_argument("--errors", default=",".join(ERASURE_TAGS), help="subset like E2,E4")
     p_fid.add_argument("--out", default=None, help="write the CSV here instead of stdout")
     p_fid.add_argument("--gnuplot", default=None, help="also write a gnuplot script (needs --out)")
+    # also accepted after the subcommand; SUPPRESS keeps a global --seed when absent here
+    p_fid.add_argument("--seed", type=int, default=argparse.SUPPRESS, help="seed for the sampled homodynes")
     p_fid.set_defaults(func=cmd_fidelity)
 
     p_thresh = sub.add_parser("threshold", help="minimum squeezing for a target worst-case fidelity")

@@ -472,3 +472,91 @@ def test_run_matches_symplectic_of_on_unitary_circuits(rng):
         for other in (fused, gated):
             np.testing.assert_allclose(other.mean, stepped.mean, rtol=0, atol=1e-12)
             np.testing.assert_allclose(other.cov, stepped.cov, rtol=0, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# interpreter: the outcome-averaged run
+# ---------------------------------------------------------------------------
+
+
+def test_run_average_adds_the_fed_forward_outcome_variance():
+    # Averaged over x1, x2 + x1 keeps the variance of both: 1/2 + 1/2.
+    circuit = parse("QND c=1 t=2 gain=1\nMEAS mode=1 basis=x reg=m\n")
+    result = run(circuit, g.vacuum(2), average=True)
+    assert result.labels == (2,)
+    assert result.state.variance_of(0, "x") == pytest.approx(1.0, abs=1e-15)
+    assert result.state.variance_of(0, "p") == pytest.approx(0.5, abs=1e-15)
+    assert result.records["m"].outcome == 0.0
+
+
+def test_run_average_rejects_forced_outcomes():
+    circuit = Circuit(labels=(1, 2), ops=(Measure(1, "x", "m"),))
+    with pytest.raises(ValueError, match="average"):
+        run(circuit, g.vacuum(2), forced={"m": 0.0}, average=True)
+
+
+@pytest.mark.parametrize("average", [False, True])
+def test_run_refuses_to_discard_every_mode(average):
+    with pytest.raises(ValueError, match="every mode"):
+        run(Circuit(labels=(1,), ops=(Discard(1),)), g.vacuum(1), average=average)
+
+
+def _measured_circuit(rng, basis):
+    """Gates, one homodyne of wire 2 fed forward to wires 1 and 3, gates, a discard."""
+    before = random_unitary_circuit(rng, (1, 2, 3, 4)).ops[:12]
+    after = random_unitary_circuit(rng, (1, 3, 4)).ops[:6]
+    middle = (
+        Measure(2, basis, "m"),
+        FeedforwardDisplace("m", 1, "x", float(rng.uniform(-2, 2))),
+        FeedforwardDisplace("m", 3, "p", float(rng.uniform(-2, 2))),
+    )
+    return Circuit((1, 2, 3, 4), before + middle + after + (Discard(4),)), len(before)
+
+
+@pytest.mark.parametrize("basis", ["x", "p"])
+def test_run_average_is_the_mixture_of_forced_outcomes(rng, basis):
+    # Each forced outcome gives the same covariance and a mean linear in the
+    # outcome m ~ N(a, s^2), so the average over m is exactly the midpoint of
+    # the outcomes a +- s, plus the spread of their means.
+    for _ in range(5):
+        circuit, k = _measured_circuit(rng, basis)
+        state = random_gaussian_state(rng, 4)
+        prefix = run(circuit.with_ops(circuit.ops[:k]), state).state
+        a, s = prefix.mean_of(1, basis), math.sqrt(prefix.variance_of(1, basis))
+        lo, hi = (run(circuit, state, forced={"m": a + sign * s}).state for sign in (-1, 1))
+        half = (hi.mean - lo.mean) / 2
+        averaged = run(circuit, state, average=True)
+        assert averaged.labels == (1, 3)
+        assert averaged.records["m"].outcome == pytest.approx(a, rel=1e-12, abs=1e-12)
+        np.testing.assert_allclose(averaged.state.mean, (hi.mean + lo.mean) / 2, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(averaged.state.cov, lo.cov + np.outer(half, half), rtol=0, atol=1e-10)
+
+
+def random_circuit_with_discards(rng, labels, n_ops):
+    """Random unitary ops on the live wires, with a Discard now and then; two wires survive."""
+    live = list(labels)
+    specs = [spec for spec in OPS.values() if spec.unitary]
+    ops = []
+    for _ in range(n_ops):
+        if len(live) > 2 and rng.random() < 0.2:
+            ops.append(Discard(live.pop(rng.integers(len(live)))))
+            continue
+        wires = rng.choice(live, size=2, replace=False).tolist()
+        reals = rng.choice([-1.0, 1.0], size=2) * rng.uniform(0.5, 1.2, size=2)
+        ops.append(make_op(specs[rng.integers(len(specs))], wires, reals.tolist()))
+    return Circuit(labels, tuple(ops))
+
+
+@given(seed=st.integers(0, 2**32 - 1), n_ops=st.integers(0, 30))
+@settings(max_examples=60, deadline=None)
+def test_fold_agrees_with_the_stepped_run_on_unitary_circuits_with_discards(seed, n_ops):
+    rng = np.random.default_rng(seed)
+    circuit = random_circuit_with_discards(rng, (6, 2, 9, 4, 1, 7), n_ops)
+    state = random_gaussian_state(rng, circuit.n_modes)
+    stepped = run(circuit, state)
+    folded = run(circuit, state, average=True)
+    assert folded.labels == stepped.labels
+    # rounding grows with the entries: squeezers here reach entries of ~1e4
+    scale = max(1.0, np.abs(stepped.state.cov).max(), np.abs(stepped.state.mean).max())
+    np.testing.assert_allclose(folded.state.mean, stepped.state.mean, rtol=0, atol=1e-12 * scale)
+    np.testing.assert_allclose(folded.state.cov, stepped.state.cov, rtol=0, atol=1e-12 * scale)

@@ -1,10 +1,16 @@
 """End-to-end command-line checks: output shapes, exit codes, file I/O."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cvrep
+from cvrep.circuits import recovery
 from cvrep.cli import main
 
 LN2 = float(np.log(2.0))
@@ -263,6 +269,43 @@ def test_fidelity_seeded_runs_are_reproducible(capsys):
     rc2, out2, _ = run_cli(capsys, *args)
     assert rc1 == rc2 == 0
     assert out1 == out2
+
+
+def test_fidelity_seed_is_also_accepted_after_the_subcommand(capsys):
+    args = ("fidelity", "--errors", "E4", "--steps", "2")
+    rc1, out1, _ = run_cli(capsys, "--seed", "7", *args)
+    rc2, out2, _ = run_cli(capsys, *args, "--seed", "7")
+    assert rc1 == rc2 == 0
+    assert out1 == out2
+
+
+def test_fidelity_fails_when_a_simulated_cell_is_nan(capsys, monkeypatch):
+    honest = recovery.recovery_fidelities
+
+    def e3_is_nan(r, tags, alpha=0j, *, rng=None):
+        fidelities = honest(r, tags, alpha, rng=rng)
+        fidelities["E3"] = float("nan")
+        return fidelities
+
+    monkeypatch.setattr(recovery, "recovery_fidelities", e3_is_nan)
+    rc, out, err = run_cli(capsys, "fidelity", "--steps", "2", "--r-max", "1.0")
+    assert rc == 1
+    assert all(line.endswith(",nan") for line in out.strip().split("\n")[1:])
+    assert "max |simulated - formula| = nan" in err
+
+
+def test_python_m_cvrep_runs_the_cli():
+    src = str(Path(cvrep.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-m", "cvrep", "fidelity", "--steps", "2", "--errors", "E4", "--seed", "1"],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[0] == CSV_HEADER
 
 
 # ---------------------------------------------------------------------------

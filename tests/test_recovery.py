@@ -42,7 +42,14 @@ from cvrep.circuits import (
 )
 from cvrep.circuits import recovery
 from cvrep.codes import build_five_mode_code, erasure_for_vertex, nullifier_variances
-from cvrep.gaussian import discard, fidelity_with_coherent, squeeze_by_factor, vacuum
+from cvrep.gaussian import (
+    coherent,
+    discard,
+    fidelity_with_coherent,
+    squeeze_by_factor,
+    tensor,
+    vacuum,
+)
 
 LN2 = float(np.log(2.0))
 
@@ -53,15 +60,15 @@ def x_block(circuit):
 
 
 def count_encodes(monkeypatch) -> list:
-    """Record the squeezing of every optical encoder run from here on."""
+    """Record the squeezing of every fold of the optical encoder from here on."""
     calls = []
-    encode = recovery.optical_encoded_state
+    encode = recovery._encoder_fold
 
-    def counting(r, alpha=0j):
+    def counting(r, alpha):
         calls.append(r)
         return encode(r, alpha)
 
-    monkeypatch.setattr(recovery, "optical_encoded_state", counting)
+    monkeypatch.setattr(recovery, "_encoder_fold", counting)
     return calls
 
 
@@ -219,6 +226,15 @@ def test_optical_encoding_nullifier_variances(r):
     np.testing.assert_allclose(variances, 2.0 * np.exp(-2.0 * r), atol=1e-12)
 
 
+@pytest.mark.parametrize("r", [0.0, 0.9, 2.0])
+def test_optical_encoded_state_equals_running_the_encoder(r):
+    alpha = 0.6 - 0.3j
+    stepped = run(optical_encoder(r), tensor(coherent(alpha), vacuum(4))).state
+    folded = optical_encoded_state(r, alpha)
+    np.testing.assert_allclose(folded.mean, stepped.mean, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(folded.cov, stepped.cov, rtol=0, atol=1e-12 * np.cosh(2 * r))
+
+
 def test_nullifier_variances_decay_with_slope_minus_two():
     grid = np.array([1.0, 2.0, 3.0])
     for encode in (ideal_encoded_state, optical_encoded_state):
@@ -286,6 +302,15 @@ def test_simulated_fidelities_match_the_formulas(tag, r):
     assert recovery_fidelity(tag, r, 0.3 - 0.9j) == pytest.approx(
         closed_form_fidelity(tag, r), abs=1e-9
     )
+
+
+@pytest.mark.parametrize("r", [10.0, 20.0])
+def test_fidelities_stay_exact_at_strong_squeezing(r):
+    # Entries of the encoded covariance grow like e^{2r}; the compiled
+    # decoders cancel the large terms before the covariance is formed.
+    fidelities = recovery_fidelities(r, ERASURE_TAGS, 0.3 + 0.2j)
+    for tag in ERASURE_TAGS:
+        assert fidelities[tag] == pytest.approx(closed_form_fidelity(tag, r), abs=1e-12)
 
 
 def test_e4_output_is_outcome_independent():
@@ -409,6 +434,21 @@ def test_sweep_cells_equal_single_tag_recovery_fidelities(seed):
         for tag in ERASURE_TAGS:
             if tag in spec.errors:
                 assert row.simulated[tag] == recovery_fidelity(tag, row.r, spec.alpha, rng=rng)
+
+
+@pytest.mark.parametrize("tag", ERASURE_TAGS)
+def test_sweep_deviation_is_nan_when_a_cell_is_nan(monkeypatch, tag):
+    honest = recovery.recovery_fidelities
+
+    def one_nan(r, tags, alpha=0j, *, rng=None):
+        fidelities = honest(r, tags, alpha, rng=rng)
+        fidelities[tag] = float("nan")
+        return fidelities
+
+    monkeypatch.setattr(recovery, "recovery_fidelities", one_nan)
+    result = fidelity_sweep(SweepSpec(r_min=0.2, r_max=0.6, steps=3))
+    assert all(np.isnan(row.max_abs_dev) for row in result.rows)
+    assert np.isnan(result.max_abs_dev)
 
 
 def test_sweep_spec_validation():

@@ -11,6 +11,7 @@ import pytest
 from cvrep.circuits import (
     BeamSplitterPM,
     Circuit,
+    Discard,
     FeedforwardDisplace,
     Measure,
     Pi,
@@ -268,3 +269,21 @@ def test_vacuum_channel_sanity_after_r7():
     out = symplectic_of(after).apply(vacuum(2))
     np.testing.assert_allclose(out.cov, vacuum(2).cov, atol=TOL.rewrite)
     np.testing.assert_allclose(out.mean, 0.0, atol=TOL.rewrite)
+
+
+def test_mc_preserves_the_outcome_averaged_state(rng):
+    # Averaged over its outcome, a measurement nobody reads is a partial
+    # trace, and one that is fed forward is a coupling and then a trace.
+    for _ in range(DRAWS):
+        gain = nonzero(rng)
+        before = Circuit((1, 2), (Qnd(1, 2, gain), Measure(1, "x", "m")))
+        after = rewrite(before, "MC", 0)
+        traced = Circuit((1, 2), (Qnd(1, 2, gain), Discard(1)))
+        state = random_gaussian_state(rng, 2)
+        lhs = run(before, state, average=True)
+        rhs = run(after, state, average=True)
+        assert lhs.labels == rhs.labels == (2,)
+        assert lhs.records["m"].outcome == pytest.approx(rhs.records["m"].outcome, abs=TOL.rewrite)
+        for other in (rhs.state, run(traced, state).state):
+            np.testing.assert_allclose(other.mean, lhs.state.mean, atol=TOL.rewrite)
+            np.testing.assert_allclose(other.cov, lhs.state.cov, atol=TOL.rewrite)
