@@ -189,7 +189,7 @@ def deviation(circuit: Circuit, A) -> float:
     return float(np.max(np.abs(achieved - np.asarray(A, dtype=float))))
 
 
-def _build(A: np.ndarray, labels: tuple[int, ...], script: list[tuple]) -> Circuit:
+def _build(A: np.ndarray, labels: tuple[int, ...], script: list[tuple]) -> tuple[Circuit, float]:
     circuit = Circuit(labels, tuple(_script_to_ops(script, labels)))
     err = deviation(circuit, A)
     limit = TOL.synthesis * max(1.0, float(np.max(np.abs(A))))
@@ -199,7 +199,7 @@ def _build(A: np.ndarray, labels: tuple[int, ...], script: list[tuple]) -> Circu
             f"(limit {limit:.1e}); the matrix is too ill-conditioned "
             f"for this pivot choice"
         )
-    return circuit
+    return circuit, err
 
 
 def synthesize(
@@ -219,6 +219,19 @@ def synthesize(
     layout violates that, the elimination is rerun starting from a column
     pivoted on a different wire.
     """
+    return _synthesize(
+        A, labels, pivot_rows=pivot_rows, forbidden_final_control=forbidden_final_control
+    )[0]
+
+
+def _synthesize(
+    A,
+    labels: tuple[int, ...] | None = None,
+    *,
+    pivot_rows: tuple[int, ...] | None = None,
+    forbidden_final_control: int | None = None,
+) -> tuple[Circuit, float]:
+    """``synthesize``, also returning the circuit's deviation from A (``deviation``)."""
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise SynthesisError(f"expected a square matrix, got shape {A.shape}")
@@ -237,12 +250,12 @@ def synthesize(
             f"forbidden_final_control={forbidden_final_control} is not one of the labels"
         )
 
-    circuit = _build(A, labels, _reduction_script(A, pivot_rows))
+    built = _build(A, labels, _reduction_script(A, pivot_rows))
     if (
         forbidden_final_control is None
-        or _last_qnd_control(circuit) != forbidden_final_control
+        or _last_qnd_control(built[0]) != forbidden_final_control
     ):
-        return circuit
+        return built
     if pivot_rows is not None:
         raise SynthesisError(
             "the requested pivot_rows produce a circuit whose final coupling "
@@ -263,7 +276,7 @@ def synthesize(
                 candidate = _build(A, labels, _jordan_script(A, c, p))
             except SynthesisError:
                 continue
-            if _last_qnd_control(candidate) != forbidden_final_control:
+            if _last_qnd_control(candidate[0]) != forbidden_final_control:
                 return candidate
     # Unreachable for an invertible matrix with any couplings at all: a
     # matrix whose every column has a single nonzero entry synthesizes to

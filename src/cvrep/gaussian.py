@@ -45,6 +45,7 @@ __all__ = [
     "homodyne",
     "feedforward_displace",
     "discard",
+    "coherent_fidelity",
     "fidelity_with_coherent",
 ]
 
@@ -503,17 +504,27 @@ def discard(state: GaussianState, modes) -> GaussianState:
 # ---------------------------------------------------------------------------
 # fidelity
 
-def fidelity_with_coherent(state: GaussianState, alpha: complex) -> float:
-    """Overlap <alpha| rho |alpha> for a single-mode Gaussian rho.
+def coherent_fidelity(vxx, vxp, vpp, dx, dp):
+    """Overlap <alpha| rho |alpha> from rho's covariance and mean, entry by entry.
 
-    Closed form: F = exp(-1/2 d^T (V + I/2)^-1 d) / sqrt(det(V + I/2)) with
-    d the mean difference from the coherent state's mean.
+    ``vxx, vxp, vpp`` are the covariance entries of the single-mode rho and
+    ``dx, dp`` its mean minus the coherent state's.  The closed form
+    F = exp(-1/2 d^T M^-1 d) / sqrt(det M), M = V + I/2, is written out for
+    2 x 2, so the arguments may be arrays of any one broadcast shape.
+    Raises ValueError where det M <= 0.
     """
+    mxx, mpp = vxx + 0.5, vpp + 0.5
+    det = mxx * mpp - vxp * vxp
+    if np.any(det <= 0):
+        raise ValueError(f"V + I/2 is not positive definite: det = {np.min(det):.3e}")
+    return np.exp(-0.5 * (mpp * dx * dx - 2.0 * vxp * dx * dp + mxx * dp * dp) / det) / np.sqrt(det)
+
+
+def fidelity_with_coherent(state: GaussianState, alpha: complex) -> float:
+    """Overlap <alpha| rho |alpha> for a single-mode Gaussian rho (``coherent_fidelity``)."""
     if state.n_modes != 1:
         raise ValueError(f"fidelity_with_coherent needs a single-mode state, got {state.n_modes}")
     alpha = complex(alpha)
-    target = displacement(alpha.real, alpha.imag)
-    M = state.cov + np.eye(2) / 2
-    delta = state.mean - target
-    value = float(np.exp(-0.5 * delta @ np.linalg.solve(M, delta)) / np.sqrt(np.linalg.det(M)))
-    return value
+    (vxx, vxp), (_, vpp) = state.cov
+    dx, dp = state.mean - displacement(alpha.real, alpha.imag)
+    return float(coherent_fidelity(vxx, vxp, vpp, dx, dp))

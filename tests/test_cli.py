@@ -4,13 +4,15 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import cvrep
-from cvrep.circuits import recovery
+from cvrep import cli
+from cvrep.circuits import recovery, synthesis
 from cvrep.cli import main
 
 LN2 = float(np.log(2.0))
@@ -128,6 +130,20 @@ def test_synth_check_reports_the_deviation(capsys):
     assert rc == 0
     assert out.startswith("MODES 1 3 5\n")
     assert "max |achieved - target| = " in err
+
+
+def test_synth_check_folds_the_circuit_once(capsys, monkeypatch):
+    calls = []
+    fold = synthesis.symplectic_of
+
+    def counting(circuit):
+        calls.append(circuit)
+        return fold(circuit)
+
+    monkeypatch.setattr(synthesis, "symplectic_of", counting)
+    rc, out, err = run_cli(capsys, "synth", "--error", "E3", "--check")
+    assert rc == 0 and "max |achieved - target| = " in err
+    assert len(calls) == 1
 
 
 def test_synth_identity_matrix_gives_an_empty_circuit(capsys, tmp_path):
@@ -280,17 +296,27 @@ def test_fidelity_seed_is_also_accepted_after_the_subcommand(capsys):
 
 
 def test_fidelity_fails_when_a_simulated_cell_is_nan(capsys, monkeypatch):
-    honest = recovery.recovery_fidelities
+    honest = recovery._fidelities
 
-    def e3_is_nan(r, tags, alpha=0j, *, rng=None):
-        fidelities = honest(r, tags, alpha, rng=rng)
-        fidelities["E3"] = float("nan")
-        return fidelities
+    def e3_is_nan(rs, tags, alpha, rng=None):
+        cells = honest(rs, tags, alpha, rng)
+        cells[:, tags.index("E3")] = float("nan")
+        return cells
 
-    monkeypatch.setattr(recovery, "recovery_fidelities", e3_is_nan)
+    monkeypatch.setattr(recovery, "_fidelities", e3_is_nan)
     rc, out, err = run_cli(capsys, "fidelity", "--steps", "2", "--r-max", "1.0")
     assert rc == 1
     assert all(line.endswith(",nan") for line in out.strip().split("\n")[1:])
+    assert "max |simulated - formula| = nan" in err
+
+
+def test_seeded_fidelity_fails_cleanly_where_the_simulation_overflows(capsys):
+    # cosh(400) squared overflows: the sampled E4 cell must come out nan and
+    # fail the gate, not raise from the homodyne draw
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        rc, _, err = run_cli(capsys, "--seed=1", "fidelity", "--steps=1", "--r-min=400", "--r-max=400")
+    assert rc == 1
     assert "max |simulated - formula| = nan" in err
 
 
@@ -425,6 +451,29 @@ def test_spacetime_file_errors_are_usage_errors(capsys, tmp_path):
 # ---------------------------------------------------------------------------
 # parser-level behavior
 # ---------------------------------------------------------------------------
+
+
+SEQUENTIAL_CALLS = (
+    ("--seed=1", "fidelity", "--steps=3", "--errors=E4,E2"),
+    ("fidelity", "--steps=3", "--errors=E4,E2"),
+    ("fidelity", "--seed=5", "--steps=2", "--alpha=1i"),
+    ("fidelity", "--steps=2"),
+    ("synth", "--error=E3", "--check"),
+    ("synth", "--error=E2"),
+    ("threshold", "--target=0.5"),
+    ("verify", "five", "--erase=1,2"),
+    ("verify", "five"),
+)
+
+
+def test_main_reuses_one_parser_and_nothing_leaks_between_calls(capsys, monkeypatch):
+    assert cli._parser() is cli._parser()
+    reused = [cli._parser().parse_args(list(argv)) for argv in SEQUENTIAL_CALLS]
+    fresh = [cli.build_parser().parse_args(list(argv)) for argv in SEQUENTIAL_CALLS]
+    assert [vars(a) for a in reused] == [vars(a) for a in fresh]
+    outputs = [run_cli(capsys, *argv) for argv in SEQUENTIAL_CALLS]
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)  # a new parser per call
+    assert outputs == [run_cli(capsys, *argv) for argv in SEQUENTIAL_CALLS]
 
 
 def test_missing_subcommand_is_an_argparse_error():

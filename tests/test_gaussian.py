@@ -435,3 +435,28 @@ def test_fidelity_is_displacement_covariant(re, im):
 def test_fidelity_requires_single_mode():
     with pytest.raises(ValueError):
         g.fidelity_with_coherent(g.vacuum(2), 0j)
+
+
+@pytest.mark.parametrize(
+    "cov",
+    [
+        [[0.0, 1.0], [1.0, 0.0]],  # det(V + I/2) = -3/4
+        [[-0.5, 0.0], [0.0, 1.0]],  # det(V + I/2) = 0
+    ],
+)
+def test_fidelity_rejects_a_covariance_with_det_v_plus_half_not_positive(cov):
+    state = g.GaussianState(np.zeros(2), np.array(cov), _validate=False)
+    with pytest.raises(ValueError, match="not positive definite"):
+        g.fidelity_with_coherent(state, 0j)
+
+
+def test_coherent_fidelity_broadcasts_entry_by_entry(rng):
+    states = [
+        g.displace(g.phase_shift(g.squeeze(g.vacuum(1), 0, r), 0, phi), 0, complex(x, y))
+        for r, phi, x, y in rng.uniform(-1.0, 1.0, size=(5, 4))
+    ]
+    alpha = 0.3 - 0.8j
+    delta = np.array([s.mean for s in states]) - g.displacement(alpha.real, alpha.imag)
+    covs = np.array([s.cov for s in states])
+    batched = g.coherent_fidelity(covs[:, 0, 0], covs[:, 0, 1], covs[:, 1, 1], delta[:, 0], delta[:, 1])
+    assert batched.tolist() == [g.fidelity_with_coherent(s, alpha) for s in states]

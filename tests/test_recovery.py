@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cvrep.circuits import (
     ERASED_MODES,
@@ -60,15 +62,15 @@ def x_block(circuit):
 
 
 def count_encodes(monkeypatch) -> list:
-    """Record the squeezing of every fold of the optical encoder from here on."""
+    """Record the squeezing grid of every batched evaluation from here on."""
     calls = []
-    encode = recovery._encoder_fold
+    evaluate = recovery._fidelities
 
-    def counting(r, alpha):
-        calls.append(r)
-        return encode(r, alpha)
+    def counting(rs, tags, alpha, rng=None):
+        calls.append(tuple(float(r) for r in rs))
+        return evaluate(rs, tags, alpha, rng)
 
-    monkeypatch.setattr(recovery, "_encoder_fold", counting)
+    monkeypatch.setattr(recovery, "_fidelities", counting)
     return calls
 
 
@@ -313,6 +315,25 @@ def test_fidelities_stay_exact_at_strong_squeezing(r):
         assert fidelities[tag] == pytest.approx(closed_form_fidelity(tag, r), abs=1e-12)
 
 
+@given(
+    rs=st.lists(st.floats(min_value=0.0, max_value=3.0), min_size=1, max_size=4),
+    re=st.floats(min_value=-3.0, max_value=3.0),
+    im=st.floats(min_value=-3.0, max_value=3.0),
+)
+@settings(max_examples=40, deadline=None)
+def test_batched_fidelities_equal_the_stepped_pipeline(rs, re, im):
+    # independent of the compiled pipeline: the encoder stepped gate by
+    # gate on coherent (x) vacuum, the stepped erasure, and each decoder's
+    # outcome-averaged run
+    alpha = complex(re, im)
+    cells = recovery._fidelities(rs, ERASURE_TAGS, alpha)
+    for r, row in zip(rs, cells):
+        encoded = run(optical_encoder(r), tensor(coherent(alpha), vacuum(4))).state
+        for tag, cell in zip(ERASURE_TAGS, row):
+            out = run(optical_decoder(tag), erase(encoded, tag), average=True).state
+            assert cell == pytest.approx(fidelity_with_coherent(out, alpha), rel=0, abs=1e-12)
+
+
 def test_e4_output_is_outcome_independent():
     survivors = erase(optical_encoded_state(1.0, 0.5), "E4")
     outputs = []
@@ -331,9 +352,29 @@ def test_sampled_e4_recovery_equals_the_deterministic_value():
     assert sampled == pytest.approx(deterministic, abs=1e-9)
 
 
+@pytest.mark.parametrize("r", [0.4, 1.7])
+def test_sampled_e4_draws_as_the_stepped_run_does(r):
+    alpha = 0.5 - 0.2j
+    stepped_rng, compiled_rng = np.random.default_rng(8), np.random.default_rng(8)
+    stepped = run(optical_decoder("E4"), erase(optical_encoded_state(r, alpha), "E4"), rng=stepped_rng)
+    sampled = recovery_fidelity("E4", r, alpha, rng=compiled_rng)
+    assert sampled == pytest.approx(fidelity_with_coherent(stepped.state, alpha), abs=1e-9)
+    # one draw each, so both generators are left in the same state
+    assert stepped_rng.random() == compiled_rng.random()
+
+
+@pytest.mark.parametrize("r", [10.0, 20.0])
+def test_sampled_fidelities_stay_exact_at_strong_squeezing(r):
+    # the stepped homodyne conditions a covariance with e^{2r}-sized
+    # entries; the compiled rows never form one
+    fidelities = recovery_fidelities(r, ERASURE_TAGS, 0.3 + 0.2j, rng=np.random.default_rng(4))
+    for tag in ERASURE_TAGS:
+        assert fidelities[tag] == pytest.approx(closed_form_fidelity(tag, r), abs=1e-12)
+
+
 @pytest.mark.parametrize("tag", ERASURE_TAGS)
 def test_erase_and_decode_leave_their_input_unchanged(tag):
-    # recovery_fidelities hands one encoded register to every tag
+    # callers erase and decode one encoded register for several tags
     encoded = optical_encoded_state(0.9, 0.4 - 0.2j)
     mean, cov = encoded.mean.copy(), encoded.cov.copy()
     survivors = erase(encoded, tag)
@@ -355,7 +396,7 @@ def test_recovery_fidelities_checks_every_tag_before_encoding(monkeypatch):
         recovery_fidelities(0.5, ("E1", "E9"))
     assert encodes == []
     assert list(recovery_fidelities(0.5, ("E4", "E1"))) == ["E4", "E1"]
-    assert encodes == [0.5]
+    assert encodes == [(0.5,)]
 
 
 def test_optical_decoders_consume_down_to_one_wire():
@@ -416,9 +457,10 @@ def test_sweep_with_rng_matches_the_formulas_too():
 
 
 def test_sweep_encodes_the_register_once_per_r(monkeypatch):
+    # the whole grid in one batched evaluation
     encodes = count_encodes(monkeypatch)
     result = fidelity_sweep(SweepSpec(r_min=0.2, r_max=1.0, steps=3))
-    assert encodes == [row.r for row in result.rows] and len(encodes) == 3
+    assert encodes == [tuple(row.r for row in result.rows)] and len(encodes[0]) == 3
 
 
 @pytest.mark.parametrize("seed", [None, 11])
@@ -438,14 +480,14 @@ def test_sweep_cells_equal_single_tag_recovery_fidelities(seed):
 
 @pytest.mark.parametrize("tag", ERASURE_TAGS)
 def test_sweep_deviation_is_nan_when_a_cell_is_nan(monkeypatch, tag):
-    honest = recovery.recovery_fidelities
+    honest = recovery._fidelities
 
-    def one_nan(r, tags, alpha=0j, *, rng=None):
-        fidelities = honest(r, tags, alpha, rng=rng)
-        fidelities[tag] = float("nan")
-        return fidelities
+    def one_nan(rs, tags, alpha, rng=None):
+        cells = honest(rs, tags, alpha, rng)
+        cells[:, tags.index(tag)] = float("nan")
+        return cells
 
-    monkeypatch.setattr(recovery, "recovery_fidelities", one_nan)
+    monkeypatch.setattr(recovery, "_fidelities", one_nan)
     result = fidelity_sweep(SweepSpec(r_min=0.2, r_max=0.6, steps=3))
     assert all(np.isnan(row.max_abs_dev) for row in result.rows)
     assert np.isnan(result.max_abs_dev)
@@ -493,7 +535,7 @@ def test_threshold_encodes_once_per_worst_case_evaluation(monkeypatch):
     encodes = count_encodes(monkeypatch)
     evaluated = count_worst_cases(monkeypatch)
     threshold_squeezing(2.0 / 3.0, tol=1e-3)
-    assert evaluated and encodes == evaluated
+    assert evaluated and encodes == [(r,) for r in evaluated]
 
 
 def test_threshold_stops_at_float_resolution_for_a_tiny_tol(monkeypatch):
