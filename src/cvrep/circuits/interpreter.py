@@ -134,7 +134,13 @@ def run(
     instead returns the state averaged over every outcome, exactly: the
     state of the circuit with each measurement deferred past its
     feedforwards (rule MC), with each record holding its outcome's mean.
-    It cannot be combined with ``forced``.
+    It cannot be combined with ``forced`` or ``rng``.
+
+    A forced or sampled run conditions the covariance op by op, so it loses
+    precision once the covariance holds entries of order e^{2r}: the E4
+    optical decoder drifts from its closed form from r ~ 10.  The averaged
+    run folds the circuit first, and ``recovery`` samples by conditioning
+    its compiled rows instead.
     """
     if state.n_modes != circuit.n_modes:
         raise ValueError(
@@ -145,8 +151,8 @@ def run(
     if unknown:
         raise ValueError(f"forced outcomes for unknown registers: {sorted(unknown)}")
     if average:
-        if forced:
-            raise ValueError("average=True averages every outcome; it cannot take forced outcomes")
+        if forced or rng is not None:
+            raise ValueError("average=True averages every outcome; it cannot take forced outcomes or an rng")
         return _average(circuit, state)
 
     live = list(circuit.labels)

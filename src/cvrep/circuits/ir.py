@@ -350,14 +350,6 @@ class PointTransform:
     def n(self) -> int:
         return self.A.shape[0]
 
-    def to_symplectic(self):
-        """The 2n x 2n xxpp symplectic lift diag(A, A^-T) with zero displacement."""
-        n = self.n
-        S = np.zeros((2 * n, 2 * n))
-        S[:n, :n] = self.A
-        S[n:, n:] = np.linalg.inv(self.A).T
-        return g.SymplecticMap(S, np.zeros(2 * n))
-
 
 # ---------------------------------------------------------------------------
 # serialization

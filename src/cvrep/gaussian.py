@@ -8,9 +8,12 @@ is 1/2 and [x, p] = i.
 All operations are value-style: they validate their inputs, never mutate the
 given state, and return a fresh :class:`GaussianState`.  Each symplectic gate
 is written down once, as a block function (``qnd_block``, ``squeeze_block``,
-...) giving its 2k x 2k matrix over its k modes; ``act`` is the one path by
-which a gate touches a state, updating only the rows and columns of its
-modes.  The gate functions here and the circuit interpreter's ``run`` use it.
+...) giving its 2k x 2k matrix over its k modes, which the circuit op table
+``circuits.ir.OPS`` names; ``act`` is the one path by which a gate touches a
+state, updating only the rows and columns of its modes.  The circuit
+interpreter's ``run`` applies every gate through it; ``displace``,
+``squeeze`` and ``squeeze_by_factor`` remain as functions because the state
+constructors here and in ``circuits.recovery`` build states with them.
 Measurements condition the state with the standard Gaussian (Schur
 complement) update and then drop the measured mode entirely.
 """
@@ -36,12 +39,6 @@ __all__ = [
     "displace",
     "squeeze",
     "squeeze_by_factor",
-    "two_mode_squeeze",
-    "beam_splitter_pm",
-    "phase_shift",
-    "fourier",
-    "inverse_fourier",
-    "qnd",
     "homodyne",
     "feedforward_displace",
     "discard",
@@ -66,7 +63,7 @@ def omega(n_modes: int) -> np.ndarray:
 
 
 def symplectic_eigenvalues(cov: np.ndarray) -> np.ndarray:
-    """Symplectic spectrum of a covariance matrix (ascending, one per mode)."""
+    """Symplectic spectrum of a positive-definite covariance matrix (ascending, one per mode)."""
     n = cov.shape[0] // 2
     if n == 0:
         return np.zeros(0)
@@ -100,11 +97,14 @@ class GaussianState:
         if asym > TOL.cov_symmetry:
             raise ValueError(f"covariance not symmetric: max asymmetry {asym:.3e}")
         if self.n_modes:
-            nu_min = symplectic_eigenvalues(self.cov).min()
-            if nu_min < 0.5 - TOL.symplectic_eig_slack:
+            # The uncertainty bound V + i Omega/2 >= 0 as a Hermitian test: unlike
+            # the symplectic spectrum it needs no V > 0, and its rounding scales
+            # with V's entries, so the slack does too.
+            low = np.linalg.eigvalsh(self.cov + 0.5j * omega(self.n_modes)).min()
+            if low < -TOL.symplectic_eig_slack * max(1.0, np.abs(self.cov).max()):
                 raise ValueError(
                     f"covariance violates the uncertainty bound: "
-                    f"min symplectic eigenvalue {nu_min!r} < 1/2"
+                    f"V + i Omega/2 has eigenvalue {low!r} < 0"
                 )
 
     def copy(self) -> "GaussianState":
@@ -156,10 +156,6 @@ class SymplecticMap:
             limit = TOL.symplectic_check * max(1.0, np.abs(S).max()) ** 2
             if defect > limit:
                 raise ValueError(f"matrix is not symplectic: defect {defect:.3e} > {limit:.1e}")
-
-    @staticmethod
-    def identity(n_modes: int) -> "SymplecticMap":
-        return SymplecticMap(np.eye(2 * n_modes), np.zeros(2 * n_modes))
 
     def after(self, first: "SymplecticMap") -> "SymplecticMap":
         """The composite map 'first, then self'."""
@@ -357,63 +353,6 @@ def squeeze(state: GaussianState, mode: int, r: float) -> GaussianState:
     return squeeze_by_factor(state, mode, float(np.exp(r)))
 
 
-def two_mode_squeeze(state: GaussianState, modes: tuple[int, int], r: float) -> GaussianState:
-    """Two-mode squeezer: correlates x_a with x_b and anticorrelates p_a with p_b.
-
-    x_a -> x_a cosh r + x_b sinh r      p_a -> p_a cosh r - p_b sinh r
-    x_b -> x_b cosh r + x_a sinh r      p_b -> p_b cosh r - p_a sinh r
-
-    On vacuum this squeezes the x-difference and p-sum: Var((x_a - x_b)/sqrt2)
-    = e^{-2r}/2.
-    """
-    a, b = modes
-    if not np.isfinite(r):
-        raise ValueError("squeezing parameter must be finite")
-    return act(state, (a, b), two_mode_squeeze_block(r))
-
-
-def beam_splitter_pm(state: GaussianState, modes: tuple[int, int]) -> GaussianState:
-    """Balanced beam splitter, "plus/minus" convention.
-
-    x_a -> (x_a + x_b)/sqrt2, x_b -> (x_a - x_b)/sqrt2, identically on p.
-    The matrix is an involution: applying it twice is the identity.
-    """
-    a, b = modes
-    return act(state, (a, b), beam_splitter_pm_block())
-
-
-def phase_shift(state: GaussianState, mode: int, phi: float) -> GaussianState:
-    """Rotate one mode's (x, p) plane by phi.
-
-    The mean map is [[cos, -sin], [sin, cos]], so phi = pi/2 (the Fourier
-    gate) sends a coherent state at amplitude 1 to amplitude i, and phi = pi
-    negates both quadratures.
-    """
-    return act(state, (mode,), phase_block(phi))
-
-
-def fourier(state: GaussianState, mode: int) -> GaussianState:
-    """Quarter turn (x, p) -> (-p, x), applied as an exact matrix."""
-    return act(state, (mode,), fourier_block())
-
-
-def inverse_fourier(state: GaussianState, mode: int) -> GaussianState:
-    """Quarter turn (x, p) -> (p, -x), applied as an exact matrix."""
-    return act(state, (mode,), inverse_fourier_block())
-
-
-def qnd(state: GaussianState, control: int, target: int, gain: float) -> GaussianState:
-    """Controlled addition of quadratures (QND / CPLUS gate).
-
-    x_target -> x_target + gain * x_control, and the unique symplectic
-    completion p_control -> p_control - gain * p_target; x_control and
-    p_target are untouched.
-    """
-    if not np.isfinite(gain):
-        raise ValueError("qnd gain must be finite")
-    return act(state, (control, target), qnd_block(gain))
-
-
 # ---------------------------------------------------------------------------
 # measurement / feedforward / discard
 
@@ -424,17 +363,11 @@ def homodyne(
     *,
     outcome: float | None = None,
     rng: np.random.Generator | None = None,
-    average: bool = False,
 ) -> tuple[MeasurementRecord, GaussianState]:
     """Measure one quadrature; condition and drop the measured mode.
 
-    Exactly one outcome policy must be chosen:
-
-    - ``outcome=value`` forces the result (deterministic tests),
-    - ``rng=generator`` samples it from the Gaussian marginal,
-    - ``average=True`` uses the current mean of the measured quadrature,
-      which reproduces the outcome-averaged output for circuits whose
-      feedforward cancels outcome dependence.
+    Exactly one of ``outcome=value`` (force the result) or ``rng=generator``
+    (sample it from the Gaussian marginal) must be given.
 
     The conditional covariance never depends on the outcome; the conditional
     mean follows the standard Gaussian conditioning (Schur complement) rule.
@@ -442,9 +375,8 @@ def homodyne(
     junk after the measurement and is not tracked.
     """
     q = _quad_index(state, mode, basis)
-    policies = (outcome is not None) + (rng is not None) + bool(average)
-    if policies != 1:
-        raise ValueError("choose exactly one of outcome=, rng=, average=True")
+    if (outcome is None) == (rng is None):
+        raise ValueError("choose exactly one of outcome= or rng=")
 
     var_q = state.cov[q, q]
     if var_q < TOL.degenerate_variance:
@@ -455,8 +387,6 @@ def homodyne(
 
     if outcome is not None:
         m = float(outcome)
-    elif average:
-        m = float(state.mean[q])
     else:
         m = float(rng.normal(state.mean[q], np.sqrt(var_q)))
     if not np.isfinite(m):

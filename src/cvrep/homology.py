@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from math import comb
 
 import numpy as np
 
@@ -19,10 +18,8 @@ from .codes import StabilizerCode, _rank, check_correctable, edge_basis, erasure
 
 __all__ = [
     "ChainComplex",
-    "SubspacePair",
     "boundary_matrix",
     "chain_complex",
-    "decompose",
     "butterfly_matrix",
     "build_homological_code",
     "verify_correctability_homological",
@@ -64,34 +61,6 @@ class ChainComplex:
 
 def chain_complex(N: int) -> ChainComplex:
     return ChainComplex(N, {k: boundary_matrix(N, k) for k in (0, 1, 2)})
-
-
-@dataclass(frozen=True)
-class SubspacePair:
-    """Orthonormal row-bases of R_k = Im d_k^T and L_k = Im d_{k+1} inside C_k."""
-
-    R: np.ndarray
-    L: np.ndarray
-
-
-def _rowspace_basis(M: np.ndarray) -> np.ndarray:
-    M = np.atleast_2d(np.asarray(M, dtype=float))
-    return np.linalg.svd(M, full_matrices=False)[2][: _rank(M)]
-
-
-def decompose(N: int, k: int) -> SubspacePair:
-    """Split C_k into the coboundary image R_k and boundary image L_k."""
-    if k not in (0, 1):
-        raise ValueError(f"decompose supports k in {{0,1}}, got {k}")
-    R = _rowspace_basis(boundary_matrix(N, k))
-    L = _rowspace_basis(boundary_matrix(N, k + 1).T)
-    expect_r, expect_l = comb(N - 1, k), comb(N - 1, k + 1)
-    if R.shape[0] != expect_r or L.shape[0] != expect_l:
-        raise ValueError(
-            f"rank deficiency: dim R_{k}={R.shape[0]} (expected {expect_r}), "
-            f"dim L_{k}={L.shape[0]} (expected {expect_l})"
-        )
-    return SubspacePair(R, L)
 
 
 def butterfly_matrix(N: int) -> np.ndarray:

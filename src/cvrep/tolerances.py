@@ -12,7 +12,7 @@ from dataclasses import dataclass
 class Tolerances:
     #: symmetry defect allowed in a covariance matrix
     cov_symmetry: float = 1e-12
-    #: uncertainty bound: symplectic eigenvalues must be >= 1/2 - this slack
+    #: uncertainty bound: V + i Omega/2 may have eigenvalues down to -this, in units of max(1, max|V|)
     symplectic_eig_slack: float = 1e-9
     #: defect allowed in S @ Omega @ S.T == Omega, in units of max(1, max|S|)^2
     symplectic_check: float = 1e-10

@@ -15,18 +15,26 @@ nonzero_factors = st.floats(min_value=0.2, max_value=4.0).flatmap(
 )
 
 
+def apply_op(state: GaussianState, op) -> GaussianState:
+    """``state`` after the one-op circuit ``op``; wire label i + 1 is mode i."""
+    from cvrep.circuits import Circuit, run
+
+    return run(Circuit(tuple(range(1, state.n_modes + 1)), (op,)), state).state
+
+
 def random_gaussian_state(rng: np.random.Generator, n_modes: int) -> GaussianState:
     """A generic valid Gaussian state: random symplectic-ish squeeze/rotate mix."""
     from cvrep import gaussian as g
+    from cvrep.circuits import PhaseShift, Qnd
 
     state = g.vacuum(n_modes)
     for mode in range(n_modes):
         state = g.squeeze(state, mode, float(rng.uniform(-0.8, 0.8)))
-        state = g.phase_shift(state, mode, float(rng.uniform(0, 2 * np.pi)))
+        state = apply_op(state, PhaseShift(mode + 1, float(rng.uniform(0, 2 * np.pi))))
         state = g.displace(state, mode, complex(rng.normal(), rng.normal()))
     for _ in range(n_modes):
         a, b = rng.choice(n_modes, size=2, replace=False)
-        state = g.qnd(state, int(a), int(b), float(rng.uniform(-1, 1)))
+        state = apply_op(state, Qnd(int(a) + 1, int(b) + 1, float(rng.uniform(-1, 1))))
     return state
 
 

@@ -7,10 +7,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import assert_valid_state, finite_floats, random_gaussian_state, squeeze_params
+from conftest import apply_op, assert_valid_state, finite_floats, random_gaussian_state, squeeze_params
 from oracles import schur_condition, wigner_overlap_fidelity
 
 from cvrep import gaussian as g
+from cvrep.circuits import (
+    BeamSplitterPM,
+    Circuit,
+    Fourier,
+    InverseFourier,
+    Measure,
+    PhaseShift,
+    Qnd,
+    TwoModeSqueeze,
+    ideal_encoded_state,
+    optical_encoded_state,
+    run,
+)
 from cvrep.gaussian import DegenerateMeasurementError
 
 SQRT2 = math.sqrt(2.0)
@@ -60,8 +73,24 @@ def test_state_validation_rejects_unphysical_cov():
         g.GaussianState(np.zeros(2), 0.1 * np.eye(2))
 
 
+@pytest.mark.parametrize("diagonal", [[-0.5, -0.5], [2.0, -2.0], [0.5, -0.5], [1e4, 1e-6]])
+def test_state_validation_rejects_a_covariance_below_the_uncertainty_bound(diagonal):
+    # The first three are not positive definite, yet |eig(i Omega V)| of each
+    # is at least 1/2; the last has Var(x) Var(p) = 1e-2 < 1/4 at entries of 1e4.
+    with pytest.raises(ValueError, match="uncertainty bound"):
+        g.GaussianState(np.zeros(2), np.diag(diagonal))
+
+
+@pytest.mark.parametrize("r", [1.0, 5.0, 8.0, 12.0, 20.0])
+def test_state_validation_accepts_the_encoded_states_at_any_squeezing(r):
+    # pure five-mode states whose covariance entries reach e^{2r}
+    for state in (optical_encoded_state(r), ideal_encoded_state(r)):
+        again = g.GaussianState(state.mean, state.cov)
+        assert np.array_equal(again.cov, state.cov)
+
+
 # ---------------------------------------------------------------------------
-# single- and two-mode gates
+# single- and two-mode gates, each run as a one-op circuit
 # ---------------------------------------------------------------------------
 
 
@@ -100,7 +129,7 @@ def test_squeeze_by_zero_factor_rejected():
 
 def test_two_mode_squeeze_correlates_x_and_anticorrelates_p():
     r = 0.6
-    state = g.two_mode_squeeze(g.vacuum(2), (0, 1), r)
+    state = apply_op(g.vacuum(2), TwoModeSqueeze(1, 2, r))
     ch, sh = 0.5 * math.cosh(2 * r), 0.5 * math.sinh(2 * r)
     np.testing.assert_allclose(state.cov[:2, :2], [[ch, sh], [sh, ch]], atol=1e-12)
     np.testing.assert_allclose(state.cov[2:, 2:], [[ch, -sh], [-sh, ch]], atol=1e-12)
@@ -113,7 +142,7 @@ def test_two_mode_squeeze_correlates_x_and_anticorrelates_p():
 def test_balanced_splitter_merges_identical_coherent_beams(re, im):
     alpha = complex(re, im)
     state = g.tensor(g.coherent(alpha), g.coherent(alpha))
-    out = g.beam_splitter_pm(state, (0, 1))
+    out = apply_op(state, BeamSplitterPM(1, 2))
     expect = g.tensor(g.coherent(SQRT2 * alpha), g.vacuum(1))
     np.testing.assert_allclose(out.mean, expect.mean, atol=1e-12)
     np.testing.assert_allclose(out.cov, expect.cov, atol=1e-12)
@@ -121,7 +150,7 @@ def test_balanced_splitter_merges_identical_coherent_beams(re, im):
 
 def test_balanced_splitter_is_an_involution(rng):
     state = random_gaussian_state(rng, 3)
-    twice = g.beam_splitter_pm(g.beam_splitter_pm(state, (0, 2)), (0, 2))
+    twice = apply_op(apply_op(state, BeamSplitterPM(1, 3)), BeamSplitterPM(1, 3))
     np.testing.assert_allclose(twice.mean, state.mean, atol=1e-12)
     np.testing.assert_allclose(twice.cov, state.cov, atol=1e-12)
 
@@ -130,28 +159,28 @@ def test_beam_splitter_splits_tmsv_into_two_squeezers():
     # a two-mode squeezed pair is two single-mode squeezed states on the
     # +/- ports of a balanced splitter
     r = 0.5
-    state = g.beam_splitter_pm(g.two_mode_squeeze(g.vacuum(2), (0, 1), r), (0, 1))
+    state = apply_op(apply_op(g.vacuum(2), TwoModeSqueeze(1, 2, r)), BeamSplitterPM(1, 2))
     squeezed_plus = g.squeeze(g.vacuum(1), 0, r)
     squeezed_minus = g.squeeze(g.vacuum(1), 0, -r)
     np.testing.assert_allclose(state.cov, g.tensor(squeezed_plus, squeezed_minus).cov, atol=1e-12)
 
 
 def test_quarter_phase_turns_coherent_one_into_coherent_i():
-    state = g.phase_shift(g.coherent(1 + 0j), 0, math.pi / 2)
+    state = apply_op(g.coherent(1 + 0j), PhaseShift(1, math.pi / 2))
     assert g.fidelity_with_coherent(state, 1j) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_fourier_is_exactly_the_quarter_turn_matrix():
-    state = g.fourier(g.coherent(2 - 1j), 0)
+    state = apply_op(g.coherent(2 - 1j), Fourier(1))
     # x -> -p, p -> x on the mean
     np.testing.assert_array_equal(state.mean, [SQRT2 * 1, SQRT2 * 2])
-    undone = g.inverse_fourier(state, 0)
+    undone = apply_op(state, InverseFourier(1))
     np.testing.assert_array_equal(undone.mean, g.coherent(2 - 1j).mean)
 
 
 def test_qnd_mean_map():
     state = g.tensor(g.coherent(1 + 2j), g.coherent(3 - 1j))
-    out = g.qnd(state, 0, 1, 1.5)
+    out = apply_op(state, Qnd(1, 2, 1.5))
     assert out.mean_of(1, "x") == pytest.approx((3 + 1.5 * 1) * SQRT2)
     assert out.mean_of(0, "x") == pytest.approx(1 * SQRT2)
     assert out.mean_of(0, "p") == pytest.approx((2 - 1.5 * (-1)) * SQRT2)
@@ -160,7 +189,7 @@ def test_qnd_mean_map():
 
 def test_qnd_inverse_gain_undoes(rng):
     state = random_gaussian_state(rng, 2)
-    back = g.qnd(g.qnd(state, 0, 1, 0.8), 0, 1, -0.8)
+    back = apply_op(apply_op(state, Qnd(1, 2, 0.8)), Qnd(1, 2, -0.8))
     np.testing.assert_allclose(back.mean, state.mean, atol=1e-12)
     np.testing.assert_allclose(back.cov, state.cov, atol=1e-12)
 
@@ -178,9 +207,8 @@ def test_qnd_block_is_symplectic():
 def test_gates_preserve_the_uncertainty_bound(r, phi):
     state = g.vacuum(2)
     state = g.squeeze(state, 0, r)
-    state = g.phase_shift(state, 0, phi)
-    state = g.qnd(state, 0, 1, r)
-    state = g.beam_splitter_pm(state, (0, 1))
+    for op in (PhaseShift(1, phi), Qnd(1, 2, r), BeamSplitterPM(1, 2)):
+        state = apply_op(state, op)
     assert_valid_state(state)
     assert np.min(g.symplectic_eigenvalues(state.cov)) >= 0.5 - 1e-9
 
@@ -219,8 +247,6 @@ def test_homodyne_requires_exactly_one_outcome_policy(rng):
     with pytest.raises(ValueError):
         g.homodyne(state, 0, "x")
     with pytest.raises(ValueError):
-        g.homodyne(state, 0, "x", outcome=1.0, average=True)
-    with pytest.raises(ValueError):
         g.homodyne(state, 0, "x", outcome=1.0, rng=rng)
 
 
@@ -234,7 +260,7 @@ def test_homodyne_on_product_state_leaves_partner_untouched():
 
 def test_homodyne_tmsv_conditional_mean_is_tanh_weighted():
     r = 0.8
-    state = g.two_mode_squeeze(g.vacuum(2), (0, 1), r)
+    state = apply_op(g.vacuum(2), TwoModeSqueeze(1, 2, r))
     for m in (0.0, 1.3, -2.2):
         _, rest = g.homodyne(state, 1, "x", outcome=m)
         assert rest.mean_of(0, "x") == pytest.approx(math.tanh(2 * r) * m, abs=1e-12)
@@ -278,8 +304,8 @@ def test_homodyne_sampling_is_seeded_and_follows_the_marginal():
 
 def test_homodyne_average_uses_the_current_mean():
     state = g.displace(g.vacuum(2), 0, 1.5 + 0j)
-    record, _ = g.homodyne(state, 0, "x", average=True)
-    assert record.outcome == pytest.approx(1.5 * SQRT2)
+    result = run(Circuit((1, 2), (Measure(1, "x", "m"),)), state, average=True)
+    assert result.records["m"].outcome == pytest.approx(1.5 * SQRT2)
 
 
 def test_homodyne_degenerate_quadrature_is_reported():
@@ -339,7 +365,7 @@ def test_discard_product_factor_is_exact():
 
 def test_discard_tmsv_arm_leaves_thermal_state():
     r = 0.9
-    state = g.two_mode_squeeze(g.vacuum(2), (0, 1), r)
+    state = apply_op(g.vacuum(2), TwoModeSqueeze(1, 2, r))
     out = g.discard(state, [1])
     want = 0.5 * math.cosh(2 * r)
     assert out.variance_of(0, "x") == pytest.approx(want, rel=1e-12)
@@ -361,7 +387,7 @@ def test_discard_of_scattered_modes_matches_hand_built_indices(rng):
 
 
 def test_tensor_of_wide_factors_matches_hand_built_indices(rng):
-    one_mode = g.phase_shift(g.squeeze(g.coherent(0.3 - 1.1j), 0, 0.4), 0, 0.7)
+    one_mode = apply_op(g.squeeze(g.coherent(0.3 - 1.1j), 0, 0.4), PhaseShift(1, 0.7))
     factors = [one_mode, random_gaussian_state(rng, 3), random_gaussian_state(rng, 2)]
     joint = g.tensor(*factors)
     # rows of each factor inside the 6-mode product, x block then p block
@@ -414,7 +440,7 @@ def test_fidelity_thermal_state_matches_wigner_integration():
 
 
 def test_fidelity_of_displaced_thermal_matches_wigner_integration(rng):
-    state = g.discard(g.two_mode_squeeze(g.vacuum(2), (0, 1), 0.6), [1])
+    state = g.discard(apply_op(g.vacuum(2), TwoModeSqueeze(1, 2, 0.6)), [1])
     state = g.displace(state, 0, 0.4 + 0.9j)
     for alpha in (0j, 1 + 0j, 0.4 + 0.9j, -1j):
         closed = g.fidelity_with_coherent(state, alpha)
@@ -452,7 +478,7 @@ def test_fidelity_rejects_a_covariance_with_det_v_plus_half_not_positive(cov):
 
 def test_coherent_fidelity_broadcasts_entry_by_entry(rng):
     states = [
-        g.displace(g.phase_shift(g.squeeze(g.vacuum(1), 0, r), 0, phi), 0, complex(x, y))
+        g.displace(apply_op(g.squeeze(g.vacuum(1), 0, r), PhaseShift(1, phi)), 0, complex(x, y))
         for r, phi, x, y in rng.uniform(-1.0, 1.0, size=(5, 4))
     ]
     alpha = 0.3 - 0.8j

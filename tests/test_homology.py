@@ -6,7 +6,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from oracles import integer_det
+from oracles import integer_det, rational_rank
 
 from cvrep import codes, homology
 
@@ -81,29 +81,31 @@ def test_triangle_image_dimension_matches_the_graph_code(n):
 
 
 def test_decompose_dimensions_four_vertices():
-    pair = homology.decompose(4, 1)
-    assert pair.R.shape[0] == 3
-    assert pair.L.shape[0] == 3
-    assert pair.R.shape[1] == pair.L.shape[1] == 6
+    # C_1 of the 4-vertex simplex: the coboundary image R_1 = Im d_1^T and
+    # the boundary image L_1 = Im d_2 are both 3-dimensional in its 6 edges.
+    d1, d2 = homology.boundary_matrix(4, 1), homology.boundary_matrix(4, 2)
+    assert d1.shape[1] == d2.shape[0] == 6
+    assert rational_rank(d1) == 3
+    assert rational_rank(d2) == 3
 
 
 def test_decompose_dimensions_five_vertices():
-    pair = homology.decompose(5, 1)
-    assert pair.R.shape[0] == 4
-    assert pair.L.shape[0] == 6
+    d1, d2 = homology.boundary_matrix(5, 1), homology.boundary_matrix(5, 2)
+    assert rational_rank(d1) == 4
+    assert rational_rank(d2) == 6
 
 
 @pytest.mark.parametrize("n", range(4, 8))
 @pytest.mark.parametrize("k", [0, 1])
 def test_decomposition_halves_are_orthogonal_and_fill_the_space(n, k):
-    pair = homology.decompose(n, k)
-    assert np.max(np.abs(pair.R @ pair.L.T)) <= 1e-12
-    assert pair.R.shape[0] + pair.L.shape[0] == math.comb(n, k + 1)
-
-
-def test_decompose_rejects_unsupported_degree():
-    with pytest.raises(ValueError):
-        homology.decompose(5, 2)
+    # C_k splits into the coboundary image Im d_k^T and the boundary image
+    # Im d_{k+1}: orthogonal because d_k d_{k+1} = 0, and filling C_k because
+    # the simplex's chain complex is exact there.  Ranks are exact rationals.
+    d_low, d_high = homology.boundary_matrix(n, k), homology.boundary_matrix(n, k + 1)
+    assert not (d_low @ d_high).any()
+    rank_low = rational_rank(d_low)
+    assert rank_low == math.comb(n - 1, k)
+    assert rank_low + rational_rank(d_high) == math.comb(n, k + 1)
 
 
 # ---------------------------------------------------------------------------

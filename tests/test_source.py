@@ -1,6 +1,8 @@
 """Properties of the package source itself."""
 
 import ast
+import importlib
+import pkgutil
 from pathlib import Path
 
 import cvrep
@@ -17,3 +19,21 @@ def test_no_assert_statements_in_the_package():
         if isinstance(node, ast.Assert)
     ]
     assert not found, f"assert statements in cvrep: {found}"
+
+
+def test_every_name_in_every_all_resolves():
+    # A name left in __all__ after its definition goes breaks only
+    # ``from module import *``; this finds it.  ``__main__`` runs the CLI.
+    modules = [cvrep] + [
+        importlib.import_module(info.name)
+        for info in pkgutil.walk_packages(cvrep.__path__, "cvrep.")
+        if not info.name.endswith(".__main__")
+    ]
+    missing = [
+        f"{module.__name__}.{name}"
+        for module in modules
+        for name in getattr(module, "__all__", ())
+        if not hasattr(module, name)
+    ]
+    assert cvrep.gaussian in modules and cvrep.circuits.ir in modules
+    assert not missing, f"unresolved names in __all__: {missing}"
