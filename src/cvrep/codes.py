@@ -6,11 +6,17 @@ generators are sums of adjacent star vectors.  Erasure correctability is
 decided by the restriction-rank identity (see ``check_correctable``), which
 rests on the commuting, independent rows that StabilizerCode enforces; every
 rank decision goes through ``_rank``, whose cutoff is relative to the scale.
+Each restriction rank is taken on the cheaper of the column slice and its
+kernel complement: for a block M (k x n) with independent rows and K the
+orthonormal rows spanning ker M, rank M[:, S] = |S| - (n - k) + rank K[:, ~S],
+and the side with the smaller SVD flop estimate, k |S| min(k, |S|) against
+(n - k) |~S| min(n - k, |~S|), is taken.
 """
 
 from __future__ import annotations
 
 import warnings
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
@@ -109,6 +115,8 @@ class StabilizerCode:
     x_rows: np.ndarray
     p_rows: np.ndarray
     name: str = ""
+    #: largest singular values of the X and P blocks, the scale of their rank decisions
+    _scales: tuple[float, float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         x = np.atleast_2d(np.asarray(self.x_rows, dtype=float))
@@ -120,13 +128,18 @@ class StabilizerCode:
                 f"generator rows must have {self.n_modes} columns, "
                 f"got {x.shape[1]} and {p.shape[1]}"
             )
+        if not (np.isfinite(x).all() and np.isfinite(p).all()):
+            raise ValueError("generator rows must be finite")
         defect = self.orthogonality_defect()
         if defect > TOL.orthogonality * np.max(np.abs(x), initial=0) * np.max(np.abs(p), initial=0):
             raise ValueError(f"X and P generators do not commute: max |v.w| = {defect:.3e}")
         # generator_matrix is block-diagonal, so its rows are independent iff
-        # each block's are
-        if _rank(x) != x.shape[0] or _rank(p) != p.shape[0]:
+        # each block's are; the largest singular value of each block is its
+        # scale for every later rank decision
+        sx, sp = _singular_values(x), _singular_values(p)
+        if _count_rank(sx) != x.shape[0] or _count_rank(sp) != p.shape[0]:
             raise ValueError("generator rows are linearly dependent")
+        object.__setattr__(self, "_scales", (_largest(sx), _largest(sp)))
 
     @property
     def n_generators(self) -> int:
@@ -147,9 +160,22 @@ class StabilizerCode:
         return float(np.max(np.abs(self.x_rows @ self.p_rows.T), initial=0.0))
 
     @cached_property
-    def _scales(self) -> tuple[float, float]:
-        """Largest singular values of the X and P blocks, the scale of their rank decisions."""
-        return np.linalg.norm(self.x_rows, 2), np.linalg.norm(self.p_rows, 2)
+    def _x_kernel(self) -> np.ndarray:
+        """Orthonormal rows spanning ker X (see ``_kernel``)."""
+        return _kernel(self.x_rows)
+
+    @cached_property
+    def _p_kernel(self) -> np.ndarray:
+        """Orthonormal rows spanning ker P (see ``_kernel``)."""
+        return _kernel(self.p_rows)
+
+
+def _kernel(M: np.ndarray) -> np.ndarray:
+    """(n - k) x n orthonormal rows spanning ker M, for M (k x n) with independent rows.
+
+    They are the trailing n - k columns of a complete QR of M^T.
+    """
+    return np.linalg.qr(M.T, mode="complete")[0][:, M.shape[0] :].T.copy()
 
 
 @dataclass(frozen=True)
@@ -237,20 +263,47 @@ def erasure_for_vertex(
     return ErasurePattern(erased, recovery_vertex=vertex)
 
 
-def _rank(M: np.ndarray, scale: float | None = None) -> int:
-    """Count of singular values above the rank tolerance times ``scale`` (default: M's largest)."""
+def _singular_values(M: np.ndarray) -> np.ndarray:
+    """Singular values of M, largest first (none for an empty matrix)."""
     M = np.atleast_2d(M)
-    if M.size == 0:
-        return 0
-    svals = np.linalg.svd(M, compute_uv=False)
-    kept = svals[svals > TOL.rank * (svals[0] if scale is None else scale)]
+    return np.linalg.svd(M, compute_uv=False) if M.size else np.zeros(0)
+
+
+def _largest(svals: np.ndarray) -> float:
+    return svals[0] if svals.size else 0.0
+
+
+def _count_rank(svals: np.ndarray, scale: float | None = None) -> int:
+    """Count of singular values above the rank tolerance times ``scale`` (default: the largest)."""
+    kept = svals[svals > TOL.rank * (_largest(svals) if scale is None else scale)]
     if kept.size and svals[0] / kept[-1] > TOL.condition_limit:
         warnings.warn(
             f"rank decision badly conditioned: singular values span "
             f"{svals[0]:.3e}..{kept[-1]:.3e}",
-            stacklevel=2,
+            stacklevel=3,
         )
     return int(kept.size)
+
+
+def _rank(M: np.ndarray, scale: float | None = None) -> int:
+    """Count of singular values above the rank tolerance times ``scale`` (default: M's largest)."""
+    return _count_rank(_singular_values(M), scale)
+
+
+def _slice_rank(
+    M: np.ndarray, scale: float, kernel: Callable[[], np.ndarray], S: list[int], rest: list[int]
+) -> int:
+    """rank M[:, S] for M (k x n) with independent rows; rest is the complement of S.
+
+    rank M[:, S] = |S| - (n - k) + rank K[:, rest], with K = kernel() the
+    orthonormal rows spanning ker M; whichever side has the smaller SVD flop
+    estimate is taken, so the choice depends only on shapes.  The K side is
+    decided at scale 1, the scale of an orthonormal block.
+    """
+    k, c = M.shape[0], M.shape[1] - M.shape[0]
+    if c * len(rest) * min(c, len(rest)) < k * len(S) * min(k, len(S)):
+        return len(S) - c + _rank(kernel()[:, rest], 1.0)
+    return _rank(M[:, S], scale)
 
 
 def check_correctable(code: StabilizerCode, pattern: ErasurePattern) -> bool:
@@ -268,6 +321,16 @@ def check_correctable(code: StabilizerCode, pattern: ErasurePattern) -> bool:
     and the same holds with X and P swapped.  StabilizerCode checks both
     premises on construction.  Every rank is taken against the scale of
     the whole X or P block, not of the column slice.
+
+    Each rank M[:, S] is taken on the cheaper of the slice and its kernel
+    complement: with K the (n - k) x n orthonormal rows spanning ker M,
+
+      rank M[:, S] = |S| - (n - k) + rank K[:, ~S]
+
+    and the side with the smaller flop estimate k |S| min(k, |S|) versus
+    (n - k) |~S| min(n - k, |~S|) wins; K is orthonormal, so its side is
+    decided at scale 1.  For a vertex pattern of the general code this turns
+    rank X[:, E], a C(N-1,2)-square problem, into an (N-1)-square one.
     """
     erased = sorted(pattern.erased)
     for m in erased:
@@ -276,9 +339,16 @@ def check_correctable(code: StabilizerCode, pattern: ErasurePattern) -> bool:
     kept = [m for m in range(code.n_modes) if m not in pattern.erased]
     X, P = code.x_rows, code.p_rows
     sx, sp = code._scales
+
+    def rank_x(S, rest):
+        return _slice_rank(X, sx, lambda: code._x_kernel, S, rest)
+
+    def rank_p(S, rest):
+        return _slice_rank(P, sp, lambda: code._p_kernel, S, rest)
+
     return (
-        len(erased) - _rank(P[:, erased], sp) == X.shape[0] - _rank(X[:, kept], sx)
-        and len(erased) - _rank(X[:, erased], sx) == P.shape[0] - _rank(P[:, kept], sp)
+        len(erased) - rank_p(erased, kept) == X.shape[0] - rank_x(kept, erased)
+        and len(erased) - rank_x(erased, kept) == P.shape[0] - rank_p(kept, erased)
     )
 
 
@@ -294,13 +364,15 @@ def nullifier_variances(code: StabilizerCode, state) -> np.ndarray:
 
 
 def format_generator_matrix(code: StabilizerCode) -> str:
-    """Whitespace-separated text: one generator per row, X block then P block."""
+    """Whitespace-separated text: one generator per row, X block then P block.
+
+    Integral entries print as integers, any other entry as ``repr(float)``.
+    """
     G = code.generator_matrix
-    lines = []
-    for row in G:
-        cells = [
-            str(int(v)) if float(v).is_integer() else repr(float(v))
-            for v in row
+    if np.isfinite(G).all() and (G == np.round(G)).all() and np.abs(G).max(initial=0) < 2.0**53:
+        rows = [map(str, row) for row in G.astype(np.int64).tolist()]
+    else:
+        rows = [
+            [str(int(v)) if float(v).is_integer() else repr(float(v)) for v in row] for row in G
         ]
-        lines.append(" ".join(cells))
-    return "\n".join(lines) + "\n"
+    return "\n".join(" ".join(cells) for cells in rows) + "\n"

@@ -2,19 +2,33 @@
 
 Chain bases are the sorted (k+1)-subsets of {1..N} in lexicographic order, so
 the 1-chain basis lines up index-for-index with codes.EdgeBasis.  Boundary
-matrices are exact integer matrices; d_k d_{k+1} = 0 is checked exactly, not
-approximated.  Row spaces are compared by rank equality through
+matrices are exact integer matrices, built from the lexicographic rank of
+each face; d_k d_{k+1} = 0 is checked exactly, not approximated.  The check
+runs as a float64 product, which is exact here: every entry is 0 or +-1, so
+every partial sum is an integer of magnitude at most the inner dimension
+C(N, k+1), far below 2**53 (integer inputs beyond that bound fall back to
+an integer product).  Row spaces are compared by rank equality through
 ``codes._rank``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 
 import numpy as np
 
-from .codes import StabilizerCode, _rank, check_correctable, edge_basis, erasure_for_vertex
+from .codes import (
+    StabilizerCode,
+    _count_rank,
+    _largest,
+    _rank,
+    _singular_values,
+    check_correctable,
+    edge_basis,
+    erasure_for_vertex,
+)
 
 __all__ = [
     "ChainComplex",
@@ -36,16 +50,49 @@ def boundary_matrix(N: int, k: int) -> np.ndarray:
         raise ValueError(f"need N >= 3, got {N}")
     if k not in (0, 1, 2):
         raise ValueError(f"only k in {{0,1,2}} supported, got {k}")
-    sources = list(combinations(range(1, N + 1), k + 1))
     if k == 0:
         return np.ones((1, N), dtype=int)
-    targets = {c: i for i, c in enumerate(combinations(range(1, N + 1), k))}
-    D = np.zeros((len(targets), len(sources)), dtype=int)
-    for col, simplex in enumerate(sources):
-        for m in range(k + 1):
-            face = simplex[:m] + simplex[m + 1 :]
-            D[targets[face], col] += (-1) ** m
+    simplices = _subsets(N, k + 1)
+    cols = np.arange(len(simplices))
+    D = np.zeros((math.comb(N, k), len(simplices)), dtype=int)
+    for m in range(k + 1):
+        np.add.at(D, (_lex_rank(np.delete(simplices, m, axis=1), N), cols), (-1) ** m)
     return D
+
+
+def _subsets(N: int, size: int) -> np.ndarray:
+    """The size-subsets of {0..N-1} as sorted rows, in lexicographic order."""
+    flat = chain.from_iterable(combinations(range(N), size))
+    return np.fromiter(flat, dtype=np.intp).reshape(-1, size)
+
+
+def _lex_rank(subsets: np.ndarray, N: int) -> np.ndarray:
+    """Position of each sorted row among the lexicographically ordered subsets of {0..N-1}.
+
+    A row c_0 < .. < c_(k-1) sits at C(N, k) - 1 - sum_i C(N-1-c_i, k-i).
+    """
+    k = subsets.shape[1]
+    binom = np.array([[math.comb(m, j) for j in range(k + 1)] for m in range(N + 1)])
+    return math.comb(N, k) - 1 - sum(binom[N - 1 - subsets[:, i], k - i] for i in range(k))
+
+
+def _product_vanishes(A: np.ndarray, B: np.ndarray) -> bool:
+    """A @ B == 0, exactly.
+
+    Integer matrices multiply in float64 when no partial sum can reach
+    2**53, a block of B's columns at a time so that the float copy stays
+    small; anything else multiplies as given.
+    """
+    if A.dtype.kind in "iu" and B.dtype.kind in "iu" and A.size and B.size:
+        if A.shape[1] * _max_abs(A) * _max_abs(B) < 2**53:
+            A, step = A.astype(float), 1024
+            blocks = (B[:, j : j + step].astype(float) for j in range(0, B.shape[1], step))
+            return not any((A @ block).any() for block in blocks)
+    return not (A @ B).any()
+
+
+def _max_abs(M: np.ndarray) -> int:
+    return max(int(M.max()), -int(M.min()))
 
 
 @dataclass(frozen=True)
@@ -55,7 +102,7 @@ class ChainComplex:
 
     def __post_init__(self):
         for k in (0, 1):
-            if (self.boundary[k] @ self.boundary[k + 1]).any():
+            if not _product_vanishes(self.boundary[k], self.boundary[k + 1]):
                 raise ValueError(f"not a chain complex: d_{k} d_{k+1} != 0")
 
 
@@ -106,10 +153,13 @@ def build_homological_code(N: int, *, n_q_rows: int | None = None) -> Stabilizer
 
 
 def rowspaces_equal(A: np.ndarray, B: np.ndarray) -> bool:
-    """Equal row spaces: rank A == rank B == rank [A; B], all at the scale of [A; B]."""
-    stacked = np.vstack([A, B])
-    scale = np.linalg.norm(stacked, 2)
-    return _rank(A, scale) == _rank(B, scale) == _rank(stacked, scale)
+    """Equal row spaces: rank A == rank B == rank [A; B], all at the scale of [A; B].
+
+    One SVD of [A; B] gives both its scale and its rank.
+    """
+    svals = _singular_values(np.vstack([A, B]))
+    scale = _largest(svals)
+    return _rank(A, scale) == _rank(B, scale) == _count_rank(svals, scale)
 
 
 def verify_correctability_homological(

@@ -78,11 +78,12 @@ def rational_rref(rows):
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
         inv = Fraction(1, 1) / rows[r][c]
-        rows[r] = [inv * v for v in rows[r]]
+        rows[r] = [inv * v if v else v for v in rows[r]]
         for i in range(len(rows)):
             if i != r and rows[i][c] != 0:
                 factor = rows[i][c]
-                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[r])]
+                # zero entries of the pivot row leave row i unchanged
+                rows[i] = [a - factor * b if b else a for a, b in zip(rows[i], rows[r])]
         pivots.append(c)
         r += 1
         if r == len(rows):
@@ -111,22 +112,14 @@ def rational_nullspace(M):
     return basis
 
 
-def in_rowspan_rational(rows, vector):
-    """Exact membership of `vector` in the rational row span of `rows`."""
-    base = _to_fraction_rows(rows)
-    rref_base, pivots_base = rational_rref([r[:] for r in base])
-    augmented = [r[:] for r in base] + [_to_fraction_rows([vector])[0]]
-    _, pivots_aug = rational_rref(augmented)
-    return len(pivots_aug) == len(pivots_base)
-
-
 def correctable_oracle(x_rows, p_rows, erased):
     """Brute-force erasure-correctability test over exact rationals.
 
     Generators are the 2n-dim phase-space rows (v, 0) and (0, w).  An erasure
     on mode set E is harmless iff every phase-space vector supported on the
     E coordinates that commutes with all generators (symplectic product zero)
-    already lies in the generator row span.
+    already lies in the generator row span: adding the kernel of the
+    commutation constraints to the generators leaves their rank unchanged.
     """
     x_rows = _to_fraction_rows(x_rows)
     p_rows = _to_fraction_rows(p_rows)
@@ -135,7 +128,7 @@ def correctable_oracle(x_rows, p_rows, erased):
     gens = [list(v) + zero for v in x_rows] + [zero + list(w) for w in p_rows]
 
     def omega(u, v):
-        return sum(u[k] * v[n + k] - u[n + k] * v[k] for k in range(n))
+        return sum(u[k] * v[n + k] - u[n + k] * v[k] for k in range(n) if u[k] or u[n + k])
 
     support = sorted(erased) + [n + m for m in sorted(erased)]
     basis = []
@@ -145,14 +138,15 @@ def correctable_oracle(x_rows, p_rows, erased):
         basis.append(e)
     # constraint matrix: rows = generators, cols = support basis vectors
     constraint = [[omega(b, g) for b in basis] for g in gens]
+    candidates = []
     for coeffs in rational_nullspace(constraint):
         candidate = [Fraction(0)] * (2 * n)
-        for c, b in zip(coeffs, basis):
-            for k in range(2 * n):
-                candidate[k] += c * b[k]
-        if not in_rowspan_rational(gens, candidate):
-            return False
-    return True
+        for c, coord in zip(coeffs, support):
+            candidate[coord] = c
+        candidates.append(candidate)
+    _, pivots_gens = rational_rref(gens)
+    _, pivots_all = rational_rref(gens + candidates)
+    return len(pivots_all) == len(pivots_gens)
 
 
 def integer_det(M):

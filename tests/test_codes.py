@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -159,6 +160,17 @@ def test_stabilizer_code_rejects_non_commuting_rows():
     codes.StabilizerCode(2, 1e8 * np.array([[1.0, 1.0]]), 1e8 * np.array([[1.0, -1.0]]) + 1e-8)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_stabilizer_code_rejects_non_finite_rows(bad):
+    # rejected before any SVD: no LinAlgError, no RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="finite"):
+            codes.StabilizerCode(2, [[bad, 0.0]], [[0.0, 1.0]])
+        with pytest.raises(ValueError, match="finite"):
+            codes.StabilizerCode(2, [[1.0, 0.0]], [[0.0, bad]])
+
+
 def test_stabilizer_code_rejects_rank_deficient_rows():
     with pytest.raises(ValueError):
         codes.StabilizerCode(
@@ -255,6 +267,118 @@ def test_correctability_does_not_depend_on_scale():
         assert codes.check_correctable(scaled, pattern) == codes.check_correctable(code, pattern)
 
 
+# ---------------------------------------------------------------------------
+# restriction ranks on the kernel complement
+# ---------------------------------------------------------------------------
+
+SCALES = (1e-11, 1.0, 1e6)
+
+
+def _edge_codes(n):
+    """The general, homological and truncated-homological codes on K_n."""
+    return (
+        codes.build_general_code(n),
+        homology.build_homological_code(n),
+        homology.build_homological_code(n, n_q_rows=n - 3),
+    )
+
+
+def _test_erasures(code, n, seed, n_random):
+    """Every vertex pattern of K_n (the five-mode table for n=None), then seeded random erasures."""
+    if n is None:
+        patterns = list(codes.FIVE_MODE_ERASURES.values())
+    else:
+        basis = codes.edge_basis(n)
+        patterns = [codes.erasure_for_vertex(code, basis, v).erased for v in range(1, n + 1)]
+    rng = np.random.default_rng(seed)
+    for _ in range(n_random):
+        size = int(rng.integers(1, code.n_modes + 1))
+        patterns.append(frozenset(rng.choice(code.n_modes, size, replace=False).tolist()))
+    return patterns
+
+
+def _scaled(code, scale):
+    return codes.StabilizerCode(code.n_modes, scale * code.x_rows, scale * code.p_rows, name=code.name)
+
+
+def _direct_verdict(code, erased):
+    """The restriction-rank identity with every rank taken on the column slice itself."""
+    kept = [m for m in range(code.n_modes) if m not in erased]
+    erased = sorted(erased)
+    X, P = code.x_rows, code.p_rows
+    sx, sp = code._scales
+    return (
+        len(erased) - codes._rank(P[:, erased], sp) == X.shape[0] - codes._rank(X[:, kept], sx)
+        and len(erased) - codes._rank(X[:, erased], sx) == P.shape[0] - codes._rank(P[:, kept], sp)
+    )
+
+
+@pytest.mark.parametrize("n", range(4, 9))
+def test_complement_verdicts_agree_with_the_rational_oracle(n):
+    # N = 6 is the first size where a vertex pattern takes rank X[:, E] on
+    # the complement (n = 15 modes, k_X = 10)
+    cases = [(code, n) for code in _edge_codes(n)]
+    if n == 4:  # the five-mode code rides along with the smallest edge codes
+        cases.append((codes.build_five_mode_code(), None))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for code, vertices in cases:
+            for erased in _test_erasures(code, vertices, seed=n, n_random=4):
+                want = correctable_oracle(code.x_rows, code.p_rows, erased)
+                for scale in SCALES:
+                    got = codes.check_correctable(_scaled(code, scale), codes.ErasurePattern(erased))
+                    assert got == want, (code.name, scale, sorted(erased))
+
+
+@pytest.mark.parametrize("n", range(9, 17))
+def test_complement_verdicts_agree_with_the_direct_identity(n):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for code in _edge_codes(n):
+            for erased in _test_erasures(code, n, seed=n, n_random=6):
+                want = _direct_verdict(code, erased)
+                for scale in SCALES:
+                    got = codes.check_correctable(_scaled(code, scale), codes.ErasurePattern(erased))
+                    assert got == want, (code.name, scale, sorted(erased))
+
+
+def test_complement_rank_identity_holds_on_both_blocks():
+    # rank M[:, S] = |S| - (n - k) + rank K[:, ~S] for each block, at every size of S
+    rng = np.random.default_rng(5)
+    for code in (*_edge_codes(7), codes.build_five_mode_code()):
+        for M, scale, K in (
+            (code.x_rows, code._scales[0], code._x_kernel),
+            (code.p_rows, code._scales[1], code._p_kernel),
+        ):
+            k, n = M.shape
+            np.testing.assert_allclose(K @ K.T, np.eye(n - k), atol=1e-12)
+            np.testing.assert_allclose(M @ K.T, 0.0, atol=1e-12)
+            for size in range(n + 1):
+                S = sorted(rng.choice(n, size, replace=False).tolist())
+                rest = [m for m in range(n) if m not in S]
+                assert codes._rank(M[:, S], scale) == size - (n - k) + codes._rank(K[:, rest], 1.0)
+
+
+@pytest.mark.parametrize("builder", [codes.build_general_code, homology.build_homological_code])
+def test_vertex_pattern_ranks_are_at_most_n_minus_one_wide(monkeypatch, builder):
+    # the C(N-1,2)-square rank X[:, E] moves to the (N-1)-column complement
+    n = 12
+    code = builder(n)
+    basis = codes.edge_basis(n)
+    widths = []
+    rank = codes._rank
+
+    def spy(M, scale=None):
+        widths.append(min(M.shape))
+        return rank(M, scale)
+
+    monkeypatch.setattr(codes, "_rank", spy)
+    for vertex in range(1, n + 1):
+        assert codes.check_correctable(code, codes.erasure_for_vertex(code, basis, vertex))
+    assert len(widths) == 4 * n
+    assert max(widths) == n - 1
+
+
 def test_general_code_vertex_patterns_are_correctable():
     for n in range(4, 8):
         code = codes.build_general_code(n)
@@ -313,3 +437,17 @@ def test_generator_matrix_formatting_is_readable():
     lines = text.splitlines()
     assert len(lines) == 4
     assert lines[0].split() == ["-1", "-1", "1", "1", "0", "0", "0", "0", "0", "0"]
+
+
+def test_generator_matrix_formatting_of_non_integral_and_huge_cells():
+    # a non-integral cell prints as repr(float) and integral cells of the
+    # same matrix as integers
+    code = codes.StabilizerCode(2, [[0.5, 0.5]], [[1.0, -1.0]])
+    assert codes.format_generator_matrix(code) == "0.5 0.5 0 0\n0 0 1 -1\n"
+    code = codes.StabilizerCode(2, [[1e-11, -1e-11]], [[1.0, 1.0]])
+    assert codes.format_generator_matrix(code) == "1e-11 -1e-11 0 0\n0 0 1 1\n"
+    # integral cells at and past 2**53 still print every digit
+    code = codes.StabilizerCode(2, [[2.0**53, 2.0**60]], [[2.0**7, -1.0]])
+    assert codes.format_generator_matrix(code) == (
+        f"{2**53} {2**60} 0 0\n0 0 128 -1\n"
+    )

@@ -59,6 +59,38 @@ def test_chain_complex_rejects_boundaries_that_do_not_compose_to_zero():
         homology.ChainComplex(5, boundary)
 
 
+def _loop_boundary(n, k):
+    """d_k built face by face: the reference for the vectorized construction."""
+    if k == 0:
+        return np.ones((1, n), dtype=int)
+    sources = list(combinations(range(1, n + 1), k + 1))
+    targets = {c: i for i, c in enumerate(combinations(range(1, n + 1), k))}
+    D = np.zeros((len(targets), len(sources)), dtype=int)
+    for col, simplex in enumerate(sources):
+        for m in range(k + 1):
+            D[targets[simplex[:m] + simplex[m + 1 :]], col] += (-1) ** m
+    return D
+
+
+@pytest.mark.parametrize("n", range(3, 14))
+def test_boundary_matrix_matches_the_face_by_face_construction(n):
+    for k in (0, 1, 2):
+        got = homology.boundary_matrix(n, k)
+        assert got.dtype == np.dtype(int)
+        np.testing.assert_array_equal(got, _loop_boundary(n, k))
+
+
+def test_chain_complex_check_stays_exact_past_two_to_the_53():
+    # the float64 product of these rows is 0, the exact one is 1
+    boundary = {
+        0: np.array([[2**53 + 1, -1]]),
+        1: np.array([[1], [2**53]]),
+        2: np.zeros((1, 1), dtype=int),
+    }
+    with pytest.raises(ValueError, match="d_0 d_1"):
+        homology.ChainComplex(3, boundary)
+
+
 def test_boundary_matrix_input_validation():
     with pytest.raises(ValueError):
         homology.boundary_matrix(2, 1)
