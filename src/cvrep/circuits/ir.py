@@ -206,10 +206,11 @@ class OpSpec:
 
     ``fields`` lists ``(text key, attribute, kind)`` in constructor order,
     and ``make`` builds the op from the field values.  A unitary op has a
-    ``block`` (the gate's 2k x 2k matrix over its k wires, in the order
-    ``gaussian.act`` takes) or, for a displacement, a ``shift`` (its (x, p)
-    mean displacement); either is called with the op's non-wire field
-    values in order.
+    ``block`` (the gate's 2k x 2k matrix over its k wires: x of each wire
+    in field order, then p of each) or, for a displacement, a ``shift``
+    (its (x, p) mean displacement); either is called with the op's
+    non-wire field values in order.  The interpreter's ``_fold`` is the
+    one place that applies them.
     """
 
     def __init__(self, cls, tag, fields, *, block=None, shift=None, make=None):

@@ -72,7 +72,6 @@ from ..gaussian import (
     coherent_fidelity,
     discard,
     displacement,
-    squeeze,
     tensor,
     vacuum,
 )
@@ -188,10 +187,14 @@ def optical_encoder(r: float) -> Circuit:
 
 
 def ideal_encoded_state(r: float, alpha: complex = 0j) -> GaussianState:
-    """Run the ideal encoder on a coherent input and x-squeezed ancillas."""
-    ancilla = squeeze(vacuum(1), 0, -r)
-    register = tensor(coherent(alpha), ancilla, ancilla, ancilla, ancilla)
-    return run(ideal_encoder(), register).state
+    """Run the ideal encoder on a coherent input and x-squeezed ancillas.
+
+    The ancillas start as vacuum, squeezed in x by e^{-r} on wires 2-5 by
+    four ops run ahead of the encoder, so the state is one circuit run.
+    """
+    encoder = ideal_encoder()
+    squeezers = tuple(SqueezeFactor(m, float(np.exp(-r))) for m in range(2, 6))
+    return run(encoder.with_ops(squeezers + encoder.ops), tensor(coherent(alpha), vacuum(4))).state
 
 
 def optical_encoded_state(r: float, alpha: complex = 0j) -> GaussianState:

@@ -9,13 +9,11 @@ All operations are value-style: they validate their inputs, never mutate the
 given state, and return a fresh :class:`GaussianState`.  Each symplectic gate
 is written down once, as a block function (``qnd_block``, ``squeeze_block``,
 ...) giving its 2k x 2k matrix over its k modes, which the circuit op table
-``circuits.ir.OPS`` names; ``act`` is the one path by which a gate touches a
-state, updating only the rows and columns of its modes.  The circuit
-interpreter's ``run`` applies every gate through it; ``displace``,
-``squeeze`` and ``squeeze_by_factor`` remain as functions because the state
-constructors here and in ``circuits.recovery`` build states with them.
-Measurements condition the state with the standard Gaussian (Schur
-complement) update and then drop the measured mode entirely.
+``circuits.ir.OPS`` names; the one engine that applies gates is the circuit
+interpreter's fold, so there are no gate functions here.  Measurements
+condition the state with the standard Gaussian (Schur complement) update,
+``_condition``, which the interpreter's ``run`` shares, and ``homodyne``
+then drops the measured mode entirely.
 """
 
 from __future__ import annotations
@@ -32,15 +30,10 @@ __all__ = [
     "MeasurementRecord",
     "DegenerateMeasurementError",
     "omega",
-    "symplectic_eigenvalues",
     "tensor",
     "vacuum",
     "coherent",
-    "displace",
-    "squeeze",
-    "squeeze_by_factor",
     "homodyne",
-    "feedforward_displace",
     "discard",
     "coherent_fidelity",
     "fidelity_with_coherent",
@@ -60,15 +53,6 @@ def omega(n_modes: int) -> np.ndarray:
     eye = np.eye(n_modes)
     zero = np.zeros((n_modes, n_modes))
     return np.block([[zero, eye], [-eye, zero]])
-
-
-def symplectic_eigenvalues(cov: np.ndarray) -> np.ndarray:
-    """Symplectic spectrum of a positive-definite covariance matrix (ascending, one per mode)."""
-    n = cov.shape[0] // 2
-    if n == 0:
-        return np.zeros(0)
-    spectrum = np.abs(np.linalg.eigvals(1j * omega(n) @ cov))
-    return np.sort(spectrum)[::2]
 
 
 class GaussianState:
@@ -204,7 +188,10 @@ def vacuum(n_modes: int) -> GaussianState:
 
 def coherent(alpha: complex) -> GaussianState:
     """Single-mode coherent state: displaced vacuum, mean (sqrt2 Re a, sqrt2 Im a)."""
-    return displace(vacuum(1), 0, alpha)
+    alpha = complex(alpha)
+    if not np.isfinite(alpha.real) or not np.isfinite(alpha.imag):
+        raise ValueError("displacement amplitude must be finite")
+    return GaussianState(displacement(alpha.real, alpha.imag), np.eye(2) / 2, _validate=False)
 
 
 def tensor(*states: GaussianState) -> GaussianState:
@@ -225,7 +212,7 @@ def tensor(*states: GaussianState) -> GaussianState:
 
 
 # ---------------------------------------------------------------------------
-# gate blocks, and the one path that applies them to a state
+# index helpers and gate blocks
 
 def _rows(modes, n_modes: int) -> np.ndarray:
     """Indices of the x rows, then the p rows, of ``modes`` in an n-mode state."""
@@ -242,27 +229,6 @@ def _quad_index(state: GaussianState, mode: int, quad: str) -> int:
     if quad not in ("x", "p"):
         raise ValueError(f"quadrature must be 'x' or 'p', got {quad!r}")
     return mode if quad == "x" else state.n_modes + mode
-
-
-def act(state: GaussianState, modes, block=None, shift=None) -> GaussianState:
-    """Apply a gate, x -> block @ x + shift, to k distinct ``modes`` of ``state``.
-
-    ``block`` (2k x 2k) and ``shift`` (2k) are ordered x of each mode, then p
-    of each, and either may be None.  Only those modes' rows and columns change.
-    """
-    for m in modes:
-        _check_mode(state, m)
-    if len(set(modes)) != len(modes):
-        raise ValueError(f"two-mode gate needs distinct modes, got {modes}")
-    idx = _rows(modes, state.n_modes)
-    mean, cov = state.mean.copy(), state.cov.copy()
-    if block is not None:
-        mean[idx] = block @ mean[idx]
-        cov[idx] = block @ cov[idx]
-        cov[:, idx] = cov[:, idx] @ block.T
-    if shift is not None:
-        mean[idx] += shift
-    return GaussianState(mean, cov, _validate=False)
 
 
 def displacement(re: float, im: float) -> np.ndarray:
@@ -329,32 +295,27 @@ def two_mode_squeeze_block(r: float) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# gates
+# measurement / discard
 
-def displace(state: GaussianState, mode: int, alpha: complex) -> GaussianState:
-    """Shift the mode's mean by (sqrt2 Re alpha, sqrt2 Im alpha); covariance unchanged."""
-    alpha = complex(alpha)
-    if not np.isfinite(alpha.real) or not np.isfinite(alpha.imag):
-        raise ValueError("displacement amplitude must be finite")
-    return act(state, (mode,), shift=displacement(alpha.real, alpha.imag))
+def _condition(mean, cov, q: int, name: str, outcome, rng) -> tuple:
+    """Condition the Gaussian ``(mean, cov)`` on its coordinate ``q``.
 
-
-def squeeze_by_factor(state: GaussianState, mode: int, k: float) -> GaussianState:
-    """Scale x by k and p by 1/k on one mode.
-
-    Negative k is allowed (it is the parity flip combined with a |k| squeeze);
-    circuit synthesis emits it for sign-flipping row scalings.
+    The value is ``outcome`` if given, else one draw from the marginal
+    N(mean[q], cov[q, q]) by ``rng``.  Returns ``(value, mean, cov)``; the
+    conditioned coordinate keeps its row (with zero variance), and ``name``
+    labels it in the degenerate-variance error.
     """
-    return act(state, (mode,), squeeze_block(k))
+    var_q = cov[q, q]
+    if var_q < TOL.degenerate_variance:
+        raise DegenerateMeasurementError(
+            f"quadrature {name} has variance {var_q:.3e}; conditioning is singular"
+        )
+    m = float(outcome) if outcome is not None else float(rng.normal(mean[q], np.sqrt(var_q)))
+    if not np.isfinite(m):
+        raise ValueError("homodyne outcome must be finite")
+    col = cov[:, q]
+    return m, mean + col * ((m - mean[q]) / var_q), cov - np.outer(col, col) / var_q
 
-
-def squeeze(state: GaussianState, mode: int, r: float) -> GaussianState:
-    """One-mode squeezer with log-factor r: x -> e^r x, p -> e^-r p."""
-    return squeeze_by_factor(state, mode, float(np.exp(r)))
-
-
-# ---------------------------------------------------------------------------
-# measurement / feedforward / discard
 
 def homodyne(
     state: GaussianState,
@@ -377,44 +338,10 @@ def homodyne(
     q = _quad_index(state, mode, basis)
     if (outcome is None) == (rng is None):
         raise ValueError("choose exactly one of outcome= or rng=")
-
-    var_q = state.cov[q, q]
-    if var_q < TOL.degenerate_variance:
-        raise DegenerateMeasurementError(
-            f"quadrature {basis}[{mode}] has variance {var_q:.3e}; "
-            "conditioning is singular"
-        )
-
-    if outcome is not None:
-        m = float(outcome)
-    else:
-        m = float(rng.normal(state.mean[q], np.sqrt(var_q)))
-    if not np.isfinite(m):
-        raise ValueError("homodyne outcome must be finite")
-
-    col = state.cov[:, q]
-    mean = state.mean + col * ((m - state.mean[q]) / var_q)
-    cov = state.cov - np.outer(col, col) / var_q
-
+    m, mean, cov = _condition(state.mean, state.cov, q, f"{basis}[{mode}]", outcome, rng)
     keep = _rows([i for i in range(state.n_modes) if i != mode], state.n_modes)
     reduced = GaussianState(mean[keep], cov[keep[:, None], keep], _validate=False)
     return MeasurementRecord(mode, basis, m), reduced
-
-
-def feedforward_displace(
-    state: GaussianState,
-    target: int,
-    quad: str,
-    gain: float,
-    record: MeasurementRecord,
-) -> GaussianState:
-    """Classically controlled displacement: mean[quad of target] += gain * outcome."""
-    idx = _quad_index(state, target, quad)
-    if not np.isfinite(gain):
-        raise ValueError("feedforward gain must be finite")
-    mean = state.mean.copy()
-    mean[idx] += gain * record.outcome
-    return GaussianState(mean, state.cov.copy(), _validate=False)
 
 
 def discard(state: GaussianState, modes) -> GaussianState:

@@ -25,13 +25,13 @@ def apply_op(state: GaussianState, op) -> GaussianState:
 def random_gaussian_state(rng: np.random.Generator, n_modes: int) -> GaussianState:
     """A generic valid Gaussian state: random symplectic-ish squeeze/rotate mix."""
     from cvrep import gaussian as g
-    from cvrep.circuits import PhaseShift, Qnd
+    from cvrep.circuits import Displace, PhaseShift, Qnd, SqueezeFactor
 
     state = g.vacuum(n_modes)
     for mode in range(n_modes):
-        state = g.squeeze(state, mode, float(rng.uniform(-0.8, 0.8)))
+        state = apply_op(state, SqueezeFactor(mode + 1, float(np.exp(rng.uniform(-0.8, 0.8)))))
         state = apply_op(state, PhaseShift(mode + 1, float(rng.uniform(0, 2 * np.pi))))
-        state = g.displace(state, mode, complex(rng.normal(), rng.normal()))
+        state = apply_op(state, Displace(mode + 1, complex(rng.normal(), rng.normal())))
     for _ in range(n_modes):
         a, b = rng.choice(n_modes, size=2, replace=False)
         state = apply_op(state, Qnd(int(a) + 1, int(b) + 1, float(rng.uniform(-1, 1))))
@@ -41,9 +41,8 @@ def random_gaussian_state(rng: np.random.Generator, n_modes: int) -> GaussianSta
 def assert_valid_state(state: GaussianState):
     n = state.n_modes
     np.testing.assert_allclose(state.cov, state.cov.T, atol=1e-12)
-    J = omega(n)
-    eigs = np.linalg.eigvals(state.cov + 0.5j * J)
-    assert np.min(eigs.real) >= -1e-9
+    # the uncertainty bound V + i Omega/2 >= 0, a Hermitian eigenvalue test
+    assert np.linalg.eigvalsh(state.cov + 0.5j * omega(n)).min() >= -1e-9
 
 
 @pytest.fixture

@@ -1,8 +1,9 @@
 """Independent reference implementations used to cross-check package results.
 
 Everything here is deliberately written the slow, obvious way — dense grids,
-exact rational arithmetic, rejection sampling — and shares no logic with the
-package under test.  Tests freeze values computed by these oracles and assert
+exact rational arithmetic, rejection sampling, op-by-op state updates — and
+shares no logic with the package under test beyond reading gate blocks from
+its op table.  Tests freeze values computed by these oracles and assert
 the package reproduces them.
 """
 
@@ -195,6 +196,60 @@ def schur_condition(mean, cov, mode, basis, outcome):
     conj_pos = keep.index(conj)
     left = [k for k in range(2 * n - 1) if k != conj_pos]
     return cond_mean[left], cond_cov[np.ix_(left, left)]
+
+
+def step_run(circuit, mean, cov, *, forced=None, rng=None):
+    """Execute ``circuit`` on the Gaussian (mean, cov) one op at a time.
+
+    Each gate's block from the op table is embedded into a dense 2n x 2n
+    matrix S (and its shift into a 2n vector), applied as mean -> S mean +
+    shift, cov -> S cov S^T.  A Measure takes its outcome from ``forced``, or
+    else draws it from the current marginal with ``rng``, and conditions with
+    ``schur_condition``; a FeedforwardDisplace adds gain * outcome to the
+    target's mean; a Discard deletes the mode's indices.  Returns
+    ``(mean, cov, live labels, {register: outcome})``.
+    """
+    from cvrep.circuits.ir import Discard, FeedforwardDisplace, Measure, spec_of
+
+    forced = forced or {}
+    live = list(circuit.labels)
+    mean = np.array(mean, dtype=float)
+    cov = np.array(cov, dtype=float)
+    outcomes = {}
+    for op in circuit.ops:
+        n = len(live)
+        if isinstance(op, Measure):
+            pos = live.index(op.mode)
+            idx = pos if op.basis == "x" else n + pos
+            if op.register in forced:
+                outcome = float(forced[op.register])
+            else:
+                outcome = float(rng.normal(mean[idx], math.sqrt(cov[idx, idx])))
+            mean, cov = schur_condition(mean, cov, pos, op.basis, outcome)
+            outcomes[op.register] = outcome
+            live.pop(pos)
+        elif isinstance(op, FeedforwardDisplace):
+            pos = live.index(op.target)
+            mean[pos if op.quad == "x" else n + pos] += op.gain * outcomes[op.register]
+        elif isinstance(op, Discard):
+            pos = live.index(op.mode)
+            keep = [i for i in range(2 * n) if i not in (pos, n + pos)]
+            mean, cov = mean[keep], cov[np.ix_(keep, keep)]
+            live.pop(pos)
+        else:
+            spec = spec_of(op)
+            params = spec.params(op)
+            modes = [live.index(w) for w in spec.wires(op)]
+            idx = modes + [n + m for m in modes]
+            S = np.eye(2 * n)
+            shift = np.zeros(2 * n)
+            if spec.block is not None:
+                S[np.ix_(idx, idx)] = spec.block(*params)
+            if spec.shift is not None:
+                shift[idx] = spec.shift(*params)
+            mean = S @ mean + shift
+            cov = S @ cov @ S.T
+    return mean, cov, tuple(live), outcomes
 
 
 # ---------------------------------------------------------------------------

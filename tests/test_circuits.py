@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_gaussian_state
+from oracles import step_run
 
 from cvrep import gaussian as g
 from cvrep.circuits import (
@@ -544,16 +545,86 @@ def random_circuit_with_discards(rng, labels, n_ops):
     return Circuit(labels, tuple(ops))
 
 
+def assert_matches_stepped(result, stepped):
+    """``run``'s result agrees with ``oracles.step_run``'s, to rounding that grows with the entries."""
+    mean, cov, labels, outcomes = stepped
+    assert result.labels == labels
+    assert list(result.records) == list(outcomes)
+    scale = max(1.0, np.abs(cov).max(), np.abs(mean).max())
+    np.testing.assert_allclose(result.state.mean, mean, rtol=0, atol=1e-12 * scale)
+    np.testing.assert_allclose(result.state.cov, cov, rtol=0, atol=1e-12 * scale)
+    got = [record.outcome for record in result.records.values()]
+    np.testing.assert_allclose(got, list(outcomes.values()), rtol=0, atol=1e-12 * scale)
+
+
 @given(seed=st.integers(0, 2**32 - 1), n_ops=st.integers(0, 30))
 @settings(max_examples=60, deadline=None)
 def test_fold_agrees_with_the_stepped_run_on_unitary_circuits_with_discards(seed, n_ops):
+    # squeezers here reach entries of ~1e4
     rng = np.random.default_rng(seed)
     circuit = random_circuit_with_discards(rng, (6, 2, 9, 4, 1, 7), n_ops)
     state = random_gaussian_state(rng, circuit.n_modes)
-    stepped = run(circuit, state)
-    folded = run(circuit, state, average=True)
-    assert folded.labels == stepped.labels
-    # rounding grows with the entries: squeezers here reach entries of ~1e4
-    scale = max(1.0, np.abs(stepped.state.cov).max(), np.abs(stepped.state.mean).max())
-    np.testing.assert_allclose(folded.state.mean, stepped.state.mean, rtol=0, atol=1e-12 * scale)
-    np.testing.assert_allclose(folded.state.cov, stepped.state.cov, rtol=0, atol=1e-12 * scale)
+    stepped = step_run(circuit, state.mean, state.cov)
+    assert_matches_stepped(run(circuit, state), stepped)
+    assert_matches_stepped(run(circuit, state, average=True), stepped)
+
+
+def random_measured_circuit(rng, labels):
+    """Ten random gates, two homodynes, three feedforwards and a discard, in random
+    order on the live wires of ``labels``; a feedforward drawn before any
+    homodyne waits for the first one.  Returns the circuit and its registers."""
+    specs = [spec for spec in OPS.values() if spec.unitary]
+    n_wires = {spec.tag: sum(kind is int for _, _, kind in spec.fields) for spec in specs}
+    live, ops, registers, waiting = list(labels), [], [], 0
+    for kind in rng.permutation(["gate"] * 10 + ["measure"] * 2 + ["feedforward"] * 3 + ["discard"]):
+        if kind == "gate":
+            spec = rng.choice([s for s in specs if n_wires[s.tag] <= len(live)])
+            wires = rng.choice(live, size=n_wires[spec.tag], replace=False).tolist()
+            reals = rng.choice([-1.0, 1.0], size=2) * rng.uniform(0.5, 1.2, size=2)
+            ops.append(make_op(spec, wires, reals.tolist()))
+        elif kind in ("measure", "discard"):
+            mode = live.pop(rng.integers(len(live)))
+            if kind == "discard":
+                ops.append(Discard(mode))
+                continue
+            registers.append(f"m{len(registers)}")
+            ops.append(Measure(mode, str(rng.choice(["x", "p"])), registers[-1]))
+            ops.extend(_feedforward(rng, registers, live) for _ in range(waiting))
+            waiting = 0
+        elif registers:
+            ops.append(_feedforward(rng, registers, live))
+        else:
+            waiting += 1
+    return Circuit(labels, tuple(ops)), registers
+
+
+def _feedforward(rng, registers, live):
+    register = registers[rng.integers(len(registers))]
+    return FeedforwardDisplace(register, int(rng.choice(live)), str(rng.choice(["x", "p"])), float(rng.uniform(-2, 2)))
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_run_matches_the_stepped_oracle_on_measured_circuits(seed):
+    rng = np.random.default_rng(seed)
+    circuit, registers = random_measured_circuit(rng, (1, 2, 3, 4))
+    state = random_gaussian_state(rng, 4)
+    assert [type(op) for op in circuit.ops].count(FeedforwardDisplace) == 3
+    forced = {register: float(rng.normal(scale=2)) for register in registers}
+    result = run(circuit, state, forced=forced)
+    assert_matches_stepped(result, step_run(circuit, state.mean, state.cov, forced=forced))
+    assert {r: record.outcome for r, record in result.records.items()} == forced
+    # sampled, and sampled with the first outcome forced: the same draws
+    # from generators that end in the same state
+    for partial in ({}, {registers[0]: forced[registers[0]]}):
+        ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        result = run(circuit, state, forced=partial, rng=ours)
+        assert_matches_stepped(result, step_run(circuit, state.mean, state.cov, forced=partial, rng=theirs))
+        assert ours.bit_generator.state == theirs.bit_generator.state
+
+
+def test_run_reports_a_degenerate_measurement():
+    circuit = Circuit((1, 2), (SqueezeFactor(1, math.exp(-17.0)), Measure(1, "x", "m")))
+    with pytest.raises(g.DegenerateMeasurementError, match=r"x\[0\]"):
+        run(circuit, g.vacuum(2), forced={"m": 0.0})
+    with pytest.raises(g.DegenerateMeasurementError):
+        run(circuit, g.vacuum(2), rng=np.random.default_rng(0))

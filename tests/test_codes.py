@@ -9,11 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_gaussian_state
+from conftest import apply_op, random_gaussian_state
 from oracles import correctable_oracle
 
 from cvrep import codes, homology
 from cvrep import gaussian as g
+from cvrep.circuits import Displace
 
 # ---------------------------------------------------------------------------
 # edge basis, triangles, stars
@@ -418,7 +419,7 @@ def test_nullifier_variances_ignore_displacements(rng):
     state = g.vacuum(5)
     displaced = state
     for mode in range(5):
-        displaced = g.displace(displaced, mode, complex(rng.normal(), rng.normal()))
+        displaced = apply_op(displaced, Displace(mode + 1, complex(rng.normal(), rng.normal())))
     np.testing.assert_allclose(
         codes.nullifier_variances(code, state),
         codes.nullifier_variances(code, displaced),

@@ -1,4 +1,7 @@
-"""State constructors, Gaussian gates, homodyne conditioning, and fidelity."""
+"""State constructors, Gaussian gates, homodyne conditioning, and fidelity.
+
+Gates and feedforward run as one-op circuits through ``run``: ``gaussian``
+holds the gate blocks, not gate functions."""
 
 import math
 
@@ -14,11 +17,14 @@ from cvrep import gaussian as g
 from cvrep.circuits import (
     BeamSplitterPM,
     Circuit,
+    Displace,
+    FeedforwardDisplace,
     Fourier,
     InverseFourier,
     Measure,
     PhaseShift,
     Qnd,
+    SqueezeFactor,
     TwoModeSqueeze,
     ideal_encoded_state,
     optical_encoded_state,
@@ -27,6 +33,15 @@ from cvrep.circuits import (
 from cvrep.gaussian import DegenerateMeasurementError
 
 SQRT2 = math.sqrt(2.0)
+
+
+def squeezed(state, mode, r):
+    """``state`` with x of ``mode`` scaled by e^r and p by e^-r (one-op circuit)."""
+    return apply_op(state, SqueezeFactor(mode + 1, math.exp(r)))
+
+
+def displaced(state, mode, alpha):
+    return apply_op(state, Displace(mode + 1, alpha))
 
 
 # ---------------------------------------------------------------------------
@@ -50,9 +65,15 @@ def test_coherent_mean_scaling():
     np.testing.assert_allclose(state.mean, [0.0, 2 * SQRT2], atol=1e-15)
 
 
+@pytest.mark.parametrize("alpha", [complex(math.inf, 0), complex(0, math.nan)])
+def test_coherent_rejects_a_non_finite_amplitude(alpha):
+    with pytest.raises(ValueError, match="finite"):
+        g.coherent(alpha)
+
+
 def test_tensor_concatenates_blocks():
     a = g.coherent(1 + 1j)
-    b = g.squeeze(g.vacuum(1), 0, 0.3)
+    b = squeezed(g.vacuum(1), 0, 0.3)
     joint = g.tensor(a, b)
     assert joint.n_modes == 2
     # xxpp ordering: means interleave as (x_a, x_b, p_a, p_b)
@@ -95,27 +116,26 @@ def test_state_validation_accepts_the_encoded_states_at_any_squeezing(r):
 
 
 def test_displace_shifts_mean_only():
-    state = g.displace(g.vacuum(2), 1, 0.5 - 2j)
+    state = displaced(g.vacuum(2), 1, 0.5 - 2j)
     np.testing.assert_allclose(state.mean, [0, 0.5 * SQRT2, 0, -2 * SQRT2], atol=1e-15)
     np.testing.assert_array_equal(state.cov, g.vacuum(2).cov)
 
 
 def test_squeeze_variances():
     r = 0.4
-    state = g.squeeze(g.vacuum(1), 0, r)
+    state = squeezed(g.vacuum(1), 0, r)
     assert state.variance_of(0, "x") == pytest.approx(0.5 * math.exp(2 * r), rel=1e-12)
     assert state.variance_of(0, "p") == pytest.approx(0.5 * math.exp(-2 * r), rel=1e-12)
 
 
 def test_squeeze_by_factor_matches_exponential_form():
-    state_a = g.squeeze_by_factor(g.coherent(1 + 1j), 0, math.exp(0.7))
-    state_b = g.squeeze(g.coherent(1 + 1j), 0, 0.7)
-    np.testing.assert_allclose(state_a.mean, state_b.mean, atol=1e-12)
-    np.testing.assert_allclose(state_a.cov, state_b.cov, atol=1e-12)
+    state = apply_op(g.coherent(1 + 1j), SqueezeFactor(1, math.exp(0.7)))
+    np.testing.assert_allclose(state.mean, [SQRT2 * math.exp(0.7), SQRT2 * math.exp(-0.7)], atol=1e-12)
+    np.testing.assert_allclose(state.cov, np.diag([math.exp(1.4), math.exp(-1.4)]) / 2, atol=1e-12)
 
 
 def test_squeeze_by_negative_factor_flips_sign():
-    state = g.squeeze_by_factor(g.coherent(1 + 0j), 0, -2.0)
+    state = apply_op(g.coherent(1 + 0j), SqueezeFactor(1, -2.0))
     assert state.mean_of(0, "x") == pytest.approx(-2 * SQRT2)
     assert state.mean_of(0, "p") == pytest.approx(0.0)
     assert state.variance_of(0, "x") == pytest.approx(2.0)
@@ -124,7 +144,9 @@ def test_squeeze_by_negative_factor_flips_sign():
 
 def test_squeeze_by_zero_factor_rejected():
     with pytest.raises(ValueError):
-        g.squeeze_by_factor(g.vacuum(1), 0, 0.0)
+        SqueezeFactor(1, 0.0)
+    with pytest.raises(ValueError):
+        g.squeeze_block(0.0)
 
 
 def test_two_mode_squeeze_correlates_x_and_anticorrelates_p():
@@ -160,8 +182,8 @@ def test_beam_splitter_splits_tmsv_into_two_squeezers():
     # +/- ports of a balanced splitter
     r = 0.5
     state = apply_op(apply_op(g.vacuum(2), TwoModeSqueeze(1, 2, r)), BeamSplitterPM(1, 2))
-    squeezed_plus = g.squeeze(g.vacuum(1), 0, r)
-    squeezed_minus = g.squeeze(g.vacuum(1), 0, -r)
+    squeezed_plus = squeezed(g.vacuum(1), 0, r)
+    squeezed_minus = squeezed(g.vacuum(1), 0, -r)
     np.testing.assert_allclose(state.cov, g.tensor(squeezed_plus, squeezed_minus).cov, atol=1e-12)
 
 
@@ -205,12 +227,11 @@ def test_qnd_block_is_symplectic():
 @given(r=squeeze_params, phi=st.floats(min_value=0, max_value=2 * math.pi))
 @settings(max_examples=60)
 def test_gates_preserve_the_uncertainty_bound(r, phi):
-    state = g.vacuum(2)
-    state = g.squeeze(state, 0, r)
+    # assert_valid_state checks the Hermitian bound V + i Omega/2 >= 0
+    state = squeezed(g.vacuum(2), 0, r)
     for op in (PhaseShift(1, phi), Qnd(1, 2, r), BeamSplitterPM(1, 2)):
         state = apply_op(state, op)
     assert_valid_state(state)
-    assert np.min(g.symplectic_eigenvalues(state.cov)) >= 0.5 - 1e-9
 
 
 def test_symplectic_map_rejects_an_order_one_non_symplectic_matrix():
@@ -251,7 +272,7 @@ def test_homodyne_requires_exactly_one_outcome_policy(rng):
 
 
 def test_homodyne_on_product_state_leaves_partner_untouched():
-    state = g.tensor(g.coherent(1 + 1j), g.squeeze(g.vacuum(1), 0, 0.5))
+    state = g.tensor(g.coherent(1 + 1j), squeezed(g.vacuum(1), 0, 0.5))
     record, rest = g.homodyne(state, 1, "p", outcome=4.2)
     assert record.mode == 1 and record.basis == "p" and record.outcome == 4.2
     np.testing.assert_allclose(rest.mean, g.coherent(1 + 1j).mean, atol=1e-14)
@@ -289,7 +310,7 @@ def test_homodyne_covariance_ignores_the_outcome(rng):
 
 
 def test_homodyne_sampling_is_seeded_and_follows_the_marginal():
-    state = g.squeeze(g.vacuum(1), 0, 0.5)
+    state = squeezed(g.vacuum(1), 0, 0.5)
     rng_a = np.random.default_rng(11)
     rng_b = np.random.default_rng(11)
     rec_a, _ = g.homodyne(state, 0, "x", rng=rng_a)
@@ -303,13 +324,13 @@ def test_homodyne_sampling_is_seeded_and_follows_the_marginal():
 
 
 def test_homodyne_average_uses_the_current_mean():
-    state = g.displace(g.vacuum(2), 0, 1.5 + 0j)
+    state = displaced(g.vacuum(2), 0, 1.5 + 0j)
     result = run(Circuit((1, 2), (Measure(1, "x", "m"),)), state, average=True)
     assert result.records["m"].outcome == pytest.approx(1.5 * SQRT2)
 
 
 def test_homodyne_degenerate_quadrature_is_reported():
-    state = g.squeeze(g.tensor(g.vacuum(1), g.vacuum(1)), 0, -17.0)
+    state = squeezed(g.tensor(g.vacuum(1), g.vacuum(1)), 0, -17.0)
     with pytest.raises(DegenerateMeasurementError):
         g.homodyne(state, 0, "x", outcome=0.0)
 
@@ -325,25 +346,33 @@ def test_homodyne_last_mode_leaves_empty_state():
 # ---------------------------------------------------------------------------
 
 
+def fed_forward(state, target, quad, gain, outcome):
+    """Measure x of a vacuum mode appended after ``state``, forced to ``outcome``,
+    and feed it forward with ``gain`` to ``quad`` of mode ``target``."""
+    n = state.n_modes
+    circuit = Circuit(
+        tuple(range(1, n + 2)),
+        (Measure(n + 1, "x", "m"), FeedforwardDisplace("m", target + 1, quad, gain)),
+    )
+    return run(circuit, g.tensor(state, g.vacuum(1)), forced={"m": outcome}).state
+
+
 def test_feedforward_zero_gain_is_identity():
-    record = g.MeasurementRecord(mode=0, basis="x", outcome=2.5)
     state = g.vacuum(1)
-    out = g.feedforward_displace(state, 0, "x", 0.0, record)
+    out = fed_forward(state, 0, "x", 0.0, 2.5)
     np.testing.assert_array_equal(out.mean, state.mean)
     np.testing.assert_array_equal(out.cov, state.cov)
 
 
 def test_feedforward_unit_gain_adds_the_outcome():
-    record = g.MeasurementRecord(mode=3, basis="x", outcome=-1.25)
-    out = g.feedforward_displace(g.vacuum(2), 1, "x", 1.0, record)
+    out = fed_forward(g.vacuum(2), 1, "x", 1.0, -1.25)
     assert out.mean_of(1, "x") == pytest.approx(-1.25)
     assert out.mean_of(1, "p") == 0.0
 
 
 def test_feedforward_accepts_irrational_gains():
     gain = -5 * SQRT2 / 2
-    record = g.MeasurementRecord(mode=0, basis="p", outcome=2.0)
-    out = g.feedforward_displace(g.vacuum(1), 0, "p", gain, record)
+    out = fed_forward(g.vacuum(1), 0, "p", gain, 2.0)
     assert out.mean_of(0, "p") == pytest.approx(2.0 * gain)
     np.testing.assert_array_equal(out.cov, g.vacuum(1).cov)
 
@@ -357,7 +386,7 @@ def test_discard_nothing_is_identity(rng):
 
 def test_discard_product_factor_is_exact():
     keep = g.coherent(0.5 - 0.5j)
-    state = g.tensor(g.squeeze(g.vacuum(1), 0, 1.0), keep)
+    state = g.tensor(squeezed(g.vacuum(1), 0, 1.0), keep)
     out = g.discard(state, [0])
     np.testing.assert_array_equal(out.mean, keep.mean)
     np.testing.assert_array_equal(out.cov, keep.cov)
@@ -387,7 +416,7 @@ def test_discard_of_scattered_modes_matches_hand_built_indices(rng):
 
 
 def test_tensor_of_wide_factors_matches_hand_built_indices(rng):
-    one_mode = apply_op(g.squeeze(g.coherent(0.3 - 1.1j), 0, 0.4), PhaseShift(1, 0.7))
+    one_mode = apply_op(squeezed(g.coherent(0.3 - 1.1j), 0, 0.4), PhaseShift(1, 0.7))
     factors = [one_mode, random_gaussian_state(rng, 3), random_gaussian_state(rng, 2)]
     joint = g.tensor(*factors)
     # rows of each factor inside the 6-mode product, x block then p block
@@ -423,7 +452,7 @@ def test_fidelity_between_coherent_states_is_the_overlap(re, im):
 
 def test_fidelity_squeezed_vacuum_against_vacuum():
     r = 0.5
-    state = g.squeeze(g.vacuum(1), 0, r)
+    state = squeezed(g.vacuum(1), 0, r)
     assert g.fidelity_with_coherent(state, 0j) == pytest.approx(1 / math.cosh(r), rel=1e-12)
 
 
@@ -441,7 +470,7 @@ def test_fidelity_thermal_state_matches_wigner_integration():
 
 def test_fidelity_of_displaced_thermal_matches_wigner_integration(rng):
     state = g.discard(apply_op(g.vacuum(2), TwoModeSqueeze(1, 2, 0.6)), [1])
-    state = g.displace(state, 0, 0.4 + 0.9j)
+    state = displaced(state, 0, 0.4 + 0.9j)
     for alpha in (0j, 1 + 0j, 0.4 + 0.9j, -1j):
         closed = g.fidelity_with_coherent(state, alpha)
         grid = wigner_overlap_fidelity(state.mean, state.cov, alpha)
@@ -452,9 +481,9 @@ def test_fidelity_of_displaced_thermal_matches_wigner_integration(rng):
 @settings(max_examples=30)
 def test_fidelity_is_displacement_covariant(re, im):
     shift = complex(re, im)
-    state = g.squeeze(g.vacuum(1), 0, 0.4)
+    state = squeezed(g.vacuum(1), 0, 0.4)
     base = g.fidelity_with_coherent(state, 0.2 + 0.1j)
-    moved = g.fidelity_with_coherent(g.displace(state, 0, shift), 0.2 + 0.1j + shift)
+    moved = g.fidelity_with_coherent(displaced(state, 0, shift), 0.2 + 0.1j + shift)
     assert moved == pytest.approx(base, rel=1e-9)
 
 
@@ -478,7 +507,7 @@ def test_fidelity_rejects_a_covariance_with_det_v_plus_half_not_positive(cov):
 
 def test_coherent_fidelity_broadcasts_entry_by_entry(rng):
     states = [
-        g.displace(apply_op(g.squeeze(g.vacuum(1), 0, r), PhaseShift(1, phi)), 0, complex(x, y))
+        displaced(apply_op(squeezed(g.vacuum(1), 0, r), PhaseShift(1, phi)), 0, complex(x, y))
         for r, phi, x, y in rng.uniform(-1.0, 1.0, size=(5, 4))
     ]
     alpha = 0.3 - 0.8j

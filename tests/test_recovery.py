@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import apply_op
+
 from cvrep.circuits import (
     ERASED_MODES,
     ERASURE_TAGS,
@@ -48,7 +50,6 @@ from cvrep.gaussian import (
     coherent,
     discard,
     fidelity_with_coherent,
-    squeeze_by_factor,
     tensor,
     vacuum,
 )
@@ -272,7 +273,7 @@ def test_ideal_e1_recovery_is_a_sqrt2_dilation():
         result = run(ideal_decoder("E1"), survivors)
         pos = result.labels.index(IDEAL_RECOVERY_WIRE["E1"])
         out = discard(result.state, [i for i in range(2) if i != pos])
-        out = squeeze_by_factor(out, 0, 1.0 / np.sqrt(2.0))
+        out = apply_op(out, SqueezeFactor(1, 1.0 / np.sqrt(2.0)))
         infidelities.append(1.0 - fidelity_with_coherent(out, alpha))
     assert infidelities[0] < 1e-2
     # each extra unit of squeezing cuts the infidelity by about e^2

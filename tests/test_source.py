@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import importlib.util
 import pkgutil
 from pathlib import Path
 
@@ -37,3 +38,21 @@ def test_every_name_in_every_all_resolves():
     ]
     assert cvrep.gaussian in modules and cvrep.circuits.ir in modules
     assert not missing, f"unresolved names in __all__: {missing}"
+
+
+def test_every_traced_benchmark_name_resolves():
+    # The benchmark's tracer wraps names from outside the package; a name
+    # deleted or renamed here would otherwise fail only when the benchmark runs.
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("bench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing = []
+    for name, module_name, attr in tracing.TARGETS + tracing.COUNTED:
+        owner = importlib.import_module(module_name)
+        for part in attr.split("."):
+            owner = getattr(owner, part, None)
+        if not callable(owner):
+            missing.append(f"{name}: {module_name}.{attr}")
+    assert tracing.TARGETS and tracing.COUNTED
+    assert not missing, f"traced names that no longer resolve: {missing}"
