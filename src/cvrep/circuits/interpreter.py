@@ -6,10 +6,16 @@ circuit into one ``[X | d]`` array: each live quadrature is a row, an
 affine function of the input's quadratures.  A measured quadrature's row
 becomes its register's functional, feedforward adds ``gain`` times that
 functional to its target row, and measured or discarded modes drop their
-rows.  ``_fold`` is the only code that walks a circuit's ops.  On a
-unitary circuit the array is ``[S | d]``: ``symplectic_of`` builds one
-``SymplecticMap`` from it, the ground truth that synthesis and rewrite
-results are checked against, and ``op_map`` is that fold over a single op.
+rows.  On a unitary circuit the array is ``[S | d]``: ``symplectic_of``
+builds one ``SymplecticMap`` from it, the ground truth that rewrite results
+and the tests are checked against, and ``op_map`` is that fold over a
+single op.
+
+``_fold_positions`` is the one other walk over a circuit's ops, for
+circuits that map positions to positions alone (every op's block is
+``diag(M, M^-T)`` with no shift): it keeps only the n x rows over the n
+input positions, and a run of consecutive QNDs sharing a control is one
+rank-1 update.  Synthesis checks its circuits with it.
 
 ``run`` executes any circuit with that one fold.  Stacking the live rows
 and each register's row gives a joint Gaussian over the outputs and the
@@ -23,12 +29,14 @@ each homodyne when it happens and then feeding its outcome forward.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
+from itertools import groupby
 
 import numpy as np
 
 from ..gaussian import GaussianState, MeasurementRecord, SymplecticMap, _condition
-from .ir import Circuit, FeedforwardDisplace, Measure, spec_of
+from .ir import Circuit, FeedforwardDisplace, Measure, Qnd, spec_of
 
 __all__ = ["op_map", "symplectic_of", "run", "RunResult"]
 
@@ -78,6 +86,54 @@ def _fold(ops, labels, *, symplectic: bool = False) -> tuple:
             total = np.delete(total, [pos, k + pos], axis=0)
             live.pop(pos)
     return tuple(live), total, registers
+
+
+def _qnd_control(op):
+    return op.control if type(op) is Qnd else None
+
+
+def _not_positional(op) -> TypeError:
+    return TypeError(f"{type(op).__name__} does not map positions to positions alone")
+
+
+def _fold_positions(circuit: Circuit) -> np.ndarray:
+    """The n x n matrix X of a position-only circuit, x -> X x.
+
+    Each op's block comes from the op table, as in ``_fold``, and only its
+    x part is applied.  A run of consecutive QNDs with one control leaves
+    that control's row alone, so the whole run is one rank-1 update of its
+    targets' rows, each by the gain in its block's x part.  Raises
+    TypeError on an op with a shift, without a block (measurement,
+    feedforward, discard) or whose block mixes x and p.  The blocks of each
+    size are checked for mixing together, after the fold: a check per op
+    costs more than the fold saves.
+    """
+    live = list(circuit.labels)
+    X = np.eye(len(live))
+    by_size = defaultdict(list)  # wire count -> [(op, block)]
+    for control, ops in groupby(circuit.ops, key=_qnd_control):
+        gates = []
+        for op in ops:
+            modes, block, shift = _gate(spec_of(op), op, live)
+            if shift is not None or block is None:
+                raise _not_positional(op)
+            by_size[len(modes)].append((op, block))
+            gates.append((modes, block))
+        if control is None:
+            for modes, block in gates:
+                k = len(modes)
+                X[modes] = block[:k, :k] @ X[modes]
+        else:
+            targets = [modes[1] for modes, _ in gates]
+            gains = np.array([block[1, 0] for _, block in gates])
+            # unbuffered, so a target repeated within the run gets every gain
+            np.add.at(X, targets, gains[:, None] * X[live.index(control)])
+    for k, gates in by_size.items():
+        blocks = np.array([block for _, block in gates])
+        mixing = blocks[:, :k, k:].any(axis=(1, 2)) | blocks[:, k:, :k].any(axis=(1, 2))
+        if mixing.any():
+            raise _not_positional(gates[int(np.argmax(mixing))][0])
+    return X
 
 
 def _symplectic(ops, labels) -> SymplecticMap:

@@ -12,8 +12,9 @@ live and which registers have been written.
 Every op type is written down once, in the op table ``OPS``: its text tag,
 its ``key=value`` fields in constructor order (wires marked as wires) and,
 for unitary ops, its gate block from :mod:`cvrep.gaussian`.  Serializing,
-parsing, ``wires_of``, ``Circuit.is_unitary`` and the interpreter's
-``run`` and ``symplectic_of`` all read that one entry.
+parsing, ``wires_of``, ``Circuit.is_unitary`` and the interpreter's ``run``,
+``symplectic_of`` and position check ``_fold_positions`` all read that one
+entry.
 
 Serialization is line-oriented text, one op per line, after a ``MODES``
 header naming the wires (optional on input: without it the wires are 1 to
@@ -209,8 +210,9 @@ class OpSpec:
     ``block`` (the gate's 2k x 2k matrix over its k wires: x of each wire
     in field order, then p of each) or, for a displacement, a ``shift``
     (its (x, p) mean displacement); either is called with the op's
-    non-wire field values in order.  The interpreter's ``_fold`` is the
-    one place that applies them.
+    non-wire field values in order.  The interpreter's ``_fold`` applies
+    them, and its ``_fold_positions`` applies the x part of blocks that
+    map positions to positions alone.
     """
 
     def __init__(self, cls, tag, fields, *, block=None, shift=None, make=None):

@@ -27,7 +27,12 @@ the pivots.  Freedom comes from reordering the columns, not the pivots.)
 
 Every result is checked against its own target matrix before being
 returned, so a successful call is self-certifying; its limit scales with
-max|A|.  An entry counts as zero at ``_ZERO`` times its row's size: the row's
+max|A|.  The check never replays the script: ``deviation`` folds the
+circuit's x rows from the op table's gate blocks (the interpreter's
+``_fold_positions``, one rank-1 update per run of QNDs sharing a control)
+and compares them with A.
+
+An entry counts as zero at ``_ZERO`` times its row's size: the row's
 largest entry in A, times every factor the row has since been scaled by.
 """
 
@@ -36,7 +41,11 @@ from __future__ import annotations
 import numpy as np
 
 from ..tolerances import TOL
-from .interpreter import symplectic_of
+from .interpreter import _fold_positions
+
+# Not used here.  The benchmark's self-test (bench/selftest.py) checks that
+# its tracer wraps this re-exported name.
+from .interpreter import symplectic_of  # noqa: F401
 from .ir import Circuit, Qnd, SqueezeFactor, Swap
 
 __all__ = ["synthesize", "deviation", "SynthesisError"]
@@ -183,10 +192,19 @@ def _last_qnd_control(circuit: Circuit) -> int | None:
 
 
 def deviation(circuit: Circuit, A) -> float:
-    """max |achieved - A| between a circuit's action on the positions and A."""
+    """max |achieved - A| between a circuit's action on the positions and A.
+
+    The domain is unitary circuits that map positions to positions alone:
+    every op's gate block is ``diag(M, M^-T)`` and none has a shift, as
+    with the QNDs, squeezes and swaps that ``synthesize`` emits.  Raises
+    TypeError on any other op and ValueError unless A is n x n for the
+    circuit's n wires.
+    """
     n = circuit.n_modes
-    achieved = symplectic_of(circuit).matrix[:n, :n]
-    return float(np.max(np.abs(achieved - np.asarray(A, dtype=float))))
+    A = np.asarray(A, dtype=float)
+    if A.shape != (n, n):
+        raise ValueError(f"target must be {n}x{n} for a circuit on {n} wires, got shape {A.shape}")
+    return float(np.max(np.abs(_fold_positions(circuit) - A)))
 
 
 def _build(A: np.ndarray, labels: tuple[int, ...], script: list[tuple]) -> tuple[Circuit, float]:

@@ -10,10 +10,11 @@ given state, and return a fresh :class:`GaussianState`.  Each symplectic gate
 is written down once, as a block function (``qnd_block``, ``squeeze_block``,
 ...) giving its 2k x 2k matrix over its k modes, which the circuit op table
 ``circuits.ir.OPS`` names; the one engine that applies gates is the circuit
-interpreter's fold, so there are no gate functions here.  Measurements
-condition the state with the standard Gaussian (Schur complement) update,
-``_condition``, which the interpreter's ``run`` shares, and ``homodyne``
-then drops the measured mode entirely.
+interpreter (``_fold``, and ``_fold_positions`` for position-only circuits),
+so there are no gate functions here.  Measurements condition the state with
+the standard Gaussian (Schur complement) update, ``_condition``, which the
+interpreter's ``run`` shares, and ``homodyne`` then drops the measured mode
+entirely.
 """
 
 from __future__ import annotations
@@ -262,15 +263,17 @@ def pi_block() -> np.ndarray:
     return -np.eye(2)
 
 
+_EYE4 = np.eye(4)
+
+
 def qnd_block(gain: float) -> np.ndarray:
-    return np.array(
-        [
-            [1.0, 0.0, 0.0, 0.0],
-            [gain, 1.0, 0.0, 0.0],
-            [0.0, 0.0, 1.0, -gain],
-            [0.0, 0.0, 0.0, 1.0],
-        ]
-    )
+    """x_t += gain x_c and p_c -= gain p_t, over (x_c, x_t, p_c, p_t)."""
+    # set into a copied identity: a quarter of the cost of a nested list,
+    # and synthesized circuits are mostly QNDs
+    block = _EYE4.copy()
+    block[1, 0] = gain
+    block[2, 3] = -gain
+    return block
 
 
 def beam_splitter_pm_block() -> np.ndarray:

@@ -12,7 +12,7 @@ import pytest
 
 import cvrep
 from cvrep import cli
-from cvrep.circuits import recovery, synthesis
+from cvrep.circuits import interpreter, recovery, synthesis
 from cvrep.cli import main
 
 LN2 = float(np.log(2.0))
@@ -133,17 +133,21 @@ def test_synth_check_reports_the_deviation(capsys):
 
 
 def test_synth_check_folds_the_circuit_once(capsys, monkeypatch):
-    calls = []
-    fold = synthesis.symplectic_of
+    calls = {"positions": 0, "symplectic_of": 0}
 
-    def counting(circuit):
-        calls.append(circuit)
-        return fold(circuit)
+    def counting(name, fn):
+        def wrapper(circuit):
+            calls[name] += 1
+            return fn(circuit)
 
-    monkeypatch.setattr(synthesis, "symplectic_of", counting)
+        return wrapper
+
+    monkeypatch.setattr(synthesis, "_fold_positions", counting("positions", synthesis._fold_positions))
+    for module in (interpreter, synthesis, cvrep.circuits):
+        monkeypatch.setattr(module, "symplectic_of", counting("symplectic_of", interpreter.symplectic_of))
     rc, out, err = run_cli(capsys, "synth", "--error", "E3", "--check")
     assert rc == 0 and "max |achieved - target| = " in err
-    assert len(calls) == 1
+    assert calls == {"positions": 1, "symplectic_of": 0}
 
 
 def test_synth_identity_matrix_gives_an_empty_circuit(capsys, tmp_path):

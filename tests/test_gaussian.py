@@ -216,6 +216,12 @@ def test_qnd_inverse_gain_undoes(rng):
     np.testing.assert_allclose(back.cov, state.cov, atol=1e-12)
 
 
+def test_qnd_block_is_a_fresh_array_each_call():
+    block = g.qnd_block(1.5)
+    block[0, 0] = 7.0
+    np.testing.assert_array_equal(g.qnd_block(1.5), [[1, 0, 0, 0], [1.5, 1, 0, 0], [0, 0, 1, -1.5], [0, 0, 0, 1]])
+
+
 def test_qnd_block_is_symplectic():
     from cvrep.circuits import Qnd, op_map
 

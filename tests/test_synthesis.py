@@ -2,16 +2,32 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from conftest import nonzero_factors, small_gains
 
 from cvrep.circuits import (
+    BeamSplitterPM,
+    Circuit,
+    Discard,
+    Displace,
+    FeedforwardDisplace,
+    Fourier,
+    InverseFourier,
+    Measure,
+    PhaseShift,
+    Pi,
     Qnd,
     SqueezeFactor,
     Swap,
     SynthesisError,
+    TwoModeSqueeze,
     decoder_matrix,
     symplectic_of,
     synthesize,
 )
+from cvrep.circuits.synthesis import deviation
 
 
 def x_block(circuit):
@@ -234,3 +250,100 @@ def test_triangular_matrices_need_no_swaps_or_squeezes(rng):
     circuit = synthesize(A)
     assert all(isinstance(op, Qnd) for op in circuit.ops)
     np.testing.assert_allclose(x_block(circuit), A, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# deviation: the self-check folds only the x rows
+
+
+def fold_deviation(circuit, A):
+    return float(np.max(np.abs(x_block(circuit) - A)))
+
+
+@st.composite
+def position_circuits(draw):
+    """QNDs, squeezes and swaps on 2-6 wires; QNDs come in runs sharing a control."""
+    n = draw(st.integers(2, 6))
+    wires = st.integers(1, n)
+    ops = []
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(["qnd run", "squeeze", "swap"]))
+        if kind == "qnd run":
+            control = draw(wires)
+            others = st.integers(1, n - 1).map(lambda t: t + (t >= control))
+            for target, gain in draw(st.lists(st.tuples(others, small_gains), min_size=1, max_size=5)):
+                ops.append(Qnd(control, target, gain))
+        elif kind == "squeeze":
+            ops.append(SqueezeFactor(draw(wires), draw(nonzero_factors)))
+        else:
+            a, b = draw(st.lists(wires, min_size=2, max_size=2, unique=True))
+            ops.append(Swap(a, b))
+    return Circuit(tuple(range(1, n + 1)), tuple(ops))
+
+
+@given(circuit=position_circuits(), seed=st.integers(0, 2**32 - 1))
+@example(  # a run sharing a control, with a repeated target, then a run with another control
+    circuit=Circuit((1, 2, 3), (Qnd(1, 2, 1.0), Qnd(1, 3, -0.5), Qnd(1, 2, 2.0), Qnd(2, 3, 0.25), Qnd(3, 1, 1.5))),
+    seed=0,
+)
+@example(  # back-to-back runs, split by a squeeze and a swap
+    circuit=Circuit(
+        (1, 2, 3, 4),
+        (Qnd(4, 1, 0.3), Qnd(4, 2, -1.7), SqueezeFactor(4, -2.5), Qnd(4, 3, 0.9), Swap(1, 4), Qnd(1, 2, 2.0), Qnd(1, 2, -0.1)),
+    ),
+    seed=1,
+)
+@settings(max_examples=120, deadline=None)
+def test_deviation_equals_the_full_symplectic_fold_exactly(circuit, seed):
+    n = circuit.n_modes
+    A = np.random.default_rng(seed).normal(size=(n, n))
+    assert deviation(circuit, A) == fold_deviation(circuit, A)
+    assert deviation(circuit, x_block(circuit)) == 0.0
+
+
+def test_deviation_applies_every_gain_of_a_repeated_target():
+    circuit = Circuit((1, 2), (Qnd(1, 2, 1.0), Qnd(1, 2, 2.0)))
+    assert deviation(circuit, [[1.0, 0.0], [3.0, 1.0]]) == 0.0
+
+
+def test_deviation_matches_synthesized_circuits_exactly(rng):
+    for n in (3, 8, 20):
+        for A in (rng.normal(size=(n, n)), np.triu(rng.integers(-3, 4, size=(n, n)), 1) + np.eye(n)):
+            circuit = synthesize(A)
+            assert deviation(circuit, A) == fold_deviation(circuit, A)
+
+
+def test_deviation_accepts_every_point_transform_op():
+    # blocks of the form diag(M, M^-T): x -> M x with no momentum mixed in
+    circuit = Circuit(
+        (1, 2, 3),
+        (BeamSplitterPM(1, 2), TwoModeSqueeze(2, 3, 0.4), Pi(3), PhaseShift(1, 0.0), Qnd(2, 1, 0.5)),
+    )
+    A = np.arange(9.0).reshape(3, 3)
+    assert deviation(circuit, A) == fold_deviation(circuit, A)
+
+
+@pytest.mark.parametrize(
+    "ops, culprit",
+    [
+        ((PhaseShift(1, 0.3),), "PhaseShift"),
+        ((Fourier(1),), "Fourier"),
+        ((InverseFourier(2),), "InverseFourier"),
+        ((Displace(1, 0.5 + 0.2j),), "Displace"),
+        ((Measure(2, "x", "m"),), "Measure"),
+        ((Discard(2),), "Discard"),
+        # feedforward can only follow the measurement that writes its register
+        ((Measure(2, "p", "m"), FeedforwardDisplace("m", 1, "x", 1.0)), "Measure"),
+        # a mixing block between two QND runs is found after the fold
+        ((Qnd(1, 2, 1.0), Fourier(2), Qnd(2, 1, 1.0)), "Fourier"),
+    ],
+)
+def test_deviation_rejects_ops_that_do_not_map_positions_alone(ops, culprit):
+    with pytest.raises(TypeError, match=f"^{culprit} does not map positions"):
+        deviation(Circuit((1, 2), ops), np.eye(2))
+
+
+@pytest.mark.parametrize("target", [[2.0, 0.0, 0.0], np.eye(2), np.eye(4), np.ones((3, 4)), 2.0])
+def test_deviation_rejects_a_target_of_the_wrong_shape(target):
+    with pytest.raises(ValueError, match="target must be 3x3"):
+        deviation(synthesize(2 * np.eye(3)), target)
