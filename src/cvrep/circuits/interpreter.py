@@ -161,10 +161,6 @@ class RunResult:
     records: dict
     labels: tuple[int, ...]
 
-    def mode_position(self, label: int) -> int:
-        """0-based index of a surviving wire label inside ``state``."""
-        return self.labels.index(label)
-
 
 def run(
     circuit: Circuit,

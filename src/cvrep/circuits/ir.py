@@ -31,8 +31,6 @@ from math import isfinite
 from operator import attrgetter
 from typing import Callable
 
-import numpy as np
-
 from .. import gaussian as g
 
 __all__ = [
@@ -50,7 +48,6 @@ __all__ = [
     "FeedforwardDisplace",
     "Discard",
     "Circuit",
-    "PointTransform",
     "CircuitParseError",
     "serialize",
     "parse",
@@ -324,34 +321,11 @@ class Circuit:
     def is_unitary(self) -> bool:
         return all(spec_of(op).unitary for op in self.ops)
 
-    def surviving_labels(self) -> tuple[int, ...]:
-        gone = {op.mode for op in self.ops if isinstance(op, (Measure, Discard))}
-        return tuple(v for v in self.labels if v not in gone)
-
     def with_ops(self, ops) -> "Circuit":
         return Circuit(self.labels, tuple(ops))
 
     def __len__(self) -> int:
         return len(self.ops)
-
-
-@dataclass(frozen=True)
-class PointTransform:
-    """Position-basis map |x> -> |A x>; lifts to the symplectic block diag(A, A^-T)."""
-
-    A: "object"
-
-    def __post_init__(self):
-        A = np.asarray(self.A, dtype=float)
-        object.__setattr__(self, "A", A)
-        if A.ndim != 2 or A.shape[0] != A.shape[1]:
-            raise ValueError(f"point transform must be square, got shape {A.shape}")
-        if np.linalg.matrix_rank(A) < A.shape[0]:
-            raise ValueError("point transform must be invertible")
-
-    @property
-    def n(self) -> int:
-        return self.A.shape[0]
 
 
 # ---------------------------------------------------------------------------

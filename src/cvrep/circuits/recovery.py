@@ -84,7 +84,6 @@ from .ir import (
     Fourier,
     Measure,
     Pi,
-    PointTransform,
     Qnd,
     SqueezeFactor,
     TwoModeSqueeze,
@@ -235,17 +234,20 @@ def ideal_decoder(tag: str) -> Circuit:
     )
 
 
-def decoder_matrix(tag: str) -> PointTransform:
-    """Position-basis transform of the ideal decoder, rows/cols in survivor order."""
+def decoder_matrix(tag: str) -> np.ndarray:
+    """Position-basis matrix A of the ideal decoder, rows/cols in survivor order.
+
+    The decoder maps |x> to |A x>; its symplectic block is diag(A, A^-T).
+    """
     _check_tag(tag)
     if tag == "E1":
         h = 1.0 / _SQRT2
-        return PointTransform(np.array([[h, h], [h, -h]]))
+        return np.array([[h, h], [h, -h]])
     if tag == "E2":
-        return PointTransform(np.array([[1.0, -1.0, 1.0], [0.0, 1.0, -2.0], [-1.0, 1.0, 0.0]]))
+        return np.array([[1.0, -1.0, 1.0], [0.0, 1.0, -2.0], [-1.0, 1.0, 0.0]])
     if tag == "E3":
-        return PointTransform(np.array([[1.0, -1.0, -1.0], [0.0, 1.0, 2.0], [1.0, -2.0, -2.0]]))
-    return PointTransform(np.array([[-1.0, 1.0, 1.0], [0.0, 1.0, -1.0], [-1.0, 0.5, 0.5]]))
+        return np.array([[1.0, -1.0, -1.0], [0.0, 1.0, 2.0], [1.0, -2.0, -2.0]])
+    return np.array([[-1.0, 1.0, 1.0], [0.0, 1.0, -1.0], [-1.0, 0.5, 0.5]])
 
 
 # Pivot orders under which resynthesizing a decoder matrix reproduces the

@@ -16,14 +16,7 @@ gate:
 Pivot choice changes which circuit comes out, not what it computes.  The
 default prefers pivots that keep gains integral (exact 1 first, then any
 integer, then the largest entry for numerical safety), and ``pivot_rows``
-overrides it per column for callers that want one specific layout.  When a
-wire must not drive the final coupling — e.g. it is about to be consumed by
-a measurement — ``forbidden_final_control`` reruns the elimination starting
-from a column whose pivot sits on a different wire, which moves the last
-QND's control there.  (The triangular schedule alone can never move it: the
-circuit's final coupling inverts the elimination's first row addition, and
-that addition is always sourced from the first column needing one, whatever
-the pivots.  Freedom comes from reordering the columns, not the pivots.)
+overrides it per column for callers that want one specific layout.
 
 Every result is checked against its own target matrix before being
 returned, so a successful call is self-certifying; its limit scales with
@@ -58,22 +51,14 @@ class SynthesisError(ValueError):
     pass
 
 
-def _pivot_preference(col: np.ndarray, candidates: list[int]) -> list[int]:
-    """Candidate rows ordered by how pleasant their entry is as a pivot."""
-    ones = [i for i in candidates if col[i] == 1.0]
-    ints = [i for i in candidates if col[i] != 1.0 and float(col[i]).is_integer()]
-    rest = sorted(
-        (i for i in candidates if not float(col[i]).is_integer()),
-        key=lambda i: -abs(col[i]),
-    )
-    return ones + ints + rest
-
-
 def _default_pivot(col: np.ndarray, j: int, n: int, size: np.ndarray) -> int:
+    """Pivot row for column j: an exact 1 first, then any integer, then the largest entry."""
     candidates = [i for i in range(j, n) if abs(col[i]) > _ZERO * size[i]]
     if not candidates:
         raise SynthesisError(f"matrix is singular: no pivot available in column {j}")
-    return _pivot_preference(col, candidates)[0]
+    ones = [i for i in candidates if col[i] == 1.0]
+    ints = [i for i in candidates if float(col[i]).is_integer()]
+    return (ones or ints or [max(candidates, key=lambda i: abs(col[i]))])[0]
 
 
 def _reduction_script(A: np.ndarray, pivot_rows) -> list[tuple]:
@@ -128,47 +113,6 @@ def _reduction_script(A: np.ndarray, pivot_rows) -> list[tuple]:
     return script
 
 
-def _jordan_script(A: np.ndarray, first_col: int, first_pivot: int) -> list[tuple]:
-    """Row-reduce A clearing whole columns at a time, ``first_col`` first.
-
-    Rows are never moved during elimination, so every addition recorded for
-    a column is sourced from that column's pivot row; in particular the
-    script's first addition — which becomes the circuit's final QND — is
-    sourced from ``first_pivot``.  A trailing permutation fix-up sorts the
-    pivot rows back onto the diagonal.
-    """
-    n = A.shape[0]
-    M = A.astype(float).copy()
-    size = np.max(np.abs(M), axis=1)
-    script: list[tuple] = []
-    used: set[int] = set()
-    for c in [first_col] + [c for c in range(n) if c != first_col]:
-        if c == first_col:
-            p = first_pivot
-        else:
-            candidates = [i for i in range(n) if i not in used and abs(M[i, c]) > _ZERO * size[i]]
-            if not candidates:
-                raise SynthesisError(
-                    f"matrix is singular: no pivot available in column {c}"
-                )
-            p = _pivot_preference(M[:, c], candidates)[0]
-        used.add(p)
-        if M[p, c] != 1.0:
-            script.append(("scale", p, 1.0 / M[p, c]))
-            size[p] *= abs(1.0 / M[p, c])
-            M[p] *= 1.0 / M[p, c]
-        for i in range(n):
-            if i != p and abs(M[i, c]) > _ZERO * size[i]:
-                script.append(("add", i, p, -M[i, c]))
-                M[i] += -M[i, c] * M[p]
-    for i in range(n):
-        j = i + int(np.argmax(np.abs(M[i:, i])))
-        if j != i:
-            script.append(("swap", i, j))
-            M[[i, j]] = M[[j, i]]
-    return script
-
-
 def _script_to_ops(script: list[tuple], labels: tuple[int, ...]) -> list:
     ops = []
     for step in reversed(script):
@@ -182,13 +126,6 @@ def _script_to_ops(script: list[tuple], labels: tuple[int, ...]) -> list:
             _, i, j = step
             ops.append(Swap(labels[i], labels[j]))
     return ops
-
-
-def _last_qnd_control(circuit: Circuit) -> int | None:
-    for op in reversed(circuit.ops):
-        if isinstance(op, Qnd):
-            return op.control
-    return None
 
 
 def deviation(circuit: Circuit, A) -> float:
@@ -225,21 +162,14 @@ def synthesize(
     labels: tuple[int, ...] | None = None,
     *,
     pivot_rows: tuple[int, ...] | None = None,
-    forbidden_final_control: int | None = None,
 ) -> Circuit:
     """Circuit computing the position-basis map x -> A x on the given wires.
 
     ``labels`` names the wires (defaults to 1..n); row/column i of A is
     wire labels[i].  ``pivot_rows[j]`` forces the elimination pivot for
-    column j to the row currently at that index.  When
-    ``forbidden_final_control`` names a wire, the returned circuit's last
-    QND coupling is guaranteed not to use it as control; if the preferred
-    layout violates that, the elimination is rerun starting from a column
-    pivoted on a different wire.
+    column j to the row currently at that index.
     """
-    return _synthesize(
-        A, labels, pivot_rows=pivot_rows, forbidden_final_control=forbidden_final_control
-    )[0]
+    return _synthesize(A, labels, pivot_rows=pivot_rows)[0]
 
 
 def _synthesize(
@@ -247,12 +177,13 @@ def _synthesize(
     labels: tuple[int, ...] | None = None,
     *,
     pivot_rows: tuple[int, ...] | None = None,
-    forbidden_final_control: int | None = None,
 ) -> tuple[Circuit, float]:
     """``synthesize``, also returning the circuit's deviation from A (``deviation``)."""
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise SynthesisError(f"expected a square matrix, got shape {A.shape}")
+    if A.size == 0:
+        raise SynthesisError("matrix is empty")
     if not np.all(np.isfinite(A)):
         raise SynthesisError("matrix entries must be finite")
     n = A.shape[0]
@@ -263,43 +194,4 @@ def _synthesize(
         raise SynthesisError(f"{n}x{n} matrix needs {n} labels, got {len(labels)}")
     if np.linalg.matrix_rank(A) < n:
         raise SynthesisError("matrix is singular")
-    if forbidden_final_control is not None and forbidden_final_control not in labels:
-        raise SynthesisError(
-            f"forbidden_final_control={forbidden_final_control} is not one of the labels"
-        )
-
-    built = _build(A, labels, _reduction_script(A, pivot_rows))
-    if (
-        forbidden_final_control is None
-        or _last_qnd_control(built[0]) != forbidden_final_control
-    ):
-        return built
-    if pivot_rows is not None:
-        raise SynthesisError(
-            "the requested pivot_rows produce a circuit whose final coupling "
-            f"is controlled by wire {forbidden_final_control}"
-        )
-    # The final coupling inverts the elimination's first row addition, so it
-    # is controlled by the wire holding the first pivot that has anything to
-    # eliminate.  Restart the elimination at a column where a different wire
-    # can take that pivot; any column with a second nonzero entry works.
-    banned = labels.index(forbidden_final_control)
-    size = np.max(np.abs(A), axis=1)
-    for c in range(n):
-        rows = [i for i in range(n) if abs(A[i, c]) > _ZERO * size[i]]
-        if len(rows) < 2:
-            continue
-        for p in _pivot_preference(A[:, c], [i for i in rows if i != banned]):
-            try:
-                candidate = _build(A, labels, _jordan_script(A, c, p))
-            except SynthesisError:
-                continue
-            if _last_qnd_control(candidate[0]) != forbidden_final_control:
-                return candidate
-    # Unreachable for an invertible matrix with any couplings at all: a
-    # matrix whose every column has a single nonzero entry synthesizes to
-    # scales and swaps alone, which the first return already accepted.
-    raise SynthesisError(
-        f"no elimination order avoids a final coupling controlled by wire "
-        f"{forbidden_final_control}"
-    )
+    return _build(A, labels, _reduction_script(A, pivot_rows))

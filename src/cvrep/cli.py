@@ -19,6 +19,7 @@ import argparse
 import functools
 import json
 import sys
+import warnings
 
 import numpy as np
 
@@ -161,16 +162,21 @@ def cmd_verify(args) -> int:
 def cmd_synth(args) -> int:
     pivot_rows = None
     if args.error is not None:
-        A = decoder_matrix(args.error).A
+        A = decoder_matrix(args.error)
         labels = SURVIVOR_MODES[args.error]
         pivot_rows = REFERENCE_PIVOT_ROWS.get(args.error)
     else:
         try:
-            A = np.loadtxt(args.matrix, ndmin=2)
+            with warnings.catch_warnings():
+                # a file without entries is reported below, not as a NumPy warning
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                A = np.loadtxt(args.matrix, ndmin=2)
         except OSError as exc:
             return _fail_usage(f"cannot read matrix file: {exc}")
         except ValueError as exc:
             return _fail_usage(f"cannot parse matrix file: {exc}")
+        if A.size == 0:
+            return _fail_usage("matrix file holds no entries")
         if A.shape[0] != A.shape[1]:
             return _fail_usage(f"matrix file must be square, got shape {A.shape}")
         if not np.all(np.isfinite(A)):

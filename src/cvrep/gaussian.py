@@ -106,14 +106,6 @@ class GaussianState:
         n = self.n_modes
         return self.cov[n:, n:]
 
-    def mean_of(self, mode: int, quad: str) -> float:
-        idx = _quad_index(self, mode, quad)
-        return float(self.mean[idx])
-
-    def variance_of(self, mode: int, quad: str) -> float:
-        idx = _quad_index(self, mode, quad)
-        return float(self.cov[idx, idx])
-
     def __repr__(self) -> str:
         return f"GaussianState(n_modes={self.n_modes})"
 

@@ -9,6 +9,9 @@ every partial sum is an integer of magnitude at most the inner dimension
 C(N, k+1), far below 2**53 (integer inputs beyond that bound fall back to
 an integer product).  Row spaces are compared by rank equality through
 ``codes._rank``.
+
+``build_homological_code`` reads a stabilizer code off the complex; its
+erasures are decided by ``codes.check_correctable``, as for any other code.
 """
 
 from __future__ import annotations
@@ -19,16 +22,7 @@ from itertools import chain, combinations
 
 import numpy as np
 
-from .codes import (
-    StabilizerCode,
-    _count_rank,
-    _largest,
-    _rank,
-    _singular_values,
-    check_correctable,
-    edge_basis,
-    erasure_for_vertex,
-)
+from .codes import StabilizerCode, _count_rank, _largest, _rank, _singular_values
 
 __all__ = [
     "ChainComplex",
@@ -36,7 +30,6 @@ __all__ = [
     "chain_complex",
     "butterfly_matrix",
     "build_homological_code",
-    "verify_correctability_homological",
     "rowspaces_equal",
 ]
 
@@ -125,7 +118,7 @@ def butterfly_matrix(N: int) -> np.ndarray:
     return M
 
 
-def build_homological_code(N: int, *, n_q_rows: int | None = None) -> StabilizerCode:
+def build_homological_code(N: int) -> StabilizerCode:
     """Code from the chain complex: X rows from Im d_2, P rows from d_1^T Q.
 
     X rows are the boundaries of the triangles through vertex N -- a different
@@ -133,10 +126,8 @@ def build_homological_code(N: int, *, n_q_rows: int | None = None) -> Stabilizer
     triangles, so span comparisons between the two are non-trivial.  P rows
     carry a global minus sign relative to d_1^T (with the omit-one-vertex sign
     convention, d_1^T e_j is the negated star of vertex j); the sign makes the
-    rows equal the graph code's w vectors exactly.
-
-    n_q_rows deliberately truncates the butterfly rows (used by negative
-    tests); default uses all N-2 non-constant rows.
+    rows equal the graph code's w vectors exactly.  Q is the butterfly
+    matrix without its all-ones row, so P row i is -(q_i d_1).
     """
     if N < 4:
         raise ValueError(f"need N >= 4, got {N}")
@@ -146,8 +137,6 @@ def build_homological_code(N: int, *, n_q_rows: int | None = None) -> Stabilizer
     cols = [i for i, t in enumerate(triangles) if N in t]
     x_rows = d2[:, cols].T.astype(float)
     q = butterfly_matrix(N)[1:]
-    if n_q_rows is not None:
-        q = q[:n_q_rows]
     p_rows = -(d1.T @ q.T).T.astype(float)
     return StabilizerCode(d1.shape[1], x_rows, p_rows, name=f"homological-{N}")
 
@@ -160,12 +149,3 @@ def rowspaces_equal(A: np.ndarray, B: np.ndarray) -> bool:
     svals = _singular_values(np.vstack([A, B]))
     scale = _largest(svals)
     return _rank(A, scale) == _rank(B, scale) == _count_rank(svals, scale)
-
-
-def verify_correctability_homological(
-    N: int, vertex: int, *, n_q_rows: int | None = None
-) -> bool:
-    """check_correctable on the homological code, erasing edges away from vertex."""
-    code = build_homological_code(N, n_q_rows=n_q_rows)
-    basis = edge_basis(N)
-    return check_correctable(code, erasure_for_vertex(code, basis, vertex))

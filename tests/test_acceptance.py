@@ -179,7 +179,7 @@ def test_criterion_6_synthesis_soundness():
         circuit = ideal_decoder(tag)
         n = len(circuit.labels)
         achieved = symplectic_of(circuit).matrix[:n, :n]
-        exact &= np.array_equal(achieved, decoder_matrix(tag).A)
+        exact &= np.array_equal(achieved, decoder_matrix(tag))
 
     rng = np.random.default_rng(20260815)
     worst = 0.0

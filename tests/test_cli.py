@@ -17,14 +17,36 @@ from cvrep.cli import main
 
 LN2 = float(np.log(2.0))
 
-E2_CIRCUIT_TEXT = (
-    "MODES 1 4 5\n"
-    "QND c=4 t=1 gain=-1\n"
-    "QND c=5 t=4 gain=-2\n"
-    "QND c=1 t=5 gain=1\n"
-    "SQ mode=1 factor=-1\n"
-    "SWAP a=1 b=5\n"
-)
+# what `cvrep synth --error TAG` prints: E2 under REFERENCE_PIVOT_ROWS, the
+# others under the default pivot preference
+SYNTH_ERROR_CIRCUIT_TEXT = {
+    "E2": (
+        "MODES 1 4 5\n"
+        "QND c=4 t=1 gain=-1\n"
+        "QND c=5 t=4 gain=-2\n"
+        "QND c=1 t=5 gain=1\n"
+        "SQ mode=1 factor=-1\n"
+        "SWAP a=1 b=5\n"
+    ),
+    "E3": (
+        "MODES 1 3 5\n"
+        "QND c=3 t=1 gain=-1\n"
+        "QND c=5 t=1 gain=-1\n"
+        "QND c=5 t=3 gain=2\n"
+        "QND c=3 t=5 gain=-1\n"
+        "QND c=1 t=5 gain=1\n"
+    ),
+    "E4": (
+        "MODES 2 3 4\n"
+        "QND c=3 t=2 gain=-1\n"
+        "QND c=4 t=2 gain=-1\n"
+        "QND c=4 t=3 gain=-1\n"
+        "SQ mode=4 factor=-1\n"
+        "QND c=3 t=4 gain=-0.5\n"
+        "QND c=2 t=4 gain=-1\n"
+        "SQ mode=2 factor=-1\n"
+    ),
+}
 
 CSV_HEADER = "r,F1,F2,F3,F4,formula_F1,formula_F2,formula_F3,formula_F4,max_abs_dev"
 
@@ -119,10 +141,10 @@ def test_verify_homology_rejected_for_five_mode(capsys):
 # ---------------------------------------------------------------------------
 
 
-def test_synth_error_e2_prints_the_reference_circuit(capsys):
-    rc, out, _ = run_cli(capsys, "synth", "--error", "E2")
-    assert rc == 0
-    assert out == E2_CIRCUIT_TEXT
+@pytest.mark.parametrize("tag", sorted(SYNTH_ERROR_CIRCUIT_TEXT))
+def test_synth_error_prints_the_reference_circuit(capsys, tag):
+    rc, out, err = run_cli(capsys, "synth", "--error", tag)
+    assert (rc, out, err) == (0, SYNTH_ERROR_CIRCUIT_TEXT[tag], "")
 
 
 def test_synth_check_reports_the_deviation(capsys):
@@ -189,6 +211,17 @@ def test_synth_file_errors_are_usage_errors(capsys, tmp_path):
     np.savetxt(rect, np.ones((2, 3)))
     rc, _, err = run_cli(capsys, "synth", "--matrix", str(rect))
     assert rc == 2 and "square" in err
+
+
+@pytest.mark.parametrize("text", ["", "\n  \n", "# comment only\n"], ids=["empty", "blank", "comment"])
+def test_synth_empty_matrix_file_is_one_usage_error(capsys, tmp_path, text):
+    path = tmp_path / "empty.txt"
+    path.write_text(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc, out, err = run_cli(capsys, "synth", "--matrix", str(path))
+    assert (rc, out) == (2, "")
+    assert err == "error: matrix file holds no entries\n"
 
 
 # ---------------------------------------------------------------------------

@@ -277,11 +277,15 @@ SCALES = (1e-11, 1.0, 1e6)
 
 def _edge_codes(n):
     """The general, homological and truncated-homological codes on K_n."""
-    return (
-        codes.build_general_code(n),
-        homology.build_homological_code(n),
-        homology.build_homological_code(n, n_q_rows=n - 3),
+    homological = homology.build_homological_code(n)
+    # P row i is -(q_i d_1): keeping N-3 of the butterfly rows keeps N-3 P rows
+    truncated = codes.StabilizerCode(
+        homological.n_modes,
+        homological.x_rows,
+        homological.p_rows[: n - 3],
+        name=f"{homological.name}-truncated",
     )
+    return codes.build_general_code(n), homological, truncated
 
 
 def _test_erasures(code, n, seed, n_random):

@@ -78,7 +78,7 @@ def test_tensor_concatenates_blocks():
     assert joint.n_modes == 2
     # xxpp ordering: means interleave as (x_a, x_b, p_a, p_b)
     np.testing.assert_allclose(joint.mean, [SQRT2, 0.0, SQRT2, 0.0], atol=1e-15)
-    assert joint.variance_of(1, "x") == pytest.approx(0.5 * math.exp(0.6))
+    assert joint.cov[1, 1] == pytest.approx(0.5 * math.exp(0.6))
     assert joint.cov[0, 1] == 0.0
 
 
@@ -124,8 +124,8 @@ def test_displace_shifts_mean_only():
 def test_squeeze_variances():
     r = 0.4
     state = squeezed(g.vacuum(1), 0, r)
-    assert state.variance_of(0, "x") == pytest.approx(0.5 * math.exp(2 * r), rel=1e-12)
-    assert state.variance_of(0, "p") == pytest.approx(0.5 * math.exp(-2 * r), rel=1e-12)
+    assert state.cov[0, 0] == pytest.approx(0.5 * math.exp(2 * r), rel=1e-12)
+    assert state.cov[1, 1] == pytest.approx(0.5 * math.exp(-2 * r), rel=1e-12)
 
 
 def test_squeeze_by_factor_matches_exponential_form():
@@ -136,10 +136,10 @@ def test_squeeze_by_factor_matches_exponential_form():
 
 def test_squeeze_by_negative_factor_flips_sign():
     state = apply_op(g.coherent(1 + 0j), SqueezeFactor(1, -2.0))
-    assert state.mean_of(0, "x") == pytest.approx(-2 * SQRT2)
-    assert state.mean_of(0, "p") == pytest.approx(0.0)
-    assert state.variance_of(0, "x") == pytest.approx(2.0)
-    assert state.variance_of(0, "p") == pytest.approx(0.125)
+    assert state.mean[0] == pytest.approx(-2 * SQRT2)
+    assert state.mean[1] == pytest.approx(0.0)
+    assert state.cov[0, 0] == pytest.approx(2.0)
+    assert state.cov[1, 1] == pytest.approx(0.125)
 
 
 def test_squeeze_by_zero_factor_rejected():
@@ -203,10 +203,10 @@ def test_fourier_is_exactly_the_quarter_turn_matrix():
 def test_qnd_mean_map():
     state = g.tensor(g.coherent(1 + 2j), g.coherent(3 - 1j))
     out = apply_op(state, Qnd(1, 2, 1.5))
-    assert out.mean_of(1, "x") == pytest.approx((3 + 1.5 * 1) * SQRT2)
-    assert out.mean_of(0, "x") == pytest.approx(1 * SQRT2)
-    assert out.mean_of(0, "p") == pytest.approx((2 - 1.5 * (-1)) * SQRT2)
-    assert out.mean_of(1, "p") == pytest.approx(-1 * SQRT2)
+    assert out.mean[1] == pytest.approx((3 + 1.5 * 1) * SQRT2)
+    assert out.mean[0] == pytest.approx(1 * SQRT2)
+    assert out.mean[2] == pytest.approx((2 - 1.5 * (-1)) * SQRT2)
+    assert out.mean[3] == pytest.approx(-1 * SQRT2)
 
 
 def test_qnd_inverse_gain_undoes(rng):
@@ -290,10 +290,10 @@ def test_homodyne_tmsv_conditional_mean_is_tanh_weighted():
     state = apply_op(g.vacuum(2), TwoModeSqueeze(1, 2, r))
     for m in (0.0, 1.3, -2.2):
         _, rest = g.homodyne(state, 1, "x", outcome=m)
-        assert rest.mean_of(0, "x") == pytest.approx(math.tanh(2 * r) * m, abs=1e-12)
-        assert rest.mean_of(0, "p") == 0.0
+        assert rest.mean[0] == pytest.approx(math.tanh(2 * r) * m, abs=1e-12)
+        assert rest.mean[1] == 0.0
         # conditional variance drops below vacuum: 1/(2 cosh 2r)
-        assert rest.variance_of(0, "x") == pytest.approx(0.5 / math.cosh(2 * r), rel=1e-12)
+        assert rest.cov[0, 0] == pytest.approx(0.5 / math.cosh(2 * r), rel=1e-12)
 
 
 def test_homodyne_agrees_with_direct_schur_conditioning(rng):
@@ -325,7 +325,7 @@ def test_homodyne_sampling_is_seeded_and_follows_the_marginal():
 
     rng = np.random.default_rng(0)
     samples = [g.homodyne(state, 0, "x", rng=rng)[0].outcome for _ in range(4000)]
-    assert np.var(samples) == pytest.approx(state.variance_of(0, "x"), rel=0.1)
+    assert np.var(samples) == pytest.approx(state.cov[0, 0], rel=0.1)
     assert np.mean(samples) == pytest.approx(0.0, abs=0.1)
 
 
@@ -372,14 +372,14 @@ def test_feedforward_zero_gain_is_identity():
 
 def test_feedforward_unit_gain_adds_the_outcome():
     out = fed_forward(g.vacuum(2), 1, "x", 1.0, -1.25)
-    assert out.mean_of(1, "x") == pytest.approx(-1.25)
-    assert out.mean_of(1, "p") == 0.0
+    assert out.mean[1] == pytest.approx(-1.25)
+    assert out.mean[3] == 0.0
 
 
 def test_feedforward_accepts_irrational_gains():
     gain = -5 * SQRT2 / 2
     out = fed_forward(g.vacuum(1), 0, "p", gain, 2.0)
-    assert out.mean_of(0, "p") == pytest.approx(2.0 * gain)
+    assert out.mean[1] == pytest.approx(2.0 * gain)
     np.testing.assert_array_equal(out.cov, g.vacuum(1).cov)
 
 
@@ -403,8 +403,8 @@ def test_discard_tmsv_arm_leaves_thermal_state():
     state = apply_op(g.vacuum(2), TwoModeSqueeze(1, 2, r))
     out = g.discard(state, [1])
     want = 0.5 * math.cosh(2 * r)
-    assert out.variance_of(0, "x") == pytest.approx(want, rel=1e-12)
-    assert out.variance_of(0, "p") == pytest.approx(want, rel=1e-12)
+    assert out.cov[0, 0] == pytest.approx(want, rel=1e-12)
+    assert out.cov[1, 1] == pytest.approx(want, rel=1e-12)
     assert out.cov[0, 1] == pytest.approx(0.0, abs=1e-14)
 
 

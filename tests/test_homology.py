@@ -231,15 +231,21 @@ def test_rowspaces_equal_detects_differences():
 
 @pytest.mark.parametrize("n", [4, 6])
 def test_homological_correctability_at_every_vertex(n):
+    code = homology.build_homological_code(n)
+    basis = codes.edge_basis(n)
     for vertex in range(1, n + 1):
-        assert homology.verify_correctability_homological(n, vertex)
+        assert codes.check_correctable(code, codes.erasure_for_vertex(code, basis, vertex))
 
 
 def test_truncating_the_butterfly_rows_breaks_correctability():
     # dropping one q row removes a P generator; some vertex pattern then
     # admits an unrecoverable erasure
+    code = homology.build_homological_code(5)
+    # P row i is -(q_i d_1), so keeping N-3 of the q rows keeps N-3 P rows
+    truncated = codes.StabilizerCode(code.n_modes, code.x_rows, code.p_rows[: 5 - 3])
+    basis = codes.edge_basis(5)
     results = [
-        homology.verify_correctability_homological(5, vertex, n_q_rows=5 - 3)
+        codes.check_correctable(truncated, codes.erasure_for_vertex(truncated, basis, vertex))
         for vertex in range(1, 6)
     ]
     assert not all(results)

@@ -56,3 +56,24 @@ def test_every_traced_benchmark_name_resolves():
             missing.append(f"{name}: {module_name}.{attr}")
     assert tracing.TARGETS and tracing.COUNTED
     assert not missing, f"traced names that no longer resolve: {missing}"
+
+
+def test_the_readme_quick_start_runs():
+    # Nothing else runs the README's example, so a name it uses could be
+    # deleted unnoticed.  A line ending in ``# <Python literal>`` must
+    # evaluate to that literal.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Quick start", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    namespace: dict = {}
+    exec(compile(block, "README.md quick start", "exec"), namespace)
+    checked = 0
+    for line in block.splitlines():
+        code, _, comment = line.partition("#")
+        try:
+            expected = ast.literal_eval(comment.strip())
+        except (ValueError, SyntaxError):
+            continue
+        if code.strip():
+            assert eval(code, namespace) == expected, line
+            checked += 1
+    assert checked >= 4

@@ -42,7 +42,7 @@ def test_identity_synthesizes_to_an_empty_circuit():
 
 
 def test_reference_pivot_order_reproduces_the_classic_sequence():
-    A2 = decoder_matrix("E2").A
+    A2 = decoder_matrix("E2")
     circuit = synthesize(A2, (1, 4, 5), pivot_rows=(2, 1, 2))
     assert circuit.ops == (
         Qnd(4, 1, -1.0),
@@ -57,7 +57,7 @@ def test_reference_pivot_order_reproduces_the_classic_sequence():
 def test_dropping_the_trailing_swap_recovers_on_the_other_wire():
     # the same sequence without its final swap leaves the decoded
     # combination on wire 5 instead of wire 1
-    A2 = decoder_matrix("E2").A
+    A2 = decoder_matrix("E2")
     circuit = synthesize(A2, (1, 4, 5), pivot_rows=(2, 1, 2))
     prefix = circuit.with_ops(circuit.ops[:-1])
     swapped = A2.copy()
@@ -67,7 +67,7 @@ def test_dropping_the_trailing_swap_recovers_on_the_other_wire():
 
 def test_default_pivots_also_hit_the_target_exactly():
     for tag in ("E2", "E3", "E4"):
-        A = decoder_matrix(tag).A
+        A = decoder_matrix(tag)
         circuit = synthesize(A)
         assert np.max(np.abs(x_block(circuit) - A)) <= 1e-12
 
@@ -155,8 +155,14 @@ def test_malformed_inputs_are_rejected():
         synthesize(np.eye(2), (1, 2, 3))
 
 
+def test_empty_matrix_is_a_synthesis_error():
+    # not NumPy's bare ValueError from a reduction over a zero-size array
+    with pytest.raises(SynthesisError, match="empty"):
+        synthesize(np.zeros((0, 0)))
+
+
 def test_pivot_rows_are_validated():
-    A = decoder_matrix("E2").A
+    A = decoder_matrix("E2")
     with pytest.raises(SynthesisError):
         synthesize(A, pivot_rows=(0, 1))  # wrong length
     with pytest.raises(SynthesisError):
@@ -165,56 +171,6 @@ def test_pivot_rows_are_validated():
     B = np.array([[0.0, 1.0], [1.0, 0.0]])
     with pytest.raises(SynthesisError):
         synthesize(B, pivot_rows=(0, 1))
-
-
-def test_forbidden_final_control_moves_the_last_gate():
-    A2 = decoder_matrix("E2").A
-    default = synthesize(A2, (1, 4, 5))
-    last_qnd = [op for op in default.ops if isinstance(op, Qnd)][-1]
-    forbidden = last_qnd.control
-    adjusted = synthesize(A2, (1, 4, 5), forbidden_final_control=forbidden)
-    last_adjusted = [op for op in adjusted.ops if isinstance(op, Qnd)][-1]
-    assert last_adjusted.control != forbidden
-    np.testing.assert_allclose(x_block(adjusted), A2, atol=1e-12)
-
-
-def test_forbidden_final_control_keeps_the_default_layout_when_satisfied():
-    A2 = decoder_matrix("E2").A
-    default = synthesize(A2, (1, 4, 5))
-    last_qnd = [op for op in default.ops if isinstance(op, Qnd)][-1]
-    harmless = next(w for w in (1, 4, 5) if w != last_qnd.control)
-    assert synthesize(A2, (1, 4, 5), forbidden_final_control=harmless).ops == default.ops
-
-
-def test_forbidden_final_control_trivial_without_couplings():
-    # A pure wire exchange synthesizes to a lone swap, so any wire may be
-    # forbidden as the final control.
-    circuit = synthesize(np.array([[0.0, 1.0], [1.0, 0.0]]), (7, 9), forbidden_final_control=7)
-    assert not any(isinstance(op, Qnd) for op in circuit.ops)
-
-
-def test_forbidden_final_control_respected_for_every_wire(rng):
-    for _ in range(25):
-        n = int(rng.integers(2, 5))
-        while True:
-            A = rng.integers(-3, 4, size=(n, n)).astype(float)
-            if abs(np.linalg.det(A)) > 0.5:
-                break
-        labels = tuple(range(1, n + 1))
-        for wire in labels:
-            circuit = synthesize(A, labels, forbidden_final_control=wire)
-            qnds = [op for op in circuit.ops if isinstance(op, Qnd)]
-            assert not qnds or qnds[-1].control != wire
-            np.testing.assert_allclose(x_block(circuit), A, atol=1e-9)
-
-
-def test_forbidden_final_control_with_rows_of_different_scales():
-    # the rerun pivots column 0 on row 1 and leaves -2**-20 in row 0, whose
-    # own entries are of order 1: that remainder is its next pivot
-    A = np.array([[1.0, 0.0], [2.0**20, 1.0]])
-    circuit = synthesize(A, forbidden_final_control=1)
-    assert [op for op in circuit.ops if isinstance(op, Qnd)][-1].control != 1
-    np.testing.assert_allclose(x_block(circuit), A, rtol=1e-12, atol=1e-12)
 
 
 def test_rows_and_columns_of_different_scales_synthesize(rng):
@@ -226,22 +182,8 @@ def test_rows_and_columns_of_different_scales_synthesize(rng):
                 break
         A *= 2.0 ** rng.integers(-20, 21, size=(n, 1))
         A *= 2.0 ** rng.integers(-4, 5, size=(1, n))
-        for wire in (None, 1):
-            circuit = synthesize(A, forbidden_final_control=wire)
-            np.testing.assert_allclose(x_block(circuit), A, rtol=0, atol=1e-10 * np.abs(A).max())
-
-
-def test_forbidden_final_control_with_explicit_pivots_can_fail():
-    A2 = decoder_matrix("E2").A
-    bad = synthesize(A2, (1, 4, 5), pivot_rows=(2, 1, 2))
-    last = [op for op in bad.ops if isinstance(op, Qnd)][-1]
-    with pytest.raises(SynthesisError):
-        synthesize(A2, (1, 4, 5), pivot_rows=(2, 1, 2), forbidden_final_control=last.control)
-
-
-def test_forbidden_final_control_must_name_a_wire():
-    with pytest.raises(ValueError):
-        synthesize(np.eye(2), (1, 2), forbidden_final_control=9)
+        circuit = synthesize(A)
+        np.testing.assert_allclose(x_block(circuit), A, rtol=0, atol=1e-10 * np.abs(A).max())
 
 
 def test_triangular_matrices_need_no_swaps_or_squeezes(rng):
