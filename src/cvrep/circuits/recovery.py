@@ -32,17 +32,20 @@ Every optical circuit here is one affine Gaussian map: the decoders, E4's
 homodyne and feedforward included, once averaged over the outcome (see
 ``run(average=True)``).  The encoder's two squeezers are its only
 r-dependent ops and act first, so the whole pipeline (encoder, erasure,
-decoder) is compiled per tag once, at import: the recovered wire's x and p
-are the rows L0 + cosh r Lc + sinh r Ls over the encoder's input, and
-their mean does not depend on r.  A sweep is then one batched evaluation:
-``_fidelities`` forms every cell's covariance from its rows for a whole
-r-grid and all tags at once and takes the closed-form 2 x 2 fidelity
+decoder) is compiled per tag once, at import, in the e^{+-r} basis: each
+row is L0 + e^{r} L+ + e^{-r} L- over the encoder's input, and its mean
+does not depend on r.  The recovered wire's x and p have no e^{r} part,
+or the decoder would not recover the input; the compile checks that it
+is 0 up to rounding, so those rows are L0 + e^{-r} L-, exact at any r.
+``OPTICAL_RECOVERY_WIRE`` and ``decoder_matrix`` are read off the
+decoder circuits.  A sweep is one batched evaluation:
+``_fidelities`` takes every cell's covariance from its rows for a whole
+r-grid and all tags at once and the closed-form 2 x 2 fidelity
 (``coherent_fidelity``).  The sweep makes one call for its grid;
 ``recovery_fidelities`` and each threshold step make one for a single r.
-Forming the covariance from the rows cancels the e^{r}-sized terms before
-it is squared, which keeps the fidelities exact to about 1e-14 up to
-r = 20.  With an ``rng``, E4's homodyne is sampled by conditioning those
-compiled rows on the drawn outcome, which is exact just as far.
+With an ``rng``, E4's homodyne is sampled by conditioning those rows on
+the drawn outcome.  Its measured row, the one row with an e^{r} part, is
+scaled by e^{-r} first, so sampling is exact at any r too.
 
 Calibration notes.  The optical decoder gains are fixed by requiring the
 output quadratures to equal the input's plus a noise term built only from
@@ -75,7 +78,7 @@ from ..gaussian import (
     tensor,
     vacuum,
 )
-from .interpreter import _fold, run
+from .interpreter import _fold, _fold_positions, run
 from .ir import (
     BeamSplitterPM,
     Circuit,
@@ -124,9 +127,8 @@ SURVIVOR_MODES = {
     tag: tuple(m for m in range(1, 6) if m not in erased) for tag, erased in ERASED_MODES.items()
 }
 
-# Which surviving wire holds the recovered input after each decoder.
+# Which surviving wire holds the recovered input after each ideal decoder.
 IDEAL_RECOVERY_WIRE = {"E1": 2, "E2": 1, "E3": 1, "E4": 4}
-OPTICAL_RECOVERY_WIRE = {"E1": 2, "E2": 5, "E3": 3, "E4": 4}
 
 _SQRT2 = float(np.sqrt(2.0))
 
@@ -134,6 +136,13 @@ _SQRT2 = float(np.sqrt(2.0))
 def _check_tag(tag: str) -> None:
     if tag not in ERASURE_TAGS:
         raise ValueError(f"unknown erasure tag {tag!r}; valid: {', '.join(ERASURE_TAGS)}")
+
+
+def _amplitude(alpha) -> complex:
+    alpha = complex(alpha)
+    if not (isfinite(alpha.real) and isfinite(alpha.imag)):
+        raise ValueError("displacement amplitude must be finite")
+    return alpha
 
 
 def ideal_encoder() -> Circuit:
@@ -213,7 +222,7 @@ def ideal_decoder(tag: str) -> Circuit:
     """Unitary recovery on the survivors of one erasure (no measurements).
 
     The recovered input sits on wire IDEAL_RECOVERY_WIRE[tag] afterwards.
-    Position action of each circuit is exactly ``decoder_matrix(tag)``.
+    Its position action is ``decoder_matrix(tag)``.
     """
     _check_tag(tag)
     if tag == "E1":
@@ -239,19 +248,12 @@ def decoder_matrix(tag: str) -> np.ndarray:
 
     The decoder maps |x> to |A x>; its symplectic block is diag(A, A^-T).
     """
-    _check_tag(tag)
-    if tag == "E1":
-        h = 1.0 / _SQRT2
-        return np.array([[h, h], [h, -h]])
-    if tag == "E2":
-        return np.array([[1.0, -1.0, 1.0], [0.0, 1.0, -2.0], [-1.0, 1.0, 0.0]])
-    if tag == "E3":
-        return np.array([[1.0, -1.0, -1.0], [0.0, 1.0, 2.0], [1.0, -2.0, -2.0]])
-    return np.array([[-1.0, 1.0, 1.0], [0.0, 1.0, -1.0], [-1.0, 0.5, 0.5]])
+    return _fold_positions(ideal_decoder(tag))
 
 
-# Pivot orders under which resynthesizing a decoder matrix reproduces the
-# reference gate sequence for that decoder (see synthesis.synthesize's
+# Pivot orders for ``cvrep synth --error``: under (2, 1, 2) the E2 matrix
+# resynthesizes to the reference sequence QND, QND, QND, SQ(-1), SWAP that
+# the CLI prints, not to ideal_decoder("E2") (see synthesis.synthesize's
 # pivot_rows).  Tags without an entry use the default pivot preference.
 REFERENCE_PIVOT_ROWS: dict = {"E2": (2, 1, 2)}
 
@@ -311,117 +313,113 @@ def optical_decoder(tag: str) -> Circuit:
     return _OPTICAL_DECODERS[tag]
 
 
-def _decoder_rows(tag: str) -> np.ndarray:
-    """Erasure ``tag`` then its optical decoder, as rows ``[R | c]`` over the register.
+def _decoder_rows(tag: str) -> tuple[int, np.ndarray]:
+    """Erasure ``tag`` then its optical decoder: the recovered wire and rows ``[R | c]``.
 
-    Each row is an affine function R q + c of the five-mode register's
-    quadratures q: the recovered wire's x and p, outcome-averaged, then the
-    quadrature each homodyne measures, in measurement order.
+    The recovered wire is the decoder's one live wire.  Each row is an
+    affine function R q + c of the five-mode register's quadratures q: that
+    wire's x and p, outcome-averaged, then the quadrature each homodyne
+    measures, in measurement order.
     """
     decoder = _OPTICAL_DECODERS[tag]
     live, total, registers = _fold(decoder.ops, decoder.labels)
-    k, pos = len(live), live.index(OPTICAL_RECOVERY_WIRE[tag])
-    rows = [total[pos], total[k + pos]] + [row for _, _, row in registers.values()]
+    if len(live) != 1:
+        raise ValueError(f"optical decoder {tag} leaves wires {live}, not one recovered wire")
+    rows = [*total, *(row for _, _, row in registers.values())]
     survivors = [m - 1 for m in SURVIVOR_MODES[tag]]
     R = np.zeros((len(rows), 11))
     R[:, survivors + [5 + m for m in survivors] + [10]] = rows
-    return R
+    return live[0], R
 
 
 # The encoder's squeezers act first, on disjoint modes, so their fold at r
 # is I - Q + cosh r Q + sinh r K: Q keeps the squeezed quadratures and K
 # pairs each with its partner's, signed.  Both are read off the fold at
 # r = 1, whose diagonal holds cosh 1 or 1 and whose other entries are 0
-# or +-sinh 1.
+# or +-sinh 1.  In the e^{+-r} basis the fold is I - Q + e^{r} P+ + e^{-r} P-
+# with P+- = (Q +- K)/2, and _BASIS stacks I - Q, P+ and P-, all exact.
 _LAYER = _fold(_squeezers(1.0), (1, 2, 3, 4, 5))[1][:, :-1]
 _SQUEEZED = np.diag((np.diag(_LAYER) != 1.0).astype(float))
-_PAIRING = np.sign(_LAYER - np.diag(np.diag(_LAYER)))
+_PAIRING = np.sign(_LAYER) - np.eye(10)
+_BASIS = np.stack([np.eye(10) - _SQUEEZED, (_SQUEEZED + _PAIRING) / 2, (_SQUEEZED - _PAIRING) / 2])
 _TAIL = _fold(_ENCODER_TAIL, (1, 2, 3, 4, 5))[1]
 
 
-def _compile(tag: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Encoder, erasure ``tag`` and its decoder as ``(L, B, c)`` over the encoder's input.
+def _compile(tag: str) -> tuple[int, np.ndarray, np.ndarray]:
+    """Encoder, erasure ``tag`` and its decoder as ``(wire, L, M)`` over the encoder's input.
 
-    At squeezing r the rows of ``_decoder_rows(tag)`` are the linear map
-    L[0] + cosh r L[1] + sinh r L[2] of the input's quadratures, and their
-    mean is B a + c with a the input's (x, p) on mode 1: the squeezers do
-    not touch mode 1, and the ancillas' means are 0.
+    ``wire`` is the recovered wire.  At squeezing r the rows of
+    ``_decoder_rows(tag)`` are L[0] + e^{r} L[1] + e^{-r} L[2] applied to
+    the input's quadratures, and their mean is M (a, 1) with a the input's
+    (x, p): the squeezers do not touch mode 1, and the ancillas' means are
+    0.  An e^{r} entry within the products' rounding of its row's scale is
+    set to 0.  If the recovered wire's rows still grow like e^{r}, the
+    decoder does not recover the input, and this raises ValueError.
     """
-    R = _decoder_rows(tag)
+    wire, R = _decoder_rows(tag)
     A = R[:, :-1] @ _TAIL[:, :-1]
-    L = np.stack([A - A @ _SQUEEZED, A @ _SQUEEZED, A @ _PAIRING])
-    return L, A[:, [0, 5]], R[:, :-1] @ _TAIL[:, -1] + R[:, -1]
+    L = A @ _BASIS
+    rounding = A.shape[1] * np.finfo(float).eps * np.abs(A).max(axis=1, keepdims=True)
+    L[1][np.abs(L[1]) <= rounding] = 0.0
+    if L[1, :2].any():
+        raise ValueError(f"optical decoder {tag}: the recovered wire's rows grow like e^{{r}}")
+    return wire, L, np.column_stack([A[:, [0, 5]], R[:, :-1] @ _TAIL[:, -1] + R[:, -1]])
 
 
 _COMPILED = {tag: _compile(tag) for tag in ERASURE_TAGS}
-# The recovered wire's rows of every tag, stacked in ERASURE_TAGS order.
-_OUTPUT_L = np.stack([_COMPILED[tag][0][:, :2] for tag in ERASURE_TAGS])
-_OUTPUT_B = np.stack([_COMPILED[tag][1][:2] for tag in ERASURE_TAGS])
-_OUTPUT_C = np.stack([_COMPILED[tag][2][:2] for tag in ERASURE_TAGS])
-# Decoders that homodyne a port (rows beyond x and p): with an rng they
-# sample its outcome.
-_MEASURING = {tag for tag in ERASURE_TAGS if len(_COMPILED[tag][1]) > 2}
+# Which wire holds the recovered input after each optical decoder.
+OPTICAL_RECOVERY_WIRE = {tag: _COMPILED[tag][0] for tag in ERASURE_TAGS}
+# The recovered wire's rows and means of every tag, stacked in ERASURE_TAGS order.
+_OUTPUT_L = np.stack([_COMPILED[tag][1][:, :2] for tag in ERASURE_TAGS])
+_OUTPUT_M = np.stack([_COMPILED[tag][2][:2] for tag in ERASURE_TAGS])
+# The rows a measuring decoder's homodynes read: with an rng they sample them.
+_PORTS = {tag: _COMPILED[tag][1][:, 2:] for tag in ERASURE_TAGS if _COMPILED[tag][1].shape[1] > 2}
 
 
-def _affine(B: np.ndarray, c: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """B a + c over the last two axes, entry by entry."""
-    return B[..., 0] * a[0] + B[..., 1] * a[1] + c
-
-
-def _wire_fidelity(rows: np.ndarray, delta: np.ndarray) -> np.ndarray:
-    """Fidelity with the input of a wire whose x, p rows (..., 2, 10) act on an
-    I/2 input and whose mean is off by ``delta`` (..., 2)."""
-    x, p = rows[..., 0, :], rows[..., 1, :]
-    return coherent_fidelity(
-        (x * x).sum(-1) / 2, (x * p).sum(-1) / 2, (p * p).sum(-1) / 2, delta[..., 0], delta[..., 1]
-    )
-
-
-def _sampled_fidelity(tag: str, ch: float, sh: float, a: np.ndarray, rng) -> float:
-    """One fidelity of ``tag`` with every homodyne outcome drawn from ``rng``.
-
-    Averaged over its outcome a measurement is deferred past its
-    feedforward, so the sampled output is the averaged one conditioned on
-    the measured quadrature taking the drawn value.  Each draw is
-    ``rng.normal`` on the quadrature's conditional mean and deviation, as
-    ``run`` draws it.  The conditioning acts on the rows, not on a
-    covariance, so no e^{2r}-sized entry is formed.
-    """
-    L, B, c = _COMPILED[tag]
-    rows, mean = L[0] + ch * L[1] + sh * L[2], _affine(B, c, a)
-    for j in range(2, len(rows)):
-        measured = rows[j]
-        norm = (measured * measured).sum()
-        outcome = rng.normal(mean[j], np.sqrt(norm / 2))
-        gain = (rows * measured).sum(-1) / norm
-        mean = mean + gain * (outcome - mean[j])
-        rows = rows - gain[:, None] * measured
-    return _wire_fidelity(rows[:2], mean[:2] - a)
+def _rows_at(L: np.ndarray, decay: np.ndarray) -> np.ndarray:
+    """Rows ``L`` (..., 3, k, 10) at each e^{-r} in ``decay``, divided by e^{r} where they grow."""
+    decay = decay.reshape(-1, *[1] * (L.ndim - 1))
+    constant, growing, decaying = np.moveaxis(L, -3, 0)
+    scale = np.where(growing.any(-1, keepdims=True), decay, 1.0)
+    return scale * (constant + decay * decaying) + growing
 
 
 def _fidelities(rs, tags: tuple, alpha: complex, rng=None) -> np.ndarray:
     """Simulated fidelity at every squeezing in ``rs`` (rows) of every tag (columns).
 
-    One batched evaluation of the compiled pipelines.  Each cell depends
-    only on its own r and tag, so it does not change with the grid or the
-    tags around it.  With an ``rng``, measuring decoders sample their
-    outcomes, cell by cell in row order.
+    One batched evaluation of the compiled pipelines; each cell depends
+    only on its own r and tag.  With an ``rng``, measuring decoders sample
+    their outcomes, cell by cell in row order.  Averaged over its outcome a
+    measurement is deferred past its feedforward, so the sampled output is
+    the averaged one conditioned on the measured quadrature drawn as
+    ``run`` draws it, its mean plus its deviation times a standard normal.
+    That conditions each tag's rows over the whole grid at once; the
+    measured row's scale drops out, so no e^{r}-sized number is formed.
     """
     rs = np.asarray(rs, dtype=float)
     if not np.all(np.isfinite(rs)):
         raise ValueError("squeezing parameter must be finite")
     pick = [ERASURE_TAGS.index(tag) for tag in tags]
     a = displacement(alpha.real, alpha.imag)
-    ch, sh = np.cosh(rs), np.sinh(rs)
-    L = _OUTPUT_L[pick]
-    rows = L[:, 0] + ch[:, None, None, None] * L[:, 1] + sh[:, None, None, None] * L[:, 2]
-    cells = _wire_fidelity(rows, _affine(_OUTPUT_B[pick], _OUTPUT_C[pick], a) - a)
+    decay = np.exp(-rs)
+    rows, M = _rows_at(_OUTPUT_L[pick], decay), _OUTPUT_M[pick]
+    delta = np.broadcast_to(M[..., 0] * a[0] + M[..., 1] * a[1] + M[..., 2] - a, rows.shape[:-1]).copy()
     if rng is not None:
-        for i in range(len(rs)):
-            for j, tag in enumerate(tags):
-                if tag in _MEASURING:
-                    cells[i, j] = _sampled_fidelity(tag, ch[i], sh[i], a, rng)
-    return cells
+        measured = [(j, _rows_at(_PORTS[tag], decay)) for j, tag in enumerate(tags) if tag in _PORTS]
+        draws = iter(rng.standard_normal((len(rs), sum(m.shape[1] for _, m in measured))).T)
+        for j, ports in measured:
+            joint = np.concatenate([rows[:, j], ports], axis=1)
+            for q in range(2, joint.shape[1]):
+                port = joint[:, q]
+                norm = (port * port).sum(-1)
+                gain = np.einsum("rkn,rn->rk", joint, port) / norm[:, None]
+                delta[:, j] += gain[:, :2] * (np.sqrt(norm / 2) * next(draws))[:, None]
+                joint = joint - gain[..., None] * port[:, None]
+            rows[:, j] = joint[:, :2]
+    x, p = rows[..., 0, :], rows[..., 1, :]
+    return coherent_fidelity(
+        (x * x).sum(-1) / 2, (x * p).sum(-1) / 2, (p * p).sum(-1) / 2, delta[..., 0], delta[..., 1]
+    )
 
 
 def closed_form_fidelity(tag: str, r: float) -> float:
@@ -453,7 +451,7 @@ def recovery_fidelities(
     tags = tuple(tags)
     for tag in tags:
         _check_tag(tag)
-    cells = _fidelities([r], tags, complex(alpha), rng)[0]
+    cells = _fidelities([r], tags, _amplitude(alpha), rng)[0]
     return {tag: float(f) for tag, f in zip(tags, cells)}
 
 
@@ -498,7 +496,7 @@ class SweepSpec:
         if not errors:
             raise ValueError("sweep needs at least one erasure tag")
         object.__setattr__(self, "errors", errors)
-        object.__setattr__(self, "alpha", complex(self.alpha))
+        object.__setattr__(self, "alpha", _amplitude(self.alpha))
 
 
 @dataclass(frozen=True)

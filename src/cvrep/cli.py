@@ -48,21 +48,19 @@ def _fail_usage(message: str) -> int:
 
 
 def _code_for(which: str):
-    """Resolve a code name argument: 'five', 'six', or an integer N >= 4."""
+    """Resolve 'five', 'six', or an integer N >= 4 to the code and its edge basis (None for five)."""
     if which == "five":
-        return codes.build_five_mode_code()
-    if which == "six":
-        return codes.build_general_code(4)
+        return codes.build_five_mode_code(), None
     try:
-        n = int(which)
+        n = 4 if which == "six" else int(which)
     except ValueError:
         raise ValueError(f"expected 'five', 'six', or an integer N >= 4, got {which!r}") from None
-    return codes.build_general_code(n)
+    return codes.build_general_code(n), codes.edge_basis(n)
 
 
 def cmd_code(args) -> int:
     try:
-        code = _code_for(args.which)
+        code, _ = _code_for(args.which)
     except ValueError as exc:
         return _fail_usage(str(exc))
     print(f"code: {code.name}")
@@ -89,11 +87,10 @@ def _parse_mode_list(text: str, n_modes: int) -> frozenset[int]:
 
 def cmd_verify(args) -> int:
     try:
-        code = _code_for(args.which)
+        code, basis = _code_for(args.which)
     except ValueError as exc:
         return _fail_usage(str(exc))
-    is_five = code.name == "five_mode"
-    basis = None if is_five else codes.edge_basis(int(args.which) if args.which != "six" else 4)
+    is_five = basis is None
 
     if args.homology and is_five:
         return _fail_usage("--homology applies to the general construction, not the five-mode code")

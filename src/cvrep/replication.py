@@ -242,7 +242,9 @@ def configuration_from_json(data: dict) -> Configuration:
              "diamonds": [{"y": [t, x...], "z": [t, x...]}, ...]}
     """
     try:
-        dim = int(data["dim"])
+        dim = data["dim"]
+        if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
+            raise ValueError(f"dim must be an integer >= 1, got {dim!r}")
         start = _point(data["start"], dim, "start")
         diamonds = tuple(
             CausalDiamond(_point(d["y"], dim, f"diamond {i} y"), _point(d["z"], dim, f"diamond {i} z"))

@@ -14,6 +14,7 @@ import cvrep
 from cvrep import cli
 from cvrep.circuits import interpreter, recovery, synthesis
 from cvrep.cli import main
+from cvrep.tolerances import TOL
 
 LN2 = float(np.log(2.0))
 
@@ -347,14 +348,23 @@ def test_fidelity_fails_when_a_simulated_cell_is_nan(capsys, monkeypatch):
     assert "max |simulated - formula| = nan" in err
 
 
-def test_seeded_fidelity_fails_cleanly_where_the_simulation_overflows(capsys):
-    # cosh(400) squared overflows: the sampled E4 cell must come out nan and
-    # fail the gate, not raise from the homodyne draw
+@pytest.mark.parametrize("r", ["30", "400", "1000"])
+def test_seeded_fidelity_stays_within_the_gate_at_any_squeezing(capsys, r):
+    # cosh(400) squared overflows a float: the sampled E4 cell must be
+    # conditioned without forming it, and no RuntimeWarning may fire
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        rc, _, err = run_cli(capsys, "--seed=1", "fidelity", "--steps=1", "--r-min=400", "--r-max=400")
-    assert rc == 1
-    assert "max |simulated - formula| = nan" in err
+        warnings.simplefilter("error", RuntimeWarning)
+        rc, out, err = run_cli(capsys, "--seed=1", "fidelity", "--steps=1", f"--r-min={r}", f"--r-max={r}")
+    assert rc == 0
+    assert float(out.splitlines()[1].split(",")[-1]) <= TOL.fidelity_gate
+    assert float(err.rsplit("=", 1)[1]) <= TOL.fidelity_gate
+
+
+@pytest.mark.parametrize("alpha", ["nan", "nani", "1-nani", "1e400"])
+def test_fidelity_rejects_a_non_finite_amplitude_as_a_usage_error(capsys, alpha):
+    rc, out, err = run_cli(capsys, "fidelity", f"--alpha={alpha}", "--steps", "1")
+    assert rc == 2 and out == ""
+    assert err == "error: displacement amplitude must be finite\n"
 
 
 def test_python_m_cvrep_runs_the_cli():
@@ -483,6 +493,17 @@ def test_spacetime_file_errors_are_usage_errors(capsys, tmp_path):
     incomplete.write_text(json.dumps({"dim": 1, "diamonds": []}))
     rc, _, err = run_cli(capsys, "spacetime", "--config", str(incomplete))
     assert rc == 2 and "missing key 'start'" in err
+
+
+@pytest.mark.parametrize("dim", [-1, 0, 1.7, True, "1"])
+def test_spacetime_rejects_a_malformed_dim_as_a_usage_error(capsys, tmp_path, dim):
+    points = {"y": [0.0] * 2, "z": [1.0] * 2} if dim in (1.7, True, "1") else {"y": [], "z": []}
+    start = [0.0] * len(points["y"])
+    path = tmp_path / "dim.json"
+    path.write_text(json.dumps({"dim": dim, "start": start, "diamonds": [points, points]}))
+    rc, out, err = run_cli(capsys, "spacetime", "--config", str(path))
+    assert rc == 2 and out == ""
+    assert err == f"error: bad configuration: dim must be an integer >= 1, got {dim!r}\n"
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from cvrep.circuits import (
     REFERENCE_PIVOT_ROWS,
     SURVIVOR_MODES,
     BeamSplitterPM,
+    Circuit,
     Discard,
     FeedforwardDisplace,
     Fourier,
@@ -306,10 +307,11 @@ def test_simulated_fidelities_match_the_formulas(tag, r):
     )
 
 
-@pytest.mark.parametrize("r", [10.0, 20.0])
+@pytest.mark.parametrize("r", [10.0, 20.0, 30.0, 100.0])
 def test_fidelities_stay_exact_at_strong_squeezing(r):
-    # Entries of the encoded covariance grow like e^{2r}; the compiled
-    # decoders cancel the large terms before the covariance is formed.
+    # Entries of the encoded covariance grow like e^{2r}, and cosh r
+    # overflows past r = 710; the recovered wire's compiled rows have no
+    # e^{r} part, so no large term is formed.
     fidelities = recovery_fidelities(r, ERASURE_TAGS, 0.3 + 0.2j)
     for tag in ERASURE_TAGS:
         assert fidelities[tag] == pytest.approx(closed_form_fidelity(tag, r), abs=1e-12)
@@ -332,6 +334,41 @@ def test_batched_fidelities_equal_the_stepped_pipeline(rs, re, im):
         for tag, cell in zip(ERASURE_TAGS, row):
             out = run(optical_decoder(tag), erase(encoded, tag), average=True).state
             assert cell == pytest.approx(fidelity_with_coherent(out, alpha), rel=0, abs=1e-12)
+
+
+@pytest.mark.parametrize("alpha", [complex("nan"), complex(0.0, float("inf")), complex("-inf")])
+def test_recovery_fidelities_reject_a_non_finite_amplitude(alpha):
+    with pytest.raises(ValueError, match="displacement amplitude must be finite"):
+        recovery_fidelity("E2", 1.0, alpha=alpha)
+    with pytest.raises(ValueError, match="displacement amplitude must be finite"):
+        recovery_fidelities(1.0, ERASURE_TAGS, alpha, rng=np.random.default_rng(1))
+
+
+@pytest.mark.parametrize(
+    "tag, ops",
+    [
+        # the code's wire 2 itself: x + y carries the squeezed resource
+        ("E1", (Discard(1),)),
+        # E2 with one miscalibrated gain
+        ("E2", (BeamSplitterPM(1, 4), SqueezeFactor(5, np.sqrt(2.0)), Qnd(4, 5, 2.5),
+                Qnd(5, 1, -2.0), Discard(1), Discard(4))),
+    ],
+)
+def test_a_decoder_whose_output_grows_like_e_to_the_r_fails_to_compile(monkeypatch, tag, ops):
+    wrong = Circuit(SURVIVOR_MODES[tag], ops)
+    monkeypatch.setitem(recovery._OPTICAL_DECODERS, tag, wrong)
+    with pytest.raises(ValueError, match="grow like e\\^\\{r\\}"):
+        recovery._compile(tag)
+
+
+def test_a_decoder_that_leaves_two_wires_fails_to_compile(monkeypatch):
+    monkeypatch.setitem(recovery._OPTICAL_DECODERS, "E1", ideal_decoder("E1"))
+    with pytest.raises(ValueError, match="not one recovered wire"):
+        recovery._compile("E1")
+
+
+def test_optical_recovery_wires_are_the_documented_ones():
+    assert OPTICAL_RECOVERY_WIRE == {"E1": 2, "E2": 5, "E3": 3, "E4": 4}
 
 
 def test_e4_output_is_outcome_independent():
@@ -363,7 +400,7 @@ def test_sampled_e4_draws_as_the_stepped_run_does(r):
     assert stepped_rng.random() == compiled_rng.random()
 
 
-@pytest.mark.parametrize("r", [10.0, 20.0])
+@pytest.mark.parametrize("r", [10.0, 20.0, 30.0, 100.0])
 def test_sampled_fidelities_stay_exact_at_strong_squeezing(r):
     # the stepped homodyne conditions a covariance with e^{2r}-sized
     # entries; the compiled rows never form one
@@ -509,6 +546,10 @@ def test_sweep_spec_validation():
             SweepSpec(r_min=bad, steps=3)
         with pytest.raises(ValueError, match="finite"):
             SweepSpec(r_max=bad, steps=1)
+        with pytest.raises(ValueError, match="displacement amplitude must be finite"):
+            SweepSpec(alpha=complex(bad, 0.0))
+        with pytest.raises(ValueError, match="displacement amplitude must be finite"):
+            SweepSpec(alpha=complex(0.0, bad))
 
 
 # ---------------------------------------------------------------------------

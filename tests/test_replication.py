@@ -316,3 +316,12 @@ def test_json_errors_are_specific():
     bad_diamond["diamonds"][0]["y"] = [0.0, 1.0, 2.0]
     with pytest.raises(ValueError, match="diamond 1 y"):
         configuration_from_json(bad_diamond)
+
+
+@pytest.mark.parametrize("dim", [-1, 0, 1.7, 1.0, True, "1", None])
+def test_json_dim_must_be_a_positive_integer(dim):
+    # read as int(dim), 1.7 and True became 1 and -1 reached an IndexError
+    config = config_as_dict(builtin_configuration("fig2a"))
+    config["dim"] = dim
+    with pytest.raises(ValueError, match="dim must be an integer >= 1"):
+        configuration_from_json(config)
