@@ -138,6 +138,12 @@ def _check_tag(tag: str) -> None:
         raise ValueError(f"unknown erasure tag {tag!r}; valid: {', '.join(ERASURE_TAGS)}")
 
 
+def _check_squeezing(name: str, r: float) -> None:
+    """r is the resource states' squeezing magnitude, so it cannot be negative."""
+    if r < 0:
+        raise ValueError(f"{name} must be >= 0, the squeezing magnitude; got {r}")
+
+
 def _amplitude(alpha) -> complex:
     alpha = complex(alpha)
     if not (isfinite(alpha.real) and isfinite(alpha.imag)):
@@ -448,6 +454,7 @@ def recovery_fidelities(
     the feedforward cancels the outcome.  Pass ``rng`` to sample the
     homodyne instead (same fidelity, by design), drawing in tag order.
     """
+    _check_squeezing("r", r)
     tags = tuple(tags)
     for tag in tags:
         _check_tag(tag)
@@ -488,6 +495,7 @@ class SweepSpec:
             raise ValueError(f"r_min and r_max must be finite, got {self.r_min}, {self.r_max}")
         if self.r_max < self.r_min:
             raise ValueError("r_max must be >= r_min")
+        _check_squeezing("r_min", self.r_min)
         errors = tuple(self.errors)
         for tag in errors:
             _check_tag(tag)

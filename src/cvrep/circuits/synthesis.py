@@ -18,12 +18,19 @@ default prefers pivots that keep gains integral (exact 1 first, then any
 integer, then the largest entry for numerical safety), and ``pivot_rows``
 overrides it per column for callers that want one specific layout.
 
+The elimination runs on rows held as lists of Python floats: on rows of a
+few dozen entries a NumPy call costs more than the arithmetic it does.
+Each row update rounds once for the product and once for the sum, as
+``M[i] += c * M[j]`` does on an array, so the script is the one a NumPy
+elimination gives, bit for bit.
+
 Every result is checked against its own target matrix before being
 returned, so a successful call is self-certifying; its limit scales with
 max|A|.  The check never replays the script: ``deviation`` folds the
 circuit's x rows from the op table's gate blocks (the interpreter's
-``_fold_positions``, one rank-1 update per run of QNDs sharing a control)
-and compares them with A.
+``_fold_positions``: every QND block in one call of the table's block, and
+one rank-1 update per run of QNDs sharing a control) and compares them
+with A.
 
 An entry counts as zero at ``_ZERO`` times its row's size: the row's
 largest entry in A, times every factor the row has since been scaled by.
@@ -51,14 +58,14 @@ class SynthesisError(ValueError):
     pass
 
 
-def _default_pivot(col: np.ndarray, j: int, n: int, size: np.ndarray) -> int:
+def _default_pivot(M: list[list[float]], j: int, size: list[float]) -> int:
     """Pivot row for column j: an exact 1 first, then any integer, then the largest entry."""
-    candidates = [i for i in range(j, n) if abs(col[i]) > _ZERO * size[i]]
+    candidates = [i for i in range(j, len(M)) if abs(M[i][j]) > _ZERO * size[i]]
     if not candidates:
         raise SynthesisError(f"matrix is singular: no pivot available in column {j}")
-    ones = [i for i in candidates if col[i] == 1.0]
-    ints = [i for i in candidates if float(col[i]).is_integer()]
-    return (ones or ints or [max(candidates, key=lambda i: abs(col[i]))])[0]
+    ones = [i for i in candidates if M[i][j] == 1.0]
+    ints = [i for i in candidates if M[i][j].is_integer()]
+    return (ones or ints or [max(candidates, key=lambda i: abs(M[i][j]))])[0]
 
 
 def _reduction_script(A: np.ndarray, pivot_rows) -> list[tuple]:
@@ -68,22 +75,12 @@ def _reduction_script(A: np.ndarray, pivot_rows) -> list[tuple]:
         raise SynthesisError(
             f"pivot_rows must supply one row per column: got {len(pivot_rows)} for n={n}"
         )
-    M = A.astype(float).copy()
-    size = np.max(np.abs(M), axis=1)
+    M = np.asarray(A, dtype=float).tolist()
+    size = [max(map(abs, row)) for row in M]
     script: list[tuple] = []
 
-    def swap(i, j):
-        M[[i, j]] = M[[j, i]]
-        size[[i, j]] = size[[j, i]]
-        script.append(("swap", i, j))
-
-    def scale(i, c):
-        M[i] *= c
-        size[i] *= abs(c)
-        script.append(("scale", i, c))
-
     def add(i, j, c):
-        M[i] += c * M[j]
+        M[i] = [a + c * b for a, b in zip(M[i], M[j])]
         script.append(("add", i, j, c))
 
     for j in range(n):
@@ -93,23 +90,28 @@ def _reduction_script(A: np.ndarray, pivot_rows) -> list[tuple]:
                 raise SynthesisError(
                     f"pivot_rows[{j}]={p} out of range: must be a row index in [{j}, {n})"
                 )
-            if abs(M[p, j]) <= _ZERO * size[p]:
+            if abs(M[p][j]) <= _ZERO * size[p]:
                 raise SynthesisError(
                     f"pivot_rows[{j}]={p} selects a zero entry in column {j}"
                 )
         else:
-            p = _default_pivot(M[:, j], j, n, size)
+            p = _default_pivot(M, j, size)
         if p != j:
-            swap(j, p)
-        if M[j, j] != 1.0:
-            scale(j, 1.0 / M[j, j])
+            M[j], M[p] = M[p], M[j]
+            size[j], size[p] = size[p], size[j]
+            script.append(("swap", j, p))
+        if M[j][j] != 1.0:
+            c = 1.0 / M[j][j]
+            M[j] = [a * c for a in M[j]]
+            size[j] *= abs(c)
+            script.append(("scale", j, c))
         for i in range(j + 1, n):
-            if abs(M[i, j]) > _ZERO * size[i]:
-                add(i, j, -M[i, j])
+            if abs(M[i][j]) > _ZERO * size[i]:
+                add(i, j, -M[i][j])
     for j in range(n - 1, 0, -1):
         for i in range(j - 1, -1, -1):
-            if abs(M[i, j]) > _ZERO * size[i]:
-                add(i, j, -M[i, j])
+            if abs(M[i][j]) > _ZERO * size[i]:
+                add(i, j, -M[i][j])
     return script
 
 
@@ -118,10 +120,10 @@ def _script_to_ops(script: list[tuple], labels: tuple[int, ...]) -> list:
     for step in reversed(script):
         if step[0] == "add":
             _, i, j, c = step
-            ops.append(Qnd(control=labels[j], target=labels[i], gain=float(-c)))
+            ops.append(Qnd(labels[j], labels[i], -c))
         elif step[0] == "scale":
             _, i, c = step
-            ops.append(SqueezeFactor(labels[i], float(1.0 / c)))
+            ops.append(SqueezeFactor(labels[i], 1.0 / c))
         else:
             _, i, j = step
             ops.append(Swap(labels[i], labels[j]))

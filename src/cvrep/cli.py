@@ -194,8 +194,12 @@ def cmd_synth(args) -> int:
 
 
 def _parse_alpha(text: str) -> complex:
+    value = text.strip().replace(" ", "")
+    # only a trailing i is the imaginary unit; the i of inf stays
+    if value.endswith("i"):
+        value = value[:-1] + "j"
     try:
-        return complex(text.strip().replace("i", "j").replace(" ", ""))
+        return complex(value)
     except ValueError:
         raise ValueError(f"cannot parse amplitude {text!r}; examples: 0, 1, 2i, 1+1i") from None
 

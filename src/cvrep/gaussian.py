@@ -258,13 +258,18 @@ def pi_block() -> np.ndarray:
 _EYE4 = np.eye(4)
 
 
-def qnd_block(gain: float) -> np.ndarray:
-    """x_t += gain x_c and p_c -= gain p_t, over (x_c, x_t, p_c, p_t)."""
-    # set into a copied identity: a quarter of the cost of a nested list,
-    # and synthesized circuits are mostly QNDs
-    block = _EYE4.copy()
-    block[1, 0] = gain
-    block[2, 3] = -gain
+def qnd_block(gain) -> np.ndarray:
+    """x_t += gain x_c and p_c -= gain p_t, over (x_c, x_t, p_c, p_t).
+
+    Broadcasts: an array of gains gives one block per gain, shape
+    ``gain.shape + (4, 4)``, as the position check reads every QND of a
+    circuit in one call.
+    """
+    gain = np.asarray(gain, dtype=float)
+    block = np.empty(gain.shape + (4, 4))
+    block[...] = _EYE4
+    block[..., 1, 0] = gain
+    block[..., 2, 3] = -gain
     return block
 
 

@@ -253,6 +253,86 @@ def step_run(circuit, mean, cov, *, forced=None, rng=None):
 
 
 # ---------------------------------------------------------------------------
+# Gauss-Jordan synthesis script, one NumPy call per entry and row
+# ---------------------------------------------------------------------------
+
+_SYNTH_ZERO = 1e-12
+
+
+def _numpy_pivot(col, j, n, size):
+    candidates = [i for i in range(j, n) if abs(col[i]) > _SYNTH_ZERO * size[i]]
+    if not candidates:
+        raise ValueError(f"matrix is singular: no pivot available in column {j}")
+    ones = [i for i in candidates if col[i] == 1.0]
+    ints = [i for i in candidates if float(col[i]).is_integer()]
+    return (ones or ints or [max(candidates, key=lambda i: abs(col[i]))])[0]
+
+
+def numpy_reduction_script(A, pivot_rows=None):
+    """The row operations that reduce A to the identity, on a NumPy array.
+
+    The elimination ``synthesize`` ran before it moved to Python float
+    rows: the same pivot rule, the same zero test against each row's size,
+    with ``M[i] += c * M[j]`` per row operation.  Raises ValueError with the
+    package's message where the package raises SynthesisError.
+    """
+    n = A.shape[0]
+    if pivot_rows is not None and len(pivot_rows) != n:
+        raise ValueError(f"pivot_rows must supply one row per column: got {len(pivot_rows)} for n={n}")
+    M = np.array(A, dtype=float)
+    size = np.max(np.abs(M), axis=1)
+    script = []
+    for j in range(n):
+        if pivot_rows is not None:
+            p = int(pivot_rows[j])
+            if not (j <= p < n):
+                raise ValueError(f"pivot_rows[{j}]={p} out of range: must be a row index in [{j}, {n})")
+            if abs(M[p, j]) <= _SYNTH_ZERO * size[p]:
+                raise ValueError(f"pivot_rows[{j}]={p} selects a zero entry in column {j}")
+        else:
+            p = _numpy_pivot(M[:, j], j, n, size)
+        if p != j:
+            M[[j, p]] = M[[p, j]]
+            size[[j, p]] = size[[p, j]]
+            script.append(("swap", j, p))
+        if M[j, j] != 1.0:
+            c = 1.0 / M[j, j]
+            M[j] *= c
+            size[j] *= abs(c)
+            script.append(("scale", j, c))
+        for i in range(j + 1, n):
+            if abs(M[i, j]) > _SYNTH_ZERO * size[i]:
+                c = -M[i, j]
+                M[i] += c * M[j]
+                script.append(("add", i, j, c))
+    for j in range(n - 1, 0, -1):
+        for i in range(j - 1, -1, -1):
+            if abs(M[i, j]) > _SYNTH_ZERO * size[i]:
+                c = -M[i, j]
+                M[i] += c * M[j]
+                script.append(("add", i, j, c))
+    return script
+
+
+def script_circuit(script, labels):
+    """The circuit of a reduction script: reversed, each step inverted."""
+    from cvrep.circuits import Circuit, Qnd, SqueezeFactor, Swap
+
+    ops = []
+    for step in reversed(script):
+        if step[0] == "add":
+            _, i, j, c = step
+            ops.append(Qnd(control=labels[j], target=labels[i], gain=float(-c)))
+        elif step[0] == "scale":
+            _, i, c = step
+            ops.append(SqueezeFactor(mode=labels[i], factor=float(1.0 / c)))
+        else:
+            _, i, j = step
+            ops.append(Swap(a=labels[i], b=labels[j]))
+    return Circuit(tuple(labels), tuple(ops))
+
+
+# ---------------------------------------------------------------------------
 # Causal-diamond sampling and Lorentz boosts
 # ---------------------------------------------------------------------------
 

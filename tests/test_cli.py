@@ -292,6 +292,16 @@ def test_fidelity_rejects_non_finite_bounds_as_usage_errors(capsys, flag, value)
     assert "error:" in err and "finite" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("r", ["-1000", "-50", "-30", "-1e-9"])
+def test_fidelity_rejects_negative_squeezing_as_a_usage_error(capsys, r):
+    # r is a squeezing magnitude.  At -1000 the closed form's exp overflows,
+    # and at -30 E1's simulation is 1.4e-8 off its closed form: neither may
+    # end in a traceback or a failed check
+    rc, out, err = run_cli(capsys, "fidelity", f"--r-min={r}", f"--r-max={r}", "--steps", "1")
+    assert rc == 2 and out == ""
+    assert err.startswith("error: r_min must be >= 0") and err.count("\n") == 1
+
+
 def test_fidelity_writes_csv_and_gnuplot_files(capsys, tmp_path):
     csv_path = tmp_path / "sweep.csv"
     plot_path = tmp_path / "sweep.gp"
@@ -365,6 +375,22 @@ def test_fidelity_rejects_a_non_finite_amplitude_as_a_usage_error(capsys, alpha)
     rc, out, err = run_cli(capsys, "fidelity", f"--alpha={alpha}", "--steps", "1")
     assert rc == 2 and out == ""
     assert err == "error: displacement amplitude must be finite\n"
+
+
+@pytest.mark.parametrize("alpha", ["inf", "-inf", "1+infi", "infi"])
+def test_fidelity_reports_an_infinite_amplitude_as_non_finite(capsys, alpha):
+    # the i of inf is not the imaginary unit: inf reaches the finiteness check
+    rc, out, err = run_cli(capsys, "fidelity", f"--alpha={alpha}", "--steps", "1")
+    assert rc == 2 and out == ""
+    assert err == "error: displacement amplitude must be finite\n"
+
+
+@pytest.mark.parametrize(
+    "text, value",
+    [("2i", 2j), ("1+1i", 1 + 1j), ("-0.3+1i", -0.3 + 1j), (" 0.5 - 2i ", 0.5 - 2j), ("1", 1 + 0j), ("i", 1j)],
+)
+def test_amplitudes_parse_with_a_trailing_i(text, value):
+    assert cli._parse_alpha(text) == value
 
 
 def test_python_m_cvrep_runs_the_cli():

@@ -222,6 +222,17 @@ def test_qnd_block_is_a_fresh_array_each_call():
     np.testing.assert_array_equal(g.qnd_block(1.5), [[1, 0, 0, 0], [1.5, 1, 0, 0], [0, 0, 1, -1.5], [0, 0, 0, 1]])
 
 
+def test_qnd_block_broadcasts_over_an_array_of_gains():
+    gains = np.array([[1.5, -0.25, 0.0], [3.0, -1.0, 1e-300]])
+    blocks = g.qnd_block(gains)
+    assert blocks.shape == (2, 3, 4, 4)
+    for index in np.ndindex(gains.shape):
+        np.testing.assert_array_equal(blocks[index], g.qnd_block(float(gains[index])))
+    assert g.qnd_block(np.array([])).shape == (0, 4, 4)
+    # a 0-d gain, or a gain given as an int, is one block
+    np.testing.assert_array_equal(g.qnd_block(np.float64(2.0)), g.qnd_block(2))
+
+
 def test_qnd_block_is_symplectic():
     from cvrep.circuits import Qnd, op_map
 

@@ -344,6 +344,15 @@ def test_recovery_fidelities_reject_a_non_finite_amplitude(alpha):
         recovery_fidelities(1.0, ERASURE_TAGS, alpha, rng=np.random.default_rng(1))
 
 
+@pytest.mark.parametrize("r", [-1000.0, -30.0, -1e-9])
+def test_recovery_fidelities_reject_negative_squeezing(r):
+    # r is the resource states' squeezing magnitude
+    with pytest.raises(ValueError, match="r must be >= 0"):
+        recovery_fidelities(r, ERASURE_TAGS)
+    with pytest.raises(ValueError, match="r must be >= 0"):
+        recovery_fidelity("E1", r, rng=np.random.default_rng(1))
+
+
 @pytest.mark.parametrize(
     "tag, ops",
     [
@@ -541,6 +550,9 @@ def test_sweep_spec_validation():
         SweepSpec(errors=("E7",))
     with pytest.raises(ValueError):
         SweepSpec(errors=())
+    for r_min in (-1000.0, -30.0, -1e-300):
+        with pytest.raises(ValueError, match="r_min must be >= 0"):
+            SweepSpec(r_min=r_min, r_max=0.0)
     for bad in (float("nan"), float("inf"), float("-inf")):
         with pytest.raises(ValueError, match="finite"):
             SweepSpec(r_min=bad, steps=3)

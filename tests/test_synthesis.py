@@ -1,11 +1,14 @@
 """Gaussian-elimination synthesis of QND/squeeze circuits from point matrices."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import nonzero_factors, small_gains
+from oracles import numpy_reduction_script, script_circuit
 
 from cvrep.circuits import (
     BeamSplitterPM,
@@ -24,10 +27,13 @@ from cvrep.circuits import (
     SynthesisError,
     TwoModeSqueeze,
     decoder_matrix,
+    serialize,
     symplectic_of,
     synthesize,
 )
-from cvrep.circuits.synthesis import deviation
+from cvrep.circuits.ir import OPS
+from cvrep.circuits.synthesis import _synthesize, deviation
+from cvrep.tolerances import TOL
 
 
 def x_block(circuit):
@@ -192,6 +198,88 @@ def test_triangular_matrices_need_no_swaps_or_squeezes(rng):
     circuit = synthesize(A)
     assert all(isinstance(op, Qnd) for op in circuit.ops)
     np.testing.assert_allclose(x_block(circuit), A, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the elimination on float rows gives the NumPy elimination's script exactly
+
+ORACLE_INPUTS = ("dense", "unimodular", "row-scaled", "pivot rows")
+
+
+def oracle_input(kind, n, seed, octaves=20):
+    """A nonsingular n x n matrix of one kind, and pivot rows (None: the default pivots).
+
+    Row-scaled matrices scale each row by up to 2**octaves either way.
+    """
+    rng = np.random.default_rng(seed)
+    if kind == "dense":
+        return rng.normal(size=(n, n)), None
+    if kind == "unimodular":
+        return _unimodular(rng, n), None
+    if kind == "row-scaled":
+        while True:
+            A = rng.integers(-3, 4, size=(n, n)).astype(float)
+            if abs(np.linalg.det(A)) > 0.5:
+                break
+        A *= 2.0 ** rng.integers(-octaves, octaves + 1, size=(n, 1))
+        return A * 2.0 ** rng.integers(-4, 5, size=(1, n)), None
+    # any row at or below the diagonal step: on a sparse unimodular matrix
+    # some of them select a zero entry, on a dense one some are ill-conditioned
+    A = _unimodular(rng, n) if seed % 2 else rng.normal(size=(n, n))
+    return A, tuple(int(rng.integers(j, n)) for j in range(n))
+
+
+def check_against_the_numpy_elimination(A, pivot_rows):
+    """synthesize prints, and deviates by, exactly what the NumPy elimination's script gives."""
+    if np.linalg.matrix_rank(A) < len(A):  # decided before any elimination
+        with pytest.raises(SynthesisError, match="^matrix is singular$"):
+            _synthesize(A, pivot_rows=pivot_rows)
+        return
+    try:
+        script = numpy_reduction_script(A, pivot_rows)
+    except ValueError as exc:
+        with pytest.raises(SynthesisError, match=f"^{re.escape(str(exc))}$"):
+            _synthesize(A, pivot_rows=pivot_rows)
+        return
+    expected = script_circuit(script, tuple(range(1, len(A) + 1)))
+    err = deviation(expected, A)
+    if err > TOL.synthesis * max(1.0, float(np.abs(A).max())):
+        with pytest.raises(SynthesisError, match="deviates from its target"):
+            _synthesize(A, pivot_rows=pivot_rows)
+        return
+    circuit, got = _synthesize(A, pivot_rows=pivot_rows)
+    assert serialize(circuit) == serialize(expected)
+    assert circuit.ops == expected.ops
+    assert got == err
+
+
+@given(kind=st.sampled_from(ORACLE_INPUTS), n=st.integers(1, 12), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=150, deadline=None)
+def test_synthesis_reproduces_the_numpy_elimination_exactly(kind, n, seed):
+    check_against_the_numpy_elimination(*oracle_input(kind, n, seed))
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize(
+    "kind, octaves",
+    # at n = 40, rows 2**20 apart are singular to the rank test; 2**8 apart they synthesize
+    [("dense", 0), ("unimodular", 0), ("row-scaled", 8), ("row-scaled", 20), ("pivot rows", 0)],
+)
+def test_synthesis_reproduces_the_numpy_elimination_exactly_at_n40(kind, octaves, seed):
+    check_against_the_numpy_elimination(*oracle_input(kind, 40, seed, octaves))
+
+
+def test_the_check_reads_qnd_blocks_from_the_op_table(monkeypatch):
+    # The ops keep their gains; only the table's QND block flips the sign.
+    # A check that read op.gain, or replayed the script, would still pass.
+    spec = OPS[Qnd]
+    honest = spec.block
+    monkeypatch.setattr(spec, "block", lambda gain: honest(-np.asarray(gain, dtype=float)))
+    for A in (decoder_matrix("E2"), np.random.default_rng(3).normal(size=(8, 8))):
+        with pytest.raises(SynthesisError, match="deviates from its target"):
+            synthesize(A)
+    monkeypatch.undo()
+    synthesize(decoder_matrix("E2"))
 
 
 # ---------------------------------------------------------------------------
