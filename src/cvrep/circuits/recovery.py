@@ -64,6 +64,7 @@ cosh(2r)/2, so sampling that port is never degenerate.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from math import exp, isfinite, nan
 
 import numpy as np
@@ -253,7 +254,14 @@ def decoder_matrix(tag: str) -> np.ndarray:
     """Position-basis matrix A of the ideal decoder, rows/cols in survivor order.
 
     The decoder maps |x> to |A x>; its symplectic block is diag(A, A^-T).
+    Each tag is folded once; every call returns its own copy.
     """
+    _check_tag(tag)
+    return _decoder_positions(tag).copy()
+
+
+@cache
+def _decoder_positions(tag: str) -> np.ndarray:
     return _fold_positions(ideal_decoder(tag))
 
 

@@ -109,8 +109,7 @@ def cmd_verify(args) -> int:
 
     pattern_reports = []
     all_ok = True
-    for pattern in patterns:
-        correctable = codes.check_correctable(code, pattern)
+    for pattern, correctable in zip(patterns, codes.correctable(code, patterns)):
         all_ok &= correctable
         erased_1based = sorted(m + 1 for m in pattern.erased)
         pattern_reports.append(
@@ -130,8 +129,7 @@ def cmd_verify(args) -> int:
         # shapes are kept, so its dense boundaries are freed before the code is built
         shapes = {k: list(M.shape) for k, M in sorted(homology.chain_complex(n).boundary.items())}
         hom_code = homology.build_homological_code(n)
-        x_match = homology.rowspaces_equal(hom_code.x_rows, code.x_rows)
-        p_match = homology.rowspaces_equal(hom_code.p_rows, code.p_rows)
+        x_match, p_match = homology._code_rowspaces_equal(hom_code, code)
         homology_report = {
             "boundary_squares_to_zero": True,
             "x_rowspace_matches": bool(x_match),

@@ -3,20 +3,22 @@
 Modes live on the edges of the complete graph K_N.  The pure-X generators
 are directed triangles through a distinguished vertex (vertex 1), the pure-P
 generators are sums of adjacent star vectors.  Erasure correctability is
-decided by the restriction-rank identity (see ``check_correctable``), which
-rests on the commuting, independent rows that StabilizerCode enforces; every
-rank decision goes through ``_rank``, whose cutoff is relative to the scale.
+decided by the restriction-rank identity (see ``correctable``), which rests
+on the commuting, independent rows that StabilizerCode enforces; every rank
+decision goes through ``_count_ranks``, whose cutoff is relative to the scale.
 Each restriction rank is taken on the cheaper of the column slice and its
 kernel complement: for a block M (k x n) with independent rows and K the
 orthonormal rows spanning ker M, rank M[:, S] = |S| - (n - k) + rank K[:, ~S],
 and the side with the smaller SVD flop estimate, k |S| min(k, |S|) against
-(n - k) |~S| min(n - k, |~S|), is taken.
+(n - k) |~S| min(n - k, |~S|), is taken.  Patterns that erase the same
+number of modes give slices of one shape, so each of their four restriction
+ranks is one SVD of a stack of slices.
 """
 
 from __future__ import annotations
 
 import warnings
-from collections.abc import Callable
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
@@ -37,6 +39,7 @@ __all__ = [
     "build_five_mode_code",
     "symplectic_product",
     "erasure_for_vertex",
+    "correctable",
     "check_correctable",
     "nullifier_variances",
     "format_generator_matrix",
@@ -115,8 +118,8 @@ class StabilizerCode:
     x_rows: np.ndarray
     p_rows: np.ndarray
     name: str = ""
-    #: largest singular values of the X and P blocks, the scale of their rank decisions
-    _scales: tuple[float, float] = field(init=False, repr=False, compare=False)
+    #: singular values of the X and P blocks, largest first
+    _svals: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         x = np.atleast_2d(np.asarray(self.x_rows, dtype=float))
@@ -139,7 +142,12 @@ class StabilizerCode:
         sx, sp = _singular_values(x), _singular_values(p)
         if _count_rank(sx) != x.shape[0] or _count_rank(sp) != p.shape[0]:
             raise ValueError("generator rows are linearly dependent")
-        object.__setattr__(self, "_scales", (_largest(sx), _largest(sp)))
+        object.__setattr__(self, "_svals", (sx, sp))
+
+    @property
+    def _scales(self) -> tuple[float, float]:
+        """Largest singular values of the X and P blocks, the scale of their rank decisions."""
+        return _largest(self._svals[0]), _largest(self._svals[1])
 
     @property
     def n_generators(self) -> int:
@@ -186,7 +194,7 @@ class ErasurePattern:
     recovery_vertex: int | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "erased", frozenset(int(m) for m in self.erased))
+        object.__setattr__(self, "erased", frozenset(map(int, self.erased)))
 
 
 # Five-mode erasure patterns, keyed by recovery vertex; 0-based mode indices.
@@ -209,9 +217,21 @@ def build_general_code(N: int) -> StabilizerCode:
     if N < 4:
         raise ValueError(f"general code needs N >= 4, got {N}")
     basis = edge_basis(N)
-    x_rows = [triangle_vector(basis, j, k) for j, k in combinations(range(2, N + 1), 2)]
-    p_rows = [star_vector(basis, 1) + star_vector(basis, k) for k in range(2, N)]
-    return StabilizerCode(basis.n_edges, np.array(x_rows), np.array(p_rows), name=f"general-{N}")
+    n = basis.n_edges
+    ends = np.array(basis.edges)
+    # the edges jk with 2 <= j < k follow the N - 1 edges 1k, in the order of
+    # the x rows; edge 1k sits at index k - 2
+    rows = np.arange(n - (N - 1))
+    j, k = ends[N - 1 :].T
+    x_rows = np.zeros((rows.size, n))
+    x_rows[rows, j - 2] = 1  # e_1j
+    x_rows[rows, N - 1 + rows] = 1  # e_jk
+    x_rows[rows, k - 2] = -1  # e_k1 = -e_1k
+    # row v - 1 of the signed incidence matrix is the star A_v
+    stars = np.zeros((N, n))
+    stars[ends[:, 0] - 1, np.arange(n)] = 1
+    stars[ends[:, 1] - 1, np.arange(n)] = -1
+    return StabilizerCode(n, x_rows, stars[0] + stars[1 : N - 1], name=f"general-{N}")
 
 
 def build_five_mode_code() -> StabilizerCode:
@@ -259,8 +279,8 @@ def erasure_for_vertex(
         raise ValueError("edge-mode codes need the EdgeBasis to build patterns")
     if not 1 <= vertex <= basis.N:
         raise ValueError(f"vertex {vertex} out of range 1..{basis.N}")
-    erased = frozenset(i for i, (j, k) in enumerate(basis.edges) if vertex not in (j, k))
-    return ErasurePattern(erased, recovery_vertex=vertex)
+    incident = {basis.signed_unit(vertex, k)[0] for k in range(1, basis.N + 1) if k != vertex}
+    return ErasurePattern(frozenset(range(basis.n_edges)) - incident, recovery_vertex=vertex)
 
 
 def _singular_values(M: np.ndarray) -> np.ndarray:
@@ -273,41 +293,58 @@ def _largest(svals: np.ndarray) -> float:
     return svals[0] if svals.size else 0.0
 
 
+def _count_ranks(rows: Iterable[Sequence[float]], scale: float) -> list[int]:
+    """Rank of each row of singular values (largest first): the count above TOL.rank * scale.
+
+    Warns once per row whose kept values span more than TOL.condition_limit.
+    """
+    cut = TOL.rank * float(scale)
+    ranks = []
+    for svals in rows:
+        rank = sum(v > cut for v in svals)
+        if rank and svals[0] / svals[rank - 1] > TOL.condition_limit:
+            warnings.warn(
+                f"rank decision badly conditioned: singular values span "
+                f"{svals[0]:.3e}..{svals[rank - 1]:.3e}",
+                stacklevel=2,
+            )
+        ranks.append(rank)
+    return ranks
+
+
 def _count_rank(svals: np.ndarray, scale: float | None = None) -> int:
     """Count of singular values above the rank tolerance times ``scale`` (default: the largest)."""
-    kept = svals[svals > TOL.rank * (_largest(svals) if scale is None else scale)]
-    if kept.size and svals[0] / kept[-1] > TOL.condition_limit:
-        warnings.warn(
-            f"rank decision badly conditioned: singular values span "
-            f"{svals[0]:.3e}..{kept[-1]:.3e}",
-            stacklevel=3,
-        )
-    return int(kept.size)
+    return _count_ranks([svals.tolist()], _largest(svals) if scale is None else scale)[0]
 
 
-def _rank(M: np.ndarray, scale: float | None = None) -> int:
-    """Count of singular values above the rank tolerance times ``scale`` (default: M's largest)."""
-    return _count_rank(_singular_values(M), scale)
+def _slice_ranks(slices: np.ndarray, scale: float) -> list[int]:
+    """Rank of each slice of a (k, G, w) stack, as ``M[:, S]`` takes it for G index rows S."""
+    if not slices.size:
+        return [0] * slices.shape[1]
+    return _count_ranks(np.linalg.svd(slices.transpose(1, 0, 2), compute_uv=False).tolist(), scale)
 
 
-def _slice_rank(
-    M: np.ndarray, scale: float, kernel: Callable[[], np.ndarray], S: list[int], rest: list[int]
-) -> int:
-    """rank M[:, S] for M (k x n) with independent rows; rest is the complement of S.
+def _restriction_ranks(
+    M: np.ndarray, scale: float, kernel: Callable[[], np.ndarray], S: np.ndarray, rest: np.ndarray
+) -> list[int]:
+    """rank M[:, s] for each row s of S, for M (k x n) with independent rows.
 
-    rank M[:, S] = |S| - (n - k) + rank K[:, rest], with K = kernel() the
-    orthonormal rows spanning ker M; whichever side has the smaller SVD flop
-    estimate is taken, so the choice depends only on shapes.  The K side is
-    decided at scale 1, the scale of an orthonormal block.
+    S is a G x |S| index array and rest the G x (n - |S|) array of the
+    complements.  rank M[:, s] = |S| - (n - k) + rank K[:, rest], with
+    K = kernel() the orthonormal rows spanning ker M; whichever side has the
+    smaller SVD flop estimate is taken, so the choice depends only on shapes
+    and is one for all G rows.  The K side is decided at scale 1, the scale
+    of an orthonormal block.
     """
     k, c = M.shape[0], M.shape[1] - M.shape[0]
-    if c * len(rest) * min(c, len(rest)) < k * len(S) * min(k, len(S)):
-        return len(S) - c + _rank(kernel()[:, rest], 1.0)
-    return _rank(M[:, S], scale)
+    width, other = S.shape[1], rest.shape[1]
+    if c * other * min(c, other) < k * width * min(k, width):
+        return [width - c + rank for rank in _slice_ranks(kernel()[:, rest], 1.0)]
+    return _slice_ranks(M[:, S], scale)
 
 
-def check_correctable(code: StabilizerCode, pattern: ErasurePattern) -> bool:
-    """Decide erasure correctability by the restriction-rank identity.
+def correctable(code: StabilizerCode, patterns: Sequence[ErasurePattern]) -> list[bool]:
+    """Decide erasure correctability of each pattern by the restriction-rank identity.
 
     An error supported on the erased modes E is undetectable iff it commutes
     with every generator; E is correctable iff every such error is a
@@ -331,25 +368,50 @@ def check_correctable(code: StabilizerCode, pattern: ErasurePattern) -> bool:
     (n - k) |~S| min(n - k, |~S|) wins; K is orthonormal, so its side is
     decided at scale 1.  For a vertex pattern of the general code this turns
     rank X[:, E], a C(N-1,2)-square problem, into an (N-1)-square one.
+
+    Patterns are grouped by |E|.  The slices of one group share their shape,
+    so each of the four ranks is one SVD of the group's stack of slices; the
+    P-side ranks are taken only for the patterns whose X side holds.
+    Verdicts come back in the order of ``patterns``.
     """
-    erased = sorted(pattern.erased)
-    for m in erased:
-        if not 0 <= m < code.n_modes:
-            raise ValueError(f"erased mode {m} out of range for {code.n_modes}-mode code")
-    kept = [m for m in range(code.n_modes) if m not in pattern.erased]
+    n = code.n_modes
+    groups: dict[int, list] = {}
+    for i, pattern in enumerate(patterns):
+        erased = sorted(pattern.erased)
+        if erased and (erased[0] < 0 or erased[-1] >= n):
+            bad = next(m for m in erased if not 0 <= m < n)
+            raise ValueError(f"erased mode {bad} out of range for {n}-mode code")
+        kept = [m for m in range(n) if m not in pattern.erased]
+        groups.setdefault(len(erased), []).append((i, erased + kept))
+
     X, P = code.x_rows, code.p_rows
     sx, sp = code._scales
 
     def rank_x(S, rest):
-        return _slice_rank(X, sx, lambda: code._x_kernel, S, rest)
+        return _restriction_ranks(X, sx, lambda: code._x_kernel, S, rest)
 
     def rank_p(S, rest):
-        return _slice_rank(P, sp, lambda: code._p_kernel, S, rest)
+        return _restriction_ranks(P, sp, lambda: code._p_kernel, S, rest)
 
-    return (
-        len(erased) - rank_p(erased, kept) == X.shape[0] - rank_x(kept, erased)
-        and len(erased) - rank_x(erased, kept) == P.shape[0] - rank_p(kept, erased)
-    )
+    verdicts = [False] * len(patterns)
+    for size, members in groups.items():
+        # row g: pattern g's erased modes, then its kept ones
+        order = np.array([row for _, row in members], dtype=np.intp)
+        E, K = order[:, :size], order[:, size:]
+        x_side = [size - a == X.shape[0] - b for a, b in zip(rank_p(E, K), rank_x(K, E))]
+        holds = [g for g, ok in enumerate(x_side) if ok]
+        if not holds:
+            continue
+        if len(holds) < len(members):
+            E, K = E[holds], K[holds]
+        for g, a, b in zip(holds, rank_x(E, K), rank_p(K, E)):
+            verdicts[members[g][0]] = size - a == P.shape[0] - b
+    return verdicts
+
+
+def check_correctable(code: StabilizerCode, pattern: ErasurePattern) -> bool:
+    """Decide one erasure pattern: ``correctable(code, [pattern])`` (see there)."""
+    return correctable(code, [pattern])[0]
 
 
 def nullifier_variances(code: StabilizerCode, state) -> np.ndarray:

@@ -111,6 +111,16 @@ def test_x_and_p_generators_are_orthogonal(n):
     assert code.orthogonality_defect() <= 1e-12
 
 
+@pytest.mark.parametrize("n", range(4, 10))
+def test_general_code_rows_are_the_triangle_and_star_vectors(n):
+    basis = codes.edge_basis(n)
+    code = codes.build_general_code(n)
+    triangles = [codes.triangle_vector(basis, j, k) for j, k in itertools.combinations(range(2, n + 1), 2)]
+    stars = [codes.star_vector(basis, 1) + codes.star_vector(basis, k) for k in range(2, n)]
+    np.testing.assert_array_equal(code.x_rows, triangles)
+    np.testing.assert_array_equal(code.p_rows, stars)
+
+
 def test_small_region_counts_are_rejected():
     with pytest.raises(ValueError):
         codes.build_general_code(3)
@@ -220,6 +230,18 @@ def test_erasure_for_vertex_on_the_general_code():
     assert pattern.recovery_vertex == 1
 
 
+def test_erasure_for_vertex_erases_exactly_the_edges_that_miss_the_vertex():
+    for n in range(4, 10):
+        code = codes.build_general_code(n)
+        basis = codes.edge_basis(n)
+        for vertex in range(1, n + 1):
+            pattern = codes.erasure_for_vertex(code, basis, vertex)
+            want = {i for i, edge in enumerate(basis.edges) if vertex not in edge}
+            assert pattern.erased == want and len(want) == math.comb(n - 1, 2)
+        with pytest.raises(ValueError, match="out of range"):
+            codes.erasure_for_vertex(code, basis, n + 1)
+
+
 def test_erasure_for_vertex_on_the_five_mode_code():
     code = codes.build_five_mode_code()
     pattern = codes.erasure_for_vertex(code, None, 3)
@@ -306,6 +328,11 @@ def _scaled(code, scale):
     return codes.StabilizerCode(code.n_modes, scale * code.x_rows, scale * code.p_rows, name=code.name)
 
 
+def _rank(M, scale):
+    """rank M at ``scale``, from one SVD of M itself."""
+    return codes._count_rank(codes._singular_values(M), scale)
+
+
 def _direct_verdict(code, erased):
     """The restriction-rank identity with every rank taken on the column slice itself."""
     kept = [m for m in range(code.n_modes) if m not in erased]
@@ -313,8 +340,8 @@ def _direct_verdict(code, erased):
     X, P = code.x_rows, code.p_rows
     sx, sp = code._scales
     return (
-        len(erased) - codes._rank(P[:, erased], sp) == X.shape[0] - codes._rank(X[:, kept], sx)
-        and len(erased) - codes._rank(X[:, erased], sx) == P.shape[0] - codes._rank(P[:, kept], sp)
+        len(erased) - _rank(P[:, erased], sp) == X.shape[0] - _rank(X[:, kept], sx)
+        and len(erased) - _rank(X[:, erased], sx) == P.shape[0] - _rank(P[:, kept], sp)
     )
 
 
@@ -361,27 +388,97 @@ def test_complement_rank_identity_holds_on_both_blocks():
             for size in range(n + 1):
                 S = sorted(rng.choice(n, size, replace=False).tolist())
                 rest = [m for m in range(n) if m not in S]
-                assert codes._rank(M[:, S], scale) == size - (n - k) + codes._rank(K[:, rest], 1.0)
+                assert _rank(M[:, S], scale) == size - (n - k) + _rank(K[:, rest], 1.0)
 
 
 @pytest.mark.parametrize("builder", [codes.build_general_code, homology.build_homological_code])
 def test_vertex_pattern_ranks_are_at_most_n_minus_one_wide(monkeypatch, builder):
-    # the C(N-1,2)-square rank X[:, E] moves to the (N-1)-column complement
+    # the C(N-1,2)-square rank X[:, E] moves to the (N-1)-column complement,
+    # and each of the four ranks is one SVD of the stack of all N slices
     n = 12
     code = builder(n)
     basis = codes.edge_basis(n)
-    widths = []
-    rank = codes._rank
+    patterns = [codes.erasure_for_vertex(code, basis, vertex) for vertex in range(1, n + 1)]
+    shapes = []
+    svd = np.linalg.svd
 
-    def spy(M, scale=None):
-        widths.append(min(M.shape))
-        return rank(M, scale)
+    def spy(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return svd(a, *args, **kwargs)
 
-    monkeypatch.setattr(codes, "_rank", spy)
-    for vertex in range(1, n + 1):
-        assert codes.check_correctable(code, codes.erasure_for_vertex(code, basis, vertex))
-    assert len(widths) == 4 * n
-    assert max(widths) == n - 1
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    assert codes.correctable(code, patterns) == [True] * n
+    assert len(shapes) == 4
+    assert all(len(shape) == 3 and shape[0] == n for shape in shapes)
+    assert max(min(shape[1:]) for shape in shapes) == n - 1
+
+
+# ---------------------------------------------------------------------------
+# many patterns at once
+# ---------------------------------------------------------------------------
+
+
+def _verdicts(code, erasures):
+    return codes.correctable(code, [codes.ErasurePattern(erased) for erased in erasures])
+
+
+def test_correctable_agrees_with_the_oracle_in_input_order():
+    # all 32 five-mode subsets, the empty and the full erasure among them,
+    # forwards and backwards, so the sizes interleave, plus repeats
+    five = codes.build_five_mode_code()
+    subsets = [frozenset(), *_nonempty_erasures(5)]
+    erasures = subsets + subsets[::-1] + [subsets[7], subsets[0], subsets[7]]
+    want = [correctable_oracle(five.x_rows, five.p_rows, erased) for erased in erasures]
+    assert want[0] and not want[31] and want.count(True) > 4
+    assert _verdicts(five, erasures) == want
+    assert _verdicts(five, []) == []
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(min_value=4, max_value=8), homological=st.booleans(), data=st.data())
+def test_correctable_agrees_with_the_oracle_on_drawn_erasures(n, homological, data):
+    code = homology.build_homological_code(n) if homological else codes.build_general_code(n)
+    modes = st.integers(min_value=0, max_value=code.n_modes - 1)
+    erasures = data.draw(st.lists(st.frozensets(modes, max_size=code.n_modes), min_size=1, max_size=6))
+    want = [correctable_oracle(code.x_rows, code.p_rows, erased) for erased in erasures]
+    assert _verdicts(code, erasures) == want
+
+
+def test_correctable_names_an_out_of_range_mode():
+    five = codes.build_five_mode_code()
+    for bad in (5, -1):
+        with pytest.raises(ValueError, match=f"erased mode {bad} out of range for 5-mode code"):
+            _verdicts(five, [frozenset({0, 1}), frozenset({2, bad}), frozenset({1})])
+        with pytest.raises(ValueError, match=f"erased mode {bad} out of range"):
+            codes.check_correctable(five, codes.ErasurePattern({bad}))
+
+
+def _badly_conditioned_code():
+    # X[:, [0, 1]] has singular values 1 and 1e-9: both lie above the rank
+    # cutoff at the block's scale 1, and they span 1e9 > TOL.condition_limit
+    x = np.array([[1.0, 0, 0, 0, 0], [0, 1e-9, 1, 0, 0]])
+    p = np.array([[0.0, 0, 0, 1, 0], [0, 0, 0, 0, 1]])
+    return codes.StabilizerCode(5, x, p, name="badly-conditioned")
+
+
+def test_a_badly_conditioned_rank_warns_once_per_slice():
+    code = _badly_conditioned_code()
+    assert codes.TOL.condition_limit < 1e9
+    # erasing modes 3-5 keeps modes 1-2, so rank X[:, kept] is taken on that slice
+    bad, fine = frozenset({2, 3, 4}), frozenset({0, 1})
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        one = codes.check_correctable(code, codes.ErasurePattern(bad))
+    assert [str(w.message) for w in caught] == [
+        "rank decision badly conditioned: singular values span 1.000e+00..1.000e-09"
+    ]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        many = _verdicts(code, [bad, fine, bad])
+    assert len(caught) == 2
+    assert all(str(w.message).startswith("rank decision badly conditioned") for w in caught)
+    assert many == [one, _verdicts(code, [fine])[0], one]
+    assert many == [correctable_oracle(code.x_rows, code.p_rows, e) for e in (bad, fine, bad)]
 
 
 def test_general_code_vertex_patterns_are_correctable():

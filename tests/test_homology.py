@@ -45,6 +45,17 @@ def test_boundary_of_boundary_vanishes_exactly(n):
         assert not product.any()
 
 
+@pytest.mark.parametrize("n", range(3, 8))
+def test_boundaries_hold_the_signed_faces_of_each_simplex(n):
+    for k in (1, 2):
+        faces = {f: i for i, f in enumerate(combinations(range(1, n + 1), k))}
+        want = np.zeros((len(faces), math.comb(n, k + 1)), dtype=int)
+        for col, simplex in enumerate(combinations(range(1, n + 1), k + 1)):
+            for m in range(k + 1):
+                want[faces[simplex[:m] + simplex[m + 1 :]], col] = (-1) ** m
+        np.testing.assert_array_equal(homology.boundary_matrix(n, k), want)
+
+
 def test_chain_complex_carries_all_three_boundaries():
     complex_ = homology.chain_complex(5)
     assert sorted(complex_.boundary) == [0, 1, 2]
@@ -211,8 +222,26 @@ def test_homological_and_graph_codes_have_equal_row_spaces(n):
     graph = codes.build_general_code(n)
     assert homology.rowspaces_equal(hom.x_rows, graph.x_rows)
     assert homology.rowspaces_equal(hom.p_rows, graph.p_rows)
+    # the comparison of two codes reuses their singular values, with the same answers
+    assert homology._code_rowspaces_equal(hom, graph) == (True, True)
     # and the bases genuinely differ, so the comparison is non-trivial
     assert not np.array_equal(np.sort(hom.x_rows, axis=0), np.sort(graph.x_rows, axis=0))
+
+
+def test_code_rowspace_comparison_takes_one_svd_per_block(monkeypatch):
+    hom = homology.build_homological_code(6)
+    graph = codes.build_general_code(6)
+    truncated = codes.StabilizerCode(hom.n_modes, hom.x_rows, hom.p_rows[:2])
+    svd, shapes = np.linalg.svd, []
+
+    def spy(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    assert homology._code_rowspaces_equal(hom, graph) == (True, True)
+    assert homology._code_rowspaces_equal(truncated, graph) == (True, False)
+    assert shapes == [(20, 15), (8, 15), (20, 15), (6, 15)]
 
 
 def test_rowspaces_equal_detects_differences():

@@ -147,6 +147,26 @@ def test_decoder_matrices_are_the_frozen_transforms():
         np.testing.assert_array_equal(A, np.array(expected[tag], dtype=float))
 
 
+def test_decoder_matrix_folds_each_tag_once(monkeypatch):
+    from cvrep.circuits import recovery
+
+    want = {tag: recovery._fold_positions(ideal_decoder(tag)) for tag in ERASURE_TAGS}
+    recovery._decoder_positions.cache_clear()
+    fold, folded = recovery._fold_positions, []
+
+    def spy(circuit):
+        folded.append(circuit)
+        return fold(circuit)
+
+    monkeypatch.setattr(recovery, "_fold_positions", spy)
+    for _ in range(3):
+        for tag in ERASURE_TAGS:
+            A = decoder_matrix(tag)
+            np.testing.assert_array_equal(A, want[tag])
+            A[:] = np.nan  # a caller's copy: writing to it leaves the next call intact
+    assert folded == [ideal_decoder(tag) for tag in ERASURE_TAGS]
+
+
 def test_decoder_matrix_rejects_unknown_tags():
     with pytest.raises(ValueError, match="unknown erasure tag"):
         decoder_matrix("E5")
