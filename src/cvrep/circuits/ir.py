@@ -128,9 +128,7 @@ class Displace:
     alpha: complex
 
     def __post_init__(self):
-        object.__setattr__(self, "alpha", complex(self.alpha))
-        if not (isfinite(self.alpha.real) and isfinite(self.alpha.imag)):
-            raise ValueError("displacement amplitude must be finite")
+        object.__setattr__(self, "alpha", g._amplitude(self.alpha))
 
 
 @dataclass(frozen=True)

@@ -20,29 +20,27 @@ For each supported erasure (named E1..E4) there are two decoders:
 
 * ``optical_decoder`` — a calibrated recovery line for the *optical*
   encoding, whose output fidelity against the original coherent input
-  matches the closed forms
-
-      F1 = 1
-      F2 = F3 = 1 / (1 + 2 e^{-2r})
-      F4 = 1 / (1 + e^{-2r})
-
-  at every squeezing r and input amplitude.
+  matches the closed form F = 1 / (1 + c e^{-2r}), with noise c = 0, 2, 2
+  and 1 for E1..E4 (``_NOISE``), at every squeezing r and input amplitude.
 
 Every optical circuit here is one affine Gaussian map: the decoders, E4's
 homodyne and feedforward included, once averaged over the outcome (see
 ``run(average=True)``).  The encoder's two squeezers are its only
-r-dependent ops and act first, so the whole pipeline (encoder, erasure,
-decoder) is compiled per tag once, at import, in the e^{+-r} basis: each
-row is L0 + e^{r} L+ + e^{-r} L- over the encoder's input, and its mean
-does not depend on r.  The recovered wire's x and p have no e^{r} part,
-or the decoder would not recover the input; the compile checks that it
-is 0 up to rounding, so those rows are L0 + e^{-r} L-, exact at any r.
+r-dependent ops and act first, so everything after them (the encoder's
+tail, a ``Discard`` per erased mode, the decoder) is one ``_fold`` per
+tag, done once, at import, and compiled in the e^{+-r} basis: each row is
+L0 + e^{r} L+ + e^{-r} L- over the encoder's input, and its mean does not
+depend on r.  The recovered wire's x and p have no e^{r} part, or the
+decoder would not recover the input; the compile checks that it is 0 up
+to rounding, so those rows are L0 + e^{-r} L-, exact at any r.
 ``OPTICAL_RECOVERY_WIRE`` and ``decoder_matrix`` are read off the
 decoder circuits.  A sweep is one batched evaluation:
 ``_fidelities`` takes every cell's covariance from its rows for a whole
 r-grid and all tags at once and the closed-form 2 x 2 fidelity
-(``coherent_fidelity``).  The sweep makes one call for its grid;
-``recovery_fidelities`` and each threshold step make one for a single r.
+(``coherent_fidelity``).  The sweep makes one call for its grid and reads
+its closed forms off ``_NOISE`` for the whole grid too, so its result is
+arrays, (steps, 4) per table; ``recovery_fidelities`` and each threshold
+step make one call for a single r.
 With an ``rng``, E4's homodyne is sampled by conditioning those rows on
 the drawn outcome.  Its measured row, the one row with an e^{r} part, is
 scaled by e^{-r} first, so sampling is exact at any r too.
@@ -72,6 +70,7 @@ import numpy as np
 from ..codes import FIVE_MODE_ERASURES
 from ..gaussian import (
     GaussianState,
+    _amplitude,
     coherent,
     coherent_fidelity,
     discard,
@@ -111,7 +110,6 @@ __all__ = [
     "recovery_fidelity",
     "recovery_fidelities",
     "SweepSpec",
-    "SweepRow",
     "SweepResult",
     "fidelity_sweep",
     "threshold_squeezing",
@@ -133,23 +131,23 @@ IDEAL_RECOVERY_WIRE = {"E1": 2, "E2": 1, "E3": 1, "E4": 4}
 
 _SQRT2 = float(np.sqrt(2.0))
 
+# Each tag's recovery noise c: at squeezing r its closed-form fidelity is
+# F = 1 / (1 + c e^{-2r}).
+_NOISE = dict(zip(ERASURE_TAGS, (0.0, 2.0, 2.0, 1.0)))
 
-def _check_tag(tag: str) -> None:
-    if tag not in ERASURE_TAGS:
-        raise ValueError(f"unknown erasure tag {tag!r}; valid: {', '.join(ERASURE_TAGS)}")
+
+def _check_tags(*tags: str) -> None:
+    for tag in tags:
+        if tag not in ERASURE_TAGS:
+            raise ValueError(f"unknown erasure tag {tag!r}; valid: {', '.join(ERASURE_TAGS)}")
 
 
 def _check_squeezing(name: str, r: float) -> None:
-    """r is the resource states' squeezing magnitude, so it cannot be negative."""
+    """r is the resource states' squeezing magnitude: finite, and not negative."""
+    if not isfinite(r):
+        raise ValueError(f"{name} must be finite, got {r}")
     if r < 0:
         raise ValueError(f"{name} must be >= 0, the squeezing magnitude; got {r}")
-
-
-def _amplitude(alpha) -> complex:
-    alpha = complex(alpha)
-    if not (isfinite(alpha.real) and isfinite(alpha.imag)):
-        raise ValueError("displacement amplitude must be finite")
-    return alpha
 
 
 def ideal_encoder() -> Circuit:
@@ -196,8 +194,6 @@ def optical_encoder(r: float) -> Circuit:
     mode 5 on the code's scale.  All four nullifier variances come out
     exactly 2 e^{-2r}.
     """
-    if not isfinite(r):
-        raise ValueError("squeezing parameter must be finite")
     return Circuit((1, 2, 3, 4, 5), _squeezers(r) + _ENCODER_TAIL)
 
 
@@ -219,10 +215,19 @@ def optical_encoded_state(r: float, alpha: complex = 0j) -> GaussianState:
 
 def erase(state: GaussianState, tag: str) -> GaussianState:
     """Trace out the erased modes, leaving the survivors in wire order."""
-    _check_tag(tag)
+    _check_tags(tag)
     if state.n_modes != 5:
         raise ValueError(f"erasure acts on the 5-mode register, got {state.n_modes} modes")
     return discard(state, [m - 1 for m in ERASED_MODES[tag]])
+
+
+# The ideal decoders' ops, each on its erasure's survivors.
+_IDEAL_DECODER_OPS = {
+    "E1": (BeamSplitterPM(1, 2),),
+    "E2": (Qnd(5, 4, -2.0), Qnd(4, 1, -1.0), Qnd(5, 1, -1.0), Qnd(1, 5, -1.0)),
+    "E3": (Qnd(5, 3, 2.0), Qnd(3, 5, -1.0), Qnd(5, 1, 1.0), Qnd(1, 5, 1.0)),
+    "E4": (Qnd(4, 3, -1.0), Qnd(2, 4, -1.0), Qnd(3, 4, 0.5), Qnd(4, 2, 2.0)),
+}
 
 
 def ideal_decoder(tag: str) -> Circuit:
@@ -231,23 +236,8 @@ def ideal_decoder(tag: str) -> Circuit:
     The recovered input sits on wire IDEAL_RECOVERY_WIRE[tag] afterwards.
     Its position action is ``decoder_matrix(tag)``.
     """
-    _check_tag(tag)
-    if tag == "E1":
-        return Circuit((1, 2), (BeamSplitterPM(1, 2),))
-    if tag == "E2":
-        return Circuit(
-            (1, 4, 5),
-            (Qnd(5, 4, -2.0), Qnd(4, 1, -1.0), Qnd(5, 1, -1.0), Qnd(1, 5, -1.0)),
-        )
-    if tag == "E3":
-        return Circuit(
-            (1, 3, 5),
-            (Qnd(5, 3, 2.0), Qnd(3, 5, -1.0), Qnd(5, 1, 1.0), Qnd(1, 5, 1.0)),
-        )
-    return Circuit(
-        (2, 3, 4),
-        (Qnd(4, 3, -1.0), Qnd(2, 4, -1.0), Qnd(3, 4, 0.5), Qnd(4, 2, 2.0)),
-    )
+    _check_tags(tag)
+    return Circuit(SURVIVOR_MODES[tag], _IDEAL_DECODER_OPS[tag])
 
 
 def decoder_matrix(tag: str) -> np.ndarray:
@@ -256,7 +246,7 @@ def decoder_matrix(tag: str) -> np.ndarray:
     The decoder maps |x> to |A x>; its symplectic block is diag(A, A^-T).
     Each tag is folded once; every call returns its own copy.
     """
-    _check_tag(tag)
+    _check_tags(tag)
     return _decoder_positions(tag).copy()
 
 
@@ -323,27 +313,8 @@ def optical_decoder(tag: str) -> Circuit:
     (OPTICAL_RECOVERY_WIRE[tag]); E4 is the one decoder that homodynes a
     port and feeds the outcome forward.
     """
-    _check_tag(tag)
+    _check_tags(tag)
     return _OPTICAL_DECODERS[tag]
-
-
-def _decoder_rows(tag: str) -> tuple[int, np.ndarray]:
-    """Erasure ``tag`` then its optical decoder: the recovered wire and rows ``[R | c]``.
-
-    The recovered wire is the decoder's one live wire.  Each row is an
-    affine function R q + c of the five-mode register's quadratures q: that
-    wire's x and p, outcome-averaged, then the quadrature each homodyne
-    measures, in measurement order.
-    """
-    decoder = _OPTICAL_DECODERS[tag]
-    live, total, registers = _fold(decoder.ops, decoder.labels)
-    if len(live) != 1:
-        raise ValueError(f"optical decoder {tag} leaves wires {live}, not one recovered wire")
-    rows = [*total, *(row for _, _, row in registers.values())]
-    survivors = [m - 1 for m in SURVIVOR_MODES[tag]]
-    R = np.zeros((len(rows), 11))
-    R[:, survivors + [5 + m for m in survivors] + [10]] = rows
-    return live[0], R
 
 
 # The encoder's squeezers act first, on disjoint modes, so their fold at r
@@ -356,28 +327,33 @@ _LAYER = _fold(_squeezers(1.0), (1, 2, 3, 4, 5))[1][:, :-1]
 _SQUEEZED = np.diag((np.diag(_LAYER) != 1.0).astype(float))
 _PAIRING = np.sign(_LAYER) - np.eye(10)
 _BASIS = np.stack([np.eye(10) - _SQUEEZED, (_SQUEEZED + _PAIRING) / 2, (_SQUEEZED - _PAIRING) / 2])
-_TAIL = _fold(_ENCODER_TAIL, (1, 2, 3, 4, 5))[1]
 
 
 def _compile(tag: str) -> tuple[int, np.ndarray, np.ndarray]:
     """Encoder, erasure ``tag`` and its decoder as ``(wire, L, M)`` over the encoder's input.
 
-    ``wire`` is the recovered wire.  At squeezing r the rows of
-    ``_decoder_rows(tag)`` are L[0] + e^{r} L[1] + e^{-r} L[2] applied to
-    the input's quadratures, and their mean is M (a, 1) with a the input's
-    (x, p): the squeezers do not touch mode 1, and the ancillas' means are
-    0.  An e^{r} entry within the products' rounding of its row's scale is
-    set to 0.  If the recovered wire's rows still grow like e^{r}, the
-    decoder does not recover the input, and this raises ValueError.
+    ``wire`` is the recovered wire, the fold's one live wire.  The rows are
+    its x and p, outcome-averaged, then the quadrature each homodyne
+    measures, in measurement order.  At squeezing r they are L[0] + e^{r}
+    L[1] + e^{-r} L[2] applied to the input's quadratures, and their mean
+    is M (a, 1) with a the input's (x, p): the squeezers do not touch mode
+    1, and the ancillas' means are 0.  An e^{r} entry within the products'
+    rounding of its row's scale is set to 0.  If the recovered wire's rows
+    still grow like e^{r}, the decoder does not recover the input, and
+    this raises ValueError.
     """
-    wire, R = _decoder_rows(tag)
-    A = R[:, :-1] @ _TAIL[:, :-1]
+    erasure = tuple(Discard(m) for m in ERASED_MODES[tag])
+    live, total, registers = _fold(_ENCODER_TAIL + erasure + _OPTICAL_DECODERS[tag].ops, (1, 2, 3, 4, 5))
+    if len(live) != 1:
+        raise ValueError(f"optical decoder {tag} leaves wires {live}, not one recovered wire")
+    rows = np.vstack([total, *(row for _, _, row in registers.values())])
+    A = rows[:, :-1]
     L = A @ _BASIS
     rounding = A.shape[1] * np.finfo(float).eps * np.abs(A).max(axis=1, keepdims=True)
     L[1][np.abs(L[1]) <= rounding] = 0.0
     if L[1, :2].any():
         raise ValueError(f"optical decoder {tag}: the recovered wire's rows grow like e^{{r}}")
-    return wire, L, np.column_stack([A[:, [0, 5]], R[:, :-1] @ _TAIL[:, -1] + R[:, -1]])
+    return live[0], L, np.column_stack([A[:, [0, 5]], rows[:, -1]])
 
 
 _COMPILED = {tag: _compile(tag) for tag in ERASURE_TAGS}
@@ -409,10 +385,9 @@ def _fidelities(rs, tags: tuple, alpha: complex, rng=None) -> np.ndarray:
     ``run`` draws it, its mean plus its deviation times a standard normal.
     That conditions each tag's rows over the whole grid at once; the
     measured row's scale drops out, so no e^{r}-sized number is formed.
+    Each r must be finite and >= 0 (``_check_squeezing``).
     """
     rs = np.asarray(rs, dtype=float)
-    if not np.all(np.isfinite(rs)):
-        raise ValueError("squeezing parameter must be finite")
     pick = [ERASURE_TAGS.index(tag) for tag in tags]
     a = displacement(alpha.real, alpha.imag)
     decay = np.exp(-rs)
@@ -437,13 +412,14 @@ def _fidelities(rs, tags: tuple, alpha: complex, rng=None) -> np.ndarray:
 
 
 def closed_form_fidelity(tag: str, r: float) -> float:
-    """Recovery fidelity formula for the optical pipeline at squeezing r."""
-    _check_tag(tag)
-    if tag == "E1":
-        return 1.0
-    if tag in ("E2", "E3"):
-        return 1.0 / (1.0 + 2.0 * exp(-2.0 * r))
-    return 1.0 / (1.0 + exp(-2.0 * r))
+    """Recovery fidelity formula for the optical pipeline at squeezing r.
+
+    F = 1 / (1 + c e^{-2r}) with the tag's noise c from ``_NOISE``; E1,
+    with c = 0, is exactly 1 at any r.
+    """
+    _check_tags(tag)
+    noise = _NOISE[tag]
+    return 1.0 / (1.0 + noise * exp(-2.0 * r)) if noise else 1.0
 
 
 def recovery_fidelities(
@@ -464,8 +440,7 @@ def recovery_fidelities(
     """
     _check_squeezing("r", r)
     tags = tuple(tags)
-    for tag in tags:
-        _check_tag(tag)
+    _check_tags(*tags)
     cells = _fidelities([r], tags, _amplitude(alpha), rng)[0]
     return {tag: float(f) for tag, f in zip(tags, cells)}
 
@@ -499,14 +474,12 @@ class SweepSpec:
     def __post_init__(self):
         if self.steps < 1:
             raise ValueError("steps must be >= 1")
-        if not (isfinite(self.r_min) and isfinite(self.r_max)):
-            raise ValueError(f"r_min and r_max must be finite, got {self.r_min}, {self.r_max}")
+        _check_squeezing("r_min", self.r_min)
+        _check_squeezing("r_max", self.r_max)
         if self.r_max < self.r_min:
             raise ValueError("r_max must be >= r_min")
-        _check_squeezing("r_min", self.r_min)
         errors = tuple(self.errors)
-        for tag in errors:
-            _check_tag(tag)
+        _check_tags(*errors)
         if len(set(errors)) != len(errors):
             raise ValueError("duplicate erasure tags in sweep")
         if not errors:
@@ -516,43 +489,35 @@ class SweepSpec:
 
 
 @dataclass(frozen=True)
-class SweepRow:
-    r: float
-    simulated: dict  # tag -> fidelity; nan for tags outside the sweep
-    formula: dict  # tag -> closed form
-    max_abs_dev: float  # over the swept tags only
-
-
-@dataclass(frozen=True)
 class SweepResult:
-    spec: SweepSpec
-    rows: tuple
-    max_abs_dev: float
+    """A sweep's grid and its tables, computed in one pass; columns in ERASURE_TAGS order."""
+
+    r: np.ndarray  # the grid, (steps,)
+    simulated: np.ndarray  # (steps, 4); nan for tags outside the sweep
+    formula: np.ndarray  # (steps, 4) closed forms
+    row_max_abs_dev: np.ndarray  # (steps,) over the swept tags only; nan if a swept cell is
+    max_abs_dev: float  # over the grid
 
 
 def fidelity_sweep(spec: SweepSpec, *, rng: np.random.Generator | None = None) -> SweepResult:
-    """Simulate every requested erasure over a squeezing grid.
+    """Simulate every requested erasure over a squeezing grid (see ``SweepResult``).
 
-    Each row carries the simulated and closed-form fidelities for all four
-    tags (simulated entries of unswept tags are nan) plus the row's largest
-    simulation-vs-formula deviation, which is nan if a swept cell is.  With
-    an ``rng``, decoders that contain a homodyne sample it instead of
+    With an ``rng``, decoders that contain a homodyne sample it instead of
     averaging — the deviations should not care, which is itself a property
     worth sweeping.
     """
     grid = np.linspace(spec.r_min, spec.r_max, spec.steps)
     # ERASURE_TAGS order, so a seeded rng is drawn the same way for any
     # order of spec.errors.
-    swept = tuple(tag for tag in ERASURE_TAGS if tag in spec.errors)
-    rows = []
-    for r, cells in zip(grid, _fidelities(grid, swept, spec.alpha, rng)):
-        simulated = dict.fromkeys(ERASURE_TAGS, nan)
-        simulated.update(zip(swept, map(float, cells)))
-        formula = {tag: closed_form_fidelity(tag, r) for tag in ERASURE_TAGS}
-        # np.max, unlike max(), lets a nan cell through to the verdict
-        row_dev = float(np.max([abs(simulated[tag] - formula[tag]) for tag in swept]))
-        rows.append(SweepRow(float(r), simulated, formula, row_dev))
-    return SweepResult(spec, tuple(rows), float(np.max([row.max_abs_dev for row in rows])))
+    swept = [i for i, tag in enumerate(ERASURE_TAGS) if tag in spec.errors]
+    simulated = np.full((spec.steps, len(ERASURE_TAGS)), nan)
+    simulated[:, swept] = _fidelities(grid, tuple(ERASURE_TAGS[i] for i in swept), spec.alpha, rng)
+    # math.exp, as closed_form_fidelity takes it, so each cell equals its value
+    decay = np.array([exp(-2.0 * r) for r in grid])
+    formula = 1.0 / (1.0 + np.multiply.outer(decay, list(_NOISE.values())))
+    # a nan cell makes its row's maximum nan, and so the verdict
+    row_dev = np.abs(simulated[:, swept] - formula[:, swept]).max(axis=1)
+    return SweepResult(grid, simulated, formula, row_dev, float(row_dev.max()))
 
 
 class UnreachableTargetError(ValueError):

@@ -34,6 +34,8 @@ with A.
 
 An entry counts as zero at ``_ZERO`` times its row's size: the row's
 largest entry in A, times every factor the row has since been scaled by.
+A column left with no nonzero entry to pivot on is the one verdict that
+A is singular, so the verdict does not depend on the scale of A's rows.
 """
 
 from __future__ import annotations
@@ -194,6 +196,4 @@ def _synthesize(
     labels = tuple(int(v) for v in labels)
     if len(labels) != n:
         raise SynthesisError(f"{n}x{n} matrix needs {n} labels, got {len(labels)}")
-    if np.linalg.matrix_rank(A) < n:
-        raise SynthesisError("matrix is singular")
     return _build(A, labels, _reduction_script(A, pivot_rows))

@@ -203,27 +203,17 @@ def _parse_alpha(text: str) -> complex:
 
 
 def _parse_errors(text: str) -> tuple[str, ...]:
-    tags = tuple(tok.strip() for tok in text.split(",") if tok.strip())
-    for tag in tags:
-        if tag not in ERASURE_TAGS:
-            raise ValueError(f"unknown erasure tag {tag!r}; valid: {', '.join(ERASURE_TAGS)}")
-    if not tags:
-        raise ValueError("--errors got an empty list")
-    return tags
+    """Split a comma-separated tag list; SweepSpec validates the tags."""
+    return tuple(tok.strip() for tok in text.split(",") if tok.strip())
 
 
 _CSV_HEADER = "r,F1,F2,F3,F4,formula_F1,formula_F2,formula_F3,formula_F4,max_abs_dev"
 
 
 def _sweep_csv(result) -> str:
-    lines = [_CSV_HEADER]
-    for row in result.rows:
-        cells = [format(row.r, ".12g")]
-        cells += [format(row.simulated[tag], ".12g") for tag in ERASURE_TAGS]
-        cells += [format(row.formula[tag], ".12g") for tag in ERASURE_TAGS]
-        cells.append(format(row.max_abs_dev, ".12g"))
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+    table = np.column_stack([result.r, result.simulated, result.formula, result.row_max_abs_dev])
+    lines = [",".join(format(cell, ".12g") for cell in row) for row in table.tolist()]
+    return "\n".join([_CSV_HEADER, *lines]) + "\n"
 
 
 _GNUPLOT_TEMPLATE = """\
@@ -257,7 +247,7 @@ def cmd_fidelity(args) -> int:
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(csv_text)
-        print(f"wrote {len(result.rows)} rows to {args.out}", file=sys.stderr)
+        print(f"wrote {len(result.r)} rows to {args.out}", file=sys.stderr)
     else:
         sys.stdout.write(csv_text)
     if args.gnuplot:

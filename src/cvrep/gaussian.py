@@ -179,11 +179,17 @@ def vacuum(n_modes: int) -> GaussianState:
     return GaussianState(np.zeros(2 * n_modes), np.eye(2 * n_modes) / 2, _validate=False)
 
 
-def coherent(alpha: complex) -> GaussianState:
-    """Single-mode coherent state: displaced vacuum, mean (sqrt2 Re a, sqrt2 Im a)."""
+def _amplitude(alpha) -> complex:
+    """``alpha`` as a complex displacement amplitude; ValueError unless it is finite."""
     alpha = complex(alpha)
     if not np.isfinite(alpha.real) or not np.isfinite(alpha.imag):
         raise ValueError("displacement amplitude must be finite")
+    return alpha
+
+
+def coherent(alpha: complex) -> GaussianState:
+    """Single-mode coherent state: displaced vacuum, mean (sqrt2 Re a, sqrt2 Im a)."""
+    alpha = _amplitude(alpha)
     return GaussianState(displacement(alpha.real, alpha.imag), np.eye(2) / 2, _validate=False)
 
 

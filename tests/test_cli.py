@@ -196,7 +196,29 @@ def test_synth_singular_matrix_fails_verification(capsys, tmp_path):
     rc, out, err = run_cli(capsys, "synth", "--matrix", str(path))
     assert rc == 1
     assert out == ""
-    assert "singular" in err
+    assert err == "error: matrix is singular: no pivot available in column 1\n"
+
+
+@pytest.mark.parametrize(
+    "rows, circuit",
+    [
+        # diag(1, 2**-60)
+        (["1 0", "0 8.673617379884035e-19"], "MODES 1 2\nSQ mode=2 factor=8.673617379884035e-19\n"),
+        # [[1, 2], [3, 4]] with row 2 scaled by 2**-55
+        (
+            ["1 2", "8.326672684688674e-17 1.1102230246251565e-16"],
+            "MODES 1 2\nQND c=2 t=1 gain=2\nSQ mode=2 factor=-5.551115123125783e-17\n"
+            "QND c=1 t=2 gain=8.326672684688674e-17\n",
+        ),
+    ],
+    ids=["diag", "dense"],
+)
+def test_synth_invertible_matrix_with_rows_of_distant_scales(capsys, tmp_path, rows, circuit):
+    path = tmp_path / "scaled.txt"
+    path.write_text("\n".join(rows) + "\n")
+    rc, out, err = run_cli(capsys, "synth", "--matrix", str(path), "--check")
+    assert (rc, out) == (0, circuit)
+    assert err == "max |achieved - target| = 0.000e+00\n"
 
 
 def test_synth_file_errors_are_usage_errors(capsys, tmp_path):
@@ -282,6 +304,42 @@ def test_fidelity_flag_validation(capsys):
     assert rc == 2
     rc, _, err = run_cli(capsys, "fidelity", "--alpha", "one")
     assert rc == 2 and "amplitude" in err
+
+
+# The exact CSV of one sweep, seeded or not: sampling E4's homodyne moves
+# no printed digit.
+FROZEN_SWEEP_ARGS = (
+    "fidelity", "--steps", "7", "--r-min", "0.2", "--r-max", "3", "--alpha=1-0.5i", "--errors", "E4,E2"
+)
+FROZEN_SWEEP_CSV = CSV_HEADER + """
+0.2,nan,0.427233560336,nan,0.598687660112,1,0.427233560336,0.427233560336,0.598687660112,2.77555756156e-16
+0.666666666667,nan,0.654795539483,nan,0.791391472674,1,0.654795539483,0.654795539483,0.791391472674,1.11022302463e-16
+1.13333333333,nan,0.828284760175,nan,0.906078503981,1,0.828284760175,0.828284760175,0.906078503981,2.22044604925e-16
+1.6,nan,0.924620833929,nan,0.960834277203,1,0.924620833929,0.924620833929,0.960834277203,3.33066907388e-16
+2.06666666667,nan,0.968937119152,nan,0.984223528245,1,0.968937119152,0.968937119152,0.984223528245,2.22044604925e-16
+2.53333333333,nan,0.987550159596,nan,0.993736087442,1,0.987550159596,0.987550159596,0.993736087442,1.11022302463e-16
+3,nan,0.995066951257,nan,0.997527376843,1,0.995066951257,0.995066951257,0.997527376843,2.22044604925e-16
+"""
+
+
+@pytest.mark.parametrize("seed", [(), ("--seed", "1")], ids=["unseeded", "seeded"])
+def test_fidelity_csv_is_frozen(capsys, seed):
+    rc, out, err = run_cli(capsys, *seed, *FROZEN_SWEEP_ARGS)
+    assert (rc, out) == (0, FROZEN_SWEEP_CSV)
+    assert err == "max |simulated - formula| = 3.331e-16\n"
+
+
+@pytest.mark.parametrize(
+    "errors, message",
+    [
+        ("E9", "unknown erasure tag 'E9'; valid: E1, E2, E3, E4"),
+        ("E2,E2", "duplicate erasure tags in sweep"),
+        (",", "sweep needs at least one erasure tag"),
+    ],
+)
+def test_fidelity_reports_the_sweep_specs_tag_errors(capsys, errors, message):
+    rc, out, err = run_cli(capsys, "fidelity", f"--errors={errors}")
+    assert (rc, out, err) == (2, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("flag", ["--r-min", "--r-max"])

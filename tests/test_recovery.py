@@ -373,6 +373,17 @@ def test_recovery_fidelities_reject_negative_squeezing(r):
         recovery_fidelity("E1", r, rng=np.random.default_rng(1))
 
 
+@pytest.mark.parametrize("r", [np.nan, np.inf, -np.inf])
+def test_recovery_fidelities_and_sweeps_reject_non_finite_squeezing(r):
+    # one rule, _check_squeezing, for a single r and for a sweep's bounds
+    with pytest.raises(ValueError, match="^r must be finite"):
+        recovery_fidelities(r, ERASURE_TAGS)
+    with pytest.raises(ValueError, match="^r_min must be finite"):
+        SweepSpec(r_min=r, r_max=1.0)
+    with pytest.raises(ValueError, match="^r_max must be finite"):
+        SweepSpec(r_min=0.0, r_max=r)
+
+
 @pytest.mark.parametrize(
     "tag, ops",
     [
@@ -491,6 +502,11 @@ def test_closed_forms_are_monotone_and_ordered():
     assert closed_form_fidelity("E3", 1.1) == closed_form_fidelity("E2", 1.1)
 
 
+@pytest.mark.parametrize("r", [0.0, 1e-300, 0.5, 30.0, 1000.0, np.inf, -1000.0, -np.inf, np.nan])
+def test_e1_closed_form_is_exactly_one_at_any_r(r):
+    assert closed_form_fidelity("E1", r) == 1.0
+
+
 # ---------------------------------------------------------------------------
 # sweeps
 # ---------------------------------------------------------------------------
@@ -499,21 +515,30 @@ def test_closed_forms_are_monotone_and_ordered():
 def test_sweep_tracks_formulas_across_the_grid():
     spec = SweepSpec(r_min=0.0, r_max=2.0, steps=5)
     result = fidelity_sweep(spec)
-    assert len(result.rows) == 5
-    assert result.rows[0].r == 0.0 and result.rows[-1].r == 2.0
+    np.testing.assert_array_equal(result.r, np.linspace(0.0, 2.0, 5))
+    assert result.simulated.shape == result.formula.shape == (5, len(ERASURE_TAGS))
+    assert result.row_max_abs_dev.shape == (5,)
     assert result.max_abs_dev <= 1e-9
-    for row in result.rows:
-        for tag in ERASURE_TAGS:
-            assert np.isfinite(row.simulated[tag])
-            assert row.formula[tag] == closed_form_fidelity(tag, row.r)
+    assert np.all(np.isfinite(result.simulated))
+    for r, formulas in zip(result.r, result.formula):
+        for tag, formula in zip(ERASURE_TAGS, formulas):
+            assert formula == closed_form_fidelity(tag, r)
+
+
+def test_sweep_formula_table_is_the_closed_forms_bit_for_bit():
+    # a grid on which NumPy's exp and math.exp differ in the last place of 7 fidelities
+    result = fidelity_sweep(SweepSpec(r_min=0.0, r_max=5.0, steps=1001, errors=("E1",)))
+    expected = [[closed_form_fidelity(tag, r) for tag in ERASURE_TAGS] for r in result.r]
+    np.testing.assert_array_equal(result.formula, expected)
 
 
 def test_sweep_marks_unswept_tags_with_nan():
     spec = SweepSpec(r_min=0.5, r_max=0.5, steps=1, errors=("E1", "E4"))
-    row = fidelity_sweep(spec).rows[0]
-    assert np.isnan(row.simulated["E2"]) and np.isnan(row.simulated["E3"])
-    assert np.isfinite(row.simulated["E1"]) and np.isfinite(row.simulated["E4"])
-    assert np.isfinite(row.formula["E2"])
+    result = fidelity_sweep(spec)
+    simulated, formula = result.simulated[0], result.formula[0]
+    assert np.isnan(simulated[1]) and np.isnan(simulated[2])
+    assert np.isfinite(simulated[0]) and np.isfinite(simulated[3])
+    assert np.all(np.isfinite(formula))
 
 
 def test_sweep_with_rng_matches_the_formulas_too():
@@ -526,7 +551,7 @@ def test_sweep_encodes_the_register_once_per_r(monkeypatch):
     # the whole grid in one batched evaluation
     encodes = count_encodes(monkeypatch)
     result = fidelity_sweep(SweepSpec(r_min=0.2, r_max=1.0, steps=3))
-    assert encodes == [tuple(row.r for row in result.rows)] and len(encodes[0]) == 3
+    assert encodes == [tuple(result.r.tolist())] and len(encodes[0]) == 3
 
 
 @pytest.mark.parametrize("seed", [None, 11])
@@ -538,10 +563,12 @@ def test_sweep_cells_equal_single_tag_recovery_fidelities(seed):
     result = fidelity_sweep(spec, rng=generator())
     # row by row in ERASURE_TAGS order: the order a seeded sweep draws in
     rng = generator()
-    for row in result.rows:
-        for tag in ERASURE_TAGS:
+    for r, cells in zip(result.r, result.simulated):
+        for tag, cell in zip(ERASURE_TAGS, cells):
             if tag in spec.errors:
-                assert row.simulated[tag] == recovery_fidelity(tag, row.r, spec.alpha, rng=rng)
+                assert cell == recovery_fidelity(tag, r, spec.alpha, rng=rng)
+            else:
+                assert np.isnan(cell)
 
 
 @pytest.mark.parametrize("tag", ERASURE_TAGS)
@@ -555,7 +582,7 @@ def test_sweep_deviation_is_nan_when_a_cell_is_nan(monkeypatch, tag):
 
     monkeypatch.setattr(recovery, "_fidelities", one_nan)
     result = fidelity_sweep(SweepSpec(r_min=0.2, r_max=0.6, steps=3))
-    assert all(np.isnan(row.max_abs_dev) for row in result.rows)
+    assert np.all(np.isnan(result.row_max_abs_dev))
     assert np.isnan(result.max_abs_dev)
 
 
