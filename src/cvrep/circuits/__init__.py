@@ -1,100 +1,18 @@
-"""Circuit IR, interpreter, synthesis, rewriting, and code recovery lines."""
+"""Circuit IR, interpreter, synthesis, rewriting, and code recovery lines.
 
-from .interpreter import RunResult, op_map, run, symplectic_of
-from .ir import (
-    BeamSplitterPM,
-    Circuit,
-    CircuitParseError,
-    Discard,
-    Displace,
-    FeedforwardDisplace,
-    Fourier,
-    InverseFourier,
-    Measure,
-    PhaseShift,
-    Pi,
-    Qnd,
-    SqueezeFactor,
-    Swap,
-    TwoModeSqueeze,
-    parse,
-    serialize,
-)
-from .recovery import (
-    ERASED_MODES,
-    ERASURE_TAGS,
-    IDEAL_RECOVERY_WIRE,
-    OPTICAL_RECOVERY_WIRE,
-    REFERENCE_PIVOT_ROWS,
-    SURVIVOR_MODES,
-    SweepResult,
-    SweepSpec,
-    UnreachableTargetError,
-    closed_form_fidelity,
-    decoder_matrix,
-    erase,
-    fidelity_sweep,
-    ideal_decoder,
-    ideal_encoded_state,
-    ideal_encoder,
-    optical_decoder,
-    optical_encoded_state,
-    optical_encoder,
-    recovery_fidelities,
-    recovery_fidelity,
-    threshold_squeezing,
-)
-from .rewrite import RewriteError, rewrite, rule_ids
-from .synthesis import SynthesisError, deviation, synthesize
+The package exports exactly the names in its submodules' ``__all__``
+lists; each public name is written down once, in the module that defines
+it.
+"""
 
-__all__ = [
-    "BeamSplitterPM",
-    "Circuit",
-    "CircuitParseError",
-    "Discard",
-    "Displace",
-    "ERASED_MODES",
-    "ERASURE_TAGS",
-    "FeedforwardDisplace",
-    "Fourier",
-    "IDEAL_RECOVERY_WIRE",
-    "InverseFourier",
-    "Measure",
-    "OPTICAL_RECOVERY_WIRE",
-    "PhaseShift",
-    "Pi",
-    "Qnd",
-    "REFERENCE_PIVOT_ROWS",
-    "RewriteError",
-    "RunResult",
-    "SURVIVOR_MODES",
-    "SqueezeFactor",
-    "Swap",
-    "SweepResult",
-    "SweepSpec",
-    "SynthesisError",
-    "TwoModeSqueeze",
-    "UnreachableTargetError",
-    "closed_form_fidelity",
-    "decoder_matrix",
-    "deviation",
-    "erase",
-    "fidelity_sweep",
-    "ideal_decoder",
-    "ideal_encoded_state",
-    "ideal_encoder",
-    "op_map",
-    "optical_decoder",
-    "optical_encoded_state",
-    "optical_encoder",
-    "parse",
-    "recovery_fidelities",
-    "recovery_fidelity",
-    "rewrite",
-    "rule_ids",
-    "run",
-    "serialize",
-    "symplectic_of",
-    "synthesize",
-    "threshold_squeezing",
-]
+from . import interpreter, ir, recovery, rewrite, synthesis
+
+# Read before the star imports: they bind the function ``rewrite`` over the
+# module of that name.
+__all__ = [*interpreter.__all__, *ir.__all__, *recovery.__all__, *rewrite.__all__, *synthesis.__all__]
+
+from .interpreter import *  # noqa: E402,F403
+from .ir import *  # noqa: E402,F403
+from .recovery import *  # noqa: E402,F403
+from .rewrite import *  # noqa: E402,F403
+from .synthesis import *  # noqa: E402,F403

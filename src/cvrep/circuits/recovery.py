@@ -106,6 +106,7 @@ __all__ = [
     "ideal_decoder",
     "optical_decoder",
     "decoder_matrix",
+    "REFERENCE_PIVOT_ROWS",
     "closed_form_fidelity",
     "recovery_fidelity",
     "recovery_fidelities",
@@ -415,8 +416,10 @@ def closed_form_fidelity(tag: str, r: float) -> float:
     """Recovery fidelity formula for the optical pipeline at squeezing r.
 
     F = 1 / (1 + c e^{-2r}) with the tag's noise c from ``_NOISE``; E1,
-    with c = 0, is exactly 1 at any r.
+    with c = 0, is exactly 1 at any valid r.  r must be finite and >= 0
+    (``_check_squeezing``), as for ``recovery_fidelities``.
     """
+    _check_squeezing("r", r)
     _check_tags(tag)
     noise = _NOISE[tag]
     return 1.0 / (1.0 + noise * exp(-2.0 * r)) if noise else 1.0

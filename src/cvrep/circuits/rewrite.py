@@ -174,28 +174,16 @@ def rule_ids() -> tuple[str, ...]:
     return tuple(_RULES)
 
 
-def _canonical_rule(rule) -> str:
-    """Accept 'R3', 3, '3', 'MC', or 'measure-control' for a rule name."""
-    if isinstance(rule, int):
-        name = f"R{rule}"
-    else:
-        text = str(rule).strip().upper()
-        name = "MC" if text == "MEASURE-CONTROL" else f"R{text}" if text.isdigit() else text
-    if name not in _RULES:
-        raise RewriteError(f"unknown rule {rule!r}; valid: {', '.join(_RULES)}")
-    return name
-
-
-def rewrite(circuit: Circuit, rule, position: int) -> Circuit:
+def rewrite(circuit: Circuit, rule: str, position: int) -> Circuit:
     """Apply one named rule at ops[position], returning a new circuit.
 
-    ``rule`` may be a canonical name from :func:`rule_ids` ("R1".."R8",
-    "MC"), a bare rule number, or "measure-control".  Raises RewriteError
-    if the rule name is unknown, the window falls off the end of the op
-    list, the ops there don't match the rule's pattern, or a side
+    ``rule`` is one of the names in :func:`rule_ids` ("R1".."R8", "MC").
+    Raises RewriteError if it is not, the window falls off the end of the
+    op list, the ops there don't match the rule's pattern, or a side
     condition fails.
     """
-    rule = _canonical_rule(rule)
+    if rule not in rule_ids():
+        raise RewriteError(f"unknown rule {rule!r}; valid: {', '.join(_RULES)}")
     width, matcher = _RULES[rule]
     if not (0 <= position <= len(circuit.ops) - width):
         raise RewriteError(

@@ -387,7 +387,7 @@ def fidelity_with_coherent(state: GaussianState, alpha: complex) -> float:
     """Overlap <alpha| rho |alpha> for a single-mode Gaussian rho (``coherent_fidelity``)."""
     if state.n_modes != 1:
         raise ValueError(f"fidelity_with_coherent needs a single-mode state, got {state.n_modes}")
-    alpha = complex(alpha)
+    alpha = _amplitude(alpha)
     (vxx, vxp), (_, vpp) = state.cov
     dx, dp = state.mean - displacement(alpha.real, alpha.imag)
     return float(coherent_fidelity(vxx, vxp, vpp, dx, dp))

@@ -65,16 +65,17 @@ class SpacetimePoint:
         return len(self.x)
 
 
-def causal_leq(a: SpacetimePoint, b: SpacetimePoint, *, slack: float = TOL.causal_slack) -> bool:
+def causal_leq(a: SpacetimePoint, b: SpacetimePoint) -> bool:
     """True when a signal from ``a`` can reach ``b`` (a in b's past cone).
 
-    Lightlike separations count as reachable; ``slack`` absorbs rounding from
-    boosted or otherwise computed coordinates.
+    Lightlike separations count as reachable; ``TOL.causal_slack`` absorbs
+    rounding from boosted or otherwise computed coordinates.
     """
     if a.dim != b.dim:
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
     dt = b.t - a.t
     dx = math.dist(a.x, b.x)
+    slack = TOL.causal_slack
     return dt >= -slack and dt >= dx - slack
 
 

@@ -7,6 +7,8 @@ oracles and library code agree on what "equal", "symplectic", and
 
 from dataclasses import dataclass
 
+__all__ = ["TOL", "Tolerances"]
+
 
 @dataclass(frozen=True)
 class Tolerances:

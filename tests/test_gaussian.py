@@ -509,6 +509,14 @@ def test_fidelity_requires_single_mode():
         g.fidelity_with_coherent(g.vacuum(2), 0j)
 
 
+@pytest.mark.parametrize("alpha", [math.nan, math.inf, complex(1, math.inf)])
+def test_fidelity_rejects_a_non_finite_amplitude(alpha):
+    # the amplitude rule of coherent(): a NaN or infinite alpha raises
+    # instead of returning nan
+    with pytest.raises(ValueError, match="displacement amplitude must be finite"):
+        g.fidelity_with_coherent(g.coherent(0), alpha)
+
+
 @pytest.mark.parametrize(
     "cov",
     [

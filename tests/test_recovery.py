@@ -502,9 +502,18 @@ def test_closed_forms_are_monotone_and_ordered():
     assert closed_form_fidelity("E3", 1.1) == closed_form_fidelity("E2", 1.1)
 
 
-@pytest.mark.parametrize("r", [0.0, 1e-300, 0.5, 30.0, 1000.0, np.inf, -1000.0, -np.inf, np.nan])
+@pytest.mark.parametrize("r", [0.0, 1e-300, 0.5, 30.0, 1000.0])
 def test_e1_closed_form_is_exactly_one_at_any_r(r):
     assert closed_form_fidelity("E1", r) == 1.0
+
+
+@pytest.mark.parametrize("tag", ERASURE_TAGS)
+@pytest.mark.parametrize("r", [np.inf, -1000.0, -400.0, -np.inf, np.nan])
+def test_closed_form_rejects_what_recovery_fidelities_rejects(tag, r):
+    # the squeezing rule of recovery_fidelities (_check_squeezing): no nan,
+    # no 0.0 at -inf, no bare OverflowError from math.exp at r = -400
+    with pytest.raises(ValueError, match="^r must be finite" if not np.isfinite(r) else "r must be >= 0"):
+        closed_form_fidelity(tag, r)
 
 
 # ---------------------------------------------------------------------------

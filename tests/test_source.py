@@ -4,7 +4,11 @@ import ast
 import importlib
 import importlib.util
 import pkgutil
+import sys
+from collections import Counter
 from pathlib import Path
+
+import pytest
 
 import cvrep
 
@@ -38,6 +42,29 @@ def test_every_name_in_every_all_resolves():
     ]
     assert cvrep.gaussian in modules and cvrep.circuits.ir in modules
     assert not missing, f"unresolved names in __all__: {missing}"
+
+
+@pytest.mark.parametrize("package", [cvrep, cvrep.circuits], ids=lambda package: package.__name__)
+def test_each_package_exports_exactly_its_submodules_all(package):
+    # A package's public names are written down once, in the __all__ of the
+    # submodule that defines them; the package re-exports those lists.
+    # ``__main__`` runs the CLI; ``cli`` has no __all__.
+    submodules = [
+        importlib.import_module(f"{package.__name__}.{info.name}")
+        for info in pkgutil.iter_modules(package.__path__)
+        if info.name != "__main__"
+    ]
+    lists = {module.__name__: module.__all__ for module in submodules if hasattr(module, "__all__")}
+    counts = Counter(name for names in lists.values() for name in names)
+    assert not [name for name, count in counts.items() if count > 1], "a name is in two submodules' __all__"
+    assert sorted(package.__all__) == sorted(counts)
+    moved = [
+        f"{module}.{name}"
+        for module, names in lists.items()
+        for name in names
+        if getattr(package, name) is not getattr(sys.modules[module], name)
+    ]
+    assert not moved, f"package names that are not their submodule's object: {moved}"
 
 
 def test_every_traced_benchmark_name_resolves():
