@@ -20,7 +20,7 @@ Synthesis checks its circuits with it.
 
 ``run`` executes any circuit with that one fold.  Stacking the live rows
 and each register's row gives a joint Gaussian over the outputs and the
-outcomes (the deferred-measurement rule MC of :mod:`.rewrite`: a
+outcomes (the deferred-measurement rule MC of :mod:`.rules`: a
 measurement that feeds forward is a controlled displacement followed by a
 partial trace).  Averaged over every outcome, the state is its live block.
 A forced or sampled outcome conditions the joint Gaussian on that

@@ -39,8 +39,9 @@ decoder circuits.  A sweep is one batched evaluation:
 r-grid and all tags at once and the closed-form 2 x 2 fidelity
 (``coherent_fidelity``).  The sweep makes one call for its grid and reads
 its closed forms off ``_NOISE`` for the whole grid too, so its result is
-arrays, (steps, 4) per table; ``recovery_fidelities`` and each threshold
-step make one call for a single r.
+arrays, (steps, 4) per table; ``recovery_fidelities`` makes one call for
+a single r, and ``threshold_squeezing`` one call for its bracket and one
+per round of bisection levels.
 With an ``rng``, E4's homodyne is sampled by conditioning those rows on
 the drawn outcome.  Its measured row, the one row with an e^{r} part, is
 scaled by e^{-r} first, so sampling is exact at any r too.
@@ -527,8 +528,33 @@ class UnreachableTargetError(ValueError):
     pass
 
 
-def _worst_case_fidelity(r: float) -> float:
-    return float(np.min(_fidelities([r], ERASURE_TAGS, 0j)))
+# The doubling bracket's radii: r = 0, then each upper end it tries.
+_BRACKET = (0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0)
+# Bisection levels per evaluation round: a round evaluates the 2^k - 1
+# midpoints of the next k levels in one call.
+_LEVELS = 5
+
+
+def _worst_cases(rs) -> np.ndarray:
+    return _fidelities(rs, ERASURE_TAGS, 0j).min(axis=1)
+
+
+def _midpoints(lo: float, hi: float) -> list:
+    """Every midpoint of the next ``_LEVELS`` bisection levels of [lo, hi], in heap order.
+
+    Node i's children are 2i + 1 (its lower half) and 2i + 2 (its upper
+    half); each midpoint is ``0.5 * (lo + hi)`` of the interval on its
+    own path, the float a step-by-step bisection forms.
+    """
+    mids, intervals = [], [(lo, hi)]
+    for _ in range(_LEVELS):
+        halves = []
+        for a, b in intervals:
+            mid = 0.5 * (a + b)
+            mids.append(mid)
+            halves += [(a, mid), (mid, b)]
+        intervals = halves
+    return mids
 
 
 def threshold_squeezing(target: float, *, tol: float = 1e-6) -> float:
@@ -537,6 +563,18 @@ def threshold_squeezing(target: float, *, tol: float = 1e-6) -> float:
     Bisects the simulated worst case (not the formulas), so it stays honest
     if the simulation and the closed forms ever disagree.  Targets >= 1 are
     unreachable at finite squeezing; targets already met at r = 0 return 0.
+
+    The search runs in batched evaluations.  One call evaluates r = 0 and
+    the doubling bracket's ends 1, 2, 4, ..., 64; walking those verdicts in
+    order gives the first end that meets the target, or
+    ``UnreachableTargetError`` if 64 does not.  Then each round evaluates
+    every midpoint of the next ``_LEVELS`` bisection levels in one call
+    (``_midpoints``) and walks them one level at a time: a step halves
+    [lo, hi] while ``hi - lo > tol``, stops early once lo and hi are
+    adjacent floats, and keeps the half whose end meets the target.  Each
+    ``_fidelities`` cell depends only on its own r and tag, and the walk
+    visits exactly the midpoints that bisecting one r per call visits, so
+    the answer is the same float that one-r-per-call search gives.
     """
     if not isfinite(target):
         raise ValueError("target fidelity must be finite")
@@ -547,21 +585,24 @@ def threshold_squeezing(target: float, *, tol: float = 1e-6) -> float:
         )
     if not (isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be positive and finite, got {tol}")
-    if _worst_case_fidelity(0.0) >= target:
+    worst = _worst_cases(_BRACKET)
+    if worst[0] >= target:
         return 0.0
-    lo, hi = 0.0, 1.0
-    while _worst_case_fidelity(hi) < target:
-        lo, hi = hi, hi * 2.0
-        if hi > 64.0:  # worst case is ~1 - 2e^{-2r}; this would be absurd
-            raise UnreachableTargetError(
-                f"no squeezing below r = 64 reaches target fidelity {target}"
-            )
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:  # adjacent floats: tol is below their spacing
+    for lo, hi, met in zip(_BRACKET, _BRACKET[1:], worst[1:] >= target):
+        if met:
             break
-        if _worst_case_fidelity(mid) >= target:
-            hi = mid
-        else:
-            lo = mid
+    else:  # worst case is ~1 - 2e^{-2r}; more would be absurd
+        raise UnreachableTargetError(f"no squeezing below r = 64 reaches target fidelity {target}")
+    while hi - lo > tol:
+        mids = _midpoints(lo, hi)
+        met = _worst_cases(mids) >= target
+        node = 0
+        while node < len(mids) and hi - lo > tol:
+            mid = mids[node]
+            if not lo < mid < hi:  # adjacent floats: tol is below their spacing
+                return 0.5 * (lo + hi)
+            if met[node]:
+                hi, node = mid, 2 * node + 1
+            else:
+                lo, node = mid, 2 * node + 2
     return 0.5 * (lo + hi)

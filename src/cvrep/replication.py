@@ -228,7 +228,8 @@ def select_code(config: Configuration) -> StabilizerCode:
 # JSON I/O and built-in example configurations
 
 def _point(values, dim: int, what: str) -> SpacetimePoint:
-    values = list(values)
+    if not isinstance(values, (list, tuple)):
+        raise ValueError(f"{what} must be a list [t, x1..x{dim}], got {type(values).__name__}")
     if len(values) != dim + 1:
         raise ValueError(
             f"{what} must have {dim + 1} entries [t, x1..x{dim}], got {len(values)}"
@@ -242,18 +243,27 @@ def configuration_from_json(data: dict) -> Configuration:
     Schema: {"dim": d, "start": [t, x1..xd],
              "diamonds": [{"y": [t, x...], "z": [t, x...]}, ...]}
     """
+    _check_object(data, "the configuration")
     try:
         dim = data["dim"]
         if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
             raise ValueError(f"dim must be an integer >= 1, got {dim!r}")
         start = _point(data["start"], dim, "start")
-        diamonds = tuple(
-            CausalDiamond(_point(d["y"], dim, f"diamond {i} y"), _point(d["z"], dim, f"diamond {i} z"))
-            for i, d in enumerate(data["diamonds"], start=1)
-        )
+        if not isinstance(data["diamonds"], (list, tuple)):
+            raise ValueError(f"diamonds must be a list, got {type(data['diamonds']).__name__}")
+        diamonds = []
+        for i, d in enumerate(data["diamonds"], start=1):
+            _check_object(d, f"diamond {i}")
+            y, z = (_point(d[end], dim, f"diamond {i} {end}") for end in ("y", "z"))
+            diamonds.append(CausalDiamond(y, z))
     except KeyError as exc:
         raise ValueError(f"configuration is missing key {exc.args[0]!r}") from exc
     return Configuration(start, diamonds)
+
+
+def _check_object(value, what: str) -> None:
+    if not isinstance(value, dict):
+        raise ValueError(f"{what} must be an object, got {type(value).__name__}")
 
 
 def load_configuration(path) -> Configuration:

@@ -387,3 +387,49 @@ def boost_point(t, x, beta):
     t_new = gamma * (t - beta * x[0])
     x[0] = gamma * (x[0] - beta * t)
     return t_new, tuple(x)
+
+
+# ---------------------------------------------------------------------------
+# Threshold search, one radius at a time
+# ---------------------------------------------------------------------------
+
+
+def bisect_threshold(target, tol):
+    """Least squeezing whose worst-case recovery fidelity meets ``target``, found step by step.
+
+    The plain doubling bracket and bisection: every r it tries is its own
+    ``recovery._fidelities`` call, made only when the previous verdict asks
+    for it.  Raises the package's errors with the package's messages.
+    """
+    from cvrep.circuits import recovery
+
+    def worst_case(r):
+        return float(np.min(recovery._fidelities([r], recovery.ERASURE_TAGS, 0j)))
+
+    if not math.isfinite(target):
+        raise ValueError("target fidelity must be finite")
+    if target >= 1.0:
+        raise recovery.UnreachableTargetError(
+            f"target fidelity {target} is unreachable: the worst-case recovery "
+            f"fidelity approaches 1 only as squeezing grows without bound"
+        )
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be positive and finite, got {tol}")
+    if worst_case(0.0) >= target:
+        return 0.0
+    lo, hi = 0.0, 1.0
+    while worst_case(hi) < target:
+        lo, hi = hi, hi * 2.0
+        if hi > 64.0:
+            raise recovery.UnreachableTargetError(
+                f"no squeezing below r = 64 reaches target fidelity {target}"
+            )
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:  # adjacent floats
+            break
+        if worst_case(mid) >= target:
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)

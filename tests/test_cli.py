@@ -579,6 +579,28 @@ def test_spacetime_file_errors_are_usage_errors(capsys, tmp_path):
     assert rc == 2 and "missing key 'start'" in err
 
 
+@pytest.mark.parametrize(
+    "config, message",
+    [
+        ([1], "the configuration must be an object, got list"),
+        ({"dim": 1, "start": [0.0, 0.0], "diamonds": 2}, "diamonds must be a list, got int"),
+        (
+            {"dim": 1, "start": [0.0, 0.0], "diamonds": [{"y": [0.0, 0.0], "z": [1.0, 0.0]}, "fig4"]},
+            "diamond 2 must be an object, got str",
+        ),
+    ],
+    ids=["top level", "diamonds", "diamond 2"],
+)
+def test_spacetime_names_the_part_of_a_config_of_the_wrong_type(capsys, tmp_path, config, message):
+    # at the parent these printed Python's own TypeError text, e.g. "list
+    # indices must be integers or slices, not str"
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    rc, out, err = run_cli(capsys, "spacetime", "--config", str(path))
+    assert rc == 2 and out == ""
+    assert err == f"error: bad configuration: {message}\n"
+
+
 @pytest.mark.parametrize("dim", [-1, 0, 1.7, True, "1"])
 def test_spacetime_rejects_a_malformed_dim_as_a_usage_error(capsys, tmp_path, dim):
     points = {"y": [0.0] * 2, "z": [1.0] * 2} if dim in (1.7, True, "1") else {"y": [], "z": []}

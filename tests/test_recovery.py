@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import apply_op
+from oracles import bisect_threshold
 
 from cvrep.circuits import (
     ERASED_MODES,
@@ -62,31 +63,22 @@ def x_block(circuit):
     return symplectic_of(circuit).matrix[:n, :n]
 
 
-def count_encodes(monkeypatch) -> list:
-    """Record the squeezing grid of every batched evaluation from here on."""
+def count_encodes(monkeypatch, limit=None) -> list:
+    """Record the squeezing grid of every batched evaluation from here on.
+
+    With a ``limit``, the evaluation after the first ``limit`` raises, so a
+    search that does not stop fails instead of hanging.
+    """
     calls = []
     evaluate = recovery._fidelities
 
     def counting(rs, tags, alpha, rng=None):
         calls.append(tuple(float(r) for r in rs))
+        if limit is not None and len(calls) > limit:
+            raise RuntimeError("threshold search did not stop")
         return evaluate(rs, tags, alpha, rng)
 
     monkeypatch.setattr(recovery, "_fidelities", counting)
-    return calls
-
-
-def count_worst_cases(monkeypatch) -> list:
-    """Record the squeezing of every worst-case evaluation of the threshold search."""
-    calls = []
-    worst_case = recovery._worst_case_fidelity
-
-    def counting(r):
-        calls.append(r)
-        if len(calls) > 200:  # bisecting down to adjacent floats takes < 100
-            raise RuntimeError("threshold bisection did not stop")
-        return worst_case(r)
-
-    monkeypatch.setattr(recovery, "_worst_case_fidelity", counting)
     return calls
 
 
@@ -640,16 +632,41 @@ def test_threshold_already_met_at_zero_squeezing():
     assert threshold_squeezing(0.2) == 0.0
 
 
-def test_threshold_encodes_once_per_worst_case_evaluation(monkeypatch):
-    encodes = count_encodes(monkeypatch)
-    evaluated = count_worst_cases(monkeypatch)
-    threshold_squeezing(2.0 / 3.0, tol=1e-3)
-    assert evaluated and encodes == [(r,) for r in evaluated]
+def test_threshold_evaluates_its_bracket_then_batched_rounds(monkeypatch):
+    evaluated = count_encodes(monkeypatch)
+    r = threshold_squeezing(2.0 / 3.0, tol=1e-6)
+    batched = list(evaluated)
+    evaluated.clear()
+    assert bisect_threshold(2.0 / 3.0, 1e-6) == r
+    # the first call holds r = 0 and every end the doubling bracket tries
+    assert batched[0] == (0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0)
+    assert all(len(rs) <= 2**recovery._LEVELS - 1 for rs in batched[1:])
+    # one r per call takes 22 calls, each an r the batched calls hold
+    assert len(evaluated) == 22 and len(batched) <= 6
+    assert {rs[0] for rs in evaluated} <= {r for rs in batched for r in rs}
 
 
 def test_threshold_stops_at_float_resolution_for_a_tiny_tol(monkeypatch):
-    count_worst_cases(monkeypatch)
+    # bisecting [0, 1] down to adjacent floats near 0.35 takes 54 levels
+    count_encodes(monkeypatch, limit=1 + -(-64 // recovery._LEVELS))
     assert threshold_squeezing(0.5, tol=1e-300) == pytest.approx(0.5 * LN2, abs=1e-12)
+
+
+def _search_outcome(search):
+    try:
+        return search().hex()
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+@given(target=st.floats(min_value=0.2, max_value=1.2), log_tol=st.floats(min_value=-300.0, max_value=1.0))
+@settings(max_examples=60, deadline=None)
+def test_threshold_equals_the_one_radius_bisection(target, log_tol):
+    # targets from met at r = 0 through reachable to unreachable (>= 1);
+    # tols from below float resolution to wider than the bracket
+    tol = 10.0**log_tol
+    batched = _search_outcome(lambda: threshold_squeezing(target, tol=tol))
+    assert batched == _search_outcome(lambda: bisect_threshold(target, tol))
 
 
 @pytest.mark.parametrize("tol", [float("nan"), float("inf")])

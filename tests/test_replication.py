@@ -318,6 +318,26 @@ def test_json_errors_are_specific():
         configuration_from_json(bad_diamond)
 
 
+DIAMOND = {"y": [0.0, 0.0], "z": [1.0, 0.0]}
+
+
+@pytest.mark.parametrize(
+    "config, message",
+    [
+        ([1], "the configuration must be an object, got list"),
+        ({"dim": 1, "start": [0.0, 0.0], "diamonds": DIAMOND}, "diamonds must be a list, got dict"),
+        ({"dim": 1, "start": [0.0, 0.0], "diamonds": [DIAMOND, [0.0, 1.0]]}, "diamond 2 must be an object, got list"),
+        ({"dim": 1, "start": 0.0, "diamonds": [DIAMOND, DIAMOND]}, r"start must be a list \[t, x1..x1\], got float"),
+    ],
+    ids=["top level", "diamonds", "diamond 2", "start"],
+)
+def test_json_errors_name_the_part_of_the_wrong_type(config, message):
+    # each once leaked Python's own TypeError text ("list indices must be
+    # integers or slices, not str", "'float' object is not iterable")
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        configuration_from_json(config)
+
+
 @pytest.mark.parametrize("dim", [-1, 0, 1.7, 1.0, True, "1", None])
 def test_json_dim_must_be_a_positive_integer(dim):
     # read as int(dim), 1.7 and True became 1 and -1 reached an IndexError

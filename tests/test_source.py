@@ -67,6 +67,19 @@ def test_each_package_exports_exactly_its_submodules_all(package):
     assert not moved, f"package names that are not their submodule's object: {moved}"
 
 
+@pytest.mark.parametrize("package", [cvrep, cvrep.circuits], ids=lambda package: package.__name__)
+def test_no_exported_name_shadows_a_submodule(package):
+    # ``import package.sub as m`` reads the package attribute ``sub``; an
+    # exported name equal to a submodule's name would bind that instead.
+    submodules = [info.name for info in pkgutil.iter_modules(package.__path__) if info.name != "__main__"]
+    shadowed = [
+        name
+        for name in submodules
+        if getattr(package, name, None) is not sys.modules.get(f"{package.__name__}.{name}")
+    ]
+    assert not shadowed, f"submodules shadowed by a package attribute: {shadowed}"
+
+
 def test_every_traced_benchmark_name_resolves():
     # The benchmark's tracer wraps names from outside the package; a name
     # deleted or renamed here would otherwise fail only when the benchmark runs.
