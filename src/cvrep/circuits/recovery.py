@@ -32,7 +32,9 @@ tag, done once, at import, and compiled in the e^{+-r} basis: each row is
 L0 + e^{r} L+ + e^{-r} L- over the encoder's input, and its mean does not
 depend on r.  The recovered wire's x and p have no e^{r} part, or the
 decoder would not recover the input; the compile checks that it is 0 up
-to rounding, so those rows are L0 + e^{-r} L-, exact at any r.
+to rounding, so those rows are L0 + e^{-r} L-, exact at any r.  Their mean
+is the input's, unit gain and zero offset, checked to the same rounding and
+then held exactly, so the fidelity does not depend on the amplitude.
 ``OPTICAL_RECOVERY_WIRE`` and ``decoder_matrix`` are read off the
 decoder circuits.  A sweep is one batched evaluation:
 ``_fidelities`` takes every cell's covariance from its rows for a whole
@@ -75,7 +77,6 @@ from ..gaussian import (
     coherent,
     coherent_fidelity,
     discard,
-    displacement,
     tensor,
     vacuum,
 )
@@ -331,8 +332,8 @@ _PAIRING = np.sign(_LAYER) - np.eye(10)
 _BASIS = np.stack([np.eye(10) - _SQUEEZED, (_SQUEEZED + _PAIRING) / 2, (_SQUEEZED - _PAIRING) / 2])
 
 
-def _compile(tag: str) -> tuple[int, np.ndarray, np.ndarray]:
-    """Encoder, erasure ``tag`` and its decoder as ``(wire, L, M)`` over the encoder's input.
+def _compile(tag: str) -> tuple[int, np.ndarray]:
+    """Encoder, erasure ``tag`` and its decoder as ``(wire, L)`` over the encoder's input.
 
     ``wire`` is the recovered wire, the fold's one live wire.  The rows are
     its x and p, outcome-averaged, then the quadrature each homodyne
@@ -341,8 +342,10 @@ def _compile(tag: str) -> tuple[int, np.ndarray, np.ndarray]:
     is M (a, 1) with a the input's (x, p): the squeezers do not touch mode
     1, and the ancillas' means are 0.  An e^{r} entry within the products'
     rounding of its row's scale is set to 0.  If the recovered wire's rows
-    still grow like e^{r}, the decoder does not recover the input, and
-    this raises ValueError.
+    still grow like e^{r}, or its M is not (I | 0), unit gain and zero
+    offset, within the same rounding, the decoder does not recover the
+    input, and this raises ValueError.  So the recovered mean is taken to
+    be the input's exactly, and no fidelity depends on the amplitude.
     """
     erasure = tuple(Discard(m) for m in ERASED_MODES[tag])
     live, total, registers = _fold(_ENCODER_TAIL + erasure + _OPTICAL_DECODERS[tag].ops, (1, 2, 3, 4, 5))
@@ -355,15 +358,17 @@ def _compile(tag: str) -> tuple[int, np.ndarray, np.ndarray]:
     L[1][np.abs(L[1]) <= rounding] = 0.0
     if L[1, :2].any():
         raise ValueError(f"optical decoder {tag}: the recovered wire's rows grow like e^{{r}}")
-    return live[0], L, np.column_stack([A[:, [0, 5]], rows[:, -1]])
+    M = np.column_stack([A[:2, [0, 5]], rows[:2, -1]])
+    if np.any(np.abs(M - np.eye(2, 3)) > rounding[:2]):
+        raise ValueError(f"optical decoder {tag}: the recovered wire's mean is not the input's")
+    return live[0], L
 
 
 _COMPILED = {tag: _compile(tag) for tag in ERASURE_TAGS}
 # Which wire holds the recovered input after each optical decoder.
 OPTICAL_RECOVERY_WIRE = {tag: _COMPILED[tag][0] for tag in ERASURE_TAGS}
-# The recovered wire's rows and means of every tag, stacked in ERASURE_TAGS order.
+# The recovered wire's rows of every tag, stacked in ERASURE_TAGS order.
 _OUTPUT_L = np.stack([_COMPILED[tag][1][:, :2] for tag in ERASURE_TAGS])
-_OUTPUT_M = np.stack([_COMPILED[tag][2][:2] for tag in ERASURE_TAGS])
 # The rows a measuring decoder's homodynes read: with an rng they sample them.
 _PORTS = {tag: _COMPILED[tag][1][:, 2:] for tag in ERASURE_TAGS if _COMPILED[tag][1].shape[1] > 2}
 
@@ -376,25 +381,27 @@ def _rows_at(L: np.ndarray, decay: np.ndarray) -> np.ndarray:
     return scale * (constant + decay * decaying) + growing
 
 
-def _fidelities(rs, tags: tuple, alpha: complex, rng=None) -> np.ndarray:
+def _fidelities(rs, tags: tuple, rng=None) -> np.ndarray:
     """Simulated fidelity at every squeezing in ``rs`` (rows) of every tag (columns).
 
     One batched evaluation of the compiled pipelines; each cell depends
-    only on its own r and tag.  With an ``rng``, measuring decoders sample
-    their outcomes, cell by cell in row order.  Averaged over its outcome a
-    measurement is deferred past its feedforward, so the sampled output is
-    the averaged one conditioned on the measured quadrature drawn as
-    ``run`` draws it, its mean plus its deviation times a standard normal.
+    only on its own r and tag, not on the input amplitude, whose recovered
+    mean ``_compile`` holds to the input's.  With an ``rng``, measuring
+    decoders sample their outcomes, cell by cell in row order.  Averaged
+    over its outcome a measurement is deferred past its feedforward, so
+    the sampled output is the averaged one conditioned on the measured
+    quadrature drawn as ``run`` draws it, its mean plus its deviation times
+    a standard normal.
     That conditions each tag's rows over the whole grid at once; the
     measured row's scale drops out, so no e^{r}-sized number is formed.
     Each r must be finite and >= 0 (``_check_squeezing``).
     """
     rs = np.asarray(rs, dtype=float)
     pick = [ERASURE_TAGS.index(tag) for tag in tags]
-    a = displacement(alpha.real, alpha.imag)
     decay = np.exp(-rs)
-    rows, M = _rows_at(_OUTPUT_L[pick], decay), _OUTPUT_M[pick]
-    delta = np.broadcast_to(M[..., 0] * a[0] + M[..., 1] * a[1] + M[..., 2] - a, rows.shape[:-1]).copy()
+    rows = _rows_at(_OUTPUT_L[pick], decay)
+    # the output mean minus the input's: 0 unless a sampled outcome moves it
+    delta = np.zeros(rows.shape[:-1])
     if rng is not None:
         measured = [(j, _rows_at(_PORTS[tag], decay)) for j, tag in enumerate(tags) if tag in _PORTS]
         draws = iter(rng.standard_normal((len(rs), sum(m.shape[1] for _, m in measured))).T)
@@ -445,7 +452,8 @@ def recovery_fidelities(
     _check_squeezing("r", r)
     tags = tuple(tags)
     _check_tags(*tags)
-    cells = _fidelities([r], tags, _amplitude(alpha), rng)[0]
+    _amplitude(alpha)  # checked, though no cell depends on it
+    cells = _fidelities([r], tags, rng)[0]
     return {tag: float(f) for tag, f in zip(tags, cells)}
 
 
@@ -515,7 +523,7 @@ def fidelity_sweep(spec: SweepSpec, *, rng: np.random.Generator | None = None) -
     # order of spec.errors.
     swept = [i for i, tag in enumerate(ERASURE_TAGS) if tag in spec.errors]
     simulated = np.full((spec.steps, len(ERASURE_TAGS)), nan)
-    simulated[:, swept] = _fidelities(grid, tuple(ERASURE_TAGS[i] for i in swept), spec.alpha, rng)
+    simulated[:, swept] = _fidelities(grid, tuple(ERASURE_TAGS[i] for i in swept), rng)
     # math.exp, as closed_form_fidelity takes it, so each cell equals its value
     decay = np.array([exp(-2.0 * r) for r in grid])
     formula = 1.0 / (1.0 + np.multiply.outer(decay, list(_NOISE.values())))
@@ -536,7 +544,7 @@ _LEVELS = 5
 
 
 def _worst_cases(rs) -> np.ndarray:
-    return _fidelities(rs, ERASURE_TAGS, 0j).min(axis=1)
+    return _fidelities(rs, ERASURE_TAGS).min(axis=1)
 
 
 def _midpoints(lo: float, hi: float) -> list:

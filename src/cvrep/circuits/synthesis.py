@@ -4,10 +4,9 @@
 and swaps whose action on the position vector is exactly ``x -> A x`` (the
 momenta then transform by A^-T, the unique symplectic completion).
 
-The construction runs Gauss-Jordan elimination on A, recording the row
-operations that reduce it to the identity; the circuit is that script
-reversed with every step inverted.  Each recorded row operation maps to one
-gate:
+The construction runs Gauss-Jordan elimination on A, reducing it to the
+identity; each step appends the op that undoes it, and the circuit is those
+ops, last step first.  Each row operation maps to one gate:
 
     row_i += c * row_j   ->  Qnd(control=labels[j], target=labels[i], gain=-c)
     row_i *= c           ->  SqueezeFactor(labels[i], 1/c)
@@ -21,12 +20,12 @@ overrides it per column for callers that want one specific layout.
 The elimination runs on rows held as lists of Python floats: on rows of a
 few dozen entries a NumPy call costs more than the arithmetic it does.
 Each row update rounds once for the product and once for the sum, as
-``M[i] += c * M[j]`` does on an array, so the script is the one a NumPy
+``M[i] += c * M[j]`` does on an array, so the circuit is the one a NumPy
 elimination gives, bit for bit.
 
 Every result is checked against its own target matrix before being
 returned, so a successful call is self-certifying; its limit scales with
-max|A|.  The check never replays the script: ``deviation`` folds the
+max|A|.  The check never replays the elimination: ``deviation`` folds the
 circuit's x rows from the op table's gate blocks (the interpreter's
 ``_fold_positions``: every QND block in one call of the table's block, and
 one rank-1 update per run of QNDs sharing a control) and compares them
@@ -36,9 +35,13 @@ An entry counts as zero at ``_ZERO`` times its row's size: the row's
 largest entry in A, times every factor the row has since been scaled by.
 A column left with no nonzero entry to pivot on is the one verdict that
 A is singular, so the verdict does not depend on the scale of A's rows.
+A pivot, gain or squeeze factor that leaves float range raises
+SynthesisError as it is taken, as does a deviation that is not a number.
 """
 
 from __future__ import annotations
+
+from math import isfinite
 
 import numpy as np
 
@@ -70,8 +73,15 @@ def _default_pivot(M: list[list[float]], j: int, size: list[float]) -> int:
     return (ones or ints or [max(candidates, key=lambda i: abs(M[i][j]))])[0]
 
 
-def _reduction_script(A: np.ndarray, pivot_rows) -> list[tuple]:
-    """Row-reduce A to the identity, returning the op script in applied order."""
+def _finite(value: float, j: int) -> float:
+    """``value`` unchanged; SynthesisError if the elimination of column j has left float range."""
+    if not isfinite(value):
+        raise SynthesisError(f"the elimination leaves float range in column {j}")
+    return value
+
+
+def _eliminate(A: np.ndarray, labels: tuple[int, ...], pivot_rows) -> list:
+    """Row-reduce A to the identity; the ops undoing each step, last step first."""
     n = A.shape[0]
     if pivot_rows is not None and len(pivot_rows) != n:
         raise SynthesisError(
@@ -79,11 +89,12 @@ def _reduction_script(A: np.ndarray, pivot_rows) -> list[tuple]:
         )
     M = np.asarray(A, dtype=float).tolist()
     size = [max(map(abs, row)) for row in M]
-    script: list[tuple] = []
+    ops = []
 
-    def add(i, j, c):
+    def add(i, j):
+        c = -_finite(M[i][j], j)
         M[i] = [a + c * b for a, b in zip(M[i], M[j])]
-        script.append(("add", i, j, c))
+        ops.append(Qnd(labels[j], labels[i], -c))
 
     for j in range(n):
         if pivot_rows is not None:
@@ -101,34 +112,20 @@ def _reduction_script(A: np.ndarray, pivot_rows) -> list[tuple]:
         if p != j:
             M[j], M[p] = M[p], M[j]
             size[j], size[p] = size[p], size[j]
-            script.append(("swap", j, p))
+            ops.append(Swap(labels[j], labels[p]))
         if M[j][j] != 1.0:
-            c = 1.0 / M[j][j]
+            c = _finite(1.0 / _finite(M[j][j], j), j)
             M[j] = [a * c for a in M[j]]
             size[j] *= abs(c)
-            script.append(("scale", j, c))
+            ops.append(SqueezeFactor(labels[j], _finite(1.0 / c, j)))
         for i in range(j + 1, n):
             if abs(M[i][j]) > _ZERO * size[i]:
-                add(i, j, -M[i][j])
+                add(i, j)
     for j in range(n - 1, 0, -1):
         for i in range(j - 1, -1, -1):
             if abs(M[i][j]) > _ZERO * size[i]:
-                add(i, j, -M[i][j])
-    return script
-
-
-def _script_to_ops(script: list[tuple], labels: tuple[int, ...]) -> list:
-    ops = []
-    for step in reversed(script):
-        if step[0] == "add":
-            _, i, j, c = step
-            ops.append(Qnd(labels[j], labels[i], -c))
-        elif step[0] == "scale":
-            _, i, c = step
-            ops.append(SqueezeFactor(labels[i], 1.0 / c))
-        else:
-            _, i, j = step
-            ops.append(Swap(labels[i], labels[j]))
+                add(i, j)
+    ops.reverse()
     return ops
 
 
@@ -146,19 +143,6 @@ def deviation(circuit: Circuit, A) -> float:
     if A.shape != (n, n):
         raise ValueError(f"target must be {n}x{n} for a circuit on {n} wires, got shape {A.shape}")
     return float(np.max(np.abs(_fold_positions(circuit) - A)))
-
-
-def _build(A: np.ndarray, labels: tuple[int, ...], script: list[tuple]) -> tuple[Circuit, float]:
-    circuit = Circuit(labels, tuple(_script_to_ops(script, labels)))
-    err = deviation(circuit, A)
-    limit = TOL.synthesis * max(1.0, float(np.max(np.abs(A))))
-    if err > limit:
-        raise SynthesisError(
-            f"synthesized circuit deviates from its target by {err:.3e} "
-            f"(limit {limit:.1e}); the matrix is too ill-conditioned "
-            f"for this pivot choice"
-        )
-    return circuit, err
 
 
 def synthesize(
@@ -196,4 +180,13 @@ def _synthesize(
     labels = tuple(int(v) for v in labels)
     if len(labels) != n:
         raise SynthesisError(f"{n}x{n} matrix needs {n} labels, got {len(labels)}")
-    return _build(A, labels, _reduction_script(A, pivot_rows))
+    circuit = Circuit(labels, tuple(_eliminate(A, labels, pivot_rows)))
+    err = deviation(circuit, A)
+    limit = TOL.synthesis * max(1.0, float(np.max(np.abs(A))))
+    if not err <= limit:
+        raise SynthesisError(
+            f"synthesized circuit deviates from its target by {err:.3e} "
+            f"(limit {limit:.1e}); the matrix is too ill-conditioned "
+            f"for this pivot choice"
+        )
+    return circuit, err

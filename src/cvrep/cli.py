@@ -285,7 +285,7 @@ def cmd_spacetime(args) -> int:
             config = replication.load_configuration(name)
     except OSError as exc:
         return _fail_usage(f"cannot read configuration: {exc}")
-    except (ValueError, KeyError, TypeError) as exc:
+    except ValueError as exc:
         return _fail_usage(f"bad configuration: {exc}")
 
     report = replication.validate(config)

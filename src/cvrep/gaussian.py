@@ -180,10 +180,16 @@ def vacuum(n_modes: int) -> GaussianState:
 
 
 def _amplitude(alpha) -> complex:
-    """``alpha`` as a complex displacement amplitude; ValueError unless it is finite."""
+    """``alpha`` as a complex displacement amplitude.
+
+    ValueError unless it is finite and so is its mean photon number |alpha|^2,
+    which also keeps the quadrature mean sqrt(2) alpha far inside float range.
+    """
     alpha = complex(alpha)
     if not np.isfinite(alpha.real) or not np.isfinite(alpha.imag):
         raise ValueError("displacement amplitude must be finite")
+    if not np.isfinite(alpha.real * alpha.real + alpha.imag * alpha.imag):
+        raise ValueError(f"displacement amplitude {alpha} is too large: |alpha|^2 overflows")
     return alpha
 
 

@@ -14,6 +14,10 @@ with y_i before z_j and z_j before z_k — which is what lets one region
 relay through another.  ``find_chain`` returns the first such triple in
 index order, and ``select_code`` applies the rule.
 
+A configuration holds one table of causal relations (start to exit, entry
+to exit, exit to exit), each evaluated once, when a decision first reads
+it; ``validate``, ``causal_graph`` and ``find_chain`` only read it.
+
 Comparisons use a small causal slack so that exactly lightlike pairs and
 coordinates that went through a Lorentz boost (picking up rounding noise)
 are not misclassified.
@@ -24,6 +28,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import combinations, permutations
 
 from .codes import StabilizerCode, build_five_mode_code, build_general_code
 from .tolerances import TOL
@@ -121,6 +127,19 @@ class Configuration:
     def dim(self) -> int:
         return self.start.dim
 
+    @cached_property
+    def _causal(self) -> tuple[dict, dict, dict]:
+        """The causal relations the decisions read, each evaluated once, over 1-based diamonds.
+
+        ``reach[j]``: the start reaches exit j; ``signal[i, j]``: entry i
+        reaches exit j; ``after[j, k]``: exit j reaches exit k (i != j != k).
+        """
+        d = dict(enumerate(self.diamonds, start=1))
+        reach = {j: causal_leq(self.start, d[j].z) for j in d}
+        signal = {(i, j): causal_leq(d[i].y, d[j].z) for i, j in permutations(d, 2)}
+        after = {(j, k): causal_leq(d[j].z, d[k].z) for j, k in permutations(d, 2)}
+        return reach, signal, after
+
 
 @dataclass(frozen=True)
 class Violation:
@@ -150,14 +169,11 @@ class ValidationReport:
 
 def validate(config: Configuration) -> ValidationReport:
     """Check feasibility: start reaches every diamond, all pairs related."""
-    violations = []
-    for j, d in enumerate(config.diamonds, start=1):
-        if not causal_leq(config.start, d.z):
-            violations.append(Violation("start-unreachable", (j,)))
-    for j in range(1, config.n_diamonds + 1):
-        for k in range(j + 1, config.n_diamonds + 1):
-            if not diamonds_related(config.diamonds[j - 1], config.diamonds[k - 1]):
-                violations.append(Violation("unrelated-pair", (j, k)))
+    reach, signal, _ = config._causal
+    violations = [Violation("start-unreachable", (j,)) for j in reach if not reach[j]]
+    for j, k in combinations(reach, 2):
+        if not (signal[j, k] or signal[k, j]):
+            violations.append(Violation("unrelated-pair", (j, k)))
     return ValidationReport(tuple(violations))
 
 
@@ -168,18 +184,9 @@ def causal_graph(config: Configuration) -> tuple[tuple[int, int], ...]:
     both directions hold the pair, only the lower-to-higher edge is kept, so
     each related pair contributes exactly one edge.
     """
-    edges = []
-    n = config.n_diamonds
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            d_i, d_j = config.diamonds[i - 1], config.diamonds[j - 1]
-            forward = causal_leq(d_i.y, d_j.z)
-            backward = causal_leq(d_j.y, d_i.z)
-            if forward:
-                edges.append((i, j))
-            elif backward:
-                edges.append((j, i))
-    return tuple(edges)
+    reach, signal, _ = config._causal
+    related = [(i, j) for i, j in combinations(reach, 2) if signal[i, j] or signal[j, i]]
+    return tuple((i, j) if signal[i, j] else (j, i) for i, j in related)
 
 
 def find_chain(config: Configuration) -> tuple[int, int, int] | None:
@@ -189,19 +196,8 @@ def find_chain(config: Configuration) -> tuple[int, int, int] | None:
     finishes before k does.  Scan order is lexicographic in (i, j, k), so
     the witness is deterministic.
     """
-    n = config.n_diamonds
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            if j == i:
-                continue
-            if not causal_leq(config.diamonds[i - 1].y, config.diamonds[j - 1].z):
-                continue
-            for k in range(1, n + 1):
-                if k in (i, j):
-                    continue
-                if causal_leq(config.diamonds[j - 1].z, config.diamonds[k - 1].z):
-                    return (i, j, k)
-    return None
+    reach, signal, after = config._causal
+    return next(((i, j, k) for i, j, k in permutations(reach, 3) if signal[i, j] and after[j, k]), None)
 
 
 def select_code(config: Configuration) -> StabilizerCode:
@@ -234,7 +230,15 @@ def _point(values, dim: int, what: str) -> SpacetimePoint:
         raise ValueError(
             f"{what} must have {dim + 1} entries [t, x1..x{dim}], got {len(values)}"
         )
-    return SpacetimePoint(values[0], tuple(values[1:]))
+    coords = []
+    for i, v in enumerate(values):
+        if isinstance(v, bool) or not isinstance(v, (int, float)):
+            raise ValueError(f"{what} coordinate {i} must be a number, got {type(v).__name__}")
+        try:
+            coords.append(float(v))
+        except OverflowError:
+            raise ValueError(f"{what} coordinate {i} is an integer too large for a float") from None
+    return SpacetimePoint(coords[0], tuple(coords[1:]))
 
 
 def configuration_from_json(data: dict) -> Configuration:
@@ -242,6 +246,8 @@ def configuration_from_json(data: dict) -> Configuration:
 
     Schema: {"dim": d, "start": [t, x1..xd],
              "diamonds": [{"y": [t, x...], "z": [t, x...]}, ...]}
+    Coordinates are JSON numbers (int or float, not bool); coordinate 0 is
+    t.  Every malformed part raises a ValueError that names it.
     """
     _check_object(data, "the configuration")
     try:

@@ -14,6 +14,15 @@ nonzero_factors = st.floats(min_value=0.2, max_value=4.0).flatmap(
     lambda m: st.sampled_from([m, -m])
 )
 
+# Finite matrices whose elimination leaves float range, each with the column
+# where it does: an infinite pivot (whose reciprocal is 0), a subnormal one
+# (whose reciprocal is infinite) and an infinite QND gain.
+OVERFLOWING_MATRICES = {
+    "pivot": ([[1e308, 1e308], [1e308, -1e308]], 1),
+    "factor": ([[1e-308, 0.0, 0.0], [1.0, 1e308, 1e308], [3.0, 0.0, 1.0]], 2),
+    "gain": ([[-1e307, 1e-308, 1e308], [3.0, 3.0, 1e307], [1e308, 1e307, -1e307]], 2),
+}
+
 
 def apply_op(state: GaussianState, op) -> GaussianState:
     """``state`` after the one-op circuit ``op``; wire label i + 1 is mode i."""

@@ -404,7 +404,7 @@ def bisect_threshold(target, tol):
     from cvrep.circuits import recovery
 
     def worst_case(r):
-        return float(np.min(recovery._fidelities([r], recovery.ERASURE_TAGS, 0j)))
+        return float(np.min(recovery._fidelities([r], recovery.ERASURE_TAGS)))
 
     if not math.isfinite(target):
         raise ValueError("target fidelity must be finite")

@@ -10,8 +10,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import OVERFLOWING_MATRICES
+
 import cvrep
-from cvrep import cli
+from cvrep import cli, replication
 from cvrep.circuits import interpreter, recovery, synthesis
 from cvrep.cli import main
 from cvrep.tolerances import TOL
@@ -221,6 +223,17 @@ def test_synth_invertible_matrix_with_rows_of_distant_scales(capsys, tmp_path, r
     assert err == "max |achieved - target| = 0.000e+00\n"
 
 
+@pytest.mark.parametrize("A, column", OVERFLOWING_MATRICES.values(), ids=OVERFLOWING_MATRICES)
+def test_synth_overflow_is_one_synthesis_error_line(capsys, tmp_path, A, column):
+    # these once ended in a ZeroDivisionError traceback, or in a usage error
+    # (exit 2) naming a squeeze factor or QND gain the input never held
+    path = tmp_path / "huge.txt"
+    path.write_text("".join(" ".join(map(repr, row)) + "\n" for row in A))
+    rc, out, err = run_cli(capsys, "synth", "--matrix", str(path), "--check")
+    assert (rc, out) == (1, "")
+    assert err == f"error: the elimination leaves float range in column {column}\n"
+
+
 def test_synth_file_errors_are_usage_errors(capsys, tmp_path):
     rc, _, err = run_cli(capsys, "synth", "--matrix", str(tmp_path / "nope.txt"))
     assert rc == 2 and "cannot read" in err
@@ -404,8 +417,8 @@ def test_fidelity_seed_is_also_accepted_after_the_subcommand(capsys):
 def test_fidelity_fails_when_a_simulated_cell_is_nan(capsys, monkeypatch):
     honest = recovery._fidelities
 
-    def e3_is_nan(rs, tags, alpha, rng=None):
-        cells = honest(rs, tags, alpha, rng)
+    def e3_is_nan(rs, tags, rng=None):
+        cells = honest(rs, tags, rng)
         cells[:, tags.index("E3")] = float("nan")
         return cells
 
@@ -433,6 +446,27 @@ def test_fidelity_rejects_a_non_finite_amplitude_as_a_usage_error(capsys, alpha)
     rc, out, err = run_cli(capsys, "fidelity", f"--alpha={alpha}", "--steps", "1")
     assert rc == 2 and out == ""
     assert err == "error: displacement amplitude must be finite\n"
+
+
+@pytest.mark.parametrize("alpha", ["1e12", "1e100", "-1e100i", "1e150+1e150i"])
+def test_fidelity_does_not_depend_on_the_size_of_the_amplitude(capsys, alpha):
+    # a mean gain of 0.9999999999999998 once made 1e12 exit 1 (E1 and E2
+    # off by 2.98e-8) and 1e100 print F1 = F2 = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc, out, err = run_cli(capsys, "fidelity", f"--alpha={alpha}", "--steps=5")
+    assert rc == 0
+    assert out == run_cli(capsys, "fidelity", "--steps=5")[1]
+    assert float(err.rsplit("=", 1)[1]) <= TOL.fidelity_gate
+
+
+@pytest.mark.parametrize(
+    "alpha, shown", [("1e308", "(1e+308+0j)"), ("-1e200i", "-1e+200j"), ("1e154+1e154i", "(1e+154+1e+154j)")]
+)
+def test_fidelity_rejects_an_amplitude_whose_photon_number_overflows(capsys, alpha, shown):
+    rc, out, err = run_cli(capsys, "fidelity", f"--alpha={alpha}", "--steps", "1")
+    assert rc == 2 and out == ""
+    assert err == f"error: displacement amplitude {shown} is too large: |alpha|^2 overflows\n"
 
 
 @pytest.mark.parametrize("alpha", ["inf", "-inf", "1+infi", "infi"])
@@ -588,17 +622,65 @@ def test_spacetime_file_errors_are_usage_errors(capsys, tmp_path):
             {"dim": 1, "start": [0.0, 0.0], "diamonds": [{"y": [0.0, 0.0], "z": [1.0, 0.0]}, "fig4"]},
             "diamond 2 must be an object, got str",
         ),
+        (
+            {"dim": 1, "start": [0, "1"], "diamonds": [{"y": [0, 0], "z": [1, 0]}] * 2},
+            "start coordinate 1 must be a number, got str",
+        ),
+        (
+            {"dim": 1, "start": [0, True], "diamonds": [{"y": [0, 0], "z": [1, 0]}] * 2},
+            "start coordinate 1 must be a number, got bool",
+        ),
+        (
+            {"dim": 1, "start": [0, [1]], "diamonds": [{"y": [0, 0], "z": [1, 0]}] * 2},
+            "start coordinate 1 must be a number, got list",
+        ),
+        (
+            {"dim": 1, "start": [0, 10**400], "diamonds": [{"y": [0, 0], "z": [1, 0]}] * 2},
+            "start coordinate 1 is an integer too large for a float",
+        ),
     ],
-    ids=["top level", "diamonds", "diamond 2"],
+    ids=["top level", "diamonds", "diamond 2", "str coordinate", "bool coordinate", "list coordinate",
+         "huge coordinate"],
 )
 def test_spacetime_names_the_part_of_a_config_of_the_wrong_type(capsys, tmp_path, config, message):
     # at the parent these printed Python's own TypeError text, e.g. "list
-    # indices must be integers or slices, not str"
+    # indices must be integers or slices, not str"; "1" and true were read
+    # as 1.0, and a 401-digit integer ended in an OverflowError traceback
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
     rc, out, err = run_cli(capsys, "spacetime", "--config", str(path))
     assert rc == 2 and out == ""
     assert err == f"error: bad configuration: {message}\n"
+
+
+def twelve_unrelated_diamonds(path):
+    """A generated configuration of 12 diamonds, infeasible: some pairs cannot signal either way."""
+    rng = np.random.default_rng(12)
+    diamonds = []
+    for t, x1, x2 in zip(rng.uniform(0, 4, 12), rng.uniform(-3, 3, 12), rng.uniform(-3, 3, 12)):
+        diamonds.append({"y": [t, x1, x2], "z": [t + 1.0, x1, x2]})
+    path.write_text(json.dumps({"dim": 2, "start": [-10.0, 0.0, 0.0], "diamonds": diamonds}))
+    return str(path)
+
+
+@pytest.mark.parametrize("which", ["fig4", "twelve"])
+def test_spacetime_evaluates_each_causal_relation_once(capsys, monkeypatch, tmp_path, which):
+    # validate and find_chain run twice (directly, and inside select_code),
+    # and causal_graph reads the pairs validate read: all from one table
+    config = "fig4" if which == "fig4" else twelve_unrelated_diamonds(tmp_path / "twelve.json")
+    pairs = []
+    honest = replication.causal_leq
+
+    def spy(a, b):
+        pairs.append((a, b))
+        return honest(a, b)
+
+    monkeypatch.setattr(replication, "causal_leq", spy)
+    rc, out, _ = run_cli(capsys, "spacetime", "--config", config)
+    assert rc == (0 if which == "fig4" else 1)
+    assert json.loads(out)["valid"] is (which == "fig4")
+    evaluated = [(id(a), id(b)) for a, b in pairs]
+    assert len(set(evaluated)) == len(evaluated) > 0
 
 
 @pytest.mark.parametrize("dim", [-1, 0, 1.7, True, "1"])

@@ -71,6 +71,15 @@ def test_coherent_rejects_a_non_finite_amplitude(alpha):
         g.coherent(alpha)
 
 
+@pytest.mark.parametrize("alpha", [1e308, -1e200j, complex(1e154, 1e154)])
+def test_coherent_rejects_an_amplitude_whose_photon_number_overflows(alpha):
+    # sqrt(2) alpha would be finite for the first, but |alpha|^2 is not
+    with pytest.raises(ValueError, match=r"too large: \|alpha\|\^2 overflows$"):
+        g.coherent(alpha)
+    state = g.coherent(1e150 + 1e150j)
+    assert np.all(np.isfinite(state.mean))
+
+
 def test_tensor_concatenates_blocks():
     a = g.coherent(1 + 1j)
     b = squeezed(g.vacuum(1), 0, 0.3)

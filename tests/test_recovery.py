@@ -18,6 +18,7 @@ from cvrep.circuits import (
     BeamSplitterPM,
     Circuit,
     Discard,
+    Displace,
     FeedforwardDisplace,
     Fourier,
     Measure,
@@ -54,6 +55,7 @@ from cvrep.gaussian import (
     tensor,
     vacuum,
 )
+from cvrep.tolerances import TOL
 
 LN2 = float(np.log(2.0))
 
@@ -72,11 +74,11 @@ def count_encodes(monkeypatch, limit=None) -> list:
     calls = []
     evaluate = recovery._fidelities
 
-    def counting(rs, tags, alpha, rng=None):
+    def counting(rs, tags, rng=None):
         calls.append(tuple(float(r) for r in rs))
         if limit is not None and len(calls) > limit:
             raise RuntimeError("threshold search did not stop")
-        return evaluate(rs, tags, alpha, rng)
+        return evaluate(rs, tags, rng)
 
     monkeypatch.setattr(recovery, "_fidelities", counting)
     return calls
@@ -340,7 +342,7 @@ def test_batched_fidelities_equal_the_stepped_pipeline(rs, re, im):
     # gate on coherent (x) vacuum, the stepped erasure, and each decoder's
     # outcome-averaged run
     alpha = complex(re, im)
-    cells = recovery._fidelities(rs, ERASURE_TAGS, alpha)
+    cells = recovery._fidelities(rs, ERASURE_TAGS)
     for r, row in zip(rs, cells):
         encoded = run(optical_encoder(r), tensor(coherent(alpha), vacuum(4))).state
         for tag, cell in zip(ERASURE_TAGS, row):
@@ -397,6 +399,34 @@ def test_a_decoder_that_leaves_two_wires_fails_to_compile(monkeypatch):
     monkeypatch.setitem(recovery._OPTICAL_DECODERS, "E1", ideal_decoder("E1"))
     with pytest.raises(ValueError, match="not one recovered wire"):
         recovery._compile("E1")
+
+
+@pytest.mark.parametrize(
+    "op",
+    # an offset, and a gain off 1 by 1e-9 (x by 1 + 1e-9, p by its inverse)
+    [Displace(2, 0.5), SqueezeFactor(2, 1.0 + 1e-9)],
+    ids=["offset", "gain"],
+)
+def test_a_decoder_that_moves_the_recovered_mean_fails_to_compile(monkeypatch, op):
+    wrong = Circuit(SURVIVOR_MODES["E1"], (BeamSplitterPM(1, 2), op, Discard(1)))
+    monkeypatch.setitem(recovery._OPTICAL_DECODERS, "E1", wrong)
+    with pytest.raises(ValueError, match="^optical decoder E1: the recovered wire's mean is not the input's$"):
+        recovery._compile("E1")
+
+
+@pytest.mark.parametrize("alpha", [1e12, 1e100j, -1e150 + 1e150j])
+@pytest.mark.parametrize("seed", [None, 3])
+def test_recovery_fidelities_do_not_depend_on_the_amplitude(alpha, seed):
+    # E1's and E2's folded mean gain is 0.9999999999999998; used as is, it
+    # shifted the output by 2.2e-16 alpha: 2.98e-8 off the formula at 1e12,
+    # F = 0 at 1e100
+    def rng():
+        return None if seed is None else np.random.default_rng(seed)
+
+    cells = recovery_fidelities(1.0, ERASURE_TAGS, alpha, rng=rng())
+    assert cells == recovery_fidelities(1.0, ERASURE_TAGS, rng=rng())
+    for tag in ERASURE_TAGS:
+        assert abs(cells[tag] - closed_form_fidelity(tag, 1.0)) <= TOL.fidelity_gate
 
 
 def test_optical_recovery_wires_are_the_documented_ones():
@@ -576,8 +606,8 @@ def test_sweep_cells_equal_single_tag_recovery_fidelities(seed):
 def test_sweep_deviation_is_nan_when_a_cell_is_nan(monkeypatch, tag):
     honest = recovery._fidelities
 
-    def one_nan(rs, tags, alpha, rng=None):
-        cells = honest(rs, tags, alpha, rng)
+    def one_nan(rs, tags, rng=None):
+        cells = honest(rs, tags, rng)
         cells[:, tags.index(tag)] = float("nan")
         return cells
 

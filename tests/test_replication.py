@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cvrep import replication
 from cvrep.replication import (
     BUILTIN_CONFIGURATIONS,
     CausalDiamond,
@@ -236,6 +237,58 @@ def test_chain_absent_for_mutually_simultaneous_diamonds():
     assert find_chain(config) is None
 
 
+def random_configuration(rng, n):
+    """n unit-length diamonds scattered over a 6 x 6 plane and 4 time units, start well before."""
+    diamonds = []
+    for _ in range(n):
+        t, x1, x2 = rng.uniform(0, 4), rng.uniform(-3, 3), rng.uniform(-3, 3)
+        diamonds.append(CausalDiamond(P(t, x1, x2), P(t + rng.uniform(0, 2), x1, x2)))
+    return Configuration(P(rng.uniform(-12, 0), 0, 0), tuple(diamonds))
+
+
+def test_decisions_match_a_scan_of_causal_leq(rng):
+    # the decisions read the configuration's causal table; this scans the
+    # points directly, as they did before the table
+    for n in (2, 3, 4, 4, 5, 6, 8):
+        config = random_configuration(rng, n)
+        ds, pairs = config.diamonds, [(j, k) for j in range(n) for k in range(j + 1, n)]
+        unreachable = [j + 1 for j in range(n) if not causal_leq(config.start, ds[j].z)]
+        unrelated = [(j + 1, k + 1) for j, k in pairs if not diamonds_related(ds[j], ds[k])]
+        edges = [
+            (j + 1, k + 1) if causal_leq(ds[j].y, ds[k].z) else (k + 1, j + 1)
+            for j, k in pairs
+            if diamonds_related(ds[j], ds[k])
+        ]
+        chains = [
+            (i + 1, j + 1, k + 1)
+            for i in range(n)
+            for j in range(n)
+            for k in range(n)
+            if len({i, j, k}) == 3 and causal_leq(ds[i].y, ds[j].z) and causal_leq(ds[j].z, ds[k].z)
+        ]
+        report = validate(config)
+        assert [v.diamonds for v in report.violations] == [(j,) for j in unreachable] + unrelated
+        assert causal_graph(config) == tuple(edges)
+        assert find_chain(config) == (chains[0] if chains else None)
+
+
+def test_each_causal_relation_is_evaluated_once(monkeypatch):
+    calls = []
+    honest = replication.causal_leq
+
+    def counting(a, b):
+        calls.append((a, b))
+        return honest(a, b)
+
+    config = builtin_configuration("fig4")
+    monkeypatch.setattr(replication, "causal_leq", counting)
+    for _ in range(2):
+        validate(config), causal_graph(config), find_chain(config), select_code(config)
+        # the start to each exit, and each ordered pair of distinct diamonds
+        # entry to exit and exit to exit, all on the first pass
+        assert len(calls) == 4 + 2 * 4 * 3
+
+
 def test_select_code_prefers_five_mode_for_chained_quadruples():
     code = select_code(builtin_configuration("fig4"))
     assert code.n_modes == 5
@@ -289,6 +342,10 @@ def test_configuration_from_json_round_trips_the_builtins():
         config = make()
         rebuilt = configuration_from_json(config_as_dict(config))
         assert rebuilt == config, name
+    # JSON integers are numbers too
+    as_ints = config_as_dict(builtin_configuration("fig2a"))
+    as_ints["start"] = [-1, 0]
+    assert configuration_from_json(as_ints) == builtin_configuration("fig2a")
 
 
 def test_load_configuration_reads_a_file(tmp_path):
@@ -328,12 +385,26 @@ DIAMOND = {"y": [0.0, 0.0], "z": [1.0, 0.0]}
         ({"dim": 1, "start": [0.0, 0.0], "diamonds": DIAMOND}, "diamonds must be a list, got dict"),
         ({"dim": 1, "start": [0.0, 0.0], "diamonds": [DIAMOND, [0.0, 1.0]]}, "diamond 2 must be an object, got list"),
         ({"dim": 1, "start": 0.0, "diamonds": [DIAMOND, DIAMOND]}, r"start must be a list \[t, x1..x1\], got float"),
+        ({"dim": 1, "start": [0.0, "1"], "diamonds": [DIAMOND, DIAMOND]}, "start coordinate 1 must be a number, got str"),
+        ({"dim": 1, "start": [True, 0.0], "diamonds": [DIAMOND, DIAMOND]}, "start coordinate 0 must be a number, got bool"),
+        (
+            {"dim": 1, "start": [0.0, 0.0], "diamonds": [DIAMOND, {"y": [0.0, 0.0], "z": [[1], 0.0]}]},
+            "diamond 2 z coordinate 0 must be a number, got list",
+        ),
+        ({"dim": 1, "start": [0.0, None], "diamonds": [DIAMOND, DIAMOND]}, "start coordinate 1 must be a number, got NoneType"),
+        (
+            {"dim": 1, "start": [0.0, -(10**400)], "diamonds": [DIAMOND, DIAMOND]},
+            "start coordinate 1 is an integer too large for a float",
+        ),
     ],
-    ids=["top level", "diamonds", "diamond 2", "start"],
+    ids=["top level", "diamonds", "diamond 2", "start", "str coordinate", "bool coordinate",
+         "list coordinate", "null coordinate", "huge coordinate"],
 )
 def test_json_errors_name_the_part_of_the_wrong_type(config, message):
     # each once leaked Python's own TypeError text ("list indices must be
-    # integers or slices, not str", "'float' object is not iterable")
+    # integers or slices, not str", "'float' object is not iterable"); a
+    # str or bool coordinate was read as a float, and a huge integer raised
+    # OverflowError
     with pytest.raises(ValueError, match=f"^{message}$"):
         configuration_from_json(config)
 

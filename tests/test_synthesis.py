@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import nonzero_factors, small_gains
+from conftest import OVERFLOWING_MATRICES, nonzero_factors, small_gains
 from oracles import numpy_reduction_script, script_circuit
 
 from cvrep.circuits import (
@@ -32,6 +32,7 @@ from cvrep.circuits import (
     synthesize,
 )
 from cvrep.circuits.ir import OPS
+from cvrep.circuits import synthesis
 from cvrep.circuits.synthesis import _synthesize, deviation
 from cvrep.tolerances import TOL
 
@@ -182,6 +183,21 @@ def test_empty_matrix_is_a_synthesis_error():
     # not NumPy's bare ValueError from a reduction over a zero-size array
     with pytest.raises(SynthesisError, match="empty"):
         synthesize(np.zeros((0, 0)))
+
+
+@pytest.mark.parametrize("A, column", OVERFLOWING_MATRICES.values(), ids=OVERFLOWING_MATRICES)
+def test_an_elimination_that_leaves_float_range_is_a_synthesis_error(A, column):
+    # these once raised a ZeroDivisionError, and the op constructors' ValueErrors
+    # "squeeze factor must be finite and nonzero" and "qnd gain must be finite"
+    message = f"^the elimination leaves float range in column {column}$"
+    with pytest.raises(SynthesisError, match=message):
+        synthesize(np.array(A))
+
+
+def test_a_deviation_that_is_not_a_number_fails_the_self_check(monkeypatch):
+    monkeypatch.setattr(synthesis, "deviation", lambda circuit, A: float("nan"))
+    with pytest.raises(SynthesisError, match="deviates from its target by nan"):
+        synthesize(decoder_matrix("E2"))
 
 
 def test_pivot_rows_are_validated():
