@@ -4,8 +4,13 @@ Modes live on the edges of the complete graph K_N.  The pure-X generators
 are directed triangles through a distinguished vertex (vertex 1), the pure-P
 generators are sums of adjacent star vectors.  Erasure correctability is
 decided by the restriction-rank identity (see ``correctable``), which rests
-on the commuting, independent rows that StabilizerCode enforces; every rank
-decision goes through ``_count_ranks``, whose cutoff is relative to the scale.
+on the commuting, independent rows that StabilizerCode enforces.
+
+Every fact about a generator block is held once, by a ``_Block``, and
+StabilizerCode keeps its X and P blocks as a pair: the block's singular
+values (taken once; the largest is the scale of every rank decision on the
+block, and the cutoff is relative to it), its kernel (taken on first use),
+its restriction ranks and the comparison of its row space with another's.
 Each restriction rank is taken on the cheaper of the column slice and its
 kernel complement: for a block M (k x n) with independent rows and K the
 orthonormal rows spanning ker M, rank M[:, S] = |S| - (n - k) + rank K[:, ~S],
@@ -18,7 +23,7 @@ ranks is one SVD of a stack of slices.
 from __future__ import annotations
 
 import warnings
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
@@ -110,6 +115,86 @@ def star_vector(basis: EdgeBasis, j: int) -> np.ndarray:
     return vec
 
 
+def _count_ranks(rows: Iterable[Sequence[float]], scale: float) -> list[int]:
+    """Rank of each row of singular values (largest first): the count above TOL.rank * scale.
+
+    Warns once per row whose kept values span more than TOL.condition_limit.
+    """
+    cut = TOL.rank * float(scale)
+    ranks = []
+    for svals in rows:
+        rank = sum(v > cut for v in svals)
+        if rank and svals[0] / svals[rank - 1] > TOL.condition_limit:
+            warnings.warn(
+                f"rank decision badly conditioned: singular values span "
+                f"{svals[0]:.3e}..{svals[rank - 1]:.3e}",
+                stacklevel=2,
+            )
+        ranks.append(rank)
+    return ranks
+
+
+def _slice_ranks(slices: np.ndarray, scale: float) -> list[int]:
+    """Rank of each slice of a (k, G, w) stack, as ``M[:, S]`` takes it for G index rows S."""
+    if not slices.size:
+        return [0] * slices.shape[1]
+    return _count_ranks(np.linalg.svd(slices.transpose(1, 0, 2), compute_uv=False).tolist(), scale)
+
+
+class _Block:
+    """One generator block: independent rows M (k x n) and every rank fact about them.
+
+    The singular values are taken once, on construction; the largest is the
+    scale of every rank decision on the block.  The kernel is taken when a
+    restriction rank first needs it.
+    """
+
+    def __init__(self, rows: np.ndarray):
+        self.rows = np.atleast_2d(rows)
+        #: singular values, largest first (none for an empty block)
+        self.svals = np.linalg.svd(self.rows, compute_uv=False) if self.rows.size else np.zeros(0)
+        self.scale = self.svals[0] if self.svals.size else 0.0
+
+    def rank(self, scale: float | None = None) -> int:
+        """Count of the singular values above the rank cutoff at ``scale`` (default: the block's)."""
+        return _count_ranks([self.svals.tolist()], self.scale if scale is None else scale)[0]
+
+    @cached_property
+    def kernel(self) -> np.ndarray:
+        """(n - k) x n orthonormal rows spanning ker M.
+
+        They are the trailing n - k columns of a complete QR of M^T.
+        """
+        return np.linalg.qr(self.rows.T, mode="complete")[0][:, len(self.rows) :].T.copy()
+
+    def ranks(self, S: np.ndarray, rest: np.ndarray) -> list[int]:
+        """rank M[:, s] for each row s of S.
+
+        S is a G x |S| index array and rest the G x (n - |S|) array of the
+        complements.  rank M[:, s] = |S| - (n - k) + rank K[:, rest], with K
+        the kernel; whichever side has the smaller SVD flop estimate is
+        taken, so the choice depends only on shapes and is one for all G
+        rows.  The K side is decided at scale 1, the scale of an orthonormal
+        block.
+        """
+        if not len(S):  # no patterns left: take no factorization, not even the kernel
+            return []
+        k, c = self.rows.shape[0], self.rows.shape[1] - self.rows.shape[0]
+        width, other = S.shape[1], rest.shape[1]
+        if c * other * min(c, other) < k * width * min(k, width):
+            return [width - c + rank for rank in _slice_ranks(self.kernel[:, rest], 1.0)]
+        return _slice_ranks(self.rows[:, S], self.scale)
+
+    def same_span(self, other: _Block) -> bool:
+        """Equal row spaces: rank A == rank B == rank [A; B], all at the scale of [A; B].
+
+        One SVD, of [A; B]; A's and B's ranks are counted from their own
+        singular values at that scale.
+        """
+        stacked = _Block(np.vstack([self.rows, other.rows]))
+        return self.rank(stacked.scale) == other.rank(stacked.scale) == stacked.rank()
+
+
 @dataclass(frozen=True)
 class StabilizerCode:
     """CSS-form generator data: pure-X rows and pure-P rows over n modes."""
@@ -118,12 +203,11 @@ class StabilizerCode:
     x_rows: np.ndarray
     p_rows: np.ndarray
     name: str = ""
-    #: singular values of the X and P blocks, largest first
-    _svals: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
+    #: the X block and the P block
+    _blocks: tuple[_Block, _Block] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        x = np.atleast_2d(np.asarray(self.x_rows, dtype=float))
-        p = np.atleast_2d(np.asarray(self.p_rows, dtype=float))
+        x, p = (np.atleast_2d(np.asarray(M, dtype=float)) for M in (self.x_rows, self.p_rows))
         object.__setattr__(self, "x_rows", x)
         object.__setattr__(self, "p_rows", p)
         if x.shape[1] != self.n_modes or p.shape[1] != self.n_modes:
@@ -137,17 +221,11 @@ class StabilizerCode:
         if defect > TOL.orthogonality * np.max(np.abs(x), initial=0) * np.max(np.abs(p), initial=0):
             raise ValueError(f"X and P generators do not commute: max |v.w| = {defect:.3e}")
         # generator_matrix is block-diagonal, so its rows are independent iff
-        # each block's are; the largest singular value of each block is its
-        # scale for every later rank decision
-        sx, sp = _singular_values(x), _singular_values(p)
-        if _count_rank(sx) != x.shape[0] or _count_rank(sp) != p.shape[0]:
+        # each block's are
+        blocks = (_Block(x), _Block(p))
+        if any(block.rank() != len(block.rows) for block in blocks):
             raise ValueError("generator rows are linearly dependent")
-        object.__setattr__(self, "_svals", (sx, sp))
-
-    @property
-    def _scales(self) -> tuple[float, float]:
-        """Largest singular values of the X and P blocks, the scale of their rank decisions."""
-        return _largest(self._svals[0]), _largest(self._svals[1])
+        object.__setattr__(self, "_blocks", blocks)
 
     @property
     def n_generators(self) -> int:
@@ -166,24 +244,6 @@ class StabilizerCode:
     def orthogonality_defect(self) -> float:
         """max |v . w| over all X-row / P-row pairs (0 means CSS commutation holds)."""
         return float(np.max(np.abs(self.x_rows @ self.p_rows.T), initial=0.0))
-
-    @cached_property
-    def _x_kernel(self) -> np.ndarray:
-        """Orthonormal rows spanning ker X (see ``_kernel``)."""
-        return _kernel(self.x_rows)
-
-    @cached_property
-    def _p_kernel(self) -> np.ndarray:
-        """Orthonormal rows spanning ker P (see ``_kernel``)."""
-        return _kernel(self.p_rows)
-
-
-def _kernel(M: np.ndarray) -> np.ndarray:
-    """(n - k) x n orthonormal rows spanning ker M, for M (k x n) with independent rows.
-
-    They are the trailing n - k columns of a complete QR of M^T.
-    """
-    return np.linalg.qr(M.T, mode="complete")[0][:, M.shape[0] :].T.copy()
 
 
 @dataclass(frozen=True)
@@ -277,70 +337,14 @@ def erasure_for_vertex(
         return ErasurePattern(FIVE_MODE_ERASURES[vertex], recovery_vertex=vertex)
     if basis is None:
         raise ValueError("edge-mode codes need the EdgeBasis to build patterns")
+    if basis.n_edges != code.n_modes:
+        raise ValueError(
+            f"basis of K_{basis.N} has {basis.n_edges} edges but the code has {code.n_modes} modes"
+        )
     if not 1 <= vertex <= basis.N:
         raise ValueError(f"vertex {vertex} out of range 1..{basis.N}")
     incident = {basis.signed_unit(vertex, k)[0] for k in range(1, basis.N + 1) if k != vertex}
     return ErasurePattern(frozenset(range(basis.n_edges)) - incident, recovery_vertex=vertex)
-
-
-def _singular_values(M: np.ndarray) -> np.ndarray:
-    """Singular values of M, largest first (none for an empty matrix)."""
-    M = np.atleast_2d(M)
-    return np.linalg.svd(M, compute_uv=False) if M.size else np.zeros(0)
-
-
-def _largest(svals: np.ndarray) -> float:
-    return svals[0] if svals.size else 0.0
-
-
-def _count_ranks(rows: Iterable[Sequence[float]], scale: float) -> list[int]:
-    """Rank of each row of singular values (largest first): the count above TOL.rank * scale.
-
-    Warns once per row whose kept values span more than TOL.condition_limit.
-    """
-    cut = TOL.rank * float(scale)
-    ranks = []
-    for svals in rows:
-        rank = sum(v > cut for v in svals)
-        if rank and svals[0] / svals[rank - 1] > TOL.condition_limit:
-            warnings.warn(
-                f"rank decision badly conditioned: singular values span "
-                f"{svals[0]:.3e}..{svals[rank - 1]:.3e}",
-                stacklevel=2,
-            )
-        ranks.append(rank)
-    return ranks
-
-
-def _count_rank(svals: np.ndarray, scale: float | None = None) -> int:
-    """Count of singular values above the rank tolerance times ``scale`` (default: the largest)."""
-    return _count_ranks([svals.tolist()], _largest(svals) if scale is None else scale)[0]
-
-
-def _slice_ranks(slices: np.ndarray, scale: float) -> list[int]:
-    """Rank of each slice of a (k, G, w) stack, as ``M[:, S]`` takes it for G index rows S."""
-    if not slices.size:
-        return [0] * slices.shape[1]
-    return _count_ranks(np.linalg.svd(slices.transpose(1, 0, 2), compute_uv=False).tolist(), scale)
-
-
-def _restriction_ranks(
-    M: np.ndarray, scale: float, kernel: Callable[[], np.ndarray], S: np.ndarray, rest: np.ndarray
-) -> list[int]:
-    """rank M[:, s] for each row s of S, for M (k x n) with independent rows.
-
-    S is a G x |S| index array and rest the G x (n - |S|) array of the
-    complements.  rank M[:, s] = |S| - (n - k) + rank K[:, rest], with
-    K = kernel() the orthonormal rows spanning ker M; whichever side has the
-    smaller SVD flop estimate is taken, so the choice depends only on shapes
-    and is one for all G rows.  The K side is decided at scale 1, the scale
-    of an orthonormal block.
-    """
-    k, c = M.shape[0], M.shape[1] - M.shape[0]
-    width, other = S.shape[1], rest.shape[1]
-    if c * other * min(c, other) < k * width * min(k, width):
-        return [width - c + rank for rank in _slice_ranks(kernel()[:, rest], 1.0)]
-    return _slice_ranks(M[:, S], scale)
 
 
 def correctable(code: StabilizerCode, patterns: Sequence[ErasurePattern]) -> list[bool]:
@@ -348,16 +352,17 @@ def correctable(code: StabilizerCode, patterns: Sequence[ErasurePattern]) -> lis
 
     An error supported on the erased modes E is undetectable iff it commutes
     with every generator; E is correctable iff every such error is a
-    stabilizer.  On the X side the undetectable errors form a space of
-    dimension |E| - rank P[:,E], and the stabilizers supported on E one of
-    dimension k_X - rank X[:,~E] (the X rows are independent); the second
-    lies in the first (X rows commute with P rows), so E is correctable iff
+    stabilizer.  For blocks (a, b), the undetectable errors of b's type
+    supported on E form a space of dimension |E| - rank a[:,E], and the
+    stabilizers of b's type supported on E one of dimension k_b - rank b[:,~E]
+    (the b rows are independent); the second lies in the first (the b rows
+    commute with the a rows), so E is correctable iff
 
-      |E| - rank P[:,E] == k_X - rank X[:,~E]
+      |E| - rank a[:,E] == k_b - rank b[:,~E]
 
-    and the same holds with X and P swapped.  StabilizerCode checks both
-    premises on construction.  Every rank is taken against the scale of
-    the whole X or P block, not of the column slice.
+    for (a, b) = (P, X), the X side, and for (a, b) = (X, P), the P side.
+    StabilizerCode checks both premises on construction.  Every rank is
+    taken against the scale of the whole block, not of the column slice.
 
     Each rank M[:, S] is taken on the cheaper of the slice and its kernel
     complement: with K the (n - k) x n orthonormal rows spanning ker M,
@@ -371,7 +376,7 @@ def correctable(code: StabilizerCode, patterns: Sequence[ErasurePattern]) -> lis
 
     Patterns are grouped by |E|.  The slices of one group share their shape,
     so each of the four ranks is one SVD of the group's stack of slices; the
-    P-side ranks are taken only for the patterns whose X side holds.
+    P side is taken only for the patterns whose X side holds.
     Verdicts come back in the order of ``patterns``.
     """
     n = code.n_modes
@@ -384,28 +389,18 @@ def correctable(code: StabilizerCode, patterns: Sequence[ErasurePattern]) -> lis
         kept = [m for m in range(n) if m not in pattern.erased]
         groups.setdefault(len(erased), []).append((i, erased + kept))
 
-    X, P = code.x_rows, code.p_rows
-    sx, sp = code._scales
-
-    def rank_x(S, rest):
-        return _restriction_ranks(X, sx, lambda: code._x_kernel, S, rest)
-
-    def rank_p(S, rest):
-        return _restriction_ranks(P, sp, lambda: code._p_kernel, S, rest)
-
     verdicts = [False] * len(patterns)
     for size, members in groups.items():
         # row g: pattern g's erased modes, then its kept ones
         order = np.array([row for _, row in members], dtype=np.intp)
-        E, K = order[:, :size], order[:, size:]
-        x_side = [size - a == X.shape[0] - b for a, b in zip(rank_p(E, K), rank_x(K, E))]
-        holds = [g for g, ok in enumerate(x_side) if ok]
-        if not holds:
-            continue
-        if len(holds) < len(members):
-            E, K = E[holds], K[holds]
-        for g, a, b in zip(holds, rank_x(E, K), rank_p(K, E)):
-            verdicts[members[g][0]] = size - a == P.shape[0] - b
+        live = np.arange(len(members))
+        # (a, b) = (P, X), the X side, then (X, P) on the patterns it kept
+        for a, b in (code._blocks[::-1], code._blocks):
+            E, K = order[live, :size], order[live, size:]
+            holds = [size - ra == len(b.rows) - rb for ra, rb in zip(a.ranks(E, K), b.ranks(K, E))]
+            live = live[holds]
+        for g in live.tolist():
+            verdicts[members[g][0]] = True
     return verdicts
 
 
@@ -420,9 +415,8 @@ def nullifier_variances(code: StabilizerCode, state) -> np.ndarray:
         raise ValueError(
             f"state has {state.n_modes} modes but code has {code.n_modes}"
         )
-    x_vars = [float(v @ state.cov_x @ v) for v in code.x_rows]
-    p_vars = [float(w @ state.cov_p @ w) for w in code.p_rows]
-    return np.array(x_vars + p_vars)
+    G = code.generator_matrix
+    return np.einsum("ij,jk,ik->i", G, state.cov, G, optimize=True)
 
 
 def format_generator_matrix(code: StabilizerCode) -> str:

@@ -95,17 +95,6 @@ class GaussianState:
     def copy(self) -> "GaussianState":
         return GaussianState(self.mean.copy(), self.cov.copy(), _validate=False)
 
-    # Convenience views used by code/nullifier analysis.
-    @property
-    def cov_x(self) -> np.ndarray:
-        n = self.n_modes
-        return self.cov[:n, :n]
-
-    @property
-    def cov_p(self) -> np.ndarray:
-        n = self.n_modes
-        return self.cov[n:, n:]
-
     def __repr__(self) -> str:
         return f"GaussianState(n_modes={self.n_modes})"
 
@@ -381,12 +370,22 @@ def coherent_fidelity(vxx, vxp, vpp, dx, dp):
     F = exp(-1/2 d^T M^-1 d) / sqrt(det M), M = V + I/2, is written out for
     2 x 2, so the arguments may be arrays of any one broadcast shape.
     Raises ValueError where det M <= 0.
+
+    The offsets are divided by a power of two s near their size, so that
+    their squares cannot overflow, and s^2 multiplies the exponent last.
+    Scaling by a power of two is exact, so the result is the unscaled
+    form's to the bit wherever that form does not overflow; where the
+    exponent itself overflows, -inf is its limit and F is 0.
     """
     mxx, mpp = vxx + 0.5, vpp + 0.5
     det = mxx * mpp - vxp * vxp
     if np.any(det <= 0):
         raise ValueError(f"V + I/2 is not positive definite: det = {np.min(det):.3e}")
-    return np.exp(-0.5 * (mpp * dx * dx - 2.0 * vxp * dx * dp + mxx * dp * dp) / det) / np.sqrt(det)
+    s = np.ldexp(0.5, np.frexp(np.maximum(np.abs(dx), np.abs(dp)))[1])
+    u, w = dx / s, dp / s
+    exponent = -0.5 * ((mpp * u * u - 2.0 * vxp * u * w + mxx * w * w) / det)
+    with np.errstate(over="ignore"):
+        return np.exp(exponent * s * s) / np.sqrt(det)
 
 
 def fidelity_with_coherent(state: GaussianState, alpha: complex) -> float:

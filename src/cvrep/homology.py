@@ -7,8 +7,8 @@ each face; d_k d_{k+1} = 0 is checked exactly, not approximated.  The check
 runs as a float64 product, which is exact here: every entry is 0 or +-1, so
 every partial sum is an integer of magnitude at most the inner dimension
 C(N, k+1), far below 2**53 (integer inputs beyond that bound fall back to
-an integer product).  Row spaces are compared by rank equality through
-``codes._count_rank``.
+an integer product).  Row spaces are compared by rank equality, as
+``codes._Block.same_span`` decides it.
 
 ``build_homological_code`` reads a stabilizer code off the complex; its
 erasures are decided by ``codes.correctable``, as for any other code.
@@ -22,7 +22,7 @@ from itertools import chain, combinations
 
 import numpy as np
 
-from .codes import StabilizerCode, _count_rank, _largest, _singular_values
+from .codes import StabilizerCode, _Block
 
 __all__ = [
     "ChainComplex",
@@ -144,27 +144,4 @@ def build_homological_code(N: int) -> StabilizerCode:
 
 def rowspaces_equal(A: np.ndarray, B: np.ndarray) -> bool:
     """Equal row spaces: rank A == rank B == rank [A; B], all at the scale of [A; B]."""
-    return _rowspaces_equal(A, B, _singular_values(A), _singular_values(B))
-
-
-def _rowspaces_equal(A: np.ndarray, B: np.ndarray, sa: np.ndarray, sb: np.ndarray) -> bool:
-    """``rowspaces_equal`` given the singular values of A and B: one SVD, of [A; B].
-
-    The SVD of [A; B] gives the scale and rank [A; B]; A's and B's ranks are
-    counted at that scale from ``sa`` and ``sb``.
-    """
-    svals = _singular_values(np.vstack([A, B]))
-    scale = _largest(svals)
-    return _count_rank(sa, scale) == _count_rank(sb, scale) == _count_rank(svals, scale)
-
-
-def _code_rowspaces_equal(a: StabilizerCode, b: StabilizerCode) -> tuple[bool, bool]:
-    """``rowspaces_equal`` on the X blocks and on the P blocks of two codes.
-
-    Each code already holds its blocks' singular values, so each block
-    comparison takes one SVD.
-    """
-    return (
-        _rowspaces_equal(a.x_rows, b.x_rows, a._svals[0], b._svals[0]),
-        _rowspaces_equal(a.p_rows, b.p_rows, a._svals[1], b._svals[1]),
-    )
+    return _Block(A).same_span(_Block(B))

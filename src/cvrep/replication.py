@@ -59,12 +59,21 @@ class SpacetimePoint:
     x: tuple[float, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "t", float(self.t))
-        object.__setattr__(self, "x", tuple(float(v) for v in self.x))
-        if not self.x:
+        # coordinate 0 is t; each is an int or a float (not a bool) that is finite as a float
+        coords = []
+        for i, v in enumerate((self.t, *self.x)):
+            if isinstance(v, bool) or not isinstance(v, (int, float)):
+                raise ValueError(f"coordinate {i} must be a number, got {type(v).__name__}")
+            try:
+                coords.append(float(v))
+            except OverflowError:
+                raise ValueError(f"coordinate {i} is an integer too large for a float") from None
+        if len(coords) < 2:
             raise ValueError("a point needs at least one spatial coordinate")
-        if not (math.isfinite(self.t) and all(math.isfinite(v) for v in self.x)):
+        if not all(map(math.isfinite, coords)):
             raise ValueError("coordinates must be finite")
+        object.__setattr__(self, "t", coords[0])
+        object.__setattr__(self, "x", tuple(coords[1:]))
 
     @property
     def dim(self) -> int:
@@ -230,15 +239,10 @@ def _point(values, dim: int, what: str) -> SpacetimePoint:
         raise ValueError(
             f"{what} must have {dim + 1} entries [t, x1..x{dim}], got {len(values)}"
         )
-    coords = []
-    for i, v in enumerate(values):
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise ValueError(f"{what} coordinate {i} must be a number, got {type(v).__name__}")
-        try:
-            coords.append(float(v))
-        except OverflowError:
-            raise ValueError(f"{what} coordinate {i} is an integer too large for a float") from None
-    return SpacetimePoint(coords[0], tuple(coords[1:]))
+    try:
+        return SpacetimePoint(values[0], tuple(values[1:]))
+    except ValueError as exc:
+        raise ValueError(f"{what} {exc}") from None
 
 
 def configuration_from_json(data: dict) -> Configuration:

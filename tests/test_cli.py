@@ -134,6 +134,33 @@ def test_verify_homology_on_the_general_code(capsys):
     assert "X rows match, P rows match" in err
 
 
+@pytest.mark.parametrize(
+    "argv, svd_calls, qr_calls",
+    [(("verify", "five"), 10, 0), (("verify", "24"), 6, 1), (("verify", "12", "--homology"), 10, 1)],
+    ids=["five", "24", "12 homology"],
+)
+def test_verify_takes_each_block_factorization_once(capsys, monkeypatch, argv, svd_calls, qr_calls):
+    # a block's singular values are taken once, at construction, and its
+    # kernel once, on first use: construction (two per code), the stacked
+    # restriction ranks, and one per --homology row-space comparison
+    calls = {"svd": 0, "qr": 0}
+
+    def counting(name):
+        honest = getattr(np.linalg, name)
+
+        def spy(*args, **kwargs):
+            calls[name] += 1
+            return honest(*args, **kwargs)
+
+        return spy
+
+    for name in calls:
+        monkeypatch.setattr(np.linalg, name, counting(name))
+    rc, _, _ = run_cli(capsys, *argv)
+    assert rc == 0
+    assert calls == {"svd": svd_calls, "qr": qr_calls}
+
+
 def test_verify_homology_rejected_for_five_mode(capsys):
     rc, _, err = run_cli(capsys, "verify", "five", "--homology")
     assert rc == 2 and "general construction" in err

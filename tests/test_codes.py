@@ -242,6 +242,16 @@ def test_erasure_for_vertex_erases_exactly_the_edges_that_miss_the_vertex():
             codes.erasure_for_vertex(code, basis, n + 1)
 
 
+def test_erasure_for_vertex_rejects_a_basis_that_does_not_fit_the_code():
+    # K_4 has 6 edges but general-5 has 10 modes: the pattern {3, 4, 5} built
+    # from the wrong basis is not vertex 1's
+    code = codes.build_general_code(5)
+    with pytest.raises(ValueError, match="basis of K_4 has 6 edges but the code has 10 modes"):
+        codes.erasure_for_vertex(code, codes.edge_basis(4), 1)
+    with pytest.raises(ValueError, match="basis of K_6 has 15 edges but the code has 6 modes"):
+        codes.erasure_for_vertex(codes.build_general_code(4), codes.edge_basis(6), 1)
+
+
 def test_erasure_for_vertex_on_the_five_mode_code():
     code = codes.build_five_mode_code()
     pattern = codes.erasure_for_vertex(code, None, 3)
@@ -330,7 +340,7 @@ def _scaled(code, scale):
 
 def _rank(M, scale):
     """rank M at ``scale``, from one SVD of M itself."""
-    return codes._count_rank(codes._singular_values(M), scale)
+    return codes._Block(M).rank(scale)
 
 
 def _direct_verdict(code, erased):
@@ -338,7 +348,7 @@ def _direct_verdict(code, erased):
     kept = [m for m in range(code.n_modes) if m not in erased]
     erased = sorted(erased)
     X, P = code.x_rows, code.p_rows
-    sx, sp = code._scales
+    sx, sp = (block.scale for block in code._blocks)
     return (
         len(erased) - _rank(P[:, erased], sp) == X.shape[0] - _rank(X[:, kept], sx)
         and len(erased) - _rank(X[:, erased], sx) == P.shape[0] - _rank(P[:, kept], sp)
@@ -378,10 +388,7 @@ def test_complement_rank_identity_holds_on_both_blocks():
     # rank M[:, S] = |S| - (n - k) + rank K[:, ~S] for each block, at every size of S
     rng = np.random.default_rng(5)
     for code in (*_edge_codes(7), codes.build_five_mode_code()):
-        for M, scale, K in (
-            (code.x_rows, code._scales[0], code._x_kernel),
-            (code.p_rows, code._scales[1], code._p_kernel),
-        ):
+        for M, scale, K in ((block.rows, block.scale, block.kernel) for block in code._blocks):
             k, n = M.shape
             np.testing.assert_allclose(K @ K.T, np.eye(n - k), atol=1e-12)
             np.testing.assert_allclose(M @ K.T, 0.0, atol=1e-12)

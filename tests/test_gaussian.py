@@ -4,6 +4,7 @@ Gates and feedforward run as one-op circuits through ``run``: ``gaussian``
 holds the gate blocks, not gate functions."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -549,3 +550,23 @@ def test_coherent_fidelity_broadcasts_entry_by_entry(rng):
     covs = np.array([s.cov for s in states])
     batched = g.coherent_fidelity(covs[:, 0, 0], covs[:, 0, 1], covs[:, 1, 1], delta[:, 0], delta[:, 1])
     assert batched.tolist() == [g.fidelity_with_coherent(s, alpha) for s in states]
+
+
+def test_fidelity_with_a_far_coherent_state_is_zero_without_overflow():
+    # the offset is 2 sqrt(2) 1e154: its square overflows, the fidelity does not
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert g.fidelity_with_coherent(g.coherent(1e154), -1e154) == 0.0
+        assert g.fidelity_with_coherent(g.coherent(1e154j), -1e154j) == 0.0
+        assert g.fidelity_with_coherent(g.coherent(1e154), 1e154) == 1.0
+
+
+def test_coherent_fidelity_of_an_array_with_a_huge_offset_is_entrywise():
+    vxx, vxp, vpp = np.array([0.5, 0.7, 0.9]), np.array([0.0, 0.1, -0.2]), np.array([0.5, 0.6, 1.3])
+    dx, dp = np.array([0.3, 3e154, -1e300]), np.array([-0.2, 1e154, 0.4])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = g.coherent_fidelity(vxx, vxp, vpp, dx, dp)
+    # the normal entry is bit-identical to its scalar closed form
+    assert got[0] == np.exp(-0.5 * (0.3**2 + 0.2**2))
+    assert got[1:].tolist() == [0.0, 0.0]

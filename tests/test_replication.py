@@ -56,6 +56,25 @@ def test_point_validation():
     assert P(1, 2).x == (2.0,)
 
 
+@pytest.mark.parametrize(
+    "t, x, message",
+    [
+        ("1", (2.0,), "coordinate 0 must be a number, got str"),
+        (0.0, ("2",), "coordinate 1 must be a number, got str"),
+        (True, (0,), "coordinate 0 must be a number, got bool"),
+        (0, (1.0, False), "coordinate 2 must be a number, got bool"),
+        (0, ([1],), "coordinate 1 must be a number, got list"),
+        (10**400, (0,), "coordinate 0 is an integer too large for a float"),
+        (0, (1, -(10**400)), "coordinate 2 is an integer too large for a float"),
+    ],
+    ids=["str t", "str x", "bool t", "bool x", "list x", "huge t", "huge x"],
+)
+def test_point_takes_only_ints_and_floats(t, x, message):
+    with pytest.raises(ValueError) as info:
+        SpacetimePoint(t, x)
+    assert str(info.value) == message
+
+
 def test_causal_leq_basics():
     assert causal_leq(P(0, 0), P(1, 0.5))  # timelike
     assert causal_leq(P(0, 0), P(1, 1))  # lightlike counts
