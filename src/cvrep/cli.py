@@ -125,9 +125,9 @@ def cmd_verify(args) -> int:
     homology_report = None
     if args.homology:
         n = basis.N
-        # chain_complex raises if any boundary square is nonzero; only the
-        # shapes are kept, so its dense boundaries are freed before the code is built
-        shapes = {k: list(M.shape) for k, M in sorted(homology.chain_complex(n).boundary.items())}
+        # chain_complex raises if any boundary square is nonzero; the report
+        # reads only the shapes of its face tables
+        shapes = {k: list(table.shape) for k, table in sorted(homology.chain_complex(n).boundary.items())}
         hom_code = homology.build_homological_code(n)
         # each code already holds its blocks' singular values, so each
         # comparison takes one SVD, of the stacked blocks

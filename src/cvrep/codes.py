@@ -37,9 +37,6 @@ __all__ = [
     "StabilizerCode",
     "ErasurePattern",
     "edge_basis",
-    "triangle_vector",
-    "directed_triangle",
-    "star_vector",
     "build_general_code",
     "build_five_mode_code",
     "symplectic_product",
@@ -82,37 +79,6 @@ def edge_basis(N: int) -> EdgeBasis:
     edges = tuple((j, k) for j, k in combinations(range(1, N + 1), 2))
     index = {e: i for i, e in enumerate(edges)}
     return EdgeBasis(N, edges, index)
-
-
-def directed_triangle(basis: EdgeBasis, i: int, j: int, k: int) -> np.ndarray:
-    """The closed directed triangle e_ij + e_jk + e_ki as an edge-space vector."""
-    if len({i, j, k}) != 3 or not all(1 <= v <= basis.N for v in (i, j, k)):
-        raise ValueError(f"triangle needs three distinct vertices in 1..{basis.N}")
-    vec = np.zeros(basis.n_edges)
-    for a, b in ((i, j), (j, k), (k, i)):
-        pos, sign = basis.signed_unit(a, b)
-        vec[pos] += sign
-    return vec
-
-
-def triangle_vector(basis: EdgeBasis, j: int, k: int) -> np.ndarray:
-    """v_jk = e_1j + e_jk + e_k1: the directed triangle through vertex 1."""
-    if not (2 <= j < k <= basis.N):
-        raise ValueError(f"need 2 <= j < k <= {basis.N}, got ({j}, {k})")
-    return directed_triangle(basis, 1, j, k)
-
-
-def star_vector(basis: EdgeBasis, j: int) -> np.ndarray:
-    """A_j = sum over k != j of e_jk (signed), the star of vertex j."""
-    if not 1 <= j <= basis.N:
-        raise ValueError(f"vertex {j} out of range 1..{basis.N}")
-    vec = np.zeros(basis.n_edges)
-    for k in range(1, basis.N + 1):
-        if k == j:
-            continue
-        pos, sign = basis.signed_unit(j, k)
-        vec[pos] += sign
-    return vec
 
 
 def _count_ranks(rows: Iterable[Sequence[float]], scale: float) -> list[int]:
@@ -218,7 +184,9 @@ class StabilizerCode:
         if not (np.isfinite(x).all() and np.isfinite(p).all()):
             raise ValueError("generator rows must be finite")
         defect = self.orthogonality_defect()
-        if defect > TOL.orthogonality * np.max(np.abs(x), initial=0) * np.max(np.abs(p), initial=0):
+        # max |entry| of each block, without a block-sized |M| copy
+        x_size, p_size = (max(M.max(initial=0.0), -M.min(initial=0.0)) for M in (x, p))
+        if defect > TOL.orthogonality * x_size * p_size:
             raise ValueError(f"X and P generators do not commute: max |v.w| = {defect:.3e}")
         # generator_matrix is block-diagonal, so its rows are independent iff
         # each block's are

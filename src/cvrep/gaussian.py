@@ -373,19 +373,27 @@ def coherent_fidelity(vxx, vxp, vpp, dx, dp):
 
     The offsets are divided by a power of two s near their size, so that
     their squares cannot overflow, and s^2 multiplies the exponent last.
-    Scaling by a power of two is exact, so the result is the unscaled
-    form's to the bit wherever that form does not overflow; where the
-    exponent itself overflows, -inf is its limit and F is 0.
+    M is divided by a power of two t near its largest diagonal entry, so
+    that its determinant cannot overflow: where M is positive definite,
+    |vxp| is below that entry too, det(M/t) = det M / t^2, and
+    sqrt(det M) = t sqrt(det(M/t)).  Scaling by a power of two is exact, so
+    the result is the unscaled form's to the bit wherever that form does
+    not overflow; where the exponent itself overflows, -inf is its limit
+    and F is 0.
     """
     mxx, mpp = vxx + 0.5, vpp + 0.5
-    det = mxx * mpp - vxp * vxp
-    if np.any(det <= 0):
-        raise ValueError(f"V + I/2 is not positive definite: det = {np.min(det):.3e}")
+    t = np.ldexp(0.5, np.frexp(np.maximum(mxx, mpp))[1])
     s = np.ldexp(0.5, np.frexp(np.maximum(np.abs(dx), np.abs(dp)))[1])
     u, w = dx / s, dp / s
-    exponent = -0.5 * ((mpp * u * u - 2.0 * vxp * u * w + mxx * w * w) / det)
+    # an M that is not positive definite may overflow here, to a det of
+    # -inf, which is rejected
     with np.errstate(over="ignore"):
-        return np.exp(exponent * s * s) / np.sqrt(det)
+        axx, app, axp = mxx / t, mpp / t, vxp / t
+        det = axx * app - axp * axp
+        if np.any(det <= 0):
+            raise ValueError(f"V + I/2 is not positive definite: det = {np.min(det * t * t):.3e}")
+        exponent = -0.5 * ((app * u * u - 2.0 * axp * u * w + axx * w * w) / det / t)
+        return np.exp(exponent * s * s) / (t * np.sqrt(det))
 
 
 def fidelity_with_coherent(state: GaussianState, alpha: complex) -> float:

@@ -1,14 +1,15 @@
 """Simplicial (co)homology of the (N-1)-simplex, specialized to k <= 2.
 
 Chain bases are the sorted (k+1)-subsets of {1..N} in lexicographic order, so
-the 1-chain basis lines up index-for-index with codes.EdgeBasis.  Boundary
-matrices are exact integer matrices, built from the lexicographic rank of
-each face; d_k d_{k+1} = 0 is checked exactly, not approximated.  The check
-runs as a float64 product, which is exact here: every entry is 0 or +-1, so
-every partial sum is an integer of magnitude at most the inner dimension
-C(N, k+1), far below 2**53 (integer inputs beyond that bound fall back to
-an integer product).  Row spaces are compared by rank equality, as
-``codes._Block.same_span`` decides it.
+the 1-chain basis lines up index-for-index with codes.EdgeBasis.  Each
+boundary d_k is held as a face table: for each (k+1)-subset (one column),
+the lexicographic ranks of its k + 1 faces with signs (-1)^m, so it takes
+k + 1 entries per column where a dense d_2 would take C(N, 2).
+``boundary_matrix`` is the same map as a dense exact integer array.
+d_k d_{k+1} = 0 is checked per simplex, exactly: the (k+2)(k+1)
+face-of-face entries of each column are summed row by row in Python ints.
+Row spaces are compared by rank equality, as ``codes._Block.same_span``
+decides it.
 
 ``build_homological_code`` reads a stabilizer code off the complex; its
 erasures are decided by ``codes.correctable``, as for any other code.
@@ -26,7 +27,9 @@ from .codes import StabilizerCode, _Block
 
 __all__ = [
     "ChainComplex",
+    "FaceTable",
     "boundary_matrix",
+    "face_table",
     "chain_complex",
     "butterfly_matrix",
     "build_homological_code",
@@ -37,21 +40,60 @@ __all__ = [
 def boundary_matrix(N: int, k: int) -> np.ndarray:
     """d_k: C_k -> C_{k-1} of the simplex on {1..N}; C_{-1} is identified with R.
 
-    d e_{i1..i(k+1)} = sum_m (-1)^m e_{omit i_m}.
+    d e_{i1..i(k+1)} = sum_m (-1)^m e_{omit i_m}: ``face_table(N, k)`` as a
+    dense int array.
     """
+    return face_table(N, k).dense()
+
+
+@dataclass(frozen=True, eq=False)
+class FaceTable:
+    """A boundary map held column by column: column j is sum_m signs[j, m] e_{faces[j, m]}.
+
+    ``faces`` and ``signs`` are (columns x entries) integer arrays.  On the
+    simplex, column j's entries are its k + 1 faces, by lexicographic rank,
+    with signs (-1)^m, so the map has k + 1 nonzero entries per column
+    however large ``shape`` grows.
+    """
+
+    shape: tuple[int, int]
+    faces: np.ndarray
+    signs: np.ndarray
+
+    def __post_init__(self):
+        rows, cols = self.shape
+        if self.faces.shape != self.signs.shape or len(self.faces) != cols:
+            raise ValueError(
+                f"faces {self.faces.shape} and signs {self.signs.shape} "
+                f"need one equal row per column of a {rows} x {cols} map"
+            )
+        if self.faces.size and not (0 <= self.faces.min() and self.faces.max() < rows):
+            raise ValueError(f"face ranks must lie in 0..{rows - 1}")
+
+    def dense(self) -> np.ndarray:
+        D = np.zeros(self.shape, dtype=int)
+        # a simplex's faces are distinct rows, so no entry is written twice
+        D[self.faces, np.arange(self.shape[1])[:, None]] = self.signs
+        return D
+
+
+def face_table(N: int, k: int) -> FaceTable:
+    """d_k of the simplex on {1..N} as a face table (see ``boundary_matrix``)."""
     if N < 3:
         raise ValueError(f"need N >= 3, got {N}")
     if k not in (0, 1, 2):
         raise ValueError(f"only k in {{0,1,2}} supported, got {k}")
-    if k == 0:
-        return np.ones((1, N), dtype=int)
-    simplices = _subsets(N, k + 1)
-    cols = np.arange(len(simplices))
-    D = np.zeros((math.comb(N, k), len(simplices)), dtype=int)
-    # a simplex's k + 1 faces are distinct rows, so no entry is written twice
-    for m in range(k + 1):
-        D[_lex_rank(np.delete(simplices, m, axis=1), N), cols] = (-1) ** m
-    return D
+    return _face_table(_subsets(N, k + 1), N)
+
+
+def _face_table(simplices: np.ndarray, N: int) -> FaceTable:
+    """The boundary columns of the given simplices, sorted rows of {0..N-1}."""
+    n, k = simplices.shape[0], simplices.shape[1] - 1
+    # face m omits vertex m
+    omit = np.array([[i for i in range(k + 1) if i != m] for m in range(k + 1)], dtype=np.intp)
+    faces = _lex_rank(simplices[:, omit].reshape(n * (k + 1), k), N).reshape(n, k + 1)
+    signs = np.broadcast_to((-1) ** np.arange(k + 1), faces.shape)
+    return FaceTable((math.comb(N, k), n), faces, signs)
 
 
 def _subsets(N: int, size: int) -> np.ndarray:
@@ -67,41 +109,47 @@ def _lex_rank(subsets: np.ndarray, N: int) -> np.ndarray:
     """
     k = subsets.shape[1]
     binom = np.array([[math.comb(m, j) for j in range(k + 1)] for m in range(N + 1)])
-    return math.comb(N, k) - 1 - sum(binom[N - 1 - subsets[:, i], k - i] for i in range(k))
+    ranks = np.full(len(subsets), math.comb(N, k) - 1)
+    for i in range(k):
+        ranks -= binom[N - 1 - subsets[:, i], k - i]
+    return ranks
 
 
-def _product_vanishes(A: np.ndarray, B: np.ndarray) -> bool:
-    """A @ B == 0, exactly.
+def _composes_to_zero(low: FaceTable, high: FaceTable) -> bool:
+    """low @ high == 0, exactly, one column of high at a time.
 
-    Integer matrices multiply in float64 when no partial sum can reach
-    2**53, a block of B's columns at a time so that the float copy stays
-    small; anything else multiplies as given.
+    Column j of the product gathers sign(j, f) sign(f, g) at row g for each
+    face f of j and each face g of f; it vanishes when the entries at every
+    row g sum to 0.  The entries are multiplied and summed as Python ints.
     """
-    if A.dtype.kind in "iu" and B.dtype.kind in "iu" and A.size and B.size:
-        if A.shape[1] * _max_abs(A) * _max_abs(B) < 2**53:
-            A, step = A.astype(float), 1024
-            blocks = (B[:, j : j + step].astype(float) for j in range(0, B.shape[1], step))
-            return not any((A @ block).any() for block in blocks)
-    return not (A @ B).any()
-
-
-def _max_abs(M: np.ndarray) -> int:
-    return max(int(M.max()), -int(M.min()))
+    shape = (high.faces.shape[0], high.faces.shape[1] * low.faces.shape[1])
+    rows = low.faces[high.faces].reshape(shape)
+    terms = (high.signs[:, :, None].astype(object) * low.signs[high.faces]).reshape(shape)
+    order = np.argsort(rows, axis=1, kind="stable")
+    rows, terms = np.take_along_axis(rows, order, axis=1), np.take_along_axis(terms, order, axis=1)
+    # each column's run of equal rows is one entry of the product
+    starts = np.ones(rows.shape, dtype=bool)
+    starts[:, 1:] = rows[:, 1:] != rows[:, :-1]
+    return not rows.size or not np.add.reduceat(terms.ravel(), np.flatnonzero(starts)).any()
 
 
 @dataclass(frozen=True)
 class ChainComplex:
     N: int
-    boundary: dict[int, np.ndarray]
+    boundary: dict[int, FaceTable]
 
     def __post_init__(self):
         for k in (0, 1):
-            if not _product_vanishes(self.boundary[k], self.boundary[k + 1]):
+            low, high = self.boundary[k], self.boundary[k + 1]
+            if low.shape[1] != high.shape[0]:
+                rows, cols = low.shape
+                raise ValueError(f"d_{k} is {rows} x {cols} but d_{k+1} has {high.shape[0]} rows")
+            if not _composes_to_zero(low, high):
                 raise ValueError(f"not a chain complex: d_{k} d_{k+1} != 0")
 
 
 def chain_complex(N: int) -> ChainComplex:
-    return ChainComplex(N, {k: boundary_matrix(N, k) for k in (0, 1, 2)})
+    return ChainComplex(N, {k: face_table(N, k) for k in (0, 1, 2)})
 
 
 def butterfly_matrix(N: int) -> np.ndarray:
@@ -133,10 +181,10 @@ def build_homological_code(N: int) -> StabilizerCode:
     if N < 4:
         raise ValueError(f"need N >= 4, got {N}")
     d1 = boundary_matrix(N, 1)
-    d2 = boundary_matrix(N, 2)
-    triangles = list(combinations(range(1, N + 1), 3))
-    cols = [i for i, t in enumerate(triangles) if N in t]
-    x_rows = d2[:, cols].T.astype(float)
+    triangles = _subsets(N, 3)
+    d2 = _face_table(triangles[triangles[:, 2] == N - 1], N)
+    x_rows = np.zeros(d2.shape[::-1])
+    x_rows[np.arange(d2.shape[1])[:, None], d2.faces] = d2.signs
     q = butterfly_matrix(N)[1:]
     p_rows = -(d1.T @ q.T).T.astype(float)
     return StabilizerCode(d1.shape[1], x_rows, p_rows, name=f"homological-{N}")

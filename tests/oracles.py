@@ -1,9 +1,10 @@
 """Independent reference implementations used to cross-check package results.
 
 Everything here is deliberately written the slow, obvious way — dense grids,
-exact rational arithmetic, rejection sampling, op-by-op state updates — and
-shares no logic with the package under test beyond reading gate blocks from
-its op table.  Tests freeze values computed by these oracles and assert
+exact rational arithmetic, rejection sampling, op-by-op state updates, edge
+vectors built one edge at a time — and shares no logic with the package
+under test beyond reading gate blocks from its op table and the edge list of
+an ``EdgeBasis``.  Tests freeze values computed by these oracles and assert
 the package reproduces them.
 """
 
@@ -45,6 +46,48 @@ def wigner_overlap_fidelity(mean, cov, alpha, half_width=9.0, points=1201):
     w_coh = wigner_gaussian(gx, gp, coh_mean, 0.5 * np.eye(2))
     step = (xs[1] - xs[0]) * (ps[1] - ps[0])
     return float(2.0 * math.pi * np.sum(w_state * w_coh) * step)
+
+
+# ---------------------------------------------------------------------------
+# Edge-space vectors of K_N, one edge at a time
+# ---------------------------------------------------------------------------
+
+
+def _signed_edge(basis, a, b):
+    """Position of edge {a, b} in the basis's edge list, and the sign of e_ab (e_ab = -e_ba)."""
+    if a == b:
+        raise ValueError("edge endpoints must differ")
+    return (basis.edges.index((a, b)), 1) if a < b else (basis.edges.index((b, a)), -1)
+
+
+def directed_triangle(basis, i, j, k):
+    """The closed directed triangle e_ij + e_jk + e_ki as an edge-space vector."""
+    if len({i, j, k}) != 3 or not all(1 <= v <= basis.N for v in (i, j, k)):
+        raise ValueError(f"triangle needs three distinct vertices in 1..{basis.N}")
+    vec = np.zeros(len(basis.edges))
+    for a, b in ((i, j), (j, k), (k, i)):
+        pos, sign = _signed_edge(basis, a, b)
+        vec[pos] += sign
+    return vec
+
+
+def triangle_vector(basis, j, k):
+    """v_jk = e_1j + e_jk + e_k1: the directed triangle through vertex 1."""
+    if not (2 <= j < k <= basis.N):
+        raise ValueError(f"need 2 <= j < k <= {basis.N}, got ({j}, {k})")
+    return directed_triangle(basis, 1, j, k)
+
+
+def star_vector(basis, j):
+    """A_j = sum over k != j of e_jk (signed), the star of vertex j."""
+    if not 1 <= j <= basis.N:
+        raise ValueError(f"vertex {j} out of range 1..{basis.N}")
+    vec = np.zeros(len(basis.edges))
+    for k in range(1, basis.N + 1):
+        if k != j:
+            pos, sign = _signed_edge(basis, j, k)
+            vec[pos] += sign
+    return vec
 
 
 # ---------------------------------------------------------------------------

@@ -532,12 +532,15 @@ def test_fidelity_rejects_a_non_finite_amplitude(alpha):
     [
         [[0.0, 1.0], [1.0, 0.0]],  # det(V + I/2) = -3/4
         [[-0.5, 0.0], [0.0, 1.0]],  # det(V + I/2) = 0
+        [[0.0, 1e300], [1e300, 0.0]],  # det(V + I/2) = 1/4 - 1e600, past the float range
     ],
 )
 def test_fidelity_rejects_a_covariance_with_det_v_plus_half_not_positive(cov):
     state = g.GaussianState(np.zeros(2), np.array(cov), _validate=False)
-    with pytest.raises(ValueError, match="not positive definite"):
-        g.fidelity_with_coherent(state, 0j)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="not positive definite"):
+            g.fidelity_with_coherent(state, 0j)
 
 
 def test_coherent_fidelity_broadcasts_entry_by_entry(rng):
@@ -559,6 +562,18 @@ def test_fidelity_with_a_far_coherent_state_is_zero_without_overflow():
         assert g.fidelity_with_coherent(g.coherent(1e154), -1e154) == 0.0
         assert g.fidelity_with_coherent(g.coherent(1e154j), -1e154j) == 0.0
         assert g.fidelity_with_coherent(g.coherent(1e154), 1e154) == 1.0
+
+
+def test_fidelity_with_a_huge_covariance_is_finite_without_overflow():
+    # det(V + I/2) is about 1e320, past the float range; F = 1 / sqrt(det) is not
+    state = g.GaussianState(np.zeros(2), np.diag([1e160, 1e160]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert g.fidelity_with_coherent(state, 0) == 1 / 1e160
+        assert g.fidelity_with_coherent(state, 1e3) == 1 / 1e160
+        got = g.coherent_fidelity(np.array([0.5, 1e160]), 0.0, np.array([0.5, 1e300]), 0.0, 0.0)
+    assert got[0] == 1.0
+    assert got[1] == pytest.approx(1e-230, rel=1e-15)
 
 
 def test_coherent_fidelity_of_an_array_with_a_huge_offset_is_entrywise():

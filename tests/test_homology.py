@@ -1,12 +1,13 @@
 """Chain complex of the simplex and the homological code construction."""
 
 import math
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
 import pytest
 
-from oracles import integer_det, rational_rank
+from oracles import directed_triangle, integer_det, rational_rank, star_vector
 
 from cvrep import codes, homology
 
@@ -63,11 +64,43 @@ def test_chain_complex_carries_all_three_boundaries():
     assert complex_.boundary[2].shape == (10, 10)
 
 
+def test_chain_complex_holds_face_tables_of_the_dense_boundaries():
+    complex_ = homology.chain_complex(6)
+    for k, table in complex_.boundary.items():
+        assert isinstance(table, homology.FaceTable)
+        assert table.faces.shape == table.signs.shape == (table.shape[1], k + 1)
+        np.testing.assert_array_equal(table.dense(), homology.boundary_matrix(6, k))
+
+
 def test_chain_complex_rejects_boundaries_that_do_not_compose_to_zero():
-    boundary = {k: homology.boundary_matrix(5, k) for k in (0, 1, 2)}
-    boundary[2] = np.abs(boundary[2])
-    with pytest.raises(ValueError, match="d_1 d_2"):
+    # flip the sign of one face of one simplex
+    flips = [(1, 0, 0, "d_0 d_1"), (2, 3, 1, "d_1 d_2"), (2, 19, 2, "d_1 d_2")]
+    for k, column, entry, message in flips:
+        boundary = dict(homology.chain_complex(6).boundary)
+        table = boundary[k]
+        signs = table.signs.copy()
+        signs[column, entry] *= -1
+        boundary[k] = homology.FaceTable(table.shape, table.faces, signs)
+        with pytest.raises(ValueError, match=message):
+            homology.ChainComplex(6, boundary)
+
+
+def test_chain_complex_rejects_boundaries_whose_shapes_do_not_compose():
+    boundary = dict(homology.chain_complex(5).boundary)
+    boundary[2] = homology.chain_complex(6).boundary[2]
+    with pytest.raises(ValueError, match=r"d_1 is 5 x 10 but d_2 has 15 rows"):
         homology.ChainComplex(5, boundary)
+
+
+def test_face_table_rejects_faces_that_do_not_fit_its_shape():
+    faces, signs = np.array([[0, 1]]), np.array([[1, -1]])
+    with pytest.raises(ValueError, match="one equal row per column"):
+        homology.FaceTable((2, 2), faces, signs)
+    with pytest.raises(ValueError, match="one equal row per column"):
+        homology.FaceTable((2, 1), faces, signs[:, :1])
+    for bad in (-1, 2):
+        with pytest.raises(ValueError, match=r"face ranks must lie in 0\.\.1"):
+            homology.FaceTable((2, 1), np.array([[0, bad]]), signs)
 
 
 def _loop_boundary(n, k):
@@ -92,14 +125,36 @@ def test_boundary_matrix_matches_the_face_by_face_construction(n):
 
 
 def test_chain_complex_check_stays_exact_past_two_to_the_53():
-    # the float64 product of these rows is 0, the exact one is 1
+    # d_0 = [[2**53 + 1, -1]] and d_1 = [[1], [2**53]]: the float64 sum of
+    # d_0 d_1's two terms is 0, the exact one is 1
     boundary = {
-        0: np.array([[2**53 + 1, -1]]),
-        1: np.array([[1], [2**53]]),
-        2: np.zeros((1, 1), dtype=int),
+        0: homology.FaceTable((1, 2), np.array([[0], [0]]), np.array([[2**53 + 1], [-1]])),
+        1: homology.FaceTable((2, 1), np.array([[0, 1]]), np.array([[1, 2**53]])),
+        2: homology.FaceTable((1, 0), np.zeros((0, 2), dtype=int), np.zeros((0, 2), dtype=int)),
     }
+    assert float(2**53 + 1) - float(2**53) == 0.0
     with pytest.raises(ValueError, match="d_0 d_1"):
         homology.ChainComplex(3, boundary)
+    # entries past int64 are multiplied and summed exactly as well
+    boundary[0] = homology.FaceTable((1, 2), np.array([[0], [0]]), np.array([[1], [-1]]))
+    huge = np.array([[2**70 + 1, 2**70]], dtype=object)
+    boundary[1] = homology.FaceTable((2, 1), np.array([[0, 1]]), huge)
+    with pytest.raises(ValueError, match="d_0 d_1"):
+        homology.ChainComplex(3, boundary)
+
+
+def test_chain_complex_and_homological_code_stay_small_at_forty_vertices():
+    # the dense d_2 at N = 40 alone is a 780 x 9880 int64 array, 61.6 MB
+    tracemalloc.start()
+    try:
+        complex_ = homology.chain_complex(40)
+        code = homology.build_homological_code(40)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert complex_.boundary[2].shape == (780, 9880)
+    assert code.x_rows.shape == (741, 780)
+    assert peak < 8 * 2**20
 
 
 def test_boundary_matrix_input_validation():
@@ -196,7 +251,7 @@ def test_transposed_edge_boundary_gives_negated_stars():
     for j in range(1, n + 1):
         e = np.zeros(n)
         e[j - 1] = 1
-        np.testing.assert_array_equal(-(d1.T @ e), codes.star_vector(basis, j))
+        np.testing.assert_array_equal(-(d1.T @ e), star_vector(basis, j))
 
 
 def test_homological_p_rows_equal_the_graph_w_vectors():
@@ -213,7 +268,14 @@ def test_homological_x_rows_use_triangles_at_the_last_vertex():
     assert len(triangles) == 3
     basis = codes.edge_basis(4)
     for row, (i, j, k) in zip(hom.x_rows, triangles):
-        np.testing.assert_array_equal(row, codes.directed_triangle(basis, i, j, k))
+        np.testing.assert_array_equal(row, directed_triangle(basis, i, j, k))
+
+
+@pytest.mark.parametrize("n", range(4, 10))
+def test_homological_x_rows_are_the_d2_columns_of_the_triangles_through_vertex_n(n):
+    d2 = homology.boundary_matrix(n, 2)
+    cols = [i for i, t in enumerate(combinations(range(1, n + 1), 3)) if n in t]
+    np.testing.assert_array_equal(homology.build_homological_code(n).x_rows, d2[:, cols].T)
 
 
 @pytest.mark.parametrize("n", range(4, 8))
