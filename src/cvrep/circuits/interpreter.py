@@ -24,8 +24,8 @@ outcomes (the deferred-measurement rule MC of :mod:`.rules`: a
 measurement that feeds forward is a controlled displacement followed by a
 partial trace).  Averaged over every outcome, the state is its live block.
 A forced or sampled outcome conditions the joint Gaussian on that
-register's row, in measurement order: the same state as conditioning on
-each homodyne when it happens and then feeding its outcome forward.
+register's row (``_condition``), in measurement order: the same state as
+conditioning on each homodyne when it happens and feeding it forward.
 """
 
 from __future__ import annotations
@@ -194,11 +194,9 @@ def run(
     record holding its outcome's mean.  It cannot be combined with
     ``forced`` or ``rng``.
 
-    All three policies apply the folded circuit to ``state``, so they lose
-    precision alike once the input holds entries of order e^{2r}: the E4
-    optical decoder's fidelity drifts from its closed form by about 3e-7 at
-    r = 12 and by about 0.86 at r = 20.  ``recovery``'s compiled rows are
-    the exact path.
+    All three policies apply the folded circuit to the state's factor, so a
+    decoder that cancels an encoder's e^{r}-sized rows leaves only their
+    rounding, about e^{r} eps, never the e^{2r} eps of a covariance.
     """
     if state.n_modes != circuit.n_modes:
         raise ValueError(
@@ -223,13 +221,14 @@ def run(
     # The joint Gaussian of the live quadratures, then of each outcome.
     Y = np.vstack([total, *(row for _, _, row in registers.values())])
     mean = Y[:, :-1] @ state.mean + Y[:, -1]
-    cov = Y[:, :-1] @ state.cov @ Y[:, :-1].T
+    factor = Y[:, :-1] @ state.factor
     k = len(total)
     records = {}
     for q, (register, (pos, basis, _)) in enumerate(registers.items(), start=k):
         if average:
             outcome = float(mean[q])
         else:
-            outcome, mean, cov = _condition(mean, cov, q, f"{basis}[{pos}]", forced.get(register), rng)
-        records[register] = MeasurementRecord(pos, basis, outcome)
-    return RunResult(GaussianState(mean[:k], cov[:k, :k], _validate=False), records, live)
+            draw = float(forced[register]) if register in forced else rng.normal
+            outcome, mean, factor = _condition(mean, factor, q, f"{basis}[{pos}]", draw)
+        records[register] = MeasurementRecord(pos, basis, float(outcome))
+    return RunResult(GaussianState._of(mean[:k], factor[:k]), records, live)

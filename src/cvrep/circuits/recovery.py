@@ -74,6 +74,7 @@ from ..codes import FIVE_MODE_ERASURES
 from ..gaussian import (
     GaussianState,
     _amplitude,
+    _condition,
     coherent,
     coherent_fidelity,
     discard,
@@ -391,9 +392,9 @@ def _fidelities(rs, tags: tuple, rng=None) -> np.ndarray:
     over its outcome a measurement is deferred past its feedforward, so
     the sampled output is the averaged one conditioned on the measured
     quadrature drawn as ``run`` draws it, its mean plus its deviation times
-    a standard normal.
-    That conditions each tag's rows over the whole grid at once; the
-    measured row's scale drops out, so no e^{r}-sized number is formed.
+    a standard normal: ``gaussian._condition`` on each tag's rows, its
+    factor, over the whole grid at once.  The measured row's scale drops
+    out, so no e^{r}-sized number is formed.
     Each r must be finite and >= 0 (``_check_squeezing``).
     """
     rs = np.asarray(rs, dtype=float)
@@ -407,13 +408,10 @@ def _fidelities(rs, tags: tuple, rng=None) -> np.ndarray:
         draws = iter(rng.standard_normal((len(rs), sum(m.shape[1] for _, m in measured))).T)
         for j, ports in measured:
             joint = np.concatenate([rows[:, j], ports], axis=1)
+            mean = np.zeros(joint.shape[:-1])
             for q in range(2, joint.shape[1]):
-                port = joint[:, q]
-                norm = (port * port).sum(-1)
-                gain = np.einsum("rkn,rn->rk", joint, port) / norm[:, None]
-                delta[:, j] += gain[:, :2] * (np.sqrt(norm / 2) * next(draws))[:, None]
-                joint = joint - gain[..., None] * port[:, None]
-            rows[:, j] = joint[:, :2]
+                _, mean, joint = _condition(mean, joint, q, tags[j], lambda m, sd, z=next(draws): m + sd * z)
+            delta[:, j], rows[:, j] = mean[:, :2], joint[:, :2]
     x, p = rows[..., 0, :], rows[..., 1, :]
     return coherent_fidelity(
         (x * x).sum(-1) / 2, (x * p).sum(-1) / 2, (p * p).sum(-1) / 2, delta[..., 0], delta[..., 1]

@@ -378,13 +378,13 @@ def check_correctable(code: StabilizerCode, pattern: ErasurePattern) -> bool:
 
 
 def nullifier_variances(code: StabilizerCode, state) -> np.ndarray:
-    """Variance of each generator (X rows first, then P rows) on a Gaussian state."""
+    """Variance of each generator (X rows first, then P rows): half its squared row of G F."""
     if state.n_modes != code.n_modes:
         raise ValueError(
             f"state has {state.n_modes} modes but code has {code.n_modes}"
         )
-    G = code.generator_matrix
-    return np.einsum("ij,jk,ik->i", G, state.cov, G, optimize=True)
+    rows = code.generator_matrix @ state.factor
+    return (rows * rows).sum(-1) / 2
 
 
 def format_generator_matrix(code: StabilizerCode) -> str:

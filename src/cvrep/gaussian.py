@@ -1,25 +1,26 @@
 """Gaussian-state simulator.
 
-States are Gaussian, represented by a mean vector and covariance matrix over
-quadrature coordinates ordered ``[x_1 .. x_n, p_1 .. p_n]``.  Conventions:
+A state is a mean vector and a factor F over quadrature coordinates ordered
+``[x_1 .. x_n, p_1 .. p_n]``, with covariance V = F F^T / 2.  Conventions:
 hbar = 1, x = (a + a†)/sqrt(2), so the vacuum variance of every quadrature
 is 1/2 and [x, p] = i.
 
 All operations are value-style: they validate their inputs, never mutate the
-given state, and return a fresh :class:`GaussianState`.  Each symplectic gate
-is written down once, as a block function (``qnd_block``, ``squeeze_block``,
-...) giving its 2k x 2k matrix over its k modes, which the circuit op table
-``circuits.ir.OPS`` names; the one engine that applies gates is the circuit
-interpreter (``_fold``, and ``_fold_positions`` for position-only circuits),
-so there are no gate functions here.  Measurements condition the state with
-the standard Gaussian (Schur complement) update, ``_condition``, which the
-interpreter's ``run`` shares, and ``homodyne`` then drops the measured mode
-entirely.
+given state, and return a fresh :class:`GaussianState`.  They act on F alone,
+so a map that cancels e^{r}-sized rows of F keeps only their rounding.  Each
+symplectic gate is written down once, as a block function (``qnd_block``,
+``squeeze_block``, ...) giving its 2k x 2k matrix over its k modes, which the
+circuit op table ``circuits.ir.OPS`` names; the one engine that applies gates
+is the circuit interpreter (``_fold``), so there are no gate functions here.
+One rule conditions a state on a measured quadrature, ``_condition``, which
+``homodyne``, the interpreter's ``run`` and the recovery sweeps share.
 """
 
 from __future__ import annotations
 
+from copy import deepcopy
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -42,7 +43,7 @@ __all__ = [
 
 
 class DegenerateMeasurementError(ValueError):
-    """Raised when a homodyne hits a quadrature with (numerically) zero variance."""
+    """Raised when a homodyne measures a quadrature whose factor row is exactly 0."""
 
 
 def omega(n_modes: int) -> np.ndarray:
@@ -57,23 +58,36 @@ def omega(n_modes: int) -> np.ndarray:
 
 
 class GaussianState:
-    """Mean vector + covariance matrix over n modes, xxpp ordering."""
+    """Mean vector + factor F over n modes, xxpp ordering: covariance V = F F^T / 2.
 
-    def __init__(self, mean: np.ndarray, cov: np.ndarray, *, _validate: bool = True):
-        mean = np.asarray(mean, dtype=float)
-        cov = np.asarray(cov, dtype=float)
+    ``GaussianState(mean, cov)`` validates V and keeps it; F comes from
+    ``eigh(V)`` on first use, rounding below 0 clamped.  The package's own
+    results hold a factor (``_of``) and form V on first read.
+    """
+
+    def __init__(self, mean: np.ndarray, cov: np.ndarray):
+        mean, cov = np.asarray(mean, dtype=float), np.asarray(cov, dtype=float)
         if mean.ndim != 1 or mean.size % 2 != 0:
             raise ValueError(f"mean must be a vector of even length, got shape {mean.shape}")
-        n = mean.size // 2
-        if cov.shape != (2 * n, 2 * n):
-            raise ValueError(
-                f"cov shape {cov.shape} inconsistent with mean of length {mean.size}"
-            )
-        self.n_modes = n
-        self.mean = mean
-        self.cov = cov
-        if _validate:
-            self.validate()
+        if cov.shape != (mean.size, mean.size):
+            raise ValueError(f"cov shape {cov.shape} inconsistent with mean of length {mean.size}")
+        self.n_modes, self.mean, self.cov = mean.size // 2, mean, cov
+        self.validate()
+
+    @classmethod
+    def _of(cls, mean: np.ndarray, factor: np.ndarray) -> "GaussianState":
+        state = cls.__new__(cls)  # unvalidated
+        state.n_modes, state.mean, state.factor = mean.size // 2, mean, factor
+        return state
+
+    @cached_property
+    def cov(self) -> np.ndarray:
+        return self.factor @ self.factor.T / 2
+
+    @cached_property
+    def factor(self) -> np.ndarray:
+        w, U = np.linalg.eigh(self.cov)
+        return U * np.sqrt(2 * np.maximum(w, 0.0))
 
     def validate(self) -> None:
         if not np.all(np.isfinite(self.mean)) or not np.all(np.isfinite(self.cov)):
@@ -93,7 +107,7 @@ class GaussianState:
                 )
 
     def copy(self) -> "GaussianState":
-        return GaussianState(self.mean.copy(), self.cov.copy(), _validate=False)
+        return deepcopy(self)  # whatever it holds: V, F or both
 
     def __repr__(self) -> str:
         return f"GaussianState(n_modes={self.n_modes})"
@@ -101,7 +115,7 @@ class GaussianState:
 
 @dataclass(frozen=True)
 class SymplecticMap:
-    """Affine Gaussian map: state -> (matrix @ mean + displacement, matrix @ cov @ matrix.T)."""
+    """Affine Gaussian map: state -> (matrix @ mean + displacement, matrix @ factor)."""
 
     matrix: np.ndarray
     displacement: np.ndarray
@@ -136,11 +150,7 @@ class SymplecticMap:
                 f"map on {self.matrix.shape[0] // 2} modes applied to "
                 f"{state.n_modes}-mode state"
             )
-        return GaussianState(
-            self.matrix @ state.mean + self.displacement,
-            self.matrix @ state.cov @ self.matrix.T,
-            _validate=False,
-        )
+        return GaussianState._of(self.matrix @ state.mean + self.displacement, self.matrix @ state.factor)
 
 
 @dataclass(frozen=True)
@@ -162,10 +172,10 @@ class MeasurementRecord:
 # state constructors
 
 def vacuum(n_modes: int) -> GaussianState:
-    """n-mode vacuum: zero mean, covariance I/2."""
+    """n-mode vacuum: zero mean, factor I (covariance I/2)."""
     if n_modes < 1:
         raise ValueError("vacuum needs at least one mode")
-    return GaussianState(np.zeros(2 * n_modes), np.eye(2 * n_modes) / 2, _validate=False)
+    return GaussianState._of(np.zeros(2 * n_modes), np.eye(2 * n_modes))
 
 
 def _amplitude(alpha) -> complex:
@@ -185,24 +195,23 @@ def _amplitude(alpha) -> complex:
 def coherent(alpha: complex) -> GaussianState:
     """Single-mode coherent state: displaced vacuum, mean (sqrt2 Re a, sqrt2 Im a)."""
     alpha = _amplitude(alpha)
-    return GaussianState(displacement(alpha.real, alpha.imag), np.eye(2) / 2, _validate=False)
+    return GaussianState._of(displacement(alpha.real, alpha.imag), np.eye(2))
 
 
 def tensor(*states: GaussianState) -> GaussianState:
-    """Product state; modes of later factors are appended after earlier ones."""
+    """Product state, later states' modes and factor columns after earlier ones'."""
     if not states:
         raise ValueError("tensor of zero states")
     n = sum(s.n_modes for s in states)
     mean = np.zeros(2 * n)
-    cov = np.zeros((2 * n, 2 * n))
-    offset = 0
+    factor = np.zeros((2 * n, sum(s.factor.shape[1] for s in states)))
+    offset = column = 0
     for s in states:
-        m = s.n_modes
-        idx = _rows(range(offset, offset + m), n)
+        idx = _rows(range(offset, offset + s.n_modes), n)
         mean[idx] = s.mean
-        cov[idx[:, None], idx] = s.cov
-        offset += m
-    return GaussianState(mean, cov, _validate=False)
+        factor[idx, column : column + s.factor.shape[1]] = s.factor
+        offset, column = offset + s.n_modes, column + s.factor.shape[1]
+    return GaussianState._of(mean, factor)
 
 
 # ---------------------------------------------------------------------------
@@ -298,24 +307,29 @@ def two_mode_squeeze_block(r: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # measurement / discard
 
-def _condition(mean, cov, q: int, name: str, outcome, rng) -> tuple:
-    """Condition the Gaussian ``(mean, cov)`` on its coordinate ``q``.
+def _condition(mean, factor, q: int, name: str, outcome) -> tuple:
+    """Condition the Gaussian ``(mean, factor)`` on its coordinate ``q``.
 
-    The value is ``outcome`` if given, else one draw from the marginal
-    N(mean[q], cov[q, q]) by ``rng``.  Returns ``(value, mean, cov)``; the
-    conditioned coordinate keeps its row (with zero variance), and ``name``
-    labels it in the degenerate-variance error.
+    Each row g of F becomes g - (g.f / f.f) f, f the measured row, and the
+    mean moves by that gain times the outcome's offset.  ``outcome`` is the
+    value, or draws it from the marginal's (mean, sd), as ``rng.normal``.
+    Broadcasts over leading axes of ``mean`` (..., k) and ``factor`` (..., k,
+    m).  f is scaled exactly by a power of two near its largest entry, so only
+    an f of exactly 0 is degenerate, at any scale (``name`` labels the error).
     """
-    var_q = cov[q, q]
-    if var_q < TOL.degenerate_variance:
-        raise DegenerateMeasurementError(
-            f"quadrature {name} has variance {var_q:.3e}; conditioning is singular"
-        )
-    m = float(outcome) if outcome is not None else float(rng.normal(mean[q], np.sqrt(var_q)))
-    if not np.isfinite(m):
+    row = factor[..., q, :]
+    size = np.abs(row).max(-1)
+    if not (size > 0).all():
+        raise DegenerateMeasurementError(f"quadrature {name} has a zero factor row; conditioning is singular")
+    e = np.frexp(size)[1][..., None]
+    unit = np.ldexp(row, -e)
+    norm = (unit * unit).sum(-1)
+    value = outcome(mean[..., q], np.ldexp(np.sqrt(norm / 2), e[..., 0])) if callable(outcome) else outcome
+    if not np.isfinite(value).all():
         raise ValueError("homodyne outcome must be finite")
-    col = cov[:, q]
-    return m, mean + col * ((m - mean[q]) / var_q), cov - np.outer(col, col) / var_q
+    gain = np.ldexp(np.einsum("...kn,...n->...k", factor, unit) / norm[..., None], -e)
+    offset = (value - mean[..., q])[..., None]
+    return value, mean + gain * offset, factor - gain[..., None] * row[..., None, :]
 
 
 def homodyne(
@@ -331,22 +345,22 @@ def homodyne(
     Exactly one of ``outcome=value`` (force the result) or ``rng=generator``
     (sample it from the Gaussian marginal) must be given.
 
-    The conditional covariance never depends on the outcome; the conditional
-    mean follows the standard Gaussian conditioning (Schur complement) rule.
-    The measured mode is removed entirely -- its conjugate quadrature is
-    junk after the measurement and is not tracked.
+    The conditional covariance never depends on the outcome; the state is
+    conditioned by ``_condition``.  The measured mode is removed entirely
+    -- its conjugate quadrature is junk after the measurement and is not
+    tracked.
     """
     q = _quad_index(state, mode, basis)
     if (outcome is None) == (rng is None):
         raise ValueError("choose exactly one of outcome= or rng=")
-    m, mean, cov = _condition(state.mean, state.cov, q, f"{basis}[{mode}]", outcome, rng)
+    draw = rng.normal if outcome is None else float(outcome)
+    m, mean, factor = _condition(state.mean, state.factor, q, f"{basis}[{mode}]", draw)
     keep = _rows([i for i in range(state.n_modes) if i != mode], state.n_modes)
-    reduced = GaussianState(mean[keep], cov[keep[:, None], keep], _validate=False)
-    return MeasurementRecord(mode, basis, m), reduced
+    return MeasurementRecord(mode, basis, float(m)), GaussianState._of(mean[keep], factor[keep])
 
 
 def discard(state: GaussianState, modes) -> GaussianState:
-    """Partial trace: delete the given modes' mean entries and cov rows/columns."""
+    """Partial trace: delete the given modes' mean entries and factor rows."""
     drop = set(int(m) for m in modes)
     for m in drop:
         _check_mode(state, m)
@@ -356,7 +370,7 @@ def discard(state: GaussianState, modes) -> GaussianState:
         return state.copy()
     n = state.n_modes
     idx = _rows([i for i in range(n) if i not in drop], n)
-    return GaussianState(state.mean[idx], state.cov[idx[:, None], idx], _validate=False)
+    return GaussianState._of(state.mean[idx], state.factor[idx])
 
 
 # ---------------------------------------------------------------------------

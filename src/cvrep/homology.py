@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 from itertools import chain, combinations
 
 import numpy as np
@@ -108,11 +109,16 @@ def _lex_rank(subsets: np.ndarray, N: int) -> np.ndarray:
     A row c_0 < .. < c_(k-1) sits at C(N, k) - 1 - sum_i C(N-1-c_i, k-i).
     """
     k = subsets.shape[1]
-    binom = np.array([[math.comb(m, j) for j in range(k + 1)] for m in range(N + 1)])
+    binom = _binomials(N, k)
     ranks = np.full(len(subsets), math.comb(N, k) - 1)
     for i in range(k):
         ranks -= binom[N - 1 - subsets[:, i], k - i]
     return ranks
+
+
+@cache
+def _binomials(N: int, k: int) -> np.ndarray:
+    return np.array([[math.comb(m, j) for j in range(k + 1)] for m in range(N + 1)])  # C(m, j), once per (N, k)
 
 
 def _composes_to_zero(low: FaceTable, high: FaceTable) -> bool:

@@ -2,7 +2,7 @@
 
 Every magic epsilon in the package lives in this one record so that test
 oracles and library code agree on what "equal", "symplectic", and
-"degenerate" mean.
+"causally related" mean.
 """
 
 from dataclasses import dataclass
@@ -22,8 +22,6 @@ class Tolerances:
     rank: float = 1e-10
     #: CSS commutation defect max|X P^T| allowed, in units of max|X| * max|P|
     orthogonality: float = 1e-12
-    #: measured-quadrature variance below this is a degenerate homodyne
-    degenerate_variance: float = 1e-14
     #: synthesized circuit must reproduce its point matrix to this
     synthesis: float = 1e-10
     #: rewrite rules must preserve the window's symplectic map to this

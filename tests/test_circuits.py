@@ -612,8 +612,10 @@ def test_run_matches_the_stepped_oracle_on_measured_circuits(seed):
 
 
 def test_run_reports_a_degenerate_measurement():
-    circuit = Circuit((1, 2), (SqueezeFactor(1, math.exp(-17.0)), Measure(1, "x", "m")))
+    # the factor row of x on wire 1 is exactly 0, so Var(x_1) = 0
+    state = g.GaussianState._of(np.zeros(4), np.diag([0.0, 1.0, 1.0, 1.0]))
+    circuit = Circuit((1, 2), (Measure(1, "x", "m"),))
     with pytest.raises(g.DegenerateMeasurementError, match=r"x\[0\]"):
-        run(circuit, g.vacuum(2), forced={"m": 0.0})
+        run(circuit, state, forced={"m": 0.0})
     with pytest.raises(g.DegenerateMeasurementError):
-        run(circuit, g.vacuum(2), rng=np.random.default_rng(0))
+        run(circuit, state, rng=np.random.default_rng(0))

@@ -356,10 +356,30 @@ def test_homodyne_average_uses_the_current_mean():
     assert result.records["m"].outcome == pytest.approx(1.5 * SQRT2)
 
 
+def zero_x_row_state():
+    """Two modes whose factor row for x of mode 0 is exactly 0 (Var(x_0) = 0)."""
+    return g.GaussianState._of(np.zeros(4), np.diag([0.0, 1.0, 1.0, 1.0]))
+
+
 def test_homodyne_degenerate_quadrature_is_reported():
-    state = squeezed(g.tensor(g.vacuum(1), g.vacuum(1)), 0, -17.0)
+    with pytest.raises(DegenerateMeasurementError, match=r"x\[0\]"):
+        g.homodyne(zero_x_row_state(), 0, "x", outcome=0.0)
     with pytest.raises(DegenerateMeasurementError):
-        g.homodyne(state, 0, "x", outcome=0.0)
+        g.homodyne(zero_x_row_state(), 0, "x", rng=np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("r", [17.0, 30.0, 400.0])
+def test_homodyne_of_a_strongly_squeezed_quadrature_conditions_to_the_closed_form(r):
+    # x_0 squeezed by e^{-r} (variance e^{-2r}/2, far below any absolute
+    # cutoff), then x_1 += 2 x_0: measuring x_0 = m leaves mode 1 a coherent
+    # state shifted by 2 m in x, at any r.
+    alpha, m = 0.3 - 0.4j, 0.7
+    state = apply_op(squeezed(g.tensor(g.vacuum(1), g.coherent(alpha)), 0, -r), Qnd(1, 2, 2.0))
+    circuit = Circuit((1, 2), (Measure(1, "x", "m"),))
+    want = g.coherent(alpha).mean + [2 * m, 0.0]
+    for rest in (g.homodyne(state, 0, "x", outcome=m)[1], run(circuit, state, forced={"m": m}).state):
+        np.testing.assert_allclose(rest.mean, want, rtol=1e-15, atol=0)
+        np.testing.assert_allclose(rest.cov, np.eye(2) / 2, rtol=0, atol=1e-15)
 
 
 def test_homodyne_last_mode_leaves_empty_state():
@@ -439,24 +459,31 @@ def test_discard_of_scattered_modes_matches_hand_built_indices(rng):
     out = g.discard(state, {0, 5, 11})
     rows = [1, 2, 3, 4, 6, 7, 8, 9, 10, 13, 14, 15, 16, 18, 19, 20, 21, 22]
     assert np.array_equal(out.mean, [state.mean[i] for i in rows])
-    assert np.array_equal(out.cov, [[state.cov[i, j] for j in rows] for i in rows])
+    assert np.array_equal(out.factor, [state.factor[i] for i in rows])
+    np.testing.assert_allclose(out.cov, state.cov[np.ix_(rows, rows)], rtol=1e-15, atol=1e-15)
 
 
 def test_tensor_of_wide_factors_matches_hand_built_indices(rng):
     one_mode = apply_op(squeezed(g.coherent(0.3 - 1.1j), 0, 0.4), PhaseShift(1, 0.7))
     factors = [one_mode, random_gaussian_state(rng, 3), random_gaussian_state(rng, 2)]
     joint = g.tensor(*factors)
-    # rows of each factor inside the 6-mode product, x block then p block
+    # rows of each factor inside the 6-mode product, x block then p block,
+    # each over its own columns of the joint factor
     placement = [[0, 6], [1, 2, 3, 7, 8, 9], [4, 5, 10, 11]]
+    columns = [range(0, 2), range(2, 8), range(8, 12)]
     mean = np.zeros(12)
+    factor = np.zeros((12, 12))
     cov = np.zeros((12, 12))
-    for state, rows in zip(factors, placement):
+    for state, rows, cols in zip(factors, placement, columns):
         for i, ri in enumerate(rows):
             mean[ri] = state.mean[i]
+            for j, cj in enumerate(cols):
+                factor[ri, cj] = state.factor[i, j]
             for j, rj in enumerate(rows):
                 cov[ri, rj] = state.cov[i, j]
     assert np.array_equal(joint.mean, mean)
-    assert np.array_equal(joint.cov, cov)
+    assert np.array_equal(joint.factor, factor)
+    np.testing.assert_allclose(joint.cov, cov, rtol=1e-15, atol=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -536,11 +563,13 @@ def test_fidelity_rejects_a_non_finite_amplitude(alpha):
     ],
 )
 def test_fidelity_rejects_a_covariance_with_det_v_plus_half_not_positive(cov):
-    state = g.GaussianState(np.zeros(2), np.array(cov), _validate=False)
+    # no state holds such a V (GaussianState rejects it), so the closed form
+    # is called on its entries
+    (vxx, vxp), (_, vpp) = cov
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="not positive definite"):
-            g.fidelity_with_coherent(state, 0j)
+            g.coherent_fidelity(vxx, vxp, vpp, 0.0, 0.0)
 
 
 def test_coherent_fidelity_broadcasts_entry_by_entry(rng):

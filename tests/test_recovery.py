@@ -243,6 +243,15 @@ def test_optical_encoding_nullifier_variances(r):
     np.testing.assert_allclose(variances, 2.0 * np.exp(-2.0 * r), atol=1e-12)
 
 
+def test_optical_nullifier_variances_are_relatively_exact_at_strong_squeezing():
+    # each variance is 2 e^{-2r}, about 2e-7 at r = 8, while the encoded
+    # covariance holds entries of order e^{2r}; from the factor's rows the
+    # error stays near e^{r} eps in absolute terms
+    r = 8.0
+    variances = nullifier_variances(build_five_mode_code(), optical_encoded_state(r, 0.3 + 0.2j))
+    np.testing.assert_allclose(variances, 2.0 * np.exp(-2.0 * r), rtol=1e-8, atol=0)
+
+
 @pytest.mark.parametrize("r", [0.0, 0.9, 2.0])
 def test_optical_encoded_state_equals_running_the_encoder(r):
     alpha = 0.6 - 0.3j
@@ -462,10 +471,25 @@ def test_sampled_e4_draws_as_the_stepped_run_does(r):
     assert stepped_rng.random() == compiled_rng.random()
 
 
+@pytest.mark.parametrize("r", [0.0, 4.0, 8.0, 12.0, 16.0, 20.0, 25.0])
+@pytest.mark.parametrize("tag", ERASURE_TAGS)
+def test_the_run_path_pipeline_matches_the_closed_form(tag, r):
+    # encode, erase and decode as three steps on states: each maps the
+    # state's factor, so the decoder cancels the encoder's e^{r} rows, not
+    # an e^{2r} covariance
+    alpha = 0.3 + 0.2j
+    survivors = erase(optical_encoded_state(r, alpha), tag)
+    averaged = run(optical_decoder(tag), survivors, average=True).state
+    sampled = run(optical_decoder(tag), survivors, rng=np.random.default_rng(6)).state
+    for state in (averaged, sampled):
+        deviation = abs(fidelity_with_coherent(state, alpha) - closed_form_fidelity(tag, r))
+        assert deviation <= TOL.fidelity_gate
+
+
 @pytest.mark.parametrize("r", [10.0, 20.0, 30.0, 100.0])
 def test_sampled_fidelities_stay_exact_at_strong_squeezing(r):
-    # the stepped homodyne conditions a covariance with e^{2r}-sized
-    # entries; the compiled rows never form one
+    # the compiled rows are scaled by e^{-r} where they grow, so not even
+    # the e^{r} eps rounding of the run path's factor reaches them
     fidelities = recovery_fidelities(r, ERASURE_TAGS, 0.3 + 0.2j, rng=np.random.default_rng(4))
     for tag in ERASURE_TAGS:
         assert fidelities[tag] == pytest.approx(closed_form_fidelity(tag, r), abs=1e-12)
