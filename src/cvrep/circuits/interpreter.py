@@ -14,9 +14,10 @@ single op.
 ``_fold_positions`` is the one other walk over a circuit's ops, for
 circuits that map positions to positions alone (every op's block is
 ``diag(M, M^-T)`` with no shift): it keeps only the n x rows over the n
-input positions, reads every QND block from the op table in one call, and
-applies a run of consecutive QNDs sharing a control as one rank-1 update.
-Synthesis checks its circuits with it.
+input positions, reads every QND block from the op table in one call,
+applies a run of consecutive QNDs sharing a control as one rank-1 update,
+and builds every other op's block once per distinct op type and
+parameters within the call.  Synthesis checks its circuits with it.
 
 ``run`` executes any circuit with that one fold.  Stacking the live rows
 and each register's row gives a joint Gaussian over the outputs and the
@@ -32,7 +33,6 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from itertools import groupby
 
 import numpy as np
 
@@ -89,10 +89,6 @@ def _fold(ops, labels, *, symplectic: bool = False) -> tuple:
     return tuple(live), total, registers
 
 
-def _qnd_control(op):
-    return op.control if type(op) is Qnd else None
-
-
 def _not_positional(op) -> TypeError:
     return TypeError(f"{type(op).__name__} does not map positions to positions alone")
 
@@ -105,47 +101,65 @@ def _fold_positions(circuit: Circuit) -> np.ndarray:
     whole circuit, on the vector of every QND's gain.  A run of
     consecutive QNDs with one control leaves that control's row alone, so
     the whole run is one rank-1 update of its targets' rows, each by the
-    gain in its block's x part.  Every other op is applied on its own.
-    Raises TypeError on an op with a shift, without a block (measurement,
-    feedforward, discard) or whose block mixes x and p.  The QND blocks,
-    and the other blocks of each size, are checked for mixing together,
-    after the fold: a check per op costs more than the fold saves.
+    gain in its block's x part.  Every other op is applied on its own, and
+    its block is built once per distinct op type and parameters in this
+    call.  Raises TypeError on an op with a shift, without a block
+    (measurement, feedforward, discard) or whose block mixes x and p.  The
+    QND blocks, and the other distinct blocks of each size, are checked for
+    mixing together, after the fold: a check per op costs more than the
+    fold saves.
     """
-    live = list(circuit.labels)
-    index = {label: i for i, label in enumerate(live)}
-    X = np.eye(len(live))
-    qnds = [op for op in circuit.ops if type(op) is Qnd]
+    index = {label: i for i, label in enumerate(circuit.labels)}
+    X = np.eye(len(index))
+    ops = circuit.ops
+    qnds = [op for op in ops if type(op) is Qnd]
     qnd_blocks = OPS[Qnd].block(np.array([op.gain for op in qnds], dtype=float))
     gains = qnd_blocks[:, 1, 0]
-    by_size = defaultdict(list)  # wire count -> [(op, block)]
+    targets = [index[op.target] for op in qnds]
+    target_rows = np.array(targets, dtype=np.intp)  # an index array: a list costs a conversion per use
+    gates = {}  # (spec, repr of params) -> (first op with them, block, x part)
     done = 0  # QNDs applied so far
-    for control, ops in groupby(circuit.ops, key=_qnd_control):
-        if control is None:
-            for op in ops:
-                modes, block, shift = _gate(spec_of(op), op, live)
-                if shift is not None or block is None:
+    i = 0
+    while i < len(ops):
+        op = ops[i]
+        if type(op) is not Qnd:
+            spec = spec_of(op)
+            params = spec.params(op)
+            key = (spec, repr(params))  # repr keeps -0.0 apart from 0.0
+            if key not in gates:
+                if spec.shift is not None or spec.block is None:
                     raise _not_positional(op)
-                by_size[len(modes)].append((op, block))
-                k = len(modes)
-                X[modes] = block[:k, :k] @ X[modes]
+                block = spec.block(*params)
+                k = len(block) // 2
+                gates[key] = (op, block, block[:k, :k])
+            modes = np.array([index[w] for w in spec.wires(op)], dtype=np.intp)
+            X[modes] = gates[key][2] @ X[modes]
+            i += 1
             continue
-        targets = [index[op.target] for op in ops]
-        start, done = done, done + len(targets)
-        row = X[index[control]]
-        if len(targets) == 1:  # basic indexing: a fifth of the cost of the fancy update
-            X[targets[0]] += gains[start] * row
-        elif len(set(targets)) == len(targets):
-            X[targets] += np.multiply.outer(gains[start:done], row)
+        end = i + 1
+        while end < len(ops) and type(ops[end]) is Qnd and ops[end].control == op.control:
+            end += 1
+        run = slice(done, done + end - i)
+        done = run.stop
+        row = X[index[op.control]]
+        if end - i == 1:  # basic indexing: a fifth of the cost of the fancy update
+            X[targets[run.start]] += gains[run.start] * row
+        elif len(set(targets[run])) == end - i:
+            X[target_rows[run]] += np.multiply.outer(gains[run], row)
         else:  # unbuffered, so a target repeated within the run gets every gain
-            np.add.at(X, targets, np.multiply.outer(gains[start:done], row))
+            np.add.at(X, target_rows[run], np.multiply.outer(gains[run], row))
+        i = end
+    by_size = defaultdict(list)  # wire count -> [(op, block)]
+    for op, block, _ in gates.values():
+        by_size[len(block) // 2].append((op, block))
     stacks = [(qnds, qnd_blocks, 2)]
-    for k, gates in by_size.items():
-        ops, blocks = zip(*gates)
-        stacks.append((ops, np.array(blocks), k))
-    for ops, blocks, k in stacks:
+    for k, sized in by_size.items():
+        firsts, blocks = zip(*sized)
+        stacks.append((firsts, np.array(blocks), k))
+    for firsts, blocks, k in stacks:
         if blocks[:, :k, k:].any() or blocks[:, k:, :k].any():
             mixing = (b[:k, k:].any() or b[k:, :k].any() for b in blocks)
-            raise _not_positional(next(op for op, mixes in zip(ops, mixing) if mixes))
+            raise _not_positional(next(op for op, mixes in zip(firsts, mixing) if mixes))
     return X
 
 

@@ -12,15 +12,14 @@ live and which registers have been written.
 Every op type is written down once, in the op table ``OPS``: its text tag,
 its ``key=value`` fields in constructor order (wires marked as wires) and,
 for unitary ops, its gate block from :mod:`cvrep.gaussian`.  Serializing,
-parsing, ``wires_of``, ``Circuit.is_unitary`` and the interpreter's ``run``,
-``symplectic_of`` and position check ``_fold_positions`` all read that one
-entry.
+parsing, ``wires_of`` and the interpreter's ``run``, ``symplectic_of`` and
+position check ``_fold_positions`` all read that one entry.
 
 Serialization is line-oriented text, one op per line, after a ``MODES``
 header naming the wires (optional on input: without it the wires are 1 to
-the highest label used).  Numbers are printed as plain integers when whole
-and ``repr(float)`` otherwise, so parse(print(c)) reproduces the circuit
-bit-for-bit.
+the highest label used).  Numbers are printed as ``repr(float)``, without
+the trailing ``.0`` of a whole number below 1e15, so parse(print(c))
+reproduces the circuit bit-for-bit, the sign of a zero included.
 """
 
 from __future__ import annotations
@@ -316,9 +315,6 @@ class Circuit:
                         f"op {i} reads register {op.register!r} before any measurement writes it"
                     )
 
-    def is_unitary(self) -> bool:
-        return all(spec_of(op).unitary for op in self.ops)
-
     def with_ops(self, ops) -> "Circuit":
         return Circuit(self.labels, tuple(ops))
 
@@ -334,8 +330,9 @@ class CircuitParseError(ValueError):
 
 
 def _fmt(v: float) -> str:
-    v = float(v)
-    return str(int(v)) if v.is_integer() and abs(v) < 1e15 else repr(v)
+    """``repr`` of the float, without the ``.0`` of a whole number below 1e15: -0.0 prints as -0."""
+    text = repr(float(v))
+    return text[:-2] if text.endswith(".0") and abs(v) < 1e15 else text
 
 
 def serialize(circuit: Circuit) -> str:

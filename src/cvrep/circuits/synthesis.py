@@ -17,19 +17,25 @@ default prefers pivots that keep gains integral (exact 1 first, then any
 integer, then the largest entry for numerical safety), and ``pivot_rows``
 overrides it per column for callers that want one specific layout.
 
-The elimination runs on rows held as lists of Python floats: on rows of a
-few dozen entries a NumPy call costs more than the arithmetic it does.
-Each row update rounds once for the product and once for the sum, as
-``M[i] += c * M[j]`` does on an array, so the circuit is the one a NumPy
-elimination gives, bit for bit.
+The elimination holds A in one NumPy array and clears each column in one
+step: the rows whose entry in the column is not zero all take
+``M[rows] -= outer(m, M[j])``, with m their entries, at once.  The pivot
+search, the zero tests and the ops read the column as Python floats.  The
+update uses elementwise ufuncs only, never ``@``, ``dot`` or ``einsum``:
+each entry rounds once for the product and once for the difference, as
+``M[i] += -m * M[j]`` does row by row, where a fused multiply-add would
+round once and change a gain's last bit.  So the circuit is the one a
+row-by-row NumPy elimination gives, bit for bit, at every n.  A column
+costs a few NumPy calls whatever its length: from n of about a dozen on
+that is faster than updating row by row in Python, and below it slower.
 
 Every result is checked against its own target matrix before being
 returned, so a successful call is self-certifying; its limit scales with
 max|A|.  The check never replays the elimination: ``deviation`` folds the
 circuit's x rows from the op table's gate blocks (the interpreter's
-``_fold_positions``: every QND block in one call of the table's block, and
-one rank-1 update per run of QNDs sharing a control) and compares them
-with A.
+``_fold_positions``: every QND block in one call of the table's block,
+one rank-1 update per run of QNDs sharing a control, and each other
+distinct gate's block built once) and compares them with A.
 
 An entry counts as zero at ``_ZERO`` times its row's size: the row's
 largest entry in A, times every factor the row has since been scaled by.
@@ -41,6 +47,7 @@ SynthesisError as it is taken, as does a deviation that is not a number.
 
 from __future__ import annotations
 
+from itertools import repeat
 from math import isfinite
 
 import numpy as np
@@ -63,14 +70,14 @@ class SynthesisError(ValueError):
     pass
 
 
-def _default_pivot(M: list[list[float]], j: int, size: list[float]) -> int:
+def _default_pivot(col: list[float], j: int, size: list[float]) -> int:
     """Pivot row for column j: an exact 1 first, then any integer, then the largest entry."""
-    candidates = [i for i in range(j, len(M)) if abs(M[i][j]) > _ZERO * size[i]]
+    candidates = [i for i in range(j, len(col)) if abs(col[i]) > _ZERO * size[i]]
     if not candidates:
         raise SynthesisError(f"matrix is singular: no pivot available in column {j}")
-    ones = [i for i in candidates if M[i][j] == 1.0]
-    ints = [i for i in candidates if M[i][j].is_integer()]
-    return (ones or ints or [max(candidates, key=lambda i: abs(M[i][j]))])[0]
+    ones = [i for i in candidates if col[i] == 1.0]
+    ints = [i for i in candidates if col[i].is_integer()]
+    return (ones or ints or [max(candidates, key=lambda i: abs(col[i]))])[0]
 
 
 def _finite(value: float, j: int) -> float:
@@ -87,44 +94,51 @@ def _eliminate(A: np.ndarray, labels: tuple[int, ...], pivot_rows) -> list:
         raise SynthesisError(
             f"pivot_rows must supply one row per column: got {len(pivot_rows)} for n={n}"
         )
-    M = np.asarray(A, dtype=float).tolist()
-    size = [max(map(abs, row)) for row in M]
+    M = np.array(A, dtype=float)
+    size = np.abs(M).max(axis=1).tolist()
     ops = []
 
-    def add(i, j):
-        c = -_finite(M[i][j], j)
-        M[i] = [a + c * b for a, b in zip(M[i], M[j])]
-        ops.append(Qnd(labels[j], labels[i], -c))
+    def clear(j, col, rows):
+        """From each of ``rows`` whose entry in column j (``col``) is not zero, subtract it times row j."""
+        rows = [i for i in rows if abs(col[i]) > _ZERO * size[i]]
+        gains = [_finite(col[i], j) for i in rows]
+        # a - m*b is a + (-m)*b bit for bit: negation is exact, and separate
+        # ufuncs round the product and the difference once each, never fused
+        if len(rows) == 1:  # basic indexing: a third of the cost of the fancy update
+            M[rows[0]] -= gains[0] * M[j]
+        elif rows:
+            M[np.array(rows)] -= np.multiply.outer(gains, M[j])
+        ops.extend(map(Qnd, repeat(labels[j]), [labels[i] for i in rows], gains))
 
-    for j in range(n):
-        if pivot_rows is not None:
-            p = int(pivot_rows[j])
-            if not (j <= p < n):
-                raise SynthesisError(
-                    f"pivot_rows[{j}]={p} out of range: must be a row index in [{j}, {n})"
-                )
-            if abs(M[p][j]) <= _ZERO * size[p]:
-                raise SynthesisError(
-                    f"pivot_rows[{j}]={p} selects a zero entry in column {j}"
-                )
-        else:
-            p = _default_pivot(M, j, size)
-        if p != j:
-            M[j], M[p] = M[p], M[j]
-            size[j], size[p] = size[p], size[j]
-            ops.append(Swap(labels[j], labels[p]))
-        if M[j][j] != 1.0:
-            c = _finite(1.0 / _finite(M[j][j], j), j)
-            M[j] = [a * c for a in M[j]]
-            size[j] *= abs(c)
-            ops.append(SqueezeFactor(labels[j], _finite(1.0 / c, j)))
-        for i in range(j + 1, n):
-            if abs(M[i][j]) > _ZERO * size[i]:
-                add(i, j)
-    for j in range(n - 1, 0, -1):
-        for i in range(j - 1, -1, -1):
-            if abs(M[i][j]) > _ZERO * size[i]:
-                add(i, j)
+    # an overflow is caught by _finite, as the pivot or gain it makes is taken
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(n):
+            col = M[:, j].tolist()
+            if pivot_rows is not None:
+                p = int(pivot_rows[j])
+                if not (j <= p < n):
+                    raise SynthesisError(
+                        f"pivot_rows[{j}]={p} out of range: must be a row index in [{j}, {n})"
+                    )
+                if abs(col[p]) <= _ZERO * size[p]:
+                    raise SynthesisError(
+                        f"pivot_rows[{j}]={p} selects a zero entry in column {j}"
+                    )
+            else:
+                p = _default_pivot(col, j, size)
+            if p != j:
+                M[j], M[p] = M[p].copy(), M[j].copy()
+                col[j], col[p] = col[p], col[j]
+                size[j], size[p] = size[p], size[j]
+                ops.append(Swap(labels[j], labels[p]))
+            if col[j] != 1.0:
+                c = _finite(1.0 / _finite(col[j], j), j)
+                M[j] *= c
+                size[j] *= abs(c)
+                ops.append(SqueezeFactor(labels[j], _finite(1.0 / c, j)))
+            clear(j, col, range(j + 1, n))
+        for j in range(n - 1, 0, -1):
+            clear(j, M[:j, j].tolist(), range(j - 1, -1, -1))
     ops.reverse()
     return ops
 

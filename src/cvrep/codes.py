@@ -39,7 +39,6 @@ __all__ = [
     "edge_basis",
     "build_general_code",
     "build_five_mode_code",
-    "symplectic_product",
     "erasure_for_vertex",
     "correctable",
     "check_correctable",
@@ -196,10 +195,6 @@ class StabilizerCode:
         object.__setattr__(self, "_blocks", blocks)
 
     @property
-    def n_generators(self) -> int:
-        return self.x_rows.shape[0] + self.p_rows.shape[0]
-
-    @property
     def generator_matrix(self) -> np.ndarray:
         """Block matrix [x_rows | 0 ; 0 | p_rows] over 2n quadrature columns."""
         kx, kp = self.x_rows.shape[0], self.p_rows.shape[0]
@@ -279,16 +274,6 @@ def build_five_mode_code() -> StabilizerCode:
         dtype=float,
     )
     return StabilizerCode(5, x_rows, p_rows, name="five_mode")
-
-
-def symplectic_product(u: np.ndarray, v: np.ndarray) -> float:
-    """omega(u, v) = s1.t2 - t1.s2 for u = (s1, t1), v = (s2, t2)."""
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if u.shape != v.shape or u.ndim != 1 or u.size % 2:
-        raise ValueError("need two equal-length even-dimensional vectors")
-    n = u.size // 2
-    return float(u[:n] @ v[n:] - u[n:] @ v[:n])
 
 
 def erasure_for_vertex(

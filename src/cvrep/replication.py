@@ -39,7 +39,6 @@ __all__ = [
     "CausalDiamond",
     "Configuration",
     "causal_leq",
-    "diamonds_related",
     "Violation",
     "ValidationReport",
     "validate",
@@ -108,11 +107,6 @@ class CausalDiamond:
     @property
     def dim(self) -> int:
         return self.y.dim
-
-
-def diamonds_related(d1: CausalDiamond, d2: CausalDiamond) -> bool:
-    """True when one diamond can signal the other (either direction)."""
-    return causal_leq(d1.y, d2.z) or causal_leq(d2.y, d1.z)
 
 
 @dataclass(frozen=True)

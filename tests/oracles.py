@@ -6,6 +6,11 @@ vectors built one edge at a time — and shares no logic with the package
 under test beyond reading gate blocks from its op table and the edge list of
 an ``EdgeBasis``.  Tests freeze values computed by these oracles and assert
 the package reproduces them.
+
+The last section holds small helpers that only the tests use: the
+symplectic form, a code's generator count, diamond relatedness (a scan of
+the package's ``causal_leq``) and whether a circuit is unitary (read from
+its op table).
 """
 
 from __future__ import annotations
@@ -476,3 +481,37 @@ def bisect_threshold(target, tol):
         else:
             lo = mid
     return 0.5 * (lo + hi)
+
+
+# ---------------------------------------------------------------------------
+# Helpers only the tests use
+# ---------------------------------------------------------------------------
+
+
+def symplectic_product(u, v) -> float:
+    """omega(u, v) = s1.t2 - t1.s2 for u = (s1, t1), v = (s2, t2)."""
+    u = np.asarray(u, dtype=float)
+    v = np.asarray(v, dtype=float)
+    if u.shape != v.shape or u.ndim != 1 or u.size % 2:
+        raise ValueError("need two equal-length even-dimensional vectors")
+    n = u.size // 2
+    return float(u[:n] @ v[n:] - u[n:] @ v[:n])
+
+
+def n_generators(code) -> int:
+    """Number of stabilizer generators: the code's x rows and p rows."""
+    return code.x_rows.shape[0] + code.p_rows.shape[0]
+
+
+def diamonds_related(d1, d2) -> bool:
+    """True when one diamond can signal the other (either direction)."""
+    from cvrep.replication import causal_leq
+
+    return causal_leq(d1.y, d2.z) or causal_leq(d2.y, d1.z)
+
+
+def is_unitary(circuit) -> bool:
+    """True when every op of the circuit has a gate block or a shift in the op table."""
+    from cvrep.circuits.ir import spec_of
+
+    return all(spec_of(op).unitary for op in circuit.ops)

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_gaussian_state
-from oracles import step_run
+from oracles import is_unitary, step_run
 
 from cvrep import gaussian as g
 from cvrep.circuits import (
@@ -66,7 +66,7 @@ def test_circuit_tracks_wires_and_registers():
         ),
     )
     assert circuit.n_modes == 3
-    assert not circuit.is_unitary()
+    assert not is_unitary(circuit)
     assert run(circuit, g.vacuum(3), average=True).labels == (3,)
     assert len(circuit) == 4
 
@@ -205,6 +205,27 @@ def test_round_trip_is_bit_stable_for_any_parameters(gain, factor):
     again = parse(serialize(circuit))
     assert again.ops[0].gain == gain
     assert again.ops[1].factor == factor
+
+
+SIGNED_VALUE_CASES = [
+    pytest.param(spec, i, value, id=f"{spec.tag}-{key}-{value!r}")
+    for spec in OPS.values()
+    for i, key in enumerate(key for key, _, kind in spec.fields if kind is float)
+    for value in (-0.0, 0.0, -3.0, -0.25)
+    if value or spec.cls is not SqueezeFactor  # a squeeze factor is never zero
+]
+
+
+@pytest.mark.parametrize("spec, i, value", SIGNED_VALUE_CASES)
+def test_round_trip_keeps_the_sign_of_every_real_field(spec, i, value):
+    reals = [0.5] * sum(kind is float for _, _, kind in spec.fields)
+    reals[i] = value
+    op = make_op(spec, (1, 2), reals)
+    # the Measure writes the register a feedforward reads
+    again = parse(serialize(Circuit((1, 2, 3), (Measure(3, "x", "m"), op)))).ops[1]
+    attr = [attr for _, attr, kind in spec.fields if kind is float][i]
+    got = attrgetter(attr)(again)
+    assert got == value and math.copysign(1.0, got) == math.copysign(1.0, value)
 
 
 def test_parse_accepts_comments_and_blank_lines():

@@ -17,14 +17,13 @@ from cvrep.replication import (
     causal_graph,
     causal_leq,
     configuration_from_json,
-    diamonds_related,
     find_chain,
     load_configuration,
     select_code,
     validate,
 )
 
-from oracles import boost_point, leq_oracle, related_oracle
+from oracles import boost_point, diamonds_related, leq_oracle, related_oracle
 
 
 def P(t, *x):

@@ -1,6 +1,7 @@
 """Gaussian-elimination synthesis of QND/squeeze circuits from point matrices."""
 
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -190,8 +191,11 @@ def test_an_elimination_that_leaves_float_range_is_a_synthesis_error(A, column):
     # these once raised a ZeroDivisionError, and the op constructors' ValueErrors
     # "squeeze factor must be finite and nonzero" and "qnd gain must be finite"
     message = f"^the elimination leaves float range in column {column}$"
-    with pytest.raises(SynthesisError, match=message):
-        synthesize(np.array(A))
+    # an overflow inside a column update must not surface as a NumPy warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SynthesisError, match=message):
+            synthesize(np.array(A))
 
 
 def test_a_deviation_that_is_not_a_number_fails_the_self_check(monkeypatch):
@@ -290,13 +294,18 @@ def test_synthesis_reproduces_the_numpy_elimination_exactly(kind, n, seed):
 
 @pytest.mark.parametrize("seed", [0, 1])
 @pytest.mark.parametrize(
-    "kind, octaves",
+    "kind, octaves, n",
     # at n = 40, rows up to 2**20 apart synthesize: their singular values
     # span about 1e15, which a rank test relative to the largest calls singular
-    [("dense", 0), ("unimodular", 0), ("row-scaled", 8), ("row-scaled", 20), ("pivot rows", 0)],
+    [
+        pytest.param(kind, octaves, 40, id=f"{kind}-{octaves}")
+        for kind, octaves in [("dense", 0), ("unimodular", 0), ("row-scaled", 8), ("row-scaled", 20), ("pivot rows", 0)]
+    ]
+    # past the benchmark's largest n, where each column clears up to 79 rows at once
+    + [pytest.param(kind, octaves, 80, id=f"{kind}-{octaves}-n80") for kind, octaves in [("dense", 0), ("row-scaled", 8)]],
 )
-def test_synthesis_reproduces_the_numpy_elimination_exactly_at_n40(kind, octaves, seed):
-    check_against_the_numpy_elimination(*oracle_input(kind, 40, seed, octaves))
+def test_synthesis_reproduces_the_numpy_elimination_exactly_at_n40(kind, octaves, n, seed):
+    check_against_the_numpy_elimination(*oracle_input(kind, n, seed, octaves))
 
 
 def test_the_check_reads_qnd_blocks_from_the_op_table(monkeypatch):
@@ -310,6 +319,48 @@ def test_the_check_reads_qnd_blocks_from_the_op_table(monkeypatch):
             synthesize(A)
     monkeypatch.undo()
     synthesize(decoder_matrix("E2"))
+
+
+def test_every_fold_reads_the_other_gate_blocks_from_the_op_table(monkeypatch):
+    # a dense matrix needs swaps and squeezes; with the table's swap block
+    # made the identity, the circuit misses its target in every later fold
+    A = np.random.default_rng(5).normal(size=(6, 6))
+    circuit = synthesize(A)
+    assert {type(op) for op in circuit.ops} == {Qnd, SqueezeFactor, Swap}
+    monkeypatch.setattr(OPS[Swap], "block", lambda: np.eye(4))
+    for _ in range(2):
+        assert deviation(circuit, A) > 0.1
+    monkeypatch.undo()
+    assert deviation(circuit, A) <= TOL.synthesis
+
+
+def test_a_fold_builds_each_distinct_gate_block_once(monkeypatch):
+    built = []
+    for cls in (Swap, SqueezeFactor, PhaseShift):
+        spec = OPS[cls]
+
+        def block(*params, honest=spec.block, cls=cls):
+            built.append((cls, params))
+            return honest(*params)
+
+        monkeypatch.setattr(spec, "block", block)
+    ops = (
+        Swap(1, 2), SqueezeFactor(1, 2.0), Swap(2, 3), SqueezeFactor(3, 2.0), Qnd(1, 3, 0.5),
+        Swap(1, 3), SqueezeFactor(2, -0.5), PhaseShift(1, 0.0), PhaseShift(2, -0.0),
+    )
+    circuit = Circuit((1, 2, 3), ops)
+    target = x_block(circuit)
+    for _ in range(2):  # the blocks last one fold
+        built.clear()
+        assert deviation(circuit, target) == 0.0
+        # -0.0 and 0.0 are equal, but their blocks differ in the sign of a zero
+        assert [(cls, tuple(map(repr, params))) for cls, params in built] == [
+            (Swap, ()),
+            (SqueezeFactor, ("2.0",)),
+            (SqueezeFactor, ("-0.5",)),
+            (PhaseShift, ("0.0",)),
+            (PhaseShift, ("-0.0",)),
+        ]
 
 
 # ---------------------------------------------------------------------------
