@@ -129,8 +129,8 @@ def cmd_verify(args) -> int:
         # reads only the shapes of its face tables
         shapes = {k: list(table.shape) for k, table in sorted(homology.chain_complex(n).boundary.items())}
         hom_code = homology.build_homological_code(n)
-        # each code already holds its blocks' singular values, so each
-        # comparison takes one SVD, of the stacked blocks
+        # both codes' blocks are integer blocks, peeled on construction, so
+        # each comparison is exact and takes no SVD
         x_match, p_match = (a.same_span(b) for a, b in zip(hom_code._blocks, code._blocks))
         homology_report = {
             "boundary_squares_to_zero": True,

@@ -7,17 +7,30 @@ decided by the restriction-rank identity (see ``correctable``), which rests
 on the commuting, independent rows that StabilizerCode enforces.
 
 Every fact about a generator block is held once, by a ``_Block``, and
-StabilizerCode keeps its X and P blocks as a pair: the block's singular
-values (taken once; the largest is the scale of every rank decision on the
-block, and the cutoff is relative to it), its kernel (taken on first use),
-its restriction ranks and the comparison of its row space with another's.
+StabilizerCode keeps its X and P blocks as a pair: the block's rank, its
+kernel (taken on first use), its restriction ranks and the comparison of its
+row space with another's.
+
+Which facts are exact: every generator matrix built here is an integer
+matrix, and a block whose entries are all integral floats holds its exact
+rows (``_introws``).  Its own rank, and so the construction's independence
+check, and the comparison of its row space with another integer block's
+are exact, at any entry size.  Everything else is float: the ranks of a
+non-integer block, and the restriction ranks of every block.  A float rank
+counts the singular values above a cutoff relative to a scale, the largest
+singular value of the whole block; the block takes its singular values
+only when a float decision first needs that scale.
+
 Each restriction rank is taken on the cheaper of the column slice and its
 kernel complement: for a block M (k x n) with independent rows and K the
 orthonormal rows spanning ker M, rank M[:, S] = |S| - (n - k) + rank K[:, ~S],
 and the side with the smaller SVD flop estimate, k |S| min(k, |S|) against
-(n - k) |~S| min(n - k, |~S|), is taken.  Patterns that erase the same
-number of modes give slices of one shape, so each of their four restriction
-ranks is one SVD of a stack of slices.
+(n - k) |~S| min(n - k, |~S|), is taken.  A tie goes to the kernel side,
+decided at scale 1, which needs no SVD of the block: the X slices of the
+general code's vertex patterns always tie (n - k = |S| = N - 1 and
+|~S| = k).  Patterns that erase the same number of modes give slices of one
+shape, so each of their four restriction ranks is one SVD of a stack of
+slices.
 """
 
 from __future__ import annotations
@@ -30,6 +43,7 @@ from itertools import combinations
 
 import numpy as np
 
+from ._introws import IntRows
 from .tolerances import TOL
 
 __all__ = [
@@ -109,19 +123,37 @@ def _slice_ranks(slices: np.ndarray, scale: float) -> list[int]:
 class _Block:
     """One generator block: independent rows M (k x n) and every rank fact about them.
 
-    The singular values are taken once, on construction; the largest is the
-    scale of every rank decision on the block.  The kernel is taken when a
-    restriction rank first needs it.
+    When every entry is an integral float, the block holds its exact rows
+    (``_introws.IntRows``): its own rank, and the comparison of its row
+    space with another integer block's, are exact.  Its restriction ranks
+    stay float.  The singular values, whose largest is the scale of every
+    float rank decision on the block, are taken only when such a decision
+    first needs them; the kernel when a restriction rank first needs it.
     """
 
     def __init__(self, rows: np.ndarray):
-        self.rows = np.atleast_2d(rows)
-        #: singular values, largest first (none for an empty block)
-        self.svals = np.linalg.svd(self.rows, compute_uv=False) if self.rows.size else np.zeros(0)
-        self.scale = self.svals[0] if self.svals.size else 0.0
+        self.rows = np.atleast_2d(np.asarray(rows, dtype=float))
+        #: the exact rows, or None unless every entry is an integral float
+        self.exact = IntRows.of(self.rows)
+
+    @cached_property
+    def svals(self) -> np.ndarray:
+        """Singular values, largest first (none for an empty block)."""
+        return np.linalg.svd(self.rows, compute_uv=False) if self.rows.size else np.zeros(0)
+
+    @cached_property
+    def scale(self) -> float:
+        """The largest singular value (0 for an empty block)."""
+        return self.svals[0] if self.svals.size else 0.0
 
     def rank(self, scale: float | None = None) -> int:
-        """Count of the singular values above the rank cutoff at ``scale`` (default: the block's)."""
+        """Rank of M: exact for an integer block when no ``scale`` is given.
+
+        Otherwise the count of the singular values above the rank cutoff at
+        ``scale`` (default: the block's).
+        """
+        if scale is None and self.exact is not None:
+            return self.exact.rank
         return _count_ranks([self.svals.tolist()], self.scale if scale is None else scale)[0]
 
     @cached_property
@@ -133,29 +165,36 @@ class _Block:
         return np.linalg.qr(self.rows.T, mode="complete")[0][:, len(self.rows) :].T.copy()
 
     def ranks(self, S: np.ndarray, rest: np.ndarray) -> list[int]:
-        """rank M[:, s] for each row s of S.
+        """rank M[:, s] for each row s of S, in float.
 
         S is a G x |S| index array and rest the G x (n - |S|) array of the
         complements.  rank M[:, s] = |S| - (n - k) + rank K[:, rest], with K
         the kernel; whichever side has the smaller SVD flop estimate is
-        taken, so the choice depends only on shapes and is one for all G
-        rows.  The K side is decided at scale 1, the scale of an orthonormal
-        block.
+        taken, and a tie goes to the kernel side, which needs no scale of
+        the block, so the choice depends only on shapes and is one for all
+        G rows.  The K side is decided at scale 1, the scale of an
+        orthonormal block.
         """
         if not len(S):  # no patterns left: take no factorization, not even the kernel
             return []
         k, c = self.rows.shape[0], self.rows.shape[1] - self.rows.shape[0]
         width, other = S.shape[1], rest.shape[1]
-        if c * other * min(c, other) < k * width * min(k, width):
+        if c * other * min(c, other) <= k * width * min(k, width):
             return [width - c + rank for rank in _slice_ranks(self.kernel[:, rest], 1.0)]
         return _slice_ranks(self.rows[:, S], self.scale)
 
     def same_span(self, other: _Block) -> bool:
-        """Equal row spaces: rank A == rank B == rank [A; B], all at the scale of [A; B].
+        """Equal row spaces: rank A == rank B == rank [A; B].
 
-        One SVD, of [A; B]; A's and B's ranks are counted from their own
-        singular values at that scale.
+        Exact when both blocks are integer blocks: equal ranks, and B in the
+        row space of A.  Otherwise the three ranks are float, all at the
+        scale of [A; B], from one SVD of [A; B]; A's and B's are counted from
+        their own singular values at that scale.
         """
+        if self.rows.shape[1] != other.rows.shape[1]:
+            raise ValueError(f"blocks of {self.rows.shape[1]} and {other.rows.shape[1]} columns")
+        if self.exact is not None and other.exact is not None:
+            return self.exact.rank == other.exact.rank and self.exact.spans(other.exact)
         stacked = _Block(np.vstack([self.rows, other.rows]))
         return self.rank(stacked.scale) == other.rank(stacked.scale) == stacked.rank()
 
@@ -314,8 +353,9 @@ def correctable(code: StabilizerCode, patterns: Sequence[ErasurePattern]) -> lis
       |E| - rank a[:,E] == k_b - rank b[:,~E]
 
     for (a, b) = (P, X), the X side, and for (a, b) = (X, P), the P side.
-    StabilizerCode checks both premises on construction.  Every rank is
-    taken against the scale of the whole block, not of the column slice.
+    StabilizerCode checks both premises on construction, exactly for an
+    integer block.  The restriction ranks are float, and every one is taken
+    against the scale of the whole block, not of the column slice.
 
     Each rank M[:, S] is taken on the cheaper of the slice and its kernel
     complement: with K the (n - k) x n orthonormal rows spanning ker M,
@@ -323,9 +363,10 @@ def correctable(code: StabilizerCode, patterns: Sequence[ErasurePattern]) -> lis
       rank M[:, S] = |S| - (n - k) + rank K[:, ~S]
 
     and the side with the smaller flop estimate k |S| min(k, |S|) versus
-    (n - k) |~S| min(n - k, |~S|) wins; K is orthonormal, so its side is
-    decided at scale 1.  For a vertex pattern of the general code this turns
-    rank X[:, E], a C(N-1,2)-square problem, into an (N-1)-square one.
+    (n - k) |~S| min(n - k, |~S|) wins, the kernel side on a tie; K is
+    orthonormal, so its side is decided at scale 1.  For a vertex pattern
+    of the general code this turns rank X[:, E], a C(N-1,2)-square problem,
+    into an (N-1)-square one.
 
     Patterns are grouped by |E|.  The slices of one group share their shape,
     so each of the four ranks is one SVD of the group's stack of slices; the

@@ -360,7 +360,14 @@ def homodyne(
 
 
 def discard(state: GaussianState, modes) -> GaussianState:
-    """Partial trace: delete the given modes' mean entries and factor rows."""
+    """Partial trace: delete the given modes' mean entries and factor rows.
+
+    Where the factor columns that are not exactly zero in the kept rows fit
+    in a square factor, only they are kept: they alone make up V, so a round
+    of ``tensor`` and ``discard`` leaves the factor no wider than tall
+    instead of widening it by the discarded modes' columns.  A factor that
+    would stay wider than tall keeps every column.
+    """
     drop = set(int(m) for m in modes)
     for m in drop:
         _check_mode(state, m)
@@ -370,7 +377,11 @@ def discard(state: GaussianState, modes) -> GaussianState:
         return state.copy()
     n = state.n_modes
     idx = _rows([i for i in range(n) if i not in drop], n)
-    return GaussianState._of(state.mean[idx], state.factor[idx])
+    factor = state.factor[idx]
+    live = factor.any(axis=0)
+    if np.count_nonzero(live) <= len(idx):
+        factor = factor[:, live]
+    return GaussianState._of(state.mean[idx], factor)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,8 @@ k + 1 entries per column where a dense d_2 would take C(N, 2).
 d_k d_{k+1} = 0 is checked per simplex, exactly: the (k+2)(k+1)
 face-of-face entries of each column are summed row by row in Python ints.
 Row spaces are compared by rank equality, as ``codes._Block.same_span``
-decides it.
+decides it: exactly for integer rows, and otherwise in float, with all three
+ranks at the scale of the stacked rows.
 
 ``build_homological_code`` reads a stabilizer code off the complex; its
 erasures are decided by ``codes.correctable``, as for any other code.
@@ -197,5 +198,9 @@ def build_homological_code(N: int) -> StabilizerCode:
 
 
 def rowspaces_equal(A: np.ndarray, B: np.ndarray) -> bool:
-    """Equal row spaces: rank A == rank B == rank [A; B], all at the scale of [A; B]."""
+    """Equal row spaces: rank A == rank B == rank [A; B].
+
+    Exact when every entry of A and B is an integral float; otherwise the
+    three ranks are float, all at the scale of [A; B] (``_Block.same_span``).
+    """
     return _Block(A).same_span(_Block(B))

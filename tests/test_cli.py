@@ -136,13 +136,16 @@ def test_verify_homology_on_the_general_code(capsys):
 
 @pytest.mark.parametrize(
     "argv, svd_calls, qr_calls",
-    [(("verify", "five"), 10, 0), (("verify", "24"), 6, 1), (("verify", "12", "--homology"), 10, 1)],
+    [(("verify", "five"), 10, 2), (("verify", "24"), 5, 1), (("verify", "12", "--homology"), 5, 1)],
     ids=["five", "24", "12 homology"],
 )
 def test_verify_takes_each_block_factorization_once(capsys, monkeypatch, argv, svd_calls, qr_calls):
-    # a block's singular values are taken once, at construction, and its
-    # kernel once, on first use: construction (two per code), the stacked
-    # restriction ranks, and one per --homology row-space comparison
+    # integer blocks are built and compared exactly, with no factorization;
+    # a block's singular values are taken once, when a float slice rank
+    # first needs its scale, and its kernel once, when the kernel side
+    # first needs it: the stacked restriction ranks (eight on five-mode
+    # patterns of two sizes, four on vertex patterns) and each block scale
+    # they read (both five-mode blocks; only P, never X, on the general code)
     calls = {"svd": 0, "qr": 0}
 
     def counting(name):

@@ -178,6 +178,18 @@ def test_stabilizer_code_rejects_non_commuting_rows():
     codes.StabilizerCode(2, 1e8 * np.array([[1.0, 1.0]]), 1e8 * np.array([[1.0, -1.0]]) + 1e-8)
 
 
+def test_integer_generators_are_independent_exactly_at_any_entry_size():
+    # det [[a, a+1], [a-1, a]] = 1, yet its singular values span about 2a^2
+    # = 2e16: a float rank at the block's scale takes it for rank 1
+    a = 10**8
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = codes.StabilizerCode(3, [[a, a + 1, 0], [a - 1, a, 0]], [[0, 0, 1]])
+        assert code._blocks[0].rank() == 2
+        with pytest.raises(ValueError, match="linearly dependent"):
+            codes.StabilizerCode(3, [[a, a + 1, 0], [2 * a, 2 * a + 2, 0]], [[0, 0, 1]])
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_stabilizer_code_rejects_non_finite_rows(bad):
     # rejected before any SVD: no LinAlgError, no RuntimeWarning
@@ -408,7 +420,10 @@ def test_complement_rank_identity_holds_on_both_blocks():
 @pytest.mark.parametrize("builder", [codes.build_general_code, homology.build_homological_code])
 def test_vertex_pattern_ranks_are_at_most_n_minus_one_wide(monkeypatch, builder):
     # the C(N-1,2)-square rank X[:, E] moves to the (N-1)-column complement,
-    # and each of the four ranks is one SVD of the stack of all N slices
+    # and each of the four ranks is one SVD of the stack of all N slices.
+    # The X slices tie in the flop estimate and go to the kernel side, so
+    # the only other SVD is the P block's scale, for its float slice ranks;
+    # no SVD takes the C(N-1,2)-row X block
     n = 12
     code = builder(n)
     basis = codes.edge_basis(n)
@@ -422,9 +437,12 @@ def test_vertex_pattern_ranks_are_at_most_n_minus_one_wide(monkeypatch, builder)
 
     monkeypatch.setattr(np.linalg, "svd", spy)
     assert codes.correctable(code, patterns) == [True] * n
-    assert len(shapes) == 4
-    assert all(len(shape) == 3 and shape[0] == n for shape in shapes)
-    assert max(min(shape[1:]) for shape in shapes) == n - 1
+    stacks = [shape for shape in shapes if len(shape) == 3]
+    assert len(stacks) == 4
+    assert all(shape[0] == n for shape in stacks)
+    assert max(min(shape[1:]) for shape in stacks) == n - 1
+    assert [shape for shape in shapes if len(shape) == 2] == [(n - 2, math.comb(n, 2))]
+    assert not [shape for shape in shapes if shape[-2] == math.comb(n - 1, 2)]  # the rows of each matrix
 
 
 # ---------------------------------------------------------------------------

@@ -439,6 +439,20 @@ def test_discard_product_factor_is_exact():
     np.testing.assert_array_equal(out.cov, keep.cov)
 
 
+def test_discard_drops_the_factor_columns_the_kept_modes_do_not_touch():
+    # each round appends a vacuum mode's two columns and discards the old
+    # mode; without pruning the factor would be 2 x 22 after ten rounds
+    pruned = unpruned = g.vacuum(1)
+    for _ in range(10):
+        pruned = g.discard(g.tensor(pruned, g.vacuum(1)), [0])
+        joint = g.tensor(unpruned, g.vacuum(1))
+        unpruned = g.GaussianState._of(joint.mean[[1, 3]], joint.factor[[1, 3]])
+    assert pruned.factor.shape == (2, 2)
+    assert unpruned.factor.shape == (2, 22)
+    np.testing.assert_allclose(pruned.cov, unpruned.cov, rtol=1e-15, atol=1e-15)
+    np.testing.assert_array_equal(pruned.mean, unpruned.mean)
+
+
 def test_discard_tmsv_arm_leaves_thermal_state():
     r = 0.9
     state = apply_op(g.vacuum(2), TwoModeSqueeze(1, 2, r))

@@ -291,9 +291,14 @@ def test_homological_and_graph_codes_have_equal_row_spaces(n):
 
 
 def test_code_rowspace_comparison_takes_one_svd_per_block(monkeypatch):
+    # integer blocks compare exactly, with no SVD; the same blocks scaled by
+    # 1/3 take the float path, whose singular values the construction's
+    # independence check already took, so each comparison takes one SVD,
+    # of the stacked blocks
     hom = homology.build_homological_code(6)
     graph = codes.build_general_code(6)
     truncated = codes.StabilizerCode(hom.n_modes, hom.x_rows, hom.p_rows[:2])
+    thirds = [codes.StabilizerCode(c.n_modes, c.x_rows / 3, c.p_rows / 3) for c in (hom, graph, truncated)]
     svd, shapes = np.linalg.svd, []
 
     def spy(a, *args, **kwargs):
@@ -301,8 +306,9 @@ def test_code_rowspace_comparison_takes_one_svd_per_block(monkeypatch):
         return svd(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", spy)
-    assert [a.same_span(b) for a, b in zip(hom._blocks, graph._blocks)] == [True, True]
-    assert [a.same_span(b) for a, b in zip(truncated._blocks, graph._blocks)] == [True, False]
+    for hom, graph, truncated in ((hom, graph, truncated), thirds):
+        assert [a.same_span(b) for a, b in zip(hom._blocks, graph._blocks)] == [True, True]
+        assert [a.same_span(b) for a, b in zip(truncated._blocks, graph._blocks)] == [True, False]
     assert shapes == [(20, 15), (8, 15), (20, 15), (6, 15)]
 
 
@@ -318,6 +324,15 @@ def test_rowspaces_equal_detects_differences():
     assert not homology.rowspaces_equal(1e-11 * A, 1e-11 * D)
     # all three ranks share the scale of the stacked matrix
     assert not homology.rowspaces_equal(1e6 * A, 1e-6 * D)
+
+
+def test_integer_row_spaces_compare_exactly():
+    # [[a, a+1], [a-1, a]] has determinant 1, so it spans the plane; its
+    # smallest singular value, about 5e-9, falls under a float cutoff at the
+    # scale of the stack
+    a = 10**8
+    assert homology.rowspaces_equal([[a, a + 1], [a - 1, a]], np.eye(2))
+    assert not homology.rowspaces_equal([[a, a + 1], [2 * a, 2 * a + 2]], np.eye(2))
 
 
 @pytest.mark.parametrize("n", [4, 6])
