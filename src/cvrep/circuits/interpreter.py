@@ -16,8 +16,9 @@ circuits that map positions to positions alone (every op's block is
 ``diag(M, M^-T)`` with no shift): it keeps only the n x rows over the n
 input positions, reads every QND block from the op table in one call,
 applies a run of consecutive QNDs sharing a control as one rank-1 update,
-and builds every other op's block once per distinct op type and
-parameters within the call.  Synthesis checks its circuits with it.
+and builds (and tests for x/p mixing) every other op's block once per
+distinct op type and parameters within the call.  Synthesis checks its
+circuits with it.
 
 ``run`` executes any circuit with that one fold.  Stacking the live rows
 and each register's row gives a joint Gaussian over the outputs and the
@@ -31,7 +32,6 @@ conditioning on each homodyne when it happens and feeding it forward.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,6 +93,11 @@ def _not_positional(op) -> TypeError:
     return TypeError(f"{type(op).__name__} does not map positions to positions alone")
 
 
+def _mixes(blocks: np.ndarray, k: int) -> bool:
+    """Whether a 2k x 2k block, or any in a stack of them, maps x to p or p to x."""
+    return bool(np.count_nonzero(blocks[..., :k, k:]) or np.count_nonzero(blocks[..., k:, :k]))
+
+
 def _fold_positions(circuit: Circuit) -> np.ndarray:
     """The n x n matrix X of a position-only circuit, x -> X x.
 
@@ -105,19 +110,21 @@ def _fold_positions(circuit: Circuit) -> np.ndarray:
     its block is built once per distinct op type and parameters in this
     call.  Raises TypeError on an op with a shift, without a block
     (measurement, feedforward, discard) or whose block mixes x and p.  The
-    QND blocks, and the other distinct blocks of each size, are checked for
-    mixing together, after the fold: a check per op costs more than the
-    fold saves.
+    QND stack is tested for mixing once, before the fold; every other
+    block when it is first built, so the error names the first such op in
+    circuit order.
     """
     index = {label: i for i, label in enumerate(circuit.labels)}
     X = np.eye(len(index))
     ops = circuit.ops
     qnds = [op for op in ops if type(op) is Qnd]
     qnd_blocks = OPS[Qnd].block(np.array([op.gain for op in qnds], dtype=float))
+    if _mixes(qnd_blocks, 2):
+        raise _not_positional(qnds[0])
     gains = qnd_blocks[:, 1, 0]
     targets = [index[op.target] for op in qnds]
     target_rows = np.array(targets, dtype=np.intp)  # an index array: a list costs a conversion per use
-    gates = {}  # (spec, repr of params) -> (first op with them, block, x part)
+    gates = {}  # (spec, repr of params) -> the block's x part
     done = 0  # QNDs applied so far
     i = 0
     while i < len(ops):
@@ -131,9 +138,11 @@ def _fold_positions(circuit: Circuit) -> np.ndarray:
                     raise _not_positional(op)
                 block = spec.block(*params)
                 k = len(block) // 2
-                gates[key] = (op, block, block[:k, :k])
+                if _mixes(block, k):
+                    raise _not_positional(op)
+                gates[key] = block[:k, :k]
             modes = np.array([index[w] for w in spec.wires(op)], dtype=np.intp)
-            X[modes] = gates[key][2] @ X[modes]
+            X[modes] = gates[key] @ X[modes]
             i += 1
             continue
         end = i + 1
@@ -149,17 +158,6 @@ def _fold_positions(circuit: Circuit) -> np.ndarray:
         else:  # unbuffered, so a target repeated within the run gets every gain
             np.add.at(X, target_rows[run], np.multiply.outer(gains[run], row))
         i = end
-    by_size = defaultdict(list)  # wire count -> [(op, block)]
-    for op, block, _ in gates.values():
-        by_size[len(block) // 2].append((op, block))
-    stacks = [(qnds, qnd_blocks, 2)]
-    for k, sized in by_size.items():
-        firsts, blocks = zip(*sized)
-        stacks.append((firsts, np.array(blocks), k))
-    for firsts, blocks, k in stacks:
-        if blocks[:, :k, k:].any() or blocks[:, k:, :k].any():
-            mixing = (b[:k, k:].any() or b[k:, :k].any() for b in blocks)
-            raise _not_positional(next(op for op, mixes in zip(firsts, mixing) if mixes))
     return X
 
 

@@ -10,10 +10,11 @@ them.  Validation walks the op list once, tracking which wires are still
 live and which registers have been written.
 
 Every op type is written down once, in the op table ``OPS``: its text tag,
-its ``key=value`` fields in constructor order (wires marked as wires) and,
-for unitary ops, its gate block from :mod:`cvrep.gaussian`.  Serializing,
-parsing, ``wires_of`` and the interpreter's ``run``, ``symplectic_of`` and
-position check ``_fold_positions`` all read that one entry.
+its ``key=value`` fields in constructor order, each with a ``Kind`` that
+reads, writes and checks it, and, for unitary ops, its gate block from
+:mod:`cvrep.gaussian`.  Constructing, serializing and parsing an op, and
+the interpreter's ``run``, ``symplectic_of`` and position check
+``_fold_positions`` all read that one entry.
 
 Serialization is line-oriented text, one op per line, after a ``MODES``
 header naming the wires (optional on input: without it the wires are 1 to
@@ -28,7 +29,7 @@ import re
 from dataclasses import dataclass
 from math import isfinite
 from operator import attrgetter
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .. import gaussian as g
 
@@ -53,76 +54,63 @@ __all__ = [
 ]
 
 
+class _Op:
+    """Base of the op types: ``OpSpec`` sets each one's ``__post_init__`` to its row's checks.
+
+    A dataclass ``__init__`` calls it only if the class has one when decorated, hence this stand-in.
+    """
+
+    __post_init__ = None
+
+
 @dataclass(frozen=True)
-class Qnd:
+class Qnd(_Op):
     control: int
     target: int
     gain: float
 
-    def __post_init__(self):
-        if self.control == self.target:
-            raise ValueError("qnd control and target must differ")
-        if not isfinite(self.gain):
-            raise ValueError("qnd gain must be finite")
-
 
 @dataclass(frozen=True)
-class BeamSplitterPM:
+class BeamSplitterPM(_Op):
     a: int
     b: int
 
-    def __post_init__(self):
-        if self.a == self.b:
-            raise ValueError("beam splitter modes must differ")
-
 
 @dataclass(frozen=True)
-class SqueezeFactor:
+class SqueezeFactor(_Op):
     mode: int
     factor: float
 
-    def __post_init__(self):
-        if self.factor == 0 or not isfinite(self.factor):
-            raise ValueError(f"squeeze factor must be finite and nonzero, got {self.factor!r}")
-
 
 @dataclass(frozen=True)
-class PhaseShift:
+class PhaseShift(_Op):
     mode: int
     phi: float
 
-    def __post_init__(self):
-        if not isfinite(self.phi):
-            raise ValueError("phase must be finite")
-
 
 @dataclass(frozen=True)
-class Fourier:
+class Fourier(_Op):
     mode: int
 
 
 @dataclass(frozen=True)
-class InverseFourier:
+class InverseFourier(_Op):
     mode: int
 
 
 @dataclass(frozen=True)
-class Pi:
+class Pi(_Op):
     mode: int
 
 
 @dataclass(frozen=True)
-class Swap:
+class Swap(_Op):
     a: int
     b: int
 
-    def __post_init__(self):
-        if self.a == self.b:
-            raise ValueError("swap modes must differ")
-
 
 @dataclass(frozen=True)
-class Displace:
+class Displace(_Op):
     mode: int
     alpha: complex
 
@@ -131,61 +119,70 @@ class Displace:
 
 
 @dataclass(frozen=True)
-class TwoModeSqueeze:
+class TwoModeSqueeze(_Op):
     a: int
     b: int
     r: float
 
-    def __post_init__(self):
-        if self.a == self.b:
-            raise ValueError("two-mode squeezer modes must differ")
-        if not isfinite(self.r):
-            raise ValueError("squeezing parameter must be finite")
-
 
 @dataclass(frozen=True)
-class Measure:
+class Measure(_Op):
     mode: int
     basis: str
     register: str
 
-    def __post_init__(self):
-        if self.basis not in ("x", "p"):
-            raise ValueError(f"basis must be 'x' or 'p', got {self.basis!r}")
-        if not re.fullmatch(r"[A-Za-z_]\w*", self.register):
-            raise ValueError(f"bad register name {self.register!r}")
-
 
 @dataclass(frozen=True)
-class FeedforwardDisplace:
+class FeedforwardDisplace(_Op):
     register: str
     target: int
     quad: str
     gain: float
 
-    def __post_init__(self):
-        if self.quad not in ("x", "p"):
-            raise ValueError(f"quadrature must be 'x' or 'p', got {self.quad!r}")
-        if not isfinite(self.gain):
-            raise ValueError("feedforward gain must be finite")
-
 
 @dataclass(frozen=True)
-class Discard:
+class Discard(_Op):
     mode: int
 
 
 # ---------------------------------------------------------------------------
-# the op table: each op type's text form, wires and gate, written down once
+# the op table: each op type's text form, wires, checks and gate, written down once
 
-# A field's kind is the type that reads its text: int fields are the wires,
-# float fields are written with _fmt, str fields as they are.
-def _field(kind: type):
+def _fmt(v: float) -> str:
+    """``repr`` of the float, without the ``.0`` of a whole number below 1e15: -0.0 prints as -0."""
+    text = repr(float(v))
+    return text[:-2] if text.endswith(".0") and abs(v) < 1e15 else text
+
+
+class Kind(NamedTuple):
+    """A field kind: how a field reads from and writes to text, and its check.
+
+    ``bad`` is a Python condition on ``{0}``, the value, true when it is
+    invalid; ``must`` says what a valid one is.  A wire's check is that it
+    differs from the op's other wires, so ``_checks`` writes it.
+    """
+
+    read: Callable[[str], object]  # its text -> the value
+    write: Callable[[object], str] | None  # the value -> its text; None: as str.format prints it
+    bad: str | None
+    must: str
+
+
+_identifier = re.compile(r"[A-Za-z_]\w*").fullmatch
+
+WIRE = Kind(int, None, None, "must differ from")
+REAL = Kind(float, _fmt, "not isfinite({0})", "must be finite")
+NONZERO = Kind(float, _fmt, "{0} == 0 or not isfinite({0})", "must be finite and nonzero")
+QUADRATURE = Kind(str, None, "{0} not in ('x', 'p')", "must be 'x' or 'p'")
+REGISTER = Kind(str, None, "not _identifier({0})", "must be an identifier")
+
+
+def _field(kind: Kind):
     """Field maker: ``(text key, attribute, kind)``; the attribute defaults to the key."""
     return lambda key, attr=None: (key, attr or key, kind)
 
 
-_wire, _real, _text = _field(int), _field(float), _field(str)
+_wire, _real, _nonzero, _quadrature, _register = map(_field, (WIRE, REAL, NONZERO, QUADRATURE, REGISTER))
 
 
 def _getter(attrs: tuple[str, ...]) -> Callable[[object], tuple]:
@@ -196,17 +193,43 @@ def _getter(attrs: tuple[str, ...]) -> Callable[[object], tuple]:
     return get if len(attrs) > 1 else lambda op: (get(op),)
 
 
+def _checks(name: str, fields) -> Callable[[object], None]:
+    """The op's checks, each field's test from its kind, compiled into one function.
+
+    Straight-line tests cost what hand-written ones do; a loop over the
+    fields would cost each op about half again its construction time, and
+    synthesis constructs thousands per matrix.
+    """
+    lines, wires = ["def check(self):", "    pass"], []
+    for _, attr, kind in fields:
+        value = f"self.{attr}"
+        if kind is WIRE:
+            tests = [(f"{value} == self.{other}", f"{kind.must} {name}.{other}") for other in wires]
+            wires.append(attr)
+        else:
+            tests = [(kind.bad.format(value), kind.must)]
+        for bad, must in tests:
+            lines.append(f"    if {bad}: raise ValueError({f'{name}.{attr} {must}, got '!r} + repr({value}))")
+    namespace = {"isfinite": isfinite, "_identifier": _identifier}
+    exec("\n".join(lines), namespace)
+    return namespace["check"]
+
+
 class OpSpec:
     """One op type: its text tag, its ``key=value`` fields and its gate.
 
     ``fields`` lists ``(text key, attribute, kind)`` in constructor order,
-    and ``make`` builds the op from the field values.  A unitary op has a
-    ``block`` (the gate's 2k x 2k matrix over its k wires: x of each wire
-    in field order, then p of each) or, for a displacement, a ``shift``
-    (its (x, p) mean displacement); either is called with the op's
-    non-wire field values in order.  The interpreter's ``_fold`` applies
-    them, and its ``_fold_positions`` applies the x part of blocks that
-    map positions to positions alone.
+    and ``make`` builds the op from the field values.  Each field's
+    ``Kind`` reads and writes its text and checks its value: the row's
+    checks become the op type's ``__post_init__``, so every op is checked
+    as it is constructed (Displace keeps its own, which normalizes its
+    amplitude through ``gaussian._amplitude``, the check of both its
+    fields).  A unitary op has a ``block`` (the gate's 2k x 2k matrix over
+    its k wires: x of each wire in field order, then p of each) or, for a
+    displacement, a ``shift`` (its (x, p) mean displacement); either is
+    called with the op's non-wire field values in order.  The
+    interpreter's ``_fold`` applies them, and its ``_fold_positions``
+    applies the x part of blocks that map positions to positions alone.
     """
 
     def __init__(self, cls, tag, fields, *, block=None, shift=None, make=None):
@@ -215,27 +238,29 @@ class OpSpec:
         self.make = make or cls
         self.unitary = block is not None or shift is not None
         self.values = _getter(tuple(attr for _, attr, _ in fields))
-        self.wires = _getter(tuple(attr for _, attr, kind in fields if kind is int))
-        self.params = _getter(tuple(attr for _, attr, kind in fields if kind is not int))
+        self.wires = _getter(tuple(attr for _, attr, kind in fields if kind is WIRE))
+        self.params = _getter(tuple(attr for _, attr, kind in fields if kind is not WIRE))
         self._line = " ".join([tag, *(f"{key}={{}}" for key, _, _ in fields)])
-        self._reals = [i for i, (_, _, kind) in enumerate(fields) if kind is float]
+        self._writes = [(i, kind.write) for i, (_, _, kind) in enumerate(fields) if kind.write]
+        if cls.__post_init__ is None:
+            cls.__post_init__ = _checks(cls.__name__, fields)
 
     def line(self, op) -> str:
         """The op as one line of circuit text."""
         values = list(self.values(op))
-        for i in self._reals:
-            values[i] = _fmt(values[i])
+        for i, write in self._writes:
+            values[i] = write(values[i])
         return self._line.format(*values)
 
     def read(self, kv: dict[str, str]):
         """The op from its line's ``key=value`` pairs; KeyError if one is missing."""
-        return self.make(*(kind(kv[key]) for key, _, kind in self.fields))
+        return self.make(*(kind.read(kv[key]) for key, _, kind in self.fields))
 
 
 _SPECS = (
     OpSpec(Qnd, "QND", (_wire("c", "control"), _wire("t", "target"), _real("gain")), block=g.qnd_block),
     OpSpec(BeamSplitterPM, "BS", (_wire("a"), _wire("b")), block=g.beam_splitter_pm_block),
-    OpSpec(SqueezeFactor, "SQ", (_wire("mode"), _real("factor")), block=g.squeeze_block),
+    OpSpec(SqueezeFactor, "SQ", (_wire("mode"), _nonzero("factor")), block=g.squeeze_block),
     OpSpec(PhaseShift, "PHASE", (_wire("mode"), _real("phi")), block=g.phase_block),
     OpSpec(Fourier, "FOURIER", (_wire("mode"),), block=g.fourier_block),
     OpSpec(InverseFourier, "INVFOURIER", (_wire("mode"),), block=g.inverse_fourier_block),
@@ -249,11 +274,11 @@ _SPECS = (
         make=lambda mode, re, im: Displace(mode, complex(re, im)),
     ),
     OpSpec(TwoModeSqueeze, "TMS", (_wire("a"), _wire("b"), _real("r")), block=g.two_mode_squeeze_block),
-    OpSpec(Measure, "MEAS", (_wire("mode"), _text("basis"), _text("reg", "register"))),
+    OpSpec(Measure, "MEAS", (_wire("mode"), _quadrature("basis"), _register("reg", "register"))),
     OpSpec(
         FeedforwardDisplace,
         "FF",
-        (_text("reg", "register"), _wire("target"), _text("quad"), _real("gain")),
+        (_register("reg", "register"), _wire("target"), _quadrature("quad"), _real("gain")),
     ),
     OpSpec(Discard, "DISCARD", (_wire("mode"),)),
 )
@@ -266,11 +291,6 @@ def spec_of(op) -> OpSpec:
         return OPS[type(op)]
     except KeyError:
         raise TypeError(f"not a circuit op: {op!r}") from None
-
-
-def wires_of(op) -> tuple[int, ...]:
-    """Labels an op touches, in field order."""
-    return spec_of(op).wires(op)
 
 
 @dataclass(frozen=True)
@@ -296,12 +316,15 @@ class Circuit:
         live = set(self.labels)
         written: set[str] = set()
         for i, op in enumerate(self.ops):
-            for wire in wires_of(op):
+            spec = spec_of(op)
+            for wire in spec.wires(op):
                 if wire not in live:
                     raise ValueError(
                         f"op {i} ({type(op).__name__}) references wire {wire}, "
                         f"which is not live"
                     )
+            if spec.unitary:
+                continue
             if isinstance(op, Measure):
                 if op.register in written:
                     raise ValueError(f"register {op.register!r} written twice")
@@ -327,12 +350,6 @@ class Circuit:
 
 class CircuitParseError(ValueError):
     pass
-
-
-def _fmt(v: float) -> str:
-    """``repr`` of the float, without the ``.0`` of a whole number below 1e15: -0.0 prints as -0."""
-    text = repr(float(v))
-    return text[:-2] if text.endswith(".0") and abs(v) < 1e15 else text
 
 
 def serialize(circuit: Circuit) -> str:

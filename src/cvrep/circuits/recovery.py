@@ -418,17 +418,25 @@ def _fidelities(rs, tags: tuple, rng=None) -> np.ndarray:
     )
 
 
+def _closed_forms(rs, noise) -> np.ndarray:
+    """F = 1 / (1 + c e^{-2r}) per squeezing r (rows) and noise c (columns).
+
+    Each e^{-2r} is ``math.exp``'s, so no cell depends on the other r; E1,
+    with c = 0, is exactly 1 at any valid r.
+    """
+    decay = np.array([exp(-2.0 * r) for r in rs])
+    return 1.0 / (1.0 + np.multiply.outer(decay, noise))
+
+
 def closed_form_fidelity(tag: str, r: float) -> float:
     """Recovery fidelity formula for the optical pipeline at squeezing r.
 
-    F = 1 / (1 + c e^{-2r}) with the tag's noise c from ``_NOISE``; E1,
-    with c = 0, is exactly 1 at any valid r.  r must be finite and >= 0
-    (``_check_squeezing``), as for ``recovery_fidelities``.
+    ``_closed_forms`` at the tag's noise c from ``_NOISE``.  r must be finite
+    and >= 0 (``_check_squeezing``), as for ``recovery_fidelities``.
     """
     _check_squeezing("r", r)
     _check_tags(tag)
-    noise = _NOISE[tag]
-    return 1.0 / (1.0 + noise * exp(-2.0 * r)) if noise else 1.0
+    return float(_closed_forms([r], [_NOISE[tag]])[0, 0])
 
 
 def recovery_fidelities(
@@ -522,9 +530,7 @@ def fidelity_sweep(spec: SweepSpec, *, rng: np.random.Generator | None = None) -
     swept = [i for i, tag in enumerate(ERASURE_TAGS) if tag in spec.errors]
     simulated = np.full((spec.steps, len(ERASURE_TAGS)), nan)
     simulated[:, swept] = _fidelities(grid, tuple(ERASURE_TAGS[i] for i in swept), rng)
-    # math.exp, as closed_form_fidelity takes it, so each cell equals its value
-    decay = np.array([exp(-2.0 * r) for r in grid])
-    formula = 1.0 / (1.0 + np.multiply.outer(decay, list(_NOISE.values())))
+    formula = _closed_forms(grid, list(_NOISE.values()))
     # a nan cell makes its row's maximum nan, and so the verdict
     row_dev = np.abs(simulated[:, swept] - formula[:, swept]).max(axis=1)
     return SweepResult(grid, simulated, formula, row_dev, float(row_dev.max()))

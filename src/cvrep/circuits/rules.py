@@ -4,7 +4,9 @@ Each rule replaces a short window of ops with an exactly equivalent one —
 equal as symplectic maps (and, for the measurement rule, equal as quantum
 channels with identical outcome statistics).  ``rewrite(circuit, rule,
 position)`` applies one rule at one site and returns a new circuit; it
-never searches.
+never searches.  Each rule in ``_RULES`` is its window's op types, whose
+count is the window's width, and a matcher: ``rewrite`` tests the window's
+op types, and the matcher tests only the wires, gains and side conditions.
 
     rule  pattern (window)                   replacement
     ----  ---------------------------------  -------------------------------------------
@@ -57,8 +59,6 @@ class RewriteError(ValueError):
 
 
 def _r1(first, second):
-    if not (isinstance(first, Qnd) and isinstance(second, Qnd)):
-        return None
     if second.control != first.target or second.target != first.control:
         return None
     a, b = first.gain, second.gain
@@ -76,24 +76,18 @@ def _r1(first, second):
 
 
 def _r2(first, second):
-    if not (isinstance(first, SqueezeFactor) and isinstance(second, Qnd)):
-        return None
     if second.control != first.mode:
         return None
     return [Qnd(second.control, second.target, first.factor * second.gain), first]
 
 
 def _r3(first, second):
-    if not (isinstance(first, SqueezeFactor) and isinstance(second, Qnd)):
-        return None
     if second.target != first.mode:
         return None
     return [Qnd(second.control, second.target, second.gain / first.factor), first]
 
 
 def _r4(first, second):
-    if not (isinstance(first, Qnd) and isinstance(second, Qnd)):
-        return None
     if second.control != first.target or second.target == first.control:
         return None
     c, t, a = first.control, first.target, first.gain
@@ -102,8 +96,6 @@ def _r4(first, second):
 
 
 def _r5(first, second):
-    if not (isinstance(first, Qnd) and isinstance(second, Qnd)):
-        return None
     if second.target != first.control or second.control == first.target:
         return None
     c, t, a = first.control, first.target, first.gain
@@ -112,15 +104,11 @@ def _r5(first, second):
 
 
 def _r6(op):
-    if not isinstance(op, Qnd):
-        return None
     c, t, a = op.control, op.target, op.gain
     return [Fourier(t), Fourier(c), Qnd(t, c, -a), InverseFourier(t), InverseFourier(c)]
 
 
 def _r7(op):
-    if not isinstance(op, BeamSplitterPM):
-        return None
     a, b = op.a, op.b
     return [
         Qnd(a, b, -1.0),
@@ -132,8 +120,6 @@ def _r7(op):
 
 
 def _r8(first, second):
-    if not (isinstance(first, Qnd) and isinstance(second, Qnd)):
-        return None
     if second.control != first.target or second.target != first.control:
         return None
     if first.gain != 1.0 or second.gain != -1.0:
@@ -150,23 +136,21 @@ def _r8(first, second):
 
 
 def _mc(first, second):
-    if not (isinstance(first, Qnd) and isinstance(second, Measure)):
-        return None
     if second.mode != first.control or second.basis != "x":
         return None
     return [second, FeedforwardDisplace(second.register, first.target, "x", first.gain)]
 
 
-_RULES = {
-    "R1": (2, _r1),
-    "R2": (2, _r2),
-    "R3": (2, _r3),
-    "R4": (2, _r4),
-    "R5": (2, _r5),
-    "R6": (1, _r6),
-    "R7": (1, _r7),
-    "R8": (2, _r8),
-    "MC": (2, _mc),
+_RULES = {  # rule -> (its window's op types, its matcher)
+    "R1": ((Qnd, Qnd), _r1),
+    "R2": ((SqueezeFactor, Qnd), _r2),
+    "R3": ((SqueezeFactor, Qnd), _r3),
+    "R4": ((Qnd, Qnd), _r4),
+    "R5": ((Qnd, Qnd), _r5),
+    "R6": ((Qnd,), _r6),
+    "R7": ((BeamSplitterPM,), _r7),
+    "R8": ((Qnd, Qnd), _r8),
+    "MC": ((Qnd, Measure), _mc),
 }
 
 
@@ -184,14 +168,15 @@ def rewrite(circuit: Circuit, rule: str, position: int) -> Circuit:
     """
     if rule not in rule_ids():
         raise RewriteError(f"unknown rule {rule!r}; valid: {', '.join(_RULES)}")
-    width, matcher = _RULES[rule]
+    types, matcher = _RULES[rule]
+    width = len(types)
     if not (0 <= position <= len(circuit.ops) - width):
         raise RewriteError(
             f"rule {rule} needs {width} op(s) at position {position}, but the "
             f"circuit has {len(circuit.ops)}"
         )
     window = circuit.ops[position : position + width]
-    replacement = matcher(*window)
+    replacement = matcher(*window) if all(map(isinstance, window, types)) else None
     if replacement is None:
         got = " ".join(type(op).__name__ for op in window)
         raise RewriteError(f"rule {rule} does not match [{got}] at position {position}")

@@ -240,8 +240,6 @@ def displacement(re: float, im: float) -> np.ndarray:
 
 
 def squeeze_block(factor: float) -> np.ndarray:
-    if factor == 0 or not np.isfinite(factor):
-        raise ValueError(f"squeeze factor must be finite and nonzero, got {factor!r}")
     return np.array([[factor, 0.0], [0.0, 1.0 / factor]])
 
 
@@ -362,11 +360,9 @@ def homodyne(
 def discard(state: GaussianState, modes) -> GaussianState:
     """Partial trace: delete the given modes' mean entries and factor rows.
 
-    Where the factor columns that are not exactly zero in the kept rows fit
-    in a square factor, only they are kept: they alone make up V, so a round
-    of ``tensor`` and ``discard`` leaves the factor no wider than tall
-    instead of widening it by the discarded modes' columns.  A factor that
-    would stay wider than tall keeps every column.
+    Only the factor columns that are not exactly zero in the kept rows are
+    kept: they alone make up V, so a round of ``tensor`` and ``discard``
+    does not widen the factor by the discarded modes' columns.
     """
     drop = set(int(m) for m in modes)
     for m in drop:
@@ -378,10 +374,7 @@ def discard(state: GaussianState, modes) -> GaussianState:
     n = state.n_modes
     idx = _rows([i for i in range(n) if i not in drop], n)
     factor = state.factor[idx]
-    live = factor.any(axis=0)
-    if np.count_nonzero(live) <= len(idx):
-        factor = factor[:, live]
-    return GaussianState._of(state.mean[idx], factor)
+    return GaussianState._of(state.mean[idx], factor[:, factor.any(axis=0)])
 
 
 # ---------------------------------------------------------------------------

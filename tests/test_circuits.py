@@ -1,6 +1,7 @@
 """Circuit IR validation, text serialization, and Gaussian interpretation."""
 
 import math
+from itertools import combinations
 from operator import attrgetter
 
 import numpy as np
@@ -38,7 +39,7 @@ from cvrep.circuits import (
     serialize,
     symplectic_of,
 )
-from cvrep.circuits.ir import OPS
+from cvrep.circuits.ir import OPS, QUADRATURE, REGISTER, WIRE
 
 SQRT2 = math.sqrt(2.0)
 
@@ -104,32 +105,91 @@ def test_squeeze_factor_rejects_zero():
 _TEXT_FIELDS = {"basis": "x", "reg": "m", "quad": "p"}
 
 
-def make_op(spec, wires, reals):
-    """An op of ``spec``'s type from its wire and real field values, in field order."""
+def make_op(spec, wires, reals, **text):
+    """An op of ``spec``'s type from its wire and real field values, in field order.
+
+    Its text fields take the value ``text`` gives under their key, or a valid one.
+    """
     wires, reals = iter(wires), iter(reals)
+    text = {**_TEXT_FIELDS, **text}
     return spec.make(
         *(
-            next(wires) if kind is int else next(reals) if kind is float else _TEXT_FIELDS[key]
+            next(wires) if kind is WIRE else next(reals) if kind.read is float else text[key]
             for key, _, kind in spec.fields
         )
     )
 
 
+def n_wires(spec) -> int:
+    return sum(kind is WIRE for _, _, kind in spec.fields)
+
+
+def n_reals(spec) -> int:
+    return sum(kind.read is float for _, _, kind in spec.fields)
+
+
 NON_FINITE_CASES = [
     pytest.param(spec, i, bad, id=f"{spec.tag}-{key}-{bad}")
     for spec in OPS.values()
-    for i, key in enumerate(key for key, _, kind in spec.fields if kind is float)
+    for i, key in enumerate(key for key, _, kind in spec.fields if kind.read is float)
     for bad in (math.inf, math.nan)
 ]
 
 
 @pytest.mark.parametrize("spec, i, bad", NON_FINITE_CASES)
 def test_every_real_field_rejects_non_finite_values(spec, i, bad):
-    reals = [0.5] * sum(kind is float for _, _, kind in spec.fields)
+    reals = [0.5] * n_reals(spec)
     make_op(spec, (1, 2), reals)
     reals[i] = bad
     with pytest.raises(ValueError, match="finite"):
         make_op(spec, (1, 2), reals)
+
+
+REPEATED_WIRE_CASES = [
+    pytest.param(spec, i, j, id=f"{spec.tag}-{first}-{second}")
+    for spec in OPS.values()
+    for (i, first), (j, second) in combinations(
+        enumerate(key for key, _, kind in spec.fields if kind is WIRE), 2
+    )
+]
+
+
+def test_the_repeated_wire_cases_cover_every_multi_wire_op():
+    tags = {case.values[0].tag for case in REPEATED_WIRE_CASES}
+    assert tags == {spec.tag for spec in OPS.values() if n_wires(spec) > 1}
+    assert tags >= {"QND", "BS", "SWAP", "TMS"}
+
+
+@pytest.mark.parametrize("spec, i, j", REPEATED_WIRE_CASES)
+def test_every_multi_wire_op_rejects_a_repeated_wire(spec, i, j):
+    wires = list(range(1, n_wires(spec) + 1))
+    reals = [0.5] * n_reals(spec)
+    make_op(spec, wires, reals)
+    wires[j] = wires[i]
+    with pytest.raises(ValueError, match="must differ"):
+        make_op(spec, wires, reals)
+
+
+BAD_TEXT_CASES = [
+    pytest.param(spec, key, bad, id=f"{spec.tag}-{key}")
+    for spec in OPS.values()
+    for key, _, kind in spec.fields
+    for text_kind, bad in ((QUADRATURE, "q"), (REGISTER, "2bad"))
+    if kind is text_kind
+]
+
+
+@pytest.mark.parametrize("spec, key, bad", BAD_TEXT_CASES)
+def test_every_basis_quadrature_and_register_field_rejects_a_bad_value(spec, key, bad):
+    # by construction and by parsing; a feedforward's register was once unchecked
+    reals = [0.5] * n_reals(spec)
+    good = spec.line(make_op(spec, (1, 2), reals))
+    with pytest.raises(ValueError, match="must be"):
+        make_op(spec, (1, 2), reals, **{key: bad})
+    line = good.replace(f" {key}={_TEXT_FIELDS[key]}", f" {key}={bad}")
+    assert line != good
+    with pytest.raises(CircuitParseError, match="^line 1: .* must be "):
+        parse(line)
 
 
 def test_measure_register_names_are_identifiers():
@@ -210,7 +270,7 @@ def test_round_trip_is_bit_stable_for_any_parameters(gain, factor):
 SIGNED_VALUE_CASES = [
     pytest.param(spec, i, value, id=f"{spec.tag}-{key}-{value!r}")
     for spec in OPS.values()
-    for i, key in enumerate(key for key, _, kind in spec.fields if kind is float)
+    for i, key in enumerate(key for key, _, kind in spec.fields if kind.read is float)
     for value in (-0.0, 0.0, -3.0, -0.25)
     if value or spec.cls is not SqueezeFactor  # a squeeze factor is never zero
 ]
@@ -218,12 +278,12 @@ SIGNED_VALUE_CASES = [
 
 @pytest.mark.parametrize("spec, i, value", SIGNED_VALUE_CASES)
 def test_round_trip_keeps_the_sign_of_every_real_field(spec, i, value):
-    reals = [0.5] * sum(kind is float for _, _, kind in spec.fields)
+    reals = [0.5] * n_reals(spec)
     reals[i] = value
     op = make_op(spec, (1, 2), reals)
     # the Measure writes the register a feedforward reads
     again = parse(serialize(Circuit((1, 2, 3), (Measure(3, "x", "m"), op)))).ops[1]
-    attr = [attr for _, attr, kind in spec.fields if kind is float][i]
+    attr = [attr for _, attr, kind in spec.fields if kind.read is float][i]
     got = attrgetter(attr)(again)
     assert got == value and math.copysign(1.0, got) == math.copysign(1.0, value)
 
@@ -584,12 +644,11 @@ def random_measured_circuit(rng, labels):
     order on the live wires of ``labels``; a feedforward drawn before any
     homodyne waits for the first one.  Returns the circuit and its registers."""
     specs = [spec for spec in OPS.values() if spec.unitary]
-    n_wires = {spec.tag: sum(kind is int for _, _, kind in spec.fields) for spec in specs}
     live, ops, registers, waiting = list(labels), [], [], 0
     for kind in rng.permutation(["gate"] * 10 + ["measure"] * 2 + ["feedforward"] * 3 + ["discard"]):
         if kind == "gate":
-            spec = rng.choice([s for s in specs if n_wires[s.tag] <= len(live)])
-            wires = rng.choice(live, size=n_wires[spec.tag], replace=False).tolist()
+            spec = rng.choice([s for s in specs if n_wires(s) <= len(live)])
+            wires = rng.choice(live, size=n_wires(spec), replace=False).tolist()
             reals = rng.choice([-1.0, 1.0], size=2) * rng.uniform(0.5, 1.2, size=2)
             ops.append(make_op(spec, wires, reals.tolist()))
         elif kind in ("measure", "discard"):

@@ -257,6 +257,15 @@ def test_window_must_fit_inside_the_op_list():
         rewrite(before, "R1", -1)
 
 
+@pytest.mark.parametrize("rule", rule_ids())
+@pytest.mark.parametrize("window", [(Swap(1, 2), Swap(1, 2)), (Swap(1, 2), Qnd(1, 2, 1.0))], ids=["Swap-Swap", "Swap-Qnd"])
+def test_a_window_of_other_op_types_matches_no_rule(rule, window):
+    width = 1 if rule in ("R6", "R7") else 2
+    got = " ".join(type(op).__name__ for op in window[:width])
+    with pytest.raises(RewriteError, match=rf"^rule {rule} does not match \[{got}\] at position 0$"):
+        rewrite(Circuit((1, 2), window), rule, 0)
+
+
 def test_pattern_mismatch_names_the_window():
     before = Circuit((1, 2), (Qnd(1, 2, 1.0), Qnd(2, 1, 0.5)))
     with pytest.raises(RewriteError, match=r"\[Qnd Qnd\]"):

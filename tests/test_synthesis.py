@@ -445,8 +445,13 @@ def test_deviation_accepts_every_point_transform_op():
         ((Discard(2),), "Discard"),
         # feedforward can only follow the measurement that writes its register
         ((Measure(2, "p", "m"), FeedforwardDisplace("m", 1, "x", 1.0)), "Measure"),
-        # a mixing block between two QND runs is found after the fold
+        # a mixing block between two QND runs
         ((Qnd(1, 2, 1.0), Fourier(2), Qnd(2, 1, 1.0)), "Fourier"),
+        # the first op that does not map positions alone, in circuit order,
+        # whether it mixes x and p or has a shift or no block
+        ((Qnd(1, 2, 1.0), PhaseShift(2, 0.3), Fourier(1), Displace(1, 0.5)), "PhaseShift"),
+        ((Swap(1, 2), Fourier(1), Discard(2)), "Fourier"),
+        ((SqueezeFactor(1, 2.0), Displace(2, 0.5), InverseFourier(1)), "Displace"),
     ],
 )
 def test_deviation_rejects_ops_that_do_not_map_positions_alone(ops, culprit):
