@@ -1,33 +1,28 @@
 """Run circuits on Gaussian states by folding them into one affine map.
 
-Every gate is read as ``(modes, block, shift)`` from the op table in
-:mod:`.ir` and updates only those modes' rows.  ``_fold`` turns a whole
-circuit into one ``[X | d]`` array: each live quadrature is a row, an
-affine function of the input's quadratures.  A measured quadrature's row
-becomes its register's functional, feedforward adds ``gain`` times that
-functional to its target row, and measured or discarded modes drop their
-rows.  On a unitary circuit the array is ``[S | d]``: ``symplectic_of``
-builds one ``SymplecticMap`` from it, the ground truth that rewrite results
-and the tests are checked against, and ``op_map`` is that fold over a
-single op.
+Every gate is read from the op table in :mod:`.ir` and updates only its
+modes' rows.  ``_fold`` turns a whole circuit into one ``[X | d]`` array:
+each live quadrature is a row, an affine function of the input's
+quadratures, with a two-mode squeezer's e^{r} and e^{-r} parts kept apart
+on a power axis.  A measured quadrature's row becomes its register's
+functional, feedforward adds ``gain`` times that functional to its target
+row, and measured or discarded modes drop their rows.  On a unitary
+circuit the array summed over its powers is ``[S | d]``: ``symplectic_of``
+builds one ``SymplecticMap`` from it, the ground truth that rewrite
+results and the tests are checked against, and ``op_map`` is that fold
+over a single op.  ``_fold_positions`` is the one other walk over a
+circuit's ops, for circuits that map positions to positions alone;
+synthesis checks its circuits with it.
 
-``_fold_positions`` is the one other walk over a circuit's ops, for
-circuits that map positions to positions alone (every op's block is
-``diag(M, M^-T)`` with no shift): it keeps only the n x rows over the n
-input positions, reads every QND block from the op table in one call,
-applies a run of consecutive QNDs sharing a control as one rank-1 update,
-and builds (and tests for x/p mixing) every other op's block once per
-distinct op type and parameters within the call.  Synthesis checks its
-circuits with it.
-
-``run`` executes any circuit with that one fold.  Stacking the live rows
-and each register's row gives a joint Gaussian over the outputs and the
-outcomes (the deferred-measurement rule MC of :mod:`.rules`: a
-measurement that feeds forward is a controlled displacement followed by a
-partial trace).  Averaged over every outcome, the state is its live block.
-A forced or sampled outcome conditions the joint Gaussian on that
-register's row (``_condition``), in measurement order: the same state as
-conditioning on each homodyne when it happens and feeding it forward.
+``run`` executes any circuit with that one fold, summed over its powers.
+Stacking the live rows and each register's row gives a joint Gaussian
+over the outputs and the outcomes (the deferred-measurement rule MC of
+:mod:`.rules`: a measurement that feeds forward is a controlled
+displacement followed by a partial trace).  Averaged over every outcome,
+the state is its live block.  A forced or sampled outcome conditions the
+joint Gaussian on that register's row (``_condition``), in measurement
+order: the same state as conditioning on each homodyne when it happens
+and feeding it forward.
 """
 
 from __future__ import annotations
@@ -42,49 +37,55 @@ from .ir import OPS, Circuit, FeedforwardDisplace, Measure, Qnd, spec_of
 __all__ = ["op_map", "symplectic_of", "run", "RunResult"]
 
 
-def _gate(spec, op, live) -> tuple:
-    """``(modes, block, shift)`` of a unitary op on wires named by ``live``."""
-    params = spec.params(op)
-    modes = [live.index(w) for w in spec.wires(op)]
-    return modes, spec.block and spec.block(*params), spec.shift and spec.shift(*params)
-
-
 def _fold(ops, labels, *, symplectic: bool = False) -> tuple:
     """Fold ``ops`` over wires ``labels`` into one affine map.
 
     Returns ``(live, total, registers)``: the surviving labels; the
     ``[X | d]`` array whose rows are x of each live wire, then p of each,
     as affine functions of the input's quadratures; and, per register,
-    ``(position, basis, row)`` of the quadrature it measured.  With
-    ``symplectic=True`` a non-unitary op raises TypeError.
+    ``(position, basis, row)`` of the quadrature it measured.  ``total``
+    and the rows have a leading power axis, slices k = -K..K for the K ops
+    with ``terms``, and the map is their sum.  Such an op moves its e^{r}
+    term's part of its rows one power up and its e^{-r} term's one down;
+    other ops act on every slice, and a shift on slice 0.  So, folded at
+    r = 0, slice k is the map's e^{kr} part; with no such op it is the map.
+    With ``symplectic=True`` a non-unitary op raises TypeError.
     """
     live = list(labels)
     n = len(live)
-    total = np.eye(2 * n, 2 * n + 1)  # [X | d], identity map
+    specs = [spec_of(op) for op in ops]
+    depth = sum(spec.terms is not None for spec in specs)
+    total = np.zeros((2 * depth + 1, 2 * n, 2 * n + 1))
+    total[depth] = np.eye(2 * n, 2 * n + 1)  # [X | d], identity map
     registers = {}
-    for op in ops:
-        spec = spec_of(op)
+    for op, spec in zip(ops, specs):
         k = len(live)
         if spec.unitary:
-            modes, block, shift = _gate(spec, op, live)
+            params = spec.params(op)
+            modes = [live.index(w) for w in spec.wires(op)]
             idx = modes + [k + m for m in modes]
-            if block is not None:
-                total[idx] = block @ total[idx]
-            if shift is not None:
-                total[idx, -1] += shift
+            if spec.terms is not None:
+                # no power reaches an end of the axis, so nothing wraps round
+                up, down = spec.terms(*params)
+                rows = total[:, idx]
+                total[:, idx] = np.roll(up @ rows, 1, axis=0) + np.roll(down @ rows, -1, axis=0)
+            elif spec.block is not None:
+                total[:, idx] = spec.block(*params) @ total[:, idx]
+            if spec.shift is not None:
+                total[depth, idx, -1] += spec.shift(*params)
         elif symplectic:
             raise TypeError(f"{type(op).__name__} has no symplectic representation")
         elif isinstance(op, FeedforwardDisplace):
             t = live.index(op.target)
-            total[t if op.quad == "x" else k + t] += op.gain * registers[op.register][2]
+            total[:, t if op.quad == "x" else k + t] += op.gain * registers[op.register][2]
         else:  # Measure or Discard: the mode's rows leave
             pos = live.index(op.mode)
             if isinstance(op, Measure):
-                row = total[pos if op.basis == "x" else k + pos].copy()
+                row = total[:, pos if op.basis == "x" else k + pos].copy()
                 registers[op.register] = (pos, op.basis, row)
             elif k == 1:
                 raise ValueError("cannot discard every mode")
-            total = np.delete(total, [pos, k + pos], axis=0)
+            total = np.delete(total, [pos, k + pos], axis=1)
             live.pop(pos)
     return tuple(live), total, registers
 
@@ -162,7 +163,7 @@ def _fold_positions(circuit: Circuit) -> np.ndarray:
 
 
 def _symplectic(ops, labels) -> SymplecticMap:
-    _, total, _ = _fold(ops, labels, symplectic=True)
+    total = _fold(ops, labels, symplectic=True)[1].sum(axis=0)
     return SymplecticMap(total[:, :-1], total[:, -1])
 
 
@@ -231,10 +232,10 @@ def run(
             )
 
     # The joint Gaussian of the live quadratures, then of each outcome.
-    Y = np.vstack([total, *(row for _, _, row in registers.values())])
+    Y = np.concatenate([total, *(row[:, None] for _, _, row in registers.values())], axis=1).sum(axis=0)
     mean = Y[:, :-1] @ state.mean + Y[:, -1]
     factor = Y[:, :-1] @ state.factor
-    k = len(total)
+    k = total.shape[1]
     records = {}
     for q, (register, (pos, basis, _)) in enumerate(registers.items(), start=k):
         if average:

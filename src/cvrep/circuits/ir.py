@@ -18,7 +18,8 @@ the interpreter's ``run``, ``symplectic_of`` and position check
 
 Serialization is line-oriented text, one op per line, after a ``MODES``
 header naming the wires (optional on input: without it the wires are 1 to
-the highest label used).  Numbers are printed as ``repr(float)``, without
+the highest label used).  An op's line gives each of its keys once, and no
+other.  Numbers are printed as ``repr(float)``, without
 the trailing ``.0`` of a whole number below 1e15, so parse(print(c))
 reproduces the circuit bit-for-bit, the sign of a zero included.
 """
@@ -225,18 +226,20 @@ class OpSpec:
     as it is constructed (Displace keeps its own, which normalizes its
     amplitude through ``gaussian._amplitude``, the check of both its
     fields).  A unitary op has a ``block`` (the gate's 2k x 2k matrix over
-    its k wires: x of each wire in field order, then p of each) or, for a
-    displacement, a ``shift`` (its (x, p) mean displacement); either is
-    called with the op's non-wire field values in order.  The
-    interpreter's ``_fold`` applies them, and its ``_fold_positions``
-    applies the x part of blocks that map positions to positions alone.
+    its k wires: x of each wire in field order, then p of each), or
+    ``terms``, its e^{r} and e^{-r} parts, whose sum is its block, or, for a
+    displacement, a ``shift`` (its (x, p) mean displacement); each is
+    called with the op's non-wire field values in order.  The interpreter's
+    ``_fold`` applies them, and its ``_fold_positions`` applies the x part
+    of blocks that map positions to positions alone.
     """
 
-    def __init__(self, cls, tag, fields, *, block=None, shift=None, make=None):
+    def __init__(self, cls, tag, fields, *, block=None, terms=None, shift=None, make=None):
         self.cls, self.tag, self.fields = cls, tag, fields
-        self.block, self.shift = block, shift
+        self.block = block if terms is None else lambda *params: sum(terms(*params))
+        self.terms, self.shift = terms, shift
         self.make = make or cls
-        self.unitary = block is not None or shift is not None
+        self.unitary = self.block is not None or shift is not None
         self.values = _getter(tuple(attr for _, attr, _ in fields))
         self.wires = _getter(tuple(attr for _, attr, kind in fields if kind is WIRE))
         self.params = _getter(tuple(attr for _, attr, kind in fields if kind is not WIRE))
@@ -253,7 +256,7 @@ class OpSpec:
         return self._line.format(*values)
 
     def read(self, kv: dict[str, str]):
-        """The op from its line's ``key=value`` pairs; KeyError if one is missing."""
+        """The op from its line's ``key=value`` pairs, one per field."""
         return self.make(*(kind.read(kv[key]) for key, _, kind in self.fields))
 
 
@@ -273,7 +276,7 @@ _SPECS = (
         shift=g.displacement,
         make=lambda mode, re, im: Displace(mode, complex(re, im)),
     ),
-    OpSpec(TwoModeSqueeze, "TMS", (_wire("a"), _wire("b"), _real("r")), block=g.two_mode_squeeze_block),
+    OpSpec(TwoModeSqueeze, "TMS", (_wire("a"), _wire("b"), _real("r")), terms=g.two_mode_squeeze_terms),
     OpSpec(Measure, "MEAS", (_wire("mode"), _quadrature("basis"), _register("reg", "register"))),
     OpSpec(
         FeedforwardDisplace,
@@ -358,13 +361,22 @@ def serialize(circuit: Circuit) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _fields(tokens: list[str], lineno: int) -> dict[str, str]:
+def _fields(spec: OpSpec, tokens: list[str], lineno: int) -> dict[str, str]:
+    """The line's ``key=value`` pairs: each of the op's keys once, and no other."""
+    keys = [key for key, _, _ in spec.fields]
     out = {}
     for tok in tokens:
         if "=" not in tok:
             raise CircuitParseError(f"line {lineno}: expected key=value, got {tok!r}")
         key, val = tok.split("=", 1)
+        if key not in keys:
+            raise CircuitParseError(f"line {lineno}: {spec.tag} has no key {key}=")
+        if key in out:
+            raise CircuitParseError(f"line {lineno}: {spec.tag} repeats {key}=")
         out[key] = val
+    for key in keys:
+        if key not in out:
+            raise CircuitParseError(f"line {lineno}: {spec.tag} needs {key}=")
     return out
 
 
@@ -386,8 +398,8 @@ def parse(text: str) -> Circuit:
             spec = _BY_TAG.get(head)
             if spec is None:
                 raise CircuitParseError(f"line {lineno}: unknown op {head!r}")
-            op = spec.read(_fields(rest, lineno))
-        except (KeyError, ValueError) as exc:
+            op = spec.read(_fields(spec, rest, lineno))
+        except ValueError as exc:
             if isinstance(exc, CircuitParseError):
                 raise
             raise CircuitParseError(f"line {lineno}: {exc}") from exc

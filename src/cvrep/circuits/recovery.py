@@ -25,28 +25,26 @@ For each supported erasure (named E1..E4) there are two decoders:
 
 Every optical circuit here is one affine Gaussian map: the decoders, E4's
 homodyne and feedforward included, once averaged over the outcome (see
-``run(average=True)``).  The encoder's two squeezers are its only
-r-dependent ops and act first, so everything after them (the encoder's
-tail, a ``Discard`` per erased mode, the decoder) is one ``_fold`` per
-tag, done once, at import, and compiled in the e^{+-r} basis: each row is
-L0 + e^{r} L+ + e^{-r} L- over the encoder's input, and its mean does not
-depend on r.  The recovered wire's x and p have no e^{r} part, or the
-decoder would not recover the input; the compile checks that it is 0 up
-to rounding, so those rows are L0 + e^{-r} L-, exact at any r.  Their mean
-is the input's, unit gain and zero offset, checked to the same rounding and
-then held exactly, so the fidelity does not depend on the amplitude.
-``OPTICAL_RECOVERY_WIRE`` and ``decoder_matrix`` are read off the
-decoder circuits.  A sweep is one batched evaluation:
-``_fidelities`` takes every cell's covariance from its rows for a whole
-r-grid and all tags at once and the closed-form 2 x 2 fidelity
-(``coherent_fidelity``).  The sweep makes one call for its grid and reads
-its closed forms off ``_NOISE`` for the whole grid too, so its result is
-arrays, (steps, 4) per table; ``recovery_fidelities`` makes one call for
-a single r, and ``threshold_squeezing`` one call for its bracket and one
-per round of bisection levels.
-With an ``rng``, E4's homodyne is sampled by conditioning those rows on
-the drawn outcome.  Its measured row, the one row with an e^{r} part, is
-scaled by e^{-r} first, so sampling is exact at any r too.
+``run(average=True)``).  Per tag, the encoder at r = 0, a ``Discard`` per
+erased mode and the decoder are one ``_fold``, done once, at import, whose
+power axis gives each row as L0 + e^{r} L+ + e^{-r} L- over the encoder's
+input; its mean does not depend on r.  The recovered wire's x and p have
+no e^{r} part, or the decoder would not recover the input; the compile
+checks that it is 0 up to rounding, so those rows are L0 + e^{-r} L-,
+exact at any r.  Their mean is the input's, unit gain and zero offset,
+checked to the same rounding and then held exactly, so the fidelity does
+not depend on the amplitude.  ``OPTICAL_RECOVERY_WIRE`` and
+``decoder_matrix`` are read off the decoder circuits.  A sweep is one
+batched evaluation: ``_fidelities`` takes every cell's covariance from its
+rows for a whole r-grid and all tags at once and the closed-form 2 x 2
+fidelity (``coherent_fidelity``).  The sweep makes one call for its grid
+and reads its closed forms off ``_NOISE`` for the whole grid too, so its
+result is arrays, (steps, 4) per table; ``recovery_fidelities`` makes one
+call for a single r, and ``threshold_squeezing`` one call for its bracket
+and one per round of bisection levels.  With an ``rng``, E4's homodyne is
+sampled by conditioning those rows on the drawn outcome.  Its measured
+row, the one row with an e^{r} part, is scaled by e^{-r} first, so
+sampling is exact at any r too.
 
 Calibration notes.  The optical decoder gains are fixed by requiring the
 output quadratures to equal the input's plus a noise term built only from
@@ -176,20 +174,6 @@ def ideal_encoder() -> Circuit:
     )
 
 
-def _squeezers(r: float) -> tuple:
-    return (TwoModeSqueeze(2, 4, r), TwoModeSqueeze(3, 5, r))
-
-
-# Everything the optical encoder does after its squeezers; it does not
-# depend on r.
-_ENCODER_TAIL = (
-    BeamSplitterPM(1, 2),
-    Pi(2),
-    BeamSplitterPM(4, 3),
-    SqueezeFactor(5, 1.0 / _SQRT2),
-)
-
-
 def optical_encoder(r: float) -> Circuit:
     """Beam-splitter-native encoder: wire 1 the input, wires 2-5 vacuum.
 
@@ -198,7 +182,13 @@ def optical_encoder(r: float) -> Circuit:
     mode 5 on the code's scale.  All four nullifier variances come out
     exactly 2 e^{-2r}.
     """
-    return Circuit((1, 2, 3, 4, 5), _squeezers(r) + _ENCODER_TAIL)
+    return Circuit(
+        (1, 2, 3, 4, 5),
+        (
+            TwoModeSqueeze(2, 4, r), TwoModeSqueeze(3, 5, r),
+            BeamSplitterPM(1, 2), Pi(2), BeamSplitterPM(4, 3), SqueezeFactor(5, 1.0 / _SQRT2),
+        ),
+    )
 
 
 def ideal_encoded_state(r: float, alpha: complex = 0j) -> GaussianState:
@@ -321,46 +311,38 @@ def optical_decoder(tag: str) -> Circuit:
     return _OPTICAL_DECODERS[tag]
 
 
-# The encoder's squeezers act first, on disjoint modes, so their fold at r
-# is I - Q + cosh r Q + sinh r K: Q keeps the squeezed quadratures and K
-# pairs each with its partner's, signed.  Both are read off the fold at
-# r = 1, whose diagonal holds cosh 1 or 1 and whose other entries are 0
-# or +-sinh 1.  In the e^{+-r} basis the fold is I - Q + e^{r} P+ + e^{-r} P-
-# with P+- = (Q +- K)/2, and _BASIS stacks I - Q, P+ and P-, all exact.
-_LAYER = _fold(_squeezers(1.0), (1, 2, 3, 4, 5))[1][:, :-1]
-_SQUEEZED = np.diag((np.diag(_LAYER) != 1.0).astype(float))
-_PAIRING = np.sign(_LAYER) - np.eye(10)
-_BASIS = np.stack([np.eye(10) - _SQUEEZED, (_SQUEEZED + _PAIRING) / 2, (_SQUEEZED - _PAIRING) / 2])
-
-
 def _compile(tag: str) -> tuple[int, np.ndarray]:
     """Encoder, erasure ``tag`` and its decoder as ``(wire, L)`` over the encoder's input.
 
-    ``wire`` is the recovered wire, the fold's one live wire.  The rows are
-    its x and p, outcome-averaged, then the quadrature each homodyne
-    measures, in measurement order.  At squeezing r they are L[0] + e^{r}
-    L[1] + e^{-r} L[2] applied to the input's quadratures, and their mean
-    is M (a, 1) with a the input's (x, p): the squeezers do not touch mode
-    1, and the ancillas' means are 0.  An e^{r} entry within the products'
-    rounding of its row's scale is set to 0.  If the recovered wire's rows
-    still grow like e^{r}, or its M is not (I | 0), unit gain and zero
-    offset, within the same rounding, the decoder does not recover the
-    input, and this raises ValueError.  So the recovered mean is taken to
-    be the input's exactly, and no fidelity depends on the amplitude.
+    One ``_fold`` of ``optical_encoder(0.0)``, the erasure and the decoder,
+    whose one live wire is ``wire``.  The rows are its x and p,
+    outcome-averaged, then the quadrature each homodyne measures, in
+    measurement order: at squeezing r, L[0] + e^{r} L[1] + e^{-r} L[2], read
+    off the power axis, applied to the input's quadratures.  Their mean is
+    M (a, 1), a the input's (x, p), as the ancillas' means are 0.  An e^{r}
+    entry within the products' rounding of its row's scale is set to 0.  If
+    a row has a power of e^{r} beyond 1, or the recovered wire's rows still
+    grow like e^{r}, or its M is not (I | 0) at every power, within the same
+    rounding, this raises ValueError.  So the recovered mean is taken to be
+    the input's exactly, and no fidelity depends on the amplitude.
     """
-    erasure = tuple(Discard(m) for m in ERASED_MODES[tag])
-    live, total, registers = _fold(_ENCODER_TAIL + erasure + _OPTICAL_DECODERS[tag].ops, (1, 2, 3, 4, 5))
+    ops = optical_encoder(0.0).ops + tuple(Discard(m) for m in ERASED_MODES[tag]) + _OPTICAL_DECODERS[tag].ops
+    live, total, registers = _fold(ops, (1, 2, 3, 4, 5))
     if len(live) != 1:
         raise ValueError(f"optical decoder {tag} leaves wires {live}, not one recovered wire")
-    rows = np.vstack([total, *(row for _, _, row in registers.values())])
-    A = rows[:, :-1]
-    L = A @ _BASIS
+    rows = np.concatenate([total, *(row[:, None] for _, _, row in registers.values())], axis=1)
+    zero = len(rows) // 2  # the power-0 slice
+    if np.delete(rows, [zero - 1, zero, zero + 1], axis=0).any():
+        raise ValueError(f"optical decoder {tag}: a row has a power of e^{{r}} beyond 1")
+    A = rows.sum(axis=0)[:, :-1]  # the rows at r = 0
     rounding = A.shape[1] * np.finfo(float).eps * np.abs(A).max(axis=1, keepdims=True)
+    L = rows[[zero, zero + 1, zero - 1], :, :-1]
     L[1][np.abs(L[1]) <= rounding] = 0.0
     if L[1, :2].any():
         raise ValueError(f"optical decoder {tag}: the recovered wire's rows grow like e^{{r}}")
-    M = np.column_stack([A[:2, [0, 5]], rows[:2, -1]])
-    if np.any(np.abs(M - np.eye(2, 3)) > rounding[:2]):
+    M = rows[:, :2][..., [0, 5, -1]]  # per power: the gain on the input's (x, p), and the offset
+    M[zero] -= np.eye(2, 3)
+    if np.any(np.abs(M) > rounding[:2]):
         raise ValueError(f"optical decoder {tag}: the recovered wire's mean is not the input's")
     return live[0], L
 

@@ -247,14 +247,20 @@ def cmd_fidelity(args) -> int:
     result = fidelity_sweep(spec, rng=rng)
     csv_text = _sweep_csv(result)
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(csv_text)
+        try:
+            with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(csv_text)
+        except OSError as exc:
+            return _fail_usage(f"cannot write CSV file: {exc}")
         print(f"wrote {len(result.r)} rows to {args.out}", file=sys.stderr)
     else:
         sys.stdout.write(csv_text)
     if args.gnuplot:
-        with open(args.gnuplot, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(_GNUPLOT_TEMPLATE.format(csv=args.out))
+        try:
+            with open(args.gnuplot, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(_GNUPLOT_TEMPLATE.format(csv=args.out))
+        except OSError as exc:
+            return _fail_usage(f"cannot write gnuplot script: {exc}")
         print(f"wrote gnuplot script to {args.gnuplot}", file=sys.stderr)
     print(f"max |simulated - formula| = {result.max_abs_dev:.3e}", file=sys.stderr)
     return 0 if result.max_abs_dev <= TOL.fidelity_gate else 1

@@ -9,9 +9,10 @@ All operations are value-style: they validate their inputs, never mutate the
 given state, and return a fresh :class:`GaussianState`.  They act on F alone,
 so a map that cancels e^{r}-sized rows of F keeps only their rounding.  Each
 symplectic gate is written down once, as a block function (``qnd_block``,
-``squeeze_block``, ...) giving its 2k x 2k matrix over its k modes, which the
-circuit op table ``circuits.ir.OPS`` names; the one engine that applies gates
-is the circuit interpreter (``_fold``), so there are no gate functions here.
+``squeeze_block``, ...) giving its 2k x 2k matrix over its k modes, or, for
+the two-mode squeezer, as its e^{r} and e^{-r} terms, which the circuit op
+table ``circuits.ir.OPS`` names; the one engine that applies gates is the
+circuit interpreter (``_fold``), so there are no gate functions here.
 One rule conditions a state on a measured quadrature, ``_condition``, which
 ``homodyne``, the interpreter's ``run`` and the recovery sweeps share.
 """
@@ -290,16 +291,13 @@ def swap_block() -> np.ndarray:
     return np.eye(4)[[1, 0, 3, 2]]
 
 
-def two_mode_squeeze_block(r: float) -> np.ndarray:
-    ch, sh = np.cosh(r), np.sinh(r)
-    return np.array(
-        [
-            [ch, sh, 0.0, 0.0],
-            [sh, ch, 0.0, 0.0],
-            [0.0, 0.0, ch, -sh],
-            [0.0, 0.0, -sh, ch],
-        ]
-    )
+# Over (x_a, x_b, p_a, p_b): the projector onto x_a + x_b and p_a - p_b.
+_PAIRED = np.array([[1.0, 1.0, 0.0, 0.0], [1.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, -1.0], [0.0, 0.0, -1.0, 1.0]]) / 2
+
+
+def two_mode_squeeze_terms(r: float) -> tuple:
+    """e^{r} times ``_PAIRED`` and e^{-r} times its complement: the two-mode squeezer's block is their sum."""
+    return np.exp(r) * _PAIRED, np.exp(-r) * (_EYE4 - _PAIRED)
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,9 @@
 Everything here is deliberately written the slow, obvious way — dense grids,
 exact rational arithmetic, rejection sampling, op-by-op state updates, edge
 vectors built one edge at a time — and shares no logic with the package
-under test beyond reading gate blocks from its op table and the edge list of
-an ``EdgeBasis``.  Tests freeze values computed by these oracles and assert
+under test beyond reading gate blocks from its op table (all but the
+two-mode squeezer's, written here from cosh r and sinh r) and the edge list
+of an ``EdgeBasis``.  Tests freeze values computed by these oracles and assert
 the package reproduces them.
 
 The last section holds small helpers that only the tests use: the
@@ -249,15 +250,16 @@ def schur_condition(mean, cov, mode, basis, outcome):
 def step_run(circuit, mean, cov, *, forced=None, rng=None):
     """Execute ``circuit`` on the Gaussian (mean, cov) one op at a time.
 
-    Each gate's block from the op table is embedded into a dense 2n x 2n
-    matrix S (and its shift into a 2n vector), applied as mean -> S mean +
-    shift, cov -> S cov S^T.  A Measure takes its outcome from ``forced``, or
-    else draws it from the current marginal with ``rng``, and conditions with
-    ``schur_condition``; a FeedforwardDisplace adds gain * outcome to the
-    target's mean; a Discard deletes the mode's indices.  Returns
-    ``(mean, cov, live labels, {register: outcome})``.
+    Each gate is embedded into a dense 2n x 2n matrix S and a 2n shift
+    (``dense_gate``), applied as mean -> S mean + shift, cov -> S cov S^T.
+    A Measure takes its outcome from ``forced``, or else draws it from the
+    current marginal with ``rng``, and conditions with ``schur_condition``;
+    a FeedforwardDisplace adds gain * outcome to the target's mean; a
+    Discard deletes the mode's indices.  Returns ``(mean, cov, live
+    labels, {register: outcome})``.
     """
-    from cvrep.circuits.ir import Discard, FeedforwardDisplace, Measure, spec_of
+
+    from cvrep.circuits.ir import Discard, FeedforwardDisplace, Measure
 
     forced = forced or {}
     live = list(circuit.labels)
@@ -285,19 +287,50 @@ def step_run(circuit, mean, cov, *, forced=None, rng=None):
             mean, cov = mean[keep], cov[np.ix_(keep, keep)]
             live.pop(pos)
         else:
-            spec = spec_of(op)
-            params = spec.params(op)
-            modes = [live.index(w) for w in spec.wires(op)]
-            idx = modes + [n + m for m in modes]
-            S = np.eye(2 * n)
-            shift = np.zeros(2 * n)
-            if spec.block is not None:
-                S[np.ix_(idx, idx)] = spec.block(*params)
-            if spec.shift is not None:
-                shift[idx] = spec.shift(*params)
+            S, shift = dense_gate(op, live)
             mean = S @ mean + shift
             cov = S @ cov @ S.T
     return mean, cov, tuple(live), outcomes
+
+
+def two_mode_squeeze_block(r):
+    """The two-mode squeezer over (x_a, x_b, p_a, p_b), from cosh r and sinh r."""
+    ch, sh = math.cosh(r), math.sinh(r)
+    return np.array([[ch, sh, 0.0, 0.0], [sh, ch, 0.0, 0.0], [0.0, 0.0, ch, -sh], [0.0, 0.0, -sh, ch]])
+
+
+def dense_gate(op, live):
+    """A unitary op as a dense ``(S, shift)`` on the wires ``live``.
+
+    A two-mode squeezer's block is ``two_mode_squeeze_block``; every other
+    op's block and shift come from the op table.
+    """
+    from cvrep.circuits.ir import TwoModeSqueeze, spec_of
+
+    spec = spec_of(op)
+    params = spec.params(op)
+    n = len(live)
+    modes = [live.index(w) for w in spec.wires(op)]
+    idx = modes + [n + m for m in modes]
+    S = np.eye(2 * n)
+    shift = np.zeros(2 * n)
+    if isinstance(op, TwoModeSqueeze):
+        S[np.ix_(idx, idx)] = two_mode_squeeze_block(op.r)
+    elif spec.block is not None:
+        S[np.ix_(idx, idx)] = spec.block(*params)
+    if spec.shift is not None:
+        shift[idx] = spec.shift(*params)
+    return S, shift
+
+
+def dense_map(circuit):
+    """``(S, d)`` of a unitary circuit: the product of its ops' dense maps, the first op rightmost."""
+    n = circuit.n_modes
+    S, d = np.eye(2 * n), np.zeros(2 * n)
+    for op in circuit.ops:
+        G, shift = dense_gate(op, circuit.labels)
+        S, d = G @ S, G @ d + shift
+    return S, d
 
 
 # ---------------------------------------------------------------------------

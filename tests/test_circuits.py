@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_gaussian_state
-from oracles import is_unitary, step_run
+from oracles import dense_map, is_unitary, schur_condition, step_run
 
 from cvrep import gaussian as g
 from cvrep.circuits import (
@@ -39,6 +39,7 @@ from cvrep.circuits import (
     serialize,
     symplectic_of,
 )
+from cvrep.circuits.interpreter import _fold
 from cvrep.circuits.ir import OPS, QUADRATURE, REGISTER, WIRE
 
 SQRT2 = math.sqrt(2.0)
@@ -319,6 +320,21 @@ def test_parse_rejects_malformed_input():
         parse("QND c=1 t=2 gain=1\nMODES 1 2\n")  # header not first
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("MODES 1 2\nQND c=1 t=2\n", "line 2: QND needs gain="),
+        ("QND c=1 t=2 gain=1 bogus=3\n", "line 1: QND has no key bogus="),
+        ("QND c=1 t=2 gain=1 gain=5\n", "line 1: QND repeats gain="),
+        ("MEAS mode=1 basis=x reg=m register=n\n", "line 1: MEAS has no key register="),
+        ("DISP mode=1 re=0 im=0 re=1\n", "line 1: DISP repeats re="),
+    ],
+)
+def test_parse_takes_each_key_of_the_op_once_and_no_other(text, message):
+    with pytest.raises(CircuitParseError, match=f"^{message}$"):
+        parse(text)
+
+
 def test_parse_surfaces_ir_validation_failures():
     with pytest.raises(ValueError):
         parse("MODES 1 2\nMEAS mode=1 basis=x reg=m\nQND c=1 t=2 gain=1\n")
@@ -533,6 +549,38 @@ def test_run_matches_symplectic_of_on_unitary_circuits(rng):
         fused = symplectic_of(circuit).apply(state)
         np.testing.assert_allclose(fused.mean, stepped.mean, rtol=0, atol=1e-12)
         np.testing.assert_allclose(fused.cov, stepped.cov, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_symplectic_of_matches_the_dense_product_with_squeezers_anywhere(seed):
+    # three two-mode squeezers and three displacements among the other
+    # gates, in random order: the fold's slices, one per power of e^{r},
+    # summed, against the product of dense blocks, the squeezers' written
+    # from cosh and sinh
+    circuit = random_unitary_circuit(np.random.default_rng(seed), (3, 1, 4, 2))
+    assert len(_fold(circuit.ops, circuit.labels)[1]) == 7
+    folded = symplectic_of(circuit)
+    S, d = dense_map(circuit)
+    rounding = len(circuit) * np.finfo(float).eps * max(1.0, np.abs(S).max())
+    np.testing.assert_allclose(folded.matrix, S, rtol=0, atol=rounding)
+    np.testing.assert_allclose(folded.displacement, d, rtol=0, atol=rounding)
+
+
+@pytest.mark.parametrize("basis", ["x", "p"])
+@pytest.mark.parametrize("r", [0.4, 3.0])
+def test_run_after_a_two_mode_squeezer_is_schur_conditioning(rng, basis, r):
+    # a homodyne of one squeezed wire fed forward to its partner, which is
+    # squeezed again with a third wire after the register is written
+    before = (Displace(2, 0.5 - 1j), TwoModeSqueeze(1, 2, r), Qnd(3, 1, 0.7))
+    after = (TwoModeSqueeze(2, 3, -0.6),)
+    circuit = Circuit((1, 2, 3), before + (Measure(1, basis, "m"), FeedforwardDisplace("m", 2, "p", -0.8)) + after)
+    state = random_gaussian_state(rng, 3)
+    S, d = dense_map(Circuit((1, 2, 3), before))
+    mean, cov = schur_condition(S @ state.mean + d, S @ state.cov @ S.T, 0, basis, 1.3)
+    mean[2] += -0.8 * 1.3  # p of wire 2, the first of the survivors (2, 3)
+    S, d = dense_map(Circuit((2, 3), after))
+    stepped = (S @ mean + d, S @ cov @ S.T, (2, 3), {"m": 1.3})
+    assert_matches_stepped(run(circuit, state, forced={"m": 1.3}), stepped)
 
 
 # ---------------------------------------------------------------------------

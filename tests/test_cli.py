@@ -421,6 +421,25 @@ def test_fidelity_writes_csv_and_gnuplot_files(capsys, tmp_path):
     assert "wrote 2 rows" in err
 
 
+@pytest.mark.parametrize("target", ["csv", "gnuplot"])
+def test_fidelity_reports_an_unwritable_output_file_as_a_usage_error(capsys, tmp_path, target):
+    # a path in a missing directory; the CSV's failure comes before any
+    # output, the gnuplot script's after the CSV is written
+    csv_path, plot_path = tmp_path / "sweep.csv", tmp_path / "sweep.gp"
+    missing = tmp_path / "missing" / f"sweep.{target}"
+    if target == "csv":
+        csv_path = missing
+    else:
+        plot_path = missing
+    rc, out, err = run_cli(
+        capsys, "fidelity", "--steps", "2", "--out", str(csv_path), "--gnuplot", str(plot_path)
+    )
+    what = "CSV file" if target == "csv" else "gnuplot script"
+    assert rc == 2 and out == ""
+    assert err.splitlines()[-1].startswith(f"error: cannot write {what}: ")
+    assert str(missing) in err and not missing.parent.exists()
+
+
 def test_fidelity_gnuplot_requires_out(capsys, tmp_path):
     rc, _, err = run_cli(
         capsys, "fidelity", "--steps", "1", "--gnuplot", str(tmp_path / "x.gp")

@@ -47,6 +47,7 @@ from cvrep.circuits import (
     threshold_squeezing,
 )
 from cvrep.circuits import recovery
+from cvrep.circuits.interpreter import _fold
 from cvrep.codes import build_five_mode_code, erasure_for_vertex, nullifier_variances
 from cvrep.gaussian import (
     coherent,
@@ -261,6 +262,19 @@ def test_optical_encoded_state_equals_running_the_encoder(r):
     np.testing.assert_allclose(folded.cov, stepped.cov, rtol=0, atol=1e-12 * np.cosh(2 * r))
 
 
+@pytest.mark.parametrize("r", [0.5, 3.0, 10.0])
+def test_the_encoder_folded_at_zero_squeezing_gives_its_map_at_any_squeezing(r):
+    # at r = 0 each squeezer term has coefficient 1, so slice k of the fold
+    # is the map's e^{kr} part; the ideal encoder, with no squeezer, has one
+    _, total, _ = _fold(optical_encoder(0.0).ops, (1, 2, 3, 4, 5))
+    assert len(total) == 5 and len(_fold(ideal_encoder().ops, (1, 2, 3, 4, 5))[1]) == 1
+    summed = np.tensordot(np.exp(np.arange(-2, 3) * r), total, axes=1)
+    want = symplectic_of(optical_encoder(r))
+    rounding = len(optical_encoder(r)) * np.finfo(float).eps * np.abs(want.matrix).max()
+    np.testing.assert_allclose(summed[:, :-1], want.matrix, rtol=0, atol=rounding)
+    np.testing.assert_allclose(summed[:, -1], want.displacement, rtol=0, atol=rounding)
+
+
 def test_nullifier_variances_decay_with_slope_minus_two():
     grid = np.array([1.0, 2.0, 3.0])
     for encode in (ideal_encoded_state, optical_encoded_state):
@@ -420,6 +434,15 @@ def test_a_decoder_that_moves_the_recovered_mean_fails_to_compile(monkeypatch, o
     wrong = Circuit(SURVIVOR_MODES["E1"], (BeamSplitterPM(1, 2), op, Discard(1)))
     monkeypatch.setitem(recovery._OPTICAL_DECODERS, "E1", wrong)
     with pytest.raises(ValueError, match="^optical decoder E1: the recovered wire's mean is not the input's$"):
+        recovery._compile("E1")
+
+
+def test_an_encoder_that_squeezes_a_pair_twice_fails_to_compile(monkeypatch):
+    # its rows hold e^{2r} parts, which L[0] + e^{r} L[1] + e^{-r} L[2] cannot
+    encoder = optical_encoder(0.0)
+    twice = encoder.with_ops((TwoModeSqueeze(2, 4, 0.0),) + encoder.ops)
+    monkeypatch.setattr(recovery, "optical_encoder", lambda r: twice)
+    with pytest.raises(ValueError, match="^optical decoder E1: a row has a power of e\\^\\{r\\} beyond 1$"):
         recovery._compile("E1")
 
 
