@@ -10,9 +10,10 @@ row, and measured or discarded modes drop their rows.  On a unitary
 circuit the array summed over its powers is ``[S | d]``: ``symplectic_of``
 builds one ``SymplecticMap`` from it, the ground truth that rewrite
 results and the tests are checked against, and ``op_map`` is that fold
-over a single op.  ``_fold_positions`` is the one other walk over a
-circuit's ops, for circuits that map positions to positions alone;
-synthesis checks its circuits with it.
+over a single op.  ``_fold_positions`` is the one other walk, for
+circuits that map positions to positions alone: it reads a circuit's
+columns (``ir._Columns``: each op's kind, wires and value), so synthesis
+checks the elimination's columns with it before any op object exists.
 
 ``run`` executes any circuit with that one fold, summed over its powers.
 Stacking the live rows and each register's row gives a joint Gaussian
@@ -32,11 +33,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..gaussian import GaussianState, MeasurementRecord, SymplecticMap, _condition
-from .ir import OPS, Circuit, FeedforwardDisplace, Measure, Qnd, spec_of
+from .ir import OPS, Circuit, FeedforwardDisplace, Measure, Qnd, _Columns, spec_of
 
 __all__ = ["op_map", "symplectic_of", "run", "RunResult"]
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a map past float range fails _summed instead
 def _fold(ops, labels, *, symplectic: bool = False) -> tuple:
     """Fold ``ops`` over wires ``labels`` into one affine map.
 
@@ -90,8 +92,8 @@ def _fold(ops, labels, *, symplectic: bool = False) -> tuple:
     return tuple(live), total, registers
 
 
-def _not_positional(op) -> TypeError:
-    return TypeError(f"{type(op).__name__} does not map positions to positions alone")
+def _not_positional(kind) -> TypeError:
+    return TypeError(f"{kind.cls.__name__} does not map positions to positions alone")
 
 
 def _mixes(blocks: np.ndarray, k: int) -> bool:
@@ -99,59 +101,61 @@ def _mixes(blocks: np.ndarray, k: int) -> bool:
     return bool(np.count_nonzero(blocks[..., :k, k:]) or np.count_nonzero(blocks[..., k:, :k]))
 
 
-def _fold_positions(circuit: Circuit) -> np.ndarray:
-    """The n x n matrix X of a position-only circuit, x -> X x.
+def _fold_positions(columns: _Columns) -> np.ndarray:
+    """The n x n matrix X of a position-only circuit, held as columns: x -> X x.
 
-    Each op's block comes from the op table, as in ``_fold``, and only its
-    x part is applied.  The table's QND block is evaluated once for the
-    whole circuit, on the vector of every QND's gain.  A run of
-    consecutive QNDs with one control leaves that control's row alone, so
-    the whole run is one rank-1 update of its targets' rows, each by the
-    gain in its block's x part.  Every other op is applied on its own, and
-    its block is built once per distinct op type and parameters in this
-    call.  Raises TypeError on an op with a shift, without a block
+    It reads the four columns (``ir._columns`` gives a ``Circuit``'s):
+    each op's block comes from its kind's row in the op table, as in
+    ``_fold``, and only its x part is applied.  The table's QND block is
+    evaluated once for the whole circuit, on the vector of every QND's
+    gain.  A run of consecutive QNDs with one control leaves that control's
+    row alone, so the whole run is one rank-1 update of its targets' rows,
+    each by the gain in its block's x part.  Every other op is applied on
+    its own, and its block is built once per distinct kind and value in
+    this call.  Raises TypeError on an op with a shift, without a block
     (measurement, feedforward, discard) or whose block mixes x and p.  The
     QND stack is tested for mixing once, before the fold; every other
     block when it is first built, so the error names the first such op in
     circuit order.
     """
-    index = {label: i for i, label in enumerate(circuit.labels)}
+    labels, kinds, a, b, values = columns
+    index = {label: i for i, label in enumerate(labels)}
     X = np.eye(len(index))
-    ops = circuit.ops
-    qnds = [op for op in ops if type(op) is Qnd]
-    qnd_blocks = OPS[Qnd].block(np.array([op.gain for op in qnds], dtype=float))
+    qnd = OPS[Qnd]
+    at = [i for i, kind in enumerate(kinds) if kind is qnd]
+    qnd_blocks = qnd.block(np.array([values[i] for i in at], dtype=float))
     if _mixes(qnd_blocks, 2):
-        raise _not_positional(qnds[0])
+        raise _not_positional(qnd)
     gains = qnd_blocks[:, 1, 0]
-    targets = [index[op.target] for op in qnds]
+    targets = [index[b[i]] for i in at]
     target_rows = np.array(targets, dtype=np.intp)  # an index array: a list costs a conversion per use
-    gates = {}  # (spec, repr of params) -> the block's x part
+    gates = {}  # (kind, repr of value) -> the block's x part
     done = 0  # QNDs applied so far
     i = 0
-    while i < len(ops):
-        op = ops[i]
-        if type(op) is not Qnd:
-            spec = spec_of(op)
-            params = spec.params(op)
-            key = (spec, repr(params))  # repr keeps -0.0 apart from 0.0
+    while i < len(kinds):
+        kind = kinds[i]
+        if kind is not qnd:
+            value = values[i]
+            key = (kind, repr(value))  # repr keeps -0.0 apart from 0.0
             if key not in gates:
-                if spec.shift is not None or spec.block is None:
-                    raise _not_positional(op)
-                block = spec.block(*params)
+                if kind.shift is not None or kind.block is None:
+                    raise _not_positional(kind)
+                block = kind.block() if value is None else kind.block(value)
                 k = len(block) // 2
                 if _mixes(block, k):
-                    raise _not_positional(op)
+                    raise _not_positional(kind)
                 gates[key] = block[:k, :k]
-            modes = np.array([index[w] for w in spec.wires(op)], dtype=np.intp)
+            modes = [index[a[i]]] if b[i] is None else [index[a[i]], index[b[i]]]
             X[modes] = gates[key] @ X[modes]
             i += 1
             continue
+        control = a[i]
         end = i + 1
-        while end < len(ops) and type(ops[end]) is Qnd and ops[end].control == op.control:
+        while end < len(kinds) and kinds[end] is qnd and a[end] == control:
             end += 1
         run = slice(done, done + end - i)
         done = run.stop
-        row = X[index[op.control]]
+        row = X[index[control]]
         if end - i == 1:  # basic indexing: a fifth of the cost of the fancy update
             X[targets[run.start]] += gains[run.start] * row
         elif len(set(targets[run])) == end - i:
@@ -162,8 +166,17 @@ def _fold_positions(circuit: Circuit) -> np.ndarray:
     return X
 
 
+def _summed(total: np.ndarray) -> np.ndarray:
+    """A fold's array summed over its powers; ValueError unless every entry is finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = total.sum(axis=0)
+    if not np.isfinite(total).all():
+        raise ValueError("the circuit's map leaves float range")
+    return total
+
+
 def _symplectic(ops, labels) -> SymplecticMap:
-    total = _fold(ops, labels, symplectic=True)[1].sum(axis=0)
+    total = _summed(_fold(ops, labels, symplectic=True)[1])
     return SymplecticMap(total[:, :-1], total[:, -1])
 
 
@@ -232,7 +245,7 @@ def run(
             )
 
     # The joint Gaussian of the live quadratures, then of each outcome.
-    Y = np.concatenate([total, *(row[:, None] for _, _, row in registers.values())], axis=1).sum(axis=0)
+    Y = _summed(np.concatenate([total, *(row[:, None] for _, _, row in registers.values())], axis=1))
     mean = Y[:, :-1] @ state.mean + Y[:, -1]
     factor = Y[:, :-1] @ state.factor
     k = total.shape[1]

@@ -16,6 +16,14 @@ reads, writes and checks it, and, for unitary ops, its gate block from
 the interpreter's ``run``, ``symplectic_of`` and position check
 ``_fold_positions`` all read that one entry.
 
+A circuit of ops with at most two wires and one other field, as every
+circuit synthesis emits, can also be held as columns (``_Columns``): per
+op its row in ``OPS``, its wires and that field's value.  Synthesis builds
+them with no op objects, and the position fold reads them.  ``_columns``
+gives a ``Circuit``'s columns, ``_circuit`` the checked ``Circuit`` that
+columns hold, and ``_serialize_columns`` the text ``serialize`` gives for
+it, each line written by its kind's row.
+
 Serialization is line-oriented text, one op per line, after a ``MODES``
 header naming the wires (optional on input: without it the wires are 1 to
 the highest label used).  An op's line gives each of its keys once, and no
@@ -164,7 +172,7 @@ class Kind(NamedTuple):
     """
 
     read: Callable[[str], object]  # its text -> the value
-    write: Callable[[object], str] | None  # the value -> its text; None: as str.format prints it
+    write: Callable[[object], str] | None  # the value -> its text; None: as an f-string prints it
     bad: str | None
     must: str
 
@@ -199,7 +207,7 @@ def _checks(name: str, fields) -> Callable[[object], None]:
 
     Straight-line tests cost what hand-written ones do; a loop over the
     fields would cost each op about half again its construction time, and
-    synthesis constructs thousands per matrix.
+    ``synthesize`` constructs thousands per matrix.
     """
     lines, wires = ["def check(self):", "    pass"], []
     for _, attr, kind in fields:
@@ -214,6 +222,34 @@ def _checks(name: str, fields) -> Callable[[object], None]:
     namespace = {"isfinite": isfinite, "_identifier": _identifier}
     exec("\n".join(lines), namespace)
     return namespace["check"]
+
+
+def _compile(tag: str, fields, slots, make) -> tuple[Callable, Callable, Callable]:
+    """``line(op)``, and ``row_line`` and ``row_make`` of a column row ``(a, b, value)``.
+
+    Each is compiled from the row: field i is read from ``op`` by its
+    attribute, or from the row's slot ``slots[i]``.  ``line`` and
+    ``row_line`` give the op's text in one f-string, each value written by
+    its kind (a ``str.format`` call per line would parse its template every
+    time: a quarter of the time to write a circuit of thousands of ops);
+    ``row_make`` builds the op with ``make``.
+    """
+    namespace = {"make": make, **{f"write{i}": kind.write for i, (_, _, kind) in enumerate(fields)}}
+
+    def text(sources) -> str:
+        parts = [tag]
+        for i, ((key, _, kind), value) in enumerate(zip(fields, sources)):
+            parts.append(f"{key}={{{value if kind.write is None else f'write{i}({value})'}}}")
+        return 'f"' + " ".join(parts) + '"'
+
+    row = [("a", "b", "value")[slot] for slot in slots]
+    exec(
+        f"def line(op): return {text(f'op.{attr}' for _, attr, _ in fields)}\n"
+        f"def row_line(a, b, value): return {text(row)}\n"
+        f"def row_make(a, b, value): return make({', '.join(row)})",
+        namespace,
+    )
+    return namespace["line"], namespace["row_line"], namespace["row_make"]
 
 
 class OpSpec:
@@ -240,20 +276,15 @@ class OpSpec:
         self.terms, self.shift = terms, shift
         self.make = make or cls
         self.unitary = self.block is not None or shift is not None
-        self.values = _getter(tuple(attr for _, attr, _ in fields))
         self.wires = _getter(tuple(attr for _, attr, kind in fields if kind is WIRE))
         self.params = _getter(tuple(attr for _, attr, kind in fields if kind is not WIRE))
-        self._line = " ".join([tag, *(f"{key}={{}}" for key, _, _ in fields)])
-        self._writes = [(i, kind.write) for i, (_, _, kind) in enumerate(fields) if kind.write]
+        # each field's slot in a column row (a, b, value), for an op that one holds (see _Columns)
+        slots = [i if kind is WIRE else 2 for i, (_, _, kind) in enumerate(fields)]
+        #: the op as one line of circuit text; the line of the op a column row
+        #: holds; and that op, built and checked
+        self.line, self.row_line, self.row_make = _compile(tag, fields, slots, self.make)
         if cls.__post_init__ is None:
             cls.__post_init__ = _checks(cls.__name__, fields)
-
-    def line(self, op) -> str:
-        """The op as one line of circuit text."""
-        values = list(self.values(op))
-        for i, write in self._writes:
-            values[i] = write(values[i])
-        return self._line.format(*values)
 
     def read(self, kv: dict[str, str]):
         """The op from its line's ``key=value`` pairs, one per field."""
@@ -296,6 +327,14 @@ def spec_of(op) -> OpSpec:
         raise TypeError(f"not a circuit op: {op!r}") from None
 
 
+def _labels(labels) -> tuple[int, ...]:
+    """The wire labels as ints; ValueError unless they are distinct positive integers."""
+    labels = tuple(int(v) for v in labels)
+    if len(set(labels)) != len(labels) or any(v < 1 for v in labels):
+        raise ValueError(f"labels must be distinct positive integers, got {labels}")
+    return labels
+
+
 @dataclass(frozen=True)
 class Circuit:
     """Ordered ops over labelled wires; immutable after construction."""
@@ -304,11 +343,8 @@ class Circuit:
     ops: tuple = ()
 
     def __post_init__(self):
-        labels = tuple(int(v) for v in self.labels)
-        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "labels", _labels(self.labels))
         object.__setattr__(self, "ops", tuple(self.ops))
-        if len(set(labels)) != len(labels) or any(v < 1 for v in labels):
-            raise ValueError(f"labels must be distinct positive integers, got {labels}")
         self.validate()
 
     @property
@@ -348,6 +384,43 @@ class Circuit:
         return len(self.ops)
 
 
+class _Columns(NamedTuple):
+    """A circuit over ``labels`` as four parallel lists, one entry per op.
+
+    ``kind`` is the op's ``OPS`` row, ``a`` and ``b`` its wires (``b`` is
+    None for a one-wire op) and ``value`` its one other field (None if it
+    has none).  A row holds every op whose wires come first, with at most
+    one other field after them, as every op with a position block has.  An
+    op with more (a displacement, a measurement or a feedforward) keeps
+    None in ``value``, and only the position fold, which rejects it, reads it.
+    """
+
+    labels: tuple[int, ...]
+    kind: list
+    a: list
+    b: list
+    value: list
+
+
+def _columns(circuit: Circuit) -> _Columns:
+    """The circuit's ops as columns."""
+    columns = _Columns(circuit.labels, [], [], [], [])
+    for op in circuit.ops:
+        spec = spec_of(op)
+        wires, params = spec.wires(op), spec.params(op)
+        columns.kind.append(spec)
+        columns.a.append(wires[0])
+        columns.b.append(wires[1] if len(wires) > 1 else None)
+        columns.value.append(params[0] if len(params) == 1 else None)
+    return columns
+
+
+def _circuit(columns: _Columns) -> Circuit:
+    """The circuit the columns hold, each op built, and checked, by its kind's row."""
+    ops = [kind.row_make(a, b, value) for kind, a, b, value in zip(*columns[1:])]
+    return Circuit(columns.labels, tuple(ops))
+
+
 # ---------------------------------------------------------------------------
 # serialization
 
@@ -355,9 +428,20 @@ class CircuitParseError(ValueError):
     pass
 
 
+def _modes_line(labels) -> str:
+    return "MODES " + " ".join(str(v) for v in labels)
+
+
 def serialize(circuit: Circuit) -> str:
-    lines = ["MODES " + " ".join(str(v) for v in circuit.labels)]
+    lines = [_modes_line(circuit.labels)]
     lines.extend(spec_of(op).line(op) for op in circuit.ops)
+    return "\n".join(lines) + "\n"
+
+
+def _serialize_columns(columns: _Columns) -> str:
+    """``serialize`` of the circuit the columns hold, each line written by its kind's row."""
+    lines = [_modes_line(columns.labels)]
+    lines.extend([kind.row_line(a, b, value) for kind, a, b, value in zip(*columns[1:])])
     return "\n".join(lines) + "\n"
 
 

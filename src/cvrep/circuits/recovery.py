@@ -91,6 +91,7 @@ from .ir import (
     Qnd,
     SqueezeFactor,
     TwoModeSqueeze,
+    _columns,
 )
 
 __all__ = [
@@ -246,7 +247,7 @@ def decoder_matrix(tag: str) -> np.ndarray:
 
 @cache
 def _decoder_positions(tag: str) -> np.ndarray:
-    return _fold_positions(ideal_decoder(tag))
+    return _fold_positions(_columns(ideal_decoder(tag)))
 
 
 # Pivot orders for ``cvrep synth --error``: under (2, 1, 2) the E2 matrix

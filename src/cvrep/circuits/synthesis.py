@@ -5,12 +5,21 @@ and swaps whose action on the position vector is exactly ``x -> A x`` (the
 momenta then transform by A^-T, the unique symplectic completion).
 
 The construction runs Gauss-Jordan elimination on A, reducing it to the
-identity; each step appends the op that undoes it, and the circuit is those
-ops, last step first.  Each row operation maps to one gate:
+identity; each step appends the gate that undoes it to four columns (kind,
+wire a, wire b, value: the IR's ``_Columns``), and the circuit is those
+gates, last step first.  Each row operation maps to one gate:
 
     row_i += c * row_j   ->  Qnd(control=labels[j], target=labels[i], gain=-c)
     row_i *= c           ->  SqueezeFactor(labels[i], 1/c)
     swap rows i, j       ->  Swap(labels[i], labels[j])
+
+No op object is built on the way.  The columns need none of an op's or a
+``Circuit``'s checks: every value in them has passed ``_finite`` (and a
+squeeze factor, the inverse of a finite number, is not zero), and their
+wires are distinct by construction (i != j in every QND, p != j in a
+swap) among labels that are checked once.  ``cvrep synth`` writes its text
+straight from them (``ir._serialize_columns``); ``synthesize`` builds its
+``Circuit`` from them (``ir._circuit``), each op checked by its row as usual.
 
 Pivot choice changes which circuit comes out, not what it computes.  The
 default prefers pivots that keep gains integral (exact 1 first, then any
@@ -20,7 +29,7 @@ overrides it per column for callers that want one specific layout.
 The elimination holds A in one NumPy array and clears each column in one
 step: the rows whose entry in the column is not zero all take
 ``M[rows] -= outer(m, M[j])``, with m their entries, at once.  The pivot
-search, the zero tests and the ops read the column as Python floats.  The
+search, the zero tests and the gains read the column as Python floats.  The
 update uses elementwise ufuncs only, never ``@``, ``dot`` or ``einsum``:
 each entry rounds once for the product and once for the difference, as
 ``M[i] += -m * M[j]`` does row by row, where a fused multiply-add would
@@ -31,11 +40,12 @@ that is faster than updating row by row in Python, and below it slower.
 
 Every result is checked against its own target matrix before being
 returned, so a successful call is self-certifying; its limit scales with
-max|A|.  The check never replays the elimination: ``deviation`` folds the
-circuit's x rows from the op table's gate blocks (the interpreter's
+max|A|.  The check never replays the elimination: it folds the columns'
+x rows from the op table's gate blocks (the interpreter's
 ``_fold_positions``: every QND block in one call of the table's block,
 one rank-1 update per run of QNDs sharing a control, and each other
-distinct gate's block built once) and compares them with A.
+distinct gate's block built once) and compares them with A, as
+``deviation`` does for any ``Circuit``.
 
 An entry counts as zero at ``_ZERO`` times its row's size: the row's
 largest entry in A, times every factor the row has since been scaled by.
@@ -58,12 +68,15 @@ from .interpreter import _fold_positions
 # Not used here.  The benchmark's self-test (bench/selftest.py) checks that
 # its tracer wraps this re-exported name.
 from .interpreter import symplectic_of  # noqa: F401
-from .ir import Circuit, Qnd, SqueezeFactor, Swap
+from .ir import OPS, Circuit, Qnd, SqueezeFactor, Swap, _circuit, _columns, _Columns, _labels
 
 __all__ = ["synthesize", "deviation", "SynthesisError"]
 
 #: elimination cutoff, in units of the row size
 _ZERO = 1e-12
+
+# the kinds of gate the elimination emits
+_QND, _SQUEEZE, _SWAP = OPS[Qnd], OPS[SqueezeFactor], OPS[Swap]
 
 
 class SynthesisError(ValueError):
@@ -87,8 +100,8 @@ def _finite(value: float, j: int) -> float:
     return value
 
 
-def _eliminate(A: np.ndarray, labels: tuple[int, ...], pivot_rows) -> list:
-    """Row-reduce A to the identity; the ops undoing each step, last step first."""
+def _eliminate(A: np.ndarray, labels: tuple[int, ...], pivot_rows) -> _Columns:
+    """Row-reduce A to the identity; the gates undoing each step, last step first, as columns."""
     n = A.shape[0]
     if pivot_rows is not None and len(pivot_rows) != n:
         raise SynthesisError(
@@ -96,19 +109,31 @@ def _eliminate(A: np.ndarray, labels: tuple[int, ...], pivot_rows) -> list:
         )
     M = np.array(A, dtype=float)
     size = np.abs(M).max(axis=1).tolist()
-    ops = []
+    columns = _Columns(labels, [], [], [], [])
+    kinds, wire_a, wire_b, values = columns[1:]
+
+    def append(kind, a, b, value):
+        kinds.append(kind)
+        wire_a.append(a)
+        wire_b.append(b)
+        values.append(value)
 
     def clear(j, col, rows):
         """From each of ``rows`` whose entry in column j (``col``) is not zero, subtract it times row j."""
         rows = [i for i in rows if abs(col[i]) > _ZERO * size[i]]
+        if not rows:
+            return
         gains = [_finite(col[i], j) for i in rows]
         # a - m*b is a + (-m)*b bit for bit: negation is exact, and separate
         # ufuncs round the product and the difference once each, never fused
         if len(rows) == 1:  # basic indexing: a third of the cost of the fancy update
             M[rows[0]] -= gains[0] * M[j]
-        elif rows:
+        else:
             M[np.array(rows)] -= np.multiply.outer(gains, M[j])
-        ops.extend(map(Qnd, repeat(labels[j]), [labels[i] for i in rows], gains))
+        kinds.extend(repeat(_QND, len(rows)))
+        wire_a.extend(repeat(labels[j], len(rows)))
+        wire_b.extend([labels[i] for i in rows])
+        values.extend(gains)
 
     # an overflow is caught by _finite, as the pivot or gain it makes is taken
     with np.errstate(over="ignore", invalid="ignore"):
@@ -130,17 +155,18 @@ def _eliminate(A: np.ndarray, labels: tuple[int, ...], pivot_rows) -> list:
                 M[j], M[p] = M[p].copy(), M[j].copy()
                 col[j], col[p] = col[p], col[j]
                 size[j], size[p] = size[p], size[j]
-                ops.append(Swap(labels[j], labels[p]))
+                append(_SWAP, labels[j], labels[p], None)
             if col[j] != 1.0:
                 c = _finite(1.0 / _finite(col[j], j), j)
                 M[j] *= c
                 size[j] *= abs(c)
-                ops.append(SqueezeFactor(labels[j], _finite(1.0 / c, j)))
+                append(_SQUEEZE, labels[j], None, _finite(1.0 / c, j))
             clear(j, col, range(j + 1, n))
         for j in range(n - 1, 0, -1):
             clear(j, M[:j, j].tolist(), range(j - 1, -1, -1))
-    ops.reverse()
-    return ops
+    for column in columns[1:]:
+        column.reverse()
+    return columns
 
 
 def deviation(circuit: Circuit, A) -> float:
@@ -156,7 +182,12 @@ def deviation(circuit: Circuit, A) -> float:
     A = np.asarray(A, dtype=float)
     if A.shape != (n, n):
         raise ValueError(f"target must be {n}x{n} for a circuit on {n} wires, got shape {A.shape}")
-    return float(np.max(np.abs(_fold_positions(circuit) - A)))
+    return _deviation(_columns(circuit), A)
+
+
+def _deviation(columns: _Columns, A: np.ndarray) -> float:
+    """``deviation`` of the circuit the columns hold from an n x n float A."""
+    return float(np.max(np.abs(_fold_positions(columns) - A)))
 
 
 def synthesize(
@@ -171,7 +202,7 @@ def synthesize(
     wire labels[i].  ``pivot_rows[j]`` forces the elimination pivot for
     column j to the row currently at that index.
     """
-    return _synthesize(A, labels, pivot_rows=pivot_rows)[0]
+    return _circuit(_synthesize(A, labels, pivot_rows=pivot_rows)[0])
 
 
 def _synthesize(
@@ -179,8 +210,8 @@ def _synthesize(
     labels: tuple[int, ...] | None = None,
     *,
     pivot_rows: tuple[int, ...] | None = None,
-) -> tuple[Circuit, float]:
-    """``synthesize``, also returning the circuit's deviation from A (``deviation``)."""
+) -> tuple[_Columns, float]:
+    """``synthesize``'s circuit as columns, and its deviation from A (``deviation``)."""
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise SynthesisError(f"expected a square matrix, got shape {A.shape}")
@@ -189,13 +220,11 @@ def _synthesize(
     if not np.all(np.isfinite(A)):
         raise SynthesisError("matrix entries must be finite")
     n = A.shape[0]
-    if labels is None:
-        labels = tuple(range(1, n + 1))
-    labels = tuple(int(v) for v in labels)
+    labels = tuple(range(1, n + 1)) if labels is None else tuple(labels)
     if len(labels) != n:
         raise SynthesisError(f"{n}x{n} matrix needs {n} labels, got {len(labels)}")
-    circuit = Circuit(labels, tuple(_eliminate(A, labels, pivot_rows)))
-    err = deviation(circuit, A)
+    columns = _eliminate(A, _labels(labels), pivot_rows)
+    err = _deviation(columns, A)
     limit = TOL.synthesis * max(1.0, float(np.max(np.abs(A))))
     if not err <= limit:
         raise SynthesisError(
@@ -203,4 +232,4 @@ def _synthesize(
             f"(limit {limit:.1e}); the matrix is too ill-conditioned "
             f"for this pivot choice"
         )
-    return circuit, err
+    return columns, err

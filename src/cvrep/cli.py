@@ -33,9 +33,9 @@ from .circuits import (
     UnreachableTargetError,
     decoder_matrix,
     fidelity_sweep,
-    serialize,
     threshold_squeezing,
 )
+from .circuits.ir import _serialize_columns
 from .circuits.synthesis import _synthesize
 from .tolerances import TOL
 
@@ -180,13 +180,14 @@ def cmd_synth(args) -> int:
             return _fail_usage("matrix file contains non-finite entries")
         labels = None
     try:
-        circuit, error = _synthesize(A, labels, pivot_rows=pivot_rows)
+        columns, error = _synthesize(A, labels, pivot_rows=pivot_rows)
     except SynthesisError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:
         return _fail_usage(str(exc))
-    sys.stdout.write(serialize(circuit))
+    # the text serialize gives, written from the elimination's columns
+    sys.stdout.write(_serialize_columns(columns))
     if args.check:
         # the deviation synthesis measured to certify the circuit
         print(f"max |achieved - target| = {error:.3e}", file=sys.stderr)

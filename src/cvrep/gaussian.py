@@ -129,13 +129,15 @@ class SymplecticMap:
         n2 = S.shape[0]
         if S.shape != (n2, n2) or n2 % 2 or d.shape != (n2,):
             raise ValueError(f"bad shapes: matrix {S.shape}, displacement {d.shape}")
+        if not (np.isfinite(S).all() and np.isfinite(d).all()):
+            raise ValueError("matrix and displacement must be finite")
         form = omega(n2 // 2)
         defect = np.max(np.abs(S @ form @ S.T - form))
-        if defect > TOL.symplectic_check:
+        if not defect <= TOL.symplectic_check:
             # Rounding in S @ form @ S.T grows with the square of S's
             # entries, so the allowed defect does too.
             limit = TOL.symplectic_check * max(1.0, np.abs(S).max()) ** 2
-            if defect > limit:
+            if not defect <= limit:
                 raise ValueError(f"matrix is not symplectic: defect {defect:.3e} > {limit:.1e}")
 
     def after(self, first: "SymplecticMap") -> "SymplecticMap":

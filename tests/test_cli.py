@@ -14,7 +14,22 @@ from conftest import OVERFLOWING_MATRICES
 
 import cvrep
 from cvrep import cli, replication
-from cvrep.circuits import interpreter, recovery, synthesis
+from cvrep.circuits import (
+    REFERENCE_PIVOT_ROWS,
+    SURVIVOR_MODES,
+    Circuit,
+    Qnd,
+    SqueezeFactor,
+    Swap,
+    decoder_matrix,
+    interpreter,
+    parse,
+    recovery,
+    serialize,
+    synthesis,
+    synthesize,
+)
+from cvrep.circuits.ir import OPS, _circuit, _columns, _Columns, _serialize_columns
 from cvrep.cli import main
 from cvrep.tolerances import TOL
 
@@ -187,22 +202,104 @@ def test_synth_check_reports_the_deviation(capsys):
     assert "max |achieved - target| = " in err
 
 
-def test_synth_check_folds_the_circuit_once(capsys, monkeypatch):
-    calls = {"positions": 0, "symplectic_of": 0}
+@pytest.fixture
+def synth_columns(monkeypatch):
+    """The columns each synthesis in the test folds for its self-check, in order."""
+    seen = []
+
+    def fold(columns):
+        seen.append(columns)
+        return interpreter._fold_positions(columns)
+
+    monkeypatch.setattr(synthesis, "_fold_positions", fold)
+    return seen
+
+
+def test_synth_check_folds_the_circuit_once(capsys, monkeypatch, synth_columns):
+    # the check folds the elimination's columns once; no op, Circuit or
+    # symplectic map is built on the way from the matrix to the text
+    calls = {"symplectic_of": 0, "op": 0, "circuit": 0}
+    decoder_matrix("E3")  # its ideal decoder's Circuit is built once, before the count
 
     def counting(name, fn):
-        def wrapper(circuit):
+        def wrapper(arg):
             calls[name] += 1
-            return fn(circuit)
+            return fn(arg)
 
         return wrapper
 
-    monkeypatch.setattr(synthesis, "_fold_positions", counting("positions", synthesis._fold_positions))
     for module in (interpreter, synthesis, cvrep.circuits):
         monkeypatch.setattr(module, "symplectic_of", counting("symplectic_of", interpreter.symplectic_of))
+    for spec in OPS.values():
+        monkeypatch.setattr(spec.cls, "__post_init__", counting("op", spec.cls.__post_init__))
+    monkeypatch.setattr(Circuit, "validate", counting("circuit", Circuit.validate))
     rc, out, err = run_cli(capsys, "synth", "--error", "E3", "--check")
     assert rc == 0 and "max |achieved - target| = " in err
-    assert calls == {"positions": 1, "symplectic_of": 0}
+    assert calls == {"symplectic_of": 0, "op": 0, "circuit": 0}
+    assert len(synth_columns) == 1 and type(synth_columns[0]) is _Columns
+    assert out == _serialize_columns(synth_columns[0])
+
+
+def _pin_column_path(out, columns, circuit):
+    """The CLI's text and fold of the elimination's columns are the op-table path's, bit for bit."""
+    assert out == serialize(circuit)
+    parsed = parse(out)
+    assert (parsed.labels, parsed.ops) == (circuit.labels, circuit.ops)
+    folded = interpreter._fold_positions(columns)
+    assert folded.tobytes() == interpreter._fold_positions(_columns(circuit)).tobytes()
+
+
+def _synth_matrix(rng, kind, n):
+    """A bench-like synth target and the savetxt format that writes it exactly."""
+    if kind == "dense":
+        Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        return Q * rng.uniform(0.5, 2.0, n), "%.17g"
+
+    def unit_triangle(k):
+        E = rng.choice([-1, 0, 1], size=(n, n), p=[0.15, 0.7, 0.15])
+        return (np.tril(E, k) if k < 0 else np.triu(E, k)) + np.eye(n, dtype=int)
+
+    A = unit_triangle(-1) @ unit_triangle(1)
+    return A[rng.permutation(n)] * rng.choice([-1, 1], size=n)[:, None], "%d"
+
+
+@pytest.mark.parametrize("kind", ["dense", "unimodular"])
+def test_synth_text_and_fold_from_columns_match_the_op_table_path(capsys, tmp_path, synth_columns, kind):
+    for n in range(1, 41):
+        A, fmt = _synth_matrix(np.random.default_rng(n), kind, n)
+        path = tmp_path / f"{kind}{n}.txt"
+        np.savetxt(path, A, fmt=fmt)
+        rc, out, err = run_cli(capsys, "synth", "--matrix", str(path))
+        assert (rc, err) == (0, "")
+        _pin_column_path(out, synth_columns[-1], synthesize(np.loadtxt(path, ndmin=2)))
+
+
+@pytest.mark.parametrize("tag", ["E2", "E3", "E4"])
+def test_synth_error_text_and_fold_from_columns_match_the_op_table_path(capsys, synth_columns, tag):
+    rc, out, err = run_cli(capsys, "synth", "--error", tag)
+    assert (rc, err) == (0, "")
+    circuit = synthesize(decoder_matrix(tag), SURVIVOR_MODES[tag], pivot_rows=REFERENCE_PIVOT_ROWS.get(tag))
+    _pin_column_path(out, synth_columns[-1], circuit)
+
+
+@pytest.mark.parametrize("A", [np.eye(1), np.eye(3), np.where(np.eye(2), 1.0, -0.0)], ids=["eye1", "eye3", "signed-zeros"])
+def test_synth_of_an_identity_writes_and_folds_the_empty_circuit(capsys, tmp_path, synth_columns, A):
+    path = tmp_path / "identity.txt"
+    np.savetxt(path, A, fmt="%.17g")
+    rc, out, err = run_cli(capsys, "synth", "--matrix", str(path))
+    assert (rc, out, err) == (0, "MODES " + " ".join(map(str, range(1, len(A) + 1))) + "\n", "")
+    _pin_column_path(out, synth_columns[-1], synthesize(A))
+
+
+def test_column_text_and_fold_keep_a_negative_zero_gain():
+    # A synthesized gain passes the elimination's nonzero test, so no matrix
+    # makes one of 0; a circuit's own columns carry one through both paths.
+    circuit = Circuit((1, 2, 3), (Qnd(1, 2, -0.0), SqueezeFactor(3, -2.0), Qnd(2, 3, 0.0), Swap(1, 3), Qnd(3, 1, -0.0)))
+    columns = _columns(circuit)
+    text = _serialize_columns(columns)
+    assert text == serialize(circuit) and "gain=-0\n" in text and "gain=0\n" in text
+    _pin_column_path(text, columns, circuit)
+    assert _circuit(columns).ops == circuit.ops
 
 
 def test_synth_identity_matrix_gives_an_empty_circuit(capsys, tmp_path):

@@ -264,6 +264,24 @@ def test_symplectic_map_rejects_an_order_one_non_symplectic_matrix():
         g.SymplecticMap(np.diag([1.0, 1.0, 1.0, 1.0 + 1e-9]), np.zeros(4))
 
 
+@pytest.mark.parametrize(
+    "matrix, displacement",
+    [
+        (np.full((2, 2), np.nan), np.zeros(2)),
+        (np.diag([np.inf, 1.0]), np.zeros(2)),
+        (np.eye(2), [0.0, np.nan]),
+        (np.eye(2), [np.inf, 0.0]),
+    ],
+    ids=["nan-matrix", "inf-matrix", "nan-shift", "inf-shift"],
+)
+def test_symplectic_map_rejects_entries_that_are_not_finite(matrix, displacement):
+    # a NaN defect is not > the tolerance, so the check must not read it that way
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="must be finite"):
+            g.SymplecticMap(matrix, displacement)
+
+
 def test_gate_composition_matches_single_symplectic_map(rng):
     from cvrep.circuits import BeamSplitterPM, PhaseShift, Qnd, SqueezeFactor, op_map
 

@@ -1,5 +1,7 @@
 """Encoders, decoders, recovery fidelities, sweeps, and thresholds."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -48,6 +50,7 @@ from cvrep.circuits import (
 )
 from cvrep.circuits import recovery
 from cvrep.circuits.interpreter import _fold
+from cvrep.circuits.ir import _columns
 from cvrep.codes import build_five_mode_code, erasure_for_vertex, nullifier_variances
 from cvrep.gaussian import (
     coherent,
@@ -145,13 +148,13 @@ def test_decoder_matrices_are_the_frozen_transforms():
 def test_decoder_matrix_folds_each_tag_once(monkeypatch):
     from cvrep.circuits import recovery
 
-    want = {tag: recovery._fold_positions(ideal_decoder(tag)) for tag in ERASURE_TAGS}
+    want = {tag: recovery._fold_positions(_columns(ideal_decoder(tag))) for tag in ERASURE_TAGS}
     recovery._decoder_positions.cache_clear()
     fold, folded = recovery._fold_positions, []
 
-    def spy(circuit):
-        folded.append(circuit)
-        return fold(circuit)
+    def spy(columns):
+        folded.append(columns)
+        return fold(columns)
 
     monkeypatch.setattr(recovery, "_fold_positions", spy)
     for _ in range(3):
@@ -159,7 +162,7 @@ def test_decoder_matrix_folds_each_tag_once(monkeypatch):
             A = decoder_matrix(tag)
             np.testing.assert_array_equal(A, want[tag])
             A[:] = np.nan  # a caller's copy: writing to it leaves the next call intact
-    assert folded == [ideal_decoder(tag) for tag in ERASURE_TAGS]
+    assert folded == [_columns(ideal_decoder(tag)) for tag in ERASURE_TAGS]
 
 
 def test_decoder_matrix_rejects_unknown_tags():
@@ -273,6 +276,17 @@ def test_the_encoder_folded_at_zero_squeezing_gives_its_map_at_any_squeezing(r):
     rounding = len(optical_encoder(r)) * np.finfo(float).eps * np.abs(want.matrix).max()
     np.testing.assert_allclose(summed[:, :-1], want.matrix, rtol=0, atol=rounding)
     np.testing.assert_allclose(summed[:, -1], want.displacement, rtol=0, atol=rounding)
+
+
+@pytest.mark.parametrize("fold", [lambda r: symplectic_of(optical_encoder(r)), optical_encoded_state], ids=["symplectic_of", "run"])
+@pytest.mark.parametrize("r", [800.0, 1e6])
+def test_a_map_past_float_range_is_an_error_not_a_nan_state(fold, r):
+    # e^{r} overflows; no overflow warning may escape first, and neither the
+    # folded map nor the state it gives may come back full of NaN
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="leaves float range"):
+            fold(r)
 
 
 def test_nullifier_variances_decay_with_slope_minus_two():
