@@ -15,19 +15,27 @@ A matrix is held by its nonzero entries: the row and column index arrays of
   the sparsest row pivoting first.  Each row that is not reduced to zero
   adds 1 to the rank.
 
-Membership (every row of B lies in the row space of A) is rank [A; B] ==
-rank A, exactly.  When every row of A owns a column of all of A and every
-such pivot is +-1, a row b of A's row space is sum_i b[piv_i] / A[i, piv_i]
-A_i, so B lies in it iff B - C A == 0 with C = B[:, piv] / A[rows, piv].  C
-is then an integer matrix, and B - C A is summed in float from the nonzero
-entries alone: it is exact while every partial sum stays below 2^53, which
-the bound k max|C| max|A| + max|B| < 2^53 (k rows of A) guarantees.  Past
-it, the exact rank of the stack decides.
+Unit pivots.  When every row peels, each on a pivot of +-1 in a column no
+other row of the whole matrix touches (``IntRows.unit_pivots``), A solves
+for its pivot columns in integers, and two readers use that:
+
+- Membership (every row of B lies in the row space of A) is rank [A; B] ==
+  rank A, exactly.  With unit pivots a row b of A's row space is
+  sum_i b[piv_i] / A[i, piv_i] A_i, so B lies in it iff B - C A == 0 with
+  C = B[:, piv] / A[rows, piv].  C is then an integer matrix, and B - C A is
+  summed in float from the nonzero entries alone: it is exact while every
+  partial sum stays below 2^53, which the bound k max|C| max|A| + max|B| <
+  2^53 (k rows of A) guarantees.  Past it, the exact rank of the stack
+  decides.
+- Kernel.  x lies in ker A iff x[piv_i] = -A[i, piv_i] A[i, free] x[free]
+  for every row i, so the free columns' identity, with those rows in the
+  pivot columns, is an integer basis of ker A (``codes._Block.kernel``).
 """
 
 from __future__ import annotations
 
 import math
+from functools import cached_property
 
 import numpy as np
 
@@ -44,10 +52,8 @@ class IntRows:
         pivots, rest = _peel(rows, cols, shape)
         #: the entries at which the peeled rows own their columns, one per row
         self.pivots = pivots
-        #: whether no row is left after peeling
-        self.peels = not rest.size
         self.rank = len(pivots)
-        if not self.peels:
+        if rest.size:
             self.rank += _eliminate(_dict_rows(rows[rest], cols[rest], values[rest]))
 
     @classmethod
@@ -58,6 +64,23 @@ class IntRows:
         if not (np.isfinite(values).all() and (values == np.rint(values)).all()):
             return None
         return cls(M.shape, rows, cols, values)
+
+    @cached_property
+    def unit_pivots(self) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+        """The pivot entries' rows, columns and values, or None unless they are unit pivots.
+
+        Unit pivots: every row peels (a zero row never does), each pivot is
+        +-1, and no other row touches a pivot's column.  A row peeled in a
+        later pass may share its pivot column with a row peeled before it,
+        so the last is tested on the whole matrix.
+        """
+        if len(self.pivots) < self.shape[0]:
+            return None
+        values, cols = self.values[self.pivots], self.cols[self.pivots]
+        sole = np.bincount(self.cols, minlength=self.shape[1])[cols] == 1
+        if not (sole.all() and (np.abs(values) == 1).all()):
+            return None
+        return self.rows[self.pivots], cols, values
 
     def spans(self, other: IntRows) -> bool:
         """Every row of ``other`` lies in the row space of these rows."""
@@ -75,17 +98,14 @@ class IntRows:
 
     def _peeled_spans(self, other: IntRows) -> bool | None:
         """B - C A == 0 in float (see the module docstring), or None where that is not exact."""
-        k, n = self.shape
-        pivot_values, pivot_cols = self.values[self.pivots], self.cols[self.pivots]
-        # a row peeled in a later pass may share its pivot column with a row
-        # peeled before it, and then b[piv] is not its coefficient
-        sole = np.bincount(self.cols, minlength=n)[pivot_cols] == 1
-        if not (self.peels and sole.all() and (np.abs(pivot_values) == 1).all()):
+        if self.unit_pivots is None:
             return None
+        k, n = self.shape
+        pivot_rows, pivot_cols, pivot_values = self.unit_pivots
         owner = np.full(n, -1)
-        owner[pivot_cols] = self.rows[self.pivots]
+        owner[pivot_cols] = pivot_rows
         sign = np.zeros(k)
-        sign[self.rows[self.pivots]] = pivot_values
+        sign[pivot_rows] = pivot_values
         # the entries of C: other's entries in the pivot columns, over the pivot (+-1)
         hit = owner[other.cols] >= 0
         c_rows, c_of = other.rows[hit], owner[other.cols[hit]]

@@ -153,6 +153,15 @@ def _check_squeezing(name: str, r: float) -> None:
         raise ValueError(f"{name} must be >= 0, the squeezing magnitude; got {r}")
 
 
+def _check_encoding(r: float) -> None:
+    """r as ``_check_squeezing`` takes it, and e^{-r}, the ancillas' squeeze factor, is not 0."""
+    _check_squeezing("r", r)
+    if exp(-r) == 0.0:
+        raise ValueError(
+            f"r = {r} is too large: e^{{-r}} underflows to 0, so the encoder's map leaves float range"
+        )
+
+
 def ideal_encoder() -> Circuit:
     """QND-coupling encoder: wire 1 is the input, wires 2-5 the ancillas.
 
@@ -197,14 +206,21 @@ def ideal_encoded_state(r: float, alpha: complex = 0j) -> GaussianState:
 
     The ancillas start as vacuum, squeezed in x by e^{-r} on wires 2-5 by
     four ops run ahead of the encoder, so the state is one circuit run.
+    r must be finite and >= 0 (``_check_squeezing``), and e^{-r} must not
+    underflow to 0.
     """
+    _check_encoding(r)
     encoder = ideal_encoder()
     squeezers = tuple(SqueezeFactor(m, float(np.exp(-r))) for m in range(2, 6))
     return run(encoder.with_ops(squeezers + encoder.ops), tensor(coherent(alpha), vacuum(4))).state
 
 
 def optical_encoded_state(r: float, alpha: complex = 0j) -> GaussianState:
-    """The optical encoder's output on a coherent input and vacuum ancillas."""
+    """The optical encoder's output on a coherent input and vacuum ancillas.
+
+    r is checked as for ``ideal_encoded_state``.
+    """
+    _check_encoding(r)
     return run(optical_encoder(r), tensor(coherent(alpha), vacuum(4)), average=True).state
 
 

@@ -85,6 +85,33 @@ def _parse_mode_list(text: str, n_modes: int) -> frozenset[int]:
     return frozenset(m - 1 for m in modes)
 
 
+def _json_text(obj, pad: str = "\n") -> str:
+    """``json.dumps(obj, indent=2)``, each list of plain ints joined in one step.
+
+    With ``indent`` set, ``json`` writes every value through its Python
+    encoder; a verify report holds thousands of erased-mode numbers.  ``pad``
+    is the newline and indent that precede the closing bracket of ``obj``.
+    """
+    if isinstance(obj, (list, tuple, dict)) and obj:
+        inner = pad + "  "
+        sep = "," + inner
+        if isinstance(obj, dict):
+            items = []
+            for key, value in obj.items():
+                # json writes a key that is not a str (an int, a float, a
+                # bool or None) as its value's text, quoted, and rejects others
+                key = json.dumps(key) if isinstance(key, str) else json.dumps({key: 0})[1:-4]
+                items.append(f"{key}: {_json_text(value, inner)}")
+            return "{" + inner + sep.join(items) + pad + "}"
+        # a bool is an int that json writes as true or false
+        if set(map(type, obj)) == {int}:
+            text = sep.join(["%d"] * len(obj)) % tuple(obj)
+        else:
+            text = sep.join([_json_text(v, inner) for v in obj])
+        return "[" + inner + text + pad + "]"
+    return json.dumps(obj)
+
+
 def cmd_verify(args) -> int:
     try:
         code, basis = _code_for(args.which)
@@ -152,7 +179,7 @@ def cmd_verify(args) -> int:
         "homology": homology_report,
         "ok": bool(all_ok),
     }
-    print(json.dumps(report, indent=2))
+    print(_json_text(report))
     return 0 if all_ok else 1
 
 
@@ -215,8 +242,8 @@ _CSV_HEADER = "r,F1,F2,F3,F4,formula_F1,formula_F2,formula_F3,formula_F4,max_abs
 
 def _sweep_csv(result) -> str:
     table = np.column_stack([result.r, result.simulated, result.formula, result.row_max_abs_dev])
-    lines = [",".join(format(cell, ".12g") for cell in row) for row in table.tolist()]
-    return "\n".join([_CSV_HEADER, *lines]) + "\n"
+    template = ",".join(["%.12g"] * table.shape[1])
+    return "\n".join([_CSV_HEADER, *[template % tuple(row) for row in table.tolist()]]) + "\n"
 
 
 _GNUPLOT_TEMPLATE = """\
@@ -311,7 +338,7 @@ def cmd_spacetime(args) -> int:
         "chain": list(chain) if chain else None,
         "code": code_name,
     }
-    print(json.dumps(out, indent=2))
+    print(_json_text(out))
     for v in report.violations:
         print(f"violation: {v}", file=sys.stderr)
     print(

@@ -31,6 +31,14 @@ general code's vertex patterns always tie (n - k = |S| = N - 1 and
 |~S| = k).  Patterns that erase the same number of modes give slices of one
 shape, so each of their four restriction ranks is one SVD of a stack of
 slices.
+
+The kernel K of an integer block with unit pivots (``_introws``) is the Q
+of a reduced QR of its integer kernel basis, n x (n - k), when that costs
+fewer flops than a complete n x n QR of M^T; so it is for the general
+code's X block, whose kernel has only N - 1 columns.  Every other block
+takes the complete QR: a non-integer block, the five-mode code's X block
+(a pivot is -2), and the general code's P block, whose kernel is nearly
+all of R^n.  Either way K is orthonormal.
 """
 
 from __future__ import annotations
@@ -160,9 +168,25 @@ class _Block:
     def kernel(self) -> np.ndarray:
         """(n - k) x n orthonormal rows spanning ker M.
 
-        They are the trailing n - k columns of a complete QR of M^T.
+        An integer block with unit pivots (``IntRows.unit_pivots``) has an
+        integer kernel basis B (n x (n - k)): the identity in the free
+        columns and, in row i's pivot column, -s_i M[i, free] (s_i its
+        pivot).  The rows are then the Q of a reduced QR of B, about
+        n (n - k)^2 flops, where the complete QR of M^T below costs about
+        n^2 k; the cheaper is taken.  Any other block takes the trailing
+        n - k columns of the complete QR of M^T.
         """
-        return np.linalg.qr(self.rows.T, mode="complete")[0][:, len(self.rows) :].T.copy()
+        k, n = self.rows.shape
+        unit = None if self.exact is None else self.exact.unit_pivots
+        if unit is not None and (n - k) ** 2 < n * k:
+            pivot_rows, pivot_cols, signs = unit
+            free = np.ones(n, dtype=bool)
+            free[pivot_cols] = False
+            basis = np.zeros((n, n - k))
+            basis[free, np.arange(n - k)] = 1.0
+            basis[pivot_cols] = -signs[:, None] * self.rows[np.ix_(pivot_rows, free)]
+            return np.linalg.qr(basis)[0].T.copy()
+        return np.linalg.qr(self.rows.T, mode="complete")[0][:, k:].T.copy()
 
     def ranks(self, S: np.ndarray, rest: np.ndarray) -> list[int]:
         """rank M[:, s] for each row s of S, in float.
@@ -420,9 +444,7 @@ def format_generator_matrix(code: StabilizerCode) -> str:
     """
     G = code.generator_matrix
     if np.isfinite(G).all() and (G == np.round(G)).all() and np.abs(G).max(initial=0) < 2.0**53:
-        rows = [map(str, row) for row in G.astype(np.int64).tolist()]
-    else:
-        rows = [
-            [str(int(v)) if float(v).is_integer() else repr(float(v)) for v in row] for row in G
-        ]
+        template = " ".join(["%d"] * G.shape[1])
+        return "\n".join([template % tuple(row) for row in G.astype(np.int64).tolist()]) + "\n"
+    rows = [[str(int(v)) if float(v).is_integer() else repr(float(v)) for v in row] for row in G]
     return "\n".join(" ".join(cells) for cells in rows) + "\n"

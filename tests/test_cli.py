@@ -6,9 +6,12 @@ import subprocess
 import sys
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import OVERFLOWING_MATRICES
 
@@ -147,6 +150,64 @@ def test_verify_homology_on_the_general_code(capsys):
     assert report["homology"]["p_rowspace_matches"] is True
     assert report["homology"]["boundary_squares_to_zero"] is True
     assert "X rows match, P rows match" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "24"),
+        ("verify", "9", "--homology"),
+        ("verify", "five", "--erase", "1,2"),
+        ("spacetime", "--config", "fig4"),
+        ("spacetime", "--config", "fig2c"),
+    ],
+)
+def test_json_reports_are_json_dumps_with_indent_two(capsys, argv):
+    rc, out, _ = run_cli(capsys, *argv)
+    assert rc in (0, 1)
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
+# what the reports hold, and what json treats apart: bools among ints,
+# non-finite floats, non-ASCII text, int keys (as in boundary_shapes) and
+# tuples, which json writes as lists
+JSON_SCALARS = st.one_of(
+    st.integers(),
+    st.booleans(),
+    st.none(),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.text(),
+)
+JSON_LEAVES = st.one_of(
+    JSON_SCALARS,
+    st.lists(st.integers()),
+    st.lists(st.one_of(st.integers(-2, 2), st.booleans())),
+    st.lists(st.integers()).map(tuple),
+)
+JSON_VALUES = st.recursive(
+    JSON_LEAVES,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(st.one_of(st.text(), st.integers(), st.booleans(), st.none(), st.floats()), children, max_size=4),
+    ),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(obj=JSON_VALUES)
+def test_the_json_writer_is_json_dumps_with_indent_two(obj):
+    assert cli._json_text(obj) == json.dumps(obj, indent=2)
+
+
+@pytest.mark.parametrize("obj", [{(1, 2): 3}, [np.int64(1)], {"a": {1, 2}}])
+def test_the_json_writer_rejects_what_json_rejects(obj):
+    with pytest.raises(TypeError) as want:
+        json.dumps(obj, indent=2)
+    with pytest.raises(TypeError) as got:
+        cli._json_text(obj)
+    assert str(got.value) == str(want.value)
 
 
 @pytest.mark.parametrize(
@@ -460,6 +521,19 @@ FROZEN_SWEEP_CSV = CSV_HEADER + """
 2.53333333333,nan,0.987550159596,nan,0.993736087442,1,0.987550159596,0.987550159596,0.993736087442,1.11022302463e-16
 3,nan,0.995066951257,nan,0.997527376843,1,0.995066951257,0.995066951257,0.997527376843,2.22044604925e-16
 """
+
+
+def test_fidelity_csv_cells_are_format_twelve_g_at_the_edges():
+    # nan, infinities, -0 and values at the ends of the float range write
+    # as format(x, ".12g") does, cell by cell
+    edge = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 1.7976931348623157e308, -1 / 3, 1e16 + 2, 123456789012.5]
+    rolled = np.array([edge[i:] + edge[:i] for i in range(8)]).T
+    result = SimpleNamespace(
+        r=np.array(edge), simulated=rolled[:, :4], formula=-rolled[:, 4:], row_max_abs_dev=np.array(edge[::-1])
+    )
+    table = np.column_stack([result.r, result.simulated, result.formula, result.row_max_abs_dev])
+    want = [CSV_HEADER, *(",".join(format(cell, ".12g") for cell in row) for row in table.tolist())]
+    assert cli._sweep_csv(result) == "\n".join(want) + "\n"
 
 
 @pytest.mark.parametrize("seed", [(), ("--seed", "1")], ids=["unseeded", "seeded"])

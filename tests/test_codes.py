@@ -20,6 +20,7 @@ from oracles import (
 )
 
 from cvrep import codes, homology
+from cvrep._introws import IntRows
 from cvrep import gaussian as g
 from cvrep.circuits import Displace
 
@@ -443,6 +444,92 @@ def test_vertex_pattern_ranks_are_at_most_n_minus_one_wide(monkeypatch, builder)
     assert max(min(shape[1:]) for shape in stacks) == n - 1
     assert [shape for shape in shapes if len(shape) == 2] == [(n - 2, math.comb(n, 2))]
     assert not [shape for shape in shapes if shape[-2] == math.comb(n - 1, 2)]  # the rows of each matrix
+
+
+# ---------------------------------------------------------------------------
+# the kernel: from the unit-pivot peel, or from a complete QR
+# ---------------------------------------------------------------------------
+
+
+def _kernel_and_route(block):
+    """The block's kernel, and "peel" or "complete" for the QR that np.linalg.qr took to build it."""
+    qr, modes = np.linalg.qr, []
+
+    def spy(a, mode="reduced"):
+        modes.append((np.shape(a), mode))
+        return qr(a, mode)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(np.linalg, "qr", spy)
+        K = block.kernel
+    (shape, mode), = modes
+    k, n = block.rows.shape
+    # the peel route factors the n x (n - k) integer basis, the other M^T
+    assert (shape, mode) in (((n, n - k), "reduced"), ((n, k), "complete"))
+    return K, "peel" if mode == "reduced" else "complete"
+
+
+def _complete_qr_kernel(block):
+    k = len(block.rows)
+    return np.linalg.qr(block.rows.T, mode="complete")[0][:, k:].T
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 8, 12, 17, 24, 40])
+def test_the_peel_route_and_the_complete_qr_span_one_kernel(n):
+    five = codes.build_five_mode_code() if n == 5 else None
+    cases = [
+        (codes.build_general_code(n), ("peel", "complete")),
+        (homology.build_homological_code(n), ("peel", "complete")),
+        # the five-mode X block has a pivot of -2; its P block peels on +-1
+        *([(five, ("complete", "peel"))] if five else []),
+    ]
+    for code, routes in cases:
+        for block, route in zip(code._blocks, routes):
+            K, took = _kernel_and_route(block)
+            assert took == route, (code.name, block.rows.shape)
+            M, want = block.rows, _complete_qr_kernel(block)
+            k, m = M.shape
+            bound = m * np.finfo(float).eps
+            assert K.shape == want.shape == (m - k, m)
+            assert np.abs(K @ K.T - np.eye(m - k)).max() <= bound
+            assert np.abs(M @ K.T).max() <= bound * np.abs(M).max()
+            assert np.abs(K.T @ K - want.T @ want).max() <= bound
+
+
+def _verdicts_by_route(code, patterns):
+    """correctable's verdicts as they are, and with every kernel from the complete QR."""
+    got = codes.correctable(code, patterns)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(IntRows, "unit_pivots", None)
+        twin = codes.StabilizerCode(code.n_modes, code.x_rows, code.p_rows, name=code.name)
+        assert all(_kernel_and_route(block)[1] == "complete" for block in twin._blocks)
+        return got, codes.correctable(twin, patterns)
+
+
+def test_both_kernel_routes_give_every_vertex_verdict():
+    # every general-code vertex pattern at N = 4-40; by the paper, all hold
+    for n in range(4, 41):
+        code = codes.build_general_code(n)
+        assert _kernel_and_route(code._blocks[0])[1] == "peel"
+        basis = codes.edge_basis(n)
+        patterns = [codes.erasure_for_vertex(code, basis, vertex) for vertex in range(1, n + 1)]
+        assert _verdicts_by_route(code, patterns) == ([True] * n, [True] * n)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1 / 3, 1e-11])
+def test_both_kernel_routes_give_every_drawn_verdict(scale):
+    # seeded random erasures of the five-mode, general and homological codes;
+    # a scaled code is not an integer code, so it takes the complete QR
+    rng = np.random.default_rng(28)
+    edge_codes = [build(n) for n in (4, 7, 12) for build in (codes.build_general_code, homology.build_homological_code)]
+    for code in (codes.build_five_mode_code(), *edge_codes):
+        scaled = _scaled(code, scale)
+        if scale != 1.0:
+            assert all(_kernel_and_route(block)[1] == "complete" for block in scaled._blocks)
+        sizes = rng.integers(1, code.n_modes + 1, size=40)
+        erasures = [frozenset(rng.choice(code.n_modes, size, replace=False).tolist()) for size in sizes]
+        got, want = _verdicts_by_route(scaled, [codes.ErasurePattern(erased) for erased in erasures])
+        assert got == want == _verdicts(code, erasures), code.name
 
 
 # ---------------------------------------------------------------------------

@@ -78,3 +78,38 @@ def test_the_peeled_comparison_falls_back_to_exact_rank_past_two_to_the_53():
     assert _exact(A).spans(_exact(B))
     B[0, 3] += 2  # the next float up: out of the span
     assert not _exact(A).spans(_exact(B))
+
+
+def test_unit_pivots_need_every_row_peeled_on_a_sole_plus_or_minus_one():
+    # row 0 owns column 0 (-1) and row 1 owns column 3 (+1); no other row touches either
+    rows, cols, values = _exact(np.array([[-1.0, 1, 1, 0], [0, 2, 0, 1]])).unit_pivots
+    assert (rows.tolist(), cols.tolist(), values.tolist()) == ([0, 1], [0, 3], [-1.0, 1.0])
+    assert _exact(np.array([[-1.0, 1, 1, 0], [0, 0, 1, -2]])).unit_pivots is None  # a pivot of -2
+    # a chain: row 1 peels first on column 2, then row 0 on column 1, which row 1 touches
+    assert _exact(np.array([[1.0, 1, 0], [0, 1, 1]])).unit_pivots is not None
+    assert _exact(np.array([[1.0, 1], [0, 1]])).unit_pivots is None
+    assert _exact(np.array([[1.0, 1], [1, 1]])).unit_pivots is None  # no row peels
+    assert _exact(np.array([[1.0, 0], [0, 0]])).unit_pivots is None  # a zero row has no pivot
+
+
+@settings(max_examples=300, deadline=None)
+@given(M=int_matrices())
+def test_unit_pivots_solve_for_their_columns_in_integers(M):
+    # with unit pivots, the free columns' identity and -s_i M[i, free] in
+    # pivot column i span ker M: M B == 0 exactly, and B has full rank n - k
+    exact = _exact(M)
+    if exact.unit_pivots is None:
+        return
+    rows, cols, signs = exact.unit_pivots
+    k, n = M.shape
+    assert sorted(rows.tolist()) == list(range(k)) and (np.abs(signs) == 1).all()
+    free = np.ones(n, dtype=bool)
+    free[cols] = False
+    exact_M = np.array([[int(v) for v in row] for row in M.tolist()], dtype=object).reshape(k, n)
+    B = np.zeros((n, n - k), dtype=object)
+    B[free] = np.eye(n - k, dtype=int)
+    B[cols] = -signs[:, None].astype(int) * exact_M[np.ix_(rows, free)]
+    assert not (exact_M @ B).any()
+    # the rows are independent, so ker M has dimension n - k, and B's
+    # identity rows make its n - k columns independent
+    assert rational_rank(M) == k

@@ -289,6 +289,37 @@ def test_a_map_past_float_range_is_an_error_not_a_nan_state(fold, r):
             fold(r)
 
 
+@pytest.mark.parametrize("encode", [ideal_encoded_state, optical_encoded_state])
+@pytest.mark.parametrize(
+    "r, message",
+    [
+        (-1.0, r"^r must be >= 0"),
+        (-800.0, r"^r must be >= 0"),
+        (np.nan, r"^r must be finite"),
+        (np.inf, r"^r must be finite"),
+        (746.0, r"^r = 746\.0 is too large: e\^\{-r\} underflows to 0"),
+        (800.0, r"^r = 800\.0 is too large"),
+        (1e6, r"^r = 1000000\.0 is too large"),
+    ],
+)
+def test_encoded_states_check_the_squeezing_as_recovery_fidelities_does(encode, r, message):
+    # a negative r is not a squeezing magnitude; past r = 745.1 the
+    # ancillas' squeeze factor e^{-r} is 0.  Either raises before any op
+    # runs, and no NumPy warning fires first
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=message):
+            encode(r)
+
+
+def test_run_itself_rejects_a_map_past_float_range():
+    # the encoded states check r before they run; run checks the map it folds
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^the circuit's map leaves float range$"):
+            run(optical_encoder(800.0), tensor(coherent(0), vacuum(4)), average=True)
+
+
 def test_nullifier_variances_decay_with_slope_minus_two():
     grid = np.array([1.0, 2.0, 3.0])
     for encode in (ideal_encoded_state, optical_encoded_state):
