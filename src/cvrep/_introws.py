@@ -16,8 +16,8 @@ A matrix is held by its nonzero entries: the row and column index arrays of
   adds 1 to the rank.
 
 Unit pivots.  When every row peels, each on a pivot of +-1 in a column no
-other row of the whole matrix touches (``IntRows.unit_pivots``), A solves
-for its pivot columns in integers, and two readers use that:
+other row of the whole matrix touches (``IntRows.unit_pivots``), A is a
+signed permutation in its pivot columns, and two readers use that:
 
 - Membership (every row of B lies in the row space of A) is rank [A; B] ==
   rank A, exactly.  With unit pivots a row b of A's row space is
@@ -27,9 +27,11 @@ for its pivot columns in integers, and two readers use that:
   partial sum stays below 2^53, which the bound k max|C| max|A| + max|B| <
   2^53 (k rows of A) guarantees.  Past it, the exact rank of the stack
   decides.
-- Kernel.  x lies in ker A iff x[piv_i] = -A[i, piv_i] A[i, free] x[free]
-  for every row i, so the free columns' identity, with those rows in the
-  pivot columns, is an integer basis of ker A (``codes._Block.kernel``).
+- Restriction ranks.  With W = A[:, free], rank A[:, S] = |S & piv| +
+  rank W[R_S, S & free], R_S the rows whose pivot is not in S: a row whose
+  pivot lies in S owns a column of the slice, and every other row is zero
+  on S & piv.  The count is exact; only the residual's rank is left, and
+  it is small (``codes._Block.ranks``).
 """
 
 from __future__ import annotations
@@ -59,7 +61,9 @@ class IntRows:
     @classmethod
     def of(cls, M: np.ndarray) -> IntRows | None:
         """M's exact rows, or None unless every entry of M is a finite integral float."""
-        rows, cols = np.nonzero(M)
+        # np.nonzero(M), in row-major order: the flat scan of a boolean mask
+        # is several times faster than np.nonzero's of a 2-D float array
+        rows, cols = np.divmod((M != 0).ravel().nonzero()[0], M.shape[1])
         values = M[rows, cols]
         if not (np.isfinite(values).all() and (values == np.rint(values)).all()):
             return None

@@ -206,13 +206,14 @@ def ideal_encoded_state(r: float, alpha: complex = 0j) -> GaussianState:
 
     The ancillas start as vacuum, squeezed in x by e^{-r} on wires 2-5 by
     four ops run ahead of the encoder, so the state is one circuit run.
-    r must be finite and >= 0 (``_check_squeezing``), and e^{-r} must not
-    underflow to 0.
+    r must be finite and >= 0 (``_check_squeezing``), e^{-r} must not
+    underflow to 0, and the encoder's map must stay within float range
+    (``_encode``).
     """
     _check_encoding(r)
     encoder = ideal_encoder()
     squeezers = tuple(SqueezeFactor(m, float(np.exp(-r))) for m in range(2, 6))
-    return run(encoder.with_ops(squeezers + encoder.ops), tensor(coherent(alpha), vacuum(4))).state
+    return _encode(r, encoder.with_ops(squeezers + encoder.ops), alpha)
 
 
 def optical_encoded_state(r: float, alpha: complex = 0j) -> GaussianState:
@@ -221,7 +222,20 @@ def optical_encoded_state(r: float, alpha: complex = 0j) -> GaussianState:
     r is checked as for ``ideal_encoded_state``.
     """
     _check_encoding(r)
-    return run(optical_encoder(r), tensor(coherent(alpha), vacuum(4)), average=True).state
+    return _encode(r, optical_encoder(r), alpha, average=True)
+
+
+def _encode(r: float, encoder: Circuit, alpha: complex, **policy) -> GaussianState:
+    """The encoder's output on a coherent input and vacuum ancillas.
+
+    The encoder's map grows as e^{r}, so past some r, which differs between
+    the encoders, ``run`` finds it leaves float range; that error names r.
+    """
+    state = tensor(coherent(alpha), vacuum(4))
+    try:
+        return run(encoder, state, **policy).state
+    except ValueError as exc:
+        raise ValueError(f"r = {r} is too large: {exc}") from exc
 
 
 def erase(state: GaussianState, tag: str) -> GaussianState:

@@ -89,8 +89,10 @@ def _json_text(obj, pad: str = "\n") -> str:
     """``json.dumps(obj, indent=2)``, each list of plain ints joined in one step.
 
     With ``indent`` set, ``json`` writes every value through its Python
-    encoder; a verify report holds thousands of erased-mode numbers.  ``pad``
-    is the newline and indent that precede the closing bracket of ``obj``.
+    encoder; a verify report holds thousands of erased-mode numbers.  A
+    plain int, a bool and None are written here, with no ``json`` call.
+    ``pad`` is the newline and indent that precede the closing bracket of
+    ``obj``.
     """
     if isinstance(obj, (list, tuple, dict)) and obj:
         inner = pad + "  "
@@ -109,6 +111,14 @@ def _json_text(obj, pad: str = "\n") -> str:
         else:
             text = sep.join([_json_text(v, inner) for v in obj])
         return "[" + inner + text + pad + "]"
+    # json's own text for the scalars it writes most; a str, a float and
+    # anything else still go through json
+    if type(obj) is int:
+        return "%d" % obj
+    if obj is None:
+        return "null"
+    if type(obj) is bool:
+        return "true" if obj else "false"
     return json.dumps(obj)
 
 

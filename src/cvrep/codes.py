@@ -8,46 +8,52 @@ on the commuting, independent rows that StabilizerCode enforces.
 
 Every fact about a generator block is held once, by a ``_Block``, and
 StabilizerCode keeps its X and P blocks as a pair: the block's rank, its
-kernel (taken on first use), its restriction ranks and the comparison of its
-row space with another's.
+unit pivots or its kernel (taken on first use), its restriction ranks and
+the comparison of its row space with another's.
 
 Which facts are exact: every generator matrix built here is an integer
 matrix, and a block whose entries are all integral floats holds its exact
 rows (``_introws``).  Its own rank, and so the construction's independence
 check, and the comparison of its row space with another integer block's
 are exact, at any entry size.  Everything else is float: the ranks of a
-non-integer block, and the restriction ranks of every block.  A float rank
+non-integer block, and the restriction ranks of every block, though a
+unit-pivot block's are float only in a small residual.  A float rank
 counts the singular values above a cutoff relative to a scale, the largest
-singular value of the whole block; the block takes its singular values
-only when a float decision first needs that scale.
+singular value of the whole block.
 
-Each restriction rank is taken on the cheaper of the column slice and its
-kernel complement: for a block M (k x n) with independent rows and K the
-orthonormal rows spanning ker M, rank M[:, S] = |S| - (n - k) + rank K[:, ~S],
-and the side with the smaller SVD flop estimate, k |S| min(k, |S|) against
-(n - k) |~S| min(n - k, |~S|), is taken.  A tie goes to the kernel side,
-decided at scale 1, which needs no SVD of the block: the X slices of the
-general code's vertex patterns always tie (n - k = |S| = N - 1 and
-|~S| = k).  Patterns that erase the same number of modes give slices of one
-shape, so each of their four restriction ranks is one SVD of a stack of
-slices.
+Every block built here, but the five-mode code's X block (a pivot is -2),
+peels on unit pivots (``_introws``): each row owns a column, on a pivot of
++-1, that no other row touches.  With P those pivot columns, F the free
+ones and W = M[:, F],
 
-The kernel K of an integer block with unit pivots (``_introws``) is the Q
-of a reduced QR of its integer kernel basis, n x (n - k), when that costs
-fewer flops than a complete n x n QR of M^T; so it is for the general
-code's X block, whose kernel has only N - 1 columns.  Every other block
-takes the complete QR: a non-integer block, the five-mode code's X block
-(a pivot is -2), and the general code's P block, whose kernel is nearly
-all of R^n.  Either way K is orthonormal.
+  rank M[:, S] = |S & P| + rank W[R_S, S & F],
+
+R_S the rows whose pivot is not in S.  The pivot count is exact, and only
+the residual's rank is float: one stacked SVD per shape of residual, none
+for a residual with a zero dimension or (an integer one) with one row or
+one column.  M M^T = I + W W^T, so the scale is sqrt(1 + sigma_max(W)^2),
+with no SVD of M.  On the general code's vertex patterns every residual is
+at most (N - 2) x (N - 1), but one pattern per block: all of W for X's kept
+modes at v = 1, and (N - 2) x C(N-1,2) for P's erased modes at v = N.
+
+Any other block takes each restriction rank on the cheaper of the column
+slice and its kernel complement: for a block M (k x n) with independent
+rows and K the orthonormal rows spanning ker M (the trailing columns of a
+complete QR of M^T), rank M[:, S] = |S| - (n - k) + rank K[:, ~S], and the
+side with the smaller SVD flop estimate, k |S| min(k, |S|) against
+(n - k) |~S| min(n - k, |~S|), is taken, the kernel side (at scale 1) on a
+tie.  Patterns that erase the same number of modes give slices of one
+shape, so each such group's rank is one SVD of a stack of slices.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import combinations
+from itertools import chain, combinations
 
 import numpy as np
 
@@ -121,11 +127,19 @@ def _count_ranks(rows: Iterable[Sequence[float]], scale: float) -> list[int]:
     return ranks
 
 
-def _slice_ranks(slices: np.ndarray, scale: float) -> list[int]:
-    """Rank of each slice of a (k, G, w) stack, as ``M[:, S]`` takes it for G index rows S."""
-    if not slices.size:
-        return [0] * slices.shape[1]
-    return _count_ranks(np.linalg.svd(slices.transpose(1, 0, 2), compute_uv=False).tolist(), scale)
+def _stack_ranks(stack: np.ndarray, scale: float) -> list[int]:
+    """Rank of each matrix of a (G, h, w) stack: one stacked SVD, counted at ``scale``."""
+    if not stack.size:
+        return [0] * len(stack)
+    return _count_ranks(np.linalg.svd(stack, compute_uv=False).tolist(), scale)
+
+
+def _groups(keys: Iterable) -> dict[object, list[int]]:
+    """The positions of each key, keys in order of first appearance."""
+    groups: dict[object, list[int]] = {}
+    for i, key in enumerate(keys):
+        groups.setdefault(key, []).append(i)
+    return groups
 
 
 class _Block:
@@ -134,9 +148,13 @@ class _Block:
     When every entry is an integral float, the block holds its exact rows
     (``_introws.IntRows``): its own rank, and the comparison of its row
     space with another integer block's, are exact.  Its restriction ranks
-    stay float.  The singular values, whose largest is the scale of every
-    float rank decision on the block, are taken only when such a decision
-    first needs them; the kernel when a restriction rank first needs it.
+    stay float, but a block whose rows peel on unit pivots takes them
+    through its pivots (``ranks``), float only in a small residual; it reads
+    its pivot map and W (the free columns) when a restriction rank first
+    needs them, and its scale when a residual first needs an SVD.  Any
+    other block takes its singular values, whose largest is the scale of
+    every float rank decision on it, and its kernel only when such a
+    decision first needs them.
     """
 
     def __init__(self, rows: np.ndarray):
@@ -150,8 +168,33 @@ class _Block:
         return np.linalg.svd(self.rows, compute_uv=False) if self.rows.size else np.zeros(0)
 
     @cached_property
+    def pivots(self) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+        """Each row's pivot column, the free columns and W = M[:, free]; None unless unit pivots.
+
+        Unit pivots as ``IntRows.unit_pivots`` finds them: each row owns a
+        column on a pivot of +-1, and no other row touches it.
+        """
+        unit = None if self.exact is None else self.exact.unit_pivots
+        if unit is None:
+            return None
+        pivot_rows, pivot_cols, _ = unit
+        pivot_of = np.empty(len(pivot_rows), dtype=np.intp)
+        pivot_of[pivot_rows] = pivot_cols
+        free = np.ones(self.rows.shape[1], dtype=bool)
+        free[pivot_cols] = False
+        return pivot_of, free, self.rows[:, free]
+
+    @cached_property
     def scale(self) -> float:
-        """The largest singular value (0 for an empty block)."""
+        """The largest singular value (0 for an empty block).
+
+        A unit-pivot block is a signed permutation in its pivot columns and
+        W in the free ones, so M M^T = I + W W^T and the scale is
+        sqrt(1 + sigma_max(W)^2), with no SVD of M.
+        """
+        if self.rows.size and self.pivots is not None:
+            W = self.pivots[2]
+            return math.hypot(1.0, np.linalg.svd(W, compute_uv=False)[0] if W.size else 0.0)
         return self.svals[0] if self.svals.size else 0.0
 
     def rank(self, scale: float | None = None) -> int:
@@ -166,46 +209,69 @@ class _Block:
 
     @cached_property
     def kernel(self) -> np.ndarray:
-        """(n - k) x n orthonormal rows spanning ker M.
+        """(n - k) x n orthonormal rows spanning ker M: the trailing columns of a complete QR of M^T."""
+        return np.linalg.qr(self.rows.T, mode="complete")[0][:, self.rows.shape[0] :].T.copy()
 
-        An integer block with unit pivots (``IntRows.unit_pivots``) has an
-        integer kernel basis B (n x (n - k)): the identity in the free
-        columns and, in row i's pivot column, -s_i M[i, free] (s_i its
-        pivot).  The rows are then the Q of a reduced QR of B, about
-        n (n - k)^2 flops, where the complete QR of M^T below costs about
-        n^2 k; the cheaper is taken.  Any other block takes the trailing
-        n - k columns of the complete QR of M^T.
+    def ranks(self, inside: np.ndarray) -> np.ndarray:
+        """rank M[:, S] for each row of ``inside``, a G x n mask of the columns in S.
+
+        A unit-pivot block (``pivots``) takes, with P its pivot columns and F
+        its free ones,
+
+          rank M[:, S] = |S & P| + rank W[R_S, S & F]
+
+        where R_S holds the rows whose pivot is not in S: a row whose pivot
+        lies in S owns a column of the slice, and every other row is zero
+        on S & P.  |S & P| is a count; the residuals W[R_S, S & F] are
+        grouped by shape, and each group's ranks are one stacked SVD at the
+        block's scale.  A residual with a zero dimension has rank 0, and an
+        integer residual with one row or one column rank 1 if any entry is
+        nonzero, with no SVD.
+
+        Any other block takes the cheaper of the column slice and its kernel
+        complement (``_complement_ranks``).
+        """
+        if self.pivots is None:
+            return self._complement_ranks(inside)
+        pivot_of, free, W = self.pivots
+        unowned, picked = ~inside[:, pivot_of], inside[:, free]  # R_S, and S & F
+        height, width = unowned.sum(1), picked.sum(1)
+        ranks = len(pivot_of) - height
+        for (h, w), at in _groups(zip(height.tolist(), width.tolist())).items():
+            if h and w:
+                rows = unowned[at].nonzero()[1].reshape(-1, h, 1)
+                cols = picked[at].nonzero()[1].reshape(-1, 1, w)
+                residuals = W[rows, cols]
+                if min(h, w) == 1:
+                    ranks[at] += residuals.any(axis=(1, 2))
+                else:
+                    ranks[at] += _stack_ranks(residuals, self.scale)
+        return ranks
+
+    def _complement_ranks(self, inside: np.ndarray) -> np.ndarray:
+        """rank M[:, S] on the cheaper of the slice and its kernel complement.
+
+        rank M[:, S] = |S| - (n - k) + rank K[:, ~S], with K the kernel.
+        Patterns of one |S| give slices of one shape, so each group's ranks
+        are one stacked SVD.  Whichever side has the smaller SVD flop
+        estimate, k |S| min(k, |S|) against (n - k) |~S| min(n - k, |~S|),
+        is taken, and a tie goes to the kernel side; the choice depends only
+        on shapes.  The K side is decided at scale 1, the scale of an
+        orthonormal block, and the slice side at the block's.
         """
         k, n = self.rows.shape
-        unit = None if self.exact is None else self.exact.unit_pivots
-        if unit is not None and (n - k) ** 2 < n * k:
-            pivot_rows, pivot_cols, signs = unit
-            free = np.ones(n, dtype=bool)
-            free[pivot_cols] = False
-            basis = np.zeros((n, n - k))
-            basis[free, np.arange(n - k)] = 1.0
-            basis[pivot_cols] = -signs[:, None] * self.rows[np.ix_(pivot_rows, free)]
-            return np.linalg.qr(basis)[0].T.copy()
-        return np.linalg.qr(self.rows.T, mode="complete")[0][:, k:].T.copy()
-
-    def ranks(self, S: np.ndarray, rest: np.ndarray) -> list[int]:
-        """rank M[:, s] for each row s of S, in float.
-
-        S is a G x |S| index array and rest the G x (n - |S|) array of the
-        complements.  rank M[:, s] = |S| - (n - k) + rank K[:, rest], with K
-        the kernel; whichever side has the smaller SVD flop estimate is
-        taken, and a tie goes to the kernel side, which needs no scale of
-        the block, so the choice depends only on shapes and is one for all
-        G rows.  The K side is decided at scale 1, the scale of an
-        orthonormal block.
-        """
-        if not len(S):  # no patterns left: take no factorization, not even the kernel
-            return []
-        k, c = self.rows.shape[0], self.rows.shape[1] - self.rows.shape[0]
-        width, other = S.shape[1], rest.shape[1]
-        if c * other * min(c, other) <= k * width * min(k, width):
-            return [width - c + rank for rank in _slice_ranks(self.kernel[:, rest], 1.0)]
-        return _slice_ranks(self.rows[:, S], self.scale)
+        c = n - k
+        ranks = np.zeros(len(inside), dtype=np.intp)
+        for width, at in _groups(inside.sum(1).tolist()).items():
+            other = n - width
+            if c * other * min(c, other) <= k * width * min(k, width):
+                rest = (~inside[at]).nonzero()[1].reshape(len(at), other)
+                got = [width - c + rank for rank in _stack_ranks(self.kernel[:, rest].transpose(1, 0, 2), 1.0)]
+            else:
+                cols = inside[at].nonzero()[1].reshape(len(at), width)
+                got = _stack_ranks(self.rows[:, cols].transpose(1, 0, 2), self.scale)
+            ranks[at] = got
+        return ranks
 
     def same_span(self, other: _Block) -> bool:
         """Equal row spaces: rank A == rank B == rank [A; B].
@@ -381,45 +447,35 @@ def correctable(code: StabilizerCode, patterns: Sequence[ErasurePattern]) -> lis
     integer block.  The restriction ranks are float, and every one is taken
     against the scale of the whole block, not of the column slice.
 
-    Each rank M[:, S] is taken on the cheaper of the slice and its kernel
-    complement: with K the (n - k) x n orthonormal rows spanning ker M,
+    The patterns' erased modes are one G x n mask, built once; it and its
+    complement serve all four ranks.  A unit-pivot block takes each rank as
+    its exact pivot count plus the rank of a residual of its free columns,
 
-      rank M[:, S] = |S| - (n - k) + rank K[:, ~S]
+      rank M[:, S] = |S & P| + rank W[R_S, S & F]
 
-    and the side with the smaller flop estimate k |S| min(k, |S|) versus
-    (n - k) |~S| min(n - k, |~S|) wins, the kernel side on a tie; K is
-    orthonormal, so its side is decided at scale 1.  For a vertex pattern
-    of the general code this turns rank X[:, E], a C(N-1,2)-square problem,
-    into an (N-1)-square one.
-
-    Patterns are grouped by |E|.  The slices of one group share their shape,
-    so each of the four ranks is one SVD of the group's stack of slices; the
-    P side is taken only for the patterns whose X side holds.
-    Verdicts come back in the order of ``patterns``.
+    (``_Block.ranks``), one stacked SVD per residual shape.  For a vertex
+    pattern of the general code this turns rank X[:, E], a C(N-1,2) x
+    C(N-1,2) slice, into an (N-2)-square residual, and takes no QR and no
+    SVD of either block.  Any other block takes the cheaper of the slice
+    and its kernel complement, one stacked SVD per |S|.  The P side is
+    taken only for the patterns whose X side holds.  Verdicts come back in
+    the order of ``patterns``.
     """
     n = code.n_modes
-    groups: dict[int, list] = {}
-    for i, pattern in enumerate(patterns):
-        erased = sorted(pattern.erased)
-        if erased and (erased[0] < 0 or erased[-1] >= n):
-            bad = next(m for m in erased if not 0 <= m < n)
-            raise ValueError(f"erased mode {bad} out of range for {n}-mode code")
-        kept = [m for m in range(n) if m not in pattern.erased]
-        groups.setdefault(len(erased), []).append((i, erased + kept))
-
-    verdicts = [False] * len(patterns)
-    for size, members in groups.items():
-        # row g: pattern g's erased modes, then its kept ones
-        order = np.array([row for _, row in members], dtype=np.intp)
-        live = np.arange(len(members))
-        # (a, b) = (P, X), the X side, then (X, P) on the patterns it kept
-        for a, b in (code._blocks[::-1], code._blocks):
-            E, K = order[live, :size], order[live, size:]
-            holds = [size - ra == len(b.rows) - rb for ra, rb in zip(a.ranks(E, K), b.ranks(K, E))]
-            live = live[holds]
-        for g in live.tolist():
-            verdicts[members[g][0]] = True
-    return verdicts
+    sizes = np.array([len(pattern.erased) for pattern in patterns], dtype=np.intp)
+    modes = np.fromiter(chain.from_iterable(pattern.erased for pattern in patterns), np.intp, sizes.sum())
+    if modes.size and (modes.min() < 0 or modes.max() >= n):
+        bad = next(m for pattern in patterns for m in sorted(pattern.erased) if not 0 <= m < n)
+        raise ValueError(f"erased mode {bad} out of range for {n}-mode code")
+    erased = np.zeros((len(patterns), n), dtype=bool)
+    erased[np.repeat(np.arange(len(patterns)), sizes), modes] = True
+    kept, live = ~erased, np.arange(len(patterns))
+    # (a, b) = (P, X), the X side, then (X, P) on the patterns it kept
+    for a, b in (code._blocks[::-1], code._blocks):
+        live = live[sizes[live] - a.ranks(erased[live]) == len(b.rows) - b.ranks(kept[live])]
+    verdicts = np.zeros(len(patterns), dtype=bool)
+    verdicts[live] = True
+    return verdicts.tolist()
 
 
 def check_correctable(code: StabilizerCode, pattern: ErasurePattern) -> bool:

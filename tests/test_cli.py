@@ -212,16 +212,17 @@ def test_the_json_writer_rejects_what_json_rejects(obj):
 
 @pytest.mark.parametrize(
     "argv, svd_calls, qr_calls",
-    [(("verify", "five"), 10, 2), (("verify", "24"), 5, 1), (("verify", "12", "--homology"), 5, 1)],
+    [(("verify", "five"), 8, 1), (("verify", "24"), 7, 0), (("verify", "12", "--homology"), 7, 0)],
     ids=["five", "24", "12 homology"],
 )
 def test_verify_takes_each_block_factorization_once(capsys, monkeypatch, argv, svd_calls, qr_calls):
-    # integer blocks are built and compared exactly, with no factorization;
-    # a block's singular values are taken once, when a float slice rank
-    # first needs its scale, and its kernel once, when the kernel side
-    # first needs it: the stacked restriction ranks (eight on five-mode
-    # patterns of two sizes, four on vertex patterns) and each block scale
-    # they read (both five-mode blocks; only P, never X, on the general code)
+    # integer blocks are built and compared exactly, with no factorization.
+    # A unit-pivot block takes no QR and no SVD of itself: one SVD of its
+    # free columns W, for its scale, and one stacked SVD per shape of the
+    # residuals with at least two rows and two columns (five shapes on the
+    # vertex patterns).  The five-mode X block (a pivot of -2) takes its
+    # singular values and its complete-QR kernel once each; with the P
+    # block's W, that is two plain SVDs and six stacked ones
     calls = {"svd": 0, "qr": 0}
 
     def counting(name):

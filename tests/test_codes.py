@@ -418,118 +418,195 @@ def test_complement_rank_identity_holds_on_both_blocks():
                 assert _rank(M[:, S], scale) == size - (n - k) + _rank(K[:, rest], 1.0)
 
 
+def _spied(name, read):
+    """read(), and the shapes that np.linalg.<name> took while it ran."""
+    honest, shapes = getattr(np.linalg, name), []
+
+    def spy(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return honest(a, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(np.linalg, name, spy)
+        return read(), shapes
+
+
 @pytest.mark.parametrize("builder", [codes.build_general_code, homology.build_homological_code])
-def test_vertex_pattern_ranks_are_at_most_n_minus_one_wide(monkeypatch, builder):
-    # the C(N-1,2)-square rank X[:, E] moves to the (N-1)-column complement,
-    # and each of the four ranks is one SVD of the stack of all N slices.
-    # The X slices tie in the flop estimate and go to the kernel side, so
-    # the only other SVD is the P block's scale, for its float slice ranks;
-    # no SVD takes the C(N-1,2)-row X block
+def test_vertex_pattern_ranks_are_at_most_n_minus_one_wide(builder):
+    # both blocks peel on unit pivots, so each rank is a pivot count plus
+    # the rank of a residual of W.  No SVD takes the C(N-1,2)-square
+    # problem, nor either whole block: the plain SVDs are the two W's, for
+    # the scales.  Every residual fits in (N-2) x (N-1), except one pattern
+    # per block: X's kept side at v = 1 (all of W) and P's erased side at
+    # v = N, each N-1 or fewer on its short side
     n = 12
     code = builder(n)
     basis = codes.edge_basis(n)
     patterns = [codes.erasure_for_vertex(code, basis, vertex) for vertex in range(1, n + 1)]
-    shapes = []
-    svd = np.linalg.svd
-
-    def spy(a, *args, **kwargs):
-        shapes.append(np.shape(a))
-        return svd(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "svd", spy)
-    assert codes.correctable(code, patterns) == [True] * n
+    verdicts, shapes = _spied("svd", lambda: codes.correctable(code, patterns))
+    assert verdicts == [True] * n
     stacks = [shape for shape in shapes if len(shape) == 3]
-    assert len(stacks) == 4
-    assert all(shape[0] == n for shape in stacks)
-    assert max(min(shape[1:]) for shape in stacks) == n - 1
-    assert [shape for shape in shapes if len(shape) == 2] == [(n - 2, math.comb(n, 2))]
-    assert not [shape for shape in shapes if shape[-2] == math.comb(n - 1, 2)]  # the rows of each matrix
+    assert sum(shape[0] for shape in stacks) <= 4 * n
+    assert max(min(shape[-2:]) for shape in shapes) == n - 1
+    long = sorted(shape for shape in stacks if max(shape[1:]) > n - 1)
+    assert long == [(1, n - 2, math.comb(n - 1, 2)), (1, math.comb(n - 1, 2), n - 1)]
+    assert all(shape[1] <= n - 2 and shape[2] <= n - 1 for shape in stacks if shape not in long)
+    X, P = (block.rows.shape for block in code._blocks)
+    assert sorted(shape for shape in shapes if len(shape) == 2) == sorted([(X[0], n - 1), (P[0], P[1] - P[0])])
+    assert X not in shapes and P not in shapes
 
 
 # ---------------------------------------------------------------------------
-# the kernel: from the unit-pivot peel, or from a complete QR
+# restriction ranks through the unit pivots, or through the complete route
 # ---------------------------------------------------------------------------
 
 
-def _kernel_and_route(block):
-    """The block's kernel, and "peel" or "complete" for the QR that np.linalg.qr took to build it."""
-    qr, modes = np.linalg.qr, []
-
-    def spy(a, mode="reduced"):
-        modes.append((np.shape(a), mode))
-        return qr(a, mode)
-
+def _complete_route(code):
+    """The code rebuilt with no unit pivots: every restriction rank on the slice or its kernel."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(np.linalg, "qr", spy)
-        K = block.kernel
-    (shape, mode), = modes
-    k, n = block.rows.shape
-    # the peel route factors the n x (n - k) integer basis, the other M^T
-    assert (shape, mode) in (((n, n - k), "reduced"), ((n, k), "complete"))
-    return K, "peel" if mode == "reduced" else "complete"
+        patch.setattr(IntRows, "unit_pivots", None)
+        twin = codes.StabilizerCode(code.n_modes, code.x_rows, code.p_rows, name=code.name)
+        assert all(block.pivots is None for block in twin._blocks)
+    return twin
 
 
-def _complete_qr_kernel(block):
-    k = len(block.rows)
-    return np.linalg.qr(block.rows.T, mode="complete")[0][:, k:].T
+def _masks(code, erasures):
+    erased = np.zeros((len(erasures), code.n_modes), dtype=bool)
+    for row, modes in zip(erased, erasures):
+        row[sorted(modes)] = True
+    return erased, ~erased
+
+
+def _ranks_and_verdicts(code, erasures):
+    """Each block's ranks on the erased and on the kept modes, and the verdicts."""
+    erased, kept = _masks(code, erasures)
+    ranks = [block.ranks(side).tolist() for block in code._blocks for side in (erased, kept)]
+    return ranks, codes.correctable(code, [codes.ErasurePattern(modes) for modes in erasures])
+
+
+def _ranks_by_route(code, erasures):
+    """``_ranks_and_verdicts`` through the unit pivots where a block has them, and on the complete route."""
+    return _ranks_and_verdicts(code, erasures), _ranks_and_verdicts(_complete_route(code), erasures)
 
 
 @pytest.mark.parametrize("n", [4, 5, 6, 8, 12, 17, 24, 40])
 def test_the_peel_route_and_the_complete_qr_span_one_kernel(n):
+    # a unit-pivot block's pivot map and W describe it exactly: a signed
+    # identity on the pivot columns and W on the free ones, so the integer
+    # basis read off them (the free identity, -s_i W[i] in row i's pivot
+    # column) spans the complete QR's kernel.  Its restriction ranks take
+    # no QR, and the residual route gives every vertex rank the complete
+    # route gives.  The five-mode X block (a pivot of -2) has no unit pivots
     five = codes.build_five_mode_code() if n == 5 else None
     cases = [
-        (codes.build_general_code(n), ("peel", "complete")),
-        (homology.build_homological_code(n), ("peel", "complete")),
-        # the five-mode X block has a pivot of -2; its P block peels on +-1
-        *([(five, ("complete", "peel"))] if five else []),
+        (codes.build_general_code(n), (True, True)),
+        (homology.build_homological_code(n), (True, True)),
+        *([(five, (False, True))] if five else []),
     ]
-    for code, routes in cases:
-        for block, route in zip(code._blocks, routes):
-            K, took = _kernel_and_route(block)
-            assert took == route, (code.name, block.rows.shape)
-            M, want = block.rows, _complete_qr_kernel(block)
+    for code, units in cases:
+        for block, unit in zip(code._blocks, units):
+            assert (block.pivots is not None) == unit, (code.name, block.rows.shape)
+            if not unit:
+                continue
+            M = block.rows
             k, m = M.shape
-            bound = m * np.finfo(float).eps
-            assert K.shape == want.shape == (m - k, m)
-            assert np.abs(K @ K.T - np.eye(m - k)).max() <= bound
-            assert np.abs(M @ K.T).max() <= bound * np.abs(M).max()
-            assert np.abs(K.T @ K - want.T @ want).max() <= bound
-
-
-def _verdicts_by_route(code, patterns):
-    """correctable's verdicts as they are, and with every kernel from the complete QR."""
-    got = codes.correctable(code, patterns)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(IntRows, "unit_pivots", None)
-        twin = codes.StabilizerCode(code.n_modes, code.x_rows, code.p_rows, name=code.name)
-        assert all(_kernel_and_route(block)[1] == "complete" for block in twin._blocks)
-        return got, codes.correctable(twin, patterns)
+            pivot_of, free, W = block.pivots
+            assert np.array_equal(np.abs(M[:, pivot_of]), np.eye(k))
+            assert np.array_equal(M[:, free], W)
+            basis = np.zeros((m, m - k))
+            basis[free, np.arange(m - k)] = 1.0
+            basis[pivot_of] = -M[np.arange(k), pivot_of][:, None] * W
+            assert not (M @ basis).any()
+            K = np.linalg.qr(M.T, mode="complete")[0][:, k:].T
+            Q = np.linalg.qr(basis)[0]
+            assert np.abs(Q @ Q.T - K.T @ K).max() <= m * np.finfo(float).eps
+        vertices = 4 if code is five else n
+        erasures = _test_erasures(code, None if code is five else n, seed=n, n_random=0)
+        (ranks, verdicts), qrs = _spied("qr", lambda: _ranks_and_verdicts(code, erasures))
+        assert qrs == ([(5, 2)] if code is five else [])
+        assert verdicts == [True] * vertices
+        assert _ranks_by_route(code, erasures)[1] == (ranks, verdicts)
 
 
 def test_both_kernel_routes_give_every_vertex_verdict():
-    # every general-code vertex pattern at N = 4-40; by the paper, all hold
+    # every rank and verdict of every general-code vertex pattern at
+    # N = 4-40, through the unit pivots and on the complete route (the
+    # slices and the complete-QR kernel); by the paper, all verdicts hold
     for n in range(4, 41):
         code = codes.build_general_code(n)
-        assert _kernel_and_route(code._blocks[0])[1] == "peel"
-        basis = codes.edge_basis(n)
-        patterns = [codes.erasure_for_vertex(code, basis, vertex) for vertex in range(1, n + 1)]
-        assert _verdicts_by_route(code, patterns) == ([True] * n, [True] * n)
+        erasures = _test_erasures(code, n, seed=n, n_random=0)
+        through_pivots, complete = _ranks_by_route(code, erasures)
+        assert through_pivots == complete
+        assert complete[1] == [True] * n
 
 
 @pytest.mark.parametrize("scale", [1.0, 1 / 3, 1e-11])
 def test_both_kernel_routes_give_every_drawn_verdict(scale):
-    # seeded random erasures of the five-mode, general and homological codes;
-    # a scaled code is not an integer code, so it takes the complete QR
+    # seeded random erasures of the five-mode, general and homological
+    # codes: both routes give every rank and verdict.  A scaled code is not
+    # an integer code, so it takes the complete route either way
     rng = np.random.default_rng(28)
     edge_codes = [build(n) for n in (4, 7, 12) for build in (codes.build_general_code, homology.build_homological_code)]
     for code in (codes.build_five_mode_code(), *edge_codes):
         scaled = _scaled(code, scale)
-        if scale != 1.0:
-            assert all(_kernel_and_route(block)[1] == "complete" for block in scaled._blocks)
+        assert all((block.pivots is None) == (scale != 1.0 or block.exact.unit_pivots is None) for block in scaled._blocks)
         sizes = rng.integers(1, code.n_modes + 1, size=40)
         erasures = [frozenset(rng.choice(code.n_modes, size, replace=False).tolist()) for size in sizes]
-        got, want = _verdicts_by_route(scaled, [codes.ErasurePattern(erased) for erased in erasures])
-        assert got == want == _verdicts(code, erasures), code.name
+        through_pivots, complete = _ranks_by_route(scaled, erasures)
+        assert through_pivots == complete, code.name
+        assert complete[1] == _verdicts(code, erasures), code.name
+
+
+def _unit_pivot_block(data, k, c, bound):
+    """A k x (k + c) integer block: +-1 pivots in a drawn row order, then a drawn W.
+
+    The peel takes each row's first column that no other row touches, so
+    the pivots come first; entries of at most 1 allow any column order,
+    since every column the peel can take then holds +-1.
+    """
+    n = k + c
+    entries = st.lists(st.lists(st.integers(-bound, bound), min_size=c, max_size=c), min_size=k, max_size=k)
+    signs = st.lists(st.sampled_from([-1.0, 1.0]), min_size=k, max_size=k)
+    M = np.zeros((k, n))
+    M[data.draw(st.permutations(range(k))), np.arange(k)] = data.draw(signs)
+    M[:, k:] = np.array(data.draw(entries), dtype=float).reshape(k, c)
+    return M[:, data.draw(st.permutations(range(n)))] if bound == 1 else M
+
+
+@settings(max_examples=60, deadline=None)
+@given(k=st.integers(1, 6), c=st.integers(0, 6), bound=st.sampled_from([1, 3, 50]), data=st.data())
+def test_the_pivot_identity_gives_the_exact_restriction_rank(k, c, bound, data):
+    # rank M[:, S] = |S & P| + rank W[R_S, S & F], with R_S the rows whose
+    # pivot is not in S: exact in integers, and as the block's ranks take it
+    M = _unit_pivot_block(data, k, c, bound)
+    block = codes._Block(M)
+    assert block.pivots is not None
+    pivot_of, free, W = block.pivots
+    n = k + c
+    inside = np.array(data.draw(st.lists(st.lists(st.booleans(), min_size=n, max_size=n), min_size=1, max_size=8)))
+    for mask, got in zip(inside, block.ranks(inside)):
+        want = IntRows.of(M[:, mask]).rank
+        residual = W[np.ix_(~mask[pivot_of], mask[free])]
+        assert want == mask[pivot_of].sum() + IntRows.of(residual).rank
+        assert got == want, (M, mask)
+
+
+@pytest.mark.parametrize("n", [4, 5, 9, 16, 30])
+def test_a_unit_pivot_scale_is_the_largest_singular_value(n):
+    # M M^T = I + W W^T, so sqrt(1 + sigma_max(W)^2) = sigma_max(M), to rounding
+    rng = np.random.default_rng(n)
+    blocks = [block for build in (codes.build_general_code, homology.build_homological_code) for block in build(n)._blocks]
+    blocks.append(codes.build_five_mode_code()._blocks[1])
+    for k, c in ((3, 5), (8, 2), (n, n)):
+        M = np.zeros((k, k + c))
+        order = rng.permutation(k + c)
+        M[np.arange(k), order[:k]] = rng.choice([-1.0, 1.0], size=k)
+        M[:, order[k:]] = rng.integers(-9, 10, size=(k, c))
+        blocks.append(codes._Block(M))
+    for block in blocks:
+        assert block.pivots is not None
+        want = np.linalg.svd(block.rows, compute_uv=False)[0]
+        assert block.scale == pytest.approx(want, rel=8 * block.rows.shape[1] * np.finfo(float).eps)
 
 
 # ---------------------------------------------------------------------------

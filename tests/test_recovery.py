@@ -297,6 +297,8 @@ def test_a_map_past_float_range_is_an_error_not_a_nan_state(fold, r):
         (-800.0, r"^r must be >= 0"),
         (np.nan, r"^r must be finite"),
         (np.inf, r"^r must be finite"),
+        (709.79, r"^r = 709\.79 is too large: the circuit's map leaves float range$"),
+        (720.0, r"^r = 720\.0 is too large: the circuit's map leaves float range$"),
         (746.0, r"^r = 746\.0 is too large: e\^\{-r\} underflows to 0"),
         (800.0, r"^r = 800\.0 is too large"),
         (1e6, r"^r = 1000000\.0 is too large"),
@@ -305,11 +307,24 @@ def test_a_map_past_float_range_is_an_error_not_a_nan_state(fold, r):
 def test_encoded_states_check_the_squeezing_as_recovery_fidelities_does(encode, r, message):
     # a negative r is not a squeezing magnitude; past r = 745.1 the
     # ancillas' squeeze factor e^{-r} is 0.  Either raises before any op
-    # runs, and no NumPy warning fires first
+    # runs.  Below that, from r = 709.79 on, both encoders' maps hold e^{r}
+    # terms past float range, and run's error names r.  No NumPy warning
+    # fires first
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=message):
             encode(r)
+
+
+def test_each_encoder_names_r_where_its_own_map_leaves_float_range():
+    # the ideal encoder's map leaves float range from a smaller r than the
+    # optical one's: at r = 709.5 the first raises, naming r, and the second
+    # still gives a finite state
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"^r = 709\.5 is too large: the circuit's map leaves float range$"):
+            ideal_encoded_state(709.5)
+        assert np.isfinite(optical_encoded_state(709.5).factor).all()
 
 
 def test_run_itself_rejects_a_map_past_float_range():
