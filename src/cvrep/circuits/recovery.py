@@ -35,16 +35,20 @@ exact at any r.  Their mean is the input's, unit gain and zero offset,
 checked to the same rounding and then held exactly, so the fidelity does
 not depend on the amplitude.  ``OPTICAL_RECOVERY_WIRE`` and
 ``decoder_matrix`` are read off the decoder circuits.  A sweep is one
-batched evaluation: ``_fidelities`` takes every cell's covariance from its
-rows for a whole r-grid and all tags at once and the closed-form 2 x 2
-fidelity (``coherent_fidelity``).  The sweep makes one call for its grid
-and reads its closed forms off ``_NOISE`` for the whole grid too, so its
-result is arrays, (steps, 4) per table; ``recovery_fidelities`` makes one
-call for a single r, and ``threshold_squeezing`` one call for its bracket
-and one per round of bisection levels.  With an ``rng``, E4's homodyne is
-sampled by conditioning those rows on the drawn outcome.  Its measured
-row, the one row with an e^{r} part, is scaled by e^{-r} first, so
-sampling is exact at any r too.
+batched evaluation: ``_fidelities`` forms the recovered rows of a whole
+r-grid and all tags at once, L0 + e^{-r} L- from the stored constant and
+e^{-r} parts, takes every cell's vxx, vxp and vpp from them in one
+product and one sum, and then the closed-form 2 x 2 fidelity
+(``coherent_fidelity``), which with nothing sampled takes no mean offset.
+The sweep makes one call for its grid and reads its closed forms off
+``_NOISE`` for the whole grid too, so its result is arrays, (steps, 4) per
+table; ``recovery_fidelities`` makes one call for a single r, and
+``threshold_squeezing`` one call for its bracket and one per round of
+bisection levels.  With an ``rng``, E4's homodyne is sampled by
+conditioning its rows on the drawn outcome before the moments are taken,
+and the conditioned mean is the offset.  Its measured row, the one row
+with an e^{r} part, is scaled by e^{-r} first (``_rows_at``), so sampling
+is exact at any r too.
 
 Calibration notes.  The optical decoder gains are fixed by requiring the
 output quadratures to equal the input's plus a noise term built only from
@@ -381,14 +385,23 @@ def _compile(tag: str) -> tuple[int, np.ndarray]:
 _COMPILED = {tag: _compile(tag) for tag in ERASURE_TAGS}
 # Which wire holds the recovered input after each optical decoder.
 OPTICAL_RECOVERY_WIRE = {tag: _COMPILED[tag][0] for tag in ERASURE_TAGS}
-# The recovered wire's rows of every tag, stacked in ERASURE_TAGS order.
-_OUTPUT_L = np.stack([_COMPILED[tag][1][:, :2] for tag in ERASURE_TAGS])
+# The recovered wire's rows of every tag, stacked in ERASURE_TAGS order, as
+# their constant and e^{-r} parts: ``_compile`` checks that they have no
+# e^{r} part, so at squeezing r they are L0 + e^{-r} L-.
+_OUTPUT_L0, _OUTPUT_LM = np.stack([_COMPILED[tag][1][[0, 2], :2] for tag in ERASURE_TAGS], axis=1)
 # The rows a measuring decoder's homodynes read: with an rng they sample them.
 _PORTS = {tag: _COMPILED[tag][1][:, 2:] for tag in ERASURE_TAGS if _COMPILED[tag][1].shape[1] > 2}
+# The two rows of a cell whose product gives each of its (vxx, vxp, vpp):
+# x x, x p and p p.
+_LEFT, _RIGHT = np.array([[0, 0, 1], [0, 1, 1]])
 
 
 def _rows_at(L: np.ndarray, decay: np.ndarray) -> np.ndarray:
-    """Rows ``L`` (..., 3, k, 10) at each e^{-r} in ``decay``, divided by e^{r} where they grow."""
+    """Rows ``L`` (..., 3, k, 10) at each e^{-r} in ``decay``, divided by e^{r} where they grow.
+
+    Only the measured ports take this step: the recovered wire's rows never
+    grow (``_OUTPUT_L0``, ``_OUTPUT_LM``).
+    """
     decay = decay.reshape(-1, *[1] * (L.ndim - 1))
     constant, growing, decaying = np.moveaxis(L, -3, 0)
     scale = np.where(growing.any(-1, keepdims=True), decay, 1.0)
@@ -400,24 +413,32 @@ def _fidelities(rs, tags: tuple, rng=None) -> np.ndarray:
 
     One batched evaluation of the compiled pipelines; each cell depends
     only on its own r and tag, not on the input amplitude, whose recovered
-    mean ``_compile`` holds to the input's.  With an ``rng``, measuring
-    decoders sample their outcomes, cell by cell in row order.  Averaged
-    over its outcome a measurement is deferred past its feedforward, so
-    the sampled output is the averaged one conditioned on the measured
-    quadrature drawn as ``run`` draws it, its mean plus its deviation times
-    a standard normal: ``gaussian._condition`` on each tag's rows, its
-    factor, over the whole grid at once.  The measured row's scale drops
-    out, so no e^{r}-sized number is formed.
+    mean ``_compile`` holds to the input's.  The recovered wire's rows of
+    every cell are L0 + e^{-r} L- in one step, and every cell's vxx, vxp
+    and vpp in one product and one sum over those rows.  With an ``rng``,
+    measuring decoders sample their outcomes, cell by cell in row order.
+    Averaged over its outcome a measurement is deferred past its
+    feedforward, so the sampled output is the averaged one conditioned on
+    the measured quadrature drawn as ``run`` draws it, its mean plus its
+    deviation times a standard normal: ``gaussian._condition`` on each
+    tag's rows, its factor, over the whole grid at once, before the
+    moments are taken.  The measured row's scale drops out, so no
+    e^{r}-sized number is formed.  Only then does ``coherent_fidelity``
+    take the output mean's offsets; with nothing sampled the mean is the
+    input's and it takes none.
     Each r must be finite and >= 0 (``_check_squeezing``).
     """
     rs = np.asarray(rs, dtype=float)
     pick = [ERASURE_TAGS.index(tag) for tag in tags]
     decay = np.exp(-rs)
-    rows = _rows_at(_OUTPUT_L[pick], decay)
-    # the output mean minus the input's: 0 unless a sampled outcome moves it
-    delta = np.zeros(rows.shape[:-1])
+    rows = _OUTPUT_L0.take(pick, 0) + decay[:, None, None, None] * _OUTPUT_LM.take(pick, 0)
+    measured = []
     if rng is not None:
         measured = [(j, _rows_at(_PORTS[tag], decay)) for j, tag in enumerate(tags) if tag in _PORTS]
+    offsets = ()
+    if measured:
+        # the output mean minus the input's: 0 unless a sampled outcome moves it
+        delta = np.zeros(rows.shape[:-1])
         draws = iter(rng.standard_normal((len(rs), sum(m.shape[1] for _, m in measured))).T)
         for j, ports in measured:
             joint = np.concatenate([rows[:, j], ports], axis=1)
@@ -425,10 +446,9 @@ def _fidelities(rs, tags: tuple, rng=None) -> np.ndarray:
             for q in range(2, joint.shape[1]):
                 _, mean, joint = _condition(mean, joint, q, tags[j], lambda m, sd, z=next(draws): m + sd * z)
             delta[:, j], rows[:, j] = mean[:, :2], joint[:, :2]
-    x, p = rows[..., 0, :], rows[..., 1, :]
-    return coherent_fidelity(
-        (x * x).sum(-1) / 2, (x * p).sum(-1) / 2, (p * p).sum(-1) / 2, delta[..., 0], delta[..., 1]
-    )
+        offsets = (delta[..., 0], delta[..., 1])
+    moments = (rows.take(_LEFT, -2) * rows.take(_RIGHT, -2)).sum(-1) / 2
+    return coherent_fidelity(*moments.transpose(2, 0, 1), *offsets)
 
 
 def _closed_forms(rs, noise) -> np.ndarray:
@@ -494,6 +514,11 @@ def recovery_fidelity(
 # ---------------------------------------------------------------------------
 # sweeps and thresholds
 
+# The most steps a grid can have: NumPy holds an array's size in bytes as an
+# intp, so it refuses a larger float array before allocating anything.
+_MAX_STEPS = np.iinfo(np.intp).max // np.dtype(float).itemsize
+
+
 @dataclass(frozen=True)
 class SweepSpec:
     r_min: float = 0.0
@@ -505,6 +530,10 @@ class SweepSpec:
     def __post_init__(self):
         if self.steps < 1:
             raise ValueError("steps must be >= 1")
+        if self.steps > _MAX_STEPS:
+            raise ValueError(
+                f"steps must be at most {_MAX_STEPS}, the most floats one array holds; got {self.steps}"
+            )
         _check_squeezing("r_min", self.r_min)
         _check_squeezing("r_max", self.r_max)
         if self.r_max < self.r_min:
@@ -535,9 +564,14 @@ def fidelity_sweep(spec: SweepSpec, *, rng: np.random.Generator | None = None) -
 
     With an ``rng``, decoders that contain a homodyne sample it instead of
     averaging — the deviations should not care, which is itself a property
-    worth sweeping.
+    worth sweeping.  A grid too large to allocate raises ``MemoryError``.
     """
-    grid = np.linspace(spec.r_min, spec.r_max, spec.steps)
+    try:
+        grid = np.linspace(spec.r_min, spec.r_max, spec.steps)
+    except ValueError as exc:
+        # NumPy also refuses some sizes just below _MAX_STEPS, before
+        # allocating them: a grid of that size does not fit either
+        raise MemoryError(str(exc)) from exc
     # ERASURE_TAGS order, so a seeded rng is drawn the same way for any
     # order of spec.errors.
     swept = [i for i, tag in enumerate(ERASURE_TAGS) if tag in spec.errors]

@@ -282,7 +282,10 @@ def cmd_fidelity(args) -> int:
         return _fail_usage("--gnuplot needs --out so the script has a data file to plot")
 
     rng = np.random.default_rng(args.seed) if args.seed is not None else None
-    result = fidelity_sweep(spec, rng=rng)
+    try:
+        result = fidelity_sweep(spec, rng=rng)
+    except MemoryError as exc:
+        return _fail_usage(f"--steps {spec.steps} is too large: {exc}")
     csv_text = _sweep_csv(result)
     if args.out:
         try:
@@ -296,7 +299,8 @@ def cmd_fidelity(args) -> int:
     if args.gnuplot:
         try:
             with open(args.gnuplot, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write(_GNUPLOT_TEMPLATE.format(csv=args.out))
+                # a quote inside gnuplot's single-quoted string is written twice
+                fh.write(_GNUPLOT_TEMPLATE.format(csv=args.out.replace("'", "''")))
         except OSError as exc:
             return _fail_usage(f"cannot write gnuplot script: {exc}")
         print(f"wrote gnuplot script to {args.gnuplot}", file=sys.stderr)

@@ -380,38 +380,43 @@ def discard(state: GaussianState, modes) -> GaussianState:
 # ---------------------------------------------------------------------------
 # fidelity
 
-def coherent_fidelity(vxx, vxp, vpp, dx, dp):
+def coherent_fidelity(vxx, vxp, vpp, dx=None, dp=None):
     """Overlap <alpha| rho |alpha> from rho's covariance and mean, entry by entry.
 
     ``vxx, vxp, vpp`` are the covariance entries of the single-mode rho and
-    ``dx, dp`` its mean minus the coherent state's.  The closed form
-    F = exp(-1/2 d^T M^-1 d) / sqrt(det M), M = V + I/2, is written out for
-    2 x 2, so the arguments may be arrays of any one broadcast shape.
-    Raises ValueError where det M <= 0.
+    ``dx, dp`` its mean minus the coherent state's; without them the means
+    are equal.  The closed form F = exp(-1/2 d^T M^-1 d) / sqrt(det M),
+    M = V + I/2, is written out for 2 x 2, so the arguments may be arrays
+    of any one broadcast shape.  Raises ValueError where det M <= 0.
 
-    The offsets are divided by a power of two s near their size, so that
-    their squares cannot overflow, and s^2 multiplies the exponent last.
     M is divided by a power of two t near its largest diagonal entry, so
     that its determinant cannot overflow: where M is positive definite,
     |vxp| is below that entry too, det(M/t) = det M / t^2, and
-    sqrt(det M) = t sqrt(det(M/t)).  Scaling by a power of two is exact, so
+    sqrt(det M) = t sqrt(det(M/t)).  The offsets are divided by a power of
+    two s near their size, so that their squares cannot overflow, and s^2
+    multiplies the exponent last.  Scaling by a power of two is exact, so
     the result is the unscaled form's to the bit wherever that form does
     not overflow; where the exponent itself overflows, -inf is its limit
-    and F is 0.
+    and F is 0.  Without offsets the exponential is not formed: zero
+    offsets give exp(-0.0) = 1, so for finite entries the result is theirs
+    to the bit.
     """
     mxx, mpp = vxx + 0.5, vpp + 0.5
     t = np.ldexp(0.5, np.frexp(np.maximum(mxx, mpp))[1])
-    s = np.ldexp(0.5, np.frexp(np.maximum(np.abs(dx), np.abs(dp)))[1])
-    u, w = dx / s, dp / s
     # an M that is not positive definite may overflow here, to a det of
     # -inf, which is rejected
     with np.errstate(over="ignore"):
         axx, app, axp = mxx / t, mpp / t, vxp / t
         det = axx * app - axp * axp
-        if np.any(det <= 0):
+        if (det <= 0).any():
             raise ValueError(f"V + I/2 is not positive definite: det = {np.min(det * t * t):.3e}")
+        root = t * np.sqrt(det)
+        if dx is None and dp is None:
+            return 1.0 / root
+        s = np.ldexp(0.5, np.frexp(np.maximum(np.abs(dx), np.abs(dp)))[1])
+        u, w = dx / s, dp / s
         exponent = -0.5 * ((app * u * u - 2.0 * axp * u * w + axx * w * w) / det / t)
-        return np.exp(exponent * s * s) / (t * np.sqrt(det))
+        return np.exp(exponent * s * s) / root
 
 
 def fidelity_with_coherent(state: GaussianState, alpha: complex) -> float:

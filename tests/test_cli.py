@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -591,6 +592,35 @@ def test_fidelity_writes_csv_and_gnuplot_files(capsys, tmp_path):
     script = plot_path.read_text()
     assert str(csv_path) in script and "plot for" in script
     assert "wrote 2 rows" in err
+
+
+def test_fidelity_gnuplot_script_quotes_a_csv_path_holding_a_quote(capsys, tmp_path):
+    # gnuplot writes a quote inside a single-quoted string twice
+    csv_path, plot_path = tmp_path / "it's.csv", tmp_path / "sweep.gp"
+    rc, _, _ = run_cli(capsys, "fidelity", "--steps", "2", "--out", str(csv_path), "--gnuplot", str(plot_path))
+    assert rc == 0
+    strings = [text.replace("''", "'") for text in re.findall(r"'((?:[^']|'')*)'", plot_path.read_text())]
+    assert strings == [",", "squeezing r", "recovery fidelity", str(csv_path), str(csv_path)]
+
+
+@pytest.mark.parametrize(
+    "steps, message",
+    [
+        # more memory than the machine can map
+        ("1000000000000000000", "--steps 1000000000000000000 is too large: Unable to allocate"),
+        # more floats than one array holds
+        ("99999999999999999999", "steps must be at most 1152921504606846975"),
+        ("9223372036854775807", "steps must be at most 1152921504606846975"),
+        # a size NumPy refuses just below that bound
+        ("1152921504606846975", "--steps 1152921504606846975 is too large: "),
+    ],
+    ids=["unmappable", "past-intp", "intp-max", "refused-by-numpy"],
+)
+def test_fidelity_reports_a_grid_it_cannot_build_as_a_usage_error(capsys, steps, message):
+    # NumPy refuses each of these sizes before allocating anything
+    rc, out, err = run_cli(capsys, "fidelity", f"--steps={steps}")
+    assert (rc, out) == (2, "")
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("target", ["csv", "gnuplot"])

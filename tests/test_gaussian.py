@@ -587,14 +587,14 @@ def test_fidelity_rejects_a_non_finite_amplitude(alpha):
         g.fidelity_with_coherent(g.coherent(0), alpha)
 
 
-@pytest.mark.parametrize(
-    "cov",
-    [
-        [[0.0, 1.0], [1.0, 0.0]],  # det(V + I/2) = -3/4
-        [[-0.5, 0.0], [0.0, 1.0]],  # det(V + I/2) = 0
-        [[0.0, 1e300], [1e300, 0.0]],  # det(V + I/2) = 1/4 - 1e600, past the float range
-    ],
-)
+NOT_POSITIVE_DEFINITE = [
+    [[0.0, 1.0], [1.0, 0.0]],  # det(V + I/2) = -3/4
+    [[-0.5, 0.0], [0.0, 1.0]],  # det(V + I/2) = 0
+    [[0.0, 1e300], [1e300, 0.0]],  # det(V + I/2) = 1/4 - 1e600, past the float range
+]
+
+
+@pytest.mark.parametrize("cov", NOT_POSITIVE_DEFINITE)
 def test_fidelity_rejects_a_covariance_with_det_v_plus_half_not_positive(cov):
     # no state holds such a V (GaussianState rejects it), so the closed form
     # is called on its entries
@@ -603,6 +603,37 @@ def test_fidelity_rejects_a_covariance_with_det_v_plus_half_not_positive(cov):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="not positive definite"):
             g.coherent_fidelity(vxx, vxp, vpp, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("cov", NOT_POSITIVE_DEFINITE)
+def test_fidelity_without_offsets_rejects_a_covariance_with_det_v_plus_half_not_positive(cov):
+    (vxx, vxp), (_, vpp) = cov
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="not positive definite"):
+            g.coherent_fidelity(vxx, vxp, vpp)
+
+
+def test_coherent_fidelity_without_offsets_is_zero_offsets_to_the_bit(rng):
+    # zero offsets give exp(-0.0) = 1, so leaving them out moves no bit:
+    # scalars, arrays broadcast against each other, and variances whose
+    # det(V + I/2) is past the float range
+    moments = [
+        (0.5, 0.0, 0.5),
+        (0.7, -0.1, 1.3),
+        (np.float64(2.5), np.float64(0.3), np.float64(0.25)),
+        (rng.uniform(0.0, 3.0, (4, 1)), rng.uniform(-0.1, 0.1, 5), rng.uniform(0.0, 3.0, (4, 5))),
+        (1e160, 0.0, 1e160),
+        (np.array([0.5, 1e160]), 0.0, np.array([0.5, 1e300])),
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for vxx, vxp, vpp in moments:
+            without = g.coherent_fidelity(vxx, vxp, vpp)
+            for zero in (0.0, np.zeros(np.broadcast(vxx, vxp, vpp).shape)):
+                offset = g.coherent_fidelity(vxx, vxp, vpp, zero, zero)
+                assert type(without) is type(offset) and np.shape(without) == np.shape(offset)
+                assert np.asarray(without).tobytes() == np.asarray(offset).tobytes()
 
 
 def test_coherent_fidelity_broadcasts_entry_by_entry(rng):

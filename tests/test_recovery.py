@@ -1,6 +1,7 @@
 """Encoders, decoders, recovery fidelities, sweeps, and thresholds."""
 
 import warnings
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -576,6 +577,31 @@ def test_sampled_fidelities_stay_exact_at_strong_squeezing(r):
     fidelities = recovery_fidelities(r, ERASURE_TAGS, 0.3 + 0.2j, rng=np.random.default_rng(4))
     for tag in ERASURE_TAGS:
         assert fidelities[tag] == pytest.approx(closed_form_fidelity(tag, r), abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "tags", [tags for k in range(1, 5) for tags in combinations(ERASURE_TAGS, k)], ids="-".join
+)
+def test_averaged_cells_are_the_sampled_ones_to_the_bit(tags):
+    # an averaged cell takes no mean offsets, a sampled one its conditioned
+    # mean's, from r = 0 to where e^{-r} is subnormal (745.2) or 0
+    rs = [0.0, 1e-300, 0.7, 30.0, 745.2, 1000.0, 1e308]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        averaged = recovery._fidelities(rs, tags)
+        sampled = recovery._fidelities(rs, tags, np.random.default_rng(9))
+    assert averaged.tobytes() == sampled.tobytes()
+    # and where the run path's states stay in float range, its cells
+    alpha = 0.3 + 0.2j
+    for r, row in zip(rs, averaged):
+        if r > 25.0:
+            continue
+        encoded = optical_encoded_state(r, alpha)
+        for tag, cell in zip(tags, row):
+            survivors = erase(encoded, tag)
+            for policy in ({"average": True}, {"rng": np.random.default_rng(6)}):
+                state = run(optical_decoder(tag), survivors, **policy).state
+                assert abs(cell - fidelity_with_coherent(state, alpha)) <= TOL.fidelity_gate
 
 
 @pytest.mark.parametrize("tag", ERASURE_TAGS)
