@@ -28,27 +28,27 @@ homodyne and feedforward included, once averaged over the outcome (see
 ``run(average=True)``).  Per tag, the encoder at r = 0, a ``Discard`` per
 erased mode and the decoder are one ``_fold``, done once, at import, whose
 power axis gives each row as L0 + e^{r} L+ + e^{-r} L- over the encoder's
-input; its mean does not depend on r.  The recovered wire's x and p have
-no e^{r} part, or the decoder would not recover the input; the compile
-checks that it is 0 up to rounding, so those rows are L0 + e^{-r} L-,
-exact at any r.  Their mean is the input's, unit gain and zero offset,
-checked to the same rounding and then held exactly, so the fidelity does
-not depend on the amplitude.  ``OPTICAL_RECOVERY_WIRE`` and
-``decoder_matrix`` are read off the decoder circuits.  A sweep is one
-batched evaluation: ``_fidelities`` forms the recovered rows of a whole
-r-grid and all tags at once, L0 + e^{-r} L- from the stored constant and
-e^{-r} parts, takes every cell's vxx, vxp and vpp from them in one
-product and one sum, and then the closed-form 2 x 2 fidelity
-(``coherent_fidelity``), which with nothing sampled takes no mean offset.
-The sweep makes one call for its grid and reads its closed forms off
-``_NOISE`` for the whole grid too, so its result is arrays, (steps, 4) per
-table; ``recovery_fidelities`` makes one call for a single r, and
+input.  ``_compile`` reads the tag's Gaussian channel off those rows: the
+recovered wire is y = T x_in + noise, T the rows' gain on the input, and
+the noise covariance N0 + e^{-r} N1 + e^{-2r} N2 comes from their ancilla
+columns.  It checks that the recovered rows have no e^{r} part, and that
+their mean is the input's, unit gain and zero offset, up to rounding; the
+mean is then held to the input's exactly, so the fidelity does not depend
+on the amplitude.  For E4 it also checks that the measured quadrature has
+zero covariance with the recovered wire at every power of e^{r}, so
+conditioning on any outcome moves neither the output's mean nor its
+covariance: the averaged channel is every outcome's, and nothing on this
+path is drawn.  ``run`` still samples E4's homodyne when asked to.
+``OPTICAL_RECOVERY_WIRE`` and ``decoder_matrix`` are read off the decoder
+circuits.  A sweep is one batched evaluation: ``_fidelities`` forms every
+cell's output covariance, T T^T / 2 + N0 + e^{-r} N1 + e^{-2r} N2, for a
+whole r-grid and all tags in one broadcast step, and then the closed-form
+2 x 2 fidelity (``coherent_fidelity``), with no mean offset.  The sweep
+makes one call for its grid and reads its closed forms off ``_NOISE`` for
+the whole grid too, so its result is arrays, (steps, 4) per table;
+``recovery_fidelities`` makes one call for a single r, and
 ``threshold_squeezing`` one call for its bracket and one per round of
-bisection levels.  With an ``rng``, E4's homodyne is sampled by
-conditioning its rows on the drawn outcome before the moments are taken,
-and the conditioned mean is the offset.  Its measured row, the one row
-with an e^{r} part, is scaled by e^{-r} first (``_rows_at``), so sampling
-is exact at any r too.
+bisection levels.
 
 Calibration notes.  The optical decoder gains are fixed by requiring the
 output quadratures to equal the input's plus a noise term built only from
@@ -61,7 +61,7 @@ exactly the unsqueezed source quadrature, uncorrelated with the recovered
 output — so it ends with a homodyne plus classical feedforward, and its
 conditional output state is the same for every outcome.  A consequence
 worth knowing when reading the numbers: the E4 measured variance is
-cosh(2r)/2, so sampling that port is never degenerate.
+cosh(2r)/2, so ``run`` sampling that port is never degenerate.
 """
 
 from __future__ import annotations
@@ -76,7 +76,6 @@ from ..codes import FIVE_MODE_ERASURES
 from ..gaussian import (
     GaussianState,
     _amplitude,
-    _condition,
     coherent,
     coherent_fidelity,
     discard,
@@ -346,20 +345,40 @@ def optical_decoder(tag: str) -> Circuit:
     return _OPTICAL_DECODERS[tag]
 
 
-def _compile(tag: str) -> tuple[int, np.ndarray]:
-    """Encoder, erasure ``tag`` and its decoder as ``(wire, L)`` over the encoder's input.
+def _covariances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The covariance of rows ``a`` with rows ``b`` over a vacuum input, by power of e^{r}.
+
+    Both hold their rows' e^{-r}, constant and e^{r} parts, in that order;
+    the result holds the e^{-2r} to e^{2r} parts of a b^T / 2.
+    """
+    out = np.zeros((5, a.shape[1], b.shape[1]))
+    np.add.at(out, np.add.outer(range(3), range(3)), np.einsum("aik,bjk->abij", a, b) / 2)
+    return out
+
+
+def _compile(tag: str) -> tuple[int, np.ndarray, np.ndarray]:
+    """Encoder, erasure ``tag`` and its decoder as the Gaussian channel ``(wire, T, N)``.
 
     One ``_fold`` of ``optical_encoder(0.0)``, the erasure and the decoder,
-    whose one live wire is ``wire``.  The rows are its x and p,
+    whose one live wire is ``wire``.  Its rows are the wire's x and p,
     outcome-averaged, then the quadrature each homodyne measures, in
-    measurement order: at squeezing r, L[0] + e^{r} L[1] + e^{-r} L[2], read
-    off the power axis, applied to the input's quadratures.  Their mean is
-    M (a, 1), a the input's (x, p), as the ancillas' means are 0.  An e^{r}
-    entry within the products' rounding of its row's scale is set to 0.  If
-    a row has a power of e^{r} beyond 1, or the recovered wire's rows still
-    grow like e^{r}, or its M is not (I | 0) at every power, within the same
-    rounding, this raises ValueError.  So the recovered mean is taken to be
-    the input's exactly, and no fidelity depends on the amplitude.
+    measurement order: at squeezing r, e^{-r} L[0] + L[1] + e^{r} L[2], read
+    off the power axis, applied to the input's quadratures; the ancillas
+    are vacuum.  An e^{r} entry within the products' rounding of its row's
+    scale is set to 0.  This raises ValueError if a row has a power of
+    e^{r} beyond 1; if a measured quadrature's covariance with the wire's
+    rows, at any power, exceeds the products' rounding of the two rows'
+    scales; if the wire's rows still grow like e^{r}; or if their mean,
+    M (a, 1) for a the input's (x, p), has an M other than (I | 0) at some
+    power, beyond the rows' rounding.  So conditioning on an outcome moves
+    neither the wire's mean nor its covariance, the recovered mean is taken
+    to be the input's exactly, and no fidelity depends on the amplitude.
+
+    The channel is y = T x_in + noise: T, the rows' constant gain on the
+    input's (x, p), is I up to that rounding, and N[k], the noise
+    covariance's e^{-kr} part, comes from their ancilla columns, so at
+    squeezing r the wire's covariance is T T^T / 2 + N[0] + e^{-r} N[1] +
+    e^{-2r} N[2].
     """
     ops = optical_encoder(0.0).ops + tuple(Discard(m) for m in ERASED_MODES[tag]) + _OPTICAL_DECODERS[tag].ops
     live, total, registers = _fold(ops, (1, 2, 3, 4, 5))
@@ -370,94 +389,65 @@ def _compile(tag: str) -> tuple[int, np.ndarray]:
     if np.delete(rows, [zero - 1, zero, zero + 1], axis=0).any():
         raise ValueError(f"optical decoder {tag}: a row has a power of e^{{r}} beyond 1")
     A = rows.sum(axis=0)[:, :-1]  # the rows at r = 0
-    rounding = A.shape[1] * np.finfo(float).eps * np.abs(A).max(axis=1, keepdims=True)
-    L = rows[[zero, zero + 1, zero - 1], :, :-1]
-    L[1][np.abs(L[1]) <= rounding] = 0.0
-    if L[1, :2].any():
+    scale = np.abs(A).max(axis=1, keepdims=True)
+    rounding = A.shape[1] * np.finfo(float).eps * scale
+    L = rows[zero - 1 : zero + 2, :, :-1]
+    L[2][np.abs(L[2]) <= rounding] = 0.0
+    if np.any(np.abs(_covariances(L[:, :2], L[:, 2:])) > rounding[:2] * scale[2:].T):
+        raise ValueError(f"optical decoder {tag}: a measured quadrature is correlated with the recovered wire")
+    if L[2, :2].any():
         raise ValueError(f"optical decoder {tag}: the recovered wire's rows grow like e^{{r}}")
     M = rows[:, :2][..., [0, 5, -1]]  # per power: the gain on the input's (x, p), and the offset
     M[zero] -= np.eye(2, 3)
     if np.any(np.abs(M) > rounding[:2]):
         raise ValueError(f"optical decoder {tag}: the recovered wire's mean is not the input's")
-    return live[0], L
+    ancillas = np.delete(L[:, :2], [0, 5], axis=-1)
+    # the noise's e^{0}, e^{-r} and e^{-2r} parts: with no e^{r} rows it has no e^{r} part
+    return live[0], L[1, :2][:, [0, 5]], _covariances(ancillas, ancillas)[2::-1]
 
 
 _COMPILED = {tag: _compile(tag) for tag in ERASURE_TAGS}
 # Which wire holds the recovered input after each optical decoder.
 OPTICAL_RECOVERY_WIRE = {tag: _COMPILED[tag][0] for tag in ERASURE_TAGS}
-# The recovered wire's rows of every tag, stacked in ERASURE_TAGS order, as
-# their constant and e^{-r} parts: ``_compile`` checks that they have no
-# e^{r} part, so at squeezing r they are L0 + e^{-r} L-.
-_OUTPUT_L0, _OUTPUT_LM = np.stack([_COMPILED[tag][1][[0, 2], :2] for tag in ERASURE_TAGS], axis=1)
-# The rows a measuring decoder's homodynes read: with an rng they sample them.
-_PORTS = {tag: _COMPILED[tag][1][:, 2:] for tag in ERASURE_TAGS if _COMPILED[tag][1].shape[1] > 2}
-# The two rows of a cell whose product gives each of its (vxx, vxp, vpp):
-# x x, x p and p p.
-_LEFT, _RIGHT = np.array([[0, 0, 1], [0, 1, 1]])
 
 
-def _rows_at(L: np.ndarray, decay: np.ndarray) -> np.ndarray:
-    """Rows ``L`` (..., 3, k, 10) at each e^{-r} in ``decay``, divided by e^{r} where they grow.
-
-    Only the measured ports take this step: the recovered wire's rows never
-    grow (``_OUTPUT_L0``, ``_OUTPUT_LM``).
-    """
-    decay = decay.reshape(-1, *[1] * (L.ndim - 1))
-    constant, growing, decaying = np.moveaxis(L, -3, 0)
-    scale = np.where(growing.any(-1, keepdims=True), decay, 1.0)
-    return scale * (constant + decay * decaying) + growing
+def _covariance_parts(T: np.ndarray, N: np.ndarray) -> np.ndarray:
+    """A channel's output covariance on a coherent input, as its e^{-kr} parts' (vxx, vxp, vpp)."""
+    parts = N.copy()
+    parts[0] += T @ T.T / 2
+    return parts[:, [0, 0, 1], [0, 1, 1]]
 
 
-def _fidelities(rs, tags: tuple, rng=None) -> np.ndarray:
+# Every tag's output covariance, stacked (power, entry, 1, tag) in
+# ERASURE_TAGS order: at squeezing r a cell's (vxx, vxp, vpp) is
+# V0 + e^{-r} V1 + e^{-2r} V2; the unit axis takes the r-grid.
+_COVARIANCE = np.stack([_covariance_parts(*_COMPILED[tag][1:]) for tag in ERASURE_TAGS], axis=-1)[:, :, None]
+
+
+def _fidelities(rs, tags: tuple) -> np.ndarray:
     """Simulated fidelity at every squeezing in ``rs`` (rows) of every tag (columns).
 
-    One batched evaluation of the compiled pipelines; each cell depends
+    One batched evaluation of the compiled channels; each cell depends
     only on its own r and tag, not on the input amplitude, whose recovered
-    mean ``_compile`` holds to the input's.  The recovered wire's rows of
-    every cell are L0 + e^{-r} L- in one step, and every cell's vxx, vxp
-    and vpp in one product and one sum over those rows.  With an ``rng``,
-    measuring decoders sample their outcomes, cell by cell in row order.
-    Averaged over its outcome a measurement is deferred past its
-    feedforward, so the sampled output is the averaged one conditioned on
-    the measured quadrature drawn as ``run`` draws it, its mean plus its
-    deviation times a standard normal: ``gaussian._condition`` on each
-    tag's rows, its factor, over the whole grid at once, before the
-    moments are taken.  The measured row's scale drops out, so no
-    e^{r}-sized number is formed.  Only then does ``coherent_fidelity``
-    take the output mean's offsets; with nothing sampled the mean is the
-    input's and it takes none.
+    mean ``_compile`` holds to the input's, nor on any homodyne outcome,
+    which ``_compile`` shows moves nothing.  Every cell's vxx, vxp and vpp
+    are V0 + e^{-r} (V1 + e^{-r} V2) in one broadcast step, and then
+    ``coherent_fidelity`` takes them, with no mean offset.
     Each r must be finite and >= 0 (``_check_squeezing``).
     """
-    rs = np.asarray(rs, dtype=float)
-    pick = [ERASURE_TAGS.index(tag) for tag in tags]
-    decay = np.exp(-rs)
-    rows = _OUTPUT_L0.take(pick, 0) + decay[:, None, None, None] * _OUTPUT_LM.take(pick, 0)
-    measured = []
-    if rng is not None:
-        measured = [(j, _rows_at(_PORTS[tag], decay)) for j, tag in enumerate(tags) if tag in _PORTS]
-    offsets = ()
-    if measured:
-        # the output mean minus the input's: 0 unless a sampled outcome moves it
-        delta = np.zeros(rows.shape[:-1])
-        draws = iter(rng.standard_normal((len(rs), sum(m.shape[1] for _, m in measured))).T)
-        for j, ports in measured:
-            joint = np.concatenate([rows[:, j], ports], axis=1)
-            mean = np.zeros(joint.shape[:-1])
-            for q in range(2, joint.shape[1]):
-                _, mean, joint = _condition(mean, joint, q, tags[j], lambda m, sd, z=next(draws): m + sd * z)
-            delta[:, j], rows[:, j] = mean[:, :2], joint[:, :2]
-        offsets = (delta[..., 0], delta[..., 1])
-    moments = (rows.take(_LEFT, -2) * rows.take(_RIGHT, -2)).sum(-1) / 2
-    return coherent_fidelity(*moments.transpose(2, 0, 1), *offsets)
+    decay = np.exp(-np.asarray(rs, dtype=float))[:, None]
+    V0, V1, V2 = _COVARIANCE.take([ERASURE_TAGS.index(tag) for tag in tags], -1)
+    return coherent_fidelity(*V0 + decay * (V1 + decay * V2))
 
 
 def _closed_forms(rs, noise) -> np.ndarray:
     """F = 1 / (1 + c e^{-2r}) per squeezing r (rows) and noise c (columns).
 
     Each e^{-2r} is ``math.exp``'s, so no cell depends on the other r; E1,
-    with c = 0, is exactly 1 at any valid r.
+    with c = 0, is exactly 1 at any valid r.  Each -2r is a Python float's,
+    which overflows to -inf, and e^{-2r} to 0, without a NumPy warning.
     """
-    decay = np.array([exp(-2.0 * r) for r in rs])
+    decay = np.array([exp(-2.0 * r) for r in np.asarray(rs, dtype=float).tolist()])
     return 1.0 / (1.0 + np.multiply.outer(decay, noise))
 
 
@@ -472,43 +462,29 @@ def closed_form_fidelity(tag: str, r: float) -> float:
     return float(_closed_forms([r], [_NOISE[tag]])[0, 0])
 
 
-def recovery_fidelities(
-    r: float,
-    tags,
-    alpha: complex = 0j,
-    *,
-    rng: np.random.Generator | None = None,
-) -> dict:
+def recovery_fidelities(r: float, tags, alpha: complex = 0j) -> dict:
     """Simulated fidelity of optical encode -> erase -> decode, per erasure tag.
 
     One batched evaluation at the single squeezing r, the tags in the order
-    given.  Deterministic by default: the one decoder containing a
-    measurement (E4) gives the state averaged over the homodyne outcome,
-    exactly, which here equals every outcome's conditional state because
-    the feedforward cancels the outcome.  Pass ``rng`` to sample the
-    homodyne instead (same fidelity, by design), drawing in tag order.
+    given.  The one decoder containing a measurement (E4) gives the state
+    averaged over the homodyne outcome, exactly, which ``_compile`` shows
+    is every outcome's conditional state: the feedforward cancels the
+    outcome.
     """
     _check_squeezing("r", r)
     tags = tuple(tags)
     _check_tags(*tags)
     _amplitude(alpha)  # checked, though no cell depends on it
-    cells = _fidelities([r], tags, rng)[0]
+    cells = _fidelities([r], tags)[0]
     return {tag: float(f) for tag, f in zip(tags, cells)}
 
 
-def recovery_fidelity(
-    tag: str,
-    r: float,
-    alpha: complex = 0j,
-    *,
-    rng: np.random.Generator | None = None,
-) -> float:
+def recovery_fidelity(tag: str, r: float, alpha: complex = 0j) -> float:
     """Simulated fidelity of optical encode -> erase -> decode vs the input.
 
-    One tag of ``recovery_fidelities``: deterministic by default, sampling
-    the E4 homodyne when given an ``rng``.
+    One tag of ``recovery_fidelities``.
     """
-    return recovery_fidelities(r, (tag,), alpha, rng=rng)[tag]
+    return recovery_fidelities(r, (tag,), alpha)[tag]
 
 
 # ---------------------------------------------------------------------------
@@ -559,12 +535,12 @@ class SweepResult:
     max_abs_dev: float  # over the grid
 
 
-def fidelity_sweep(spec: SweepSpec, *, rng: np.random.Generator | None = None) -> SweepResult:
+def fidelity_sweep(spec: SweepSpec) -> SweepResult:
     """Simulate every requested erasure over a squeezing grid (see ``SweepResult``).
 
-    With an ``rng``, decoders that contain a homodyne sample it instead of
-    averaging — the deviations should not care, which is itself a property
-    worth sweeping.  A grid too large to allocate raises ``MemoryError``.
+    Every cell is its compiled channel's, averaged over E4's homodyne
+    outcome, which moves nothing (``_compile``).  A grid too large to
+    allocate raises ``MemoryError``.
     """
     try:
         grid = np.linspace(spec.r_min, spec.r_max, spec.steps)
@@ -572,11 +548,9 @@ def fidelity_sweep(spec: SweepSpec, *, rng: np.random.Generator | None = None) -
         # NumPy also refuses some sizes just below _MAX_STEPS, before
         # allocating them: a grid of that size does not fit either
         raise MemoryError(str(exc)) from exc
-    # ERASURE_TAGS order, so a seeded rng is drawn the same way for any
-    # order of spec.errors.
     swept = [i for i, tag in enumerate(ERASURE_TAGS) if tag in spec.errors]
     simulated = np.full((spec.steps, len(ERASURE_TAGS)), nan)
-    simulated[:, swept] = _fidelities(grid, tuple(ERASURE_TAGS[i] for i in swept), rng)
+    simulated[:, swept] = _fidelities(grid, tuple(ERASURE_TAGS[i] for i in swept))
     formula = _closed_forms(grid, list(_NOISE.values()))
     # a nan cell makes its row's maximum nan, and so the verdict
     row_dev = np.abs(simulated[:, swept] - formula[:, swept]).max(axis=1)

@@ -281,9 +281,8 @@ def cmd_fidelity(args) -> int:
     if args.gnuplot and not args.out:
         return _fail_usage("--gnuplot needs --out so the script has a data file to plot")
 
-    rng = np.random.default_rng(args.seed) if args.seed is not None else None
     try:
-        result = fidelity_sweep(spec, rng=rng)
+        result = fidelity_sweep(spec)
     except MemoryError as exc:
         return _fail_usage(f"--steps {spec.steps} is too large: {exc}")
     csv_text = _sweep_csv(result)
@@ -368,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Replication codes for continuous-variable modes: build, "
         "verify, synthesize, simulate.",
     )
-    parser.add_argument("--seed", type=int, default=None, help="seed for any sampled homodynes")
+    parser.add_argument("--seed", type=int, default=None, help="accepted and ignored: no command samples a homodyne")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_code = sub.add_parser("code", help="construct codes")
@@ -399,7 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fid.add_argument("--out", default=None, help="write the CSV here instead of stdout")
     p_fid.add_argument("--gnuplot", default=None, help="also write a gnuplot script (needs --out)")
     # also accepted after the subcommand; SUPPRESS keeps a global --seed when absent here
-    p_fid.add_argument("--seed", type=int, default=argparse.SUPPRESS, help="seed for the sampled homodynes")
+    p_fid.add_argument("--seed", type=int, default=argparse.SUPPRESS, help="accepted and ignored, as the global --seed")
     p_fid.set_defaults(func=cmd_fidelity)
 
     p_thresh = sub.add_parser("threshold", help="minimum squeezing for a target worst-case fidelity")

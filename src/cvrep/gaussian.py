@@ -14,7 +14,7 @@ the two-mode squeezer, as its e^{r} and e^{-r} terms, which the circuit op
 table ``circuits.ir.OPS`` names; the one engine that applies gates is the
 circuit interpreter (``_fold``), so there are no gate functions here.
 One rule conditions a state on a measured quadrature, ``_condition``, which
-``homodyne``, the interpreter's ``run`` and the recovery sweeps share.
+``homodyne`` and the interpreter's ``run`` share.
 """
 
 from __future__ import annotations
@@ -398,8 +398,9 @@ def coherent_fidelity(vxx, vxp, vpp, dx=None, dp=None):
     the result is the unscaled form's to the bit wherever that form does
     not overflow; where the exponent itself overflows, -inf is its limit
     and F is 0.  Without offsets the exponential is not formed: zero
-    offsets give exp(-0.0) = 1, so for finite entries the result is theirs
-    to the bit.
+    offsets give exp(-0.0) = 1, so the result is theirs to the bit.  An
+    infinite variance makes the root infinite and F its limit, 0, with or
+    without offsets.
     """
     mxx, mpp = vxx + 0.5, vpp + 0.5
     t = np.ldexp(0.5, np.frexp(np.maximum(mxx, mpp))[1])
@@ -413,6 +414,9 @@ def coherent_fidelity(vxx, vxp, vpp, dx=None, dp=None):
         root = t * np.sqrt(det)
         if dx is None and dp is None:
             return 1.0 / root
+        # where the root is infinite the quadratic form would take inf * 0:
+        # it is 0 there instead, so exp(-0.0) / root gives the limit 0
+        axx, app, axp = (np.where(np.isinf(root), 0.0, a) for a in (axx, app, axp))
         s = np.ldexp(0.5, np.frexp(np.maximum(np.abs(dx), np.abs(dp)))[1])
         u, w = dx / s, dp / s
         exponent = -0.5 * ((app * u * u - 2.0 * axp * u * w + axx * w * w) / det / t)

@@ -509,16 +509,16 @@ def test_fidelity_flag_validation(capsys):
     assert rc == 2 and "amplitude" in err
 
 
-# The exact CSV of one sweep, seeded or not: sampling E4's homodyne moves
-# no printed digit.
+# The exact CSV of one sweep, seeded or not: no outcome of E4's homodyne
+# moves its recovered state, so --seed moves no printed digit.
 FROZEN_SWEEP_ARGS = (
     "fidelity", "--steps", "7", "--r-min", "0.2", "--r-max", "3", "--alpha=1-0.5i", "--errors", "E4,E2"
 )
 FROZEN_SWEEP_CSV = CSV_HEADER + """
-0.2,nan,0.427233560336,nan,0.598687660112,1,0.427233560336,0.427233560336,0.598687660112,2.77555756156e-16
+0.2,nan,0.427233560336,nan,0.598687660112,1,0.427233560336,0.427233560336,0.598687660112,1.11022302463e-16
 0.666666666667,nan,0.654795539483,nan,0.791391472674,1,0.654795539483,0.654795539483,0.791391472674,1.11022302463e-16
 1.13333333333,nan,0.828284760175,nan,0.906078503981,1,0.828284760175,0.828284760175,0.906078503981,2.22044604925e-16
-1.6,nan,0.924620833929,nan,0.960834277203,1,0.924620833929,0.924620833929,0.960834277203,3.33066907388e-16
+1.6,nan,0.924620833929,nan,0.960834277203,1,0.924620833929,0.924620833929,0.960834277203,2.22044604925e-16
 2.06666666667,nan,0.968937119152,nan,0.984223528245,1,0.968937119152,0.968937119152,0.984223528245,2.22044604925e-16
 2.53333333333,nan,0.987550159596,nan,0.993736087442,1,0.987550159596,0.987550159596,0.993736087442,1.11022302463e-16
 3,nan,0.995066951257,nan,0.997527376843,1,0.995066951257,0.995066951257,0.997527376843,2.22044604925e-16
@@ -542,7 +542,7 @@ def test_fidelity_csv_cells_are_format_twelve_g_at_the_edges():
 def test_fidelity_csv_is_frozen(capsys, seed):
     rc, out, err = run_cli(capsys, *seed, *FROZEN_SWEEP_ARGS)
     assert (rc, out) == (0, FROZEN_SWEEP_CSV)
-    assert err == "max |simulated - formula| = 3.331e-16\n"
+    assert err == "max |simulated - formula| = 2.220e-16\n"
 
 
 @pytest.mark.parametrize(
@@ -668,8 +668,8 @@ def test_fidelity_seed_is_also_accepted_after_the_subcommand(capsys):
 def test_fidelity_fails_when_a_simulated_cell_is_nan(capsys, monkeypatch):
     honest = recovery._fidelities
 
-    def e3_is_nan(rs, tags, rng=None):
-        cells = honest(rs, tags, rng)
+    def e3_is_nan(rs, tags):
+        cells = honest(rs, tags)
         cells[:, tags.index("E3")] = float("nan")
         return cells
 
@@ -682,8 +682,9 @@ def test_fidelity_fails_when_a_simulated_cell_is_nan(capsys, monkeypatch):
 
 @pytest.mark.parametrize("r", ["30", "400", "1000"])
 def test_seeded_fidelity_stays_within_the_gate_at_any_squeezing(capsys, r):
-    # cosh(400) squared overflows a float: the sampled E4 cell must be
-    # conditioned without forming it, and no RuntimeWarning may fire
+    # cosh(400) squared overflows a float: a seeded sweep reads the same
+    # compiled channel, which forms no e^{r}-sized number, and no
+    # RuntimeWarning may fire
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         rc, out, err = run_cli(capsys, "--seed=1", "fidelity", "--steps=1", f"--r-min={r}", f"--r-max={r}")

@@ -625,6 +625,8 @@ def test_coherent_fidelity_without_offsets_is_zero_offsets_to_the_bit(rng):
         (rng.uniform(0.0, 3.0, (4, 1)), rng.uniform(-0.1, 0.1, 5), rng.uniform(0.0, 3.0, (4, 5))),
         (1e160, 0.0, 1e160),
         (np.array([0.5, 1e160]), 0.0, np.array([0.5, 1e300])),
+        (np.inf, 0.0, 0.5),
+        (np.array([0.5, np.inf]), 0.1, np.array([np.inf, 0.5])),
     ]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -634,6 +636,19 @@ def test_coherent_fidelity_without_offsets_is_zero_offsets_to_the_bit(rng):
                 offset = g.coherent_fidelity(vxx, vxp, vpp, zero, zero)
                 assert type(without) is type(offset) and np.shape(without) == np.shape(offset)
                 assert np.asarray(without).tobytes() == np.asarray(offset).tobytes()
+
+
+@pytest.mark.parametrize("offsets", [(0.0, 0.0), (1.0, 0.0), (0.0, -3.0), (1e200, 2.0)])
+@pytest.mark.parametrize("moments", [(np.inf, 0.0, 0.5), (0.5, -0.2, np.inf), (np.inf, 0.0, np.inf)])
+def test_coherent_fidelity_of_an_infinite_variance_is_zero_with_any_offsets(moments, offsets):
+    # the limit F = 1 / sqrt(det M) -> 0, which the form without offsets
+    # gives; the exponent once took inf * 0 and returned nan with a warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert g.coherent_fidelity(*moments) == 0.0
+        assert g.coherent_fidelity(*moments, *offsets) == 0.0
+        batched = g.coherent_fidelity(*(np.array([0.5, m]) for m in moments), *offsets)
+    assert batched[1] == 0.0 and batched[0] == g.coherent_fidelity(0.5, 0.5, 0.5, *offsets)
 
 
 def test_coherent_fidelity_broadcasts_entry_by_entry(rng):

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from conftest import apply_op
 from oracles import bisect_threshold, is_unitary
 
+from cvrep import cli
 from cvrep.circuits import (
     ERASED_MODES,
     ERASURE_TAGS,
@@ -79,11 +80,11 @@ def count_encodes(monkeypatch, limit=None) -> list:
     calls = []
     evaluate = recovery._fidelities
 
-    def counting(rs, tags, rng=None):
+    def counting(rs, tags):
         calls.append(tuple(float(r) for r in rs))
         if limit is not None and len(calls) > limit:
             raise RuntimeError("threshold search did not stop")
-        return evaluate(rs, tags, rng)
+        return evaluate(rs, tags)
 
     monkeypatch.setattr(recovery, "_fidelities", counting)
     return calls
@@ -439,7 +440,7 @@ def test_recovery_fidelities_reject_a_non_finite_amplitude(alpha):
     with pytest.raises(ValueError, match="displacement amplitude must be finite"):
         recovery_fidelity("E2", 1.0, alpha=alpha)
     with pytest.raises(ValueError, match="displacement amplitude must be finite"):
-        recovery_fidelities(1.0, ERASURE_TAGS, alpha, rng=np.random.default_rng(1))
+        recovery_fidelities(1.0, ERASURE_TAGS, alpha)
 
 
 @pytest.mark.parametrize("r", [-1000.0, -30.0, -1e-9])
@@ -448,7 +449,7 @@ def test_recovery_fidelities_reject_negative_squeezing(r):
     with pytest.raises(ValueError, match="r must be >= 0"):
         recovery_fidelities(r, ERASURE_TAGS)
     with pytest.raises(ValueError, match="r must be >= 0"):
-        recovery_fidelity("E1", r, rng=np.random.default_rng(1))
+        recovery_fidelity("E1", r)
 
 
 @pytest.mark.parametrize("r", [np.nan, np.inf, -np.inf])
@@ -498,8 +499,34 @@ def test_a_decoder_that_moves_the_recovered_mean_fails_to_compile(monkeypatch, o
         recovery._compile("E1")
 
 
+@pytest.mark.parametrize("gain", [1.0 + 1e-9, 1.0 - 1e-6, 0.5])
+def test_an_e4_feedforward_off_its_gain_fails_to_compile(monkeypatch, gain):
+    # the measured quadrature then reaches the recovered wire, so an
+    # outcome would move it: the averaged channel is not every outcome's
+    ops = tuple(
+        FeedforwardDisplace(op.register, op.target, op.quad, gain) if isinstance(op, FeedforwardDisplace) else op
+        for op in optical_decoder("E4").ops
+    )
+    monkeypatch.setitem(recovery._OPTICAL_DECODERS, "E4", Circuit(SURVIVOR_MODES["E4"], ops))
+    message = "^optical decoder E4: a measured quadrature is correlated with the recovered wire$"
+    with pytest.raises(ValueError, match=message):
+        recovery._compile("E4")
+
+
+@pytest.mark.parametrize("tag", ERASURE_TAGS)
+def test_the_noise_table_is_the_compiled_channels(tag):
+    # each recovery is y = x_in + noise of covariance c e^{-2r} I, c from
+    # _NOISE, so the closed forms are read off the circuits: T = I and
+    # N2 = c I within the compile's rounding, N0 = N1 = 0
+    _, T, N = recovery._compile(tag)
+    rounding = 10 * np.finfo(float).eps * max(1.0, recovery._NOISE[tag])
+    np.testing.assert_allclose(T, np.eye(2), rtol=0, atol=rounding)
+    np.testing.assert_allclose(N[2], recovery._NOISE[tag] * np.eye(2), rtol=0, atol=rounding)
+    assert not N[:2].any()
+
+
 def test_an_encoder_that_squeezes_a_pair_twice_fails_to_compile(monkeypatch):
-    # its rows hold e^{2r} parts, which L[0] + e^{r} L[1] + e^{-r} L[2] cannot
+    # its rows hold e^{2r} parts, which e^{-r} L[0] + L[1] + e^{r} L[2] cannot
     encoder = optical_encoder(0.0)
     twice = encoder.with_ops((TwoModeSqueeze(2, 4, 0.0),) + encoder.ops)
     monkeypatch.setattr(recovery, "optical_encoder", lambda r: twice)
@@ -512,14 +539,12 @@ def test_an_encoder_that_squeezes_a_pair_twice_fails_to_compile(monkeypatch):
 def test_recovery_fidelities_do_not_depend_on_the_amplitude(alpha, seed):
     # E1's and E2's folded mean gain is 0.9999999999999998; used as is, it
     # shifted the output by 2.2e-16 alpha: 2.98e-8 off the formula at 1e12,
-    # F = 0 at 1e100
-    def rng():
-        return None if seed is None else np.random.default_rng(seed)
-
-    cells = recovery_fidelities(1.0, ERASURE_TAGS, alpha, rng=rng())
-    assert cells == recovery_fidelities(1.0, ERASURE_TAGS, rng=rng())
+    # F = 0 at 1e100.  At r = 1, and at an r drawn from the seed
+    r = 1.0 if seed is None else float(np.random.default_rng(seed).uniform(0.0, 30.0))
+    cells = recovery_fidelities(r, ERASURE_TAGS, alpha)
+    assert cells == recovery_fidelities(r, ERASURE_TAGS)
     for tag in ERASURE_TAGS:
-        assert abs(cells[tag] - closed_form_fidelity(tag, 1.0)) <= TOL.fidelity_gate
+        assert abs(cells[tag] - closed_form_fidelity(tag, r)) <= TOL.fidelity_gate
 
 
 def test_optical_recovery_wires_are_the_documented_ones():
@@ -540,19 +565,18 @@ def test_e4_output_is_outcome_independent():
 
 def test_sampled_e4_recovery_equals_the_deterministic_value():
     deterministic = recovery_fidelity("E4", 1.2, 0.4j)
-    sampled = recovery_fidelity("E4", 1.2, 0.4j, rng=np.random.default_rng(5))
-    assert sampled == pytest.approx(deterministic, abs=1e-9)
+    survivors = erase(optical_encoded_state(1.2, 0.4j), "E4")
+    sampled = run(optical_decoder("E4"), survivors, rng=np.random.default_rng(5)).state
+    assert fidelity_with_coherent(sampled, 0.4j) == pytest.approx(deterministic, abs=1e-9)
 
 
 @pytest.mark.parametrize("r", [0.4, 1.7])
 def test_sampled_e4_draws_as_the_stepped_run_does(r):
+    # the compiled cell, which draws nothing, against the run path's draw
     alpha = 0.5 - 0.2j
-    stepped_rng, compiled_rng = np.random.default_rng(8), np.random.default_rng(8)
-    stepped = run(optical_decoder("E4"), erase(optical_encoded_state(r, alpha), "E4"), rng=stepped_rng)
-    sampled = recovery_fidelity("E4", r, alpha, rng=compiled_rng)
-    assert sampled == pytest.approx(fidelity_with_coherent(stepped.state, alpha), abs=1e-9)
-    # one draw each, so both generators are left in the same state
-    assert stepped_rng.random() == compiled_rng.random()
+    stepped = run(optical_decoder("E4"), erase(optical_encoded_state(r, alpha), "E4"), rng=np.random.default_rng(8))
+    compiled = recovery_fidelity("E4", r, alpha)
+    assert compiled == pytest.approx(fidelity_with_coherent(stepped.state, alpha), abs=1e-9)
 
 
 @pytest.mark.parametrize("r", [0.0, 4.0, 8.0, 12.0, 16.0, 20.0, 25.0])
@@ -570,27 +594,23 @@ def test_the_run_path_pipeline_matches_the_closed_form(tag, r):
         assert deviation <= TOL.fidelity_gate
 
 
-@pytest.mark.parametrize("r", [10.0, 20.0, 30.0, 100.0])
-def test_sampled_fidelities_stay_exact_at_strong_squeezing(r):
-    # the compiled rows are scaled by e^{-r} where they grow, so not even
-    # the e^{r} eps rounding of the run path's factor reaches them
-    fidelities = recovery_fidelities(r, ERASURE_TAGS, 0.3 + 0.2j, rng=np.random.default_rng(4))
-    for tag in ERASURE_TAGS:
-        assert fidelities[tag] == pytest.approx(closed_form_fidelity(tag, r), abs=1e-12)
-
-
 @pytest.mark.parametrize(
     "tags", [tags for k in range(1, 5) for tags in combinations(ERASURE_TAGS, k)], ids="-".join
 )
-def test_averaged_cells_are_the_sampled_ones_to_the_bit(tags):
-    # an averaged cell takes no mean offsets, a sampled one its conditioned
-    # mean's, from r = 0 to where e^{-r} is subnormal (745.2) or 0
+def test_averaged_cells_are_the_sampled_ones_to_the_bit(tags, capsys):
+    # no homodyne outcome moves a compiled cell (_compile checks it), so a
+    # seeded sweep prints an unseeded one's bytes, and each cell is the
+    # averaged one, from r = 0 to where e^{-r} is subnormal (745.2) or 0
     rs = [0.0, 1e-300, 0.7, 30.0, 745.2, 1000.0, 1e308]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         averaged = recovery._fidelities(rs, tags)
-        sampled = recovery._fidelities(rs, tags, np.random.default_rng(9))
-    assert averaged.tobytes() == sampled.tobytes()
+        for r, row in zip(rs, averaged):
+            argv = ["fidelity", "--steps=1", f"--r-min={r!r}", f"--r-max={r!r}", f"--errors={','.join(tags)}"]
+            printed = [(cli.main(argv), capsys.readouterr().out) for argv in (argv, ["--seed=9", *argv])]
+            assert printed[0] == printed[1] and printed[0][0] == 0
+            cells = printed[0][1].splitlines()[1].split(",")[1:5]
+            assert [cells[ERASURE_TAGS.index(tag)] for tag in tags] == [format(f, ".12g") for f in row]
     # and where the run path's states stay in float range, its cells
     alpha = 0.3 + 0.2j
     for r, row in zip(rs, averaged):
@@ -677,7 +697,7 @@ def test_closed_form_rejects_what_recovery_fidelities_rejects(tag, r):
 
 
 def test_sweep_tracks_formulas_across_the_grid():
-    spec = SweepSpec(r_min=0.0, r_max=2.0, steps=5)
+    spec = SweepSpec(r_min=0.0, r_max=2.0, steps=5, alpha=0.2 + 0.1j)
     result = fidelity_sweep(spec)
     np.testing.assert_array_equal(result.r, np.linspace(0.0, 2.0, 5))
     assert result.simulated.shape == result.formula.shape == (5, len(ERASURE_TAGS))
@@ -705,12 +725,6 @@ def test_sweep_marks_unswept_tags_with_nan():
     assert np.all(np.isfinite(formula))
 
 
-def test_sweep_with_rng_matches_the_formulas_too():
-    spec = SweepSpec(r_min=0.3, r_max=1.5, steps=3, errors=("E4",), alpha=0.2 + 0.1j)
-    result = fidelity_sweep(spec, rng=np.random.default_rng(3))
-    assert result.max_abs_dev <= 1e-9
-
-
 def test_sweep_encodes_the_register_once_per_r(monkeypatch):
     # the whole grid in one batched evaluation
     encodes = count_encodes(monkeypatch)
@@ -720,17 +734,18 @@ def test_sweep_encodes_the_register_once_per_r(monkeypatch):
 
 @pytest.mark.parametrize("seed", [None, 11])
 def test_sweep_cells_equal_single_tag_recovery_fidelities(seed):
-    def generator():
-        return None if seed is None else np.random.default_rng(seed)
-
+    # a fixed spec, and one whose grid, tags and amplitude the seed draws
     spec = SweepSpec(r_min=0.1, r_max=1.4, steps=4, errors=("E4", "E2", "E1"), alpha=0.3 - 0.7j)
-    result = fidelity_sweep(spec, rng=generator())
-    # row by row in ERASURE_TAGS order: the order a seeded sweep draws in
-    rng = generator()
+    if seed is not None:
+        rng = np.random.default_rng(seed)
+        r_min, width = rng.uniform(0.0, 20.0, 2)
+        errors = tuple(str(tag) for tag in rng.permutation(ERASURE_TAGS)[: rng.integers(1, 5)])
+        spec = SweepSpec(r_min, r_min + width, int(rng.integers(1, 30)), errors, complex(*rng.normal(size=2)))
+    result = fidelity_sweep(spec)
     for r, cells in zip(result.r, result.simulated):
         for tag, cell in zip(ERASURE_TAGS, cells):
             if tag in spec.errors:
-                assert cell == recovery_fidelity(tag, r, spec.alpha, rng=rng)
+                assert cell == recovery_fidelity(tag, r, spec.alpha)
             else:
                 assert np.isnan(cell)
 
@@ -739,8 +754,8 @@ def test_sweep_cells_equal_single_tag_recovery_fidelities(seed):
 def test_sweep_deviation_is_nan_when_a_cell_is_nan(monkeypatch, tag):
     honest = recovery._fidelities
 
-    def one_nan(rs, tags, rng=None):
-        cells = honest(rs, tags, rng)
+    def one_nan(rs, tags):
+        cells = honest(rs, tags)
         cells[:, tags.index(tag)] = float("nan")
         return cells
 
