@@ -9,11 +9,14 @@ Measurement results land in named classical registers; feedforward ops read
 them.  Validation walks the op list once, tracking which wires are still
 live and which registers have been written.
 
-Every op type is written down once, in the op table ``OPS``: its text tag,
-its ``key=value`` fields in constructor order, each with a ``Kind`` that
-reads, writes and checks it, and, for unitary ops, its gate block from
-:mod:`cvrep.gaussian`.  Constructing, serializing and parsing an op, and
-the interpreter's ``run``, ``symplectic_of`` and position check
+Every op type is written down once, in the op table ``OPS``: its name, its
+text tag, its ``key=value`` fields in constructor order, each with a
+``Kind`` that reads, writes and checks it, and, for unitary ops, its gate
+block from :mod:`cvrep.gaussian`.  The row builds the class itself (only
+``Displace``, whose two real fields are one complex amplitude, is written
+by hand): its slots, and an ``__init__`` that sets them and runs their
+checks.  Constructing, serializing and parsing an op, and the
+interpreter's ``run``, ``symplectic_of`` and position check
 ``_fold_positions`` all read that one entry.
 
 A circuit of ops with at most two wires and one other field, as every
@@ -64,94 +67,54 @@ __all__ = [
 
 
 class _Op:
-    """Base of the op types: ``OpSpec`` sets each one's ``__post_init__`` to its row's checks.
+    """Base of the op types: an op is an immutable value, its type and its fields.
 
-    A dataclass ``__init__`` calls it only if the class has one when decorated, hence this stand-in.
+    The fields are the class's ``__slots__``, in constructor order.  ``==``
+    and ``hash`` go by the type and the fields, ``repr`` prints them, as in
+    ``Qnd(control=1, target=2, gain=0.5)``, a field can be neither assigned
+    nor deleted, and a copy or pickle rebuilds the op through its
+    constructor, so its checks run again.  ``OpSpec`` builds every op type
+    but ``Displace`` from its row.
     """
 
-    __post_init__ = None
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(map(self.__getattribute__, self.__slots__))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash((self.__class__, *self._values()))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._values()))
+        return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return self.__class__, self._values()
 
 
-@dataclass(frozen=True)
-class Qnd(_Op):
-    control: int
-    target: int
-    gain: float
-
-
-@dataclass(frozen=True)
-class BeamSplitterPM(_Op):
-    a: int
-    b: int
-
-
-@dataclass(frozen=True)
-class SqueezeFactor(_Op):
-    mode: int
-    factor: float
-
-
-@dataclass(frozen=True)
-class PhaseShift(_Op):
-    mode: int
-    phi: float
-
-
-@dataclass(frozen=True)
-class Fourier(_Op):
-    mode: int
-
-
-@dataclass(frozen=True)
-class InverseFourier(_Op):
-    mode: int
-
-
-@dataclass(frozen=True)
-class Pi(_Op):
-    mode: int
-
-
-@dataclass(frozen=True)
-class Swap(_Op):
-    a: int
-    b: int
-
-
-@dataclass(frozen=True)
 class Displace(_Op):
-    mode: int
-    alpha: complex
+    """Displace ``mode`` by the amplitude ``alpha``, checked by ``gaussian._amplitude``.
 
-    def __post_init__(self):
-        object.__setattr__(self, "alpha", g._amplitude(self.alpha))
+    Written by hand: its row's two real fields are the parts of one attribute.
+    """
 
+    __slots__ = ("mode", "alpha")
 
-@dataclass(frozen=True)
-class TwoModeSqueeze(_Op):
-    a: int
-    b: int
-    r: float
-
-
-@dataclass(frozen=True)
-class Measure(_Op):
-    mode: int
-    basis: str
-    register: str
-
-
-@dataclass(frozen=True)
-class FeedforwardDisplace(_Op):
-    register: str
-    target: int
-    quad: str
-    gain: float
-
-
-@dataclass(frozen=True)
-class Discard(_Op):
-    mode: int
+    def __init__(self, mode, alpha):
+        object.__setattr__(self, "mode", mode)
+        object.__setattr__(self, "alpha", g._amplitude(alpha))
 
 
 # ---------------------------------------------------------------------------
@@ -168,7 +131,7 @@ class Kind(NamedTuple):
 
     ``bad`` is a Python condition on ``{0}``, the value, true when it is
     invalid; ``must`` says what a valid one is.  A wire's check is that it
-    differs from the op's other wires, so ``_checks`` writes it.
+    differs from the op's earlier wires, so ``_init`` writes it.
     """
 
     read: Callable[[str], object]  # its text -> the value
@@ -202,26 +165,28 @@ def _getter(attrs: tuple[str, ...]) -> Callable[[object], tuple]:
     return get if len(attrs) > 1 else lambda op: (get(op),)
 
 
-def _checks(name: str, fields) -> Callable[[object], None]:
-    """The op's checks, each field's test from its kind, compiled into one function.
+def _init(cls, fields) -> Callable:
+    """The op type's ``__init__``: it sets each field, then runs the field's test from its kind.
 
-    Straight-line tests cost what hand-written ones do; a loop over the
+    Straight-line code costs what hand-written code does; a loop over the
     fields would cost each op about half again its construction time, and
-    ``synthesize`` constructs thousands per matrix.
+    ``synthesize`` constructs thousands per matrix.  Each field is set
+    through its slot, past the ``__setattr__`` that refuses assignment.
     """
-    lines, wires = ["def check(self):", "    pass"], []
+    name, attrs, wires = cls.__name__, [attr for _, attr, _ in fields], []
+    lines = [f"def __init__(self, {', '.join(attrs)}):", *(f"    set_{attr}(self, {attr})" for attr in attrs)]
     for _, attr, kind in fields:
-        value = f"self.{attr}"
         if kind is WIRE:
-            tests = [(f"{value} == self.{other}", f"{kind.must} {name}.{other}") for other in wires]
+            tests = [(f"{attr} == {other}", f"{kind.must} {name}.{other}") for other in wires]
             wires.append(attr)
         else:
-            tests = [(kind.bad.format(value), kind.must)]
+            tests = [(kind.bad.format(attr), kind.must)]
         for bad, must in tests:
-            lines.append(f"    if {bad}: raise ValueError({f'{name}.{attr} {must}, got '!r} + repr({value}))")
+            lines.append(f"    if {bad}: raise ValueError({f'{name}.{attr} {must}, got '!r} + repr({attr}))")
     namespace = {"isfinite": isfinite, "_identifier": _identifier}
+    namespace.update((f"set_{attr}", getattr(cls, attr).__set__) for attr in attrs)
     exec("\n".join(lines), namespace)
-    return namespace["check"]
+    return namespace["__init__"]
 
 
 def _compile(tag: str, fields, slots, make) -> tuple[Callable, Callable, Callable]:
@@ -253,24 +218,30 @@ def _compile(tag: str, fields, slots, make) -> tuple[Callable, Callable, Callabl
 
 
 class OpSpec:
-    """One op type: its text tag, its ``key=value`` fields and its gate.
+    """One op type: its class, its text tag, its ``key=value`` fields and its gate.
 
     ``fields`` lists ``(text key, attribute, kind)`` in constructor order,
     and ``make`` builds the op from the field values.  Each field's
-    ``Kind`` reads and writes its text and checks its value: the row's
-    checks become the op type's ``__post_init__``, so every op is checked
-    as it is constructed (Displace keeps its own, which normalizes its
-    amplitude through ``gaussian._amplitude``, the check of both its
-    fields).  A unitary op has a ``block`` (the gate's 2k x 2k matrix over
-    its k wires: x of each wire in field order, then p of each), or
-    ``terms``, its e^{r} and e^{-r} parts, whose sum is its block, or, for a
-    displacement, a ``shift`` (its (x, p) mean displacement); each is
-    called with the op's non-wire field values in order.  The interpreter's
-    ``_fold`` applies them, and its ``_fold_positions`` applies the x part
-    of blocks that map positions to positions alone.
+    ``Kind`` reads and writes its text and checks its value.  Given the
+    type's name, the row builds the class: an ``_Op`` whose slots are the
+    fields' attributes, and whose ``__init__`` (``_init``) takes them in
+    order, sets them and runs their checks, so every op is checked as it
+    is constructed.  ``Displace`` is passed as its hand-written class: its
+    two real fields are the parts of one amplitude, ``alpha``, which
+    ``gaussian._amplitude`` checks.  A unitary op has a ``block`` (the
+    gate's 2k x 2k matrix over its k wires: x of each wire in field order,
+    then p of each), or ``terms``, its e^{r} and e^{-r} parts, whose sum is
+    its block, or, for a displacement, a ``shift`` (its (x, p) mean
+    displacement); each is called with the op's non-wire field values in
+    order.  The interpreter's ``_fold`` applies them, and its
+    ``_fold_positions`` applies the x part of blocks that map positions to
+    positions alone.
     """
 
     def __init__(self, cls, tag, fields, *, block=None, terms=None, shift=None, make=None):
+        if isinstance(cls, str):
+            cls = type(cls, (_Op,), {"__slots__": tuple(attr for _, attr, _ in fields), "__module__": __name__})
+            cls.__init__ = _init(cls, fields)
         self.cls, self.tag, self.fields = cls, tag, fields
         self.block = block if terms is None else lambda *params: sum(terms(*params))
         self.terms, self.shift = terms, shift
@@ -283,8 +254,6 @@ class OpSpec:
         #: the op as one line of circuit text; the line of the op a column row
         #: holds; and that op, built and checked
         self.line, self.row_line, self.row_make = _compile(tag, fields, slots, self.make)
-        if cls.__post_init__ is None:
-            cls.__post_init__ = _checks(cls.__name__, fields)
 
     def read(self, kv: dict[str, str]):
         """The op from its line's ``key=value`` pairs, one per field."""
@@ -292,14 +261,14 @@ class OpSpec:
 
 
 _SPECS = (
-    OpSpec(Qnd, "QND", (_wire("c", "control"), _wire("t", "target"), _real("gain")), block=g.qnd_block),
-    OpSpec(BeamSplitterPM, "BS", (_wire("a"), _wire("b")), block=g.beam_splitter_pm_block),
-    OpSpec(SqueezeFactor, "SQ", (_wire("mode"), _nonzero("factor")), block=g.squeeze_block),
-    OpSpec(PhaseShift, "PHASE", (_wire("mode"), _real("phi")), block=g.phase_block),
-    OpSpec(Fourier, "FOURIER", (_wire("mode"),), block=g.fourier_block),
-    OpSpec(InverseFourier, "INVFOURIER", (_wire("mode"),), block=g.inverse_fourier_block),
-    OpSpec(Pi, "PI", (_wire("mode"),), block=g.pi_block),
-    OpSpec(Swap, "SWAP", (_wire("a"), _wire("b")), block=g.swap_block),
+    OpSpec("Qnd", "QND", (_wire("c", "control"), _wire("t", "target"), _real("gain")), block=g.qnd_block),
+    OpSpec("BeamSplitterPM", "BS", (_wire("a"), _wire("b")), block=g.beam_splitter_pm_block),
+    OpSpec("SqueezeFactor", "SQ", (_wire("mode"), _nonzero("factor")), block=g.squeeze_block),
+    OpSpec("PhaseShift", "PHASE", (_wire("mode"), _real("phi")), block=g.phase_block),
+    OpSpec("Fourier", "FOURIER", (_wire("mode"),), block=g.fourier_block),
+    OpSpec("InverseFourier", "INVFOURIER", (_wire("mode"),), block=g.inverse_fourier_block),
+    OpSpec("Pi", "PI", (_wire("mode"),), block=g.pi_block),
+    OpSpec("Swap", "SWAP", (_wire("a"), _wire("b")), block=g.swap_block),
     OpSpec(
         Displace,
         "DISP",
@@ -307,17 +276,19 @@ _SPECS = (
         shift=g.displacement,
         make=lambda mode, re, im: Displace(mode, complex(re, im)),
     ),
-    OpSpec(TwoModeSqueeze, "TMS", (_wire("a"), _wire("b"), _real("r")), terms=g.two_mode_squeeze_terms),
-    OpSpec(Measure, "MEAS", (_wire("mode"), _quadrature("basis"), _register("reg", "register"))),
+    OpSpec("TwoModeSqueeze", "TMS", (_wire("a"), _wire("b"), _real("r")), terms=g.two_mode_squeeze_terms),
+    OpSpec("Measure", "MEAS", (_wire("mode"), _quadrature("basis"), _register("reg", "register"))),
     OpSpec(
-        FeedforwardDisplace,
+        "FeedforwardDisplace",
         "FF",
         (_register("reg", "register"), _wire("target"), _quadrature("quad"), _real("gain")),
     ),
-    OpSpec(Discard, "DISCARD", (_wire("mode"),)),
+    OpSpec("Discard", "DISCARD", (_wire("mode"),)),
 )
 OPS = {spec.cls: spec for spec in _SPECS}
 _BY_TAG = {spec.tag: spec for spec in _SPECS}
+(Qnd, BeamSplitterPM, SqueezeFactor, PhaseShift, Fourier, InverseFourier, Pi, Swap, Displace, TwoModeSqueeze,
+ Measure, FeedforwardDisplace, Discard) = OPS
 
 
 def spec_of(op) -> OpSpec:

@@ -400,15 +400,22 @@ def coherent_fidelity(vxx, vxp, vpp, dx=None, dp=None):
     and F is 0.  Without offsets the exponential is not formed: zero
     offsets give exp(-0.0) = 1, so the result is theirs to the bit.  An
     infinite variance makes the root infinite and F its limit, 0, with or
-    without offsets.
+    without offsets.  Where a diagonal entry is infinite, M is positive
+    definite where the other one is positive, and det M is then infinite.
     """
     mxx, mpp = vxx + 0.5, vpp + 0.5
-    t = np.ldexp(0.5, np.frexp(np.maximum(mxx, mpp))[1])
+    top = np.maximum(mxx, mpp)
+    t = np.ldexp(0.5, np.frexp(top)[1])
     # an M that is not positive definite may overflow here, to a det of
-    # -inf, which is rejected
-    with np.errstate(over="ignore"):
+    # -inf, which is rejected; an infinite top entry leaves t = 1/2, so its
+    # det may be inf - inf or inf * 0, and is set apart
+    with np.errstate(over="ignore", invalid="ignore"):
         axx, app, axp = mxx / t, mpp / t, vxp / t
         det = axx * app - axp * axp
+    infinite = np.isinf(top)
+    if infinite.any():
+        det = np.where(infinite, np.where(np.minimum(mxx, mpp) > 0, np.inf, -np.inf), det)
+    with np.errstate(over="ignore"):
         if (det <= 0).any():
             raise ValueError(f"V + I/2 is not positive definite: det = {np.min(det * t * t):.3e}")
         root = t * np.sqrt(det)

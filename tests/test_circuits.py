@@ -1,6 +1,9 @@
 """Circuit IR validation, text serialization, and Gaussian interpretation."""
 
+import copy
+import inspect
 import math
+import pickle
 from itertools import combinations
 from operator import attrgetter
 
@@ -40,7 +43,8 @@ from cvrep.circuits import (
     symplectic_of,
 )
 from cvrep.circuits.interpreter import _fold
-from cvrep.circuits.ir import OPS, QUADRATURE, REGISTER, WIRE
+from cvrep.circuits import ir
+from cvrep.circuits.ir import NONZERO, OPS, QUADRATURE, REAL, REGISTER, WIRE
 
 SQRT2 = math.sqrt(2.0)
 
@@ -198,6 +202,90 @@ def test_measure_register_names_are_identifiers():
         Measure(1, "x", "2bad name")
     with pytest.raises(ValueError):
         Measure(1, "q", "m1")
+
+
+# each field kind's invalid value and the words of its ValueError
+_BAD = {
+    REAL: (math.inf, "must be finite"),
+    NONZERO: (0.0, "must be finite and nonzero"),
+    QUADRATURE: ("q", "must be 'x' or 'p'"),
+    REGISTER: ("2bad", "must be an identifier"),
+}
+
+
+def _other(value):
+    """A valid argument that differs from ``value``, of its type."""
+    if isinstance(value, str):
+        return {"x": "p", "p": "x"}.get(value, value + "2")
+    return value + 10 if isinstance(value, int) else value + 1
+
+
+@pytest.mark.parametrize("spec", OPS.values(), ids=lambda spec: spec.tag)
+def test_every_op_type_is_an_immutable_value(spec):
+    # what each op type promises, read off its row: construction by position
+    # and by keyword, each field's check and its message, == and hash over
+    # (type, fields), repr, no assignment or deletion, and copies and pickles
+    # that are equal ops of the same type
+    cls, name = spec.cls, spec.cls.__name__
+    op = make_op(spec, (1, 2), (0.5, -1.25))
+    names = list(inspect.signature(cls).parameters)
+    args = [getattr(op, key) for key in names]
+    assert type(op) is OPS[type(op)].cls is cls
+    assert getattr(ir, name) is cls and cls.__module__ == "cvrep.circuits.ir"
+    assert cls(*args) == op and cls(**dict(zip(names, args))) == op
+    assert repr(op) == f"{name}({', '.join(f'{key}={value!r}' for key, value in zip(names, args))})"
+
+    same = cls(*args)
+    assert same is not op and same == op and not same != op and hash(same) == hash(op)
+    assert op != tuple(args) and op.__eq__(tuple(args)) is NotImplemented
+    kinds = {attr: kind for _, attr, kind in spec.fields}
+    for i, value in enumerate(args):
+        changed = cls(*args[:i], _other(value), *args[i + 1:])
+        assert changed != op and not changed == op
+        if isinstance(value, (float, complex)) and kinds.get(names[i]) is not NONZERO:
+            zero = type(value)(0.0)
+            plus, minus = (cls(*args[:i], sign * zero, *args[i + 1:]) for sign in (1.0, -1.0))
+            assert plus == minus and hash(plus) == hash(minus)
+
+    row = [attrgetter(attr)(op) for _, attr, _ in spec.fields]
+    first_wire = None
+    for i, (_, attr, kind) in enumerate(spec.fields):
+        if kind is WIRE and first_wire is None:
+            first_wire = attr, row[i]
+            continue
+        if kind is WIRE:
+            bad, message = first_wire[1], f"{name}.{attr} must differ from {name}.{first_wire[0]}, got {first_wire[1]!r}"
+        elif cls is Displace:
+            bad, message = _BAD[kind][0], "displacement amplitude must be finite"
+        else:
+            bad, must = _BAD[kind]
+            message = f"{name}.{attr} {must}, got {bad!r}"
+        with pytest.raises(ValueError) as raised:
+            spec.make(*row[:i], bad, *row[i + 1:])
+        assert str(raised.value) == message
+
+    for key in (*names, "other"):
+        with pytest.raises(AttributeError):
+            setattr(op, key, args[0])
+    for key in names:
+        with pytest.raises(AttributeError):
+            delattr(op, key)
+    assert op == same and [getattr(op, key) for key in names] == args
+
+    pickles = [pickle.loads(pickle.dumps(op, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for clone in (copy.copy(op), copy.deepcopy(op), *pickles):
+        assert type(clone) is cls and clone == op and hash(clone) == hash(op) and repr(clone) == repr(op)
+
+
+def test_op_types_are_told_apart_and_print_their_fields():
+    assert Swap(1, 2) != BeamSplitterPM(1, 2) and BeamSplitterPM(1, 2) != Swap(1, 2)
+    assert Fourier(1) != InverseFourier(1) != Pi(1) != Discard(1)
+    assert len({Swap(1, 2), BeamSplitterPM(1, 2), Swap(1, 2)}) == 2
+    assert repr(Qnd(1, 2, 0.5)) == "Qnd(control=1, target=2, gain=0.5)"
+    assert repr(Displace(3, 0.5 - 1.25j)) == "Displace(mode=3, alpha=(0.5-1.25j))"
+    assert repr(Measure(2, "p", "m")) == "Measure(mode=2, basis='p', register='m')"
+    assert repr(FeedforwardDisplace("m", 1, "x", -0.0)) == "FeedforwardDisplace(register='m', target=1, quad='x', gain=-0.0)"
+    assert Qnd(1, 2, -0.0) == Qnd(1, 2, 0.0) and hash(Qnd(1, 2, -0.0)) == hash(Qnd(1, 2, 0.0))
 
 
 def test_point_transform_lifts_to_a_symplectic_block_pair():

@@ -285,20 +285,22 @@ def test_synth_check_folds_the_circuit_once(capsys, monkeypatch, synth_columns):
     decoder_matrix("E3")  # its ideal decoder's Circuit is built once, before the count
 
     def counting(name, fn):
-        def wrapper(arg):
+        def wrapper(*args, **kwargs):
             calls[name] += 1
-            return fn(arg)
+            return fn(*args, **kwargs)
 
         return wrapper
 
     for module in (interpreter, synthesis, cvrep.circuits):
         monkeypatch.setattr(module, "symplectic_of", counting("symplectic_of", interpreter.symplectic_of))
     for spec in OPS.values():
-        monkeypatch.setattr(spec.cls, "__post_init__", counting("op", spec.cls.__post_init__))
+        monkeypatch.setattr(spec.cls, "__init__", counting("op", spec.cls.__init__))
     monkeypatch.setattr(Circuit, "validate", counting("circuit", Circuit.validate))
     rc, out, err = run_cli(capsys, "synth", "--error", "E3", "--check")
     assert rc == 0 and "max |achieved - target| = " in err
     assert calls == {"symplectic_of": 0, "op": 0, "circuit": 0}
+    circuit = parse(out)  # the counts see every op and Circuit that is built
+    assert calls == {"symplectic_of": 0, "op": len(circuit), "circuit": 1} and len(circuit) > 0
     assert len(synth_columns) == 1 and type(synth_columns[0]) is _Columns
     assert out == _serialize_columns(synth_columns[0])
 

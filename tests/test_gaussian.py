@@ -591,6 +591,8 @@ NOT_POSITIVE_DEFINITE = [
     [[0.0, 1.0], [1.0, 0.0]],  # det(V + I/2) = -3/4
     [[-0.5, 0.0], [0.0, 1.0]],  # det(V + I/2) = 0
     [[0.0, 1e300], [1e300, 0.0]],  # det(V + I/2) = 1/4 - 1e600, past the float range
+    [[np.inf, 0.0], [0.0, -1.0]],  # an infinite entry and a negative one
+    [[np.inf, 0.0], [0.0, -0.5]],  # an infinite entry and a zero one: inf * 0 once gave nan
 ]
 
 
@@ -639,10 +641,22 @@ def test_coherent_fidelity_without_offsets_is_zero_offsets_to_the_bit(rng):
 
 
 @pytest.mark.parametrize("offsets", [(0.0, 0.0), (1.0, 0.0), (0.0, -3.0), (1e200, 2.0)])
-@pytest.mark.parametrize("moments", [(np.inf, 0.0, 0.5), (0.5, -0.2, np.inf), (np.inf, 0.0, np.inf)])
+@pytest.mark.parametrize(
+    "moments",
+    [
+        (np.inf, 0.0, 0.5),
+        (0.5, -0.2, np.inf),
+        (np.inf, 0.0, np.inf),
+        (np.inf, 1e300, np.inf),
+        (np.inf, 1e300, 1e301),
+        (1e301, -1e300, np.inf),
+    ],
+)
 def test_coherent_fidelity_of_an_infinite_variance_is_zero_with_any_offsets(moments, offsets):
     # the limit F = 1 / sqrt(det M) -> 0, which the form without offsets
-    # gives; the exponent once took inf * 0 and returned nan with a warning
+    # gives; the exponent once took inf * 0 and returned nan with a warning,
+    # and an infinite diagonal entry next to a huge off-diagonal one once
+    # scaled M by 1/2 (frexp(inf) has exponent 0) and took inf - inf
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert g.coherent_fidelity(*moments) == 0.0
