@@ -43,6 +43,8 @@ from math import isfinite
 from operator import attrgetter
 from typing import Callable, NamedTuple
 
+from numpy import integer
+
 from .. import gaussian as g
 
 __all__ = [
@@ -113,6 +115,8 @@ class Displace(_Op):
     __slots__ = ("mode", "alpha")
 
     def __init__(self, mode, alpha):
+        if not _is_label(mode):
+            raise ValueError(f"Displace.mode must be an integer, got {mode!r}")
         object.__setattr__(self, "mode", mode)
         object.__setattr__(self, "alpha", g._amplitude(alpha))
 
@@ -130,19 +134,26 @@ class Kind(NamedTuple):
     """A field kind: how a field reads from and writes to text, and its check.
 
     ``bad`` is a Python condition on ``{0}``, the value, true when it is
-    invalid; ``must`` says what a valid one is.  A wire's check is that it
-    differs from the op's earlier wires, so ``_init`` writes it.
+    invalid; ``must`` says what a valid one is.  A wire is an int or a
+    NumPy integer, not a bool, so that its text parses back to it;
+    ``_init`` also tests that it differs from the op's earlier wires.
     """
 
     read: Callable[[str], object]  # its text -> the value
     write: Callable[[object], str] | None  # the value -> its text; None: as an f-string prints it
-    bad: str | None
+    bad: str
     must: str
 
 
 _identifier = re.compile(r"[A-Za-z_]\w*").fullmatch
 
-WIRE = Kind(int, None, None, "must differ from")
+
+def _is_label(value) -> bool:
+    """Whether ``value`` can be a wire label: an int or a NumPy integer, not a bool."""
+    return type(value) is int or isinstance(value, integer)
+
+
+WIRE = Kind(int, None, "not _is_label({0})", "must be an integer")
 REAL = Kind(float, _fmt, "not isfinite({0})", "must be finite")
 NONZERO = Kind(float, _fmt, "{0} == 0 or not isfinite({0})", "must be finite and nonzero")
 QUADRATURE = Kind(str, None, "{0} not in ('x', 'p')", "must be 'x' or 'p'")
@@ -176,14 +187,13 @@ def _init(cls, fields) -> Callable:
     name, attrs, wires = cls.__name__, [attr for _, attr, _ in fields], []
     lines = [f"def __init__(self, {', '.join(attrs)}):", *(f"    set_{attr}(self, {attr})" for attr in attrs)]
     for _, attr, kind in fields:
+        tests = [(kind.bad.format(attr), kind.must)]
         if kind is WIRE:
-            tests = [(f"{attr} == {other}", f"{kind.must} {name}.{other}") for other in wires]
+            tests += [(f"{attr} == {other}", f"must differ from {name}.{other}") for other in wires]
             wires.append(attr)
-        else:
-            tests = [(kind.bad.format(attr), kind.must)]
         for bad, must in tests:
             lines.append(f"    if {bad}: raise ValueError({f'{name}.{attr} {must}, got '!r} + repr({attr}))")
-    namespace = {"isfinite": isfinite, "_identifier": _identifier}
+    namespace = {"isfinite": isfinite, "_identifier": _identifier, "_is_label": _is_label}
     namespace.update((f"set_{attr}", getattr(cls, attr).__set__) for attr in attrs)
     exec("\n".join(lines), namespace)
     return namespace["__init__"]

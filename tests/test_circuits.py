@@ -277,6 +277,30 @@ def test_every_op_type_is_an_immutable_value(spec):
         assert type(clone) is cls and clone == op and hash(clone) == hash(op) and repr(clone) == repr(op)
 
 
+@pytest.mark.parametrize("spec", OPS.values(), ids=lambda spec: spec.tag)
+def test_every_wire_field_takes_only_an_integer_so_its_text_parses_back(spec):
+    # a float or a bool equal to a label once built an op whose text did
+    # not parse: Qnd(1.0, 2, 0.5) wrote "QND c=1.0 ..." and Swap(True, 2)
+    # "SWAP a=True ..."; a NumPy integer is still a label
+    name, reals = spec.cls.__name__, [0.5] * n_reals(spec)
+    attrs = [attr for _, attr, kind in spec.fields if kind is WIRE]
+    for i, attr in enumerate(attrs):
+        for bad in (float(i + 1), np.float64(i + 1), True, np.bool_(True), str(i + 1)):
+            wires = [1, 2][: len(attrs)]
+            wires[i] = bad
+            with pytest.raises(ValueError) as raised:
+                make_op(spec, wires, reals)
+            assert str(raised.value) == f"{name}.{attr} must be an integer, got {bad!r}"
+    # a feedforward reads the register a measurement of wire 3 writes
+    before = (Measure(3, "x", "m"),) if spec.cls is FeedforwardDisplace else ()
+    texts = set()
+    for label in (int, np.int64, np.int32, np.uint8):
+        circuit = Circuit((1, 2, 3), (*before, make_op(spec, (label(1), label(2)), reals)))
+        texts.add(serialize(circuit))
+        assert parse(serialize(circuit)) == circuit
+    assert len(texts) == 1
+
+
 def test_op_types_are_told_apart_and_print_their_fields():
     assert Swap(1, 2) != BeamSplitterPM(1, 2) and BeamSplitterPM(1, 2) != Swap(1, 2)
     assert Fourier(1) != InverseFourier(1) != Pi(1) != Discard(1)

@@ -1,5 +1,9 @@
 """End-to-end command-line checks: output shapes, exit codes, file I/O."""
 
+import argparse
+import contextlib
+import importlib
+import io
 import json
 import os
 import re
@@ -11,7 +15,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import OVERFLOWING_MATRICES
@@ -644,6 +648,19 @@ def test_fidelity_reports_an_unwritable_output_file_as_a_usage_error(capsys, tmp
     assert str(missing) in err and not missing.parent.exists()
 
 
+@pytest.mark.parametrize("joined", [True, False], ids=["--flag=", "--flag ''"])
+@pytest.mark.parametrize("flag", ["out", "gnuplot"])
+def test_fidelity_reports_an_empty_output_path_as_a_usage_error(capsys, tmp_path, flag, joined):
+    # an empty path is a file that cannot be written, not an absent flag:
+    # --out '' once wrote the CSV to stdout and --gnuplot '' wrote no script
+    empty = [f"--{flag}="] if joined else [f"--{flag}", ""]
+    csv = [] if flag == "out" else ["--out", str(tmp_path / "sweep.csv")]
+    rc, out, err = run_cli(capsys, "fidelity", "--steps", "2", *csv, *empty)
+    what = "CSV file" if flag == "out" else "gnuplot script"
+    assert (rc, out) == (2, "")
+    assert err.splitlines()[-1].startswith(f"error: cannot write {what}: ") and err.endswith("''\n")
+
+
 def test_fidelity_gnuplot_requires_out(capsys, tmp_path):
     rc, _, err = run_cli(
         capsys, "fidelity", "--steps", "1", "--gnuplot", str(tmp_path / "x.gp")
@@ -968,12 +985,187 @@ SEQUENTIAL_CALLS = (
 
 def test_main_reuses_one_parser_and_nothing_leaks_between_calls(capsys, monkeypatch):
     assert cli._parser() is cli._parser()
-    reused = [cli._parser().parse_args(list(argv)) for argv in SEQUENTIAL_CALLS]
-    fresh = [cli.build_parser().parse_args(list(argv)) for argv in SEQUENTIAL_CALLS]
-    assert [vars(a) for a in reused] == [vars(a) for a in fresh]
+    reused = [vars(cli._parser().parse_args(list(argv))) for argv in SEQUENTIAL_CALLS]
+    fresh = [vars(cli.build_parser().parse_args(list(argv))) for argv in SEQUENTIAL_CALLS]
+    # the reader takes every one of these, from the cached parser and from new ones
+    assert reused == fresh == [cli._read(cli._parser(), list(argv)) for argv in SEQUENTIAL_CALLS]
+    assert reused == [cli._read(cli.build_parser(), list(argv)) for argv in SEQUENTIAL_CALLS]
     outputs = [run_cli(capsys, *argv) for argv in SEQUENTIAL_CALLS]
     monkeypatch.setattr(cli, "_parser", cli.build_parser)  # a new parser per call
     assert outputs == [run_cli(capsys, *argv) for argv in SEQUENTIAL_CALLS]
+    monkeypatch.setattr(cli, "_read", lambda parser, argv: None)  # argparse reads every argv
+    assert outputs == [run_cli(capsys, *argv) for argv in SEQUENTIAL_CALLS]
+
+
+def _same_values(read, parsed) -> bool:
+    """Whether two parsed value dicts agree value by value and type by type, nan equal to nan."""
+
+    def same(a, b):
+        return type(a) is type(b) and (a == b or (a != a and b != b))
+
+    return read.keys() == parsed.keys() and all(same(read[key], parsed[key]) for key in read)
+
+
+def _parse_args(parser, argv):
+    """``vars(parser.parse_args(argv))``, or the exit code argparse stops with (its output dropped)."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(parser.parse_args(argv))
+        except SystemExit as exc:
+            return exc.code
+
+
+def _leaf_parsers(parser, path=()):
+    """(subcommand path, parser) of each parser in the tree that has no subcommands."""
+    subs = [action for action in parser._actions if isinstance(action, argparse._SubParsersAction)]
+    if not subs:
+        return [(path, parser)]
+    return [leaf for name, sub in subs[0].choices.items() for leaf in _leaf_parsers(sub, (*path, name))]
+
+
+PARSER = cli.build_parser()
+LEAVES = _leaf_parsers(PARSER)
+ACTIONS = {s: a for p in (PARSER, *(leaf for _, leaf in LEAVES)) for s, a in p._option_string_actions.items()}
+# abbreviations, help, and tokens no parser knows
+NOISE = sorted({s[:4] for s in ACTIONS if len(s) > 4} | {"-h", "--help", "--", "-x", "-", "---"})
+WORDS = ("", "five", "6", "24", "x.txt", "E9", "E4,E2", "1,2", "fig4", "1i", "-0.3+1i", "nan", "-1", "build", "fidelity")
+
+
+def _text_for(action):
+    """A value's text for ``action``: mostly one of its choices or of its type, else any word."""
+    if action.choices:
+        fitting = st.sampled_from(sorted(action.choices))
+    elif action.type in (int, float):
+        fitting = st.integers(-3, 30).map(str) if action.type is int else st.floats().map(repr)
+    else:
+        fitting = st.sampled_from(WORDS)
+    return st.one_of(fitting, fitting, st.sampled_from(WORDS))
+
+
+@st.composite
+def cli_argvs(draw):
+    """An argv of the CLI's own tokens: global options, a subcommand path, then its items.
+
+    An item is an option of the subcommand, given mostly as ``--opt=value``
+    or ``--opt value`` (a flag bare), or a positional.  About one part in
+    eight is wrong: a flag given a value or an option none, a token of
+    ``NOISE``, another subcommand's option, or a path cut short or too long.
+    """
+    path, leaf = draw(st.sampled_from(LEAVES))
+
+    def wrong() -> bool:
+        # hypothesis leans to the first of the choices; that is the right part
+        return draw(st.sampled_from((False,) * 7 + (True,)))
+
+    def item(options):
+        if not options or wrong():
+            return [draw(st.sampled_from(NOISE + sorted(ACTIONS) + list(WORDS)))]
+        option = draw(st.sampled_from(options))
+        action = ACTIONS[option]
+        if (action.nargs == 0) != wrong():
+            return [option]
+        value = draw(_text_for(action))
+        return draw(st.sampled_from(([f"{option}={value}"], [option, value])))
+
+    own = sorted(s for s, a in leaf._option_string_actions.items() if not isinstance(a, argparse._HelpAction))
+    options = draw(st.lists(st.sampled_from(own), unique=True, max_size=5)) if own else []
+    if options and wrong():
+        options.append(options[0])  # a repeat
+    items = [item([option]) for option in options] + [item(own) for _ in range(wrong())]
+    items += [[draw(st.sampled_from(WORDS))] for a in leaf._actions if not a.option_strings and not wrong()]
+    if wrong():
+        path = draw(st.sampled_from([path[:-1], (*path, "bogus"), ("bogus",)]))
+    argv = [token for part in [item(["--seed"]) for _ in range(draw(st.integers(0, 2)))] for token in part]
+    return argv + list(path) + [token for part in draw(st.permutations(items)) for token in part]
+
+
+@settings(max_examples=500, deadline=None)
+@given(argv=cli_argvs())
+# each kind of argv the reader must leave to argparse, and the seed twice
+@example(argv=["synth", "--error=E2", "--check=1"])
+@example(argv=["verify", "five", "--homology", "--homology"])
+@example(argv=["fidelity", "--steps=3", "--ste=4"])
+@example(argv=["fidelity", "--", "--steps=3"])
+@example(argv=["-h", "fidelity"])
+@example(argv=["threshold", "--target", "-0.5"])
+@example(argv=["threshold", "--target=half"])
+@example(argv=["synth", "--error=E9"])
+@example(argv=["synth", "--check"])
+@example(argv=["synth", "--error=E2", "--matrix=x.txt"])
+@example(argv=["code", "build", "five", "six"])
+@example(argv=["--seed=1", "fidelity", "--seed", "2"])
+def test_every_argv_the_reader_takes_is_argparse_s_namespace(argv):
+    parser = cli.build_parser()
+    read = cli._read(parser, argv)
+    if read is not None:
+        parsed = _parse_args(parser, argv)
+        assert isinstance(parsed, dict), f"argparse rejects {argv}, exit {parsed}"
+        assert _same_values(read, parsed)
+
+
+# for each subcommand, argvs in every exact spelling the reader takes
+READABLE = {
+    ("code", "build"): (["code", "build", "five"], ["--seed", "2", "code", "build", "6"]),
+    ("verify",): (["verify", "--homology", "6"], ["verify", "five", "--erase", "1,2"]),
+    ("synth",): (["synth", "--matrix", "x.txt", "--check"], ["--seed=1", "synth", "--error=E2"]),
+    ("fidelity",): (["fidelity"], ["fidelity", "--steps", "3", "--r-max=nan", "--seed=4", "--out", ""]),
+    ("threshold",): (["threshold", "--target=0.5"], ["threshold", "--tol", "1e-6", "--target", "1"]),
+    ("spacetime",): (["spacetime", "--config", "fig4"], ["spacetime", "--config="]),
+}
+
+
+@pytest.mark.parametrize("path", [path for path, _ in LEAVES], ids=" ".join)
+def test_the_reader_takes_an_argv_of_every_subcommand(path):
+    for argv in READABLE[path]:
+        parser = cli.build_parser()
+        read = cli._read(parser, argv)
+        assert read is not None and _same_values(read, _parse_args(parser, argv)), argv
+
+
+@pytest.mark.parametrize("workload", ["sim", "codes", "synth"])
+def test_the_reader_takes_every_benchmark_command(monkeypatch, tmp_path, workload):
+    # the benchmark's commands are the CLI's hot path: argparse reading one
+    # of them costs several times what the reader does
+    bench = Path(__file__).resolve().parents[1] / "bench"
+    monkeypatch.syspath_prepend(str(bench))
+    workloads = importlib.import_module("workloads")
+    parser = cli._parser()
+    for seed in (1, 7):
+        for cmd in workloads.build(workload, seed, tmp_path / str(seed)):
+            read = cli._read(parser, list(cmd.argv))
+            assert read is not None, cmd.text()
+            assert _same_values(read, _parse_args(parser, list(cmd.argv))), cmd.text()
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["fidelity", "--help"]])
+def test_help_goes_to_argparse(capsys, argv):
+    assert cli._read(cli._parser(), argv) is None
+    with pytest.raises(SystemExit) as raised:
+        main(argv)
+    assert raised.value.code == 0
+    out = capsys.readouterr().out
+    with pytest.raises(SystemExit) as raised:
+        cli.build_parser().parse_args(argv)
+    assert raised.value.code == 0 and capsys.readouterr().out == out and out.startswith("usage: cvrep")
+
+
+def test_an_abbreviated_option_goes_to_argparse(capsys):
+    abbreviated = ["fidelity", "--st=3", "--r-ma=1"]
+    assert cli._read(cli._parser(), abbreviated) is None
+    rc, out, err = run_cli(capsys, *abbreviated)
+    assert (rc, out, err) == run_cli(capsys, "fidelity", "--steps=3", "--r-max=1")
+    assert out.startswith(CSV_HEADER) and out.count("\n") == 4
+
+
+def test_an_option_missing_its_value_exits_with_argparse_s_usage(capsys):
+    with pytest.raises(SystemExit) as raised:
+        main(["threshold", "--target"])
+    assert raised.value.code == 2
+    captured = capsys.readouterr()
+    with pytest.raises(SystemExit):
+        cli.build_parser().parse_args(["threshold", "--target"])
+    assert captured.out == "" and captured.err == capsys.readouterr().err
+    assert captured.err.startswith("usage: cvrep threshold") and "expected one argument" in captured.err
 
 
 def test_missing_subcommand_is_an_argparse_error():
