@@ -110,9 +110,14 @@ def _fold_positions(columns: _Columns) -> np.ndarray:
     evaluated once for the whole circuit, on the vector of every QND's
     gain.  A run of consecutive QNDs with one control leaves that control's
     row alone, so the whole run is one rank-1 update of its targets' rows,
-    each by the gain in its block's x part.  Every other op is applied on
-    its own, and its block is built once per distinct kind and value in
-    this call.  Raises TypeError on an op with a shift, without a block
+    each by the gain in its block's x part.  Targets that are a contiguous
+    range of rows, ascending or descending (as the elimination's dense
+    columns give), are updated through one basic slice, its gains in
+    ascending row order; other distinct targets through an index array,
+    and a run that repeats a target through ``np.add.at``.  Every other op
+    is applied on its own, through a slice of its row if it has one wire,
+    and its block is built once per distinct kind and value in this call.
+    Raises TypeError on an op with a shift, without a block
     (measurement, feedforward, discard) or whose block mixes x and p.  The
     QND stack is tested for mixing once, before the fold; every other
     block when it is first built, so the error names the first such op in
@@ -145,8 +150,12 @@ def _fold_positions(columns: _Columns) -> np.ndarray:
                 if _mixes(block, k):
                     raise _not_positional(kind)
                 gates[key] = block[:k, :k]
-            modes = [index[a[i]]] if b[i] is None else [index[a[i]], index[b[i]]]
-            X[modes] = gates[key] @ X[modes]
+            m = index[a[i]]
+            if b[i] is None:  # basic indexing: the same matmul on a view of the row
+                X[m : m + 1] = gates[key] @ X[m : m + 1]
+            else:
+                modes = [m, index[b[i]]]
+                X[modes] = gates[key] @ X[modes]
             i += 1
             continue
         control = a[i]
@@ -156,9 +165,15 @@ def _fold_positions(columns: _Columns) -> np.ndarray:
         run = slice(done, done + end - i)
         done = run.stop
         row = X[index[control]]
+        rows = targets[run]
+        first, last = rows[0], rows[-1]
         if end - i == 1:  # basic indexing: a fifth of the cost of the fancy update
-            X[targets[run.start]] += gains[run.start] * row
-        elif len(set(targets[run])) == end - i:
+            X[first] += gains[run.start] * row
+        elif rows == list(range(first, last + 1)):  # contiguous, ascending: one basic slice
+            X[first : last + 1] += np.multiply.outer(gains[run], row)
+        elif rows == list(range(first, last - 1, -1)):  # contiguous, descending
+            X[last : first + 1] += np.multiply.outer(gains[run][::-1], row)
+        elif len(set(rows)) == end - i:
             X[target_rows[run]] += np.multiply.outer(gains[run], row)
         else:  # unbuffered, so a target repeated within the run gets every gain
             np.add.at(X, target_rows[run], np.multiply.outer(gains[run], row))

@@ -25,7 +25,7 @@ op its row in ``OPS``, its wires and that field's value.  Synthesis builds
 them with no op objects, and the position fold reads them.  ``_columns``
 gives a ``Circuit``'s columns, ``_circuit`` the checked ``Circuit`` that
 columns hold, and ``_serialize_columns`` the text ``serialize`` gives for
-it, each line written by its kind's row.
+it, in one ``%`` call of the templates its kinds' rows compile.
 
 Serialization is line-oriented text, one op per line, after a ``MODES``
 header naming the wires (optional on input: without it the wires are 1 to
@@ -124,10 +124,20 @@ class Displace(_Op):
 # ---------------------------------------------------------------------------
 # the op table: each op type's text form, wires, checks and gate, written down once
 
+#: a float's ``%`` conversion, indexed by ``_whole``: ``%r``, or ``%.0f`` for a
+#: whole number below 1e15, whose ``repr`` is its digits and ``.0``
+_CONVERSIONS = ("%r", "%.0f")
+
+
+def _whole(v: float) -> bool:
+    """Whether the float is written as a whole number (``%.0f``) rather than by ``repr``."""
+    return v.is_integer() and abs(v) < 1e15
+
+
 def _fmt(v: float) -> str:
     """``repr`` of the float, without the ``.0`` of a whole number below 1e15: -0.0 prints as -0."""
-    text = repr(float(v))
-    return text[:-2] if text.endswith(".0") and abs(v) < 1e15 else text
+    v = float(v)
+    return _CONVERSIONS[_whole(v)] % v
 
 
 class Kind(NamedTuple):
@@ -199,32 +209,51 @@ def _init(cls, fields) -> Callable:
     return namespace["__init__"]
 
 
-def _compile(tag: str, fields, slots, make) -> tuple[Callable, Callable, Callable]:
-    """``line(op)``, and ``row_line`` and ``row_make`` of a column row ``(a, b, value)``.
+def _compile(tag: str, fields, slots, make) -> tuple[Callable, tuple | None, Callable]:
+    """``line(op)``; and ``row_templates`` and ``row_make`` of a column row ``(a, b, value)``.
 
     Each is compiled from the row: field i is read from ``op`` by its
-    attribute, or from the row's slot ``slots[i]``.  ``line`` and
-    ``row_line`` give the op's text in one f-string, each value written by
-    its kind (a ``str.format`` call per line would parse its template every
-    time: a quarter of the time to write a circuit of thousands of ops);
-    ``row_make`` builds the op with ``make``.
+    attribute, or from the row's slot ``slots[i]``.  ``line`` gives the
+    op's text in one f-string, each value written by its kind (a
+    ``str.format`` call per line would parse its template every time: a
+    quarter of the time to write a circuit of thousands of ops), and
+    ``row_make`` builds the op with ``make``.  ``row_templates`` is the
+    same line as a ``%`` template that takes the row's three slots in
+    order, one per conversion in ``_CONVERSIONS``: a field ``_fmt`` writes
+    takes that conversion, any other ``%s``, as an f-string prints it, and
+    a slot no field reads ``%.0s``, which writes nothing.  So
+    ``_serialize_columns`` writes a whole circuit in one ``%`` call.  It is
+    None for a row whose fields do not take the slots in order (a
+    displacement's two reals, a measurement's basis and register), where a
+    column row keeps None for the op's value, or that a writer other than
+    ``_fmt`` writes: no such row is written from columns.
     """
     namespace = {"make": make, **{f"write{i}": kind.write for i, (_, _, kind) in enumerate(fields)}}
-
-    def text(sources) -> str:
-        parts = [tag]
-        for i, ((key, _, kind), value) in enumerate(zip(fields, sources)):
-            parts.append(f"{key}={{{value if kind.write is None else f'write{i}({value})'}}}")
-        return 'f"' + " ".join(parts) + '"'
-
+    parts = [tag]
+    for i, (key, attr, kind) in enumerate(fields):
+        parts.append(f"{key}={{{f'op.{attr}' if kind.write is None else f'write{i}(op.{attr})'}}}")
     row = [("a", "b", "value")[slot] for slot in slots]
     exec(
-        f"def line(op): return {text(f'op.{attr}' for _, attr, _ in fields)}\n"
-        f"def row_line(a, b, value): return {text(row)}\n"
+        f"def line(op): return f{' '.join(parts)!r}\n"
         f"def row_make(a, b, value): return make({', '.join(row)})",
         namespace,
     )
-    return namespace["line"], namespace["row_line"], namespace["row_make"]
+
+    by_slot = dict(zip(slots, fields))
+
+    def template(conversion: str) -> str:
+        text = tag
+        for slot in range(3):
+            if slot in by_slot:
+                key, _, kind = by_slot[slot]
+                text += f" {key}={'%s' if kind.write is None else conversion}"
+            else:
+                text += "%.0s"
+        return text
+
+    writable = slots == sorted(set(slots)) and all(kind.write in (None, _fmt) for _, _, kind in fields)
+    row_templates = tuple(map(template, _CONVERSIONS)) if writable else None
+    return namespace["line"], row_templates, namespace["row_make"]
 
 
 class OpSpec:
@@ -261,9 +290,9 @@ class OpSpec:
         self.params = _getter(tuple(attr for _, attr, kind in fields if kind is not WIRE))
         # each field's slot in a column row (a, b, value), for an op that one holds (see _Columns)
         slots = [i if kind is WIRE else 2 for i, (_, _, kind) in enumerate(fields)]
-        #: the op as one line of circuit text; the line of the op a column row
-        #: holds; and that op, built and checked
-        self.line, self.row_line, self.row_make = _compile(tag, fields, slots, self.make)
+        #: the op as one line of circuit text; the ``%`` templates of the line
+        #: of the op a column row holds; and that op, built and checked
+        self.line, self.row_templates, self.row_make = _compile(tag, fields, slots, self.make)
 
     def read(self, kv: dict[str, str]):
         """The op from its line's ``key=value`` pairs, one per field."""
@@ -420,10 +449,19 @@ def serialize(circuit: Circuit) -> str:
 
 
 def _serialize_columns(columns: _Columns) -> str:
-    """``serialize`` of the circuit the columns hold, each line written by its kind's row."""
-    lines = [_modes_line(columns.labels)]
-    lines.extend([kind.row_line(a, b, value) for kind, a, b, value in zip(*columns[1:])])
-    return "\n".join(lines) + "\n"
+    """``serialize`` of the circuit the columns hold, in one ``%`` call.
+
+    Each op's line is its kind's row template for its value's conversion
+    (``_whole`` picks it, as in ``_fmt``), and takes the row's wires and
+    the value as a float.  The ``MODES`` line is an argument, not template.
+    """
+    templates, args = ["%s"], [_modes_line(columns.labels)]
+    for kind, a, b, value in zip(*columns[1:]):
+        if value is not None:
+            value = float(value)
+        templates.append(kind.row_templates[value is not None and _whole(value)])
+        args += (a, b, value)
+    return ("\n".join(templates) + "\n") % tuple(args)
 
 
 def _fields(spec: OpSpec, tokens: list[str], lineno: int) -> dict[str, str]:

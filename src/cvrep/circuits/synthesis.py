@@ -14,7 +14,7 @@ gates, last step first.  Each row operation maps to one gate:
     swap rows i, j       ->  Swap(labels[i], labels[j])
 
 No op object is built on the way.  The columns need none of an op's or a
-``Circuit``'s checks: every value in them has passed ``_finite`` (and a
+``Circuit``'s checks: every value in them has passed ``isfinite`` (and a
 squeeze factor, the inverse of a finite number, is not zero), and their
 wires are distinct by construction (i != j in every QND, p != j in a
 swap) among labels that are checked once.  ``cvrep synth`` writes its text
@@ -37,14 +37,20 @@ round once and change a gain's last bit.  So the circuit is the one a
 row-by-row NumPy elimination gives, bit for bit, at every n.  A column
 costs a few NumPy calls whatever its length: from n of about a dozen on
 that is faster than updating row by row in Python, and below it slower.
+When the rows it clears are a contiguous range, as in a dense column
+(rows j+1..n-1, then j-1..0 in back-substitution), they are one basic
+slice ``M[lo:hi+1]``, the gains in ascending row order, and no index
+array is built, gathered from or scattered back to; scattered rows take
+the index array.  The arithmetic of every entry is the same either way.
 
 Every result is checked against its own target matrix before being
 returned, so a successful call is self-certifying; its limit scales with
 max|A|.  The check never replays the elimination: it folds the columns'
 x rows from the op table's gate blocks (the interpreter's
 ``_fold_positions``: every QND block in one call of the table's block,
-one rank-1 update per run of QNDs sharing a control, and each other
-distinct gate's block built once) and compares them with A, as
+one rank-1 update per run of QNDs sharing a control, through one slice
+when its targets are a contiguous range, and each other distinct gate's
+block built once) and compares them with A, as
 ``deviation`` does for any ``Circuit``.
 
 An entry counts as zero at ``_ZERO`` times its row's size: the row's
@@ -93,10 +99,14 @@ def _default_pivot(col: list[float], j: int, size: list[float]) -> int:
     return (ones or ints or [max(candidates, key=lambda i: abs(col[i]))])[0]
 
 
+def _out_of_range(j: int) -> SynthesisError:
+    return SynthesisError(f"the elimination leaves float range in column {j}")
+
+
 def _finite(value: float, j: int) -> float:
     """``value`` unchanged; SynthesisError if the elimination of column j has left float range."""
     if not isfinite(value):
-        raise SynthesisError(f"the elimination leaves float range in column {j}")
+        raise _out_of_range(j)
     return value
 
 
@@ -123,11 +133,21 @@ def _eliminate(A: np.ndarray, labels: tuple[int, ...], pivot_rows) -> _Columns:
         rows = [i for i in rows if abs(col[i]) > _ZERO * size[i]]
         if not rows:
             return
-        gains = [_finite(col[i], j) for i in rows]
+        gains = [col[i] for i in rows]
+        if not all(map(isfinite, gains)):
+            raise _out_of_range(j)
         # a - m*b is a + (-m)*b bit for bit: negation is exact, and separate
         # ufuncs round the product and the difference once each, never fused
+        first, last = rows[0], rows[-1]
         if len(rows) == 1:  # basic indexing: a third of the cost of the fancy update
-            M[rows[0]] -= gains[0] * M[j]
+            M[first] -= gains[0] * M[j]
+        elif abs(last - first) == len(rows) - 1:
+            # rows run one way through a range, so a span this short is
+            # contiguous: one basic slice, its gains in ascending row order
+            if first < last:
+                M[first : last + 1] -= np.multiply.outer(gains, M[j])
+            else:
+                M[last : first + 1] -= np.multiply.outer(gains[::-1], M[j])
         else:
             M[np.array(rows)] -= np.multiply.outer(gains, M[j])
         kinds.extend(repeat(_QND, len(rows)))
@@ -135,7 +155,7 @@ def _eliminate(A: np.ndarray, labels: tuple[int, ...], pivot_rows) -> _Columns:
         wire_b.extend([labels[i] for i in rows])
         values.extend(gains)
 
-    # an overflow is caught by _finite, as the pivot or gain it makes is taken
+    # an overflow is caught by the finiteness tests, as the pivot or gain it makes is taken
     with np.errstate(over="ignore", invalid="ignore"):
         for j in range(n):
             col = M[:, j].tolist()

@@ -29,6 +29,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 import warnings
 import weakref
@@ -97,6 +98,11 @@ def _parse_mode_list(text: str, n_modes: int) -> frozenset[int]:
     return frozenset(m - 1 for m in modes)
 
 
+#: json's text of a str key, written once per distinct key: a report repeats
+#: a few keys in every entry
+_key_text = functools.lru_cache(maxsize=1024)(json.dumps)
+
+
 def _json_text(obj, pad: str = "\n") -> str:
     """``json.dumps(obj, indent=2)``, each list of plain ints joined in one step.
 
@@ -114,7 +120,7 @@ def _json_text(obj, pad: str = "\n") -> str:
             for key, value in obj.items():
                 # json writes a key that is not a str (an int, a float, a
                 # bool or None) as its value's text, quoted, and rejects others
-                key = json.dumps(key) if isinstance(key, str) else json.dumps({key: 0})[1:-4]
+                key = _key_text(key) if isinstance(key, str) else json.dumps({key: 0})[1:-4]
                 items.append(f"{key}: {_json_text(value, inner)}")
             return "{" + inner + sep.join(items) + pad + "}"
         # a bool is an int that json writes as true or false
@@ -279,6 +285,16 @@ plot for [i=2:5] '{csv}' using 1:i with points pt 7, \\
 """
 
 
+def _same_file(a: str, b: str) -> bool:
+    """Whether paths a and b name one file: one real path, or one existing file by two links."""
+    if os.path.realpath(a) == os.path.realpath(b):
+        return True
+    try:
+        return os.path.samefile(a, b)
+    except OSError:  # either is missing, so they are not one existing file
+        return False
+
+
 def cmd_fidelity(args) -> int:
     try:
         spec = SweepSpec(
@@ -292,6 +308,10 @@ def cmd_fidelity(args) -> int:
         return _fail_usage(str(exc))
     if args.gnuplot is not None and args.out is None:
         return _fail_usage("--gnuplot needs --out so the script has a data file to plot")
+    if args.out and args.gnuplot and _same_file(args.out, args.gnuplot):
+        return _fail_usage(
+            f"--out and --gnuplot name the same file ({args.out}): the script would overwrite its data"
+        )
 
     try:
         result = fidelity_sweep(spec)

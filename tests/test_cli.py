@@ -25,10 +25,17 @@ from cvrep import cli, replication
 from cvrep.circuits import (
     REFERENCE_PIVOT_ROWS,
     SURVIVOR_MODES,
+    BeamSplitterPM,
     Circuit,
+    Discard,
+    Fourier,
+    InverseFourier,
+    PhaseShift,
+    Pi,
     Qnd,
     SqueezeFactor,
     Swap,
+    TwoModeSqueeze,
     decoder_matrix,
     interpreter,
     parse,
@@ -371,6 +378,52 @@ def test_column_text_and_fold_keep_a_negative_zero_gain():
     assert _circuit(columns).ops == circuit.ops
 
 
+#: values at the edges of _fmt's two conversions; whole numbers below 1e15 lose their .0
+EDGE_VALUES = [
+    (-0.0, "-0"),
+    (1e15 - 1, "999999999999999"),
+    (-(1e15 - 1), "-999999999999999"),
+    (1e15, "1000000000000000.0"),
+    (-1e15, "-1000000000000000.0"),
+    (1e16, "1e+16"),
+    (5e-324, "5e-324"),
+    (-5e-324, "-5e-324"),
+    (-7.0, "-7"),
+    (-(2.0**49), "-562949953421312"),
+    (2.0**52, "4503599627370496.0"),
+    (0.5, "0.5"),
+    (np.float64(-3.0), "-3"),
+    (np.float64(0.1), "0.1"),
+    (2, "2"),
+]
+
+
+@pytest.mark.parametrize("value, text", EDGE_VALUES, ids=[repr(v) for v, _ in EDGE_VALUES])
+def test_column_text_writes_each_value_as_serialize_does(value, text):
+    # every row a column holds, with the value in each field it can take:
+    # a QND gain and a phase may be -0.0, a squeeze factor may not
+    kinds = [OPS[cls] for cls in (Qnd, SqueezeFactor, Swap, BeamSplitterPM, PhaseShift, TwoModeSqueeze, Pi)]
+    factor = 3.0 if value == 0 else value
+    columns = _Columns(
+        (2, 5, 7),
+        kinds + [OPS[Fourier], OPS[InverseFourier], OPS[Discard]],
+        [2, 7, 5, 2, 5, 7, 2, 5, 7, 2],
+        [5, None, 7, 7, None, 2, None, None, None, None],
+        [value, factor, None, None, value, value, None, None, None, None],
+    )
+    out = _serialize_columns(columns)
+    assert out == serialize(_circuit(columns))
+    assert f"QND c=2 t=5 gain={text}\n" in out and f"PHASE mode=5 phi={text}\n" in out
+    if value != 0:
+        assert f"SQ mode=7 factor={text}\n" in out
+
+
+@pytest.mark.parametrize("labels", [(1,), (3, 1, 2)])
+def test_column_text_of_the_empty_circuit_is_its_modes_line(labels):
+    columns = _Columns(labels, [], [], [], [])
+    assert _serialize_columns(columns) == serialize(_circuit(columns)) == "MODES " + " ".join(map(str, labels)) + "\n"
+
+
 def test_synth_identity_matrix_gives_an_empty_circuit(capsys, tmp_path):
     path = tmp_path / "id3.txt"
     np.savetxt(path, np.eye(3))
@@ -659,6 +712,40 @@ def test_fidelity_reports_an_empty_output_path_as_a_usage_error(capsys, tmp_path
     what = "CSV file" if flag == "out" else "gnuplot script"
     assert (rc, out) == (2, "")
     assert err.splitlines()[-1].startswith(f"error: cannot write {what}: ") and err.endswith("''\n")
+
+
+@pytest.mark.parametrize(
+    "spelling, exists",
+    # a hard link needs its file to exist
+    [(s, e) for s in ("same", "dot", "absolute", "parent dir", "symlink") for e in (False, True)] + [("hard link", True)],
+    ids=lambda v: {False: "new", True: "existing"}.get(v, v),
+)
+def test_fidelity_refuses_one_file_for_the_csv_and_the_script(capsys, tmp_path, monkeypatch, spelling, exists):
+    # the script once overwrote the CSV it plots, with exit 0
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+    if exists:
+        Path("P").write_text("kept\n")
+    if spelling == "symlink":
+        os.symlink("P", "link")
+    if spelling == "hard link":
+        os.link("P", "link")
+    script = {
+        "same": "P", "dot": "./P", "absolute": str(tmp_path / "P"), "parent dir": "sub/../P", "symlink": "link",
+        "hard link": "link",
+    }[spelling]
+    before = sorted((p.name, p.read_text() if p.is_file() else None) for p in tmp_path.iterdir())
+    rc, out, err = run_cli(capsys, "fidelity", "--steps", "2", "--out", "P", "--gnuplot", script)
+    assert (rc, out) == (2, "")
+    assert err == "error: --out and --gnuplot name the same file (P): the script would overwrite its data\n"
+    assert sorted((p.name, p.read_text() if p.is_file() else None) for p in tmp_path.iterdir()) == before
+
+
+def test_fidelity_writes_a_csv_and_a_script_of_two_names(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    rc, _, err = run_cli(capsys, "fidelity", "--steps", "2", "--out", "P", "--gnuplot", "./P.gp")
+    assert rc == 0 and "wrote 2 rows to P" in err and "wrote gnuplot script to ./P.gp" in err
+    assert Path("P").read_text().startswith(CSV_HEADER) and "'P' using 1:i" in Path("P.gp").read_text()
 
 
 def test_fidelity_gnuplot_requires_out(capsys, tmp_path):

@@ -32,8 +32,8 @@ from cvrep.circuits import (
     symplectic_of,
     synthesize,
 )
-from cvrep.circuits.ir import OPS, _circuit, _serialize_columns
-from cvrep.circuits import synthesis
+from cvrep.circuits.ir import OPS, _circuit, _columns, _serialize_columns
+from cvrep.circuits import interpreter, synthesis
 from cvrep.circuits.synthesis import _synthesize, deviation
 from cvrep.tolerances import TOL
 
@@ -242,17 +242,23 @@ def test_triangular_matrices_need_no_swaps_or_squeezes(rng):
 # ---------------------------------------------------------------------------
 # the elimination on float rows gives the NumPy elimination's script exactly
 
-ORACLE_INPUTS = ("dense", "unimodular", "row-scaled", "pivot rows")
+ORACLE_INPUTS = ("dense", "unimodular", "row-scaled", "banded, permuted", "pivot rows")
 
 
 def oracle_input(kind, n, seed, octaves=20):
     """A nonsingular n x n matrix of one kind, and pivot rows (None: the default pivots).
 
-    Row-scaled matrices scale each row by up to 2**octaves either way.
+    Row-scaled matrices scale each row by up to 2**octaves either way.  A
+    banded matrix (two entries either side of the diagonal) with its rows
+    permuted clears a contiguous range of rows in some columns and
+    scattered rows in others, so both column updates meet in one circuit.
     """
     rng = np.random.default_rng(seed)
     if kind == "dense":
         return rng.normal(size=(n, n)), None
+    if kind == "banded, permuted":
+        band = np.abs(np.subtract.outer(range(n), range(n))) <= 2
+        return (rng.normal(size=(n, n)) * band)[rng.permutation(n)], None
     if kind == "unimodular":
         return _unimodular(rng, n), None
     if kind == "row-scaled":
@@ -302,10 +308,15 @@ def test_synthesis_reproduces_the_numpy_elimination_exactly(kind, n, seed):
     # span about 1e15, which a rank test relative to the largest calls singular
     [
         pytest.param(kind, octaves, 40, id=f"{kind}-{octaves}")
-        for kind, octaves in [("dense", 0), ("unimodular", 0), ("row-scaled", 8), ("row-scaled", 20), ("pivot rows", 0)]
+        for kind, octaves in [
+            ("dense", 0), ("unimodular", 0), ("row-scaled", 8), ("row-scaled", 20), ("banded, permuted", 0), ("pivot rows", 0)
+        ]
     ]
     # past the benchmark's largest n, where each column clears up to 79 rows at once
-    + [pytest.param(kind, octaves, 80, id=f"{kind}-{octaves}-n80") for kind, octaves in [("dense", 0), ("row-scaled", 8)]],
+    + [
+        pytest.param(kind, octaves, 80, id=f"{kind}-{octaves}-n80")
+        for kind, octaves in [("dense", 0), ("row-scaled", 8), ("banded, permuted", 0)]
+    ],
 )
 def test_synthesis_reproduces_the_numpy_elimination_exactly_at_n40(kind, octaves, n, seed):
     check_against_the_numpy_elimination(*oracle_input(kind, n, seed, octaves))
@@ -400,6 +411,22 @@ def position_circuits(draw):
     circuit=Circuit((1, 2, 3), (Qnd(1, 2, 1.0), Qnd(1, 3, -0.5), Qnd(1, 2, 2.0), Qnd(2, 3, 0.25), Qnd(3, 1, 1.5))),
     seed=0,
 )
+@example(  # runs whose targets are contiguous rows, ascending then descending, then scattered
+    circuit=Circuit(
+        (1, 2, 3, 4, 5),
+        (Qnd(1, 2, 0.7), Qnd(1, 3, -1.3), Qnd(1, 4, 2.1), Qnd(5, 4, 0.4), Qnd(5, 3, -2.2), Qnd(5, 2, 1.1),
+         Qnd(3, 5, 0.9), Qnd(3, 1, -0.6), Qnd(3, 4, 1.7)),
+    ),
+    seed=2,
+)
+@example(  # contiguous runs of one control, split by a squeeze and a swap
+    circuit=Circuit(
+        (1, 2, 3, 4),
+        (Qnd(4, 3, 1.9), Qnd(4, 2, -0.8), Qnd(4, 1, 0.35), SqueezeFactor(2, 1.5), Qnd(4, 1, -1.2), Qnd(4, 2, 2.6),
+         Swap(2, 4), Qnd(2, 3, 0.45), Qnd(2, 4, -2.9)),
+    ),
+    seed=3,
+)
 @example(  # back-to-back runs, split by a squeeze and a swap
     circuit=Circuit(
         (1, 2, 3, 4),
@@ -413,6 +440,52 @@ def test_deviation_equals_the_full_symplectic_fold_exactly(circuit, seed):
     A = np.random.default_rng(seed).normal(size=(n, n))
     assert deviation(circuit, A) == fold_deviation(circuit, A)
     assert deviation(circuit, x_block(circuit)) == 0.0
+
+
+def per_op_fold(circuit):
+    """x -> X x of a position-only circuit, one op at a time from its table block."""
+    index = {label: i for i, label in enumerate(circuit.labels)}
+    X = np.eye(circuit.n_modes)
+    for op in circuit.ops:
+        spec = OPS[type(op)]
+        modes = [index[w] for w in spec.wires(op)]
+        x = spec.block(*spec.params(op))[: len(modes), : len(modes)]
+        if type(op) is Qnd:  # x_t += gain * x_c: a product and a sum, each rounded once
+            X[modes[1]] = X[modes[1]] + x[1, 0] * X[modes[0]]
+        else:
+            X[modes] = x @ X[modes]
+    return X
+
+
+def _mixing_prefix(labels, rng):
+    """QNDs from each wire to every other in a shuffled order, so every row is dense."""
+    return [Qnd(c, t, rng.normal()) for c in labels for t in rng.permutation(labels) if t != c]
+
+
+# each run of QNDs on six wires; the runs' target rows are positions in labels
+RUN_SHAPES = {
+    "ascending": lambda g: [Qnd(1, 2, g()), Qnd(1, 3, g()), Qnd(1, 4, g()), Qnd(1, 5, g())],
+    "descending": lambda g: [Qnd(6, 5, g()), Qnd(6, 4, g()), Qnd(6, 3, g())],
+    "scattered": lambda g: [Qnd(2, 5, g()), Qnd(2, 1, g()), Qnd(2, 6, g())],
+    "a range out of order": lambda g: [Qnd(1, 2, g()), Qnd(1, 4, g()), Qnd(1, 3, g()), Qnd(1, 5, g())],
+    "one gap": lambda g: [Qnd(3, 1, g()), Qnd(3, 2, g()), Qnd(3, 4, g())],
+    "repeated target": lambda g: [Qnd(3, 1, g()), Qnd(3, 2, g()), Qnd(3, 1, g())],
+    "single": lambda g: [Qnd(4, 6, g())],
+    "squeeze and swap between runs": lambda g: [
+        Qnd(1, 2, g()), Qnd(1, 3, g()), SqueezeFactor(1, -2.5), Qnd(1, 4, g()), Qnd(1, 5, g()),
+        Swap(1, 6), Qnd(1, 5, g()), Qnd(1, 4, g()), SqueezeFactor(3, 0.3), Qnd(1, 2, g()),
+    ],
+}
+
+
+@pytest.mark.parametrize("labels", [(1, 2, 3, 4, 5, 6), (6, 1, 5, 2, 4, 3)], ids=["in order", "shuffled labels"])
+@pytest.mark.parametrize("shape", RUN_SHAPES)
+def test_the_position_fold_is_the_per_op_fold_bit_for_bit(shape, labels):
+    rng = np.random.default_rng(len(shape))
+    ops = RUN_SHAPES[shape](rng.normal)
+    for circuit in (Circuit(labels, ops), Circuit(labels, _mixing_prefix(labels, rng) + ops)):
+        folded = interpreter._fold_positions(_columns(circuit))
+        assert np.array_equal(folded, per_op_fold(circuit))
 
 
 def test_deviation_applies_every_gain_of_a_repeated_target():
