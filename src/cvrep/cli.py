@@ -85,7 +85,8 @@ def cmd_code(args) -> int:
     return 0
 
 
-def _parse_mode_list(text: str, n_modes: int) -> frozenset[int]:
+def _parse_mode_list(text: str, n_modes: int) -> np.ndarray:
+    """The 1-based modes listed in ``text`` as one row of an erased-mode mask."""
     try:
         modes = [int(tok) for tok in text.split(",") if tok.strip()]
     except ValueError:
@@ -95,7 +96,9 @@ def _parse_mode_list(text: str, n_modes: int) -> frozenset[int]:
     bad = [m for m in modes if not 1 <= m <= n_modes]
     if bad:
         raise ValueError(f"--erase modes out of range 1..{n_modes}: {bad}")
-    return frozenset(m - 1 for m in modes)
+    erased = np.zeros((1, n_modes), dtype=bool)
+    erased[0, [m - 1 for m in modes]] = True
+    return erased
 
 
 #: json's text of a str key, written once per distinct key: a report repeats
@@ -145,37 +148,29 @@ def cmd_verify(args) -> int:
         code, basis = _code_for(args.which)
     except ValueError as exc:
         return _fail_usage(str(exc))
-    is_five = basis is None
-
-    if args.homology and is_five:
+    if args.homology and basis is None:
         return _fail_usage("--homology applies to the general construction, not the five-mode code")
 
-    patterns = []
+    # one row of erased modes per pattern: the --erase list, or each vertex's
     if args.erase is not None:
         try:
             erased = _parse_mode_list(args.erase, code.n_modes)
         except ValueError as exc:
             return _fail_usage(str(exc))
-        patterns.append(codes.ErasurePattern(erased))
+        vertices = [None]
     else:
-        n_vertices = 4 if is_five else basis.N
-        for vertex in range(1, n_vertices + 1):
-            patterns.append(codes.erasure_for_vertex(code, basis, vertex))
-
-    pattern_reports = []
-    all_ok = True
-    for pattern, correctable in zip(patterns, codes.correctable(code, patterns)):
-        all_ok &= correctable
-        erased_1based = sorted(m + 1 for m in pattern.erased)
-        pattern_reports.append(
-            {
-                "erased": erased_1based,
-                "vertex": pattern.recovery_vertex,
-                "correctable": correctable,
-            }
-        )
-        verdict = "correctable" if correctable else "NOT correctable"
-        print(f"erasure {erased_1based}: {verdict}", file=sys.stderr)
+        erased = codes.vertex_erasures(code, basis)
+        vertices = range(1, len(erased) + 1)
+    verdicts = codes.correctable_mask(code, erased)
+    all_ok = bool(verdicts.all())
+    # each row picks its erased modes, 1-based and ascending, off one range
+    numbers = np.arange(1, code.n_modes + 1)
+    pattern_reports, lines = [], []
+    for vertex, row, correctable in zip(vertices, erased, verdicts.tolist()):
+        erased_1based = numbers[row].tolist()
+        pattern_reports.append({"erased": erased_1based, "vertex": vertex, "correctable": correctable})
+        lines.append(f"erasure {erased_1based}: {'correctable' if correctable else 'NOT correctable'}\n")
+    sys.stderr.write("".join(lines))
 
     homology_report = None
     if args.homology:

@@ -28,13 +28,20 @@ ones and W = M[:, F],
 
   rank M[:, S] = |S & P| + rank W[R_S, S & F],
 
-R_S the rows whose pivot is not in S.  The pivot count is exact, and only
-the residual's rank is float: one stacked SVD per shape of residual, none
-for a residual with a zero dimension or (an integer one) with one row or
-one column.  M M^T = I + W W^T, so the scale is sqrt(1 + sigma_max(W)^2),
+R_S the rows whose pivot is not in S.  The pivot count is exact, and so is
+the rank of a residual with a zero dimension, with one row or one column,
+or monomial (at most one nonzero per row and per column: its nonzero
+count), all with no SVD; any other residual's rank is float, one stacked
+SVD per shape.  M M^T = I + W W^T, so the scale is sqrt(1 + sigma_max(W)^2),
 with no SVD of M.  On the general code's vertex patterns every residual is
 at most (N - 2) x (N - 1), but one pattern per block: all of W for X's kept
-modes at v = 1, and (N - 2) x C(N-1,2) for P's erased modes at v = N.
+modes at v = 1, and (N - 2) x C(N-1,2) for P's erased modes at v = N; X's
+erased-side residuals are monomial and take no SVD.
+
+``correctable_mask`` decides a G x n boolean mask of erased modes, one row
+per pattern; ``vertex_erasures`` writes the vertex patterns' mask from the
+vertex rule (edge jk is erased for vertex v iff v is not in {j, k}), and
+``correctable`` builds the mask from ``ErasurePattern``s.
 
 Any other block takes each restriction rank on the cheaper of the column
 slice and its kernel complement: for a block M (k x n) with independent
@@ -67,8 +74,11 @@ __all__ = [
     "edge_basis",
     "build_general_code",
     "build_five_mode_code",
+    "vertex_erasures",
     "erasure_for_vertex",
+    "erasure_mask",
     "correctable",
+    "correctable_mask",
     "check_correctable",
     "nullifier_variances",
     "format_generator_matrix",
@@ -149,12 +159,12 @@ class _Block:
     (``_introws.IntRows``): its own rank, and the comparison of its row
     space with another integer block's, are exact.  Its restriction ranks
     stay float, but a block whose rows peel on unit pivots takes them
-    through its pivots (``ranks``), float only in a small residual; it reads
-    its pivot map and W (the free columns) when a restriction rank first
-    needs them, and its scale when a residual first needs an SVD.  Any
-    other block takes its singular values, whose largest is the scale of
-    every float rank decision on it, and its kernel only when such a
-    decision first needs them.
+    through its pivots (``ranks``), float only in a small residual that is
+    not monomial; it reads its pivot map and W (the free columns) when a
+    restriction rank first needs them, and its scale when a residual first
+    needs an SVD.  Any other block takes its singular values, whose largest
+    is the scale of every float rank decision on it, and its kernel only
+    when such a decision first needs them.
     """
 
     def __init__(self, rows: np.ndarray):
@@ -223,10 +233,13 @@ class _Block:
         where R_S holds the rows whose pivot is not in S: a row whose pivot
         lies in S owns a column of the slice, and every other row is zero
         on S & P.  |S & P| is a count; the residuals W[R_S, S & F] are
-        grouped by shape, and each group's ranks are one stacked SVD at the
-        block's scale.  A residual with a zero dimension has rank 0, and an
-        integer residual with one row or one column rank 1 if any entry is
-        nonzero, with no SVD.
+        grouped by shape.  W is an integer matrix, and three kinds of
+        residual are ranked exactly, with no SVD: one with a zero dimension
+        has rank 0, one with one row or one column rank 1 if any entry is
+        nonzero, and a monomial one (at most one nonzero per row and per
+        column, as the X block's erased side on every vertex pattern of the
+        general code) its nonzero count.  The other residuals of a group
+        are ranked by one stacked SVD at the block's scale.
 
         Any other block takes the cheaper of the column slice and its kernel
         complement (``_complement_ranks``).
@@ -238,14 +251,22 @@ class _Block:
         height, width = unowned.sum(1), picked.sum(1)
         ranks = len(pivot_of) - height
         for (h, w), at in _groups(zip(height.tolist(), width.tolist())).items():
-            if h and w:
-                rows = unowned[at].nonzero()[1].reshape(-1, h, 1)
-                cols = picked[at].nonzero()[1].reshape(-1, 1, w)
-                residuals = W[rows, cols]
-                if min(h, w) == 1:
-                    ranks[at] += residuals.any(axis=(1, 2))
-                else:
-                    ranks[at] += _stack_ranks(residuals, self.scale)
+            if not (h and w):
+                continue
+            rows = unowned[at].nonzero()[1].reshape(-1, h, 1)
+            cols = picked[at].nonzero()[1].reshape(-1, 1, w)
+            residuals = W[rows, cols]
+            if min(h, w) == 1:
+                ranks[at] += residuals.any(axis=(1, 2))
+                continue
+            # a monomial residual has at most min(h, w) nonzero entries:
+            # the count rules out most groups in one pass
+            if np.count_nonzero(residuals) <= len(at) * min(h, w):
+                nonzero = residuals != 0
+                if nonzero.sum(2).max() <= 1 and nonzero.sum(1).max() <= 1:
+                    ranks[at] += nonzero.sum((1, 2))
+                    continue
+            ranks[at] += _stack_ranks(residuals, self.scale)
         return ranks
 
     def _complement_ranks(self, inside: np.ndarray) -> np.ndarray:
@@ -405,32 +426,73 @@ def build_five_mode_code() -> StabilizerCode:
     return StabilizerCode(5, x_rows, p_rows, name="five_mode")
 
 
-def erasure_for_vertex(
-    code: StabilizerCode, basis: EdgeBasis | None, vertex: int
-) -> ErasurePattern:
-    """Erasure pattern recoverable from the given vertex.
+def vertex_erasures(
+    code: StabilizerCode, basis: EdgeBasis | None, vertices: Sequence[int] | None = None
+) -> np.ndarray:
+    """The erased modes of the pattern recoverable from each of ``vertices``, one row of a mask each.
 
-    For edge-mode codes: erase every edge not incident to the vertex.  For
-    the five-mode code the four patterns are a fixed table.
+    ``vertices`` defaults to every vertex, in order.  For edge-mode codes,
+    edge jk is erased for vertex v iff v is not in {j, k}: every edge not
+    incident to the vertex.  For the five-mode code the rows come from the
+    fixed table ``FIVE_MODE_ERASURES`` (vertices 1..4).
     """
+    if vertices is not None:
+        vertices = np.asarray(vertices)
+        if vertices.size and vertices.dtype.kind not in "iu":
+            raise ValueError(f"vertices must be integers, got {vertices.tolist()}")
     if code.name == "five_mode":
-        if vertex not in FIVE_MODE_ERASURES:
-            raise ValueError(f"five-mode recovery vertex must be 1..4, got {vertex}")
-        return ErasurePattern(FIVE_MODE_ERASURES[vertex], recovery_vertex=vertex)
+        vertices = list(FIVE_MODE_ERASURES) if vertices is None else vertices.tolist()
+        erased = np.zeros((len(vertices), code.n_modes), dtype=bool)
+        for row, vertex in zip(erased, vertices):
+            if vertex not in FIVE_MODE_ERASURES:
+                raise ValueError(f"five-mode recovery vertex must be 1..4, got {vertex}")
+            row[list(FIVE_MODE_ERASURES[vertex])] = True
+        return erased
     if basis is None:
         raise ValueError("edge-mode codes need the EdgeBasis to build patterns")
     if basis.n_edges != code.n_modes:
         raise ValueError(
             f"basis of K_{basis.N} has {basis.n_edges} edges but the code has {code.n_modes} modes"
         )
-    if not 1 <= vertex <= basis.N:
-        raise ValueError(f"vertex {vertex} out of range 1..{basis.N}")
-    incident = {basis.signed_unit(vertex, k)[0] for k in range(1, basis.N + 1) if k != vertex}
-    return ErasurePattern(frozenset(range(basis.n_edges)) - incident, recovery_vertex=vertex)
+    N = basis.N
+    vertex = np.arange(1, N + 1) if vertices is None else vertices
+    outside = vertex[(vertex < 1) | (vertex > N)]
+    if outside.size:
+        raise ValueError(f"vertex {outside[0]} out of range 1..{N}")
+    # the ends j < k of each edge, 0-based, in the basis's lexicographic order
+    j, k = np.triu_indices(N, 1)
+    vertex = vertex[:, None] - 1
+    return (vertex != j) & (vertex != k)
+
+
+def erasure_for_vertex(
+    code: StabilizerCode, basis: EdgeBasis | None, vertex: int
+) -> ErasurePattern:
+    """Erasure pattern recoverable from the given vertex: its row of ``vertex_erasures``."""
+    erased = vertex_erasures(code, basis, [vertex])[0]
+    return ErasurePattern(frozenset(np.flatnonzero(erased).tolist()), recovery_vertex=vertex)
+
+
+def erasure_mask(code: StabilizerCode, patterns: Sequence[ErasurePattern]) -> np.ndarray:
+    """The patterns' erased modes as one G x n mask, row i for ``patterns[i]``."""
+    n = code.n_modes
+    sizes = np.array([len(pattern.erased) for pattern in patterns], dtype=np.intp)
+    modes = np.fromiter(chain.from_iterable(pattern.erased for pattern in patterns), np.intp, sizes.sum())
+    if modes.size and (modes.min() < 0 or modes.max() >= n):
+        bad = next(m for pattern in patterns for m in sorted(pattern.erased) if not 0 <= m < n)
+        raise ValueError(f"erased mode {bad} out of range for {n}-mode code")
+    erased = np.zeros((len(patterns), n), dtype=bool)
+    erased[np.repeat(np.arange(len(patterns)), sizes), modes] = True
+    return erased
 
 
 def correctable(code: StabilizerCode, patterns: Sequence[ErasurePattern]) -> list[bool]:
-    """Decide erasure correctability of each pattern by the restriction-rank identity.
+    """Decide erasure correctability of each pattern: ``correctable_mask`` of its ``erasure_mask``."""
+    return correctable_mask(code, erasure_mask(code, patterns)).tolist()
+
+
+def correctable_mask(code: StabilizerCode, erased: np.ndarray) -> np.ndarray:
+    """Decide erasure correctability of each row of ``erased``, a G x n boolean mask of erased modes.
 
     An error supported on the erased modes E is undetectable iff it commutes
     with every generator; E is correctable iff every such error is a
@@ -447,35 +509,32 @@ def correctable(code: StabilizerCode, patterns: Sequence[ErasurePattern]) -> lis
     integer block.  The restriction ranks are float, and every one is taken
     against the scale of the whole block, not of the column slice.
 
-    The patterns' erased modes are one G x n mask, built once; it and its
-    complement serve all four ranks.  A unit-pivot block takes each rank as
-    its exact pivot count plus the rank of a residual of its free columns,
+    The mask and its complement serve all four ranks.  A unit-pivot block
+    takes each rank as its exact pivot count plus the rank of a residual of
+    its free columns,
 
       rank M[:, S] = |S & P| + rank W[R_S, S & F]
 
-    (``_Block.ranks``), one stacked SVD per residual shape.  For a vertex
-    pattern of the general code this turns rank X[:, E], a C(N-1,2) x
-    C(N-1,2) slice, into an (N-2)-square residual, and takes no QR and no
-    SVD of either block.  Any other block takes the cheaper of the slice
-    and its kernel complement, one stacked SVD per |S|.  The P side is
-    taken only for the patterns whose X side holds.  Verdicts come back in
-    the order of ``patterns``.
+    (``_Block.ranks``), with no SVD for a monomial residual and one stacked
+    SVD per shape of the others.  For a vertex pattern of the general code
+    this turns rank X[:, E], a C(N-1,2) x C(N-1,2) slice, into an
+    (N-2)-square monomial residual, and takes no QR and no SVD of either
+    block.  Any other block takes the cheaper of the slice and its kernel
+    complement, one stacked SVD per |S|.  The P side is taken only for the
+    rows whose X side holds.  Verdicts come back as a boolean array, in
+    the order of the rows.
     """
-    n = code.n_modes
-    sizes = np.array([len(pattern.erased) for pattern in patterns], dtype=np.intp)
-    modes = np.fromiter(chain.from_iterable(pattern.erased for pattern in patterns), np.intp, sizes.sum())
-    if modes.size and (modes.min() < 0 or modes.max() >= n):
-        bad = next(m for pattern in patterns for m in sorted(pattern.erased) if not 0 <= m < n)
-        raise ValueError(f"erased mode {bad} out of range for {n}-mode code")
-    erased = np.zeros((len(patterns), n), dtype=bool)
-    erased[np.repeat(np.arange(len(patterns)), sizes), modes] = True
-    kept, live = ~erased, np.arange(len(patterns))
-    # (a, b) = (P, X), the X side, then (X, P) on the patterns it kept
+    if erased.dtype != bool or erased.ndim != 2 or erased.shape[1] != code.n_modes:
+        raise ValueError(
+            f"erased must be a boolean mask of {code.n_modes} columns, got {erased.dtype} {erased.shape}"
+        )
+    sizes, kept, live = erased.sum(1), ~erased, np.arange(len(erased))
+    # (a, b) = (P, X), the X side, then (X, P) on the rows it kept
     for a, b in (code._blocks[::-1], code._blocks):
         live = live[sizes[live] - a.ranks(erased[live]) == len(b.rows) - b.ranks(kept[live])]
-    verdicts = np.zeros(len(patterns), dtype=bool)
+    verdicts = np.zeros(len(erased), dtype=bool)
     verdicts[live] = True
-    return verdicts.tolist()
+    return verdicts
 
 
 def check_correctable(code: StabilizerCode, pattern: ErasurePattern) -> bool:

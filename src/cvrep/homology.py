@@ -6,8 +6,10 @@ boundary d_k is held as a face table: for each (k+1)-subset (one column),
 the lexicographic ranks of its k + 1 faces with signs (-1)^m, so it takes
 k + 1 entries per column where a dense d_2 would take C(N, 2).
 ``boundary_matrix`` is the same map as a dense exact integer array.
-d_k d_{k+1} = 0 is checked per simplex, exactly: the (k+2)(k+1)
-face-of-face entries of each column are summed row by row in Python ints.
+d_k d_{k+1} = 0 is checked exactly from the (k+2)(k+1) face-of-face entries
+of each column: while the signs are small enough that every sum is an
+integer below 2^53, by one float ``np.bincount`` over (column, row) keys,
+and past that, column by column in Python ints.
 Row spaces are compared by rank equality, as ``codes._Block.same_span``
 decides it: exactly for integer rows, and otherwise in float, with all three
 ranks at the scale of the stacked rows.
@@ -25,6 +27,7 @@ from itertools import chain, combinations
 
 import numpy as np
 
+from ._introws import _EXACT
 from .codes import StabilizerCode, _Block
 
 __all__ = [
@@ -122,22 +125,39 @@ def _binomials(N: int, k: int) -> np.ndarray:
     return np.array([[math.comb(m, j) for j in range(k + 1)] for m in range(N + 1)])  # C(m, j), once per (N, k)
 
 
+def _max_abs(a: np.ndarray) -> int:
+    """max |entry| of an integer array, as a Python int (0 for an empty one)."""
+    return max(int(a.max(initial=0)), -int(a.min(initial=0)))
+
+
 def _composes_to_zero(low: FaceTable, high: FaceTable) -> bool:
-    """low @ high == 0, exactly, one column of high at a time.
+    """low @ high == 0, exactly.
 
     Column j of the product gathers sign(j, f) sign(f, g) at row g for each
     face f of j and each face g of f; it vanishes when the entries at every
-    row g sum to 0.  The entries are multiplied and summed as Python ints.
+    row g sum to 0.  A column has T = (faces per column of high) x (faces
+    per column of low) terms.  While max|sign of high| max|sign of low| T
+    stays below 2^53, every term and every partial sum of a product entry
+    is an integer below 2^53, so float arithmetic is exact: all entries are
+    summed by one ``np.bincount`` over (column, row) keys, into an array the
+    size of the dense product.  Past that bound, each column's terms are
+    sorted by row and summed as Python ints.
     """
     shape = (high.faces.shape[0], high.faces.shape[1] * low.faces.shape[1])
     rows = low.faces[high.faces].reshape(shape)
+    if not rows.size:
+        return True
+    if _max_abs(high.signs) * _max_abs(low.signs) * shape[1] < _EXACT:
+        terms = high.signs[:, :, None] * low.signs[high.faces]
+        keys = rows + low.shape[0] * np.arange(shape[0])[:, None]
+        return not np.bincount(keys.ravel(), weights=terms.ravel().astype(float)).any()
     terms = (high.signs[:, :, None].astype(object) * low.signs[high.faces]).reshape(shape)
     order = np.argsort(rows, axis=1, kind="stable")
     rows, terms = np.take_along_axis(rows, order, axis=1), np.take_along_axis(terms, order, axis=1)
     # each column's run of equal rows is one entry of the product
     starts = np.ones(rows.shape, dtype=bool)
     starts[:, 1:] = rows[:, 1:] != rows[:, :-1]
-    return not rows.size or not np.add.reduceat(terms.ravel(), np.flatnonzero(starts)).any()
+    return not np.add.reduceat(terms.ravel(), np.flatnonzero(starts)).any()
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from conftest import OVERFLOWING_MATRICES
 
 import cvrep
-from cvrep import cli, replication
+from cvrep import cli, codes, homology, replication
 from cvrep.circuits import (
     REFERENCE_PIVOT_ROWS,
     SURVIVOR_MODES,
@@ -222,17 +222,76 @@ def test_the_json_writer_rejects_what_json_rejects(obj):
     assert str(got.value) == str(want.value)
 
 
+def _pattern_route_verify(code, patterns, homological=False):
+    """verify's stdout, stderr and exit code, rebuilt from ``correctable``, ``sorted`` and ``json.dumps``."""
+    reports = [
+        {"erased": sorted(m + 1 for m in pattern.erased), "vertex": pattern.recovery_vertex, "correctable": ok}
+        for pattern, ok in zip(patterns, codes.correctable(code, patterns))
+    ]
+    err = "".join(f"erasure {r['erased']}: {'correctable' if r['correctable'] else 'NOT correctable'}\n" for r in reports)
+    ok = all(r["correctable"] for r in reports)
+    hom = None
+    if homological:
+        n = len(patterns)
+        hom_code = homology.build_homological_code(n)
+        x_match = homology.rowspaces_equal(hom_code.x_rows, code.x_rows)
+        p_match = homology.rowspaces_equal(hom_code.p_rows, code.p_rows)
+        shapes = {k: list(table.shape) for k, table in sorted(homology.chain_complex(n).boundary.items())}
+        hom = {
+            "boundary_squares_to_zero": True,
+            "x_rowspace_matches": x_match,
+            "p_rowspace_matches": p_match,
+            "boundary_shapes": shapes,
+        }
+        err += f"homological construction: X rows {'match' if x_match else 'DIFFER'}, P rows {'match' if p_match else 'DIFFER'}\n"
+        ok = ok and x_match and p_match
+    report = {"code": code.name, "n_modes": code.n_modes, "patterns": reports, "homology": hom, "ok": ok}
+    return json.dumps(report, indent=2) + "\n", err, 0 if ok else 1
+
+
+@pytest.mark.parametrize("homological", [False, True], ids=["plain", "homology"])
+def test_verify_n_is_the_pattern_route_s_report(capsys, homological):
+    # verify N runs its vertex patterns as one mask; the report rebuilt
+    # from erasure_for_vertex's patterns (each checked here against the
+    # edges that miss its vertex) is the same text, for N = 4-24
+    for n in range(4, 25):
+        code, basis = codes.build_general_code(n), codes.edge_basis(n)
+        patterns = [codes.erasure_for_vertex(code, basis, vertex) for vertex in range(1, n + 1)]
+        for vertex, pattern in zip(range(1, n + 1), patterns):
+            assert pattern.erased == {i for i, edge in enumerate(basis.edges) if vertex not in edge}
+        argv = ("verify", str(n)) + (("--homology",) if homological else ())
+        rc, out, err = run_cli(capsys, *argv)
+        assert (out, err, rc) == _pattern_route_verify(code, patterns, homological), argv
+
+
+def test_verify_five_is_the_pattern_route_s_report(capsys):
+    # the table, and --erase with each of the 31 nonempty subsets of the modes
+    five = codes.build_five_mode_code()
+    table = [codes.erasure_for_vertex(five, None, vertex) for vertex in range(1, 5)]
+    rc, out, err = run_cli(capsys, "verify", "five")
+    assert (out, err, rc) == _pattern_route_verify(five, table)
+    failed = 0
+    for subset in range(1, 32):
+        modes = [m for m in range(1, 6) if subset >> (m - 1) & 1]
+        rc, out, err = run_cli(capsys, "verify", "five", f"--erase={','.join(map(str, modes[::-1]))}")
+        assert (out, err, rc) == _pattern_route_verify(five, [codes.ErasurePattern({m - 1 for m in modes})]), modes
+        failed += rc
+    assert 0 < failed < 31
+
+
 @pytest.mark.parametrize(
     "argv, svd_calls, qr_calls",
-    [(("verify", "five"), 8, 1), (("verify", "24"), 7, 0), (("verify", "12", "--homology"), 7, 0)],
+    [(("verify", "five"), 8, 1), (("verify", "24"), 6, 0), (("verify", "12", "--homology"), 6, 0)],
     ids=["five", "24", "12 homology"],
 )
 def test_verify_takes_each_block_factorization_once(capsys, monkeypatch, argv, svd_calls, qr_calls):
     # integer blocks are built and compared exactly, with no factorization.
     # A unit-pivot block takes no QR and no SVD of itself: one SVD of its
     # free columns W, for its scale, and one stacked SVD per shape of the
-    # residuals with at least two rows and two columns (five shapes on the
-    # vertex patterns).  The five-mode X block (a pivot of -2) takes its
+    # residuals with at least two rows and two columns that are not
+    # monomial (four shapes on the vertex patterns; the X block's
+    # erased-side residuals, the fifth shape, are monomial and take no
+    # SVD).  The five-mode X block (a pivot of -2) takes its
     # singular values and its complete-QR kernel once each; with the P
     # block's W, that is two plain SVDs and six stacked ones
     calls = {"svd": 0, "qr": 0}

@@ -610,6 +610,153 @@ def test_a_unit_pivot_scale_is_the_largest_singular_value(n):
 
 
 # ---------------------------------------------------------------------------
+# vertex patterns as one erased-mode mask
+# ---------------------------------------------------------------------------
+
+
+def test_the_mask_core_gives_the_pattern_route_s_vertex_verdicts():
+    # each row of vertex_erasures is the set of edges that miss its vertex,
+    # read here off the basis's own edges, and correctable_mask on the
+    # whole mask gives what correctable gives on erasure_for_vertex's
+    # patterns, for the general and the homological code at N = 4-40
+    for n in range(4, 41):
+        basis = codes.edge_basis(n)
+        rule = [[vertex not in edge for edge in basis.edges] for vertex in range(1, n + 1)]
+        for code in (codes.build_general_code(n), homology.build_homological_code(n)):
+            erased = codes.vertex_erasures(code, basis)
+            assert erased.dtype == bool and erased.tolist() == rule
+            patterns = [codes.erasure_for_vertex(code, basis, vertex) for vertex in range(1, n + 1)]
+            assert [set(np.flatnonzero(row).tolist()) for row in erased] == [p.erased for p in patterns]
+            verdicts = codes.correctable_mask(code, erased)
+            assert verdicts.dtype == bool
+            assert verdicts.tolist() == codes.correctable(code, patterns) == [True] * n, code.name
+
+
+def test_the_five_mode_mask_is_the_table():
+    five = codes.build_five_mode_code()
+    erased = codes.vertex_erasures(five, None)
+    assert [set(np.flatnonzero(row).tolist()) for row in erased] == list(codes.FIVE_MODE_ERASURES.values())
+    patterns = [codes.erasure_for_vertex(five, None, vertex) for vertex in range(1, 5)]
+    assert codes.correctable_mask(five, erased).tolist() == codes.correctable(five, patterns) == [True] * 4
+    # any vertices, in the order given
+    assert np.array_equal(codes.vertex_erasures(five, None, [3, 1]), erased[[2, 0]])
+    code, basis = codes.build_general_code(6), codes.edge_basis(6)
+    assert np.array_equal(codes.vertex_erasures(code, basis, [6, 2, 2]), codes.vertex_erasures(code, basis)[[5, 1, 1]])
+
+
+def test_the_mask_core_takes_the_masks_the_pattern_step_builds():
+    # every five-mode subset and seeded erasures of an edge code, through
+    # erasure_mask and the core, in input order; no pattern gives no rows
+    rng = np.random.default_rng(35)
+    for code in (codes.build_five_mode_code(), codes.build_general_code(7), homology.build_homological_code(7)):
+        sizes = rng.integers(0, code.n_modes + 1, size=40)
+        erasures = [frozenset(rng.choice(code.n_modes, size, replace=False).tolist()) for size in sizes]
+        erased = codes.erasure_mask(code, [codes.ErasurePattern(modes) for modes in erasures])
+        assert erased.tolist() == [[m in modes for m in range(code.n_modes)] for modes in erasures]
+        want = [correctable_oracle(code.x_rows, code.p_rows, modes) for modes in erasures]
+        assert codes.correctable_mask(code, erased).tolist() == _verdicts(code, erasures) == want, code.name
+    assert codes.erasure_mask(code, []).shape == (0, code.n_modes)
+    assert codes.correctable_mask(code, np.zeros((0, code.n_modes), dtype=bool)).tolist() == []
+
+
+def test_vertex_erasures_and_the_mask_core_reject_what_does_not_fit():
+    code, basis, five = codes.build_general_code(5), codes.edge_basis(5), codes.build_five_mode_code()
+    with pytest.raises(ValueError, match="vertex 0 out of range 1..5"):
+        codes.vertex_erasures(code, basis, [1, 0])
+    with pytest.raises(ValueError, match="vertex 6 out of range 1..5"):
+        codes.erasure_for_vertex(code, basis, 6)
+    for bad in (2.5, 2.0, True):
+        for c, b in ((code, basis), (five, None)):
+            with pytest.raises(ValueError, match="vertices must be integers"):
+                codes.erasure_for_vertex(c, b, bad)
+    assert codes.erasure_for_vertex(code, basis, np.int64(2)) == codes.erasure_for_vertex(code, basis, 2)
+    assert codes.vertex_erasures(code, basis, []).shape == (0, 10)
+    with pytest.raises(ValueError, match="five-mode recovery vertex must be 1..4, got 5"):
+        codes.vertex_erasures(five, None, [2, 5])
+    with pytest.raises(ValueError, match="need the EdgeBasis"):
+        codes.vertex_erasures(code, None)
+    with pytest.raises(ValueError, match="basis of K_4 has 6 edges but the code has 10 modes"):
+        codes.vertex_erasures(code, codes.edge_basis(4))
+    for bad in (np.zeros((2, 9), dtype=bool), np.zeros((2, 10), dtype=int), np.zeros(10, dtype=bool)):
+        with pytest.raises(ValueError, match="boolean mask of 10 columns"):
+            codes.correctable_mask(code, bad)
+
+
+# ---------------------------------------------------------------------------
+# monomial residuals
+# ---------------------------------------------------------------------------
+
+
+def _signed_pivots_then(W, rng):
+    """[D | W], D diagonal with entries +-1: a unit-pivot block whose free columns are W."""
+    k = len(W)
+    return np.hstack([np.diag(rng.choice([-1.0, 1.0], size=k)), W])
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_a_monomial_residual_takes_its_nonzero_count_and_no_svd(seed):
+    # W has at most one nonzero per row and per column, each +-1..+-7, and
+    # zero rows and columns, so every residual W[R_S, S & F] is monomial:
+    # its rank is its nonzero count, which the stacked SVD confirms
+    rng = np.random.default_rng(seed)
+    k, c = (int(v) for v in rng.integers(3, 10, size=2))
+    size = int(rng.integers(1, min(k, c)))
+    W = np.zeros((k, c))
+    W[rng.choice(k, size, replace=False), rng.choice(c, size, replace=False)] = rng.integers(1, 8, size) * rng.choice(
+        [-1, 1], size
+    )
+    block = codes._Block(_signed_pivots_then(W, rng))
+    pivot_of, free, _ = block.pivots
+    inside = rng.random((60, k + c)) < 0.5
+    ranks, shapes = _spied("svd", lambda: block.ranks(inside))
+    assert shapes == []
+    residuals = [W[np.ix_(~mask[pivot_of], mask[free])] for mask in inside]
+    assert sum(min(r.shape) > 1 for r in residuals) > 20
+    svd = [mask[pivot_of].sum() + codes._stack_ranks(r[None], block.scale)[0] for mask, r in zip(inside, residuals)]
+    assert ranks.tolist() == svd == [IntRows.of(block.rows[:, mask]).rank for mask in inside]
+
+
+@pytest.mark.parametrize(
+    "W, masks, want",
+    [
+        # two nonzeros in one column: two entries, rank 1
+        ([[2, 0], [3, 0]], [[0, 0, 1, 1]], [1]),
+        # two nonzeros in one row
+        ([[2, 3], [0, 0]], [[0, 0, 1, 1]], [1]),
+        # one group of two 2 x 2 residuals, one of them monomial: the whole
+        # group takes the SVD
+        ([[2, 0, 0], [3, 0, 1]], [[0, 0, 1, 1, 0], [0, 0, 0, 1, 1]], [1, 1]),
+    ],
+    ids=["column", "row", "mixed group"],
+)
+def test_a_residual_with_two_nonzeros_in_a_line_takes_the_svd(W, masks, want):
+    W = np.array(W, dtype=float)
+    block = codes._Block(_signed_pivots_then(W, np.random.default_rng(0)))
+    inside = np.array(masks, dtype=bool)
+    ranks, shapes = _spied("svd", lambda: block.ranks(inside))
+    assert ranks.tolist() == want
+    assert (len(masks), 2, 2) in shapes
+
+
+@pytest.mark.parametrize("scale", [1e-11, 1 / 3])
+def test_a_scaled_code_keeps_the_complement_route_and_its_verdicts(scale):
+    # a scaled code is not an integer code: it has no unit pivots, so no
+    # monomial shortcut, and takes the same stacked SVDs as the integer
+    # code on the complete route, with the same verdicts (its singular
+    # values, which the integer code takes only for a rank, come from its
+    # construction)
+    for n in (5, 8, 12):
+        code, basis = codes.build_general_code(n), codes.edge_basis(n)
+        scaled, twin = _scaled(code, scale), _complete_route(code)
+        assert all(block.exact is None and block.pivots is None for block in scaled._blocks)
+        erased = codes.vertex_erasures(code, basis)
+        verdicts, shapes = _spied("svd", lambda: codes.correctable_mask(scaled, erased))
+        complete, complete_shapes = _spied("svd", lambda: codes.correctable_mask(twin, erased))
+        assert shapes == [shape for shape in complete_shapes if len(shape) == 3]
+        assert verdicts.tolist() == complete.tolist() == codes.correctable_mask(code, erased).tolist() == [True] * n
+
+
+# ---------------------------------------------------------------------------
 # many patterns at once
 # ---------------------------------------------------------------------------
 

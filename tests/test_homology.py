@@ -143,6 +143,67 @@ def test_chain_complex_check_stays_exact_past_two_to_the_53():
         homology.ChainComplex(3, boundary)
 
 
+def _bincounts(monkeypatch):
+    """The calls np.bincount takes from here on."""
+    calls, honest = [], np.bincount
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return honest(*args, **kwargs)
+
+    monkeypatch.setattr(np, "bincount", spy)
+    return calls
+
+
+def test_a_flipped_sign_of_d_2_breaks_d_1_d_2_on_the_float_path(monkeypatch):
+    tables = {k: homology.face_table(6, k) for k in (0, 1, 2)}
+    calls = _bincounts(monkeypatch)
+    homology.ChainComplex(6, tables)
+    assert len(calls) == 2
+    d2 = tables[2]
+    for column, entry in ((0, 0), (7, 1), (19, 2)):
+        signs = d2.signs.copy()
+        signs[column, entry] *= -1
+        flipped = {**tables, 2: homology.FaceTable(d2.shape, d2.faces, signs)}
+        with pytest.raises(ValueError, match="d_1 d_2"):
+            homology.ChainComplex(6, flipped)
+    assert len(calls) == 2 + 3 * 2
+
+
+def _two_term_complex(top, bottom):
+    """d_0 = [[top, -bottom]], d_1 = [[1], [1]]: d_0 d_1 has T = 2 terms, summing to top - bottom."""
+    return {
+        0: homology.FaceTable((1, 2), np.array([[0], [0]]), np.array([[top], [-bottom]])),
+        1: homology.FaceTable((2, 1), np.array([[0, 1]]), np.array([[1, 1]])),
+        2: homology.FaceTable((1, 0), np.zeros((0, 2), dtype=int), np.zeros((0, 2), dtype=int)),
+    }
+
+
+@pytest.mark.parametrize("size, on_float_path", [(2**52 - 1, True), (2**52, False)])
+def test_the_float_sum_is_taken_only_while_it_is_exact(monkeypatch, size, on_float_path):
+    # max|d_0| max|d_1| T = 2 size must stay below 2^53 for the bincount
+    calls = _bincounts(monkeypatch)
+    homology.ChainComplex(3, _two_term_complex(size, size))
+    with pytest.raises(ValueError, match="d_0 d_1"):
+        homology.ChainComplex(3, _two_term_complex(size, size - 1))
+    assert len(calls) == (2 if on_float_path else 0)
+
+
+def test_both_cases_past_two_to_the_53_take_the_exact_path(monkeypatch):
+    # the tables of test_chain_complex_check_stays_exact_past_two_to_the_53
+    calls = _bincounts(monkeypatch)
+    empty = homology.FaceTable((1, 0), np.zeros((0, 2), dtype=int), np.zeros((0, 2), dtype=int))
+    d0 = homology.FaceTable((1, 2), np.array([[0], [0]]), np.array([[2**53 + 1], [-1]]))
+    d1 = homology.FaceTable((2, 1), np.array([[0, 1]]), np.array([[1, 2**53]]))
+    with pytest.raises(ValueError, match="d_0 d_1"):
+        homology.ChainComplex(3, {0: d0, 1: d1, 2: empty})
+    d0 = homology.FaceTable((1, 2), np.array([[0], [0]]), np.array([[1], [-1]]))
+    d1 = homology.FaceTable((2, 1), np.array([[0, 1]]), np.array([[2**70 + 1, 2**70]], dtype=object))
+    with pytest.raises(ValueError, match="d_0 d_1"):
+        homology.ChainComplex(3, {0: d0, 1: d1, 2: empty})
+    assert calls == []
+
+
 def test_chain_complex_and_homological_code_stay_small_at_forty_vertices():
     # the dense d_2 at N = 40 alone is a 780 x 9880 int64 array, 61.6 MB
     tracemalloc.start()
