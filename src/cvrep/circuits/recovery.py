@@ -47,8 +47,7 @@ whole r-grid and all tags in one broadcast step, and then the closed-form
 makes one call for its grid and reads its closed forms off ``_NOISE`` for
 the whole grid too, so its result is arrays, (steps, 4) per table;
 ``recovery_fidelities`` makes one call for a single r, and
-``threshold_squeezing`` one call for its bracket and one per round of
-bisection levels.
+``threshold_squeezing`` none: it inverts the channels in closed form.
 
 Calibration notes.  The optical decoder gains are fixed by requiring the
 output quadratures to equal the input's plus a noise term built only from
@@ -68,7 +67,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from math import exp, isfinite, nan
+from math import exp, isfinite, log, nan, sqrt
 
 import numpy as np
 
@@ -561,53 +560,28 @@ class UnreachableTargetError(ValueError):
     pass
 
 
-# The doubling bracket's radii: r = 0, then each upper end it tries.
-_BRACKET = (0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0)
-# Bisection levels per evaluation round: a round evaluates the 2^k - 1
-# midpoints of the next k levels in one call.
-_LEVELS = 5
+def _threshold_noise() -> tuple:
+    """Each compiled channel's (tr N2, det N2), in ERASURE_TAGS order; ValueError if its N0 or
+    N1 is not zero, as ``threshold_squeezing``'s closed form takes noise e^{-2r} N2 alone."""
+    noise = [_COMPILED[tag][2] for tag in ERASURE_TAGS]
+    for tag, N in zip(ERASURE_TAGS, noise):
+        if N[:2].any():
+            raise ValueError(f"optical decoder {tag}: the noise has a part slower than e^{{-2r}}")
+    return tuple((a + d, a * d - b * c) for (a, b), (c, d) in (N[2].tolist() for N in noise))
 
 
-def _worst_cases(rs) -> np.ndarray:
-    return _fidelities(rs, ERASURE_TAGS).min(axis=1)
-
-
-def _midpoints(lo: float, hi: float) -> list:
-    """Every midpoint of the next ``_LEVELS`` bisection levels of [lo, hi], in heap order.
-
-    Node i's children are 2i + 1 (its lower half) and 2i + 2 (its upper
-    half); each midpoint is ``0.5 * (lo + hi)`` of the interval on its
-    own path, the float a step-by-step bisection forms.
-    """
-    mids, intervals = [], [(lo, hi)]
-    for _ in range(_LEVELS):
-        halves = []
-        for a, b in intervals:
-            mid = 0.5 * (a + b)
-            mids.append(mid)
-            halves += [(a, mid), (mid, b)]
-        intervals = halves
-    return mids
+_THRESHOLD_NOISE = _threshold_noise()
 
 
 def threshold_squeezing(target: float, *, tol: float = 1e-6) -> float:
-    """Least squeezing r at which every erasure's simulated fidelity >= target.
+    """Least squeezing r at which every erasure's fidelity >= target.
 
-    Bisects the simulated worst case (not the formulas), so it stays honest
-    if the simulation and the closed forms ever disagree.  Targets >= 1 are
-    unreachable at finite squeezing; targets already met at r = 0 return 0.
-
-    The search runs in batched evaluations.  One call evaluates r = 0 and
-    the doubling bracket's ends 1, 2, 4, ..., 64; walking those verdicts in
-    order gives the first end that meets the target, or
-    ``UnreachableTargetError`` if 64 does not.  Then each round evaluates
-    every midpoint of the next ``_LEVELS`` bisection levels in one call
-    (``_midpoints``) and walks them one level at a time: a step halves
-    [lo, hi] while ``hi - lo > tol``, stops early once lo and hi are
-    adjacent floats, and keeps the half whose end meets the target.  Each
-    ``_fidelities`` cell depends only on its own r and tag, and the walk
-    visits exactly the midpoints that bisecting one r per call visits, so
-    the answer is the same float that one-r-per-call search gives.
+    The compiled channels' inverse (``_threshold_noise``): with T = I and
+    noise x N2, x = e^{-2r}, a tag's 1/F^2 - 1 is x tr N2 + x^2 det N2.  At
+    y = 1/t^2 - 1, formed from 1 - t, the root 2y / (tr N2 + sqrt(tr N2^2 +
+    4 det N2 y)) keeps its digits as t nears 1; r is -ln(x) / 2 at the least
+    root.  Targets >= 1 are unreachable at finite squeezing; targets met at
+    r = 0 return 0.  ``tol`` must be positive and finite; it moves no digit.
     """
     if not isfinite(target):
         raise ValueError("target fidelity must be finite")
@@ -618,24 +592,9 @@ def threshold_squeezing(target: float, *, tol: float = 1e-6) -> float:
         )
     if not (isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be positive and finite, got {tol}")
-    worst = _worst_cases(_BRACKET)
-    if worst[0] >= target:
+    if target <= min(1.0 / sqrt(1.0 + tr + det) for tr, det in _THRESHOLD_NOISE):
         return 0.0
-    for lo, hi, met in zip(_BRACKET, _BRACKET[1:], worst[1:] >= target):
-        if met:
-            break
-    else:  # worst case is ~1 - 2e^{-2r}; more would be absurd
-        raise UnreachableTargetError(f"no squeezing below r = 64 reaches target fidelity {target}")
-    while hi - lo > tol:
-        mids = _midpoints(lo, hi)
-        met = _worst_cases(mids) >= target
-        node = 0
-        while node < len(mids) and hi - lo > tol:
-            mid = mids[node]
-            if not lo < mid < hi:  # adjacent floats: tol is below their spacing
-                return 0.5 * (lo + hi)
-            if met[node]:
-                hi, node = mid, 2 * node + 1
-            else:
-                lo, node = mid, 2 * node + 2
-    return 0.5 * (lo + hi)
+    y = (1.0 - target) * (1.0 + target) / (target * target)
+    # a noiseless channel never binds; E1's N2 is 0 up to rounding, and its root is huge
+    roots = (2.0 * y / (tr + sqrt(tr * tr + 4.0 * det * y)) for tr, det in _THRESHOLD_NOISE if tr > 0.0)
+    return max(0.0, -0.5 * log(min(roots)))

@@ -430,7 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_thresh = sub.add_parser("threshold", help="minimum squeezing for a target worst-case fidelity")
     p_thresh.add_argument("--target", type=float, required=True)
-    p_thresh.add_argument("--tol", type=float, default=1e-6)
+    p_thresh.add_argument("--tol", type=float, default=1e-6, help="accepted and validated; moves no digit")
     p_thresh.set_defaults(func=cmd_threshold)
 
     p_space = sub.add_parser("spacetime", help="check a causal-diamond configuration")

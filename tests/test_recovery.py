@@ -1,5 +1,6 @@
 """Encoders, decoders, recovery fidelities, sweeps, and thresholds."""
 
+import math
 import warnings
 from itertools import combinations
 
@@ -71,19 +72,13 @@ def x_block(circuit):
     return symplectic_of(circuit).matrix[:n, :n]
 
 
-def count_encodes(monkeypatch, limit=None) -> list:
-    """Record the squeezing grid of every batched evaluation from here on.
-
-    With a ``limit``, the evaluation after the first ``limit`` raises, so a
-    search that does not stop fails instead of hanging.
-    """
+def count_encodes(monkeypatch) -> list:
+    """Record the squeezing grid of every batched evaluation from here on."""
     calls = []
     evaluate = recovery._fidelities
 
     def counting(rs, tags):
         calls.append(tuple(float(r) for r in rs))
-        if limit is not None and len(calls) > limit:
-            raise RuntimeError("threshold search did not stop")
         return evaluate(rs, tags)
 
     monkeypatch.setattr(recovery, "_fidelities", counting)
@@ -810,41 +805,69 @@ def test_threshold_already_met_at_zero_squeezing():
     assert threshold_squeezing(0.2) == 0.0
 
 
-def test_threshold_evaluates_its_bracket_then_batched_rounds(monkeypatch):
-    evaluated = count_encodes(monkeypatch)
-    r = threshold_squeezing(2.0 / 3.0, tol=1e-6)
-    batched = list(evaluated)
-    evaluated.clear()
-    assert bisect_threshold(2.0 / 3.0, 1e-6) == r
-    # the first call holds r = 0 and every end the doubling bracket tries
-    assert batched[0] == (0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0)
-    assert all(len(rs) <= 2**recovery._LEVELS - 1 for rs in batched[1:])
-    # one r per call takes 22 calls, each an r the batched calls hold
-    assert len(evaluated) == 22 and len(batched) <= 6
-    assert {rs[0] for rs in evaluated} <= {r for rs in batched for r in rs}
+def exact_threshold(target):
+    """½ ln(2t / (1 - t)), the least r with 1 / (1 + 2 e^{-2r}) >= t, or 0 for t <= 1/3."""
+    return 0.0 if target <= 1.0 / 3.0 else 0.5 * (math.log(2.0 * target) - math.log1p(-target))
 
 
-def test_threshold_stops_at_float_resolution_for_a_tiny_tol(monkeypatch):
-    # bisecting [0, 1] down to adjacent floats near 0.35 takes 54 levels
-    count_encodes(monkeypatch, limit=1 + -(-64 // recovery._LEVELS))
-    assert threshold_squeezing(0.5, tol=1e-300) == pytest.approx(0.5 * LN2, abs=1e-12)
+def test_threshold_is_the_exact_inverse_up_to_target_one():
+    # 1 - t from 0.5 down to 1e-15, 1 - 1e-12 among them: F is never formed
+    # as a float near 1, so no target loses digits to its last ulp
+    for gap in (float(f"{m}e-{k}") for k in range(1, 16) for m in (5, 2, 1)):
+        target = 1.0 - gap
+        assert threshold_squeezing(target) == pytest.approx(exact_threshold(target), rel=1e-13, abs=0.0)
+    for target in (-0.5, 0.0, 1e-300, 0.2, 0.32, 1.0 / 3.0):
+        assert threshold_squeezing(target) == 0.0
 
 
-def _search_outcome(search):
+def _threshold_outcome(search):
     try:
-        return search().hex()
+        return search()
     except ValueError as exc:
         return type(exc), str(exc)
 
 
 @given(target=st.floats(min_value=0.2, max_value=1.2), log_tol=st.floats(min_value=-300.0, max_value=1.0))
 @settings(max_examples=60, deadline=None)
-def test_threshold_equals_the_one_radius_bisection(target, log_tol):
-    # targets from met at r = 0 through reachable to unreachable (>= 1);
-    # tols from below float resolution to wider than the bracket
+def test_threshold_is_the_exact_inverse_or_the_oracles_error(target, log_tol):
+    # targets from met at r = 0 through reachable to unreachable (>= 1); tols
+    # from below float resolution to wider than any r.  Near t = 1/3, r -> 0,
+    # so the bound is absolute there
     tol = 10.0**log_tol
-    batched = _search_outcome(lambda: threshold_squeezing(target, tol=tol))
-    assert batched == _search_outcome(lambda: bisect_threshold(target, tol))
+    r = _threshold_outcome(lambda: threshold_squeezing(target, tol=tol))
+    expected = _threshold_outcome(lambda: bisect_threshold(target, tol))
+    if isinstance(expected, tuple):
+        assert r == expected
+    else:
+        assert abs(r - exact_threshold(target)) <= max(1e-13 * r, 4e-15)
+
+
+@given(target=st.floats(min_value=0.34, max_value=1.0 - 1e-6), log_tol=st.floats(min_value=-9.0, max_value=-3.0))
+@settings(max_examples=40, deadline=None)
+def test_threshold_is_within_tol_of_a_search_over_the_simulation(target, log_tol):
+    # the step-by-step bisection of the simulated worst case still resolves
+    # its tol over this range; the closed form must land inside it
+    tol = 10.0**log_tol
+    assert abs(threshold_squeezing(target, tol=tol) - bisect_threshold(target, tol)) <= tol
+
+
+@pytest.mark.parametrize("target", [0.34, 0.5, 2.0 / 3.0, 0.9, 0.99, 1.0 - 1e-6, 1.0 - 1e-9, 1.0 - 1e-12, 1.0 - 2.0**-52])
+def test_threshold_meets_its_target_in_the_simulation(target):
+    r = threshold_squeezing(target)
+    worst = recovery._fidelities([r], ERASURE_TAGS).min()
+    assert worst >= target - 4.0 * math.ulp(target)
+
+
+def test_threshold_setup_refuses_a_channel_with_slower_noise(monkeypatch):
+    # the closed form holds only for noise e^{-2r} N2; a channel with an
+    # e^{-r} part must stop the setup, not give a wrong r
+    assert len(recovery._threshold_noise()) == len(ERASURE_TAGS)
+    wire, T, N = recovery._COMPILED["E4"]
+    slower = N.copy()
+    slower[1] = 0.5 * np.eye(2)
+    monkeypatch.setitem(recovery._COMPILED, "E4", (wire, T, slower))
+    with pytest.raises(ValueError, match="E4"):
+        recovery._threshold_noise()
 
 
 @pytest.mark.parametrize("tol", [float("nan"), float("inf")])
