@@ -28,10 +28,9 @@ and feeding it forward.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
+from .._value import Value
 from ..gaussian import GaussianState, MeasurementRecord, SymplecticMap, _condition
 from .ir import OPS, Circuit, FeedforwardDisplace, Measure, Qnd, _Columns, spec_of
 
@@ -209,11 +208,13 @@ def symplectic_of(circuit: Circuit) -> SymplecticMap:
     return _symplectic(circuit.ops, circuit.labels)
 
 
-@dataclass(frozen=True)
-class RunResult:
-    state: GaussianState
-    records: dict
-    labels: tuple[int, ...]
+class RunResult(Value):
+    __slots__ = ("state", "records", "labels")
+
+    def __init__(self, state: GaussianState, records: dict, labels: tuple[int, ...]):
+        object.__setattr__(self, "state", state)
+        object.__setattr__(self, "records", records)
+        object.__setattr__(self, "labels", labels)
 
 
 def run(

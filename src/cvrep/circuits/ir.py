@@ -38,7 +38,6 @@ reproduces the circuit bit-for-bit, the sign of a zero included.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from math import isfinite
 from operator import attrgetter
 from typing import Callable, NamedTuple
@@ -46,6 +45,7 @@ from typing import Callable, NamedTuple
 from numpy import integer
 
 from .. import gaussian as g
+from .._value import Value
 
 __all__ = [
     "Qnd",
@@ -68,45 +68,7 @@ __all__ = [
 ]
 
 
-class _Op:
-    """Base of the op types: an op is an immutable value, its type and its fields.
-
-    The fields are the class's ``__slots__``, in constructor order.  ``==``
-    and ``hash`` go by the type and the fields, ``repr`` prints them, as in
-    ``Qnd(control=1, target=2, gain=0.5)``, a field can be neither assigned
-    nor deleted, and a copy or pickle rebuilds the op through its
-    constructor, so its checks run again.  ``OpSpec`` builds every op type
-    but ``Displace`` from its row.
-    """
-
-    __slots__ = ()
-
-    def _values(self) -> tuple:
-        return tuple(map(self.__getattribute__, self.__slots__))
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __hash__(self):
-        return hash((self.__class__, *self._values()))
-
-    def __repr__(self):
-        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._values()))
-        return f"{type(self).__name__}({fields})"
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        return self.__class__, self._values()
-
-
-class Displace(_Op):
+class Displace(Value):
     """Displace ``mode`` by the amplitude ``alpha``, checked by ``gaussian._amplitude``.
 
     Written by hand: its row's two real fields are the parts of one attribute.
@@ -262,7 +224,7 @@ class OpSpec:
     ``fields`` lists ``(text key, attribute, kind)`` in constructor order,
     and ``make`` builds the op from the field values.  Each field's
     ``Kind`` reads and writes its text and checks its value.  Given the
-    type's name, the row builds the class: an ``_Op`` whose slots are the
+    type's name, the row builds the class: a ``Value`` whose slots are the
     fields' attributes, and whose ``__init__`` (``_init``) takes them in
     order, sets them and runs their checks, so every op is checked as it
     is constructed.  ``Displace`` is passed as its hand-written class: its
@@ -279,7 +241,7 @@ class OpSpec:
 
     def __init__(self, cls, tag, fields, *, block=None, terms=None, shift=None, make=None):
         if isinstance(cls, str):
-            cls = type(cls, (_Op,), {"__slots__": tuple(attr for _, attr, _ in fields), "__module__": __name__})
+            cls = type(cls, (Value,), {"__slots__": tuple(attr for _, attr, _ in fields), "__module__": __name__})
             cls.__init__ = _init(cls, fields)
         self.cls, self.tag, self.fields = cls, tag, fields
         self.block = block if terms is None else lambda *params: sum(terms(*params))
@@ -345,16 +307,14 @@ def _labels(labels) -> tuple[int, ...]:
     return labels
 
 
-@dataclass(frozen=True)
-class Circuit:
+class Circuit(Value):
     """Ordered ops over labelled wires; immutable after construction."""
 
-    labels: tuple[int, ...]
-    ops: tuple = ()
+    __slots__ = ("labels", "ops")
 
-    def __post_init__(self):
-        object.__setattr__(self, "labels", _labels(self.labels))
-        object.__setattr__(self, "ops", tuple(self.ops))
+    def __init__(self, labels: tuple[int, ...], ops: tuple = ()):
+        object.__setattr__(self, "labels", _labels(labels))
+        object.__setattr__(self, "ops", tuple(ops))
         self.validate()
 
     @property

@@ -65,12 +65,12 @@ cosh(2r)/2, so ``run`` sampling that port is never degenerate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from math import exp, isfinite, log, nan, sqrt
 
 import numpy as np
 
+from .._value import Value
 from ..codes import FIVE_MODE_ERASURES
 from ..gaussian import (
     GaussianState,
@@ -494,44 +494,58 @@ def recovery_fidelity(tag: str, r: float, alpha: complex = 0j) -> float:
 _MAX_STEPS = np.iinfo(np.intp).max // np.dtype(float).itemsize
 
 
-@dataclass(frozen=True)
-class SweepSpec:
-    r_min: float = 0.0
-    r_max: float = 2.0
-    steps: int = 9
-    errors: tuple[str, ...] = ERASURE_TAGS
-    alpha: complex = 0j
+class SweepSpec(Value):
+    __slots__ = ("r_min", "r_max", "steps", "errors", "alpha")
 
-    def __post_init__(self):
-        if self.steps < 1:
+    def __init__(
+        self,
+        r_min: float = 0.0,
+        r_max: float = 2.0,
+        steps: int = 9,
+        errors: tuple[str, ...] = ERASURE_TAGS,
+        alpha: complex = 0j,
+    ):
+        if steps < 1:
             raise ValueError("steps must be >= 1")
-        if self.steps > _MAX_STEPS:
+        if steps > _MAX_STEPS:
             raise ValueError(
-                f"steps must be at most {_MAX_STEPS}, the most floats one array holds; got {self.steps}"
+                f"steps must be at most {_MAX_STEPS}, the most floats one array holds; got {steps}"
             )
-        _check_squeezing("r_min", self.r_min)
-        _check_squeezing("r_max", self.r_max)
-        if self.r_max < self.r_min:
+        _check_squeezing("r_min", r_min)
+        _check_squeezing("r_max", r_max)
+        if r_max < r_min:
             raise ValueError("r_max must be >= r_min")
-        errors = tuple(self.errors)
+        errors = tuple(errors)
         _check_tags(*errors)
         if len(set(errors)) != len(errors):
             raise ValueError("duplicate erasure tags in sweep")
         if not errors:
             raise ValueError("sweep needs at least one erasure tag")
+        object.__setattr__(self, "r_min", r_min)
+        object.__setattr__(self, "r_max", r_max)
+        object.__setattr__(self, "steps", steps)
         object.__setattr__(self, "errors", errors)
-        object.__setattr__(self, "alpha", _amplitude(self.alpha))
+        object.__setattr__(self, "alpha", _amplitude(alpha))
 
 
-@dataclass(frozen=True)
-class SweepResult:
+class SweepResult(Value):
     """A sweep's grid and its tables, computed in one pass; columns in ERASURE_TAGS order."""
 
-    r: np.ndarray  # the grid, (steps,)
-    simulated: np.ndarray  # (steps, 4); nan for tags outside the sweep
-    formula: np.ndarray  # (steps, 4) closed forms
-    row_max_abs_dev: np.ndarray  # (steps,) over the swept tags only; nan if a swept cell is
-    max_abs_dev: float  # over the grid
+    __slots__ = ("r", "simulated", "formula", "row_max_abs_dev", "max_abs_dev")
+
+    def __init__(
+        self,
+        r: np.ndarray,  # the grid, (steps,)
+        simulated: np.ndarray,  # (steps, 4); nan for tags outside the sweep
+        formula: np.ndarray,  # (steps, 4) closed forms
+        row_max_abs_dev: np.ndarray,  # (steps,) over the swept tags only; nan if a swept cell is
+        max_abs_dev: float,  # over the grid
+    ):
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "simulated", simulated)
+        object.__setattr__(self, "formula", formula)
+        object.__setattr__(self, "row_max_abs_dev", row_max_abs_dev)
+        object.__setattr__(self, "max_abs_dev", max_abs_dev)
 
 
 def fidelity_sweep(spec: SweepSpec) -> SweepResult:

@@ -61,14 +61,14 @@ def _fail_usage(message: str) -> int:
 
 
 def _code_for(which: str):
-    """Resolve 'five', 'six', or an integer N >= 4 to the code and its edge basis (None for five)."""
+    """Resolve 'five', 'six', or an integer N >= 4 to the code and its N (None for five)."""
     if which == "five":
         return codes.build_five_mode_code(), None
     try:
         n = 4 if which == "six" else int(which)
     except ValueError:
         raise ValueError(f"expected 'five', 'six', or an integer N >= 4, got {which!r}") from None
-    return codes.build_general_code(n), codes.edge_basis(n)
+    return codes.build_general_code(n), n
 
 
 def cmd_code(args) -> int:
@@ -145,10 +145,10 @@ def _json_text(obj, pad: str = "\n") -> str:
 
 def cmd_verify(args) -> int:
     try:
-        code, basis = _code_for(args.which)
+        code, n = _code_for(args.which)
     except ValueError as exc:
         return _fail_usage(str(exc))
-    if args.homology and basis is None:
+    if args.homology and n is None:
         return _fail_usage("--homology applies to the general construction, not the five-mode code")
 
     # one row of erased modes per pattern: the --erase list, or each vertex's
@@ -159,7 +159,7 @@ def cmd_verify(args) -> int:
             return _fail_usage(str(exc))
         vertices = [None]
     else:
-        erased = codes.vertex_erasures(code, basis)
+        erased = codes.vertex_erasures(code, None if n is None else codes.edge_basis(n))
         vertices = range(1, len(erased) + 1)
     verdicts = codes.correctable_mask(code, erased)
     all_ok = bool(verdicts.all())
@@ -174,7 +174,6 @@ def cmd_verify(args) -> int:
 
     homology_report = None
     if args.homology:
-        n = basis.N
         # chain_complex raises if any boundary square is nonzero; the report
         # reads only the shapes of its face tables
         shapes = {k: list(table.shape) for k, table in sorted(homology.chain_complex(n).boundary.items())}

@@ -58,13 +58,13 @@ from __future__ import annotations
 import math
 import warnings
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, combinations
 
 import numpy as np
 
 from ._introws import IntRows
+from ._value import Value
 from .tolerances import TOL
 
 __all__ = [
@@ -86,13 +86,18 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class EdgeBasis:
+class EdgeBasis(Value):
     """Ordered edge set of K_N: pairs (j, k), 1 <= j < k <= N, lexicographic."""
 
-    N: int
-    edges: tuple[tuple[int, int], ...]
-    _index: dict = field(repr=False, hash=False, compare=False, default_factory=dict)
+    __slots__ = ("N", "edges", "_index")
+
+    def __init__(self, N: int, edges: tuple[tuple[int, int], ...], _index: dict | None = None):
+        object.__setattr__(self, "N", N)
+        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "_index", {} if _index is None else _index)
+
+    def __reduce__(self):
+        return EdgeBasis, (self.N, self.edges, self._index)
 
     @property
     def n_edges(self) -> int:
@@ -116,6 +121,12 @@ def edge_basis(N: int) -> EdgeBasis:
     edges = tuple((j, k) for j, k in combinations(range(1, N + 1), 2))
     index = {e: i for i, e in enumerate(edges)}
     return EdgeBasis(N, edges, index)
+
+
+def _edge_ends(N: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ends j < k of each edge of K_N, 0-based, in ``edge_basis`` order: ``np.triu_indices(N, 1)``,
+    at a third of its cost for small N."""
+    return np.nonzero(~np.tri(N, dtype=bool))
 
 
 def _count_ranks(rows: Iterable[Sequence[float]], scale: float) -> list[int]:
@@ -310,24 +321,21 @@ class _Block:
         return self.rank(stacked.scale) == other.rank(stacked.scale) == stacked.rank()
 
 
-@dataclass(frozen=True)
-class StabilizerCode:
+class StabilizerCode(Value):
     """CSS-form generator data: pure-X rows and pure-P rows over n modes."""
 
-    n_modes: int
-    x_rows: np.ndarray
-    p_rows: np.ndarray
-    name: str = ""
-    #: the X block and the P block
-    _blocks: tuple[_Block, _Block] = field(init=False, repr=False, compare=False)
+    #: ``_blocks``: the X block and the P block
+    __slots__ = ("n_modes", "x_rows", "p_rows", "name", "_blocks")
 
-    def __post_init__(self):
-        x, p = (np.atleast_2d(np.asarray(M, dtype=float)) for M in (self.x_rows, self.p_rows))
+    def __init__(self, n_modes: int, x_rows: np.ndarray, p_rows: np.ndarray, name: str = ""):
+        x, p = (np.atleast_2d(np.asarray(M, dtype=float)) for M in (x_rows, p_rows))
+        object.__setattr__(self, "n_modes", n_modes)
         object.__setattr__(self, "x_rows", x)
         object.__setattr__(self, "p_rows", p)
-        if x.shape[1] != self.n_modes or p.shape[1] != self.n_modes:
+        object.__setattr__(self, "name", name)
+        if x.shape[1] != n_modes or p.shape[1] != n_modes:
             raise ValueError(
-                f"generator rows must have {self.n_modes} columns, "
+                f"generator rows must have {n_modes} columns, "
                 f"got {x.shape[1]} and {p.shape[1]}"
             )
         if not (np.isfinite(x).all() and np.isfinite(p).all()):
@@ -359,15 +367,14 @@ class StabilizerCode:
         return float(np.max(np.abs(self.x_rows @ self.p_rows.T), initial=0.0))
 
 
-@dataclass(frozen=True)
-class ErasurePattern:
+class ErasurePattern(Value):
     """Set of erased mode indices (0-based) plus the intended recovery vertex."""
 
-    erased: frozenset[int]
-    recovery_vertex: int | None = None
+    __slots__ = ("erased", "recovery_vertex")
 
-    def __post_init__(self):
-        object.__setattr__(self, "erased", frozenset(map(int, self.erased)))
+    def __init__(self, erased: frozenset[int], recovery_vertex: int | None = None):
+        object.__setattr__(self, "erased", frozenset(map(int, erased)))
+        object.__setattr__(self, "recovery_vertex", recovery_vertex)
 
 
 # Five-mode erasure patterns, keyed by recovery vertex; 0-based mode indices.
@@ -389,21 +396,20 @@ def build_general_code(N: int) -> StabilizerCode:
     """
     if N < 4:
         raise ValueError(f"general code needs N >= 4, got {N}")
-    basis = edge_basis(N)
-    n = basis.n_edges
-    ends = np.array(basis.edges)
+    ends = _edge_ends(N)
+    n = ends[0].size
     # the edges jk with 2 <= j < k follow the N - 1 edges 1k, in the order of
     # the x rows; edge 1k sits at index k - 2
     rows = np.arange(n - (N - 1))
-    j, k = ends[N - 1 :].T
+    j, k = (end[N - 1 :] + 1 for end in ends)
     x_rows = np.zeros((rows.size, n))
     x_rows[rows, j - 2] = 1  # e_1j
     x_rows[rows, N - 1 + rows] = 1  # e_jk
     x_rows[rows, k - 2] = -1  # e_k1 = -e_1k
     # row v - 1 of the signed incidence matrix is the star A_v
     stars = np.zeros((N, n))
-    stars[ends[:, 0] - 1, np.arange(n)] = 1
-    stars[ends[:, 1] - 1, np.arange(n)] = -1
+    stars[ends[0], np.arange(n)] = 1
+    stars[ends[1], np.arange(n)] = -1
     return StabilizerCode(n, x_rows, stars[0] + stars[1 : N - 1], name=f"general-{N}")
 
 
@@ -459,8 +465,7 @@ def vertex_erasures(
     outside = vertex[(vertex < 1) | (vertex > N)]
     if outside.size:
         raise ValueError(f"vertex {outside[0]} out of range 1..{N}")
-    # the ends j < k of each edge, 0-based, in the basis's lexicographic order
-    j, k = np.triu_indices(N, 1)
+    j, k = _edge_ends(N)
     vertex = vertex[:, None] - 1
     return (vertex != j) & (vertex != k)
 

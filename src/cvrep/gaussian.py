@@ -20,11 +20,11 @@ One rule conditions a state on a measured quadrature, ``_condition``, which
 from __future__ import annotations
 
 from copy import deepcopy
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
+from ._value import Value
 from .tolerances import TOL
 
 __all__ = [
@@ -114,16 +114,14 @@ class GaussianState:
         return f"GaussianState(n_modes={self.n_modes})"
 
 
-@dataclass(frozen=True)
-class SymplecticMap:
+class SymplecticMap(Value):
     """Affine Gaussian map: state -> (matrix @ mean + displacement, matrix @ factor)."""
 
-    matrix: np.ndarray
-    displacement: np.ndarray
+    __slots__ = ("matrix", "displacement")
 
-    def __post_init__(self):
-        S = np.asarray(self.matrix, dtype=float)
-        d = np.asarray(self.displacement, dtype=float)
+    def __init__(self, matrix: np.ndarray, displacement: np.ndarray):
+        S = np.asarray(matrix, dtype=float)
+        d = np.asarray(displacement, dtype=float)
         object.__setattr__(self, "matrix", S)
         object.__setattr__(self, "displacement", d)
         n2 = S.shape[0]
@@ -156,19 +154,19 @@ class SymplecticMap:
         return GaussianState._of(self.matrix @ state.mean + self.displacement, self.matrix @ state.factor)
 
 
-@dataclass(frozen=True)
-class MeasurementRecord:
+class MeasurementRecord(Value):
     """Outcome of one homodyne: which mode index was measured, in which basis."""
 
-    mode: int
-    basis: str
-    outcome: float
+    __slots__ = ("mode", "basis", "outcome")
 
-    def __post_init__(self):
-        if self.basis not in ("x", "p"):
-            raise ValueError(f"basis must be 'x' or 'p', got {self.basis!r}")
-        if not np.isfinite(self.outcome):
+    def __init__(self, mode: int, basis: str, outcome: float):
+        if basis not in ("x", "p"):
+            raise ValueError(f"basis must be 'x' or 'p', got {basis!r}")
+        if not np.isfinite(outcome):
             raise ValueError("measurement outcome must be finite")
+        object.__setattr__(self, "mode", mode)
+        object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "outcome", outcome)
 
 
 # ---------------------------------------------------------------------------

@@ -21,13 +21,13 @@ erasures are decided by ``codes.correctable``, as for any other code.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cache
 from itertools import chain, combinations
 
 import numpy as np
 
 from ._introws import _EXACT
+from ._value import Value
 from .codes import StabilizerCode, _Block
 
 __all__ = [
@@ -51,8 +51,7 @@ def boundary_matrix(N: int, k: int) -> np.ndarray:
     return face_table(N, k).dense()
 
 
-@dataclass(frozen=True, eq=False)
-class FaceTable:
+class FaceTable(Value):
     """A boundary map held column by column: column j is sum_m signs[j, m] e_{faces[j, m]}.
 
     ``faces`` and ``signs`` are (columns x entries) integer arrays.  On the
@@ -61,19 +60,20 @@ class FaceTable:
     however large ``shape`` grows.
     """
 
-    shape: tuple[int, int]
-    faces: np.ndarray
-    signs: np.ndarray
+    __slots__ = ("shape", "faces", "signs")
 
-    def __post_init__(self):
-        rows, cols = self.shape
-        if self.faces.shape != self.signs.shape or len(self.faces) != cols:
+    def __init__(self, shape: tuple[int, int], faces: np.ndarray, signs: np.ndarray):
+        rows, cols = shape
+        if faces.shape != signs.shape or len(faces) != cols:
             raise ValueError(
-                f"faces {self.faces.shape} and signs {self.signs.shape} "
+                f"faces {faces.shape} and signs {signs.shape} "
                 f"need one equal row per column of a {rows} x {cols} map"
             )
-        if self.faces.size and not (0 <= self.faces.min() and self.faces.max() < rows):
+        if faces.size and not (0 <= faces.min() and faces.max() < rows):
             raise ValueError(f"face ranks must lie in 0..{rows - 1}")
+        object.__setattr__(self, "shape", shape)
+        object.__setattr__(self, "faces", faces)
+        object.__setattr__(self, "signs", signs)
 
     def dense(self) -> np.ndarray:
         D = np.zeros(self.shape, dtype=int)
@@ -160,19 +160,19 @@ def _composes_to_zero(low: FaceTable, high: FaceTable) -> bool:
     return not np.add.reduceat(terms.ravel(), np.flatnonzero(starts)).any()
 
 
-@dataclass(frozen=True)
-class ChainComplex:
-    N: int
-    boundary: dict[int, FaceTable]
+class ChainComplex(Value):
+    __slots__ = ("N", "boundary")
 
-    def __post_init__(self):
+    def __init__(self, N: int, boundary: dict[int, FaceTable]):
         for k in (0, 1):
-            low, high = self.boundary[k], self.boundary[k + 1]
+            low, high = boundary[k], boundary[k + 1]
             if low.shape[1] != high.shape[0]:
                 rows, cols = low.shape
                 raise ValueError(f"d_{k} is {rows} x {cols} but d_{k+1} has {high.shape[0]} rows")
             if not _composes_to_zero(low, high):
                 raise ValueError(f"not a chain complex: d_{k} d_{k+1} != 0")
+        object.__setattr__(self, "N", N)
+        object.__setattr__(self, "boundary", boundary)
 
 
 def chain_complex(N: int) -> ChainComplex:

@@ -27,10 +27,10 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, permutations
 
+from ._value import Value
 from .codes import StabilizerCode, build_five_mode_code, build_general_code
 from .tolerances import TOL
 
@@ -52,15 +52,13 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SpacetimePoint:
-    t: float
-    x: tuple[float, ...]
+class SpacetimePoint(Value):
+    __slots__ = ("t", "x")
 
-    def __post_init__(self):
+    def __init__(self, t: float, x: tuple[float, ...]):
         # coordinate 0 is t; each is an int or a float (not a bool) that is finite as a float
         coords = []
-        for i, v in enumerate((self.t, *self.x)):
+        for i, v in enumerate((t, *x)):
             if isinstance(v, bool) or not isinstance(v, (int, float)):
                 raise ValueError(f"coordinate {i} must be a number, got {type(v).__name__}")
             try:
@@ -93,34 +91,35 @@ def causal_leq(a: SpacetimePoint, b: SpacetimePoint) -> bool:
     return dt >= -slack and dt >= dx - slack
 
 
-@dataclass(frozen=True)
-class CausalDiamond:
-    y: SpacetimePoint  # entry (earliest point)
-    z: SpacetimePoint  # exit (latest point)
+class CausalDiamond(Value):
+    __slots__ = ("y", "z")  # the entry (earliest point) and the exit (latest point)
 
-    def __post_init__(self):
-        if self.y.dim != self.z.dim:
+    def __init__(self, y: SpacetimePoint, z: SpacetimePoint):
+        if y.dim != z.dim:
             raise ValueError("diamond endpoints must share a dimension")
-        if not causal_leq(self.y, self.z):
+        if not causal_leq(y, z):
             raise ValueError("diamond entry must causally precede its exit")
+        object.__setattr__(self, "y", y)
+        object.__setattr__(self, "z", z)
 
     @property
     def dim(self) -> int:
         return self.y.dim
 
 
-@dataclass(frozen=True)
-class Configuration:
-    start: SpacetimePoint
-    diamonds: tuple[CausalDiamond, ...]
+class Configuration(Value):
+    # ``__dict__`` holds ``_causal``
+    __slots__ = ("start", "diamonds", "__dict__")
 
-    def __post_init__(self):
-        object.__setattr__(self, "diamonds", tuple(self.diamonds))
-        if len(self.diamonds) < 2:
+    def __init__(self, start: SpacetimePoint, diamonds: tuple[CausalDiamond, ...]):
+        diamonds = tuple(diamonds)
+        if len(diamonds) < 2:
             raise ValueError("a configuration needs at least two diamonds")
-        dims = {self.start.dim, *(d.dim for d in self.diamonds)}
+        dims = {start.dim, *(d.dim for d in diamonds)}
         if len(dims) != 1:
             raise ValueError(f"mixed spatial dimensions in configuration: {sorted(dims)}")
+        object.__setattr__(self, "start", start)
+        object.__setattr__(self, "diamonds", diamonds)
 
     @property
     def n_diamonds(self) -> int:
@@ -144,12 +143,14 @@ class Configuration:
         return reach, signal, after
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(Value):
     """One named feasibility failure; diamond indices are 1-based."""
 
-    kind: str  # "start-unreachable" | "unrelated-pair"
-    diamonds: tuple[int, ...]
+    __slots__ = ("kind", "diamonds")  # kind: "start-unreachable" | "unrelated-pair"
+
+    def __init__(self, kind: str, diamonds: tuple[int, ...]):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "diamonds", diamonds)
 
     def __str__(self) -> str:
         if self.kind == "start-unreachable":
@@ -161,9 +162,11 @@ class Violation:
         return {"kind": self.kind, "diamonds": list(self.diamonds)}
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    violations: tuple[Violation, ...]
+class ValidationReport(Value):
+    __slots__ = ("violations",)
+
+    def __init__(self, violations: tuple[Violation, ...]):
+        object.__setattr__(self, "violations", violations)
 
     @property
     def valid(self) -> bool:

@@ -3,6 +3,7 @@
 import copy
 import inspect
 import math
+import operator
 import pickle
 from itertools import combinations
 from operator import attrgetter
@@ -16,6 +17,19 @@ from conftest import random_gaussian_state
 from oracles import dense_map, is_unitary, schur_condition, step_run
 
 from cvrep import gaussian as g
+from cvrep.codes import EdgeBasis, ErasurePattern, StabilizerCode, build_five_mode_code, build_general_code, edge_basis
+from cvrep.gaussian import MeasurementRecord, SymplecticMap
+from cvrep.homology import ChainComplex, FaceTable, chain_complex, face_table
+from cvrep.replication import (
+    CausalDiamond,
+    Configuration,
+    SpacetimePoint,
+    ValidationReport,
+    Violation,
+    builtin_configuration,
+    validate,
+)
+from cvrep.tolerances import Tolerances
 from cvrep.circuits import (
     BeamSplitterPM,
     Circuit,
@@ -42,7 +56,8 @@ from cvrep.circuits import (
     serialize,
     symplectic_of,
 )
-from cvrep.circuits.interpreter import _fold
+from cvrep.circuits.interpreter import RunResult, _fold
+from cvrep.circuits.recovery import SweepResult, SweepSpec, fidelity_sweep
 from cvrep.circuits import ir
 from cvrep.circuits.ir import NONZERO, OPS, QUADRATURE, REAL, REGISTER, WIRE
 
@@ -275,6 +290,291 @@ def test_every_op_type_is_an_immutable_value(spec):
     pickles = [pickle.loads(pickle.dumps(op, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
     for clone in (copy.copy(op), copy.deepcopy(op), *pickles):
         assert type(clone) is cls and clone == op and hash(clone) == hash(op) and repr(clone) == repr(op)
+
+
+_A, _B = SpacetimePoint(0, (0,)), SpacetimePoint(1, (0,))
+_NAN = math.nan
+
+# every value type built on the ops' base, and one sample of each: (the type,
+# its constructor's parameters, the sample's arguments, the defaults of the
+# trailing parameters, the sample's repr, a bad argument (position, value and
+# the words of its ValueError) or None, and valid arguments that change the
+# value, by position)
+VALUES = [
+    (
+        Tolerances,
+        "cov_symmetry symplectic_eig_slack symplectic_check rank orthogonality synthesis rewrite causal_slack "
+        "condition_limit fidelity_gate",
+        (2e-12, 1e-9, 1e-10, 1e-10, 1e-12, 1e-10, 1e-10, 1e-9, 1e8, 1e-8),
+        (1e-12, 1e-9, 1e-10, 1e-10, 1e-12, 1e-10, 1e-10, 1e-9, 1e8, 1e-8),
+        "Tolerances(cov_symmetry=2e-12, symplectic_eig_slack=1e-09, symplectic_check=1e-10, rank=1e-10, "
+        "orthogonality=1e-12, synthesis=1e-10, rewrite=1e-10, causal_slack=1e-09, condition_limit=100000000.0, "
+        "fidelity_gate=1e-08)",
+        None,
+        ((0, 1e-12), (9, 1e-9)),
+    ),
+    (
+        EdgeBasis,
+        "N edges _index",
+        (3, ((1, 2), (1, 3), (2, 3)), {(1, 2): 0, (1, 3): 1, (2, 3): 2}),
+        ({},),
+        "EdgeBasis(N=3, edges=((1, 2), (1, 3), (2, 3)))",
+        None,
+        ((0, 4), (1, ((1, 2),))),
+    ),
+    (
+        StabilizerCode,
+        "n_modes x_rows p_rows name",
+        (2, [[1, -1]], [[1, 1]], "pair"),
+        ("",),
+        "StabilizerCode(n_modes=2, x_rows=array([[ 1., -1.]]), p_rows=array([[1., 1.]]), name='pair')",
+        (1, [[1, 0]], "do not commute"),
+        ((1, [[-1, 1]]), (2, [[2, 2]]), (3, "")),
+    ),
+    (
+        ErasurePattern,
+        "erased recovery_vertex",
+        (frozenset({0, 2}), 1),
+        (None,),
+        "ErasurePattern(erased=frozenset({0, 2}), recovery_vertex=1)",
+        (0, {"a"}, "invalid literal for int"),
+        ((0, frozenset({0})), (1, 2)),
+    ),
+    (
+        SymplecticMap,
+        "matrix displacement",
+        ([[2.0, 0.0], [0.0, 0.5]], [0.0, 1.0]),
+        (),
+        "SymplecticMap(matrix=array([[2. , 0. ],\n       [0. , 0.5]]), displacement=array([0., 1.]))",
+        (0, [[2.0, 0.0], [0.0, 2.0]], "not symplectic"),
+        ((0, [[0.5, 0.0], [0.0, 2.0]]), (1, [0.0, -1.0])),
+    ),
+    (
+        MeasurementRecord,
+        "mode basis outcome",
+        (1, "p", -0.5),
+        (),
+        "MeasurementRecord(mode=1, basis='p', outcome=-0.5)",
+        (1, "q", "basis must be 'x' or 'p'"),
+        ((0, 2), (1, "x"), (2, 0.5)),
+    ),
+    (
+        FaceTable,
+        "shape faces signs",
+        ((1, 3), np.zeros((3, 1), dtype=int), np.ones((3, 1), dtype=int)),
+        (),
+        "FaceTable(shape=(1, 3), faces=array([[0],\n       [0],\n       [0]]), "
+        "signs=array([[1],\n       [1],\n       [1]]))",
+        (0, (0, 3), "face ranks must lie in"),
+        ((0, (2, 3)), (2, -np.ones((3, 1), dtype=int))),
+    ),
+    (
+        ChainComplex,
+        "N boundary",
+        (3, {k: face_table(3, k) for k in (0, 1, 2)}),
+        (),
+        "ChainComplex(N=3, boundary={0: FaceTable(shape=(1, 3), faces=array([[0],\n       [0],\n       [0]]), "
+        "signs=array([[1],\n       [1],\n       [1]])), 1: FaceTable(shape=(3, 3), faces=array([[1, 0],\n"
+        "       [2, 0],\n       [2, 1]]), signs=array([[ 1, -1],\n       [ 1, -1],\n       [ 1, -1]])), "
+        "2: FaceTable(shape=(3, 1), faces=array([[2, 1, 0]]), signs=array([[ 1, -1,  1]]))})",
+        (1, {0: face_table(3, 0), 1: face_table(3, 1), 2: FaceTable((3, 1), np.array([[2, 1, 0]]), np.ones((1, 3)))},
+         "not a chain complex"),
+        ((0, 4), (1, {k: FaceTable(t.shape, t.faces, -t.signs) for k, t in chain_complex(3).boundary.items()})),
+    ),
+    (
+        SpacetimePoint,
+        "t x",
+        (0, (1, -2)),
+        (),
+        "SpacetimePoint(t=0.0, x=(1.0, -2.0))",
+        (0, True, "coordinate 0 must be a number"),
+        ((0, 1), (1, (1, 2))),
+    ),
+    (
+        CausalDiamond,
+        "y z",
+        (_A, _B),
+        (),
+        "CausalDiamond(y=SpacetimePoint(t=0.0, x=(0.0,)), z=SpacetimePoint(t=1.0, x=(0.0,)))",
+        (1, SpacetimePoint(1, (2,)), "entry must causally precede its exit"),
+        ((1, SpacetimePoint(2, (0,))),),
+    ),
+    (
+        Configuration,
+        "start diamonds",
+        (_A, (CausalDiamond(_A, _B), CausalDiamond(_B, SpacetimePoint(2, (1,))))),
+        (),
+        "Configuration(start=SpacetimePoint(t=0.0, x=(0.0,)), diamonds=(CausalDiamond(y=SpacetimePoint(t=0.0, "
+        "x=(0.0,)), z=SpacetimePoint(t=1.0, x=(0.0,))), CausalDiamond(y=SpacetimePoint(t=1.0, x=(0.0,)), "
+        "z=SpacetimePoint(t=2.0, x=(1.0,)))))",
+        (1, (CausalDiamond(_A, _B),), "at least two diamonds"),
+        ((0, _B), (1, (CausalDiamond(_A, _B),) * 2)),
+    ),
+    (
+        Violation,
+        "kind diamonds",
+        ("unrelated-pair", (1, 2)),
+        (),
+        "Violation(kind='unrelated-pair', diamonds=(1, 2))",
+        None,
+        ((0, "start-unreachable"), (1, (1, 3))),
+    ),
+    (
+        ValidationReport,
+        "violations",
+        ((Violation("start-unreachable", (2,)),),),
+        (),
+        "ValidationReport(violations=(Violation(kind='start-unreachable', diamonds=(2,)),))",
+        None,
+        ((0, ()),),
+    ),
+    (
+        RunResult,
+        "state records labels",
+        (g.vacuum(1), {"m": g.MeasurementRecord(1, "x", 0.25)}, (1,)),
+        (),
+        "RunResult(state=GaussianState(n_modes=1), records={'m': MeasurementRecord(mode=1, basis='x', outcome=0.25)}, "
+        "labels=(1,))",
+        None,
+        ((0, g.vacuum(1)), (1, {}), (2, (2,))),
+    ),
+    (
+        Circuit,
+        "labels ops",
+        ((1, 2), (Swap(1, 2),)),
+        ((),),
+        "Circuit(labels=(1, 2), ops=(Swap(a=1, b=2),))",
+        (1, (Swap(1, 3),), "references wire 3"),
+        ((0, (1, 2, 3)), (1, ())),
+    ),
+    (
+        SweepSpec,
+        "r_min r_max steps errors alpha",
+        (0.5, 1.5, 3, ("E2", "E4"), 0.25j),
+        (0.0, 2.0, 9, ("E1", "E2", "E3", "E4"), 0j),
+        "SweepSpec(r_min=0.5, r_max=1.5, steps=3, errors=('E2', 'E4'), alpha=0.25j)",
+        (2, 0, "steps must be >= 1"),
+        ((0, 0.0), (1, 2.0), (2, 4), (3, ("E2",)), (4, 0j)),
+    ),
+    (
+        SweepResult,
+        "r simulated formula row_max_abs_dev max_abs_dev",
+        (np.array([0.0, 1.0]), np.array([[1.0, _NAN], [0.5, _NAN]]), np.array([[1.0, 1.0], [0.5, 0.5]]),
+         np.array([0.0, 0.0]), 0.0),
+        (),
+        "SweepResult(r=array([0., 1.]), simulated=array([[1. , nan],\n       [0.5, nan]]), "
+        "formula=array([[1. , 1. ],\n       [0.5, 0.5]]), row_max_abs_dev=array([0., 0.]), max_abs_dev=0.0)",
+        None,
+        ((0, np.array([0.0])), (1, np.array([[1.0, _NAN], [_NAN, 0.5]])), (3, np.array([0.0, _NAN])), (4, 1.0)),
+    ),
+    (
+        Displace,
+        "mode alpha",
+        (1, 0.5 - 0.25j),
+        (),
+        "Displace(mode=1, alpha=(0.5-0.25j))",
+        (1, complex(math.inf, 0.0), "displacement amplitude must be finite"),
+        ((0, 2), (1, 0.5j)),
+    ),
+]
+# the types whose == goes through a field that compares by identity (a GaussianState)
+_IDENTITY_FIELDS = {RunResult}
+_UNHASHABLE = {StabilizerCode, SymplecticMap, FaceTable, ChainComplex, RunResult, SweepResult}
+
+
+@pytest.mark.parametrize("cls, names, args, defaults, text, bad, changed", VALUES, ids=[row[0].__name__ for row in VALUES])
+def test_every_value_type_is_an_immutable_value(cls, names, args, defaults, text, bad, changed, monkeypatch):
+    # construction by position, by keyword and with defaults, no missing or
+    # unknown argument, == and hash over (type, fields), the repr, no
+    # assignment or deletion, and copies and pickles rebuilt through the
+    # constructor, so its checks run again
+    names = names.split()
+    assert list(inspect.signature(cls).parameters) == names
+    value = cls(*args)
+    assert repr(value) == text
+    assert cls(**dict(zip(names, args))) == value
+    required = len(args) - len(defaults)
+    assert repr(cls(*args[:required])) == repr(cls(*args[:required], *defaults))
+    calls = [((*args, None), {}), (args, {"unknown": None})] + ([(args[: required - 1], {})] if required else [])
+    for wrong_args, wrong_kwargs in calls:
+        with pytest.raises(TypeError):
+            cls(*wrong_args, **wrong_kwargs)
+
+    same = cls(*args)
+    assert same is not value and same == value and not same != value
+    assert value != tuple(args) and value.__eq__(tuple(args)) is NotImplemented
+    if cls in _UNHASHABLE:
+        with pytest.raises(TypeError):
+            hash(value)
+    else:
+        assert hash(same) == hash(value)
+    for i, other in changed:
+        differs = cls(*args[:i], other, *args[i + 1:])
+        assert differs != value and not differs == value
+    if bad is not None:
+        i, wrong, message = bad
+        with pytest.raises(ValueError, match=message):
+            cls(*args[:i], wrong, *args[i + 1:])
+
+    for key in (*names, "other"):
+        with pytest.raises(AttributeError):
+            setattr(value, key, args[0])
+    for key in names:
+        with pytest.raises(AttributeError):
+            delattr(value, key)
+    assert value == same and repr(value) == text
+
+    built, init = [], cls.__init__
+
+    def counted(self, *a, **k):
+        built.append(self)
+        init(self, *a, **k)
+
+    monkeypatch.setattr(cls, "__init__", counted)
+    pickles = (pickle.loads(pickle.dumps(value, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1))
+    clones = [copy.copy(value), copy.deepcopy(value), *pickles]
+    assert len(built) == len(clones) and all(map(operator.is_, built, clones))
+    for clone in clones:
+        assert type(clone) is cls and repr(clone) == text
+        assert clone == value or cls in _IDENTITY_FIELDS
+        if cls not in _UNHASHABLE:
+            assert hash(clone) == hash(value)
+
+
+def test_values_with_array_fields_compare_by_shape_and_entries():
+    # == on an array field once raised ValueError (the truth value of an
+    # array is ambiguous), and face tables, and so chain complexes, compared
+    # by identity; a sweep holds nan for the tags outside it
+    assert build_five_mode_code() == build_five_mode_code()
+    assert build_general_code(5) == build_general_code(5) != build_general_code(6)
+    S = SymplecticMap(np.eye(2), np.zeros(2))
+    assert S == SymplecticMap(np.eye(2), [0, 0]) != SymplecticMap(np.eye(4), np.zeros(4))
+    assert face_table(4, 1) == face_table(4, 1) != face_table(4, 2)
+    assert chain_complex(4) == chain_complex(4) != chain_complex(5)
+    spec = SweepSpec(steps=3, errors=("E2",))
+    sweep = fidelity_sweep(spec)
+    assert np.isnan(sweep.simulated).any() and sweep == fidelity_sweep(spec)
+    assert sweep != fidelity_sweep(SweepSpec(steps=3, errors=("E3",)))
+    assert sweep != fidelity_sweep(SweepSpec(steps=4, errors=("E2",)))
+    for value in (build_five_mode_code(), S, face_table(4, 1), chain_complex(4), sweep):
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(value)
+
+
+def test_fields_kept_out_of_a_value_are_kept_out():
+    # an edge basis's index and a code's blocks are neither compared nor
+    # printed; the index survives a copy, and a configuration still caches
+    # its causal relations
+    basis = edge_basis(4)
+    bare = EdgeBasis(basis.N, basis.edges)
+    assert bare == basis and hash(bare) == hash(basis) and repr(bare) == repr(basis) and bare._index == {}
+    for clone in (copy.copy(basis), copy.deepcopy(basis), pickle.loads(pickle.dumps(basis))):
+        assert clone.index(2, 4) == basis.index(2, 4) == 4
+    code = build_five_mode_code()
+    assert "_blocks" not in repr(code) and copy.copy(code)._blocks is not code._blocks
+    config = builtin_configuration("fig4")
+    assert config._causal is config._causal
+    assert validate(pickle.loads(pickle.dumps(config))) == validate(config)
 
 
 @pytest.mark.parametrize("spec", OPS.values(), ids=lambda spec: spec.tag)

@@ -119,6 +119,28 @@ def test_code_build_rejects_tiny_regions(capsys):
     assert rc == 2 and "expected 'five', 'six'" in err
 
 
+def test_only_verify_by_vertex_builds_an_edge_basis(capsys, monkeypatch):
+    # code build and verify each once built a basis nothing read: verify N
+    # builds the one its vertex patterns read, and nothing else builds one
+    built = []
+    edge_basis = codes.edge_basis
+    monkeypatch.setattr(codes, "edge_basis", lambda N: built.append(N) or edge_basis(N))
+    for argv, expected in [
+        (("verify", "6"), [6]),
+        (("verify", "5", "--homology"), [5]),
+        (("verify", "6", "--erase=1,2"), []),
+        (("verify", "five"), []),
+        (("code", "build", "6"), []),
+        (("code", "build", "six"), []),
+    ]:
+        built.clear()
+        rc, out, _ = run_cli(capsys, *argv)
+        assert rc == 0 and out and built == expected, argv
+    for argv in (("code", "build", "3"), ("verify", "3")):
+        rc, _, err = run_cli(capsys, *argv)
+        assert rc == 2 and err == "error: general code needs N >= 4, got 3\n"
+
+
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------

@@ -3,7 +3,9 @@
 import ast
 import importlib
 import importlib.util
+import os
 import pkgutil
+import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
@@ -78,6 +80,37 @@ def test_no_exported_name_shadows_a_submodule(package):
         if getattr(package, name, None) is not sys.modules.get(f"{package.__name__}.{name}")
     ]
     assert not shadowed, f"submodules shadowed by a package attribute: {shadowed}"
+
+
+def test_the_cli_imports_its_modules_and_no_dataclasses():
+    # A fresh ``import cvrep.cli`` loads every cvrep module and no
+    # ``dataclasses``: the value types share one base, and no import is
+    # deferred into a command, where it would only move the time it takes.
+    code = (
+        "import sys, numpy, argparse, json; base = 'dataclasses' in sys.modules; import cvrep.cli; "
+        "print(base, 'dataclasses' in sys.modules, *sorted(m for m in sys.modules if m.split('.')[0] == 'cvrep'))"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SOURCE.parent), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120, check=True)
+    base, with_cli, *modules = done.stdout.split()
+    assert with_cli == base
+    assert modules == [
+        "cvrep",
+        "cvrep._introws",
+        "cvrep._value",
+        "cvrep.circuits",
+        "cvrep.circuits.interpreter",
+        "cvrep.circuits.ir",
+        "cvrep.circuits.recovery",
+        "cvrep.circuits.rules",
+        "cvrep.circuits.synthesis",
+        "cvrep.cli",
+        "cvrep.codes",
+        "cvrep.gaussian",
+        "cvrep.homology",
+        "cvrep.replication",
+        "cvrep.tolerances",
+    ]
 
 
 def test_every_traced_benchmark_name_resolves():
