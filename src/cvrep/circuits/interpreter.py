@@ -28,6 +28,8 @@ and feeding it forward.
 
 from __future__ import annotations
 
+from itertools import cycle
+
 import numpy as np
 
 from .._value import Value
@@ -95,9 +97,12 @@ def _not_positional(kind) -> TypeError:
     return TypeError(f"{kind.cls.__name__} does not map positions to positions alone")
 
 
-def _mixes(blocks: np.ndarray, k: int) -> bool:
-    """Whether a 2k x 2k block, or any in a stack of them, maps x to p or p to x."""
-    return bool(np.count_nonzero(blocks[..., :k, k:]) or np.count_nonzero(blocks[..., k:, :k]))
+def _first_mixing(blocks: np.ndarray, k: int) -> int | None:
+    """The index of the first 2k x 2k block in a stack that maps x to p or p to x, or None."""
+    xp, px = blocks[:, :k, k:], blocks[:, k:, :k]
+    if not (np.count_nonzero(xp) or np.count_nonzero(px)):  # the usual case, tested whole
+        return None
+    return int(((xp != 0).any(axis=(1, 2)) | (px != 0).any(axis=(1, 2))).argmax())
 
 
 def _fold_positions(columns: _Columns) -> np.ndarray:
@@ -105,56 +110,63 @@ def _fold_positions(columns: _Columns) -> np.ndarray:
 
     It reads the four columns (``ir._columns`` gives a ``Circuit``'s):
     each op's block comes from its kind's row in the op table, as in
-    ``_fold``, and only its x part is applied.  The table's QND block is
-    evaluated once for the whole circuit, on the vector of every QND's
-    gain.  A run of consecutive QNDs with one control leaves that control's
-    row alone, so the whole run is one rank-1 update of its targets' rows,
-    each by the gain in its block's x part.  Targets that are a contiguous
-    range of rows, ascending or descending (as the elimination's dense
-    columns give), are updated through one basic slice, its gains in
-    ascending row order; other distinct targets through an index array,
-    and a run that repeats a target through ``np.add.at``.  Every other op
-    is applied on its own, through a slice of its row if it has one wire,
-    and its block is built once per distinct kind and value in this call.
-    Raises TypeError on an op with a shift, without a block
-    (measurement, feedforward, discard) or whose block mixes x and p.  The
-    QND stack is tested for mixing once, before the fold; every other
-    block when it is first built, so the error names the first such op in
-    circuit order.
+    ``_fold``, and only its x part is applied.  There is one block stack
+    per kind: the kind's block is evaluated once per fold, on the array of
+    its ops' values (a kind with no value has one block, which all its ops
+    share), and the stack is tested for x/p mixing once.  A run of
+    consecutive QNDs with one control leaves that control's row alone, so
+    the whole run is one rank-1 update of its targets' rows, each by the
+    gain in its block's x part.  Targets that are a contiguous range of
+    rows, ascending or descending (as the elimination's dense columns
+    give), are updated through one basic slice, its gains in ascending row
+    order; other distinct targets through an index array, and a run that
+    repeats a target through ``np.add.at``.  Every other op is applied on
+    its own, through a slice of its row if it has one wire.  Raises
+    TypeError, before the fold, naming the first op in circuit order that
+    has a shift, has no block (measurement, feedforward, discard) or whose
+    block mixes x and p.
     """
     labels, kinds, a, b, values = columns
     index = {label: i for i, label in enumerate(labels)}
     X = np.eye(len(index))
     qnd = OPS[Qnd]
-    at = [i for i, kind in enumerate(kinds) if kind is qnd]
-    qnd_blocks = qnd.block(np.array([values[i] for i in at], dtype=float))
-    if _mixes(qnd_blocks, 2):
-        raise _not_positional(qnd)
-    gains = qnd_blocks[:, 1, 0]
-    targets = [index[b[i]] for i in at]
-    target_rows = np.array(targets, dtype=np.intp)  # an index array: a list costs a conversion per use
-    gates = {}  # (kind, repr of value) -> the block's x part
+    at = {kind: [] for kind in dict.fromkeys(kinds)}  # each kind's positions, kinds in first-appearance order
+    for i, kind in enumerate(kinds):
+        at[kind].append(i)
+    gates = {}  # kind -> the x parts of its blocks, one per op
+    culprits = {}  # kind -> its first op that does not map positions alone
+    for kind, ops in at.items():
+        if kind.shift is not None or kind.block is None:
+            culprits[kind] = ops[0]
+            continue
+        if values[ops[0]] is None:  # no value: one block, which every op of the kind shares
+            blocks = kind.block()[None]
+        else:
+            blocks = kind.block(np.array([values[i] for i in ops], dtype=float))
+        k = blocks.shape[-1] // 2
+        first = _first_mixing(blocks, k)
+        if first is not None:
+            culprits[kind] = ops[first]
+        gates[kind] = blocks[:, :k, :k]
+    if culprits:
+        raise _not_positional(min(culprits, key=culprits.get))
+    if qnd in gates:
+        gains = gates.pop(qnd)[:, 1, 0]
+        targets = [index[b[i]] for i in at[qnd]]
+        target_rows = np.array(targets, dtype=np.intp)  # an index array: a list costs a conversion per use
+    gates = {kind: cycle(x) for kind, x in gates.items()}  # in circuit order; a shared block repeats
     done = 0  # QNDs applied so far
     i = 0
     while i < len(kinds):
         kind = kinds[i]
         if kind is not qnd:
-            value = values[i]
-            key = (kind, repr(value))  # repr keeps -0.0 apart from 0.0
-            if key not in gates:
-                if kind.shift is not None or kind.block is None:
-                    raise _not_positional(kind)
-                block = kind.block() if value is None else kind.block(value)
-                k = len(block) // 2
-                if _mixes(block, k):
-                    raise _not_positional(kind)
-                gates[key] = block[:k, :k]
+            gate = next(gates[kind])
             m = index[a[i]]
             if b[i] is None:  # basic indexing: the same matmul on a view of the row
-                X[m : m + 1] = gates[key] @ X[m : m + 1]
+                X[m : m + 1] = gate @ X[m : m + 1]
             else:
                 modes = [m, index[b[i]]]
-                X[modes] = gates[key] @ X[modes]
+                X[modes] = gate @ X[modes]
             i += 1
             continue
         control = a[i]

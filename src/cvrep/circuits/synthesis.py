@@ -47,11 +47,11 @@ Every result is checked against its own target matrix before being
 returned, so a successful call is self-certifying; its limit scales with
 max|A|.  The check never replays the elimination: it folds the columns'
 x rows from the op table's gate blocks (the interpreter's
-``_fold_positions``: every QND block in one call of the table's block,
-one rank-1 update per run of QNDs sharing a control, through one slice
-when its targets are a contiguous range, and each other distinct gate's
-block built once) and compares them with A, as
-``deviation`` does for any ``Circuit``.
+``_fold_positions``: one block stack per kind, from one call of the
+kind's table block on its ops' values, and one rank-1 update per run of
+QNDs sharing a control, through one slice when its targets are a
+contiguous range) and compares them with A, as ``deviation`` does for
+any ``Circuit``.
 
 An entry counts as zero at ``_ZERO`` times its row's size: the row's
 largest entry in A, times every factor the row has since been scaled by.

@@ -213,10 +213,12 @@ def cmd_synth(args) -> int:
         pivot_rows = REFERENCE_PIVOT_ROWS.get(args.error)
     else:
         try:
-            with warnings.catch_warnings():
+            # a file object: given a name, loadtxt would also try it as a URL
+            # and under compressed names
+            with open(args.matrix) as fh, warnings.catch_warnings():
                 # a file without entries is reported below, not as a NumPy warning
                 warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-                A = np.loadtxt(args.matrix, ndmin=2)
+                A = np.loadtxt(fh, ndmin=2)
         except OSError as exc:
             return _fail_usage(f"cannot read matrix file: {exc}")
         except ValueError as exc:

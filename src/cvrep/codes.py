@@ -87,17 +87,18 @@ __all__ = [
 
 
 class EdgeBasis(Value):
-    """Ordered edge set of K_N: pairs (j, k), 1 <= j < k <= N, lexicographic."""
+    """Ordered edge set of K_N: pairs (j, k), 1 <= j < k <= N, lexicographic.
+
+    ``_index`` maps each edge to its position; without one it is derived
+    from ``edges``.
+    """
 
     __slots__ = ("N", "edges", "_index")
 
     def __init__(self, N: int, edges: tuple[tuple[int, int], ...], _index: dict | None = None):
         object.__setattr__(self, "N", N)
         object.__setattr__(self, "edges", edges)
-        object.__setattr__(self, "_index", {} if _index is None else _index)
-
-    def __reduce__(self):
-        return EdgeBasis, (self.N, self.edges, self._index)
+        object.__setattr__(self, "_index", {e: i for i, e in enumerate(edges)} if _index is None else _index)
 
     @property
     def n_edges(self) -> int:
@@ -118,9 +119,7 @@ class EdgeBasis(Value):
 def edge_basis(N: int) -> EdgeBasis:
     if N < 3:
         raise ValueError(f"need at least 3 vertices, got {N}")
-    edges = tuple((j, k) for j, k in combinations(range(1, N + 1), 2))
-    index = {e: i for i, e in enumerate(edges)}
-    return EdgeBasis(N, edges, index)
+    return EdgeBasis(N, tuple(combinations(range(1, N + 1), 2)))
 
 
 def _edge_ends(N: int) -> tuple[np.ndarray, np.ndarray]:

@@ -13,6 +13,10 @@ symplectic gate is written down once, as a block function (``qnd_block``,
 the two-mode squeezer, as its e^{r} and e^{-r} terms, which the circuit op
 table ``circuits.ir.OPS`` names; the one engine that applies gates is the
 circuit interpreter (``_fold``), so there are no gate functions here.
+Every block function that takes a parameter broadcasts: an array of
+parameters gives one block per entry, shape ``param.shape + (2k, 2k)``,
+each byte for byte the block of that entry alone, so the position check
+builds each kind's blocks in one call.
 One rule conditions a state on a measured quadrature, ``_condition``, which
 ``homodyne`` and the interpreter's ``run`` share.
 """
@@ -240,13 +244,26 @@ def displacement(re: float, im: float) -> np.ndarray:
     return np.sqrt(2.0) * np.array([re, im])
 
 
-def squeeze_block(factor: float) -> np.ndarray:
-    return np.array([[factor, 0.0], [0.0, 1.0 / factor]])
+def squeeze_block(factor) -> np.ndarray:
+    """x *= factor and p /= factor."""
+    factor = np.asarray(factor, dtype=float)
+    block = np.zeros(factor.shape + (2, 2))
+    block[..., 0, 0] = factor
+    with np.errstate(over="ignore"):  # 1/factor of a subnormal factor is inf, as in float division
+        block[..., 1, 1] = 1.0 / factor
+    return block
 
 
-def phase_block(phi: float) -> np.ndarray:
+def phase_block(phi) -> np.ndarray:
+    """A rotation of (x, p) by phi."""
+    phi = np.asarray(phi, dtype=float)
     c, s = np.cos(phi), np.sin(phi)
-    return np.array([[c, -s], [s, c]])
+    block = np.empty(phi.shape + (2, 2))
+    block[..., 0, 0] = c
+    block[..., 0, 1] = -s
+    block[..., 1, 0] = s
+    block[..., 1, 1] = c
+    return block
 
 
 # Exact quarter/half-turn blocks: these appear inside algebraic rewrite
@@ -268,12 +285,7 @@ _EYE4 = np.eye(4)
 
 
 def qnd_block(gain) -> np.ndarray:
-    """x_t += gain x_c and p_c -= gain p_t, over (x_c, x_t, p_c, p_t).
-
-    Broadcasts: an array of gains gives one block per gain, shape
-    ``gain.shape + (4, 4)``, as the position check reads every QND of a
-    circuit in one call.
-    """
+    """x_t += gain x_c and p_c -= gain p_t, over (x_c, x_t, p_c, p_t)."""
     gain = np.asarray(gain, dtype=float)
     block = np.empty(gain.shape + (4, 4))
     block[...] = _EYE4
@@ -287,17 +299,22 @@ def beam_splitter_pm_block() -> np.ndarray:
     return np.array([[h, h, 0.0, 0.0], [h, -h, 0.0, 0.0], [0.0, 0.0, h, h], [0.0, 0.0, h, -h]])
 
 
+_SWAP = np.eye(4)[[1, 0, 3, 2]]
+
+
 def swap_block() -> np.ndarray:
-    return np.eye(4)[[1, 0, 3, 2]]
+    return _SWAP.copy()
 
 
-# Over (x_a, x_b, p_a, p_b): the projector onto x_a + x_b and p_a - p_b.
+# Over (x_a, x_b, p_a, p_b): the projector onto x_a + x_b and p_a - p_b, and its complement.
 _PAIRED = np.array([[1.0, 1.0, 0.0, 0.0], [1.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, -1.0], [0.0, 0.0, -1.0, 1.0]]) / 2
+_UNPAIRED = _EYE4 - _PAIRED
 
 
-def two_mode_squeeze_terms(r: float) -> tuple:
+def two_mode_squeeze_terms(r) -> tuple:
     """e^{r} times ``_PAIRED`` and e^{-r} times its complement: the two-mode squeezer's block is their sum."""
-    return np.exp(r) * _PAIRED, np.exp(-r) * (_EYE4 - _PAIRED)
+    r = np.asarray(r, dtype=float)[..., None, None]
+    return np.exp(r) * _PAIRED, np.exp(-r) * _UNPAIRED
 
 
 # ---------------------------------------------------------------------------

@@ -317,7 +317,7 @@ VALUES = [
         EdgeBasis,
         "N edges _index",
         (3, ((1, 2), (1, 3), (2, 3)), {(1, 2): 0, (1, 3): 1, (2, 3): 2}),
-        ({},),
+        (None,),
         "EdgeBasis(N=3, edges=((1, 2), (1, 3), (2, 3)))",
         None,
         ((0, 4), (1, ((1, 2),))),
@@ -563,11 +563,12 @@ def test_values_with_array_fields_compare_by_shape_and_entries():
 
 def test_fields_kept_out_of_a_value_are_kept_out():
     # an edge basis's index and a code's blocks are neither compared nor
-    # printed; the index survives a copy, and a configuration still caches
-    # its causal relations
+    # printed; a basis given no index derives it from its edges, the index
+    # survives a copy, and a configuration still caches its causal relations
     basis = edge_basis(4)
     bare = EdgeBasis(basis.N, basis.edges)
-    assert bare == basis and hash(bare) == hash(basis) and repr(bare) == repr(basis) and bare._index == {}
+    assert bare == basis and hash(bare) == hash(basis) and repr(bare) == repr(basis) and bare.index(2, 4) == 4
+    assert bare.index(1, 2) == 0 and bare.signed_unit(4, 3) == (basis.n_edges - 1, -1)
     for clone in (copy.copy(basis), copy.deepcopy(basis), pickle.loads(pickle.dumps(basis))):
         assert clone.index(2, 4) == basis.index(2, 4) == 4
     code = build_five_mode_code()

@@ -579,6 +579,60 @@ def test_synth_file_errors_are_usage_errors(capsys, tmp_path):
     assert rc == 2 and "square" in err
 
 
+def test_synth_reads_only_the_named_file(capsys, tmp_path):
+    # a name is a plain path: no compressed variant stands in for it
+    path = tmp_path / "m.txt"
+    np.savetxt(tmp_path / "m.txt.gz", np.eye(2))
+    rc, out, err = run_cli(capsys, "synth", "--matrix", str(path))
+    assert (rc, out) == (2, "")
+    assert err == f"error: cannot read matrix file: [Errno 2] No such file or directory: {str(path)!r}\n"
+
+    rc, out, err = run_cli(capsys, "synth", "--matrix", str(tmp_path))
+    assert (rc, out) == (2, "") and err.startswith("error: cannot read matrix file: ")
+
+
+_MATRIX_TEXTS = {
+    "comments": "# a 2x2 matrix\n1 2 # first row\n#\n3 4\n",
+    "blank lines": "\n1 2\n\n   \n3 4\n\n",
+    "crlf": "1 2\r\n3 4\r\n",
+    "tabs": "1\t2\n\t3 \t4\n",
+    "one row": "1 2 3\n",
+    "one value": "2.5\n",
+    "%.17g": "".join(
+        " ".join("%.17g" % v for v in row) + "\n" for row in np.random.default_rng(2).normal(size=(3, 3)) * 1e3
+    ),
+}
+
+
+@pytest.mark.parametrize("text", _MATRIX_TEXTS.values(), ids=_MATRIX_TEXTS)
+def test_synth_reads_a_matrix_file_as_loadtxt_reads_its_name(tmp_path, monkeypatch, text):
+    path = tmp_path / "m.txt"
+    path.write_bytes(text.encode())
+    loadtxt, read = np.loadtxt, []
+
+    def spy(*args, **kwargs):
+        read.append(loadtxt(*args, **kwargs))
+        return read[-1]
+
+    monkeypatch.setattr(np, "loadtxt", spy)
+    main(["synth", "--matrix", str(path)])
+    monkeypatch.undo()
+    want = np.loadtxt(str(path), ndmin=2)
+    assert len(read) == 1
+    assert (read[0].dtype, read[0].shape, read[0].tobytes()) == (want.dtype, want.shape, want.tobytes())
+
+
+def test_synth_reports_a_comment_only_file_with_no_warning_under_w_error(tmp_path):
+    path = tmp_path / "m.txt"
+    path.write_text("# nothing here\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(cvrep.__file__).parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "cvrep", "synth", f"--matrix={path}"],
+        capture_output=True, text=True, env=env,
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (2, "", "error: matrix file holds no entries\n")
+
+
 @pytest.mark.parametrize("text", ["", "\n  \n", "# comment only\n"], ids=["empty", "blank", "comment"])
 def test_synth_empty_matrix_file_is_one_usage_error(capsys, tmp_path, text):
     path = tmp_path / "empty.txt"

@@ -230,15 +230,22 @@ def test_qnd_block_is_a_fresh_array_each_call():
     np.testing.assert_array_equal(g.qnd_block(1.5), [[1, 0, 0, 0], [1.5, 1, 0, 0], [0, 0, 1, -1.5], [0, 0, 0, 1]])
 
 
-def test_qnd_block_broadcasts_over_an_array_of_gains():
-    gains = np.array([[1.5, -0.25, 0.0], [3.0, -1.0, 1e-300]])
-    blocks = g.qnd_block(gains)
-    assert blocks.shape == (2, 3, 4, 4)
-    for index in np.ndindex(gains.shape):
-        np.testing.assert_array_equal(blocks[index], g.qnd_block(float(gains[index])))
-    assert g.qnd_block(np.array([])).shape == (0, 4, 4)
-    # a 0-d gain, or a gain given as an int, is one block
-    np.testing.assert_array_equal(g.qnd_block(np.float64(2.0)), g.qnd_block(2))
+@pytest.mark.parametrize(
+    "block",
+    [g.qnd_block, g.squeeze_block, g.phase_block, lambda r: np.stack(g.two_mode_squeeze_terms(r), -3)],
+    ids=["qnd", "squeeze", "phase", "two-mode squeeze terms"],
+)
+def test_each_block_stack_is_its_per_value_blocks_byte_for_byte(block):
+    values = np.array([[1.5, -0.25, 0.0], [-0.0, 3.0, 1e-300], [-2.0, 0.7, 41.0], [np.pi, -np.pi / 2, 1e-8]])
+    if block is g.squeeze_block:
+        values[values == 0.0] = 0.5  # a squeeze factor is not zero
+    stack = block(values)
+    one = block(0.3)
+    assert stack.shape == values.shape + one.shape and stack.dtype == one.dtype == float
+    for index in np.ndindex(values.shape):
+        assert stack[index].tobytes() == block(float(values[index])).tobytes()
+    assert block(np.array([])).shape == (0, *one.shape)
+    assert block(np.float64(2.0)).tobytes() == block(2).tobytes() == block(2.0).tobytes()
 
 
 def test_qnd_block_is_symplectic():

@@ -348,33 +348,51 @@ def test_every_fold_reads_the_other_gate_blocks_from_the_op_table(monkeypatch):
     assert deviation(circuit, A) <= TOL.synthesis
 
 
-def test_a_fold_builds_each_distinct_gate_block_once(monkeypatch):
+def test_a_fold_builds_one_block_stack_per_kind(monkeypatch):
+    # each kind's block is called once per fold, on its ops' values in
+    # circuit order, and the kinds come in order of first appearance
     built = []
-    for cls in (Swap, SqueezeFactor, PhaseShift):
+    for cls in (Qnd, Swap, SqueezeFactor, PhaseShift):
         spec = OPS[cls]
 
         def block(*params, honest=spec.block, cls=cls):
-            built.append((cls, params))
-            return honest(*params)
+            blocks = honest(*params)
+            built.append((cls, tuple(map(repr, np.atleast_1d(*params).tolist())) if params else (), blocks))
+            return blocks
 
         monkeypatch.setattr(spec, "block", block)
     ops = (
         Swap(1, 2), SqueezeFactor(1, 2.0), Swap(2, 3), SqueezeFactor(3, 2.0), Qnd(1, 3, 0.5),
-        Swap(1, 3), SqueezeFactor(2, -0.5), PhaseShift(1, 0.0), PhaseShift(2, -0.0),
+        Swap(1, 3), SqueezeFactor(2, -0.5), PhaseShift(1, 0.0), PhaseShift(2, -0.0), Qnd(2, 1, -1.5),
     )
     circuit = Circuit((1, 2, 3), ops)
     target = x_block(circuit)
-    for _ in range(2):  # the blocks last one fold
+    for _ in range(2):  # the stacks last one fold
         built.clear()
         assert deviation(circuit, target) == 0.0
-        # -0.0 and 0.0 are equal, but their blocks differ in the sign of a zero
-        assert [(cls, tuple(map(repr, params))) for cls, params in built] == [
+        assert [(cls, params) for cls, params, _ in built] == [
             (Swap, ()),
-            (SqueezeFactor, ("2.0",)),
-            (SqueezeFactor, ("-0.5",)),
-            (PhaseShift, ("0.0",)),
-            (PhaseShift, ("-0.0",)),
+            (SqueezeFactor, ("2.0", "2.0", "-0.5")),
+            (Qnd, ("0.5", "-1.5")),
+            (PhaseShift, ("0.0", "-0.0")),
         ]
+        # -0.0 and 0.0 are equal, but their blocks differ in the sign of a zero
+        phases = built[-1][2]
+        assert phases.shape == (2, 2, 2) and phases[0].tobytes() != phases[1].tobytes()
+
+
+def test_a_mixing_qnd_is_named_in_circuit_order_too(monkeypatch):
+    honest = OPS[Qnd].block
+
+    def mixing(gain):
+        blocks = honest(gain)
+        blocks[..., 0, 2] = 1.0  # x_c picks up p_c
+        return blocks
+
+    monkeypatch.setattr(OPS[Qnd], "block", mixing)
+    for ops, culprit in [((Fourier(1), Qnd(1, 2, 1.0)), "Fourier"), ((Qnd(1, 2, 1.0), Fourier(1)), "Qnd")]:
+        with pytest.raises(TypeError, match=f"^{culprit} does not map positions"):
+            deviation(Circuit((1, 2), ops), np.eye(2))
 
 
 # ---------------------------------------------------------------------------
@@ -488,6 +506,14 @@ def test_the_position_fold_is_the_per_op_fold_bit_for_bit(shape, labels):
         assert np.array_equal(folded, per_op_fold(circuit))
 
 
+def test_deviation_takes_a_squeeze_whose_inverse_leaves_float_range():
+    # only the x part is applied; the p part's 1/factor overflows to inf, with no warning
+    circuit = Circuit((1, 2), (SqueezeFactor(1, 1e-310), Qnd(1, 2, 2.0)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert deviation(circuit, [[1e-310, 0.0], [2e-310, 1.0]]) == 0.0
+
+
 def test_deviation_applies_every_gain_of_a_repeated_target():
     circuit = Circuit((1, 2), (Qnd(1, 2, 1.0), Qnd(1, 2, 2.0)))
     assert deviation(circuit, [[1.0, 0.0], [3.0, 1.0]]) == 0.0
@@ -528,6 +554,10 @@ def test_deviation_accepts_every_point_transform_op():
         ((Qnd(1, 2, 1.0), PhaseShift(2, 0.3), Fourier(1), Displace(1, 0.5)), "PhaseShift"),
         ((Swap(1, 2), Fourier(1), Discard(2)), "Fourier"),
         ((SqueezeFactor(1, 2.0), Displace(2, 0.5), InverseFourier(1)), "Displace"),
+        # a kind whose first op maps positions alone and a later one mixes
+        ((PhaseShift(1, 0.0), Fourier(2), PhaseShift(1, 0.3)), "Fourier"),
+        ((PhaseShift(1, 0.0), PhaseShift(2, 0.3), Fourier(1)), "PhaseShift"),
+        ((PhaseShift(1, -0.0), Qnd(1, 2, 1.0), Measure(2, "x", "m"), PhaseShift(1, 0.3)), "Measure"),
     ],
 )
 def test_deviation_rejects_ops_that_do_not_map_positions_alone(ops, culprit):
