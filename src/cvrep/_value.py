@@ -16,8 +16,8 @@ class Value:
     The fields are the class's public ``__slots__``, in constructor order;
     a private slot holds what is derived from them or kept out of the value
     (``__dict__``, for a ``cached_property``).  The subclass's ``__init__``
-    runs the type's checks and sets each slot past the ``__setattr__`` that
-    refuses assignment, through ``object.__setattr__`` or the slot itself.
+    runs the type's checks and sets the fields in one ``_set`` call, past
+    the ``__setattr__`` that refuses assignment, as the op table's do.
     ``==`` goes by the type and the fields, ``hash`` by the same, so a type
     with an array or a dict field is unhashable, and ``repr`` prints the
     fields, as in ``Qnd(control=1, target=2, gain=0.5)``.  A field can be
@@ -29,6 +29,11 @@ class Value:
 
     def __init_subclass__(cls):
         cls._fields = tuple(name for name in cls.__slots__ if not name.startswith("_"))
+
+    def _set(self, *values) -> None:
+        """Set the fields to ``values``, in ``__slots__`` order."""
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
 
     def _values(self) -> tuple:
         return tuple(map(self.__getattribute__, self._fields))

@@ -224,9 +224,7 @@ class RunResult(Value):
     __slots__ = ("state", "records", "labels")
 
     def __init__(self, state: GaussianState, records: dict, labels: tuple[int, ...]):
-        object.__setattr__(self, "state", state)
-        object.__setattr__(self, "records", records)
-        object.__setattr__(self, "labels", labels)
+        self._set(state, records, labels)
 
 
 def run(

@@ -14,10 +14,11 @@ text tag, its ``key=value`` fields in constructor order, each with a
 ``Kind`` that reads, writes and checks it, and, for unitary ops, its gate
 block from :mod:`cvrep.gaussian`.  The row builds the class itself (only
 ``Displace``, whose two real fields are one complex amplitude, is written
-by hand): its slots, and an ``__init__`` that sets them and runs their
-checks.  Constructing, serializing and parsing an op, and the
-interpreter's ``run``, ``symplectic_of`` and position check
-``_fold_positions`` all read that one entry.
+by hand): its slots, and an ``__init__``, a closure over the row, that
+runs the fields' checks and sets them; no code is generated.
+Constructing, serializing and parsing an op, and the interpreter's
+``run``, ``symplectic_of`` and position check ``_fold_positions`` all
+read that one entry.
 
 A circuit of ops with at most two wires and one other field, as every
 circuit synthesis emits, can also be held as columns (``_Columns``): per
@@ -25,7 +26,7 @@ op its row in ``OPS``, its wires and that field's value.  Synthesis builds
 them with no op objects, and the position fold reads them.  ``_columns``
 gives a ``Circuit``'s columns, ``_circuit`` the checked ``Circuit`` that
 columns hold, and ``_serialize_columns`` the text ``serialize`` gives for
-it, in one ``%`` call of the templates its kinds' rows compile.
+it, in one ``%`` call of its kinds' row templates.
 
 Serialization is line-oriented text, one op per line, after a ``MODES``
 header naming the wires (optional on input: without it the wires are 1 to
@@ -38,6 +39,7 @@ reproduces the circuit bit-for-bit, the sign of a zero included.
 from __future__ import annotations
 
 import re
+from inspect import Parameter, Signature
 from math import isfinite
 from operator import attrgetter
 from typing import Callable, NamedTuple
@@ -79,8 +81,7 @@ class Displace(Value):
     def __init__(self, mode, alpha):
         if not _is_label(mode):
             raise ValueError(f"Displace.mode must be an integer, got {mode!r}")
-        object.__setattr__(self, "mode", mode)
-        object.__setattr__(self, "alpha", g._amplitude(alpha))
+        self._set(mode, g._amplitude(alpha))
 
 
 # ---------------------------------------------------------------------------
@@ -105,15 +106,15 @@ def _fmt(v: float) -> str:
 class Kind(NamedTuple):
     """A field kind: how a field reads from and writes to text, and its check.
 
-    ``bad`` is a Python condition on ``{0}``, the value, true when it is
-    invalid; ``must`` says what a valid one is.  A wire is an int or a
-    NumPy integer, not a bool, so that its text parses back to it;
-    ``_init`` also tests that it differs from the op's earlier wires.
+    ``bad`` is a predicate on the value, true when it is invalid; ``must``
+    says what a valid one is.  A wire is an int or a NumPy integer, not a
+    bool, so that its text parses back to it; ``_init`` also tests that it
+    differs from the op's earlier wires.
     """
 
     read: Callable[[str], object]  # its text -> the value
     write: Callable[[object], str] | None  # the value -> its text; None: as an f-string prints it
-    bad: str
+    bad: Callable[[object], bool]
     must: str
 
 
@@ -125,11 +126,11 @@ def _is_label(value) -> bool:
     return type(value) is int or isinstance(value, integer)
 
 
-WIRE = Kind(int, None, "not _is_label({0})", "must be an integer")
-REAL = Kind(float, _fmt, "not isfinite({0})", "must be finite")
-NONZERO = Kind(float, _fmt, "{0} == 0 or not isfinite({0})", "must be finite and nonzero")
-QUADRATURE = Kind(str, None, "{0} not in ('x', 'p')", "must be 'x' or 'p'")
-REGISTER = Kind(str, None, "not _identifier({0})", "must be an identifier")
+WIRE = Kind(int, None, lambda v: not _is_label(v), "must be an integer")
+REAL = Kind(float, _fmt, lambda v: not isfinite(v), "must be finite")
+NONZERO = Kind(float, _fmt, lambda v: v == 0 or not isfinite(v), "must be finite and nonzero")
+QUADRATURE = Kind(str, None, lambda v: v not in ("x", "p"), "must be 'x' or 'p'")
+REGISTER = Kind(str, None, lambda v: not _identifier(v), "must be an identifier")
 
 
 def _field(kind: Kind):
@@ -148,59 +149,42 @@ def _getter(attrs: tuple[str, ...]) -> Callable[[object], tuple]:
     return get if len(attrs) > 1 else lambda op: (get(op),)
 
 
-def _init(cls, fields) -> Callable:
-    """The op type's ``__init__``: it sets each field, then runs the field's test from its kind.
+def _init(name: str, fields) -> Callable:
+    """The op type's ``__init__``: it takes the fields by position or by keyword, checks them and sets them.
 
-    Straight-line code costs what hand-written code does; a loop over the
-    fields would cost each op about half again its construction time, and
-    ``synthesize`` constructs thousands per matrix.  Each field is set
-    through its slot, past the ``__setattr__`` that refuses assignment.
+    The checks run in field order: the field's kind's ``bad``, then, for a
+    wire, that it differs from each earlier wire.  The first that fails
+    raises ValueError, naming the field and its value.
     """
-    name, attrs, wires = cls.__name__, [attr for _, attr, _ in fields], []
-    lines = [f"def __init__(self, {', '.join(attrs)}):", *(f"    set_{attr}(self, {attr})" for attr in attrs)]
-    for _, attr, kind in fields:
-        tests = [(kind.bad.format(attr), kind.must)]
-        if kind is WIRE:
-            tests += [(f"{attr} == {other}", f"must differ from {name}.{other}") for other in wires]
-            wires.append(attr)
-        for bad, must in tests:
-            lines.append(f"    if {bad}: raise ValueError({f'{name}.{attr} {must}, got '!r} + repr({attr}))")
-    namespace = {"isfinite": isfinite, "_identifier": _identifier, "_is_label": _is_label}
-    namespace.update((f"set_{attr}", getattr(cls, attr).__set__) for attr in attrs)
-    exec("\n".join(lines), namespace)
-    return namespace["__init__"]
+    signature = Signature([Parameter(p, Parameter.POSITIONAL_OR_KEYWORD) for p in ("self", *(a for _, a, _ in fields))])
+
+    def __init__(self, *args, **kwargs):
+        values = signature.bind(self, *args, **kwargs).args[1:]
+        for i, (value, (_, attr, kind)) in enumerate(zip(values, fields)):
+            if kind.bad(value):
+                raise ValueError(f"{name}.{attr} {kind.must}, got {value!r}")
+            for (_, other, other_kind), earlier in zip(fields[:i], values):
+                if kind is other_kind is WIRE and value == earlier:
+                    raise ValueError(f"{name}.{attr} must differ from {name}.{other}, got {value!r}")
+        self._set(*values)
+
+    __init__.__signature__ = signature
+    return __init__
 
 
-def _compile(tag: str, fields, slots, make) -> tuple[Callable, tuple | None, Callable]:
-    """``line(op)``; and ``row_templates`` and ``row_make`` of a column row ``(a, b, value)``.
+def _row_templates(tag: str, fields, slots) -> tuple[str, str] | None:
+    """The ``%`` templates of the line of the op a column row ``(a, b, value)`` holds.
 
-    Each is compiled from the row: field i is read from ``op`` by its
-    attribute, or from the row's slot ``slots[i]``.  ``line`` gives the
-    op's text in one f-string, each value written by its kind (a
-    ``str.format`` call per line would parse its template every time: a
-    quarter of the time to write a circuit of thousands of ops), and
-    ``row_make`` builds the op with ``make``.  ``row_templates`` is the
-    same line as a ``%`` template that takes the row's three slots in
-    order, one per conversion in ``_CONVERSIONS``: a field ``_fmt`` writes
-    takes that conversion, any other ``%s``, as an f-string prints it, and
-    a slot no field reads ``%.0s``, which writes nothing.  So
-    ``_serialize_columns`` writes a whole circuit in one ``%`` call.  It is
-    None for a row whose fields do not take the slots in order (a
+    Field i reads the row's slot ``slots[i]``.  The line takes the row's
+    three slots in order, one template per conversion in ``_CONVERSIONS``:
+    a field ``_fmt`` writes takes that conversion, any other ``%s``, as an
+    f-string prints it, and a slot no field reads ``%.0s``, which writes
+    nothing.  So ``_serialize_columns`` writes a whole circuit in one ``%``
+    call.  None for a row whose fields do not take the slots in order (a
     displacement's two reals, a measurement's basis and register), where a
     column row keeps None for the op's value, or that a writer other than
     ``_fmt`` writes: no such row is written from columns.
     """
-    namespace = {"make": make, **{f"write{i}": kind.write for i, (_, _, kind) in enumerate(fields)}}
-    parts = [tag]
-    for i, (key, attr, kind) in enumerate(fields):
-        parts.append(f"{key}={{{f'op.{attr}' if kind.write is None else f'write{i}(op.{attr})'}}}")
-    row = [("a", "b", "value")[slot] for slot in slots]
-    exec(
-        f"def line(op): return f{' '.join(parts)!r}\n"
-        f"def row_make(a, b, value): return make({', '.join(row)})",
-        namespace,
-    )
-
     by_slot = dict(zip(slots, fields))
 
     def template(conversion: str) -> str:
@@ -214,8 +198,7 @@ def _compile(tag: str, fields, slots, make) -> tuple[Callable, tuple | None, Cal
         return text
 
     writable = slots == sorted(set(slots)) and all(kind.write in (None, _fmt) for _, _, kind in fields)
-    row_templates = tuple(map(template, _CONVERSIONS)) if writable else None
-    return namespace["line"], row_templates, namespace["row_make"]
+    return tuple(map(template, _CONVERSIONS)) if writable else None
 
 
 class OpSpec:
@@ -225,24 +208,24 @@ class OpSpec:
     and ``make`` builds the op from the field values.  Each field's
     ``Kind`` reads and writes its text and checks its value.  Given the
     type's name, the row builds the class: a ``Value`` whose slots are the
-    fields' attributes, and whose ``__init__`` (``_init``) takes them in
-    order, sets them and runs their checks, so every op is checked as it
-    is constructed.  ``Displace`` is passed as its hand-written class: its
-    two real fields are the parts of one amplitude, ``alpha``, which
-    ``gaussian._amplitude`` checks.  A unitary op has a ``block`` (the
-    gate's 2k x 2k matrix over its k wires: x of each wire in field order,
-    then p of each), or ``terms``, its e^{r} and e^{-r} parts, whose sum is
-    its block, or, for a displacement, a ``shift`` (its (x, p) mean
-    displacement); each is called with the op's non-wire field values in
-    order.  The interpreter's ``_fold`` applies them, and its
-    ``_fold_positions`` applies the x part of blocks that map positions to
-    positions alone.
+    fields' attributes, and whose ``__init__`` (``_init``) takes them by
+    position or by keyword, runs their checks and sets them, so every op
+    is checked as it is constructed.  ``Displace`` is passed as its
+    hand-written class: its two real fields are the parts of one
+    amplitude, ``alpha``, which ``gaussian._amplitude`` checks.  A unitary
+    op has a ``block`` (the gate's 2k x 2k matrix over its k wires: x of
+    each wire in field order, then p of each), or ``terms``, its e^{r} and
+    e^{-r} parts, whose sum is its block, or, for a displacement, a
+    ``shift`` (its (x, p) mean displacement); each is called with the op's
+    non-wire field values in order.  The interpreter's ``_fold`` applies
+    them, and its ``_fold_positions`` applies the x part of blocks that
+    map positions to positions alone.
     """
 
     def __init__(self, cls, tag, fields, *, block=None, terms=None, shift=None, make=None):
         if isinstance(cls, str):
-            cls = type(cls, (Value,), {"__slots__": tuple(attr for _, attr, _ in fields), "__module__": __name__})
-            cls.__init__ = _init(cls, fields)
+            attrs = tuple(attr for _, attr, _ in fields)
+            cls = type(cls, (Value,), {"__slots__": attrs, "__module__": __name__, "__init__": _init(cls, fields)})
         self.cls, self.tag, self.fields = cls, tag, fields
         self.block = block if terms is None else lambda *params: sum(terms(*params))
         self.terms, self.shift = terms, shift
@@ -250,15 +233,22 @@ class OpSpec:
         self.unitary = self.block is not None or shift is not None
         self.wires = _getter(tuple(attr for _, attr, kind in fields if kind is WIRE))
         self.params = _getter(tuple(attr for _, attr, kind in fields if kind is not WIRE))
-        # each field's slot in a column row (a, b, value), for an op that one holds (see _Columns)
-        slots = [i if kind is WIRE else 2 for i, (_, _, kind) in enumerate(fields)]
-        #: the op as one line of circuit text; the ``%`` templates of the line
-        #: of the op a column row holds; and that op, built and checked
-        self.line, self.row_templates, self.row_make = _compile(tag, fields, slots, self.make)
+        #: each field's slot in a column row (a, b, value), for an op that one holds (see _Columns)
+        self.slots = [i if kind is WIRE else 2 for i, (_, _, kind) in enumerate(fields)]
+        self.row_templates = _row_templates(tag, fields, self.slots)
 
     def read(self, kv: dict[str, str]):
         """The op from its line's ``key=value`` pairs, one per field."""
         return self.make(*(kind.read(kv[key]) for key, _, kind in self.fields))
+
+    def line(self, op) -> str:
+        """The op as one line of circuit text: its tag, then each field's ``key=value``, written by its kind."""
+        fields = [f" {key}={(kind.write or format)(attrgetter(attr)(op))}" for key, attr, kind in self.fields]
+        return self.tag + "".join(fields)
+
+    def row_make(self, a, b, value):
+        """The op a column row holds, built, and checked, by ``make``."""
+        return self.make(*[(a, b, value)[slot] for slot in self.slots])
 
 
 _SPECS = (
@@ -313,8 +303,7 @@ class Circuit(Value):
     __slots__ = ("labels", "ops")
 
     def __init__(self, labels: tuple[int, ...], ops: tuple = ()):
-        object.__setattr__(self, "labels", _labels(labels))
-        object.__setattr__(self, "ops", tuple(ops))
+        self._set(_labels(labels), tuple(ops))
         self.validate()
 
     @property

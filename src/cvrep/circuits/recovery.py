@@ -521,11 +521,7 @@ class SweepSpec(Value):
             raise ValueError("duplicate erasure tags in sweep")
         if not errors:
             raise ValueError("sweep needs at least one erasure tag")
-        object.__setattr__(self, "r_min", r_min)
-        object.__setattr__(self, "r_max", r_max)
-        object.__setattr__(self, "steps", steps)
-        object.__setattr__(self, "errors", errors)
-        object.__setattr__(self, "alpha", _amplitude(alpha))
+        self._set(r_min, r_max, steps, errors, _amplitude(alpha))
 
 
 class SweepResult(Value):
@@ -541,11 +537,7 @@ class SweepResult(Value):
         row_max_abs_dev: np.ndarray,  # (steps,) over the swept tags only; nan if a swept cell is
         max_abs_dev: float,  # over the grid
     ):
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "simulated", simulated)
-        object.__setattr__(self, "formula", formula)
-        object.__setattr__(self, "row_max_abs_dev", row_max_abs_dev)
-        object.__setattr__(self, "max_abs_dev", max_abs_dev)
+        self._set(r, simulated, formula, row_max_abs_dev, max_abs_dev)
 
 
 def fidelity_sweep(spec: SweepSpec) -> SweepResult:

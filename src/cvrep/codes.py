@@ -87,18 +87,14 @@ __all__ = [
 
 
 class EdgeBasis(Value):
-    """Ordered edge set of K_N: pairs (j, k), 1 <= j < k <= N, lexicographic.
+    """Ordered edge set of K_N: pairs (j, k), 1 <= j < k <= N, lexicographic."""
 
-    ``_index`` maps each edge to its position; without one it is derived
-    from ``edges``.
-    """
-
+    #: ``_index``: each edge's position, derived from ``edges``
     __slots__ = ("N", "edges", "_index")
 
-    def __init__(self, N: int, edges: tuple[tuple[int, int], ...], _index: dict | None = None):
-        object.__setattr__(self, "N", N)
-        object.__setattr__(self, "edges", edges)
-        object.__setattr__(self, "_index", {e: i for i, e in enumerate(edges)} if _index is None else _index)
+    def __init__(self, N: int, edges: tuple[tuple[int, int], ...]):
+        self._set(N, edges)
+        object.__setattr__(self, "_index", {e: i for i, e in enumerate(edges)})
 
     @property
     def n_edges(self) -> int:
@@ -328,10 +324,7 @@ class StabilizerCode(Value):
 
     def __init__(self, n_modes: int, x_rows: np.ndarray, p_rows: np.ndarray, name: str = ""):
         x, p = (np.atleast_2d(np.asarray(M, dtype=float)) for M in (x_rows, p_rows))
-        object.__setattr__(self, "n_modes", n_modes)
-        object.__setattr__(self, "x_rows", x)
-        object.__setattr__(self, "p_rows", p)
-        object.__setattr__(self, "name", name)
+        self._set(n_modes, x, p, name)
         if x.shape[1] != n_modes or p.shape[1] != n_modes:
             raise ValueError(
                 f"generator rows must have {n_modes} columns, "
@@ -372,8 +365,7 @@ class ErasurePattern(Value):
     __slots__ = ("erased", "recovery_vertex")
 
     def __init__(self, erased: frozenset[int], recovery_vertex: int | None = None):
-        object.__setattr__(self, "erased", frozenset(map(int, erased)))
-        object.__setattr__(self, "recovery_vertex", recovery_vertex)
+        self._set(frozenset(map(int, erased)), recovery_vertex)
 
 
 # Five-mode erasure patterns, keyed by recovery vertex; 0-based mode indices.

@@ -67,7 +67,8 @@ class GaussianState:
 
     ``GaussianState(mean, cov)`` validates V and keeps it; F comes from
     ``eigh(V)`` on first use, rounding below 0 clamped.  The package's own
-    results hold a factor (``_of``) and form V on first read.
+    results hold a factor (``_of``) and form V on first read.  Two states
+    are equal when their means and V are, entry by entry; F is not compared.
     """
 
     def __init__(self, mean: np.ndarray, cov: np.ndarray):
@@ -114,6 +115,11 @@ class GaussianState:
     def copy(self) -> "GaussianState":
         return deepcopy(self)  # whatever it holds: V, F or both
 
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return np.array_equal(self.mean, other.mean) and np.array_equal(self.cov, other.cov)
+
     def __repr__(self) -> str:
         return f"GaussianState(n_modes={self.n_modes})"
 
@@ -124,10 +130,8 @@ class SymplecticMap(Value):
     __slots__ = ("matrix", "displacement")
 
     def __init__(self, matrix: np.ndarray, displacement: np.ndarray):
-        S = np.asarray(matrix, dtype=float)
-        d = np.asarray(displacement, dtype=float)
-        object.__setattr__(self, "matrix", S)
-        object.__setattr__(self, "displacement", d)
+        S, d = (np.asarray(M, dtype=float) for M in (matrix, displacement))
+        self._set(S, d)
         n2 = S.shape[0]
         if S.shape != (n2, n2) or n2 % 2 or d.shape != (n2,):
             raise ValueError(f"bad shapes: matrix {S.shape}, displacement {d.shape}")
@@ -168,9 +172,7 @@ class MeasurementRecord(Value):
             raise ValueError(f"basis must be 'x' or 'p', got {basis!r}")
         if not np.isfinite(outcome):
             raise ValueError("measurement outcome must be finite")
-        object.__setattr__(self, "mode", mode)
-        object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "outcome", outcome)
+        self._set(mode, basis, outcome)
 
 
 # ---------------------------------------------------------------------------

@@ -71,9 +71,7 @@ class FaceTable(Value):
             )
         if faces.size and not (0 <= faces.min() and faces.max() < rows):
             raise ValueError(f"face ranks must lie in 0..{rows - 1}")
-        object.__setattr__(self, "shape", shape)
-        object.__setattr__(self, "faces", faces)
-        object.__setattr__(self, "signs", signs)
+        self._set(shape, faces, signs)
 
     def dense(self) -> np.ndarray:
         D = np.zeros(self.shape, dtype=int)
@@ -171,8 +169,7 @@ class ChainComplex(Value):
                 raise ValueError(f"d_{k} is {rows} x {cols} but d_{k+1} has {high.shape[0]} rows")
             if not _composes_to_zero(low, high):
                 raise ValueError(f"not a chain complex: d_{k} d_{k+1} != 0")
-        object.__setattr__(self, "N", N)
-        object.__setattr__(self, "boundary", boundary)
+        self._set(N, boundary)
 
 
 def chain_complex(N: int) -> ChainComplex:

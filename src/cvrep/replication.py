@@ -69,8 +69,7 @@ class SpacetimePoint(Value):
             raise ValueError("a point needs at least one spatial coordinate")
         if not all(map(math.isfinite, coords)):
             raise ValueError("coordinates must be finite")
-        object.__setattr__(self, "t", coords[0])
-        object.__setattr__(self, "x", tuple(coords[1:]))
+        self._set(coords[0], tuple(coords[1:]))
 
     @property
     def dim(self) -> int:
@@ -99,8 +98,7 @@ class CausalDiamond(Value):
             raise ValueError("diamond endpoints must share a dimension")
         if not causal_leq(y, z):
             raise ValueError("diamond entry must causally precede its exit")
-        object.__setattr__(self, "y", y)
-        object.__setattr__(self, "z", z)
+        self._set(y, z)
 
     @property
     def dim(self) -> int:
@@ -118,8 +116,7 @@ class Configuration(Value):
         dims = {start.dim, *(d.dim for d in diamonds)}
         if len(dims) != 1:
             raise ValueError(f"mixed spatial dimensions in configuration: {sorted(dims)}")
-        object.__setattr__(self, "start", start)
-        object.__setattr__(self, "diamonds", diamonds)
+        self._set(start, diamonds)
 
     @property
     def n_diamonds(self) -> int:
@@ -149,8 +146,7 @@ class Violation(Value):
     __slots__ = ("kind", "diamonds")  # kind: "start-unreachable" | "unrelated-pair"
 
     def __init__(self, kind: str, diamonds: tuple[int, ...]):
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "diamonds", diamonds)
+        self._set(kind, diamonds)
 
     def __str__(self) -> str:
         if self.kind == "start-unreachable":
@@ -166,7 +162,7 @@ class ValidationReport(Value):
     __slots__ = ("violations",)
 
     def __init__(self, violations: tuple[Violation, ...]):
-        object.__setattr__(self, "violations", violations)
+        self._set(violations)
 
     @property
     def valid(self) -> bool:

@@ -39,9 +39,7 @@ class Tolerances(Value):
         #: simulated recovery fidelity must match the closed form to this
         fidelity_gate: float = 1e-8,
     ):
-        given = locals()
-        for name in self.__slots__:
-            object.__setattr__(self, name, given[name])
+        self._set(*map(locals().get, self._fields))
 
 
 TOL = Tolerances()

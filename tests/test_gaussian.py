@@ -4,6 +4,7 @@ Gates and feedforward run as one-op circuits through ``run``: ``gaussian``
 holds the gate blocks, not gate functions."""
 
 import math
+import pickle
 import warnings
 
 import numpy as np
@@ -118,6 +119,20 @@ def test_state_validation_accepts_the_encoded_states_at_any_squeezing(r):
     for state in (optical_encoded_state(r), ideal_encoded_state(r)):
         again = g.GaussianState(state.mean, state.cov)
         assert np.array_equal(again.cov, state.cov)
+
+
+def test_states_compare_by_mean_and_covariance():
+    # states once compared by identity, so vacuum(1) != vacuum(1); a state
+    # given its V equals one held by a factor of that V, and is unhashable
+    assert g.vacuum(1) == g.vacuum(1) != g.vacuum(2)
+    assert g.vacuum(1) != g.coherent(0.5) and not g.vacuum(1) == g.coherent(0.5)
+    assert g.GaussianState(np.zeros(2), np.eye(2) / 2) == g.vacuum(1)
+    assert g.vacuum(1).__eq__(np.zeros(2)) is NotImplemented
+    state = g.coherent(0.5 - 0.25j)
+    for clone in (state.copy(), pickle.loads(pickle.dumps(state))):
+        assert clone == state
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(state)
 
 
 # ---------------------------------------------------------------------------

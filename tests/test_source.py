@@ -28,6 +28,35 @@ def test_no_assert_statements_in_the_package():
     assert not found, f"assert statements in cvrep: {found}"
 
 
+# the private slots an ``__init__`` derives from its fields and sets itself,
+# by (module, class, slot); every field is set through ``Value._set``
+_DERIVED_SLOTS = {("codes.py", "EdgeBasis", "_index"), ("codes.py", "StabilizerCode", "_blocks")}
+
+
+def test_the_package_generates_no_code_and_sets_fields_only_through_its_base():
+    # No module builds code at run time: the op table's constructors are
+    # closures over its rows.  ``object.__setattr__`` (or a slot's
+    # ``__set__``) gets past a value's refusing ``__setattr__``; it is called
+    # in ``Value._set`` and for the derived slots named above, nowhere else.
+    generated, setters = [], set()
+    for path in sorted(SOURCE.rglob("*.py")):
+        module, tree = path.relative_to(SOURCE).as_posix(), ast.parse(path.read_text(encoding="utf-8"))
+        owner = {node: cls.name for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef) for node in ast.walk(cls)}
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            if isinstance(func, ast.Name) and func.id in ("exec", "eval", "compile"):
+                generated.append(f"{module}:{node.lineno} {func.id}")
+            elif isinstance(func, ast.Attribute) and (
+                func.attr == "__set__" or func.attr == "__setattr__" and ast.unparse(func.value) == "object"
+            ):
+                slot = node.args[1] if len(node.args) > 1 else None
+                setters.add((module, owner.get(node), slot.value if isinstance(slot, ast.Constant) else None))
+    assert not generated, f"code generated at run time: {generated}"
+    assert setters == {("_value.py", "Value", None), *_DERIVED_SLOTS}
+
+
 def test_every_name_in_every_all_resolves():
     # A name left in __all__ after its definition goes breaks only
     # ``from module import *``; this finds it.  ``__main__`` runs the CLI.
