@@ -152,23 +152,40 @@ def _getter(attrs: tuple[str, ...]) -> Callable[[object], tuple]:
 def _init(name: str, fields) -> Callable:
     """The op type's ``__init__``: it takes the fields by position or by keyword, checks them and sets them.
 
+    The arguments bind as a call of the signature ``(self, *attrs)`` does:
+    the positional ones first, then each field after them by its keyword; a
+    TypeError names an argument too many, missing, unknown or given twice.
     The checks run in field order: the field's kind's ``bad``, then, for a
     wire, that it differs from each earlier wire.  The first that fails
     raises ValueError, naming the field and its value.
     """
-    signature = Signature([Parameter(p, Parameter.POSITIONAL_OR_KEYWORD) for p in ("self", *(a for _, a, _ in fields))])
+    attrs = tuple(attr for _, attr, _ in fields)
+    # each field's attribute, kind, and the position and attribute of each earlier wire it must differ from
+    checks = [
+        (attr, kind, [(j, other) for j, (_, other, other_kind) in enumerate(fields[:i]) if kind is other_kind is WIRE])
+        for i, (_, attr, kind) in enumerate(fields)
+    ]
 
     def __init__(self, *args, **kwargs):
-        values = signature.bind(self, *args, **kwargs).args[1:]
-        for i, (value, (_, attr, kind)) in enumerate(zip(values, fields)):
+        if len(args) > len(attrs):
+            raise TypeError(f"{name}() takes {len(attrs)} arguments but {len(args)} were given")
+        for attr in attrs[len(args) :]:
+            if attr not in kwargs:
+                raise TypeError(f"{name}() missing argument {attr!r}")
+            args += (kwargs.pop(attr),)
+        if kwargs:
+            key = next(iter(kwargs))
+            given = "multiple values for" if key in attrs else "an unexpected keyword"
+            raise TypeError(f"{name}() got {given} argument {key!r}")
+        for value, (attr, kind, earlier) in zip(args, checks):
             if kind.bad(value):
                 raise ValueError(f"{name}.{attr} {kind.must}, got {value!r}")
-            for (_, other, other_kind), earlier in zip(fields[:i], values):
-                if kind is other_kind is WIRE and value == earlier:
+            for j, other in earlier:
+                if value == args[j]:
                     raise ValueError(f"{name}.{attr} must differ from {name}.{other}, got {value!r}")
-        self._set(*values)
+        self._set(*args)
 
-    __init__.__signature__ = signature
+    __init__.__signature__ = Signature([Parameter(p, Parameter.POSITIONAL_OR_KEYWORD) for p in ("self", *attrs)])
     return __init__
 
 

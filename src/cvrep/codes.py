@@ -8,18 +8,18 @@ on the commuting, independent rows that StabilizerCode enforces.
 
 Every fact about a generator block is held once, by a ``_Block``, and
 StabilizerCode keeps its X and P blocks as a pair: the block's rank, its
-unit pivots or its kernel (taken on first use), its restriction ranks and
-the comparison of its row space with another's.
+unit pivots (taken on first use), its restriction ranks and the
+comparison of its row space with another's.
 
 Which facts are exact: every generator matrix built here is an integer
 matrix, and a block whose entries are all integral floats holds its exact
 rows (``_introws``).  Its own rank, and so the construction's independence
-check, and the comparison of its row space with another integer block's
-are exact, at any entry size.  Everything else is float: the ranks of a
-non-integer block, and the restriction ranks of every block, though a
-unit-pivot block's are float only in a small residual.  A float rank
-counts the singular values above a cutoff relative to a scale, the largest
-singular value of the whole block.
+check, the comparison of its row space with another integer block's, and
+its restriction ranks are exact, at any entry size, but for the rank of a
+unit-pivot block's residual that is not monomial (below).  Everything
+else is float: that residual's rank, and every rank of a non-integer
+block.  A float rank counts the singular values above a cutoff relative
+to a scale, the largest singular value of the whole block.
 
 Every block built here, but the five-mode code's X block (a pivot is -2),
 peels on unit pivots (``_introws``): each row owns a column, on a pivot of
@@ -38,19 +38,17 @@ at most (N - 2) x (N - 1), but one pattern per block: all of W for X's kept
 modes at v = 1, and (N - 2) x C(N-1,2) for P's erased modes at v = N; X's
 erased-side residuals are monomial and take no SVD.
 
+A block without unit pivots takes rank M[:, S] on the column slice itself:
+an integer block exactly, ``IntRows.of(M[:, S]).rank`` per pattern, and any
+other block by one stacked SVD of the slices of each width |S|, at the
+block's scale.  Nothing built here but the five-mode X block takes this
+route.  A dense integer block that does not peel pays an exact elimination
+per pattern, and a non-integer block an SVD of each k x |S| slice.
+
 ``correctable_mask`` decides a G x n boolean mask of erased modes, one row
 per pattern; ``vertex_erasures`` writes the vertex patterns' mask from the
 vertex rule (edge jk is erased for vertex v iff v is not in {j, k}), and
 ``correctable`` builds the mask from ``ErasurePattern``s.
-
-Any other block takes each restriction rank on the cheaper of the column
-slice and its kernel complement: for a block M (k x n) with independent
-rows and K the orthonormal rows spanning ker M (the trailing columns of a
-complete QR of M^T), rank M[:, S] = |S| - (n - k) + rank K[:, ~S], and the
-side with the smaller SVD flop estimate, k |S| min(k, |S|) against
-(n - k) |~S| min(n - k, |~S|), is taken, the kernel side (at scale 1) on a
-tie.  Patterns that erase the same number of modes give slices of one
-shape, so each such group's rank is one SVD of a stack of slices.
 """
 
 from __future__ import annotations
@@ -163,14 +161,15 @@ class _Block:
 
     When every entry is an integral float, the block holds its exact rows
     (``_introws.IntRows``): its own rank, and the comparison of its row
-    space with another integer block's, are exact.  Its restriction ranks
-    stay float, but a block whose rows peel on unit pivots takes them
-    through its pivots (``ranks``), float only in a small residual that is
-    not monomial; it reads its pivot map and W (the free columns) when a
-    restriction rank first needs them, and its scale when a residual first
-    needs an SVD.  Any other block takes its singular values, whose largest
-    is the scale of every float rank decision on it, and its kernel only
-    when such a decision first needs them.
+    space with another integer block's, are exact.  A block whose rows
+    peel on unit pivots takes its restriction ranks through its pivots
+    (``ranks``), float only in a small residual that is not monomial; it
+    reads its pivot map and W (the free columns) when a restriction rank
+    first needs them, and its scale when a residual first needs an SVD.
+    Any other integer block takes each restriction rank exactly, on its
+    column slice.  A non-integer block takes its singular values, whose
+    largest is the scale of every float rank decision on it, when such a
+    decision first needs them.
     """
 
     def __init__(self, rows: np.ndarray):
@@ -223,11 +222,6 @@ class _Block:
             return self.exact.rank
         return _count_ranks([self.svals.tolist()], self.scale if scale is None else scale)[0]
 
-    @cached_property
-    def kernel(self) -> np.ndarray:
-        """(n - k) x n orthonormal rows spanning ker M: the trailing columns of a complete QR of M^T."""
-        return np.linalg.qr(self.rows.T, mode="complete")[0][:, self.rows.shape[0] :].T.copy()
-
     def ranks(self, inside: np.ndarray) -> np.ndarray:
         """rank M[:, S] for each row of ``inside``, a G x n mask of the columns in S.
 
@@ -247,11 +241,19 @@ class _Block:
         general code) its nonzero count.  The other residuals of a group
         are ranked by one stacked SVD at the block's scale.
 
-        Any other block takes the cheaper of the column slice and its kernel
-        complement (``_complement_ranks``).
+        Any other block takes rank M[:, S] on the column slice itself: an
+        integer block exactly (``IntRows``), and a non-integer one by one
+        stacked SVD of the slices of each width |S|, at the block's scale.
         """
         if self.pivots is None:
-            return self._complement_ranks(inside)
+            ranks = np.zeros(len(inside), dtype=np.intp)
+            for width, at in _groups(inside.sum(1).tolist()).items():
+                slices = self.rows[:, inside[at].nonzero()[1].reshape(len(at), width)].transpose(1, 0, 2)
+                if self.exact is None:
+                    ranks[at] = _stack_ranks(slices, self.scale)
+                else:
+                    ranks[at] = [IntRows.of(M).rank for M in slices]
+            return ranks
         pivot_of, free, W = self.pivots
         unowned, picked = ~inside[:, pivot_of], inside[:, free]  # R_S, and S & F
         height, width = unowned.sum(1), picked.sum(1)
@@ -273,31 +275,6 @@ class _Block:
                     ranks[at] += nonzero.sum((1, 2))
                     continue
             ranks[at] += _stack_ranks(residuals, self.scale)
-        return ranks
-
-    def _complement_ranks(self, inside: np.ndarray) -> np.ndarray:
-        """rank M[:, S] on the cheaper of the slice and its kernel complement.
-
-        rank M[:, S] = |S| - (n - k) + rank K[:, ~S], with K the kernel.
-        Patterns of one |S| give slices of one shape, so each group's ranks
-        are one stacked SVD.  Whichever side has the smaller SVD flop
-        estimate, k |S| min(k, |S|) against (n - k) |~S| min(n - k, |~S|),
-        is taken, and a tie goes to the kernel side; the choice depends only
-        on shapes.  The K side is decided at scale 1, the scale of an
-        orthonormal block, and the slice side at the block's.
-        """
-        k, n = self.rows.shape
-        c = n - k
-        ranks = np.zeros(len(inside), dtype=np.intp)
-        for width, at in _groups(inside.sum(1).tolist()).items():
-            other = n - width
-            if c * other * min(c, other) <= k * width * min(k, width):
-                rest = (~inside[at]).nonzero()[1].reshape(len(at), other)
-                got = [width - c + rank for rank in _stack_ranks(self.kernel[:, rest].transpose(1, 0, 2), 1.0)]
-            else:
-                cols = inside[at].nonzero()[1].reshape(len(at), width)
-                got = _stack_ranks(self.rows[:, cols].transpose(1, 0, 2), self.scale)
-            ranks[at] = got
         return ranks
 
     def same_span(self, other: _Block) -> bool:
@@ -431,13 +408,16 @@ def vertex_erasures(
     ``vertices`` defaults to every vertex, in order.  For edge-mode codes,
     edge jk is erased for vertex v iff v is not in {j, k}: every edge not
     incident to the vertex.  For the five-mode code the rows come from the
-    fixed table ``FIVE_MODE_ERASURES`` (vertices 1..4).
+    fixed table ``FIVE_MODE_ERASURES`` (vertices 1..4), for a code named
+    ``five_mode`` only if it has 5 modes.
     """
     if vertices is not None:
         vertices = np.asarray(vertices)
         if vertices.size and vertices.dtype.kind not in "iu":
             raise ValueError(f"vertices must be integers, got {vertices.tolist()}")
     if code.name == "five_mode":
+        if code.n_modes != 5:
+            raise ValueError(f"the five-mode erasure table needs a 5-mode code, got {code.n_modes} modes")
         vertices = list(FIVE_MODE_ERASURES) if vertices is None else vertices.tolist()
         erased = np.zeros((len(vertices), code.n_modes), dtype=bool)
         for row, vertex in zip(erased, vertices):
@@ -502,8 +482,10 @@ def correctable_mask(code: StabilizerCode, erased: np.ndarray) -> np.ndarray:
 
     for (a, b) = (P, X), the X side, and for (a, b) = (X, P), the P side.
     StabilizerCode checks both premises on construction, exactly for an
-    integer block.  The restriction ranks are float, and every one is taken
-    against the scale of the whole block, not of the column slice.
+    integer block.  The restriction ranks of an integer block are exact, but
+    for the residuals below that are not monomial; those, and every rank of
+    a non-integer block, are float, each taken against the scale of the
+    whole block, not of the column slice.
 
     The mask and its complement serve all four ranks.  A unit-pivot block
     takes each rank as its exact pivot count plus the rank of a residual of
@@ -514,11 +496,11 @@ def correctable_mask(code: StabilizerCode, erased: np.ndarray) -> np.ndarray:
     (``_Block.ranks``), with no SVD for a monomial residual and one stacked
     SVD per shape of the others.  For a vertex pattern of the general code
     this turns rank X[:, E], a C(N-1,2) x C(N-1,2) slice, into an
-    (N-2)-square monomial residual, and takes no QR and no SVD of either
-    block.  Any other block takes the cheaper of the slice and its kernel
-    complement, one stacked SVD per |S|.  The P side is taken only for the
-    rows whose X side holds.  Verdicts come back as a boolean array, in
-    the order of the rows.
+    (N-2)-square monomial residual, and takes no SVD of either block.  Any
+    other block takes each rank on the column slice: exactly for an integer
+    block, and by one stacked SVD per |S| for a non-integer one.  The P
+    side is taken only for the rows whose X side holds.  Verdicts come back
+    as a boolean array, in the order of the rows.
     """
     if erased.dtype != bool or erased.ndim != 2 or erased.shape[1] != code.n_modes:
         raise ValueError(

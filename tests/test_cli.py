@@ -303,7 +303,7 @@ def test_verify_five_is_the_pattern_route_s_report(capsys):
 
 @pytest.mark.parametrize(
     "argv, svd_calls, qr_calls",
-    [(("verify", "five"), 8, 1), (("verify", "24"), 6, 0), (("verify", "12", "--homology"), 6, 0)],
+    [(("verify", "five"), 3, 0), (("verify", "24"), 6, 0), (("verify", "12", "--homology"), 6, 0)],
     ids=["five", "24", "12 homology"],
 )
 def test_verify_takes_each_block_factorization_once(capsys, monkeypatch, argv, svd_calls, qr_calls):
@@ -313,9 +313,9 @@ def test_verify_takes_each_block_factorization_once(capsys, monkeypatch, argv, s
     # residuals with at least two rows and two columns that are not
     # monomial (four shapes on the vertex patterns; the X block's
     # erased-side residuals, the fifth shape, are monomial and take no
-    # SVD).  The five-mode X block (a pivot of -2) takes its
-    # singular values and its complete-QR kernel once each; with the P
-    # block's W, that is two plain SVDs and six stacked ones
+    # SVD).  The five-mode X block (a pivot of -2) takes each rank exactly
+    # on its column slice, with no SVD; its P block takes one plain SVD of
+    # its W and two stacked ones.  No command takes a QR
     calls = {"svd": 0, "qr": 0}
 
     def counting(name):

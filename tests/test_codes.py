@@ -6,7 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import apply_op, random_gaussian_state
@@ -321,7 +321,7 @@ def test_correctability_does_not_depend_on_scale():
 
 
 # ---------------------------------------------------------------------------
-# restriction ranks on the kernel complement
+# restriction ranks at every scale
 # ---------------------------------------------------------------------------
 
 SCALES = (1e-11, 1.0, 1e6)
@@ -376,9 +376,9 @@ def _direct_verdict(code, erased):
 
 
 @pytest.mark.parametrize("n", range(4, 9))
-def test_complement_verdicts_agree_with_the_rational_oracle(n):
-    # N = 6 is the first size where a vertex pattern takes rank X[:, E] on
-    # the complement (n = 15 modes, k_X = 10)
+def test_verdicts_at_every_scale_agree_with_the_rational_oracle(n):
+    # a scaled code is not an integer code, so it takes every restriction
+    # rank on its column slices, by SVD at its blocks' scales
     cases = [(code, n) for code in _edge_codes(n)]
     if n == 4:  # the five-mode code rides along with the smallest edge codes
         cases.append((codes.build_five_mode_code(), None))
@@ -393,7 +393,7 @@ def test_complement_verdicts_agree_with_the_rational_oracle(n):
 
 
 @pytest.mark.parametrize("n", range(9, 17))
-def test_complement_verdicts_agree_with_the_direct_identity(n):
+def test_verdicts_at_every_scale_agree_with_the_direct_identity(n):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for code in _edge_codes(n):
@@ -404,18 +404,22 @@ def test_complement_verdicts_agree_with_the_direct_identity(n):
                     assert got == want, (code.name, scale, sorted(erased))
 
 
-def test_complement_rank_identity_holds_on_both_blocks():
-    # rank M[:, S] = |S| - (n - k) + rank K[:, ~S] for each block, at every size of S
+def test_each_block_ranks_its_column_slices_at_every_scale():
+    # rank M[:, S] for each block, at every size of S, through whichever
+    # route the block takes, is the slice's exact rank and its rank from
+    # one SVD at the block's scale; a scaled block, with no exact rows,
+    # takes the same ranks on its slices
     rng = np.random.default_rng(5)
     for code in (*_edge_codes(7), codes.build_five_mode_code()):
-        for M, scale, K in ((block.rows, block.scale, block.kernel) for block in code._blocks):
-            k, n = M.shape
-            np.testing.assert_allclose(K @ K.T, np.eye(n - k), atol=1e-12)
-            np.testing.assert_allclose(M @ K.T, 0.0, atol=1e-12)
-            for size in range(n + 1):
-                S = sorted(rng.choice(n, size, replace=False).tolist())
-                rest = [m for m in range(n) if m not in S]
-                assert _rank(M[:, S], scale) == size - (n - k) + _rank(K[:, rest], 1.0)
+        for M, scale in ((block.rows, block.scale) for block in code._blocks):
+            n = M.shape[1]
+            inside = np.zeros((n + 1, n), dtype=bool)
+            for size, row in enumerate(inside):
+                row[rng.choice(n, size, replace=False)] = True
+            want = [IntRows.of(M[:, S]).rank for S in inside]
+            assert want == [_rank(M[:, S], scale) for S in inside]
+            for factor in SCALES:
+                assert codes._Block(factor * M).ranks(inside).tolist() == want, (code.name, factor)
 
 
 def _spied(name, read):
@@ -462,7 +466,7 @@ def test_vertex_pattern_ranks_are_at_most_n_minus_one_wide(builder):
 
 
 def _complete_route(code):
-    """The code rebuilt with no unit pivots: every restriction rank on the slice or its kernel."""
+    """The code rebuilt with no unit pivots: every restriction rank on its column slice, exactly."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(IntRows, "unit_pivots", None)
         twin = codes.StabilizerCode(code.n_modes, code.x_rows, code.p_rows, name=code.name)
@@ -490,13 +494,13 @@ def _ranks_by_route(code, erasures):
 
 
 @pytest.mark.parametrize("n", [4, 5, 6, 8, 12, 17, 24, 40])
-def test_the_peel_route_and_the_complete_qr_span_one_kernel(n):
+def test_the_pivot_map_spans_the_kernel_and_both_routes_agree(n):
     # a unit-pivot block's pivot map and W describe it exactly: a signed
     # identity on the pivot columns and W on the free ones, so the integer
     # basis read off them (the free identity, -s_i W[i] in row i's pivot
-    # column) spans the complete QR's kernel.  Its restriction ranks take
-    # no QR, and the residual route gives every vertex rank the complete
-    # route gives.  The five-mode X block (a pivot of -2) has no unit pivots
+    # column) is independent and spans its kernel.  The residual route
+    # gives every vertex rank the complete route gives.  The five-mode X
+    # block (a pivot of -2) has no unit pivots
     five = codes.build_five_mode_code() if n == 5 else None
     cases = [
         (codes.build_general_code(n), (True, True)),
@@ -517,21 +521,18 @@ def test_the_peel_route_and_the_complete_qr_span_one_kernel(n):
             basis[free, np.arange(m - k)] = 1.0
             basis[pivot_of] = -M[np.arange(k), pivot_of][:, None] * W
             assert not (M @ basis).any()
-            K = np.linalg.qr(M.T, mode="complete")[0][:, k:].T
-            Q = np.linalg.qr(basis)[0]
-            assert np.abs(Q @ Q.T - K.T @ K).max() <= m * np.finfo(float).eps
+            assert IntRows.of(basis.T).rank == m - k
         vertices = 4 if code is five else n
         erasures = _test_erasures(code, None if code is five else n, seed=n, n_random=0)
-        (ranks, verdicts), qrs = _spied("qr", lambda: _ranks_and_verdicts(code, erasures))
-        assert qrs == ([(5, 2)] if code is five else [])
+        ranks, verdicts = _ranks_and_verdicts(code, erasures)
         assert verdicts == [True] * vertices
         assert _ranks_by_route(code, erasures)[1] == (ranks, verdicts)
 
 
-def test_both_kernel_routes_give_every_vertex_verdict():
+def test_both_rank_routes_give_every_vertex_verdict():
     # every rank and verdict of every general-code vertex pattern at
-    # N = 4-40, through the unit pivots and on the complete route (the
-    # slices and the complete-QR kernel); by the paper, all verdicts hold
+    # N = 4-40, through the unit pivots and on the complete route (each
+    # slice's exact rank); by the paper, all verdicts hold
     for n in range(4, 41):
         code = codes.build_general_code(n)
         erasures = _test_erasures(code, n, seed=n, n_random=0)
@@ -541,10 +542,10 @@ def test_both_kernel_routes_give_every_vertex_verdict():
 
 
 @pytest.mark.parametrize("scale", [1.0, 1 / 3, 1e-11])
-def test_both_kernel_routes_give_every_drawn_verdict(scale):
+def test_both_rank_routes_give_every_drawn_verdict(scale):
     # seeded random erasures of the five-mode, general and homological
     # codes: both routes give every rank and verdict.  A scaled code is not
-    # an integer code, so it takes the complete route either way
+    # an integer code, so it takes the slice SVDs either way
     rng = np.random.default_rng(28)
     edge_codes = [build(n) for n in (4, 7, 12) for build in (codes.build_general_code, homology.build_homological_code)]
     for code in (codes.build_five_mode_code(), *edge_codes):
@@ -682,6 +683,17 @@ def test_vertex_erasures_and_the_mask_core_reject_what_does_not_fit():
             codes.correctable_mask(code, bad)
 
 
+def test_the_five_mode_table_needs_a_five_mode_code():
+    # the table is picked by the code's name: a code of another size under
+    # that name would get patterns that never erase its sixth mode
+    general = codes.build_general_code(4)
+    impostor = codes.StabilizerCode(6, general.x_rows, general.p_rows, name="five_mode")
+    with pytest.raises(ValueError, match="the five-mode erasure table needs a 5-mode code, got 6 modes"):
+        codes.vertex_erasures(impostor, None)
+    with pytest.raises(ValueError, match="the five-mode erasure table needs a 5-mode code, got 6 modes"):
+        codes.erasure_for_vertex(impostor, codes.edge_basis(4), 1)
+
+
 # ---------------------------------------------------------------------------
 # monomial residuals
 # ---------------------------------------------------------------------------
@@ -739,12 +751,13 @@ def test_a_residual_with_two_nonzeros_in_a_line_takes_the_svd(W, masks, want):
 
 
 @pytest.mark.parametrize("scale", [1e-11, 1 / 3])
-def test_a_scaled_code_keeps_the_complement_route_and_its_verdicts(scale):
+def test_a_scaled_code_takes_one_slice_svd_per_rank_and_keeps_its_verdicts(scale):
     # a scaled code is not an integer code: it has no unit pivots, so no
-    # monomial shortcut, and takes the same stacked SVDs as the integer
-    # code on the complete route, with the same verdicts (its singular
-    # values, which the integer code takes only for a rank, come from its
-    # construction)
+    # residuals, and takes each restriction rank on its column slices, one
+    # stacked SVD per rank (the vertex patterns erase C(N-1,2) modes each);
+    # its scales come from the singular values its construction took.  The
+    # integer code on the complete route takes the same ranks exactly, with
+    # no SVD, and both give the integer code's verdicts
     for n in (5, 8, 12):
         code, basis = codes.build_general_code(n), codes.edge_basis(n)
         scaled, twin = _scaled(code, scale), _complete_route(code)
@@ -752,8 +765,94 @@ def test_a_scaled_code_keeps_the_complement_route_and_its_verdicts(scale):
         erased = codes.vertex_erasures(code, basis)
         verdicts, shapes = _spied("svd", lambda: codes.correctable_mask(scaled, erased))
         complete, complete_shapes = _spied("svd", lambda: codes.correctable_mask(twin, erased))
-        assert shapes == [shape for shape in complete_shapes if len(shape) == 3]
+        assert complete_shapes == []
+        (kx, m), (kp, _) = (block.rows.shape for block in code._blocks)
+        gone = math.comb(n - 1, 2)
+        # the X side, P[:, E] and X[:, ~E], then the P side, X[:, E] and P[:, ~E]
+        assert shapes == [(n, kp, gone), (n, kx, m - gone), (n, kx, gone), (n, kp, m - gone)]
         assert verdicts.tolist() == complete.tolist() == codes.correctable_mask(code, erased).tolist() == [True] * n
+
+
+# ---------------------------------------------------------------------------
+# integer blocks without unit pivots: exact ranks on the column slice
+# ---------------------------------------------------------------------------
+
+
+def test_a_near_singular_integer_slice_is_ranked_exactly():
+    # X[:, {0, 1}] = [[a, a + 1], [a - 1, a]] has determinant 1, but its
+    # singular values are about 2a and 1/(2a): at a = 1e8 a float cutoff
+    # at the block's scale calls it rank 1, and the erasure uncorrectable
+    a = 10**8
+    code = codes.StabilizerCode(6, [[a, a + 1, 0, 0, 0, 0], [a - 1, a, 0, 0, 0, 0]], np.eye(6)[2:])
+    assert code._blocks[0].pivots is None
+    assert correctable_oracle(code.x_rows, code.p_rows, frozenset({0, 1}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert codes.check_correctable(code, codes.ErasurePattern({0, 1}))
+
+
+def _rewritten(code, U, V):
+    """The code with its X rows written as U X and its P rows as V P; None unless every entry is below 2^53.
+
+    The products are taken in Python ints, so the rows are exact in float.
+    """
+    x, p = (np.array(A, dtype=object) @ B.astype(int).astype(object) for A, B in ((U, code.x_rows), (V, code.p_rows)))
+    if max(abs(v) for v in (*x.flat, *p.flat)) >= 2**53:
+        return None
+    return codes.StabilizerCode(code.n_modes, x.astype(float), p.astype(float), name=f"{code.name}-rewritten")
+
+
+@pytest.mark.parametrize("a", [10**3, 10**6, 10**8, 10**12, 10**15])
+def test_the_five_mode_code_rewritten_by_a_unimodular_u_keeps_every_verdict(a):
+    # U = [[a, a + 1], [a - 1, a]] has determinant 1, so U X spans X's rows;
+    # every entry of U X stays below 2^53, so it is exact in float
+    five = codes.build_five_mode_code()
+    rewritten = _rewritten(five, [[a, a + 1], [a - 1, a]], [[1, 0], [0, 1]])
+    assert rewritten._blocks[0].pivots is None
+    erasures = list(_nonempty_erasures(5))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _verdicts(rewritten, erasures) == _verdicts(five, erasures)
+
+
+def _unimodular(k, shears, sign):
+    """A k x k integer matrix of determinant +-1: row i += m row j for each (i, j, m), after a sign on row 0."""
+    U = [[int(i == j) for j in range(k)] for i in range(k)]
+    U[0][0] = sign
+    for i, j, m in shears:
+        if i % k != j % k:
+            U[i % k] = [u + m * v for u, v in zip(U[i % k], U[j % k])]
+    return U
+
+
+_SHEARS = st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5), st.integers(-10**4, 10**4)), max_size=4)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    build=st.sampled_from([codes.build_five_mode_code, lambda: codes.build_general_code(4)]),
+    x_shears=_SHEARS,
+    p_shears=_SHEARS,
+    signs=st.tuples(st.sampled_from([1, -1]), st.sampled_from([1, -1])),
+    data=st.data(),
+)
+def test_an_integer_code_without_unit_pivots_gives_the_oracle_s_verdicts(build, x_shears, p_shears, signs, data):
+    # a code's rows rewritten by drawn integer unimodular matrices span the
+    # same spaces; kept when |U X| and |V P| stay below 2^53, so that the
+    # rows are exact in float, and the X block has no unit pivots.  The
+    # five-mode X block never has them.  Every drawn erasure's verdict is
+    # the oracle's, with no warning
+    code = build()
+    (kx, n), kp = code.x_rows.shape, len(code.p_rows)
+    U, V = _unimodular(kx, x_shears, signs[0]), _unimodular(kp, p_shears, signs[1])
+    rewritten = _rewritten(code, U, V)
+    assume(rewritten is not None and rewritten._blocks[0].pivots is None)
+    erasures = data.draw(st.lists(st.frozensets(st.integers(0, n - 1), min_size=1), min_size=1, max_size=8))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _verdicts(rewritten, erasures)
+    assert got == [correctable_oracle(rewritten.x_rows, rewritten.p_rows, erased) for erased in erasures]
+    assert got == _verdicts(code, erasures)
 
 
 # ---------------------------------------------------------------------------
